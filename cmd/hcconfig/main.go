@@ -25,7 +25,6 @@ import (
 	"parajoin/internal/core"
 	"parajoin/internal/dataset"
 	"parajoin/internal/queries"
-	"parajoin/internal/rel"
 	"parajoin/internal/shares"
 	"parajoin/internal/stats"
 )
@@ -55,10 +54,7 @@ func main() {
 	} else {
 		w := queries.New(dataset.DefaultTwitter(), dataset.DefaultKB())
 		q = w.Query(*queryName)
-		catalog = stats.NewCatalog()
-		for _, r := range w.Relations {
-			catalog.Add(r)
-		}
+		catalog = w.Catalog()
 	}
 	fmt.Printf("query: %s\njoin variables: %v\nworkers: %d\n\n", q, q.JoinVars(), *workers)
 
@@ -127,8 +123,10 @@ func round(xs []float64) []float64 {
 	return out
 }
 
-// syntheticCatalog builds relations with the requested cardinalities so the
-// optimizers can run on an ad-hoc rule.
+// syntheticCatalog describes relations with the requested cardinalities so
+// the share optimizers can run on an ad-hoc rule. Nothing is materialized
+// or scanned: every column is taken to be a key, so the statistics are the
+// cardinality itself.
 func syntheticCatalog(q *core.Query, cards string) *stats.Catalog {
 	want := map[string]int{}
 	for _, kv := range strings.Split(cards, ",") {
@@ -151,19 +149,11 @@ func syntheticCatalog(q *core.Query, cards string) *stats.Catalog {
 		if n == 0 {
 			n = 1000
 		}
-		r := rel.New(a.Relation)
-		r.Schema = make(rel.Schema, len(a.Terms))
-		for i := range r.Schema {
-			r.Schema[i] = fmt.Sprintf("c%d", i)
+		distinct := make([]int, len(a.Terms))
+		for i := range distinct {
+			distinct[i] = n
 		}
-		for i := 0; i < n; i++ {
-			t := make(rel.Tuple, len(a.Terms))
-			for j := range t {
-				t[j] = int64(i)
-			}
-			r.Append(t)
-		}
-		catalog.Add(r)
+		catalog.AddStats(stats.Precomputed(a.Relation, n, distinct))
 	}
 	return catalog
 }

@@ -17,20 +17,9 @@ import (
 // wholesale (SaveRelation's contract); the catalog version is untouched,
 // since partition *placement* hasn't changed, only content.
 func (db *DB) PersistTo(store *partstore.Store, slots int) error {
-	db.mu.Lock()
-	names := make([]string, 0, len(db.rels))
-	for name := range db.rels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	rels := make([]*rel.Relation, len(names))
-	for i, n := range names {
-		rels[i] = db.rels[n]
-	}
-	db.mu.Unlock()
-
-	for _, r := range rels {
-		if err := partstore.SaveRelation(store, r, slots); err != nil {
+	rels := db.snap.Load().rels
+	for _, name := range sortedNames(rels) {
+		if err := partstore.SaveRelation(store, rels[name], slots); err != nil {
 			return err
 		}
 	}
@@ -85,10 +74,7 @@ func OpenFromStore(store *partstore.Store, members []string, opts ...Option) (*D
 			}
 			frags[i] = frag
 		}
-		db.mu.Lock()
-		db.rels[e.Name] = full
-		db.cluster.LoadFragments(e.Name, frags)
-		db.mu.Unlock()
+		db.install(full, frags)
 	}
 	return db, nil
 }

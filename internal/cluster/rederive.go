@@ -65,7 +65,10 @@ func (r *Resize) String() string {
 // persisted manifest numbers, without touching segment data. Only the
 // share optimizer may consume it (cardinalities and per-column distinct
 // counts are exact; prefix-distinct counts, which the variable-order search
-// needs, require the data and are estimated).
+// needs, require the data and are estimated). It shares nothing with a
+// serving DB's catalog on purpose: it runs where no DB is open — between a
+// membership commit and the rebuild, and in cmd/hcconfig — and it costs no
+// relation scan to begin with.
 func CatalogFromStore(store *partstore.Store) *stats.Catalog {
 	cat := stats.NewCatalog()
 	for _, e := range store.Relations() {

@@ -59,7 +59,7 @@ func (s *Suite) OrderStudy(queryName string, n int, timeout time.Duration) (*Ord
 	if err != nil {
 		return nil, err
 	}
-	est, err := order.NewEstimator(q, rels)
+	est, err := order.NewEstimatorWith(q, rels, w.Catalog())
 	if err != nil {
 		return nil, err
 	}

@@ -74,7 +74,6 @@ type Suite struct {
 
 	mu         sync.Mutex
 	workload   *queries.Workload
-	catalog    *stats.Catalog
 	clusters   map[int]*engine.Cluster
 	planners   map[int]*planner.Planner
 	sixCache   map[string]*SixConfigs
@@ -106,21 +105,12 @@ func (s *Suite) Workload() *queries.Workload {
 func (s *Suite) workloadLocked() *queries.Workload {
 	if s.workload == nil {
 		s.workload = queries.New(s.Graph, s.KB)
-		s.catalog = stats.NewCatalog()
-		for _, r := range s.workload.Relations {
-			s.catalog.Add(r)
-		}
 	}
 	return s.workload
 }
 
 // Catalog returns the statistics catalog of the workload's relations.
-func (s *Suite) Catalog() *stats.Catalog {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.workloadLocked()
-	return s.catalog
-}
+func (s *Suite) Catalog() *stats.Catalog { return s.Workload().Catalog() }
 
 // Cluster returns (building and loading on first use) an n-worker cluster
 // with every workload relation round-robin partitioned.
@@ -170,7 +160,7 @@ func (s *Suite) Planner(n int) *planner.Planner {
 		w := s.workloadLocked()
 		p = &planner.Planner{
 			Workers:   n,
-			Catalog:   s.catalog,
+			Catalog:   w.Catalog(),
 			Relations: w.Relations,
 			MaxOrders: 5040,
 			Seed:      s.Seed,

@@ -72,17 +72,30 @@ func (n *Normalizer) Arity() int { return len(n.srcs) }
 // Schema is the normalized schema: distinct variables in global order.
 func (n *Normalizer) Schema() rel.Schema { return n.schema }
 
-// Apply normalizes one tuple, reporting ok=false when the tuple violates
-// the atom's constraints. The returned tuple is freshly allocated.
-func (n *Normalizer) Apply(t rel.Tuple) (rel.Tuple, bool) {
+// Filters reports whether the atom can drop tuples: it binds a constant or
+// repeats a variable.
+func (n *Normalizer) Filters() bool { return len(n.checks) > 0 }
+
+// Match reports whether a tuple in the atom's term layout satisfies the
+// atom's constant bindings and repeated-variable equalities.
+func (n *Normalizer) Match(t rel.Tuple) bool {
 	for _, c := range n.checks {
 		want := c.c
 		if c.eq >= 0 {
 			want = t[c.eq]
 		}
 		if t[c.pos] != want {
-			return nil, false
+			return false
 		}
+	}
+	return true
+}
+
+// Apply normalizes one tuple, reporting ok=false when the tuple violates
+// the atom's constraints. The returned tuple is freshly allocated.
+func (n *Normalizer) Apply(t rel.Tuple) (rel.Tuple, bool) {
+	if !n.Match(t) {
+		return nil, false
 	}
 	return t.Project(n.srcs), true
 }

@@ -2,7 +2,6 @@ package order
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"parajoin/internal/core"
@@ -17,7 +16,7 @@ import (
 // a partial order's cost is a lower bound on every completion's cost
 // through that prefix, which makes the greedy expansion well-behaved.
 type beamState struct {
-	order []core.Var
+	order []int // indices into Estimator.vars
 	mask  uint64
 	// prod is the product of the S_i estimates so far; cost the partial sum.
 	prod float64
@@ -27,6 +26,14 @@ type beamState struct {
 // BestBeam returns the lowest-estimated-cost order found by beam search
 // with the given width (the paper-scale queries do well with width 8–32).
 func (e *Estimator) BestBeam(width int) ([]core.Var, float64, error) {
+	perm, cost, err := e.bestBeam(width)
+	if err != nil {
+		return nil, 0, err
+	}
+	return e.names(perm), cost, nil
+}
+
+func (e *Estimator) bestBeam(width int) ([]int, float64, error) {
 	if width < 1 {
 		return nil, 0, fmt.Errorf("order: beam width must be positive")
 	}
@@ -38,26 +45,19 @@ func (e *Estimator) BestBeam(width int) ([]core.Var, float64, error) {
 	for level := 0; level < k; level++ {
 		var next []beamState
 		for _, st := range beam {
-			for _, v := range e.vars {
-				bit := e.varBit(v)
+			for v := 0; v < k; v++ {
+				bit := uint64(1) << uint(v)
 				if st.mask&bit != 0 {
 					continue
 				}
-				s, ok := e.stepEstimate(st.mask, v)
-				if !ok {
-					continue
-				}
-				prod := st.prod * s
+				prod := st.prod * e.step(st.mask, v)
 				next = append(next, beamState{
-					order: append(append([]core.Var(nil), st.order...), v),
+					order: append(append([]int(nil), st.order...), v),
 					mask:  st.mask | bit,
 					prod:  prod,
 					cost:  st.cost + prod,
 				})
 			}
-		}
-		if len(next) == 0 {
-			return nil, 0, fmt.Errorf("order: beam search found no extension at level %d", level)
 		}
 		sort.Slice(next, func(i, j int) bool { return next[i].cost < next[j].cost })
 		if len(next) > width {
@@ -67,32 +67,4 @@ func (e *Estimator) BestBeam(width int) ([]core.Var, float64, error) {
 	}
 	best := beam[0]
 	return best.order, best.cost, nil
-}
-
-// stepEstimate computes S_i for appending v to the prefix given by mask:
-// the minimum over atoms containing v of V(atom, prefix∪{v}) / V(atom,
-// prefix). ok is false when no atom contains v (cannot happen for valid
-// queries).
-func (e *Estimator) stepEstimate(mask uint64, v core.Var) (float64, bool) {
-	bit := e.varBit(v)
-	s := math.Inf(1)
-	found := false
-	for _, a := range e.atoms {
-		if _, ok := a.colOf[v]; !ok {
-			continue
-		}
-		found = true
-		num := a.prefixCount(e, mask|bit)
-		den := a.prefixCount(e, mask)
-		var est float64
-		if den == 0 {
-			est = 0
-		} else {
-			est = num / den
-		}
-		if est < s {
-			s = est
-		}
-	}
-	return s, found
 }

@@ -76,7 +76,8 @@ type Planner struct {
 	// Catalog provides the statistics both optimizers use.
 	Catalog *stats.Catalog
 	// Relations maps base relation names to the full relations; the
-	// variable-order estimator computes prefix statistics from them.
+	// variable-order estimator counts prefix statistics over them — through
+	// Catalog's memo where the catalog was collected from the same relation.
 	Relations map[string]*rel.Relation
 	// MaxOrders caps variable-order enumeration (default 5040 = 7!).
 	MaxOrders int
@@ -184,7 +185,7 @@ func (p *Planner) bestOrder(q *core.Query) ([]core.Var, float64, error) {
 	if err != nil || rels == nil {
 		return q.Vars(), 0, nil
 	}
-	est, err := order.NewEstimator(q, rels)
+	est, err := order.NewEstimatorWith(q, rels, p.Catalog)
 	if err != nil {
 		return nil, 0, err
 	}

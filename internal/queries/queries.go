@@ -6,10 +6,12 @@ package queries
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"parajoin/internal/core"
 	"parajoin/internal/dataset"
 	"parajoin/internal/rel"
+	"parajoin/internal/stats"
 )
 
 // Workload is the paper's evaluation workload: the two datasets plus the
@@ -22,6 +24,21 @@ type Workload struct {
 	Relations map[string]*rel.Relation
 	// Queries maps "Q1".."Q8" to the query definitions.
 	Queries map[string]*core.Query
+
+	catalogOnce sync.Once
+	catalog     *stats.Catalog
+}
+
+// Catalog returns the statistics of Relations, collected on first use and
+// shared by every caller, so each relation is scanned once per workload.
+func (w *Workload) Catalog() *stats.Catalog {
+	w.catalogOnce.Do(func() {
+		w.catalog = stats.NewCatalog()
+		for _, r := range w.Relations {
+			w.catalog.Add(r)
+		}
+	})
+	return w.catalog
 }
 
 // New generates the workload. Pass dataset.DefaultTwitter() and

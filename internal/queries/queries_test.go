@@ -9,7 +9,6 @@ import (
 	"parajoin/internal/engine"
 	"parajoin/internal/ljoin"
 	"parajoin/internal/planner"
-	"parajoin/internal/stats"
 )
 
 // tinyWorkload is small enough for the naive oracle.
@@ -55,11 +54,7 @@ func TestAllQueriesConsistentAcrossEvaluators(t *testing.T) {
 	for _, r := range w.Relations {
 		cluster.Load(r)
 	}
-	catalog := stats.NewCatalog()
-	for _, r := range w.Relations {
-		catalog.Add(r)
-	}
-	p := &planner.Planner{Workers: 4, Catalog: catalog, Relations: w.Relations, MaxOrders: 200, Seed: 1}
+	p := &planner.Planner{Workers: 4, Catalog: w.Catalog(), Relations: w.Relations, MaxOrders: 200, Seed: 1}
 
 	for _, q := range all {
 		aliasRels, err := w.AtomRelations(q)

@@ -6,71 +6,113 @@
 package stats
 
 import (
-	"encoding/binary"
+	"cmp"
+	"math/bits"
+	"slices"
+	"sync"
 
+	"parajoin/internal/metrics"
 	"parajoin/internal/rel"
 )
 
-// Distinct returns the number of distinct values in column col of r.
-func Distinct(r *rel.Relation, col int) int {
-	seen := make(map[int64]struct{}, len(r.Tuples))
-	for _, t := range r.Tuples {
-		seen[t[col]] = struct{}{}
-	}
-	return len(seen)
-}
+// scans counts passes over a relation's tuples made to compute statistics:
+// one per Collect and one per prefix count that was not already memoized.
+// At a fixed data epoch it stops moving once the queries' prefix sets have
+// been seen, which is what makes planning cost independent of relation size.
+var scans = metrics.Default.Counter("parajoin_stats_relation_scans_total",
+	"Relation scans made to compute planning statistics (Collect calls plus prefix-count memo misses).")
 
-// DistinctTuples returns the number of distinct projections of r onto cols.
-// This is V(R, p) for the prefix p = cols of the paper's cost model.
-func DistinctTuples(r *rel.Relation, cols []int) int {
+// RelationScans returns the process-wide count of statistics scans.
+func RelationScans() int64 { return scans.Value() }
+
+// countDistinct returns the number of distinct projections of tuples onto
+// cols (V(R, cols) of the paper's cost model). When the columns' value
+// ranges fit 64 bits together — always, for one or two columns of node ids
+// or dictionary codes — each projection packs into one uint64 key: a key
+// space no larger than the key array would be is marked off in a bitmap,
+// a larger one is sorted and its runs counted. Otherwise row indices are
+// sorted with a column-wise comparison. Whatever it allocates is garbage
+// when the call returns.
+func countDistinct(tuples []rel.Tuple, cols []int) int {
+	n := len(tuples)
+	if n == 0 {
+		return 0
+	}
 	if len(cols) == 0 {
-		// The empty prefix has exactly one value (the empty tuple) whenever
-		// the relation is non-empty.
-		if len(r.Tuples) == 0 {
-			return 0
-		}
+		// The empty prefix has exactly one value (the empty tuple).
 		return 1
 	}
-	seen := make(map[string]struct{}, len(r.Tuples))
-	key := make([]byte, 8*len(cols))
-	for _, t := range r.Tuples {
-		for i, c := range cols {
-			binary.LittleEndian.PutUint64(key[8*i:], uint64(t[c]))
+	mins := make([]int64, len(cols))
+	shifts := make([]uint, len(cols))
+	width := 0
+	for i, c := range cols {
+		lo, hi := tuples[0][c], tuples[0][c]
+		for _, t := range tuples[1:] {
+			lo, hi = min(lo, t[c]), max(hi, t[c])
 		}
-		seen[string(key)] = struct{}{}
+		mins[i], shifts[i] = lo, uint(width)
+		width += bits.Len64(uint64(hi) - uint64(lo))
 	}
-	return len(seen)
+	key := func(t rel.Tuple) (k uint64) {
+		for i, c := range cols {
+			k |= (uint64(t[c]) - uint64(mins[i])) << shifts[i]
+		}
+		return k
+	}
+	if width < 63 && 1<<uint(width) <= 64*n {
+		seen := make([]uint64, 1<<uint(width)/64+1)
+		distinct := 0
+		for _, t := range tuples {
+			k := key(t)
+			if bit := uint64(1) << (k % 64); seen[k/64]&bit == 0 {
+				seen[k/64] |= bit
+				distinct++
+			}
+		}
+		return distinct
+	}
+	distinct := 1
+	if width <= 64 {
+		keys := make([]uint64, n)
+		for j, t := range tuples {
+			keys[j] = key(t)
+		}
+		slices.Sort(keys)
+		for j := 1; j < n; j++ {
+			if keys[j] != keys[j-1] {
+				distinct++
+			}
+		}
+		return distinct
+	}
+	byCols := func(a, b int) int {
+		for _, c := range cols {
+			if d := cmp.Compare(tuples[a][c], tuples[b][c]); d != 0 {
+				return d
+			}
+		}
+		return 0
+	}
+	idx := make([]int, n)
+	for j := range idx {
+		idx[j] = j
+	}
+	slices.SortFunc(idx, byCols)
+	for j := 1; j < n; j++ {
+		if byCols(idx[j], idx[j-1]) != 0 {
+			distinct++
+		}
+	}
+	return distinct
 }
 
-// PrefixDistinct returns, for every prefix length k = 1..len(cols), the
-// number of distinct projections of r onto cols[:k]. A single pass computes
-// all of them.
-func PrefixDistinct(r *rel.Relation, cols []int) []int {
-	out := make([]int, len(cols))
-	if len(cols) == 0 {
-		return out
-	}
-	seen := make([]map[string]struct{}, len(cols))
-	for i := range seen {
-		seen[i] = make(map[string]struct{})
-	}
-	key := make([]byte, 8*len(cols))
-	for _, t := range r.Tuples {
-		for i, c := range cols {
-			binary.LittleEndian.PutUint64(key[8*i:], uint64(t[c]))
-			seen[i][string(key[:8*(i+1)])] = struct{}{}
-		}
-	}
-	for i := range out {
-		out[i] = len(seen[i])
-	}
-	return out
-}
-
-// RelationStats caches the statistics of one relation that the optimizers
-// ask for repeatedly: cardinality and per-column distinct counts. Prefix
-// counts depend on the candidate variable order, so they are computed on
-// demand via DistinctTuples.
+// RelationStats holds the statistics of one relation that the optimizers
+// ask for: cardinality and per-column distinct counts, collected eagerly,
+// and prefix-distinct counts V(R, cols), memoized per column set on first
+// request. A relation's statistics are a pure function of its tuples, so
+// one RelationStats is shared by every plan made while the relation is
+// loaded. The memo holds integers only: no sorted or packed copy of the
+// relation outlives the call that computed a count.
 type RelationStats struct {
 	Name        string
 	Cardinality int
@@ -78,27 +120,24 @@ type RelationStats struct {
 	ColumnDistinct []int
 
 	rel *rel.Relation
+
+	mu sync.Mutex
+	// prefix maps a bitmask of two or more base columns to V(R, set); V
+	// does not depend on the order of the columns.
+	prefix map[uint64]int
 }
 
 // Collect scans r once and returns its statistics.
 func Collect(r *rel.Relation) *RelationStats {
+	scans.Inc()
 	s := &RelationStats{
 		Name:           r.Name,
 		Cardinality:    len(r.Tuples),
 		ColumnDistinct: make([]int, r.Arity()),
 		rel:            r,
 	}
-	sets := make([]map[int64]struct{}, r.Arity())
-	for i := range sets {
-		sets[i] = make(map[int64]struct{})
-	}
-	for _, t := range r.Tuples {
-		for i, v := range t {
-			sets[i][v] = struct{}{}
-		}
-	}
-	for i := range sets {
-		s.ColumnDistinct[i] = len(sets[i])
+	for c := range s.ColumnDistinct {
+		s.ColumnDistinct[c] = countDistinct(r.Tuples, []int{c})
 	}
 	return s
 }
@@ -116,10 +155,11 @@ func Precomputed(name string, cardinality int, columnDistinct []int) *RelationSt
 	}
 }
 
-// Prefix returns V(R, cols): the number of distinct projections onto cols.
-// Precomputed statistics carry no data, so for them the count is estimated
-// as min(|R|, Π V(R, col)) — exact for single columns, an independence
-// upper bound beyond that.
+// Prefix returns V(R, cols): the number of distinct projections onto cols,
+// in any order. It is safe for concurrent use; each column set is counted at
+// most once. Precomputed statistics carry no data, so for them the count is
+// estimated as min(|R|, Π V(R, col)) — exact for single columns, an
+// independence upper bound beyond that.
 func (s *RelationStats) Prefix(cols []int) int {
 	if s.rel == nil {
 		est := 1
@@ -141,11 +181,41 @@ func (s *RelationStats) Prefix(cols []int) int {
 		}
 		return est
 	}
-	return DistinctTuples(s.rel, cols)
+	var mask uint64
+	for _, c := range cols {
+		if c >= 64 {
+			// Too wide to key; such relations pay for every count.
+			scans.Inc()
+			return countDistinct(s.rel.Tuples, cols)
+		}
+		mask |= 1 << uint(c)
+	}
+	switch bits.OnesCount64(mask) {
+	case 0:
+		return min(s.Cardinality, 1)
+	case 1:
+		return s.ColumnDistinct[bits.TrailingZeros64(mask)]
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v, ok := s.prefix[mask]; ok {
+		return v
+	}
+	set := make([]int, 0, len(cols))
+	for m := mask; m != 0; m &= m - 1 {
+		set = append(set, bits.TrailingZeros64(m))
+	}
+	scans.Inc()
+	v := countDistinct(s.rel.Tuples, set)
+	if s.prefix == nil {
+		s.prefix = map[uint64]int{}
+	}
+	s.prefix[mask] = v
+	return v
 }
 
-// Catalog maps relation names to their statistics. The planner builds one
-// per database and hands it to the share and variable-order optimizers.
+// Catalog maps relation names to their statistics. A database keeps one per
+// data epoch and hands it to the share and variable-order optimizers.
 type Catalog struct {
 	byName map[string]*RelationStats
 }
@@ -169,6 +239,30 @@ func (c *Catalog) Add(r *rel.Relation) {
 // replacing any previous entry under the same name.
 func (c *Catalog) AddStats(s *RelationStats) {
 	c.byName[s.Name] = s
+}
+
+// With returns a catalog that has s in place of any entry under s.Name and
+// shares every other entry with c, which is left untouched — the form a
+// database uses to publish a new immutable catalog when one relation loads.
+func (c *Catalog) With(s *RelationStats) *Catalog {
+	next := &Catalog{byName: make(map[string]*RelationStats, len(c.byName)+1)}
+	for name, e := range c.byName {
+		next.byName[name] = e
+	}
+	next.byName[s.Name] = s
+	return next
+}
+
+// For returns the entry that was collected from exactly r — the one whose
+// prefix memo describes r's tuples — or nil. A nil catalog has no entries.
+func (c *Catalog) For(r *rel.Relation) *RelationStats {
+	if c == nil {
+		return nil
+	}
+	if s := c.byName[r.Name]; s != nil && s.rel == r {
+		return s
+	}
+	return nil
 }
 
 // Get returns the statistics for the named relation, or nil when unknown.

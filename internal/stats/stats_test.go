@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -18,60 +20,125 @@ func sample() *rel.Relation {
 	return r
 }
 
-func TestDistinct(t *testing.T) {
-	r := sample()
-	if got := Distinct(r, 0); got != 2 {
-		t.Errorf("Distinct(x) = %d, want 2", got)
+func TestPrefix(t *testing.T) {
+	s := Collect(sample())
+	for _, tc := range []struct {
+		cols []int
+		want int
+	}{
+		{nil, 1}, {[]int{0}, 2}, {[]int{2}, 2},
+		{[]int{0, 1}, 3}, {[]int{1, 0}, 3}, {[]int{0, 0, 1}, 3},
+		{[]int{0, 1, 2}, 4}, {[]int{2, 0, 1}, 4},
+	} {
+		if got := s.Prefix(tc.cols); got != tc.want {
+			t.Errorf("V(R,%v) = %d, want %d", tc.cols, got, tc.want)
+		}
 	}
-	if got := Distinct(r, 2); got != 2 {
-		t.Errorf("Distinct(z) = %d, want 2", got)
-	}
-}
-
-func TestDistinctTuples(t *testing.T) {
-	r := sample()
-	if got := DistinctTuples(r, []int{0, 1}); got != 3 {
-		t.Errorf("V(R,(x,y)) = %d, want 3", got)
-	}
-	if got := DistinctTuples(r, []int{0, 1, 2}); got != 4 {
-		t.Errorf("V(R,(x,y,z)) = %d, want 4", got)
-	}
-	if got := DistinctTuples(r, nil); got != 1 {
-		t.Errorf("V(R,()) = %d, want 1", got)
-	}
-	empty := rel.New("E", "x")
-	if got := DistinctTuples(empty, nil); got != 0 {
+	if got := Collect(rel.New("E", "x")).Prefix(nil); got != 0 {
 		t.Errorf("V(empty,()) = %d, want 0", got)
 	}
 }
 
-func TestPrefixDistinctMatchesDistinctTuples(t *testing.T) {
-	r := sample()
-	cols := []int{2, 0, 1}
-	pd := PrefixDistinct(r, cols)
-	for k := 1; k <= len(cols); k++ {
-		if pd[k-1] != DistinctTuples(r, cols[:k]) {
-			t.Errorf("prefix %d: %d != %d", k, pd[k-1], DistinctTuples(r, cols[:k]))
+// bruteDistinct counts distinct projections the slow, obvious way.
+func bruteDistinct(r *rel.Relation, cols []int) int {
+	seen := map[string]bool{}
+	for _, t := range r.Tuples {
+		seen[t.Project(cols).String()] = true
+	}
+	return len(seen)
+}
+
+// TestPrefixAgainstBruteForce covers both counting paths: value ranges that
+// pack into one uint64, and (with full-range values in three columns) ones
+// that do not and fall back to the index sort.
+func TestPrefixAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, wide := range []bool{false, true} {
+		r := rel.New("R", "a", "b", "c")
+		for i := 0; i < 3000; i++ {
+			row := []int64{rng.Int63n(40) - 20, rng.Int63n(40), rng.Int63n(3)}
+			if wide {
+				for j := range row {
+					row[j] = (row[j] - 1) * (math.MaxInt64 / 64)
+				}
+			}
+			r.AppendRow(row...)
+		}
+		s := Collect(r)
+		for _, cols := range [][]int{{0}, {1}, {0, 1}, {1, 2}, {0, 2}, {0, 1, 2}} {
+			if got, want := s.Prefix(cols), bruteDistinct(r, cols); got != want {
+				t.Errorf("wide=%v V(R,%v) = %d, want %d", wide, cols, got, want)
+			}
 		}
 	}
 }
 
-func TestPrefixDistinctMonotone(t *testing.T) {
+func TestPrefixMonotone(t *testing.T) {
 	f := func(rows []uint8) bool {
 		r := rel.New("R", "a", "b")
 		for i, v := range rows {
 			r.AppendRow(int64(v%7), int64(i%5))
 		}
-		pd := PrefixDistinct(r, []int{0, 1})
+		s := Collect(r)
+		a, ab := s.Prefix([]int{0}), s.Prefix([]int{0, 1})
 		if len(rows) == 0 {
-			return pd[0] == 0 && pd[1] == 0
+			return a == 0 && ab == 0
 		}
 		// Longer prefixes can only have at least as many distinct values,
 		// and never more than the cardinality.
-		return pd[0] <= pd[1] && pd[1] <= len(rows)
+		return a <= ab && ab <= len(rows)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPrefixMemoCountsOnce pins the memo: a column set is scanned for once,
+// whatever order its columns are named in and however many goroutines ask,
+// and single columns never cost a scan beyond Collect's.
+func TestPrefixMemoCountsOnce(t *testing.T) {
+	r := rel.New("R", "a", "b", "c")
+	for i := 0; i < 500; i++ {
+		r.AppendRow(int64(i%7), int64(i%11), int64(i%13))
+	}
+	before := RelationScans()
+	s := Collect(r)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if got := s.Prefix([]int{0, 1}); got != 77 {
+					t.Errorf("V(a,b) = %d, want 77", got)
+				}
+				s.Prefix([]int{1, 0})
+				s.Prefix([]int{2})
+				s.Prefix(nil)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := RelationScans() - before; got != 2 {
+		t.Errorf("%d scans, want 2 (one Collect, one (a,b) count)", got)
+	}
+}
+
+// TestCatalogWith pins the copy-on-write publish a database does on load.
+func TestCatalogWith(t *testing.T) {
+	r, other := sample(), rel.New("S", "x")
+	c := NewCatalog(r, other)
+	replacement := rel.New("R", "x")
+	replacement.AppendRow(1)
+	next := c.With(Collect(replacement))
+	if c.Cardinality("R") != 5 || next.Cardinality("R") != 1 {
+		t.Errorf("|R| = %d in the old catalog, %d in the new; want 5 and 1", c.Cardinality("R"), next.Cardinality("R"))
+	}
+	if next.Get("S") != c.Get("S") {
+		t.Error("untouched entries must be shared, not re-collected")
+	}
+	if c.For(r) == nil || next.For(r) != nil || next.For(replacement) == nil {
+		t.Error("For must answer only for the relation an entry was collected from")
 	}
 }
 
@@ -101,18 +168,5 @@ func TestCollectAndCatalog(t *testing.T) {
 	c.Add(bigger)
 	if c.Cardinality("R") != 1 {
 		t.Error("Add should replace the previous entry")
-	}
-}
-
-func TestDistinctTuplesLarge(t *testing.T) {
-	// Cross-check hashing-keyed map counting against a sort-based count.
-	rng := rand.New(rand.NewSource(3))
-	r := rel.New("R", "a", "b")
-	for i := 0; i < 5000; i++ {
-		r.AppendRow(rng.Int63n(50), rng.Int63n(50))
-	}
-	want := r.Clone().Dedup().Cardinality()
-	if got := DistinctTuples(r, []int{0, 1}); got != want {
-		t.Fatalf("DistinctTuples = %d, want %d", got, want)
 	}
 }

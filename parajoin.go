@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"parajoin/internal/cache"
@@ -141,14 +142,16 @@ func ParseSpillPolicy(s string) (SpillPolicy, error) { return engine.ParseSpillP
 // owning a horizontal fragment of every loaded relation.
 //
 // A DB is safe for concurrent use: Load and Query.Run/Count calls may
-// overlap from any number of goroutines. Each run plans against a snapshot
-// of the catalog, runs in a private exchange namespace, and keeps
-// multi-round intermediates in run-private storage.
+// overlap from any number of goroutines. Each run plans against the
+// immutable snapshot of the catalog published by the latest Load, runs in
+// a private exchange namespace, and keeps multi-round intermediates in
+// run-private storage.
 type DB struct {
+	// mu serializes mutations; readers load snap without it.
 	mu       sync.Mutex
+	snap     atomic.Pointer[planSnapshot]
 	cluster  *engine.Cluster
 	dict     *rel.Dict
-	rels     map[string]*rel.Relation
 	workers  int
 	maxOrder int
 	seed     int64
@@ -158,6 +161,37 @@ type DB struct {
 	planCache   *cache.PlanCache
 	resultCache *cache.ResultCache
 	chaos       bool
+}
+
+// planSnapshot is everything planning reads about the data at one data
+// epoch. It is immutable once published: a mutation publishes a successor
+// that re-collects only the relation it loaded and shares every other
+// entry, so a plan costs one pointer read however much data is loaded.
+type planSnapshot struct {
+	epoch   int64
+	catalog *stats.Catalog
+	rels    map[string]*rel.Relation
+}
+
+// install loads r into the cluster — round-robin, or as the given
+// per-worker fragments — and publishes the snapshot that includes it. The
+// one statistics scan r ever gets happens here, before the lock is taken.
+func (db *DB) install(r *rel.Relation, frags []*rel.Relation) {
+	st := stats.Collect(r)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	old := db.snap.Load()
+	rels := make(map[string]*rel.Relation, len(old.rels)+1)
+	for name, o := range old.rels {
+		rels[name] = o
+	}
+	rels[r.Name] = r
+	if frags == nil {
+		db.cluster.Load(r)
+	} else {
+		db.cluster.LoadFragments(r.Name, frags)
+	}
+	db.snap.Store(&planSnapshot{epoch: db.cluster.DataEpoch(), catalog: old.catalog.With(st), rels: rels})
 }
 
 // Option configures Open.
@@ -258,11 +292,11 @@ func newDB(cluster *engine.Cluster, workers int, opts []Option) *DB {
 	db := &DB{
 		cluster:  cluster,
 		dict:     rel.NewDict(),
-		rels:     map[string]*rel.Relation{},
 		workers:  workers,
 		maxOrder: 5040,
 		seed:     1,
 	}
+	db.snap.Store(&planSnapshot{epoch: cluster.DataEpoch(), catalog: stats.NewCatalog(), rels: map[string]*rel.Relation{}})
 	for _, o := range opts {
 		o(db)
 	}
@@ -297,10 +331,7 @@ func (db *DB) Load(name string, columns []string, rows [][]int64) error {
 		}
 		r.Append(rel.Tuple(row).Clone())
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.rels[name] = r
-	db.cluster.Load(r)
+	db.install(r, nil)
 	return nil
 }
 
@@ -315,11 +346,11 @@ func (db *DB) LoadEdges(name string, edges [][2]int64) error {
 }
 
 // Relations lists the loaded relation names.
-func (db *DB) Relations() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	names := make([]string, 0, len(db.rels))
-	for n := range db.rels {
+func (db *DB) Relations() []string { return sortedNames(db.snap.Load().rels) }
+
+func sortedNames(rels map[string]*rel.Relation) []string {
+	names := make([]string, 0, len(rels))
+	for n := range rels {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -328,9 +359,7 @@ func (db *DB) Relations() []string {
 
 // Columns returns the column names of a loaded relation (nil when unknown).
 func (db *DB) Columns(name string) []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if r := db.rels[name]; r != nil {
+	if r := db.snap.Load().rels[name]; r != nil {
 		return append([]string(nil), r.Schema...)
 	}
 	return nil
@@ -339,9 +368,7 @@ func (db *DB) Columns(name string) []string {
 // Cardinality returns the number of rows in a loaded relation (0 when
 // unknown).
 func (db *DB) Cardinality(name string) int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if r := db.rels[name]; r != nil {
+	if r := db.snap.Load().rels[name]; r != nil {
 		return r.Cardinality()
 	}
 	return 0
@@ -389,10 +416,9 @@ func (db *DB) Query(rule string) (*Query, error) {
 
 // checkAtoms validates a parsed rule's atoms against the loaded catalog.
 func (db *DB) checkAtoms(q *core.Query) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	rels := db.snap.Load().rels
 	for _, a := range q.Atoms {
-		r := db.rels[a.Relation]
+		r := rels[a.Relation]
 		if r == nil {
 			return fmt.Errorf("parajoin: query %s uses unknown relation %q", q.Name, a.Relation)
 		}
@@ -430,26 +456,18 @@ func (q *Query) planFor(s Strategy) (*planner.Result, Strategy, bool, error) {
 	planStart := time.Now()
 	defer func() { planSeconds.ObserveDuration(time.Since(planStart)) }()
 	db := q.db
-	db.mu.Lock()
-	// The epoch is read with the catalog snapshot under db.mu (every
-	// mutation holds db.mu while bumping it through cluster.Load), so a
-	// cached entry keyed on it always matches these statistics.
-	epoch := db.cluster.DataEpoch()
-	catalog := stats.NewCatalog()
-	relCopy := make(map[string]*rel.Relation, len(db.rels))
-	for name, r := range db.rels {
-		catalog.Add(r)
-		relCopy[name] = r
-	}
+	// The snapshot carries the epoch its statistics were published at, so a
+	// plan-cache entry keyed on it always matches these statistics.
+	snap := db.snap.Load()
+	epoch, catalog := snap.epoch, snap.catalog
 	p := &planner.Planner{
 		Workers:   db.workers,
 		Catalog:   catalog,
-		Relations: relCopy,
+		Relations: snap.rels,
 		MaxOrders: db.maxOrder,
 		Seed:      db.seed,
 		Mode:      ljoin.SeekBinary,
 	}
-	db.mu.Unlock()
 
 	var shape cache.Shape
 	var planKey string
