@@ -99,11 +99,6 @@ type Options struct {
 	// (default 100ms). Useful when the daemon is still starting.
 	Retries      int
 	RetryBackoff time.Duration
-	// NoColumnarResults stops the client from requesting the protocol-v3
-	// columnar result encoding; responses then carry plain JSON rows. By
-	// default the client asks for colbatch rows and decodes them
-	// transparently — callers see [][]int64 either way.
-	NoColumnarResults bool
 }
 
 func (o Options) withDefaults() Options {
@@ -187,9 +182,8 @@ type Relation struct {
 
 // Client is a connection to a parajoind server, safe for concurrent use.
 type Client struct {
-	conn       net.Conn
-	noColumnar bool       // never ask for colbatch-encoded rows
-	wmu        sync.Mutex // serializes request frames
+	conn net.Conn
+	wmu  sync.Mutex // serializes request frames
 
 	mu      sync.Mutex
 	pending map[uint64]chan *wire.Response
@@ -227,7 +221,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 		time.Sleep(backoff)
 		backoff *= 2
 	}
-	c := &Client{conn: conn, noColumnar: opts.NoColumnarResults, pending: make(map[uint64]chan *wire.Response)}
+	c := &Client{conn: conn, pending: make(map[uint64]chan *wire.Response)}
 	go c.readLoop()
 	return c, nil
 }
@@ -391,8 +385,8 @@ func (c *Client) Cluster(ctx context.Context) (*ClusterInfo, error) {
 	return resp.Cluster, nil
 }
 
-func (c *Client) queryReq(op, rule string, opts QueryOptions) *wire.Request {
-	req := &wire.Request{
+func queryReq(op, rule string, opts QueryOptions) *wire.Request {
+	return &wire.Request{
 		Op:            op,
 		Rule:          rule,
 		Strategy:      opts.Strategy,
@@ -400,20 +394,10 @@ func (c *Client) queryReq(op, rule string, opts QueryOptions) *wire.Request {
 		BudgetTuples:  opts.BudgetTuples,
 		Spill:         opts.Spill,
 	}
-	if !c.noColumnar && (op == wire.OpRun || op == wire.OpExecute) {
-		req.Encoding = wire.EncodingColbatch
-	}
-	return req
 }
 
-// resultRows extracts a row-bearing response's rows, decoding the columnar
-// encoding when the server used it. Plain Rows pass through untouched, so
-// the client interoperates with servers that predate (or disabled) the
-// colbatch encoding.
+// resultRows decodes a row-bearing response's colbatch row stream.
 func resultRows(resp *wire.Response) ([][]int64, error) {
-	if len(resp.RowsEnc) == 0 {
-		return resp.Rows, nil
-	}
 	rows, err := colbatch.DecodeRowsStream(resp.RowsEnc)
 	if err != nil {
 		return nil, fmt.Errorf("parajoind: decoding columnar rows: %w", err)
@@ -447,7 +431,7 @@ func statsOf(w *wire.Stats) Stats {
 
 // Run evaluates a datalog rule on the server and returns the result rows.
 func (c *Client) Run(ctx context.Context, rule string, opts QueryOptions) (*Result, error) {
-	resp, err := c.call(ctx, c.queryReq(wire.OpRun, rule, opts))
+	resp, err := c.call(ctx, queryReq(wire.OpRun, rule, opts))
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +444,7 @@ func (c *Client) Run(ctx context.Context, rule string, opts QueryOptions) (*Resu
 
 // Count evaluates a rule and returns only the answer count.
 func (c *Client) Count(ctx context.Context, rule string, opts QueryOptions) (int64, Stats, error) {
-	resp, err := c.call(ctx, c.queryReq(wire.OpCount, rule, opts))
+	resp, err := c.call(ctx, queryReq(wire.OpCount, rule, opts))
 	if err != nil {
 		return 0, Stats{}, err
 	}
@@ -469,7 +453,7 @@ func (c *Client) Count(ctx context.Context, rule string, opts QueryOptions) (int
 
 // Explain runs EXPLAIN ANALYZE on a rule and returns the rendered plan.
 func (c *Client) Explain(ctx context.Context, rule string, opts QueryOptions) (string, error) {
-	resp, err := c.call(ctx, c.queryReq(wire.OpExplain, rule, opts))
+	resp, err := c.call(ctx, queryReq(wire.OpExplain, rule, opts))
 	if err != nil {
 		return "", err
 	}
@@ -514,7 +498,7 @@ func (s *Stmt) Execute(ctx context.Context, args ...int64) (*Result, error) {
 
 // ExecuteWith is Execute with per-call query options.
 func (s *Stmt) ExecuteWith(ctx context.Context, opts QueryOptions, args ...int64) (*Result, error) {
-	req := s.c.queryReq(wire.OpExecute, "", opts)
+	req := queryReq(wire.OpExecute, "", opts)
 	req.Stmt = s.id
 	req.Args = args
 	resp, err := s.c.call(ctx, req)

@@ -94,7 +94,6 @@ func main() {
 		retryBudget   = flag.Int("retry-budget", 2, "automatic re-executions after a retryable transport failure (0 or negative disables)")
 		retryBackoff  = flag.Duration("retry-backoff", 50*time.Millisecond, "pause before the first re-execution, doubling per retry")
 		faultPlan     = flag.String("fault-plan", "", "deterministic fault-injection plan for chaos testing, e.g. 'seed=1;drop:exchange=0,nth=3' (see internal/fault)")
-		noColumnar    = flag.Bool("no-columnar-results", false, "always answer with plain JSON rows, ignoring clients' columnar-encoding requests")
 		dataDir       = flag.String("data-dir", "", "durable partition catalog directory; loads persist here and restarts restore from it")
 		partSlots     = flag.Int("part-slots", 0, "hash partitions per persisted relation (0 = store default)")
 		clusterListen = flag.String("cluster-listen", "", "coordinator: accept cluster members on this address (requires -data-dir); data node: transfer listener bind address")
@@ -254,7 +253,6 @@ func main() {
 		Tracer:            tracer,
 		RetryBudget:       budget,
 		RetryBackoff:      *retryBackoff,
-		NoColumnarResults: *noColumnar,
 	}
 	if slowLogFile != nil {
 		cfg.SlowQueryLog = slowLogFile

@@ -7,6 +7,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"parajoin/internal/colbatch"
@@ -62,6 +63,14 @@ type DispatcherConfig struct {
 	Logf func(format string, args ...any)
 }
 
+// runEpochs hands out disjoint exchange-id blocks to every dispatcher in the
+// process: a plan of k rounds takes k consecutive epochs. The counter is not
+// per Dispatcher because member runtimes outlive dispatchers — a rebuild at
+// an unchanged catalog version prepares a new Dispatcher against the same
+// runtimes, whose transports have already released (and now drop frames
+// of) every epoch the previous dispatcher used.
+var runEpochs atomic.Int64
+
 // Dispatcher pushes operator fragments to the members of one cluster
 // generation and merges their result fragments in serial worker order. It is
 // safe for concurrent use; the first RunRounds lazily prepares the members
@@ -72,13 +81,7 @@ type Dispatcher struct {
 	eps   []Endpoint // sorted by name
 	cfg   DispatcherConfig
 
-	// epoch hands out disjoint exchange-id blocks: a plan of k rounds takes
-	// k consecutive epochs, so no two queries of this generation ever share
-	// a wire id even when they overlap. Member runtimes are rebuilt per
-	// generation (fresh transports, fresh straggler state), which is what
-	// makes restarting the counter at zero per Dispatcher safe.
 	mu       sync.Mutex
-	epoch    int64
 	prepared bool
 	addrs    []string // member i's exchange listener, filled by prepare
 	gen      int64    // catalog version the members were prepared at
@@ -230,11 +233,7 @@ func (d *Dispatcher) RunRounds(ctx context.Context, rounds []engine.Round, opts 
 		return nil, nil, err
 	}
 
-	d.mu.Lock()
-	d.epoch += int64(len(rounds))
-	base := d.epoch - int64(len(rounds)) + 1
-	d.mu.Unlock()
-
+	base := runEpochs.Add(int64(len(rounds))) - int64(len(rounds)) + 1
 	req := &msg{
 		Type: msgFragRun, CatalogVersion: gen, Epoch: base, Addrs: addrs, Rounds: blob,
 		RunOpts: &FragRunOpts{

@@ -181,6 +181,37 @@ func TestFragmentDispatchMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestFragmentDispatchEpochsAcrossDispatchers replays a rebuild at an
+// unchanged catalog version: a second dispatcher prepares against member
+// runtimes the first one already used, and those runtimes' transports have
+// released every epoch the first dispatcher ran. Its runs must draw fresh
+// epochs, or every frame is dropped as a straggler and the gang hangs.
+func TestFragmentDispatchEpochsAcrossDispatchers(t *testing.T) {
+	h := newHarness(t, 400, 6)
+	h.startMember("m0", "", MemberConfig{})
+	h.startMember("m1", "", MemberConfig{})
+	h.waitForEventually("m0", "m1")
+
+	d1 := NewDispatcher(h.store, h.coord.Endpoints(), DispatcherConfig{Logf: t.Logf})
+	want, _, err := dispatchWithRetry(t, d1, pathRounds())
+	if err != nil {
+		t.Fatalf("first dispatcher: %v", err)
+	}
+	d1.Close()
+
+	d2 := NewDispatcher(h.store, h.coord.Endpoints(), DispatcherConfig{Logf: t.Logf})
+	defer d2.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	got, _, err := d2.RunRounds(ctx, pathRounds(), engine.RunOpts{})
+	if err != nil {
+		t.Fatalf("second dispatcher at the same catalog version: %v", err)
+	}
+	if !want.Equal(got) {
+		t.Fatalf("second dispatcher's answer differs: %d vs %d tuples", len(got.Tuples), len(want.Tuples))
+	}
+}
+
 // dispatchWithRetry plays the serving layer's role: a retryable failure
 // (e.g. a generation still settling after concurrent joins) gets the query
 // re-dispatched after a short pause, exactly as the server's retry budget

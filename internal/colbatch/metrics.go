@@ -3,9 +3,8 @@ package colbatch
 import "parajoin/internal/metrics"
 
 // counters are the process-wide colbatch counters, registered in the
-// metrics registry (scraped at /metrics) and bridged to the
-// "parajoin_colbatch" expvar. They aggregate across every payload path —
-// exchange frames, spill segments, and wire results.
+// metrics registry (scraped at /metrics). They aggregate across every
+// payload path — exchange frames, spill segments, and wire results.
 var counters = struct {
 	batchesEncoded *metrics.Counter
 	batchesDecoded *metrics.Counter
@@ -32,12 +31,6 @@ var counters = struct {
 		"Values encoded, by column encoding.", metrics.Label{Name: "enc", Value: "dict"}),
 	valuesConst: metrics.Default.Counter("parajoin_colbatch_values_total",
 		"Values encoded, by column encoding.", metrics.Label{Name: "enc", Value: "const"}),
-}
-
-// init bridges the counters to a "parajoin_colbatch" expvar so they stay
-// visible at /debug/vars without depending on internal/debug.
-func init() {
-	metrics.PublishExpvar("parajoin_colbatch", func() any { return ReadStats() })
 }
 
 // Stats is a snapshot of the process-wide colbatch counters.

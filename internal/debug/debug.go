@@ -16,9 +16,8 @@ import (
 	"parajoin/internal/trace"
 
 	// The engine and spill packages register their process-wide counters
-	// (and the legacy parajoin_engine / parajoin_spill expvars) in their own
-	// inits; the blank imports guarantee those families exist on /metrics
-	// and /debug/vars even in a binary that never runs a query.
+	// in their own package variables; the blank imports guarantee those
+	// families exist on /metrics even in a binary that never runs a query.
 	_ "parajoin/internal/engine"
 	_ "parajoin/internal/spill"
 )
@@ -27,8 +26,10 @@ import (
 //
 //	/metrics        the process-wide metrics registry in Prometheus text format
 //	/debug/pprof/*  net/http/pprof profiles
-//	/debug/vars     expvar counters: engine live stats under
-//	                "parajoin_engine", spill counters under "parajoin_spill"
+//	/debug/vars     expvar: the runtime's memstats and cmdline, plus
+//	                "parajoin_server" (admission gate, sessions) and
+//	                "parajoin_tcp_peers" (per-peer link health) once a
+//	                server or TCP transport exists in the process
 //	/debug/queries  in-flight queries (id, rule, stage, elapsed, progress) as JSON
 //	/debug/trace    ring's current events as JSON Lines (404 when ring is nil)
 func Handler(ring *trace.Ring) http.Handler {

@@ -2,59 +2,48 @@ package engine
 
 import (
 	"context"
+	"encoding/gob"
+	"errors"
+	"net"
+	"os"
 	"testing"
+	"time"
 
 	"parajoin/internal/rel"
 )
 
-// loopbackClusterOpts is loopbackCluster with explicit transport options.
-func loopbackClusterOpts(t *testing.T, n int, opts TCPOptions) *Cluster {
-	t.Helper()
-	addrs := make([]string, n)
-	hosted := make([]int, n)
-	for i := range addrs {
-		addrs[i] = "127.0.0.1:0"
-		hosted[i] = i
-	}
-	tr, err := NewTCPTransportOpts(addrs, hosted, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClusterWithTransport(n, tr)
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
-// TestTCPColumnarMatchesLegacy runs the same shuffle over columnar frames
-// (the default) and legacy row-form frames: the bags must be identical and
-// the columnar run must put strictly fewer bytes on the wire.
+// TestTCPColumnarMatchesLegacy is the oracle for colbatch frames: the same
+// shuffle over TCP loopback (every batch one encoded colbatch frame) and
+// over the flat in-memory transport (batches passed by reference, the path
+// that predates colbatch) must produce identical bags, and the TCP run's
+// wire bytes must balance exactly between senders and receivers.
 func TestTCPColumnarMatchesLegacy(t *testing.T) {
 	r := randGraph("R", 1500, 80, 46)
 	plan := shuffleGather("R", []string{"dst"})
 
-	run := func(c *Cluster) (*rel.Relation, int64) {
+	run := func(c *Cluster) *rel.Relation {
 		t.Helper()
 		c.Load(r)
 		got, _, err := c.Run(context.Background(), plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats := c.Transport().(TransportMeter).TransportStats()
-		if stats.BytesSent != stats.BytesReceived {
-			t.Fatalf("byte totals disagree: sent=%d received=%d", stats.BytesSent, stats.BytesReceived)
-		}
-		return got, stats.BytesSent
+		return got
 	}
 
-	colGot, colBytes := run(loopbackCluster(t, 3))
-	legGot, legBytes := run(loopbackClusterOpts(t, 3, TCPOptions{LegacyTuples: true}))
+	tcp := loopbackCluster(t, 3)
+	got := run(tcp)
+	mem := NewCluster(3)
+	defer mem.Close()
+	want := run(mem)
 
-	if !colGot.Equal(legGot) {
-		t.Fatalf("columnar and legacy shuffles diverged: %d vs %d tuples",
-			colGot.Cardinality(), legGot.Cardinality())
+	if !got.Equal(want) {
+		t.Fatalf("TCP and in-memory shuffles diverged: %d vs %d tuples",
+			got.Cardinality(), want.Cardinality())
 	}
-	if colBytes >= legBytes {
-		t.Fatalf("columnar frames not smaller: %d vs legacy %d bytes", colBytes, legBytes)
+	stats := tcp.Transport().(TransportMeter).TransportStats()
+	if stats.BytesSent == 0 || stats.BytesSent != stats.BytesReceived {
+		t.Fatalf("byte totals disagree: sent=%d received=%d", stats.BytesSent, stats.BytesReceived)
 	}
 }
 
@@ -146,37 +135,64 @@ func TestTCPColumnarByteParityAfterResend(t *testing.T) {
 	}
 }
 
-// TestTCPLegacyPeerInterop sends legacy row-form frames into a
-// default-columnar transport: receive always accepts both forms, so a
-// mixed-version cluster keeps working.
-func TestTCPLegacyPeerInterop(t *testing.T) {
-	trOld, err := NewTCPTransportOpts([]string{"127.0.0.1:0", "127.0.0.1:0"}, []int{0}, TCPOptions{LegacyTuples: true})
+// TestTCPCorruptFrameDropsConnection feeds a hosted worker's listener a
+// data frame whose batch fails colbatch validation. The receiver must hang
+// up without acking and without moving the dedup high-water mark, so the
+// sender's resend of the same sequence number is admitted — exactly once.
+func TestTCPCorruptFrameDropsConnection(t *testing.T) {
+	tr, err := NewTCPTransport([]string{"127.0.0.1:0"}, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer trOld.Close()
-	trNew, err := NewTCPTransport(trOld.Addrs(), []int{1})
+	defer tr.Close()
+	want := []rel.Tuple{{1, 2}, {3, 4}}
+	good, err := encodeBatch(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer trNew.Close()
-	trOld.SetPeerAddrs(trNew.Addrs())
-	trNew.SetPeerAddrs(trOld.Addrs())
+	bad := append([]byte(nil), good...)
+	bad[len(bad)-1] ^= 0xff // payload byte flipped: checksum mismatch
 
-	ctx := context.Background()
-	want := []rel.Tuple{{7, 8}, {9, 10}}
-	if err := trOld.Send(ctx, 0, 0, 1, want); err != nil {
-		t.Fatalf("legacy send: %v", err)
+	// dial opens a raw sender connection; send writes one frame on it.
+	dial := func() (net.Conn, *gob.Encoder, *gob.Decoder) {
+		t.Helper()
+		c, err := net.Dial("tcp", tr.Addrs()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		c.SetDeadline(time.Now().Add(10 * time.Second))
+		return c, gob.NewEncoder(c), gob.NewDecoder(c)
 	}
-	if err := trOld.CloseSend(ctx, 0, 0); err != nil {
-		t.Fatal(err)
+	send := func(enc *gob.Encoder, f frame) {
+		t.Helper()
+		if err := enc.Encode(&f); err != nil {
+			t.Fatalf("write frame %+v: %v", f, err)
+		}
 	}
-	if err := trNew.CloseSend(ctx, 0, 1); err != nil {
-		t.Fatal(err)
+
+	_, enc, dec := dial()
+	send(enc, frame{Seq: 1, Col: bad})
+	var reply frame
+	if err := dec.Decode(&reply); err == nil {
+		t.Fatalf("corrupt frame answered with %+v", reply)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("connection not dropped after a corrupt frame")
+	}
+
+	_, enc, dec = dial()
+	for _, f := range []frame{{Seq: 1, Col: good}, {Seq: 1, Col: good}, {Seq: 2, Close: true}} {
+		send(enc, f)
+		if err := dec.Decode(&reply); err != nil {
+			t.Fatalf("no ack for %+v: %v", f, err)
+		}
+		if !reply.Ack || reply.Seq != f.Seq {
+			t.Fatalf("reply %+v to frame seq %d, want its ack", reply, f.Seq)
+		}
 	}
 	var got []rel.Tuple
 	for {
-		b, ok, err := trNew.Recv(ctx, 0, 1)
+		b, ok, err := tr.Recv(context.Background(), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +202,7 @@ func TestTCPLegacyPeerInterop(t *testing.T) {
 		got = append(got, b...)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("got %d tuples, want %d", len(got), len(want))
+		t.Fatalf("delivered %v, want %v exactly once", got, want)
 	}
 	for i := range want {
 		if !got[i].Equal(want[i]) {

@@ -93,10 +93,9 @@ func opLabel(n Node) string {
 }
 
 // live holds the process-wide engine counters, registered in the metrics
-// registry (scraped at /metrics, bridged to the legacy "parajoin_engine"
-// expvar). They aggregate across every cluster in the process and update at
-// batch granularity, so the atomic traffic is negligible next to the work
-// it measures.
+// registry (scraped at /metrics). They aggregate across every cluster in
+// the process and update at batch granularity, so the atomic traffic is
+// negligible next to the work it measures.
 var live = struct {
 	runsStarted    *metrics.Counter
 	runsCompleted  *metrics.Counter
@@ -144,53 +143,4 @@ var live = struct {
 		"Heartbeat probes answered in time."),
 	netHeartbeatMisses: metrics.Default.Counter("parajoin_net_heartbeat_misses_total",
 		"Heartbeat probes that timed out."),
-}
-
-// init bridges the live counters to the legacy "parajoin_engine" expvar so
-// they stay visible at /debug/vars (and to expvar consumers with no debug
-// server at all — registration no longer depends on internal/debug).
-func init() {
-	metrics.PublishExpvar("parajoin_engine", func() any { return ReadLiveStats() })
-}
-
-// LiveStats is a snapshot of the process-wide engine counters.
-type LiveStats struct {
-	RunsStarted     int64
-	RunsCompleted   int64
-	RunsActive      int64
-	TuplesSent      int64
-	TuplesReceived  int64
-	BatchesSent     int64
-	BatchesReceived int64
-	BytesSent       int64
-	BytesReceived   int64
-	QueueDepth      int64
-	// TCP transport self-healing activity (zero on in-memory transports).
-	NetReconnects       int64
-	NetFramesResent     int64
-	NetDupFramesDropped int64
-	NetHeartbeats       int64
-	NetHeartbeatMisses  int64
-}
-
-// ReadLiveStats snapshots the live counters (the debug package publishes it
-// as an expvar).
-func ReadLiveStats() LiveStats {
-	return LiveStats{
-		RunsStarted:         live.runsStarted.Value(),
-		RunsCompleted:       live.runsCompleted.Value(),
-		RunsActive:          live.activeRuns.Value(),
-		TuplesSent:          live.tuplesSent.Value(),
-		TuplesReceived:      live.tuplesReceived.Value(),
-		BatchesSent:         live.batchesSent.Value(),
-		BatchesReceived:     live.batchesRecv.Value(),
-		BytesSent:           live.bytesSent.Value(),
-		BytesReceived:       live.bytesRecv.Value(),
-		QueueDepth:          live.queueDepth.Value(),
-		NetReconnects:       live.netReconnects.Value(),
-		NetFramesResent:     live.netFramesResent.Value(),
-		NetDupFramesDropped: live.netDupFramesDropped.Value(),
-		NetHeartbeats:       live.netHeartbeats.Value(),
-		NetHeartbeatMisses:  live.netHeartbeatMisses.Value(),
-	}
 }

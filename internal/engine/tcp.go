@@ -23,15 +23,13 @@ import (
 //
 // Framing is one gob stream per (sender-process → receiver-worker-host)
 // connection carrying frames of the form {Exchange, Src, Dst, Seq, Close,
-// Col}, where Col is one encoded colbatch batch. TCPOptions.LegacyTuples
-// restores the pre-colbatch row-form {..., Tuples} frames; both forms are
-// understood on receive regardless of the option, so mixed-version clusters
-// interoperate. The transport is self-healing: every data frame carries a
-// per-(exchange, src, dst) sequence number and stays buffered on the sender
-// until the receiver acknowledges it on the reverse direction of the same
-// connection. When a write fails (or a dial breaks), the sender redials
-// with exponential backoff and seeded jitter, replays its unacknowledged
-// frames in order, and continues; the receiver drops the duplicates its
+// Col}, where Col is one encoded colbatch batch. The transport is
+// self-healing: every data frame carries a per-(exchange, src, dst)
+// sequence number and stays buffered on the sender until the receiver
+// acknowledges it on the reverse direction of the same connection. When a
+// write fails (or a dial breaks), the sender redials with exponential
+// backoff and seeded jitter, replays its unacknowledged frames in order,
+// and continues; the receiver drops the duplicates its
 // acks didn't reach the sender in time to prevent. A run therefore
 // survives any connection loss the redial budget covers, exactly once —
 // and when the budget runs out, the failure surfaces as a typed
@@ -81,11 +79,6 @@ type TCPOptions struct {
 	// fresh. Off by default: exchanges are rarely idle, and heartbeat
 	// frames would perturb byte-level send/receive parity.
 	HeartbeatEvery time.Duration
-	// LegacyTuples sends row-form gob tuple frames instead of columnar
-	// colbatch frames — the pre-colbatch wire layout, kept for byte-level
-	// A/B comparison and for talking to peers that predate the columnar
-	// format. Receiving accepts both forms regardless of this option.
-	LegacyTuples bool
 	// Seed drives backoff jitter. No global randomness: the same seed
 	// yields the same redial schedule.
 	Seed int64
@@ -127,8 +120,7 @@ type seqKey struct {
 // frame is the wire unit. Data and close frames flow sender→receiver and
 // carry Seq; ack frames flow back on the same connection (Ack set, Seq the
 // acknowledged number); heartbeat pings carry HB, pongs HB+Ack. A data
-// frame carries its batch either as Col (one encoded colbatch batch, the
-// default) or as Tuples (the legacy row form) — never both.
+// frame carries its batch as Col, exactly one encoded colbatch batch.
 type frame struct {
 	Exchange int
 	Src      int
@@ -137,7 +129,6 @@ type frame struct {
 	Close    bool
 	Ack      bool
 	HB       bool
-	Tuples   [][]int64
 	Col      []byte
 }
 
@@ -217,15 +208,6 @@ func NewTCPTransportOpts(addrs []string, hosted []int, opts TCPOptions) (*TCPTra
 	}
 	registerTCP(t)
 	return t, nil
-}
-
-// SetLegacyTuples flips the frame encoding between columnar (false, the
-// default) and legacy row-form tuples (true) — see TCPOptions.LegacyTuples.
-// Call before the first Send; receiving always accepts both forms.
-func (t *TCPTransport) SetLegacyTuples(v bool) {
-	t.mu.Lock()
-	t.opts.LegacyTuples = v
-	t.mu.Unlock()
 }
 
 // Addrs returns the resolved listen addresses (useful with ":0" listeners).
@@ -321,23 +303,18 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 			}
 			continue
 		}
-		// Decode columnar payloads before admitting or acking: a corrupt
+		// Decode a data frame's batch before admitting or acking: a corrupt
 		// batch (checksum or bounds failure) must not bump the dedup
 		// high-water mark or trim the sender's replay buffer. Dropping the
 		// connection instead makes the sender redial and resend the frame,
 		// the same repair path as a lost write.
 		var batch []rel.Tuple
-		if len(f.Col) > 0 {
+		if !f.Close {
 			cb, err := colbatch.Decode(f.Col)
 			if err != nil {
 				return
 			}
 			batch = cb.Tuples()
-		} else {
-			batch = make([]rel.Tuple, len(f.Tuples))
-			for i, tu := range f.Tuples {
-				batch[i] = rel.Tuple(tu)
-			}
 		}
 		dup, released := t.admit(&f)
 		if f.Seq > 0 {
@@ -650,20 +627,11 @@ func (t *TCPTransport) Send(ctx context.Context, exchangeID, src, dst int, batch
 		return err
 	}
 	t.countSent(1, 0) // wire bytes are counted by the connection's countWriter
-	f := frame{Exchange: exchangeID, Src: src, Dst: dst}
-	if t.opts.LegacyTuples {
-		f.Tuples = make([][]int64, len(batch))
-		for i, tu := range batch {
-			f.Tuples[i] = []int64(tu)
-		}
-	} else {
-		enc, err := encodeBatch(batch)
-		if err != nil {
-			return fmt.Errorf("%w: encode batch: %v", ErrTransport, err)
-		}
-		f.Col = enc
+	enc, err := encodeBatch(batch)
+	if err != nil {
+		return fmt.Errorf("%w: encode batch: %v", ErrTransport, err)
 	}
-	return t.send(ctx, &f, dst)
+	return t.send(ctx, &frame{Exchange: exchangeID, Src: src, Dst: dst, Col: enc}, dst)
 }
 
 // CloseSend implements Transport. Close frames are sequenced and

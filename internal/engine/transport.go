@@ -174,8 +174,9 @@ func encodeBatch(batch []rel.Tuple) ([]byte, error) {
 	return data, err
 }
 
-// wireBatch is a queued exchange batch: tuple form on the legacy path,
-// encoded colbatch bytes on the columnar path (exactly one is set).
+// wireBatch is a queued exchange batch: tuple form on the flat in-memory
+// path and after a TCP frame is decoded, encoded colbatch bytes on the
+// columnar in-memory path (exactly one is set).
 type wireBatch struct {
 	tuples []rel.Tuple
 	enc    []byte

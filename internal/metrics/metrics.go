@@ -10,14 +10,11 @@
 // hammer it from any number of goroutines.
 //
 // The Default registry is process-wide; internal/debug mounts it at
-// /metrics. PublishExpvar bridges legacy expvar names (parajoin_engine,
-// parajoin_spill, parajoin_server) so they exist even when no debug server
-// is mounted.
+// /metrics.
 package metrics
 
 import (
 	"bytes"
-	"expvar"
 	"fmt"
 	"math"
 	"net/http"
@@ -459,29 +456,4 @@ func HandlerFor(r *Registry) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
 	})
-}
-
-// ----------------------------------------------------------- expvar bridge
-
-var expvarNames struct {
-	mu   sync.Mutex
-	seen map[string]bool
-}
-
-// PublishExpvar registers f under name in the process expvar table exactly
-// once — expvar panics on duplicate names, so subsystems can call this from
-// init or constructors without coordinating. It keeps the legacy
-// parajoin_engine / parajoin_spill / parajoin_server names alive regardless
-// of whether a debug HTTP server is ever mounted.
-func PublishExpvar(name string, f func() any) {
-	expvarNames.mu.Lock()
-	defer expvarNames.mu.Unlock()
-	if expvarNames.seen == nil {
-		expvarNames.seen = make(map[string]bool)
-	}
-	if expvarNames.seen[name] {
-		return
-	}
-	expvarNames.seen[name] = true
-	expvar.Publish(name, expvar.Func(f))
 }

@@ -1,6 +1,6 @@
-// Wire protocol v3 columnar results: frame-level checks that the server
-// honors (and declines) the colbatch encoding, and that the Go client
-// decodes both response forms to identical rows.
+// Colbatch result rows: frame-level checks that the server always answers
+// run with a colbatch stream, and that the Go client decodes it to the
+// rows an in-process run returns.
 package server_test
 
 import (
@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"parajoin"
 	"parajoin/client"
 	"parajoin/internal/colbatch"
 	"parajoin/internal/server"
@@ -38,107 +39,51 @@ func rawQuery(t *testing.T, addr string, req wire.Request) wire.Response {
 	return resp
 }
 
-// TestServerColumnarResults checks the v3 negotiation end to end: a
-// request carrying Encoding "colbatch" gets RowsEnc (and no Rows), the
-// stream decodes to exactly the rows a plain-JSON request returns, and
-// the default Go client — which asks for colbatch on its own — hands the
-// caller those same rows.
+// TestServerColumnarResults checks the result encoding end to end: a
+// request without Encoding and one carrying the version-3 "colbatch" value
+// both get RowsEnc; the stream decodes to the rows an in-process run under
+// a different strategy returns, and is smaller than those rows at 8 bytes
+// per value; and the Go client hands the caller those same rows.
 func TestServerColumnarResults(t *testing.T) {
-	_, _, addr := newTestServer(t, 1500, server.Config{})
+	_, db, addr := newTestServer(t, 1500, server.Config{})
 
-	plain := rawQuery(t, addr, wire.Request{
-		ID: 1, Op: wire.OpRun, Proto: wire.ProtoVersion, Rule: triRule,
-	})
-	if len(plain.Rows) == 0 || len(plain.RowsEnc) != 0 {
-		t.Fatalf("plain request: Rows=%d RowsEnc=%d bytes; want rows only",
-			len(plain.Rows), len(plain.RowsEnc))
-	}
-
-	col := rawQuery(t, addr, wire.Request{
-		ID: 1, Op: wire.OpRun, Proto: wire.ProtoVersion, Rule: triRule,
-		Encoding: wire.EncodingColbatch,
-	})
-	if len(col.RowsEnc) == 0 {
-		t.Fatal("colbatch request: server answered without RowsEnc")
-	}
-	if len(col.Rows) != 0 {
-		t.Fatalf("colbatch request: response carries both forms (%d plain rows)", len(col.Rows))
-	}
-	decoded, err := colbatch.DecodeRowsStream(col.RowsEnc)
-	if err != nil {
-		t.Fatalf("decoding RowsEnc: %v", err)
-	}
-	if !reflect.DeepEqual(canon(decoded), canon(plain.Rows)) {
-		t.Fatalf("columnar stream decodes to %d rows, plain response has %d",
-			len(decoded), len(plain.Rows))
-	}
-
-	// The stream must be smaller than the JSON rows it replaces — the
-	// point of the encoding.
-	if jsonSize := len(plain.Rows) * 3 * 8; len(col.RowsEnc) >= jsonSize {
-		t.Errorf("RowsEnc %d bytes, not below the flat 8-byte-per-value %d", len(col.RowsEnc), jsonSize)
-	}
-
-	c := dial(t, addr)
-	res, err := c.Run(context.Background(), triRule, client.QueryOptions{})
+	q, err := db.Query(triRule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(canon(res.Rows), canon(plain.Rows)) {
-		t.Fatalf("client decoded %d rows, plain response has %d", len(res.Rows), len(plain.Rows))
-	}
-}
-
-// TestServerColumnarKillSwitch: with NoColumnarResults set the server
-// answers colbatch requests with plain Rows — and clients, required to
-// accept both forms, keep working unchanged.
-func TestServerColumnarKillSwitch(t *testing.T) {
-	_, _, addr := newTestServer(t, 400, server.Config{NoColumnarResults: true})
-
-	col := rawQuery(t, addr, wire.Request{
-		ID: 1, Op: wire.OpRun, Proto: wire.ProtoVersion, Rule: twohopRule,
-		Encoding: wire.EncodingColbatch,
-	})
-	if len(col.RowsEnc) != 0 {
-		t.Fatalf("kill switch ignored: %d RowsEnc bytes", len(col.RowsEnc))
-	}
-	if len(col.Rows) == 0 {
-		t.Fatal("kill switch dropped the rows entirely")
-	}
-
-	c := dial(t, addr)
-	res, err := c.Run(context.Background(), twohopRule, client.QueryOptions{})
+	ref, err := q.RunWithOptions(context.Background(), parajoin.RunOptions{Strategy: "rs_hj"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(canon(res.Rows), canon(col.Rows)) {
-		t.Fatal("client rows diverge from raw plain rows under the kill switch")
+	if len(ref.Rows) == 0 {
+		t.Fatal("reference run found no triangles; test data too sparse")
 	}
-}
+	want := canon(ref.Rows)
 
-// TestClientNoColumnarOptOut: a client dialed with NoColumnarResults never
-// asks for the encoding, and its rows match a default client's.
-func TestClientNoColumnarOptOut(t *testing.T) {
-	_, _, addr := newTestServer(t, 400, server.Config{})
+	for _, enc := range []string{"", wire.EncodingColbatch} {
+		resp := rawQuery(t, addr, wire.Request{
+			ID: 1, Op: wire.OpRun, Proto: wire.ProtoVersion, Rule: triRule,
+			Strategy: "hc_tj", Encoding: enc,
+		})
+		decoded, err := colbatch.DecodeRowsStream(resp.RowsEnc)
+		if err != nil {
+			t.Fatalf("Encoding %q: decoding RowsEnc: %v", enc, err)
+		}
+		if !reflect.DeepEqual(canon(decoded), want) {
+			t.Fatalf("Encoding %q: RowsEnc decodes to %d rows, reference run has %d",
+				enc, len(decoded), len(want))
+		}
+		if flat := len(want) * 3 * 8; len(resp.RowsEnc) >= flat {
+			t.Errorf("Encoding %q: RowsEnc %d bytes, not below the flat 8-byte-per-value %d",
+				enc, len(resp.RowsEnc), flat)
+		}
+	}
 
-	opt, err := client.Dial(addr, client.Options{NoColumnarResults: true})
+	res, err := dial(t, addr).Run(context.Background(), triRule, client.QueryOptions{Strategy: "hc_tj"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { opt.Close() })
-
-	plain, err := opt.Run(context.Background(), twohopRule, client.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := dial(t, addr).Run(context.Background(), twohopRule, client.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(canon(plain.Rows), canon(def.Rows)) {
-		t.Fatalf("opt-out client: %d rows, default client %d", len(plain.Rows), len(def.Rows))
-	}
-	if len(plain.Rows) == 0 {
-		t.Fatal("no rows returned")
+	if !reflect.DeepEqual(canon(res.Rows), want) {
+		t.Fatalf("client decoded %d rows, reference run has %d", len(res.Rows), len(want))
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"expvar"
 	"fmt"
 	"io"
 	"log"
@@ -78,11 +79,6 @@ type Config struct {
 	// Logf logs serving events (connects, disconnects, drain); nil uses
 	// log.Printf. Use a no-op func to silence.
 	Logf func(format string, args ...any)
-	// NoColumnarResults disables the protocol-v3 columnar result encoding:
-	// every response carries plain JSON rows even when the client asked for
-	// colbatch. Clients handle that transparently (the encoding is
-	// best-effort by contract), so this is a safe kill switch.
-	NoColumnarResults bool
 }
 
 func (c Config) withDefaults() Config {
@@ -859,17 +855,11 @@ func (ss *session) execute(req *wire.Request, q *parajoin.Query, strategy parajo
 		if err != nil {
 			return nil, 0, "", err
 		}
-		resp.Columns = res.Columns
-		if req.Encoding == wire.EncodingColbatch && !ss.srv.cfg.NoColumnarResults {
-			if enc, err := colbatch.AppendRowsStream(nil, res.Rows); err == nil {
-				resp.RowsEnc = enc
-			} else {
-				// Best-effort by contract: fall back to plain rows.
-				resp.Rows = res.Rows
-			}
-		} else {
-			resp.Rows = res.Rows
+		enc, err := colbatch.AppendRowsStream(nil, res.Rows)
+		if err != nil {
+			return nil, 0, "", fmt.Errorf("server: encoding result rows: %w", err)
 		}
+		resp.Columns, resp.RowsEnc = res.Columns, enc
 		resp.Stats = wireStats(&res.Stats)
 		return resp, int64(len(res.Rows)), res.Stats.Explain, nil
 
@@ -938,36 +928,40 @@ func errCode(err error) string {
 
 // ---------------------------------------------------------------- expvar
 
-// Live servers, summed into the "parajoin_server" expvar — the serving
-// analogue of the engine's "parajoin_engine" live counters.
+// Live servers, summed into the "parajoin_server" expvar: admission-gate
+// depth, sessions and loads, which the metrics registry does not carry.
 var (
 	registryMu sync.Mutex
 	registry   = make(map[*Server]struct{})
+	publish    sync.Once
 )
 
 func registerServer(s *Server) {
 	registryMu.Lock()
 	registry[s] = struct{}{}
 	registryMu.Unlock()
-	metrics.PublishExpvar("parajoin_server", func() any {
-		registryMu.Lock()
-		defer registryMu.Unlock()
-		var total Stats
-		for s := range registry {
-			st := s.Stats()
-			total.Sessions += st.Sessions
-			total.Loads += st.Loads
-			total.Gate.InFlight += st.Gate.InFlight
-			total.Gate.Queued += st.Gate.Queued
-			total.Gate.Admitted += st.Gate.Admitted
-			total.Gate.Completed += st.Gate.Completed
-			total.Gate.RejectedQueueFull += st.Gate.RejectedQueueFull
-			total.Gate.RejectedQueueWait += st.Gate.RejectedQueueWait
-			total.Gate.CanceledInQueue += st.Gate.CanceledInQueue
-			total.Gate.Draining = total.Gate.Draining || st.Gate.Draining
-		}
-		return total
-	})
+	publish.Do(func() { expvar.Publish("parajoin_server", expvar.Func(liveStats)) })
+}
+
+// liveStats sums Stats over every live server.
+func liveStats() any {
+	registryMu.Lock()
+	defer registryMu.Unlock()
+	var total Stats
+	for s := range registry {
+		st := s.Stats()
+		total.Sessions += st.Sessions
+		total.Loads += st.Loads
+		total.Gate.InFlight += st.Gate.InFlight
+		total.Gate.Queued += st.Gate.Queued
+		total.Gate.Admitted += st.Gate.Admitted
+		total.Gate.Completed += st.Gate.Completed
+		total.Gate.RejectedQueueFull += st.Gate.RejectedQueueFull
+		total.Gate.RejectedQueueWait += st.Gate.RejectedQueueWait
+		total.Gate.CanceledInQueue += st.Gate.CanceledInQueue
+		total.Gate.Draining = total.Gate.Draining || st.Gate.Draining
+	}
+	return total
 }
 
 func unregisterServer(s *Server) {

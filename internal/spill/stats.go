@@ -3,8 +3,8 @@ package spill
 import "parajoin/internal/metrics"
 
 // counters are the process-wide spill counters, registered in the metrics
-// registry (scraped at /metrics) and bridged to the legacy "parajoin_spill"
-// expvar. They aggregate across every run and cluster in the process.
+// registry (scraped at /metrics). They aggregate across every run and
+// cluster in the process.
 var counters = struct {
 	spills       *metrics.Counter // runs sealed to disk
 	segments     *metrics.Counter // segment files finished
@@ -25,12 +25,6 @@ var counters = struct {
 		"Per-run spill directories ever created."),
 	activeDirs: metrics.Default.Gauge("parajoin_spill_dirs_active",
 		"Spill directories currently on disk (a steady positive value between runs means a cleanup leak)."),
-}
-
-// init bridges the counters to the legacy "parajoin_spill" expvar so they
-// stay visible at /debug/vars without depending on internal/debug.
-func init() {
-	metrics.PublishExpvar("parajoin_spill", func() any { return ReadStats() })
 }
 
 // Stats is a snapshot of the process-wide spill counters.

@@ -9,17 +9,17 @@
 // by Target; both the cancel and the canceled request get responses.
 //
 // JSON framing keeps the protocol debuggable with nc/jq and implementable
-// from any language. Bulk row payloads are the one exception: protocol v3
-// can carry result rows as a colbatch stream (internal/colbatch) inside
-// the JSON frame, base64-coded through the Response's RowsEnc field, which
-// beats 8-bytes-per-value JSON arrays by several times on typical results.
+// from any language. Result rows are the one exception: run and execute
+// answer with a colbatch stream (internal/colbatch) inside the JSON frame,
+// base64-coded through the Response's RowsEnc field, which beats
+// 8-bytes-per-value JSON arrays by several times on typical results.
 //
 // # Versioning
 //
 // A client advertises its version in the first request's Proto field; the
 // server echoes its own in the response. Version only gates expectations —
 // every frame is self-describing, and both sides ignore unknown JSON
-// fields, so mixed versions interoperate at the older side's feature set:
+// fields:
 //
 //   - v1: the base vocabulary — ping, load, loadcsv, relations, run,
 //     count, explain, cancel. (Proto 0 means v1; the field postdates it.)
@@ -28,14 +28,13 @@
 //     positional Args, close-stmt frees it. An older server answers these
 //     ops with CodeUnsupportedFrame and a healthy connection; clients
 //     degrade to plain run.
-//   - v3: columnar results — a run/execute request may set Encoding to
-//     "colbatch", asking for rows as a colbatch stream in RowsEnc instead
-//     of the Rows JSON array. Best-effort by design: an older or opted-out
-//     server (Config.NoColumnarResults) answers with plain Rows, so a
-//     client that requests the encoding must accept both forms. Exactly
-//     one of Rows and RowsEnc is set on a row-bearing response.
+//   - v3: colbatch result rows in RowsEnc. Rows are always colbatch: the
+//     server answers every run/execute with RowsEnc whatever the
+//     request's Encoding field says (the field is still accepted, and
+//     ignored), and a failure to encode fails the query.
+//   - v4: the cluster status frame (cluster).
 //
 // The request vocabulary, error taxonomy, and framing rationale are
-// specified in DESIGN.md's "Concurrent query service" section; the
-// columnar negotiation in its "Columnar batches" section.
+// specified in DESIGN.md's "Concurrent query service" section; the row
+// encoding in its "Columnar batches" section.
 package wire

@@ -22,7 +22,7 @@ func FuzzReadFrame(f *testing.F) {
 	seed(Request{ID: 3, Op: OpExecute, Stmt: 1, Args: []int64{5}})
 	seed(Request{ID: 4, Op: OpCloseStmt, Stmt: 1})
 	seed(Response{ID: 2, Stmt: 1, Params: 1, Proto: ProtoVersion})
-	seed(Response{ID: 3, Columns: []string{"x"}, Rows: [][]int64{{5}}})
+	seed(Response{ID: 3, Columns: []string{"x"}, RowsEnc: []byte("PJCB\x01\x00")})
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})

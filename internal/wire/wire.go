@@ -13,22 +13,19 @@ const MaxFrame = 64 << 20
 
 // ProtoVersion is the protocol revision this package speaks. Version 2
 // added prepared statements (OpPrepare/OpExecute/OpCloseStmt) and the
-// typed unsupported_frame error; version 3 added the opt-in columnar
-// result encoding (Request.Encoding, Response.RowsEnc); version 4 added
-// the cluster status frame (OpCluster, Response.Cluster). A client
-// advertises its version in the Proto field of its first request; the
-// server echoes its own in every response carrying a non-zero request
-// Proto, so both sides can detect a peer that predates a frame before (or
-// instead of) tripping over it. A zero Proto means a version-1 peer —
-// every version-1 frame is still accepted, so old clients degrade
-// gracefully.
+// typed unsupported_frame error; version 3 added colbatch result rows
+// (Response.RowsEnc), now the only result-row form; version 4 added the
+// cluster status frame (OpCluster, Response.Cluster). A client advertises
+// its version in the Proto field of its first request; the server echoes
+// its own in every response carrying a non-zero request Proto, so both
+// sides can detect a peer that predates a frame before (or instead of)
+// tripping over it. A zero Proto means a version-1 peer; its requests are
+// still accepted, but the rows it gets back are always in RowsEnc.
 const ProtoVersion = 4
 
-// EncodingColbatch is the Request.Encoding value asking for rows as a
-// base64 colbatch stream in Response.RowsEnc instead of a JSON Rows array.
-// A server that predates version 3 ignores the unknown field and answers
-// with plain Rows, which the client must keep accepting — that asymmetry
-// is the whole negotiation.
+// EncodingColbatch is the Request.Encoding value version-3 clients send to
+// ask for colbatch rows. Rows are always colbatch whatever Encoding says;
+// the constant names the value such clients still put on the wire.
 const EncodingColbatch = "colbatch"
 
 // Request operations.
@@ -131,10 +128,9 @@ type Request struct {
 	// Spill requests a spill policy ("off", "on-pressure", "always"; ""
 	// takes the server default).
 	Spill string `json:"spill,omitempty"`
-	// Encoding asks for result rows in an alternative encoding
-	// (EncodingColbatch); "" means plain JSON Rows. Best-effort: the
-	// server may answer with Rows anyway (older server, or columnar
-	// results disabled), so clients must accept both.
+	// Encoding is accepted and ignored: result rows always travel as a
+	// colbatch stream in Response.RowsEnc, whatever it says. Version-3
+	// clients set it to EncodingColbatch.
 	Encoding string `json:"enc,omitempty"`
 
 	// OpCancel.
@@ -223,17 +219,15 @@ type Response struct {
 	Err     string `json:"err,omitempty"`
 
 	Columns   []string       `json:"columns,omitempty"`
-	Rows      [][]int64      `json:"rows,omitempty"`
 	Count     int64          `json:"count,omitempty"`
 	Stats     *Stats         `json:"stats,omitempty"`
 	Relations []RelationInfo `json:"relations,omitempty"`
 	Explain   string         `json:"explain,omitempty"`
 	// Cluster answers OpCluster (protocol 4).
 	Cluster *ClusterInfo `json:"cluster,omitempty"`
-	// RowsEnc carries the result rows as a colbatch stream (base64 via
-	// encoding/json's []byte convention) when the request asked for
-	// Encoding "colbatch" and the server obliged; Rows is empty then.
-	// Exactly one of Rows and RowsEnc is set on a row-bearing response.
+	// RowsEnc carries an OpRun/OpExecute answer's rows as a colbatch stream
+	// (internal/colbatch; base64 via encoding/json's []byte convention). It
+	// is the only form result rows take; an empty answer is one empty batch.
 	RowsEnc []byte `json:"rows_enc,omitempty"`
 
 	// Proto is the server's protocol version, echoed when the request

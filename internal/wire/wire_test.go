@@ -33,7 +33,7 @@ func TestRequestRoundTrip(t *testing.T) {
 func TestResponseRoundTrip(t *testing.T) {
 	in := Response{
 		ID: 9, Proto: ProtoVersion, Stmt: 3, Params: 2,
-		Columns: []string{"x", "y"}, Rows: [][]int64{{1, 2}, {3, 4}},
+		Columns: []string{"x", "y"}, RowsEnc: []byte("PJCB\x00\x01"),
 		Stats: &Stats{Strategy: "rs_hj", PlanCached: true, ResultCached: true},
 	}
 	var buf bytes.Buffer
@@ -44,7 +44,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	if err := ReadFrame(&buf, &out); err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if out.Stmt != 3 || out.Params != 2 || out.Proto != ProtoVersion {
+	if out.Stmt != 3 || out.Params != 2 || out.Proto != ProtoVersion || !bytes.Equal(out.RowsEnc, in.RowsEnc) {
 		t.Fatalf("round trip mismatch: %+v", out)
 	}
 	if out.Stats == nil || !out.Stats.PlanCached || !out.Stats.ResultCached {
@@ -83,7 +83,7 @@ func TestReadFrameMultiChunk(t *testing.T) {
 	for i := 0; i < 1<<17; i++ { // ~2.6 MB of JSON > readChunk
 		rows = append(rows, []int64{int64(i), int64(i * 2)})
 	}
-	in := Response{ID: 1, Rows: rows}
+	in := Request{ID: 1, Op: OpLoad, Name: "E", Rows: rows}
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatalf("write: %v", err)
@@ -91,7 +91,7 @@ func TestReadFrameMultiChunk(t *testing.T) {
 	if buf.Len() <= readChunk {
 		t.Fatalf("test frame too small to exercise chunking: %d", buf.Len())
 	}
-	var out Response
+	var out Request
 	if err := ReadFrame(&buf, &out); err != nil {
 		t.Fatalf("read: %v", err)
 	}

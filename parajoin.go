@@ -246,25 +246,6 @@ func WithSeed(seed int64) Option {
 	return func(db *DB) { db.seed = seed }
 }
 
-// WithColumnarExchange toggles the dictionary-encoded columnar batch
-// encoding (internal/colbatch) on the exchange transport. TCP clusters use
-// it by default — pass false to restore the legacy row-form gob frames for
-// byte-level A/B comparison. In-memory clusters pass batches by reference
-// by default; passing true routes them through the same encode/decode path
-// the TCP transport uses, so byte counters report encoded wire bytes —
-// that is how the benchmark suite measures exchange volume. Query results
-// are identical either way.
-func WithColumnarExchange(on bool) Option {
-	return func(db *DB) {
-		switch tr := db.cluster.Transport().(type) {
-		case *engine.MemTransport:
-			tr.Columnar = on
-		case *engine.TCPTransport:
-			tr.SetLegacyTuples(!on)
-		}
-	}
-}
-
 // Open creates a database with the given number of workers over the
 // in-memory transport.
 func Open(workers int, opts ...Option) *DB {

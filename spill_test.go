@@ -19,7 +19,7 @@ const triangleRule = "Tri(x,y,z) :- E(x,y), E(y,z), E(z,x)"
 // API: a triangle join squeezed to a quarter of its measured working set
 // completes under SpillOnPressure with the unlimited answer, reports spill
 // activity in Stats, emits spill trace events, advances the process-wide
-// counters behind the parajoin_spill expvar, and leaves no temp files.
+// parajoin_spill_* counters, and leaves no temp files.
 func TestSpillAcceptance(t *testing.T) {
 	dir := t.TempDir()
 	ring := NewTraceRing(1 << 14)
