@@ -508,7 +508,7 @@ func (o *tributaryOp) openSpilled() error {
 				}
 				inputTuples += int64(len(b))
 				for _, t := range b {
-					if _, ok := norm.Apply(t); ok {
+					if norm.Match(t) {
 						exists = true
 					}
 				}
@@ -518,6 +518,7 @@ func (o *tributaryOp) openSpilled() error {
 			}
 		} else {
 			sorter := spill.NewSorter(e.spillConfig(o.t.worker, norm.Arity(), "sort("+alias+")"))
+			nt := make(rel.Tuple, norm.Arity()) // Add copies, so one buffer serves every row
 			for {
 				b, err := in.next()
 				if err == io.EOF {
@@ -528,8 +529,7 @@ func (o *tributaryOp) openSpilled() error {
 				}
 				inputTuples += int64(len(b))
 				for _, t := range b {
-					nt, ok := norm.Apply(t)
-					if !ok {
+					if !norm.ApplyInto(nt, t) {
 						continue
 					}
 					if err := sorter.Add(nt); err != nil {

@@ -299,6 +299,34 @@ func TestNormalizeAtom(t *testing.T) {
 	}
 }
 
+// TestNormalizerApplyIntoMatchesApply drives one reused destination through
+// filtering and repeated-variable atoms: it must agree with Apply on every
+// row, including the rows both reject.
+func TestNormalizerApplyIntoMatchesApply(t *testing.T) {
+	order := []core.Var{"x", "y", "z"}
+	atoms := []core.Atom{
+		core.NewAtom("R", core.V("y"), core.C(3), core.V("x")),
+		core.NewAtom("R", core.V("x"), core.V("z"), core.V("x")),
+		core.NewAtom("R", core.V("z"), core.V("y"), core.V("x")),
+		core.NewAtom("R", core.V("y"), core.V("y"), core.V("y")),
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, atom := range atoms {
+		n := NewNormalizer(atom, order)
+		dst := make(rel.Tuple, n.Arity())
+		for i := 0; i < 500; i++ {
+			row := rel.Tuple{rng.Int63n(4), rng.Int63n(4), rng.Int63n(4)}
+			want, ok := n.Apply(row)
+			if got := n.ApplyInto(dst, row); got != ok {
+				t.Fatalf("%v on %v: ApplyInto = %v, Apply = %v", atom, row, got, ok)
+			}
+			if ok && !dst.Equal(want) {
+				t.Fatalf("%v on %v: ApplyInto wrote %v, Apply returned %v", atom, row, dst, want)
+			}
+		}
+	}
+}
+
 // Property test: Tributary join agrees with the naive oracle on random
 // path queries with random data and a random variable order.
 func TestTributaryPathProperty(t *testing.T) {
@@ -462,6 +490,35 @@ func TestGallopMatchesLowerBound(t *testing.T) {
 		gl := gallop(r.Tuples, 0, len(r.Tuples), 0, v)
 		if lb != gl {
 			t.Fatalf("v=%d: lowerBound %d, gallop %d", v, lb, gl)
+		}
+	}
+}
+
+func TestLowerBoundMatchesScan(t *testing.T) {
+	r := rel.New("A", "u", "v")
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 300; i++ {
+		r.AppendRow(rng.Int63n(20), rng.Int63n(50))
+	}
+	r.Sort()
+	n := len(r.Tuples)
+	for trial := 0; trial < 2000; trial++ {
+		lo := rng.Intn(n + 1)
+		hi := lo + rng.Intn(n-lo+1)
+		col := rng.Intn(2)
+		for end := lo; col == 1 && end < hi; end++ {
+			// Column 1 is sorted only within a run of equal column-0 keys.
+			if r.Tuples[end][0] != r.Tuples[lo][0] {
+				hi = end
+			}
+		}
+		v := rng.Int63n(55) - 2
+		want := lo
+		for want < hi && r.Tuples[want][col] < v {
+			want++
+		}
+		if got := lowerBound(r.Tuples, lo, hi, col, v); got != want {
+			t.Fatalf("lowerBound([%d,%d), col %d, %d) = %d, want %d", lo, hi, col, v, got, want)
 		}
 	}
 }

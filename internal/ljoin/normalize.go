@@ -100,6 +100,20 @@ func (n *Normalizer) Apply(t rel.Tuple) (rel.Tuple, bool) {
 	return t.Project(n.srcs), true
 }
 
+// ApplyInto is Apply writing into dst (of length Arity) instead of a fresh
+// tuple, so a caller that copies the result on — the spilled path's Sorter
+// — normalizes every row into one reused buffer. dst is left unspecified
+// when ok is false.
+func (n *Normalizer) ApplyInto(dst, t rel.Tuple) bool {
+	if !n.Match(t) {
+		return false
+	}
+	for i, c := range n.srcs {
+		dst[i] = t[c]
+	}
+	return true
+}
+
 // NormalizeAtom turns an atom's relation into the form Tributary join
 // consumes: rows violating the atom's constant bindings or repeated-variable
 // equalities are dropped, and the remaining columns are the atom's distinct

@@ -6,11 +6,7 @@
 // evaluator used as a correctness oracle in tests.
 package ljoin
 
-import (
-	"sort"
-
-	"parajoin/internal/rel"
-)
+import "parajoin/internal/rel"
 
 // SeekMode selects the search strategy TrieIterator.Seek uses. The paper's
 // Tributary join uses binary search over the remaining array (O(log n) per
@@ -153,7 +149,15 @@ func (a *arrayTrie) keyRunEnd(d int) int {
 // lowerBound returns the smallest index i in [lo, hi) with tuples[i][col]
 // ≥ v, or hi when none exists.
 func lowerBound(tuples []rel.Tuple, lo, hi, col int, v int64) int {
-	return lo + sort.Search(hi-lo, func(i int) bool { return tuples[lo+i][col] >= v })
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tuples[mid][col] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // gallop performs exponential search from lo: it doubles a probe distance

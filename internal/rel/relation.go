@@ -1,8 +1,9 @@
 package rel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Schema names the columns of a relation, in positional order.
@@ -86,30 +87,27 @@ func (r *Relation) Clone() *Relation {
 // for chaining. Tributary join requires its inputs sorted this way, after the
 // columns have been permuted to the global variable order.
 func (r *Relation) Sort() *Relation {
-	sort.Slice(r.Tuples, func(i, j int) bool { return r.Tuples[i].Compare(r.Tuples[j]) < 0 })
+	slices.SortFunc(r.Tuples, Tuple.Compare)
 	return r
 }
 
 // SortBy orders the tuples by the given column indexes (lexicographically on
 // that projection, remaining columns as tie-breakers in schema order).
 func (r *Relation) SortBy(cols []int) *Relation {
-	sort.Slice(r.Tuples, func(i, j int) bool {
-		a, b := r.Tuples[i], r.Tuples[j]
+	slices.SortFunc(r.Tuples, func(a, b Tuple) int {
 		for _, c := range cols {
-			if a[c] != b[c] {
-				return a[c] < b[c]
+			if d := cmp.Compare(a[c], b[c]); d != 0 {
+				return d
 			}
 		}
-		return a.Compare(b) < 0
+		return a.Compare(b)
 	})
 	return r
 }
 
 // IsSorted reports whether the tuples are in lexicographic order.
 func (r *Relation) IsSorted() bool {
-	return sort.SliceIsSorted(r.Tuples, func(i, j int) bool {
-		return r.Tuples[i].Compare(r.Tuples[j]) < 0
-	})
+	return slices.IsSortedFunc(r.Tuples, Tuple.Compare)
 }
 
 // Dedup removes duplicate tuples in place. The relation is sorted as a side

@@ -13,16 +13,19 @@ import (
 // seal order, then the in-memory tail.
 type Buffer struct {
 	spiller
+	rows     tupleRun
 	finished bool
 }
 
 // NewBuffer creates a buffer configured by cfg.
 func NewBuffer(cfg Config) *Buffer {
-	return &Buffer{spiller: spiller{cfg: cfg}}
+	b := &Buffer{}
+	b.spiller = spiller{cfg: cfg, run: &b.rows}
+	return b
 }
 
 // Add appends one tuple. The buffer takes ownership.
-func (b *Buffer) Add(t rel.Tuple) error { return b.add(t, false) }
+func (b *Buffer) Add(t rel.Tuple) error { return b.add(t) }
 
 // Finish returns the buffered tuples as a stream in insertion order. The
 // buffer must not be used after Finish.
@@ -32,11 +35,11 @@ func (b *Buffer) Finish() (Stream, error) {
 	}
 	b.finished = true
 	if len(b.segs) == 0 {
-		return &memStream{run: b.run}, nil
+		return &memStream{run: b.rows}, nil
 	}
 	// Already on disk: seal the tail too (order preserved — it is the
 	// last segment), releasing its reservation for downstream operators.
-	if err := b.seal(false); err != nil {
+	if err := b.seal(); err != nil {
 		return nil, err
 	}
 	srcs := make([]source, 0, len(b.segs))

@@ -17,9 +17,12 @@
 //     mutex.
 //   - Segment: the on-disk run format — a small header plus raw
 //     little-endian int64 values, streamed through buffered I/O.
-//   - Sorter: an external merge sort. Sealed runs are sorted before they
-//     hit disk, so reading them back is a k-way merge that yields the
-//     exact sequence an in-memory sort of the whole input would.
+//   - Sorter: an external merge sort. Add copies each tuple into an arena
+//     the sorter owns; a run is sorted by packing rows into uint64 keys
+//     and radix-sorting them when they fit 64 bits, by comparison when
+//     they do not. Sealed runs are sorted before they hit disk, so reading
+//     them back is a k-way merge that yields the exact sequence an
+//     in-memory sort of the whole input would.
 //   - Buffer: the unsorted cousin, preserving append order — used for
 //     result, StoreAs, and per-sub-range join-output materialization
 //     (Concat chains per-shard buffers back into one ordered stream).

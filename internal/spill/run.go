@@ -1,0 +1,240 @@
+package spill
+
+import (
+	"slices"
+	"sync"
+
+	"parajoin/internal/rel"
+)
+
+// runStore is a spiller's in-memory run: the tuples added since the last
+// seal.
+type runStore interface {
+	len() int
+	push(t rel.Tuple)
+	// writeTo writes the run to w, in sorted order if it is a Sorter's.
+	writeTo(w *SegmentWriter) error
+	reset()
+}
+
+// tupleRun is Buffer's run: the caller's rows, in insertion order.
+type tupleRun []rel.Tuple
+
+func (r *tupleRun) len() int         { return len(*r) }
+func (r *tupleRun) push(t rel.Tuple) { *r = append(*r, t) }
+func (r *tupleRun) reset()           { clear(*r); *r = (*r)[:0] } // drop row references for the GC
+func (r *tupleRun) writeTo(w *SegmentWriter) error {
+	for _, t := range *r {
+		if err := w.Write(t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// arenaRun is Sorter's run: the added rows' values copied into arena
+// chunks the sorter owns, arity values per row, with no pointers for the
+// garbage collector to scan. Owning the values is what lets the sort
+// rewrite rows in place — the caller's rows may be shared (a workload's
+// base relation, say) and are never written. Chunks fill in order and a
+// row never straddles two, so a run grows without copying and wastes at
+// most one partly filled chunk; a sealed run's chunks are reused by the
+// next run.
+type arenaRun struct {
+	arity  int
+	rows   int
+	chunks [][]int64 // chunks[:cur+1] hold the rows; later ones are empty spares
+	cur    int
+	cols   []int   // 0..arity-1: every column packs, in order
+	lo, hi []int64 // per-column range of the run being sorted
+}
+
+// Arena chunks double from arenaFirstChunk values up to arenaMaxChunk:
+// small runs stay small, and full chunks are 32 KiB, the largest size
+// class the allocator recycles without going to the page heap.
+const (
+	arenaFirstChunk = 64
+	arenaMaxChunk   = 4096
+)
+
+func newArenaRun(arity int) arenaRun {
+	cols := make([]int, arity)
+	for i := range cols {
+		cols[i] = i
+	}
+	first := make([]int64, 0, max(arenaFirstChunk, arity))
+	return arenaRun{arity: arity, chunks: [][]int64{first}, cols: cols}
+}
+
+func (r *arenaRun) len() int { return r.rows }
+
+func (r *arenaRun) push(t rel.Tuple) {
+	if c := r.chunks[r.cur]; len(c)+len(t) > cap(c) {
+		if r.cur++; r.cur == len(r.chunks) {
+			size := max(min(2*cap(c), arenaMaxChunk), r.arity)
+			r.chunks = append(r.chunks, make([]int64, 0, size))
+		}
+	}
+	r.chunks[r.cur] = append(r.chunks[r.cur], t...)
+	r.rows++
+}
+
+func (r *arenaRun) reset() {
+	for i := range r.chunks[:r.cur+1] {
+		r.chunks[i] = r.chunks[i][:0]
+	}
+	r.cur, r.rows = 0, 0
+}
+
+// trim drops the spare chunks and shrinks the last filled one to its rows,
+// so a run that stays in memory holds no free space.
+func (r *arenaRun) trim() {
+	r.chunks = r.chunks[:r.cur+1]
+	r.chunks[r.cur] = slices.Clone(r.chunks[r.cur])
+}
+
+func (r *arenaRun) writeTo(w *SegmentWriter) error {
+	r.sort()
+	a := r.arity
+	for _, c := range r.chunks[:r.cur+1] {
+		for i := 0; i < len(c); i += a {
+			if err := w.Write(c[i : i+a]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// views returns the rows in order as capacity-clamped tuples over the
+// arena: appending to one reallocates instead of clobbering its neighbour.
+func (r *arenaRun) views() []rel.Tuple {
+	out := make([]rel.Tuple, 0, r.rows)
+	if a := r.arity; a > 0 {
+		for _, c := range r.chunks[:r.cur+1] {
+			for i := 0; i < len(c); i += a {
+				out = append(out, c[i:i+a:i+a])
+			}
+		}
+	} else {
+		for range r.rows {
+			out = append(out, rel.Tuple{})
+		}
+	}
+	return out
+}
+
+// sort orders the rows lexicographically in place. One min/max pass per
+// column decides the representation: when the ranges fit 64 bits together,
+// every row packs into a uint64 key (first column most significant), the
+// keys are radix-sorted and unpacked back into the arena. Equal keys are
+// equal rows, so the result is exactly the comparison sort's. Wider rows
+// are sorted by comparison over views, then copied back in order.
+func (r *arenaRun) sort() {
+	a := r.arity
+	if r.rows < 2 || a == 0 {
+		return
+	}
+	filled := r.chunks[:r.cur+1]
+	r.lo = append(r.lo[:0], filled[0][:a]...)
+	r.hi = append(r.hi[:0], filled[0][:a]...)
+	for _, c := range filled {
+		for i := 0; i < len(c); i += a {
+			for j, v := range c[i : i+a] {
+				r.lo[j], r.hi[j] = min(r.lo[j], v), max(r.hi[j], v)
+			}
+		}
+	}
+	p, ok := rel.NewKeyPacker(r.cols, r.lo, r.hi)
+	if !ok {
+		views := r.views()
+		slices.SortFunc(views, rel.Tuple.Compare)
+		sorted := make([]int64, 0, r.rows*a)
+		for _, v := range views {
+			sorted = append(sorted, v...)
+		}
+		for _, c := range filled {
+			sorted = sorted[copy(c, sorted):]
+		}
+		return
+	}
+	sc := scratchPool.Get().(*sortScratch)
+	defer scratchPool.Put(sc)
+	sc.keys = slices.Grow(sc.keys[:0], r.rows)[:r.rows]
+	sc.tmp = slices.Grow(sc.tmp[:0], r.rows)[:r.rows]
+	k := 0
+	for _, c := range filled {
+		for i := 0; i < len(c); i += a {
+			sc.keys[k] = p.Pack(c[i : i+a])
+			k++
+		}
+	}
+	sorted := sc.radixSort(p.Width())
+	for _, c := range filled {
+		for i := 0; i < len(c); i += a {
+			p.Unpack(sorted[0], c[i:i+a])
+			sorted = sorted[1:]
+		}
+	}
+}
+
+// sortScratch is what one packed sort works in: the key buffer, its radix
+// ping-pong twin (8 B per row each) and the digit histogram. Sorts borrow
+// one from scratchPool instead of owning it, so the buffers follow the
+// sorts that are running rather than the sorters that exist, and a run of
+// similar sorts reuses one allocation.
+type sortScratch struct {
+	keys, tmp []uint64
+	count     [1 << radixDigitBits]int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
+
+// radixCutoff is the run length below which a comparison sort of the keys
+// beats the radix sort's per-pass histogram clearing and prefix sums.
+const radixCutoff = 256
+
+// radixDigitBits bounds the bits per counting pass: 2 048 buckets keep the
+// histogram in L1.
+const radixDigitBits = 11
+
+// radixSort sorts sc.keys, whose set bits all lie in the low width bits:
+// an LSD radix sort in ceil(width/11) passes of equal digit width,
+// ping-ponging through sc.tmp (as long as sc.keys). A pass whose digit is
+// the same for every key moves nothing and is skipped. It returns
+// whichever of the two buffers holds the sorted keys.
+func (sc *sortScratch) radixSort(width int) []uint64 {
+	keys, tmp := sc.keys, sc.tmp
+	if len(keys) < radixCutoff {
+		slices.Sort(keys)
+		return keys
+	}
+	passes := (width + radixDigitBits - 1) / radixDigitBits
+	if passes == 0 {
+		return keys
+	}
+	digit := uint((width + passes - 1) / passes)
+	mask := uint64(1)<<digit - 1
+	for shift := uint(0); shift < uint(width); shift += digit {
+		counts := sc.count[:mask+1]
+		clear(counts)
+		for _, k := range keys {
+			counts[k>>shift&mask]++
+		}
+		if counts[keys[0]>>shift&mask] == len(keys) {
+			continue
+		}
+		sum := 0
+		for d, c := range counts {
+			counts[d] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			d := k >> shift & mask
+			tmp[counts[d]] = k
+			counts[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
+}

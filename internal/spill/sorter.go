@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"parajoin/internal/rel"
@@ -20,8 +19,13 @@ type Stream interface {
 	Close() error
 }
 
-// Drain materializes a stream and closes it.
+// Drain materializes a stream and closes it. An unread in-memory stream
+// hands over its run as is.
 func Drain(s Stream) ([]rel.Tuple, error) {
+	if m, ok := s.(*memStream); ok && m.pos == 0 {
+		m.pos = len(m.run)
+		return m.run, nil
+	}
 	out := make([]rel.Tuple, 0, s.Len())
 	for {
 		t, err := s.Next()
@@ -41,7 +45,7 @@ func Drain(s Stream) ([]rel.Tuple, error) {
 // the budget (or the Always threshold) says so.
 type spiller struct {
 	cfg      Config
-	run      []rel.Tuple
+	run      runStore
 	segs     []*Segment
 	total    int64
 	reserved int64 // tuples of run currently charged to the accountant
@@ -54,14 +58,13 @@ func (s *spiller) spillable() bool {
 }
 
 // add reserves one tuple and appends it, sealing the current run first
-// when the policy calls for it. sorted runs are sorted before hitting
-// disk (the external-sort invariant).
-func (s *spiller) add(t rel.Tuple, sorted bool) error {
+// when the policy calls for it.
+func (s *spiller) add(t rel.Tuple) error {
 	if len(t) != s.cfg.Arity {
 		return fmt.Errorf("spill: %s: adding arity-%d tuple to arity-%d run", s.cfg.Label, len(t), s.cfg.Arity)
 	}
-	if s.cfg.Policy == Always && len(s.run) >= s.cfg.sealTuples() {
-		if err := s.seal(sorted); err != nil {
+	if s.cfg.Policy == Always && s.run.len() >= s.cfg.sealTuples() {
+		if err := s.seal(); err != nil {
 			return err
 		}
 	}
@@ -72,7 +75,7 @@ func (s *spiller) add(t rel.Tuple, sorted bool) error {
 			s.cfg.Acct.Blow(s.cfg.Worker, s.cfg.Label)
 			return ErrBudget
 		}
-		if err := s.seal(sorted); err != nil {
+		if err := s.seal(); err != nil {
 			return err
 		}
 		if !s.cfg.Acct.Reserve(s.cfg.Worker, 1) {
@@ -81,29 +84,25 @@ func (s *spiller) add(t rel.Tuple, sorted bool) error {
 			// resident state: push the tuple through an unreserved
 			// singleton run straight to disk. Degenerate (one segment per
 			// tuple) but bounded — the last resort before failing.
-			s.run = append(s.run, t)
+			s.run.push(t)
 			s.total++
-			return s.seal(sorted)
+			return s.seal()
 		}
-		s.reserved++
-	} else {
-		s.reserved++
 	}
-	s.run = append(s.run, t)
+	s.reserved++
+	s.run.push(t)
 	s.total++
 	return nil
 }
 
-// seal writes the in-memory run to a fresh segment and releases its
-// reservation.
-func (s *spiller) seal(sorted bool) error {
-	if len(s.run) == 0 {
+// seal writes the in-memory run to a fresh segment (a Sorter's run sorts
+// first: the external-sort invariant) and releases its reservation.
+func (s *spiller) seal() error {
+	n := int64(s.run.len())
+	if n == 0 {
 		return nil
 	}
 	start := time.Now()
-	if sorted {
-		sortRun(s.run)
-	}
 	f, err := s.cfg.Create()
 	if err != nil {
 		return err
@@ -113,11 +112,9 @@ func (s *spiller) seal(sorted bool) error {
 		f.Close()
 		return err
 	}
-	for _, t := range s.run {
-		if err := w.Write(t); err != nil {
-			f.Close()
-			return err
-		}
+	if err := s.run.writeTo(w); err != nil {
+		f.Close()
+		return err
 	}
 	seg, err := w.Finish()
 	if err != nil {
@@ -126,7 +123,6 @@ func (s *spiller) seal(sorted bool) error {
 	if err := s.cfg.Acct.ReserveDisk(seg.Bytes); err != nil {
 		return err
 	}
-	n := int64(len(s.run))
 	s.segs = append(s.segs, seg)
 	s.sealed += n
 	s.cfg.Acct.Release(s.cfg.Worker, s.reserved)
@@ -135,8 +131,7 @@ func (s *spiller) seal(sorted bool) error {
 	if s.cfg.OnSpill != nil {
 		s.cfg.OnSpill(Event{Label: s.cfg.Label, Tuples: n, Bytes: seg.Bytes, Dur: time.Since(start)})
 	}
-	clear(s.run) // drop tuple references so the GC can collect them
-	s.run = s.run[:0]
+	s.run.reset()
 	return nil
 }
 
@@ -149,44 +144,46 @@ func (s *spiller) Segments() int { return len(s.segs) }
 // Len returns the tuples added so far.
 func (s *spiller) Len() int64 { return s.total }
 
-func sortRun(run []rel.Tuple) {
-	sort.Slice(run, func(i, j int) bool { return run[i].Compare(run[j]) < 0 })
-}
-
 // Sorter is an external merge sort: tuples are added in any order, sealed
 // runs are sorted before they hit disk, and Finish returns a k-way merge
 // over the segments plus the residual in-memory run — the exact sequence
 // an in-memory sort of the whole input would produce (lexicographic
 // tuple order; duplicates survive, as Tributary's sorted arrays require).
+// The in-memory run is an arena the sorter owns (see arenaRun).
 type Sorter struct {
 	spiller
+	arena    arenaRun
 	finished bool
 }
 
 // NewSorter creates a sorter configured by cfg.
 func NewSorter(cfg Config) *Sorter {
-	return &Sorter{spiller: spiller{cfg: cfg}}
+	s := &Sorter{arena: newArenaRun(cfg.Arity)}
+	s.spiller = spiller{cfg: cfg, run: &s.arena}
+	return s
 }
 
-// Add inserts one tuple. The sorter takes ownership (the tuple must not
-// be mutated afterwards).
-func (s *Sorter) Add(t rel.Tuple) error { return s.add(t, true) }
+// Add inserts one tuple. Its values are copied: the caller keeps t and
+// may reuse it at once.
+func (s *Sorter) Add(t rel.Tuple) error { return s.add(t) }
 
 // Finish sorts the residual run and returns the merged stream. The
-// sorter must not be used after Finish.
+// sorter must not be used after Finish. An in-memory finish yields
+// capacity-clamped views into the sorter's arena.
 func (s *Sorter) Finish() (Stream, error) {
 	if s.finished {
 		return nil, fmt.Errorf("spill: %s: sorter finished twice", s.cfg.Label)
 	}
 	s.finished = true
 	if len(s.segs) == 0 {
-		sortRun(s.run)
-		return &memStream{run: s.run}, nil
+		s.arena.sort()
+		s.arena.trim()
+		return &memStream{run: s.arena.views()}, nil
 	}
 	// Already on disk: seal the residual run too, releasing its
 	// reservation — downstream operators get the budget back and the
 	// merge reads only segments.
-	if err := s.seal(true); err != nil {
+	if err := s.seal(); err != nil {
 		return nil, err
 	}
 	srcs := make([]source, 0, len(s.segs))

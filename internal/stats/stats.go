@@ -28,11 +28,11 @@ func RelationScans() int64 { return scans.Value() }
 // countDistinct returns the number of distinct projections of tuples onto
 // cols (V(R, cols) of the paper's cost model). When the columns' value
 // ranges fit 64 bits together — always, for one or two columns of node ids
-// or dictionary codes — each projection packs into one uint64 key: a key
-// space no larger than the key array would be is marked off in a bitmap,
-// a larger one is sorted and its runs counted. Otherwise row indices are
-// sorted with a column-wise comparison. Whatever it allocates is garbage
-// when the call returns.
+// or dictionary codes — each projection packs into one uint64 key
+// (rel.KeyPacker): a key space no larger than the key array would be is
+// marked off in a bitmap, a larger one is sorted and its runs counted.
+// Otherwise row indices are sorted with a column-wise comparison.
+// Whatever it allocates is garbage when the call returns.
 func countDistinct(tuples []rel.Tuple, cols []int) int {
 	n := len(tuples)
 	if n == 0 {
@@ -42,28 +42,12 @@ func countDistinct(tuples []rel.Tuple, cols []int) int {
 		// The empty prefix has exactly one value (the empty tuple).
 		return 1
 	}
-	mins := make([]int64, len(cols))
-	shifts := make([]uint, len(cols))
-	width := 0
-	for i, c := range cols {
-		lo, hi := tuples[0][c], tuples[0][c]
-		for _, t := range tuples[1:] {
-			lo, hi = min(lo, t[c]), max(hi, t[c])
-		}
-		mins[i], shifts[i] = lo, uint(width)
-		width += bits.Len64(uint64(hi) - uint64(lo))
-	}
-	key := func(t rel.Tuple) (k uint64) {
-		for i, c := range cols {
-			k |= (uint64(t[c]) - uint64(mins[i])) << shifts[i]
-		}
-		return k
-	}
-	if width < 63 && 1<<uint(width) <= 64*n {
+	p, packs := rel.FitKeyPacker(tuples, cols)
+	if width := p.Width(); packs && width < 63 && 1<<uint(width) <= 64*n {
 		seen := make([]uint64, 1<<uint(width)/64+1)
 		distinct := 0
 		for _, t := range tuples {
-			k := key(t)
+			k := p.Pack(t)
 			if bit := uint64(1) << (k % 64); seen[k/64]&bit == 0 {
 				seen[k/64] |= bit
 				distinct++
@@ -72,10 +56,10 @@ func countDistinct(tuples []rel.Tuple, cols []int) int {
 		return distinct
 	}
 	distinct := 1
-	if width <= 64 {
+	if packs {
 		keys := make([]uint64, n)
 		for j, t := range tuples {
-			keys[j] = key(t)
+			keys[j] = p.Pack(t)
 		}
 		slices.Sort(keys)
 		for j := 1; j < n; j++ {
