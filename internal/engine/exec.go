@@ -251,13 +251,13 @@ func (e *exec) compileNode(n Node, t *task) (operator, error) {
 			return nil, fmt.Errorf("engine: hash join keys %v vs %v", v.LeftCols, v.RightCols)
 		}
 		ls, rs := left.schema(), right.schema()
-		op := &hashJoinOp{t: t, left: left, right: right}
+		op := &hashJoinOp{t: t, in: [2]operator{left, right}}
 		for _, c := range v.LeftCols {
 			i := ls.IndexOf(c)
 			if i < 0 {
 				return nil, fmt.Errorf("engine: join column %q not in left %v", c, ls)
 			}
-			op.lCols = append(op.lCols, i)
+			op.cols[0] = append(op.cols[0], i)
 		}
 		drop := make(map[int]bool)
 		for _, c := range v.RightCols {
@@ -265,7 +265,7 @@ func (e *exec) compileNode(n Node, t *task) (operator, error) {
 			if i < 0 {
 				return nil, fmt.Errorf("engine: join column %q not in right %v", c, rs)
 			}
-			op.rCols = append(op.rCols, i)
+			op.cols[1] = append(op.cols[1], i)
 			drop[i] = true
 		}
 		op.sch = ls.Clone()

@@ -69,7 +69,7 @@ func (o *scanOp) next() ([]rel.Tuple, error) {
 	if end > len(o.rows) {
 		end = len(o.rows)
 	}
-	b := o.rows[o.pos:end]
+	b := o.rows[o.pos:end:end] // clamped: the fragment is shared storage
 	o.pos = end
 	o.t.ex.metrics.addProcessed(o.t.worker, int64(len(b)))
 	return b, nil
@@ -133,16 +133,18 @@ type projectOp struct {
 	sch   rel.Schema
 	cols  []int
 	dedup bool
-	seen  map[string]struct{}
-	buf   []byte
+	seen  *keyTable // the projected rows so far, keyed on all their columns
 }
 
 func (o *projectOp) schema() rel.Schema { return o.sch }
 
 func (o *projectOp) open() error {
 	if o.dedup {
-		o.seen = make(map[string]struct{})
-		o.buf = make([]byte, 8*len(o.cols))
+		all := make([]int, len(o.cols))
+		for i := range all {
+			all[i] = i
+		}
+		o.seen = newKeyTable(len(all), all)
 	}
 	return o.in.open()
 }
@@ -159,11 +161,9 @@ func (o *projectOp) next() ([]rel.Tuple, error) {
 		for _, t := range b {
 			p := t.Project(o.cols)
 			if o.dedup {
-				k := tupleKey(p, o.buf)
-				if _, ok := o.seen[k]; ok {
+				if !o.seen.insert(p, keyHash(p, o.seen.cols), true) {
 					continue
 				}
-				o.seen[k] = struct{}{}
 				if err := o.t.ex.charge(o.t.worker, 1, "project-dedup"); err != nil {
 					return nil, err
 				}
@@ -176,181 +176,124 @@ func (o *projectOp) next() ([]rel.Tuple, error) {
 	}
 }
 
-func tupleKey(t rel.Tuple, buf []byte) string {
-	for i, v := range t {
-		le(buf[8*i:], uint64(v))
-	}
-	return string(buf[:8*len(t)])
-}
-
-func le(b []byte, v uint64) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
-
 // ---------------------------------------------------------------- hash join
 
 // hashJoinOp is the symmetric (pipelined) hash join: hash tables on both
 // sides, each arriving batch inserted into its side's table and probed
 // against the other. Inputs are pulled round-robin; when one side is
 // exhausted the other is drained — the paper's "if one input does not have
-// any data, the join pulls the other input".
+// any data, the join pulls the other input". Side 0 is the left input,
+// side 1 the right. Each side's table owns copies of its rows (keyTable),
+// and a key's matches come back in the other side's insertion order.
 type hashJoinOp struct {
-	t           *task
-	left, right operator
-	lCols       []int
-	rCols       []int
-	sch         rel.Schema
-	rKeep       []int
+	t     *task
+	in    [2]operator
+	cols  [2][]int // each side's key columns
+	sch   rel.Schema
+	rKeep []int
 
-	// Single-column keys use the int64-keyed tables (no per-tuple key
-	// allocation); multi-column keys fall back to packed-string keys.
-	lTable, rTable   map[string][]rel.Tuple
-	lTable1, rTable1 map[int64][]rel.Tuple
-	buf              []byte
-	pending          []rel.Tuple
-	turn             int // 0 = pull left next, 1 = right
-	lDone, rDone     bool
+	tabs    [2]*keyTable
+	out     []int64     // the output chunk rows are carved from
+	pending []rel.Tuple // the batch being filled
+	ready   [][]rel.Tuple
+	turn    int // the side to pull next
+	done    [2]bool
 }
 
 func (o *hashJoinOp) schema() rel.Schema { return o.sch }
 
 func (o *hashJoinOp) open() error {
-	if len(o.lCols) == 1 {
-		o.lTable1 = make(map[int64][]rel.Tuple)
-		o.rTable1 = make(map[int64][]rel.Tuple)
-	} else {
-		o.lTable = make(map[string][]rel.Tuple)
-		o.rTable = make(map[string][]rel.Tuple)
-		o.buf = make([]byte, 8*len(o.lCols))
+	for s, in := range o.in {
+		o.tabs[s] = newKeyTable(len(in.schema()), o.cols[s])
+		if err := in.open(); err != nil {
+			return err
+		}
 	}
-	if err := o.left.open(); err != nil {
-		return err
-	}
-	return o.right.open()
+	return nil
 }
 
 func (o *hashJoinOp) close() error {
-	err1 := o.left.close()
-	err2 := o.right.close()
+	err1 := o.in[0].close()
+	err2 := o.in[1].close()
 	if err1 != nil {
 		return err1
 	}
 	return err2
 }
 
-func (o *hashJoinOp) emit(left, right rel.Tuple) {
-	row := make(rel.Tuple, 0, len(o.sch))
-	row = append(row, left...)
-	for _, c := range o.rKeep {
-		row = append(row, right[c])
+// emit appends the joined row to pending as a capacity-clamped view into
+// the output chunk; a full pending is queued and replaced by one twice its
+// size, from 64 rows up to a batch, so a join that emits a handful of rows
+// stays small. Output chunks double from 16 rows up to keyChunk values and
+// are never reused: their rows escape downstream (exchanges, the result
+// merge, colbatch encode), and later rows are only ever appended.
+func (o *hashJoinOp) emit(left, right []int64) {
+	w := len(o.sch)
+	if len(o.out)+w > cap(o.out) {
+		o.out = make([]int64, 0, min(max(2*cap(o.out), 16*w), keyChunk))
 	}
-	o.pending = append(o.pending, row)
+	n := len(o.out)
+	o.out = append(o.out, left...)
+	for _, c := range o.rKeep {
+		o.out = append(o.out, right[c])
+	}
+	if len(o.pending) == cap(o.pending) {
+		if len(o.pending) > 0 {
+			o.ready = append(o.ready, o.pending)
+		}
+		o.pending = make([]rel.Tuple, 0, min(max(2*cap(o.pending), 64), o.t.ex.batchSize))
+	}
+	o.pending = append(o.pending, o.out[n:n+w:n+w])
 }
 
 func (o *hashJoinOp) next() ([]rel.Tuple, error) {
 	for {
-		if len(o.pending) > 0 {
-			b := o.pending
-			if len(b) > o.t.ex.batchSize {
-				b = o.pending[:o.t.ex.batchSize]
-				o.pending = o.pending[o.t.ex.batchSize:]
-			} else {
-				o.pending = nil
-			}
+		if len(o.ready) > 0 {
+			b := o.ready[0]
+			o.ready = o.ready[1:]
 			return b, nil
 		}
-		if o.lDone && o.rDone {
+		if n := len(o.pending); n > 0 {
+			b := o.pending[:n:n] // later rows go after it, in the same array
+			o.pending = o.pending[n:]
+			return b, nil
+		}
+		if o.done[0] && o.done[1] {
 			return nil, io.EOF
 		}
-		side := o.turn
-		if side == 0 && o.lDone {
-			side = 1
+		s := o.turn
+		if o.done[s] {
+			s = 1 - s
 		}
-		if side == 1 && o.rDone {
-			side = 0
+		o.turn = 1 - s
+		b, err := o.in[s].next()
+		if err == io.EOF {
+			o.done[s] = true
+			continue
 		}
-		o.turn = 1 - side
-
-		if side == 0 {
-			b, err := o.left.next()
-			if err == io.EOF {
-				o.lDone = true
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			if err := o.t.ex.charge(o.t.worker, int64(len(b)), "hashjoin"); err != nil {
-				return nil, err
-			}
-			t0 := time.Now()
-			if o.lTable1 != nil {
-				c := o.lCols[0]
-				for _, t := range b {
-					k := t[c]
-					o.lTable1[k] = append(o.lTable1[k], t)
-					for _, m := range o.rTable1[k] {
-						o.emit(t, m)
-					}
-				}
-			} else {
-				for _, t := range b {
-					k := joinKeyCols(t, o.lCols, o.buf)
-					o.lTable[k] = append(o.lTable[k], t)
-					for _, m := range o.rTable[k] {
-						o.emit(t, m)
-					}
-				}
-			}
-			o.t.ex.metrics.addJoin(o.t.worker, time.Since(t0))
-		} else {
-			b, err := o.right.next()
-			if err == io.EOF {
-				o.rDone = true
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			if err := o.t.ex.charge(o.t.worker, int64(len(b)), "hashjoin"); err != nil {
-				return nil, err
-			}
-			t0 := time.Now()
-			if o.rTable1 != nil {
-				c := o.rCols[0]
-				for _, t := range b {
-					k := t[c]
-					o.rTable1[k] = append(o.rTable1[k], t)
-					for _, m := range o.lTable1[k] {
-						o.emit(m, t)
-					}
-				}
-			} else {
-				for _, t := range b {
-					k := joinKeyCols(t, o.rCols, o.buf)
-					o.rTable[k] = append(o.rTable[k], t)
-					for _, m := range o.lTable[k] {
-						o.emit(m, t)
-					}
-				}
-			}
-			o.t.ex.metrics.addJoin(o.t.worker, time.Since(t0))
+		if err != nil {
+			return nil, err
 		}
+		if err := o.t.ex.charge(o.t.worker, int64(len(b)), "hashjoin"); err != nil {
+			return nil, err
+		}
+		t0 := time.Now()
+		tab, other, cols := o.tabs[s], o.tabs[1-s], o.cols[s]
+		for _, t := range b {
+			h := keyHash(t, cols)
+			if !o.done[1-s] { // nothing probes this side once the other is drained
+				tab.insert(t, h, false)
+			}
+			for m := other.find(t, cols, h); m >= 0; m = other.next[m] {
+				if s == 0 {
+					o.emit(t, other.row(m))
+				} else {
+					o.emit(other.row(m), t)
+				}
+			}
+		}
+		o.t.ex.metrics.addJoin(o.t.worker, time.Since(t0))
 	}
-}
-
-func joinKeyCols(t rel.Tuple, cols []int, buf []byte) string {
-	for i, c := range cols {
-		le(buf[8*i:], uint64(t[c]))
-	}
-	return string(buf[:8*len(cols)])
 }
 
 // ---------------------------------------------------------------- tributary
@@ -653,7 +596,7 @@ func (o *tributaryOp) next() ([]rel.Tuple, error) {
 	if end > len(o.results) {
 		end = len(o.results)
 	}
-	b := o.results[o.pos:end]
+	b := o.results[o.pos:end:end]
 	o.pos = end
 	return b, nil
 }

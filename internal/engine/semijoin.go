@@ -24,8 +24,7 @@ type semiJoinOp struct {
 	lCols       []int
 	rCols       []int
 	sch         rel.Schema
-	keys        map[string]struct{}
-	buf         []byte
+	keys        *keyTable // the first Right row of every key
 }
 
 func (o *semiJoinOp) schema() rel.Schema { return o.sch }
@@ -34,8 +33,7 @@ func (o *semiJoinOp) open() error {
 	if err := o.right.open(); err != nil {
 		return err
 	}
-	o.keys = make(map[string]struct{})
-	o.buf = make([]byte, 8*len(o.rCols))
+	o.keys = newKeyTable(len(o.right.schema()), o.rCols)
 	for {
 		b, err := o.right.next()
 		if err == io.EOF {
@@ -45,12 +43,10 @@ func (o *semiJoinOp) open() error {
 			return err
 		}
 		for _, t := range b {
-			k := joinKeyCols(t, o.rCols, o.buf)
-			if _, ok := o.keys[k]; !ok {
+			if o.keys.insert(t, keyHash(t, o.rCols), true) {
 				if err := o.t.ex.charge(o.t.worker, 1, "semijoin"); err != nil {
 					return err
 				}
-				o.keys[k] = struct{}{}
 			}
 		}
 	}
@@ -68,7 +64,7 @@ func (o *semiJoinOp) next() ([]rel.Tuple, error) {
 		}
 		out := b[:0:0]
 		for _, t := range b {
-			if _, ok := o.keys[joinKeyCols(t, o.lCols, o.buf)]; ok {
+			if o.keys.find(t, o.lCols, keyHash(t, o.lCols)) >= 0 {
 				out = append(out, t)
 			}
 		}

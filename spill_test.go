@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"parajoin/internal/spill"
@@ -164,15 +165,7 @@ func TestSpillOffStillFailsHard(t *testing.T) {
 // typed out-of-memory error, never a wrong answer. CI's low-memory job
 // runs this under the race detector.
 func TestSpillLowMemoryTriangleSuite(t *testing.T) {
-	div := int64(8)
-	if v := os.Getenv("PARAJOIN_LOW_MEM_DIV"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n <= 0 {
-			t.Fatalf("PARAJOIN_LOW_MEM_DIV=%q: want a positive integer", v)
-		}
-		div = n
-	}
-
+	div := lowMemDiv(t)
 	dir := t.TempDir()
 	db := Open(3, WithSeed(7), WithSpillDir(dir))
 	defer db.Close()
@@ -214,5 +207,54 @@ func TestSpillLowMemoryTriangleSuite(t *testing.T) {
 		if leftovers, _ := filepath.Glob(filepath.Join(dir, "parajoin-spill-*")); len(leftovers) != 0 {
 			t.Fatalf("%s left spill dirs behind: %v", s, leftovers)
 		}
+	}
+}
+
+// lowMemDiv is the budget divisor of the low-memory tests:
+// PARAJOIN_LOW_MEM_DIV, default 8.
+func lowMemDiv(t *testing.T) int64 {
+	v := os.Getenv("PARAJOIN_LOW_MEM_DIV")
+	if v == "" {
+		return 8
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || n <= 0 {
+		t.Fatalf("PARAJOIN_LOW_MEM_DIV=%q: want a positive integer", v)
+	}
+	return n
+}
+
+// TestHashJoinLowMemory runs Q1 (the triangle) under RS_HJ at a fraction
+// (PARAJOIN_LOW_MEM_DIV, default 8) of its measured peak with spilling
+// on. Hash-join tables cannot spill, so the run must fail with the typed
+// out-of-memory error naming the hash join, and leave no spill files.
+// CI's low-memory job runs it under the race detector.
+func TestHashJoinLowMemory(t *testing.T) {
+	dir := t.TempDir()
+	db := Open(3, WithSeed(7), WithSpillDir(dir))
+	defer db.Close()
+	if err := db.LoadEdges("E", SyntheticGraph(2000, 200, 3)); err != nil {
+		t.Fatal(err)
+	}
+	q, err := db.Query(triangleRule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := q.RunWithOptions(context.Background(), RunOptions{Strategy: RegularHash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := max(base.Stats.PeakResidentTuples/lowMemDiv(t), 2)
+	_, err = q.RunWithOptions(context.Background(), RunOptions{
+		Strategy:       RegularHash,
+		MaxLocalTuples: budget,
+		Spill:          SpillOnPressure,
+	})
+	if !errors.Is(err, ErrOutOfMemory) || !strings.Contains(err.Error(), "in hashjoin") {
+		t.Fatalf("budget %d of peak %d: err = %v, want ErrOutOfMemory in hashjoin",
+			budget, base.Stats.PeakResidentTuples, err)
+	}
+	if leftovers, _ := filepath.Glob(filepath.Join(dir, "parajoin-spill-*")); len(leftovers) != 0 {
+		t.Fatalf("spill dirs left behind: %v", leftovers)
 	}
 }
