@@ -11,21 +11,9 @@ import (
 	"parajoin/internal/shares"
 )
 
-// WithPlanCache enables the plan cache: queries whose normalized shape
-// (atom structure with constants lifted to parameters) was planned before
-// at the current catalog epoch skip strategy resolution, HyperCube share
-// optimization, and the Tributary order search, rebuilding only the cheap
-// physical plan. entries caps the cached shapes (<= 0 takes a default of
-// 256). Any Load or Drop advances the catalog epoch and makes prior
-// entries unreachable, so cached decisions never outlive the statistics
-// they were computed from.
-func WithPlanCache(entries int) Option {
-	return func(db *DB) { db.planCache = cache.NewPlanCache(entries) }
-}
-
-// WithResultCache enables the result cache: a repeated (shape, arguments,
-// strategy) query at an unchanged catalog epoch replays its materialized
-// answer byte-identically without executing. tuples bounds the total
+// WithResultCache enables the result cache: a repeated bound rule under the
+// same strategy at an unchanged catalog epoch replays its materialized
+// answer byte-identically without planning or executing. tuples bounds the total
 // resident tuples across entries, evicted LRU (<= 0 takes a default of
 // 1Mi). Runs with EXPLAIN capture, under chaos fault injection, or with a
 // resolved spill policy of SpillAlways bypass the cache in both
@@ -53,17 +41,7 @@ func (db *DB) resultProbe(q *core.Query, op string, opts RunOptions) (key string
 	if db.resultCache == nil || opts.Explain || db.chaos || db.resolvedSpill(opts) == SpillAlways {
 		return "", 0, false
 	}
-	shape := cache.Normalize(q)
-	return shape.ResultKey(op, string(opts.strategy())), db.cluster.DataEpoch(), true
-}
-
-// explainWithPlanOrigin prefixes an EXPLAIN ANALYZE rendering with the
-// plan's origin when it was rebuilt from the plan cache.
-func explainWithPlanOrigin(explain string, planCached bool) string {
-	if !planCached || explain == "" {
-		return explain
-	}
-	return "plan: cached\n" + explain
+	return cache.Key(q, op, string(opts.strategy())), db.cluster.DataEpoch(), true
 }
 
 // explainWithShares prefixes an EXPLAIN ANALYZE rendering with the
@@ -91,8 +69,8 @@ func explainWithExecution(explain string, report *engine.Report) string {
 
 // Prepared is a parameterized query: a rule with "?" placeholders, parsed
 // and validated once, executed many times with different arguments.
-// Executions share one plan-cache entry with each other and with ad-hoc
-// queries of the same shape.
+// An execution binds its arguments as constants, so it shares result-cache
+// entries with the ad-hoc rule that inlines the same values.
 type Prepared struct {
 	db *DB
 	q  *core.Query
@@ -155,24 +133,21 @@ func (p *Prepared) Count(ctx context.Context, args ...int64) (int64, *Stats, err
 	return q.CountWithOptions(ctx, RunOptions{})
 }
 
-// CacheCounters is a point-in-time snapshot of one cache's activity.
+// CacheCounters is a point-in-time snapshot of the result cache's activity
+// and residency.
 type CacheCounters struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	// Entries is the resident entry count; Tuples and Bytes are the result
-	// cache's residency (always zero for the plan cache).
-	Entries int
-	Tuples  int64
-	Bytes   int64
+	Entries   int
+	Tuples    int64
+	Bytes     int64
 }
 
-// CacheStats describes both caches' state for this database. The
+// CacheStats describes the result cache's state for this database. The
 // process-wide /metrics families (parajoin_cache_*) aggregate across all
 // databases in the process; these counters are per-DB.
 type CacheStats struct {
-	PlanEnabled   bool
-	Plan          CacheCounters
 	ResultEnabled bool
 	Result        CacheCounters
 }
@@ -180,10 +155,6 @@ type CacheStats struct {
 // CacheStats snapshots the database's cache activity.
 func (db *DB) CacheStats() CacheStats {
 	var cs CacheStats
-	if db.planCache != nil {
-		cs.PlanEnabled = true
-		cs.Plan = CacheCounters(db.planCache.Counters())
-	}
 	if db.resultCache != nil {
 		cs.ResultEnabled = true
 		cs.Result = CacheCounters(db.resultCache.Counters())
@@ -193,6 +164,6 @@ func (db *DB) CacheStats() CacheStats {
 
 // DataEpoch returns the database's catalog mutation epoch: it advances on
 // every Load (any path — rows, edges, CSV, synthetic generation), so two
-// equal epochs bracket an interval with no data changes. Cached plans and
-// results are keyed on it.
+// equal epochs bracket an interval with no data changes. Cached results
+// are stamped with it.
 func (db *DB) DataEpoch() int64 { return db.cluster.DataEpoch() }

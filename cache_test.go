@@ -31,60 +31,43 @@ func cacheTestDB(t *testing.T, opts ...Option) *DB {
 
 const twoHopParam = "R(x,z) :- E(x,y), E(y,z), E(z,?)"
 
-// Plan-cache hits must produce the same answer a fresh plan would, and the
-// stats must say which queries planned from cache.
-func TestPlanCacheHitsMatchFreshPlans(t *testing.T) {
-	cached := cacheTestDB(t, WithPlanCache(8))
-	fresh := cacheTestDB(t)
+// A prepared execution binds its argument as a constant, so it shares a
+// result-cache entry with the ad-hoc rule that inlines the same value.
+func TestPreparedAndInlineConstantShareResult(t *testing.T) {
+	db := cacheTestDB(t, WithResultCache(1<<16))
 	ctx := context.Background()
 
-	p, err := cached.Prepare(twoHopParam)
+	p, err := db.Prepare(twoHopParam)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, arg := range []int64{3, 7, 3, 11} {
-		got, err := p.Execute(ctx, arg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantCached := i > 0; got.Stats.PlanCached != wantCached {
-			t.Fatalf("execution %d: PlanCached = %v, want %v", i, got.Stats.PlanCached, wantCached)
-		}
-		fq, err := fresh.Prepare(twoHopParam)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := fq.Execute(ctx, arg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sortRows(got.Rows), sortRows(want.Rows)) {
-			t.Fatalf("execution %d (arg %d): cached plan and fresh plan disagree", i, arg)
-		}
-	}
-	cs := cached.CacheStats()
-	if !cs.PlanEnabled || cs.Plan.Hits != 3 || cs.Plan.Misses != 1 {
-		t.Fatalf("plan cache counters: %+v", cs.Plan)
-	}
-
-	// An ad-hoc query with the constant inlined shares the prepared shape.
-	q, err := cached.Query("R(x,z) :- E(x,y), E(y,z), E(z,3)")
+	prepared, err := p.Execute(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.Run(ctx)
+	if prepared.Stats.ResultCached {
+		t.Fatal("first prepared execution claims a result-cache hit")
+	}
+	q, err := db.Query("R(x,z) :- E(x,y), E(y,z), E(z,3)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Stats.PlanCached {
-		t.Fatal("ad-hoc query with inline constant missed the prepared shape's plan entry")
+	adhoc, err := q.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !adhoc.Stats.ResultCached {
+		t.Fatal("ad-hoc rule with the constant inlined missed the prepared execution's entry")
+	}
+	if !reflect.DeepEqual(prepared.Columns, adhoc.Columns) || !reflect.DeepEqual(prepared.Rows, adhoc.Rows) {
+		t.Fatal("shared entry did not replay byte-identically")
 	}
 }
 
 // The result cache must replay byte-identically: same columns, same rows,
 // same order.
 func TestResultCacheByteIdenticalReplay(t *testing.T) {
-	db := cacheTestDB(t, WithPlanCache(8), WithResultCache(1<<16))
+	db := cacheTestDB(t, WithResultCache(1<<16))
 	ctx := context.Background()
 
 	run := func() *Result {
@@ -133,10 +116,10 @@ func TestResultCacheByteIdenticalReplay(t *testing.T) {
 }
 
 // The epoch regression test the issue asks for: run, mutate the data,
-// run the identical query again — both caches must miss and the answer
+// run the identical query again — the result cache must miss and the answer
 // must reflect the new data.
 func TestCachesInvalidateOnDataMutation(t *testing.T) {
-	db := cacheTestDB(t, WithPlanCache(8), WithResultCache(1<<16))
+	db := cacheTestDB(t, WithResultCache(1<<16))
 	ctx := context.Background()
 	const rule = "P(x,z) :- E(x,y), E(y,z)"
 
@@ -166,9 +149,6 @@ func TestCachesInvalidateOnDataMutation(t *testing.T) {
 	after, st := count()
 	if st.ResultCached {
 		t.Fatal("mutation between identical queries must be a result-cache miss")
-	}
-	if st.PlanCached {
-		t.Fatal("mutation between identical queries must be a plan-cache miss")
 	}
 	if after != before+1 { // exactly the new 9001→9002→9003 two-hop
 		t.Fatalf("stale answer after mutation: %d, want %d", after, before+1)
@@ -261,29 +241,5 @@ func TestPrepareValidatesAtoms(t *testing.T) {
 	}
 	if _, err := db.Prepare("R(x) :- E(x,?,?)"); err == nil {
 		t.Fatal("Prepare accepted a wrong-arity atom")
-	}
-}
-
-// EXPLAIN ANALYZE marks plans rebuilt from the cache.
-func TestExplainAnalyzeShowsPlanOrigin(t *testing.T) {
-	db := cacheTestDB(t, WithPlanCache(8))
-	ctx := context.Background()
-	q, err := db.Query("Tri(a,b,c) :- E(a,b), E(b,c), E(c,a)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := q.ExplainAnalyze(ctx, Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.HasPrefix(first, "plan: cached") {
-		t.Fatal("first EXPLAIN claims a cached plan")
-	}
-	second, err := q.ExplainAnalyze(ctx, Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(second, "plan: cached") {
-		t.Fatalf("second EXPLAIN does not mark the cached plan:\n%s", second)
 	}
 }

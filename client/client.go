@@ -153,11 +153,12 @@ type Stats struct {
 	// RetryCause is the last error that triggered a re-execution.
 	Attempts   int64
 	RetryCause string
-	// PlanCached: the server rebuilt the plan from cached optimizer
-	// decisions instead of re-running beam search and share optimization.
+	// PlanCached is always false: servers plan every query afresh and no
+	// longer report plan reuse. The field stays until the benchmark
+	// harness, which still reads it, stops doing so.
+	PlanCached bool
 	// ResultCached: the server replayed the answer from its result cache
 	// without executing at all.
-	PlanCached   bool
 	ResultCached bool
 	// RemoteFragments is the number of operator fragments the server pushed
 	// to remote data nodes (0 when its coordinator executed the query
@@ -422,7 +423,6 @@ func statsOf(w *wire.Stats) Stats {
 		SpillSegments:      w.SpillSegments,
 		Attempts:           w.Attempts,
 		RetryCause:         w.RetryCause,
-		PlanCached:         w.PlanCached,
 		ResultCached:       w.ResultCached,
 		RemoteFragments:    w.RemoteFragments,
 		RemoteMembers:      w.RemoteMembers,
@@ -461,10 +461,9 @@ func (c *Client) Explain(ctx context.Context, rule string, opts QueryOptions) (s
 }
 
 // Stmt is a server-side prepared statement, owned by the connection that
-// prepared it. Executing the same statement repeatedly lets the server hit
-// its plan cache (the parse and shape-normalization work happen once at
-// prepare time) and, for identical arguments over unchanged data, its
-// result cache.
+// prepared it. The server parses and validates the rule once at prepare
+// time; executions with identical arguments over unchanged data can replay
+// from its result cache.
 type Stmt struct {
 	c      *Client
 	id     uint64

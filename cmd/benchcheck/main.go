@@ -44,16 +44,13 @@ type replay struct {
 	Queries int
 	Shapes  int
 	Arms    []replayArm
-	// P50SpeedupPlan / P50SpeedupFull are cold-p50 over warm-p50 ratios.
-	P50SpeedupPlan float64
-	P50SpeedupFull float64
+	// P50Speedup is cold p50 over result-cache p50.
+	P50Speedup float64
 }
 
 type replayArm struct {
 	Name          string
 	P50, P95, P99 time.Duration
-	PlanHits      int64
-	PlanMisses    int64
 	ResultHits    int64
 	ResultMisses  int64
 }
@@ -257,9 +254,9 @@ func validate(data []byte, minRuns int) (int, []string) {
 	return len(rep.Outcomes), problems
 }
 
-// validateReplay gates a -replay-zipf section: three arms with ordered,
-// positive percentiles, hit counters that add up to the query count, and a
-// cold arm that recorded no cache activity.
+// validateReplay gates a -replay-zipf section: two arms with ordered,
+// positive percentiles, a cold arm that recorded no cache activity, and a
+// result-cache arm whose hits and misses add up to the query count.
 func validateReplay(r *replay) []string {
 	var problems []string
 	if r.Queries <= 0 {
@@ -268,8 +265,8 @@ func validateReplay(r *replay) []string {
 	if r.Zipf <= 1 {
 		problems = append(problems, fmt.Sprintf("replay: zipf exponent %g, want > 1", r.Zipf))
 	}
-	if len(r.Arms) != 3 {
-		problems = append(problems, fmt.Sprintf("replay: %d arms, want 3 (cold, plan-cache, plan+result)", len(r.Arms)))
+	if len(r.Arms) != 2 {
+		problems = append(problems, fmt.Sprintf("replay: %d arms, want 2 (cold, result)", len(r.Arms)))
 		return problems
 	}
 	for _, a := range r.Arms {
@@ -277,32 +274,20 @@ func validateReplay(r *replay) []string {
 		case a.P50 <= 0 || a.P95 < a.P50 || a.P99 < a.P95:
 			problems = append(problems, fmt.Sprintf("replay arm %s: percentiles out of order: p50=%v p95=%v p99=%v",
 				a.Name, a.P50, a.P95, a.P99))
-		case a.PlanHits < 0 || a.PlanMisses < 0 || a.ResultHits < 0 || a.ResultMisses < 0:
+		case a.ResultHits < 0 || a.ResultMisses < 0:
 			problems = append(problems, fmt.Sprintf("replay arm %s: negative cache counters", a.Name))
 		}
 	}
 	cold := r.Arms[0]
-	if cold.PlanHits+cold.PlanMisses+cold.ResultHits+cold.ResultMisses != 0 {
+	if cold.ResultHits+cold.ResultMisses != 0 {
 		problems = append(problems, fmt.Sprintf("replay arm %s: cache counters nonzero on the no-cache arm", cold.Name))
 	}
-	// Plan-only arm: every query probes the plan cache. Full arm: result
-	// hits return before planning, so plan probes equal result misses.
-	if planOnly := r.Arms[1]; int(planOnly.PlanHits+planOnly.PlanMisses) != r.Queries {
-		problems = append(problems, fmt.Sprintf("replay arm %s: plan hits+misses %d != %d queries",
-			planOnly.Name, planOnly.PlanHits+planOnly.PlanMisses, r.Queries))
-	}
-	full := r.Arms[2]
-	if int(full.ResultHits+full.ResultMisses) != r.Queries {
+	if warm := r.Arms[1]; int(warm.ResultHits+warm.ResultMisses) != r.Queries {
 		problems = append(problems, fmt.Sprintf("replay arm %s: result hits+misses %d != %d queries",
-			full.Name, full.ResultHits+full.ResultMisses, r.Queries))
+			warm.Name, warm.ResultHits+warm.ResultMisses, r.Queries))
 	}
-	if full.PlanHits+full.PlanMisses != full.ResultMisses {
-		problems = append(problems, fmt.Sprintf("replay arm %s: plan probes %d != result misses %d",
-			full.Name, full.PlanHits+full.PlanMisses, full.ResultMisses))
-	}
-	if r.P50SpeedupPlan <= 0 || r.P50SpeedupFull <= 0 {
-		problems = append(problems, fmt.Sprintf("replay: missing p50 speedups (plan %.2f, full %.2f)",
-			r.P50SpeedupPlan, r.P50SpeedupFull))
+	if r.P50Speedup <= 0 {
+		problems = append(problems, fmt.Sprintf("replay: missing p50 speedup (%.2f)", r.P50Speedup))
 	}
 	return problems
 }

@@ -109,13 +109,11 @@ func goodReplayReport() string {
 	    "Zipf": 1.1, "Queries": 10, "Shapes": 4,
 	    "Arms": [
 	      {"Name": "cold", "P50": 300, "P95": 400, "P99": 500,
-	       "PlanHits": 0, "PlanMisses": 0, "ResultHits": 0, "ResultMisses": 0},
-	      {"Name": "plan-cache", "P50": 120, "P95": 200, "P99": 250,
-	       "PlanHits": 6, "PlanMisses": 4, "ResultHits": 0, "ResultMisses": 0},
-	      {"Name": "plan+result", "P50": 60, "P95": 150, "P99": 200,
-	       "PlanHits": 3, "PlanMisses": 4, "ResultHits": 3, "ResultMisses": 7}
+	       "ResultHits": 0, "ResultMisses": 0},
+	      {"Name": "result", "P50": 60, "P95": 150, "P99": 200,
+	       "ResultHits": 3, "ResultMisses": 7}
 	    ],
-	    "P50SpeedupPlan": 2.5, "P50SpeedupFull": 5.0
+	    "P50Speedup": 5.0
 	  }
 	}`
 }
@@ -131,17 +129,16 @@ func TestValidateReplayProblems(t *testing.T) {
 	for _, tc := range []struct {
 		name, from, to, want string
 	}{
+		{"no queries", `"Queries": 10`, `"Queries": 0`, "replay: 0 queries"},
 		{"weak zipf", `"Zipf": 1.1`, `"Zipf": 0.9`, "zipf exponent"},
-		{"cold arm counted", `"PlanHits": 0, "PlanMisses": 0, "ResultHits": 0, "ResultMisses": 0`,
-			`"PlanHits": 1, "PlanMisses": 0, "ResultHits": 0, "ResultMisses": 0`, "no-cache arm"},
-		{"unordered percentiles", `"P50": 120, "P95": 200`, `"P50": 120, "P95": 80`, "out of order"},
-		{"plan probes short", `"PlanHits": 6, "PlanMisses": 4`, `"PlanHits": 6, "PlanMisses": 3`,
-			"plan hits+misses 9 != 10 queries"},
+		{"unordered percentiles", `"P50": 60, "P95": 150`, `"P50": 60, "P95": 40`, "out of order"},
+		{"negative counters", `"ResultHits": 3, "ResultMisses": 7`, `"ResultHits": -3, "ResultMisses": 13`,
+			"negative cache counters"},
+		{"cold arm counted", `"ResultHits": 0, "ResultMisses": 0`, `"ResultHits": 1, "ResultMisses": 0`,
+			"no-cache arm"},
 		{"result probes short", `"ResultHits": 3, "ResultMisses": 7`, `"ResultHits": 3, "ResultMisses": 6`,
 			"result hits+misses 9 != 10 queries"},
-		{"probe identity broken", `"PlanHits": 3, "PlanMisses": 4`, `"PlanHits": 4, "PlanMisses": 4`,
-			"plan probes 8 != result misses 7"},
-		{"missing speedups", `"P50SpeedupPlan": 2.5`, `"P50SpeedupPlan": 0`, "missing p50 speedups"},
+		{"missing speedup", `"P50Speedup": 5.0`, `"P50Speedup": 0`, "missing p50 speedup"},
 	} {
 		data := strings.Replace(goodReplayReport(), tc.from, tc.to, 1)
 		if data == goodReplayReport() {
@@ -156,8 +153,8 @@ func TestValidateReplayProblems(t *testing.T) {
 
 func TestValidateReplayArmCount(t *testing.T) {
 	data := strings.Replace(goodReplayReport(), `{"Name": "cold", "P50": 300, "P95": 400, "P99": 500,
-	       "PlanHits": 0, "PlanMisses": 0, "ResultHits": 0, "ResultMisses": 0},`, "", 1)
-	if p := firstProblem(t, data, 0); !strings.Contains(p, "2 arms, want 3") {
+	       "ResultHits": 0, "ResultMisses": 0},`, "", 1)
+	if p := firstProblem(t, data, 0); !strings.Contains(p, "1 arms, want 2") {
 		t.Fatalf("wrong problem: %q", p)
 	}
 }

@@ -154,7 +154,7 @@ func main() {
 		rounds        = flag.Int("rounds", 3, "with -concurrency: workload replays per client")
 		maxConcurrent = flag.Int("max-concurrent", 4, "with -concurrency: server query slots")
 
-		replayZipf    = flag.Float64("replay-zipf", 0, "replay a Zipf(s)-skewed prepared-statement workload with and without caches, s > 1 (skips -exp)")
+		replayZipf    = flag.Float64("replay-zipf", 0, "replay a Zipf(s)-skewed prepared-statement workload with and without the result cache, s > 1 (skips -exp)")
 		replayQueries = flag.Int("replay-queries", 400, "with -replay-zipf: executions per cache arm")
 		replayNodes   = flag.Int("replay-nodes", 1200, "with -replay-zipf: synthetic graph node count (arguments draw from this universe)")
 	)

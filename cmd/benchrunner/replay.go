@@ -1,10 +1,9 @@
-// Replay benchmark (-replay-zipf): measures what the plan and result
-// caches buy on a skewed, repetitive workload — the regime they are built
-// for. A fixed sequence of prepared-statement executions with Zipf-
-// distributed arguments runs three times over identical data: with no
-// caches, with the plan cache only, and with both caches. The report is
-// the per-arm latency percentiles, the hit rates, and the cold/warm p50
-// speedups.
+// Replay benchmark (-replay-zipf): measures what the result cache buys on
+// a skewed, repetitive workload — the regime it is built for. A fixed
+// sequence of prepared-statement executions with Zipf-distributed
+// arguments runs twice over identical data: with no cache and with the
+// result cache. The report is the per-arm latency percentiles, the hit
+// rate, and the cold/warm p50 speedup.
 package main
 
 import (
@@ -19,11 +18,9 @@ import (
 )
 
 // replayShapes are the prepared rules the replay cycles through — all
-// multi-atom joins, where strategy resolution, share optimization, and the
-// sampled order search make planning a real fraction of the wall time.
-// Three are parameterized (plan-cache hits with changing arguments); the
-// bare triangle takes no parameters, so every repeat is an identical
-// query — the result cache's best case.
+// multi-atom joins. Three are parameterized, so a repeat hits only when the
+// Zipf draw repeats its argument; the bare triangle takes no parameters,
+// so every repeat is an identical query — the result cache's best case.
 var replayShapes = []string{
 	"R1(v,w,x,y,z) :- E(v,w), E(w,x), E(x,y), E(y,z), E(z,v), E(v,?)",
 	"R2(v,w,x,y,z) :- E(v,w), E(w,x), E(x,y), E(y,z), E(z,v), E(w,?)",
@@ -44,33 +41,26 @@ type replayConfig struct {
 type ReplayArm struct {
 	Name          string
 	P50, P95, P99 time.Duration
-	PlanHits      int64
-	PlanMisses    int64
 	ResultHits    int64
 	ResultMisses  int64
 }
 
-func (a ReplayArm) planHitRate() float64   { return rate(a.PlanHits, a.PlanMisses) }
-func (a ReplayArm) resultHitRate() float64 { return rate(a.ResultHits, a.ResultMisses) }
-
-func rate(hits, misses int64) float64 {
-	if hits+misses == 0 {
+func (a ReplayArm) resultHitRate() float64 {
+	if a.ResultHits+a.ResultMisses == 0 {
 		return 0
 	}
-	return float64(hits) / float64(hits+misses)
+	return float64(a.ResultHits) / float64(a.ResultHits+a.ResultMisses)
 }
 
-// ReplayReport is the -replay-zipf output: the three arms plus the cold/warm
-// p50 ratios (the headline numbers).
+// ReplayReport is the -replay-zipf output: the two arms plus the cold/warm
+// p50 ratio (the headline number).
 type ReplayReport struct {
 	Zipf    float64
 	Queries int
 	Shapes  int
 	Arms    []ReplayArm
-	// P50SpeedupPlan is cold p50 / plan-cache-only p50; P50SpeedupFull is
-	// cold p50 / both-caches p50.
-	P50SpeedupPlan float64
-	P50SpeedupFull float64
+	// P50Speedup is cold p50 / result-cache p50.
+	P50Speedup float64
 }
 
 func runReplay(cfg replayConfig) (*ReplayReport, error) {
@@ -98,8 +88,7 @@ func runReplay(cfg replayConfig) (*ReplayReport, error) {
 		opts []parajoin.Option
 	}{
 		{"cold", nil},
-		{"plan-cache", []parajoin.Option{parajoin.WithPlanCache(0)}},
-		{"plan+result", []parajoin.Option{parajoin.WithPlanCache(0), parajoin.WithResultCache(1 << 22)}},
+		{"result", []parajoin.Option{parajoin.WithResultCache(1 << 22)}},
 	}
 
 	rep := &ReplayReport{Zipf: cfg.Zipf, Queries: cfg.Queries, Shapes: len(replayShapes)}
@@ -144,17 +133,12 @@ func runReplay(cfg replayConfig) (*ReplayReport, error) {
 		rep.Arms = append(rep.Arms, ReplayArm{
 			Name: arm.name,
 			P50:  pct(0.50), P95: pct(0.95), P99: pct(0.99),
-			PlanHits: cs.Plan.Hits, PlanMisses: cs.Plan.Misses,
 			ResultHits: cs.Result.Hits, ResultMisses: cs.Result.Misses,
 		})
 	}
 
-	cold := rep.Arms[0].P50
 	if p := rep.Arms[1].P50; p > 0 {
-		rep.P50SpeedupPlan = float64(cold) / float64(p)
-	}
-	if p := rep.Arms[2].P50; p > 0 {
-		rep.P50SpeedupFull = float64(cold) / float64(p)
+		rep.P50Speedup = float64(rep.Arms[0].P50) / float64(p)
 	}
 	return rep, nil
 }
@@ -163,13 +147,12 @@ func runReplay(cfg replayConfig) (*ReplayReport, error) {
 func (rep *ReplayReport) Render(w io.Writer) {
 	fmt.Fprintf(w, "Replay: %d queries over %d shapes, Zipf(s=%.2f) arguments\n",
 		rep.Queries, rep.Shapes, rep.Zipf)
-	fmt.Fprintf(w, "%-12s %12s %12s %12s %10s %12s\n",
-		"arm", "p50", "p95", "p99", "plan-hit", "result-hit")
+	fmt.Fprintf(w, "%-12s %12s %12s %12s %12s\n",
+		"arm", "p50", "p95", "p99", "result-hit")
 	for _, a := range rep.Arms {
-		fmt.Fprintf(w, "%-12s %12v %12v %12v %9.0f%% %11.0f%%\n",
+		fmt.Fprintf(w, "%-12s %12v %12v %12v %11.0f%%\n",
 			a.Name, a.P50.Round(time.Microsecond), a.P95.Round(time.Microsecond),
-			a.P99.Round(time.Microsecond), 100*a.planHitRate(), 100*a.resultHitRate())
+			a.P99.Round(time.Microsecond), 100*a.resultHitRate())
 	}
-	fmt.Fprintf(w, "p50 speedup: %.1fx with plan cache, %.1fx with both caches\n",
-		rep.P50SpeedupPlan, rep.P50SpeedupFull)
+	fmt.Fprintf(w, "p50 speedup: %.1fx with the result cache\n", rep.P50Speedup)
 }

@@ -89,7 +89,6 @@ func main() {
 		traceFile     = flag.String("trace", "", "append query + engine trace events to this JSONL file")
 		slowLog       = flag.String("slow-log", "", "append a JSONL record (stats, retry history, EXPLAIN ANALYZE) for every slow query to this file")
 		slowThreshold = flag.Duration("slow-log-threshold", time.Second, "latency at which a query is logged to -slow-log (0 logs every query)")
-		planCache     = flag.Bool("plan-cache", false, "cache optimizer decisions per query shape so repeat shapes skip share optimization and beam search")
 		resultTuples  = flag.Int64("result-cache-tuples", 0, "result cache budget in tuples; identical queries over unchanged data replay byte-identically (0 disables)")
 		retryBudget   = flag.Int("retry-budget", 2, "automatic re-executions after a retryable transport failure (0 or negative disables)")
 		retryBackoff  = flag.Duration("retry-backoff", 50*time.Millisecond, "pause before the first re-execution, doubling per retry")
@@ -153,10 +152,6 @@ func main() {
 	}
 	if *parallelism != 0 {
 		opts = append(opts, parajoin.WithParallelism(*parallelism))
-	}
-	if *planCache {
-		opts = append(opts, parajoin.WithPlanCache(0)) // 0 = default capacity
-		log.Print("plan cache: on")
 	}
 	if *resultTuples > 0 {
 		opts = append(opts, parajoin.WithResultCache(*resultTuples))

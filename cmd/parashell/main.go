@@ -88,16 +88,12 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "intra-worker join parallelism: 0 auto, 1 serial, K>1 sub-joins per worker")
 	debugAddr := flag.String("debug-addr", "", "serve pprof/expvar/trace diagnostics on this address (e.g. :6060)")
 	connect := flag.String("connect", "", "start connected to a parajoind server (host:port)")
-	planCache := flag.Bool("plan-cache", true, "cache optimizer decisions per query shape in local mode")
 	resultTuples := flag.Int64("result-cache-tuples", 0, "local-mode result cache budget in tuples (0 disables; cached replays skip execution)")
 	flag.Parse()
 
 	var opts []parajoin.Option
 	if *parallelism != 0 {
 		opts = append(opts, parajoin.WithParallelism(*parallelism))
-	}
-	if *planCache {
-		opts = append(opts, parajoin.WithPlanCache(0))
 	}
 	if *resultTuples > 0 {
 		opts = append(opts, parajoin.WithResultCache(*resultTuples))
@@ -543,7 +539,7 @@ func (sh *shell) runRule(rule string, countOnly bool) error {
 	fmt.Fprintf(sh.out, "%d rows  wall=%v shuffled=%d skew=%.2f%s%s [%s%s]\n",
 		len(res.Rows), st.Wall.Round(time.Millisecond), st.TuplesShuffled,
 		st.MaxConsumerSkew, spillNote(st.SpilledBytes, st.SpillSegments),
-		cacheNote(st.PlanCached, st.ResultCached), st.Strategy, extra)
+		cacheNote(st.ResultCached), st.Strategy, extra)
 	fmt.Fprintf(sh.out, "%v\n", res.Columns)
 	sh.printRows(res.Rows)
 	return nil
@@ -568,14 +564,10 @@ func spillNote(bytes, segments int64) string {
 	return fmt.Sprintf(" spilled=%dB/%dseg", bytes, segments)
 }
 
-// cacheNote renders cache involvement for result lines: which layer
-// answered from cache, if any.
-func cacheNote(planCached, resultCached bool) string {
-	switch {
-	case resultCached:
+// cacheNote marks result lines the result cache answered.
+func cacheNote(resultCached bool) string {
+	if resultCached {
 		return " cached=result"
-	case planCached:
-		return " cached=plan"
 	}
 	return ""
 }
@@ -593,7 +585,7 @@ func (sh *shell) execPrepared(st *prepStmt, args []int64) error {
 		fmt.Fprintf(sh.out, "%d rows  wall=%v queue-wait=%v shuffled=%d%s%s%s [%s]\n",
 			len(res.Rows), s.Wall.Round(time.Millisecond), s.QueueWait.Round(time.Millisecond),
 			s.TuplesShuffled, attemptNote(s.Attempts, s.RetryCause), remoteNote(s.RemoteFragments),
-			cacheNote(s.PlanCached, s.ResultCached), s.Strategy)
+			cacheNote(s.ResultCached), s.Strategy)
 		fmt.Fprintf(sh.out, "%v\n", res.Columns)
 		sh.printRows(res.Rows)
 		return nil
@@ -605,7 +597,7 @@ func (sh *shell) execPrepared(st *prepStmt, args []int64) error {
 	s := res.Stats
 	fmt.Fprintf(sh.out, "%d rows  wall=%v shuffled=%d%s [%s]\n",
 		len(res.Rows), s.Wall.Round(time.Millisecond), s.TuplesShuffled,
-		cacheNote(s.PlanCached, s.ResultCached), s.Strategy)
+		cacheNote(s.ResultCached), s.Strategy)
 	fmt.Fprintf(sh.out, "%v\n", res.Columns)
 	sh.printRows(res.Rows)
 	return nil
@@ -655,7 +647,7 @@ func (sh *shell) runRemote(rule string, countOnly bool) error {
 		len(res.Rows), st.Wall.Round(time.Millisecond), st.QueueWait.Round(time.Millisecond),
 		st.TuplesShuffled, st.MaxConsumerSkew, spillNote(st.SpilledBytes, st.SpillSegments),
 		attemptNote(st.Attempts, st.RetryCause), remoteNote(st.RemoteFragments),
-		cacheNote(st.PlanCached, st.ResultCached), st.Strategy)
+		cacheNote(st.ResultCached), st.Strategy)
 	fmt.Fprintf(sh.out, "%v\n", res.Columns)
 	sh.printRows(res.Rows)
 	return nil

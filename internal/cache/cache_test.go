@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"reflect"
 	"testing"
 
 	"parajoin/internal/core"
@@ -16,107 +15,39 @@ func parse(t *testing.T, rule string) *core.Query {
 	return q
 }
 
-func TestNormalizeRenamingInvariant(t *testing.T) {
-	a := Normalize(parse(t, "A(x,y) :- E(x,y), E(y,x), x >= 10"))
-	b := Normalize(parse(t, "B(p,q) :- E(p,q), E(q,p), p >= 99"))
-	if a.Key != b.Key {
-		t.Fatalf("renamed queries got different keys:\n%s\n%s", a.Key, b.Key)
-	}
-	if a.Args[0] != 10 || b.Args[0] != 99 {
-		t.Fatalf("lifted constants wrong: %v %v", a.Args, b.Args)
-	}
-	if !reflect.DeepEqual(a.Vars, []core.Var{"x", "y"}) || !reflect.DeepEqual(b.Vars, []core.Var{"p", "q"}) {
-		t.Fatalf("shape vars wrong: %v %v", a.Vars, b.Vars)
-	}
-}
-
-// An ad-hoc query with an inline constant and a prepared query with a "?"
-// in the same position share one shape key — the whole point of lifting
-// constants: they plan identically.
-func TestNormalizeParamAndConstantShareKey(t *testing.T) {
-	con := Normalize(parse(t, "A(x) :- E(x,5)"))
-	par := Normalize(parse(t, "A(x) :- E(x,?)"))
-	if con.Key != par.Key {
-		t.Fatalf("constant and param forms got different keys:\n%s\n%s", con.Key, par.Key)
-	}
-	if con.Args[0] != 5 || par.Args[0] != 0 {
-		t.Fatalf("args: constant %v, param %v", con.Args, par.Args)
-	}
-}
-
-func TestNormalizeDistinguishesStructure(t *testing.T) {
-	keys := map[string]string{}
-	for _, rule := range []string{
-		"A(x) :- E(x,5)",
-		"A(x) :- E(5,x)",
-		"A(x) :- E(x,x)",
-		"A(x,y) :- E(x,y)",
-		"A(x) :- E(x,y), E(y,x)",
-		"A(x) :- E(x,5), x >= 3",
-		"A(x) :- E(x,5), x > 3",
-	} {
-		s := Normalize(parse(t, rule))
-		if prev, dup := keys[s.Key]; dup {
-			t.Fatalf("distinct rules share a key:\n%s\n%s\n-> %s", prev, rule, s.Key)
-		}
-		keys[s.Key] = rule
-	}
-}
-
-// Result keys must separate what plan keys deliberately merge: the actual
-// argument values, the operation, the strategy, and the live variable
-// names (column headers must replay byte-identically).
+// Key separates everything a replay must match: the head name, the
+// constants, the column names, the operation and the strategy. The same
+// bound rule, however it was produced, keys equally.
 func TestResultKeySeparations(t *testing.T) {
-	s1 := Normalize(parse(t, "A(x) :- E(x,5)"))
-	s2 := Normalize(parse(t, "A(x) :- E(x,6)"))
-	s3 := Normalize(parse(t, "A(y) :- E(y,5)"))
-	if s1.PlanKey("auto") != s2.PlanKey("auto") {
-		t.Fatal("different constants should share a plan key")
-	}
-	seen := map[string]bool{}
-	for _, k := range []string{
-		s1.ResultKey("run", "auto"),
-		s2.ResultKey("run", "auto"),   // different argument
-		s3.ResultKey("run", "auto"),   // different column name
-		s1.ResultKey("count", "auto"), // different op
-		s1.ResultKey("run", "hc_tj"),  // different strategy
+	base := parse(t, "A(x) :- E(x,5)")
+	seen := map[string]string{}
+	for _, c := range []struct {
+		name string
+		key  string
+	}{
+		{"base", Key(base, "run", "auto")},
+		{"head name", Key(parse(t, "B(x) :- E(x,5)"), "run", "auto")},
+		{"constant", Key(parse(t, "A(x) :- E(x,6)"), "run", "auto")},
+		{"column name", Key(parse(t, "A(y) :- E(y,5)"), "run", "auto")},
+		{"constant position", Key(parse(t, "A(x) :- E(5,x)"), "run", "auto")},
+		{"filter op", Key(parse(t, "A(x) :- E(x,5), x > 3"), "run", "auto")},
+		{"op", Key(base, "count", "auto")},
+		{"strategy", Key(base, "run", "hc_tj")},
 	} {
-		if seen[k] {
-			t.Fatalf("result key collision: %s", k)
+		if prev, dup := seen[c.key]; dup {
+			t.Fatalf("%s and %s share a key: %s", prev, c.name, c.key)
 		}
-		seen[k] = true
+		seen[c.key] = c.name
 	}
-}
 
-func TestPlanCacheEpochInvalidation(t *testing.T) {
-	c := NewPlanCache(8)
-	c.Put("k", 1, &PlanEntry{Strategy: "hc_tj"})
-	if e := c.Get("k", 1); e == nil || e.Strategy != "hc_tj" {
-		t.Fatalf("same-epoch get: %+v", e)
+	prepared, err := parse(t, "A(x) :- E(x,?)").Bind([]int64{5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e := c.Get("k", 2); e != nil {
-		t.Fatalf("stale-epoch entry served: %+v", e)
-	}
-	if e := c.Get("k", 1); e != nil {
-		t.Fatal("stale entry must be evicted, not kept for its old epoch")
-	}
-	cs := c.Counters()
-	if cs.Hits != 1 || cs.Misses != 2 || cs.Evictions != 1 || cs.Entries != 0 {
-		t.Fatalf("counters: %+v", cs)
-	}
-}
-
-func TestPlanCacheLRUEviction(t *testing.T) {
-	c := NewPlanCache(2)
-	c.Put("a", 1, &PlanEntry{Strategy: "a"})
-	c.Put("b", 1, &PlanEntry{Strategy: "b"})
-	c.Get("a", 1)                            // a is now most recent
-	c.Put("c", 1, &PlanEntry{Strategy: "c"}) // evicts b
-	if c.Get("b", 1) != nil {
-		t.Fatal("b should have been evicted as least recently used")
-	}
-	if c.Get("a", 1) == nil || c.Get("c", 1) == nil {
-		t.Fatal("a and c should have survived")
+	for _, same := range []*core.Query{parse(t, "A(x) :- E(x,5)"), prepared} {
+		if got, want := Key(same, "run", "auto"), Key(base, "run", "auto"); got != want {
+			t.Fatalf("same bound rule keyed differently:\n%s\n%s", got, want)
+		}
 	}
 }
 
@@ -180,26 +111,5 @@ func TestResultCacheCountsOccupyOneTuple(t *testing.T) {
 	}
 	if got := c.Get("n1", 1); got == nil || got.Count != 12345 || got.Rows != nil {
 		t.Fatalf("count replay: %+v", got)
-	}
-}
-
-// Hints must survive the canonical-index round trip: decisions recorded
-// against one query's variables rebind onto a same-shape query with
-// different names.
-func TestPlanEntryHintsRebind(t *testing.T) {
-	entry := &PlanEntry{Strategy: "hc_tj", HCVars: []int{0, 1}, HCDims: []int{2, 3}, Order: []int{1, 0}, OrderCost: 7}
-	h := entry.Hints([]core.Var{"p", "q"})
-	if h == nil || h.HC == nil {
-		t.Fatal("hints missing")
-	}
-	if !reflect.DeepEqual(h.HC.Vars, []core.Var{"p", "q"}) || !reflect.DeepEqual(h.HC.Dims, []int{2, 3}) {
-		t.Fatalf("HC rebind: %+v", h.HC)
-	}
-	if !reflect.DeepEqual(h.Order, []core.Var{"q", "p"}) || h.OrderCost != 7 {
-		t.Fatalf("order rebind: %v %v", h.Order, h.OrderCost)
-	}
-	// An out-of-range index (shape drift) must disable hinting entirely.
-	if bad := (&PlanEntry{Order: []int{5}}).Hints([]core.Var{"p"}); bad != nil {
-		t.Fatalf("out-of-range hint not rejected: %+v", bad)
 	}
 }

@@ -1,38 +1,23 @@
-// Package cache implements the prepared-query caching layer: query shape
-// normalization, a plan cache that replays optimizer decisions, and a
-// result cache with load-epoch invalidation.
+// Package cache implements the result cache: materialized query answers
+// with load-epoch invalidation.
 //
-// # Shape normalization
+// # Key
 //
-// Normalize canonicalizes a query into a Shape: variables are renamed
-// v0,v1,... in order of first appearance across the atoms, and every
-// constant (and "?" parameter placeholder) is lifted into a positional
-// slot $0,$1,... in scan order. The canonical text is the cache key, so an
-// ad-hoc query E(x,5) and a prepared query E(x,?) executed with argument 5
-// normalize to the same shape E(v0,$0) and share one plan-cache entry.
-// The lifted constants come back as Shape.Args and, together with the
-// shape, key the result cache.
-//
-// # Plan cache
-//
-// Physical plans embed their constants (selections are compiled in), so
-// the plan cache does not store built plans. It stores the expensive
-// optimizer *decisions* — HyperCube share configuration (the LP of
-// Section 4), the Tributary variable order (the Section-5 search), the
-// greedy atom order — in variable-name-independent form: canonical
-// variable indexes. A hit rebinds them to the live query's variables as
-// planner.Hints, and the planner rebuilds the cheap physical plan while
-// skipping every search. Entries carry the catalog epoch they were
-// computed at; a mutation makes them unreachable.
+// Key renders a fully bound query as its datalog rule, prefixed by the
+// operation (run/count) and the requested strategy. The rule text carries
+// the head name, the live variable names (output column names must replay
+// byte-identically) and every constant, so only the same bound rule shares
+// an entry. A prepared execution binds its arguments as constants before
+// the probe, so it shares an entry with the ad-hoc rule that inlines the
+// same values.
 //
 // # Result cache
 //
-// The result cache stores materialized answers keyed by (shape, actual
-// variable names, operation, strategy, arguments) and the load epoch.
 // Entries replay byte-identical rows (deep-copied on both insert and
-// lookup, so callers can mutate freely). The cache is bounded by a tuple
-// budget with LRU eviction; bytes are charged at the spill layer's
-// convention of eight bytes per value. Runs under chaos fault injection,
-// forced spilling, or EXPLAIN capture bypass the result cache — see the
-// bypass rules in the parajoin package.
+// lookup, so callers can mutate freely) and carry the catalog epoch they
+// were computed at; a mutation makes them unreachable. The cache is bounded
+// by a tuple budget with LRU eviction; bytes are charged at the spill
+// layer's convention of eight bytes per value. Runs under chaos fault
+// injection, forced spilling, or EXPLAIN capture bypass the result cache —
+// see the bypass rules in the parajoin package.
 package cache

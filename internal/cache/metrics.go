@@ -7,15 +7,6 @@ import "parajoin/internal/metrics"
 // gauges track current residency via +/- deltas, so they also sum
 // correctly across instances.
 var (
-	planHits = metrics.Default.Counter("parajoin_cache_plan_hits_total",
-		"Plan-cache hits: queries that skipped share optimization and order search.")
-	planMisses = metrics.Default.Counter("parajoin_cache_plan_misses_total",
-		"Plan-cache misses: queries planned from scratch.")
-	planEvictions = metrics.Default.Counter("parajoin_cache_plan_evictions_total",
-		"Plan-cache evictions: LRU capacity plus stale-epoch invalidations.")
-	planEntries = metrics.Default.Gauge("parajoin_cache_plan_entries",
-		"Plan-cache resident entries.")
-
 	resultHits = metrics.Default.Counter("parajoin_cache_result_hits_total",
 		"Result-cache hits: queries answered without executing.")
 	resultMisses = metrics.Default.Counter("parajoin_cache_result_misses_total",

@@ -3,7 +3,18 @@ package cache
 import (
 	"container/list"
 	"sync"
+
+	"parajoin/internal/core"
 )
+
+// Key is the result-cache key for a fully bound query q run as op
+// ("run"/"count") under the requested strategy (plans, and therefore row
+// order, differ across strategies). The rendered rule carries the head
+// name, the column names and every constant, so two queries share a key
+// only when they are the same bound rule.
+func Key(q *core.Query, op, strategy string) string {
+	return op + "|" + strategy + "|" + q.String()
+}
 
 // Result is a cached query answer: materialized rows for a run, a scalar
 // for a count (Rows nil). Strategy is the resolved execution strategy the
@@ -54,9 +65,20 @@ func (r *Result) clone() *Result {
 	return out
 }
 
-// ResultCache is an LRU cache of materialized answers keyed by
-// Shape.ResultKey, bounded by a total tuple budget. Entries are
-// epoch-stamped like the plan cache's.
+// Counters is a point-in-time snapshot of the result cache's activity and
+// residency.
+type Counters struct {
+	Hits      int64
+	Misses    int64
+	Evictions int64
+	Entries   int
+	Tuples    int64
+	Bytes     int64
+}
+
+// ResultCache is an LRU cache of materialized answers keyed by Key,
+// bounded by a total tuple budget. Entries are stamped with the catalog
+// epoch they were computed at; a Get at a newer epoch evicts them.
 type ResultCache struct {
 	mu      sync.Mutex
 	budget  int64 // max resident tuples

@@ -316,7 +316,7 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 			}
 			batch = cb.Tuples()
 		}
-		dup, released := t.admit(&f)
+		q, dup := t.admit(&f)
 		if f.Seq > 0 {
 			// Ack duplicates too: the original ack may be what got lost.
 			c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
@@ -328,12 +328,11 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 			live.netDupFramesDropped.Add(1)
 			continue
 		}
-		if released {
+		if q == nil {
 			// Straggler for a finished run: drop instead of resurrecting its
 			// queues.
 			continue
 		}
-		q := t.queue(f.Exchange, f.Dst)
 		if f.Close {
 			q.closeOne()
 			continue
@@ -344,23 +343,36 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 }
 
 // admit checks one incoming data/close frame against the dedup high-water
-// mark and the released-epoch filter.
-func (t *TCPTransport) admit(f *frame) (dup, released bool) {
+// mark and the released-epoch filter, and returns the inbox queue the frame
+// belongs to — nil for a duplicate or a straggler of a released epoch. The
+// queue is found or created in the same lock hold as the released check, so
+// a concurrent ReleaseEpoch either frees it or is seen by the check; a queue
+// created between the two would be one that nothing ever reads.
+func (t *TCPTransport) admit(f *frame) (q *memQueue, dup bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if f.Seq > 0 {
 		k := seqKey{f.Exchange, f.Src, f.Dst}
 		if f.Seq <= t.recvSeq[k] {
-			return true, false
+			return nil, true
 		}
 		t.recvSeq[k] = f.Seq
 	}
-	return false, t.released[wireEpoch(f.Exchange)]
+	if t.released[wireEpoch(f.Exchange)] {
+		return nil, false
+	}
+	return t.queueLocked(f.Exchange, f.Dst), false
 }
 
 func (t *TCPTransport) queue(exchange, worker int) *memQueue {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.queueLocked(exchange, worker)
+}
+
+// queueLocked returns (creating if needed) one inbox queue. Callers hold
+// t.mu.
+func (t *TCPTransport) queueLocked(exchange, worker int) *memQueue {
 	k := inboxKey{exchange, worker}
 	q, ok := t.inbox[k]
 	if !ok {

@@ -45,13 +45,9 @@ func (b *builder) buildBR(res *Result, tj bool) error {
 // localTributary evaluates the whole query with one Tributary join per
 // worker over the given term-layout streams.
 func (b *builder) localTributary(res *Result, termStreams []engine.Node) error {
-	ord, cost, ok := b.hintedOrder()
-	if !ok {
-		var err error
-		ord, cost, err = b.p.bestOrder(b.q)
-		if err != nil {
-			return err
-		}
+	ord, cost, err := b.p.bestOrder(b.q)
+	if err != nil {
+		return err
 	}
 	res.Order, res.OrderCost = ord, cost
 	inputs := make(map[string]engine.Node, len(b.atoms))
@@ -75,13 +71,9 @@ func (b *builder) localTributary(res *Result, termStreams []engine.Node) error {
 // localHashTree evaluates the query with a local left-deep hash-join tree
 // over the given term-layout streams (no further exchanges).
 func (b *builder) localHashTree(res *Result, termStreams []engine.Node) error {
-	orderIdx, ok := b.hintedJoinOrder()
-	if !ok {
-		var err error
-		orderIdx, err = b.greedyAtomOrder()
-		if err != nil {
-			return err
-		}
+	orderIdx, err := b.greedyAtomOrder()
+	if err != nil {
+		return err
 	}
 	res.JoinOrder = orderIdx
 

@@ -15,13 +15,9 @@ import (
 // worker evaluates the entire query locally — with one Tributary join
 // (HC_TJ, the paper's headline plan) or a local hash-join tree (HC_HJ).
 func (b *builder) buildHC(res *Result, tj bool) error {
-	cfg, ok := b.hintedHC()
-	if !ok {
-		var err error
-		cfg, err = shares.Optimize(b.q, b.p.Catalog, b.p.Workers)
-		if err != nil {
-			return err
-		}
+	cfg, err := shares.Optimize(b.q, b.p.Catalog, b.p.Workers)
+	if err != nil {
+		return err
 	}
 	res.HC = cfg
 	grid := hypercube.NewGrid(cfg)

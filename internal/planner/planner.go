@@ -85,28 +85,6 @@ type Planner struct {
 	Seed int64
 	// Mode selects the Tributary seek strategy.
 	Mode ljoin.SeekMode
-	// Hints optionally replays optimizer decisions recovered from a plan
-	// cache: a hit rebuilds the physical plan (cheap) but skips the LP share
-	// optimization, the variable-order search, and the greedy atom ordering
-	// (the expensive parts). Invalid hints — wrong variable set, not a
-	// permutation, too many cells — are ignored and the optimizers run
-	// normally, so a stale hint can degrade performance but never
-	// correctness.
-	Hints *Hints
-}
-
-// Hints are cached optimizer decisions for one query shape; see
-// Planner.Hints.
-type Hints struct {
-	// HC is the HyperCube share configuration to reuse (skips
-	// shares.Optimize).
-	HC *shares.Config
-	// Order is the Tributary variable order to reuse (skips the
-	// Section-5 order search); OrderCost is its recorded cost.
-	Order     []core.Var
-	OrderCost float64
-	// JoinOrder is the greedy atom order to reuse for binary-join trees.
-	JoinOrder []int
 }
 
 // Result is a built plan plus the optimizer decisions that shaped it.

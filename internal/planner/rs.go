@@ -21,13 +21,9 @@ func (b *builder) buildRS(res *Result, tj bool) error {
 }
 
 func (b *builder) buildRSMode(res *Result, tj, skewAware bool) error {
-	orderIdx, ok := b.hintedJoinOrder()
-	if !ok {
-		var err error
-		orderIdx, err = b.greedyAtomOrder()
-		if err != nil {
-			return err
-		}
+	orderIdx, err := b.greedyAtomOrder()
+	if err != nil {
+		return err
 	}
 	res.JoinOrder = orderIdx
 

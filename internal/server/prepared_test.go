@@ -22,12 +22,12 @@ import (
 	"parajoin/internal/wire"
 )
 
-// newCachingTestServer is newTestServer with the DB's plan and result
-// caches enabled, so prepared re-executions exercise the cache path.
+// newCachingTestServer is newTestServer with the DB's result cache
+// enabled, so prepared re-executions exercise the cache path.
 func newCachingTestServer(t *testing.T, edges int) (*parajoin.DB, string) {
 	t.Helper()
 	db := parajoin.Open(4, parajoin.WithSeed(7),
-		parajoin.WithPlanCache(64), parajoin.WithResultCache(1<<16))
+		parajoin.WithResultCache(1<<16))
 	if err := db.LoadEdges("E", parajoin.SyntheticGraph(edges, 300, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPreparedExecuteMatchesRun(t *testing.T) {
 
 // TestPreparedCacheFlags checks the cache path end to end over TCP: the
 // second identical execution replays from the result cache, and a fresh
-// argument still gets a plan-cache hit (same query shape).
+// argument misses it.
 func TestPreparedCacheFlags(t *testing.T) {
 	_, addr := newCachingTestServer(t, 800)
 	c := dial(t, addr)
@@ -135,7 +135,7 @@ func TestPreparedCacheFlags(t *testing.T) {
 	}
 
 	if other == arg {
-		other++ // any different argument exercises the plan-cache-only path
+		other++ // any different argument must miss
 	}
 	third, err := stmt.Execute(ctx, other)
 	if err != nil {
@@ -143,9 +143,6 @@ func TestPreparedCacheFlags(t *testing.T) {
 	}
 	if third.Stats.ResultCached {
 		t.Fatal("different arguments must not share a result-cache entry")
-	}
-	if !third.Stats.PlanCached {
-		t.Fatal("same shape with new arguments should hit the plan cache")
 	}
 }
 

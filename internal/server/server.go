@@ -896,7 +896,6 @@ func wireStats(st *parajoin.Stats) *wire.Stats {
 		PeakResidentTuples: st.PeakResidentTuples,
 		SpilledBytes:       st.SpilledBytes,
 		SpillSegments:      st.SpillSegments,
-		PlanCached:         st.PlanCached,
 		ResultCached:       st.ResultCached,
 		RemoteFragments:    st.RemoteFragments,
 		RemoteMembers:      st.RemoteMembers,

@@ -163,10 +163,8 @@ type Stats struct {
 	// RetryCause is the last error that triggered a re-execution.
 	Attempts   int64  `json:"attempts,omitempty"`
 	RetryCause string `json:"retry_cause,omitempty"`
-	// PlanCached: the plan was rebuilt from cached optimizer decisions.
 	// ResultCached: the answer was replayed from the result cache without
 	// executing.
-	PlanCached   bool `json:"plan_cached,omitempty"`
 	ResultCached bool `json:"result_cached,omitempty"`
 	// RemoteFragments is the number of operator fragments that ran on
 	// remote data nodes (0 for a coordinator-local execution);

@@ -34,7 +34,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	in := Response{
 		ID: 9, Proto: ProtoVersion, Stmt: 3, Params: 2,
 		Columns: []string{"x", "y"}, RowsEnc: []byte("PJCB\x00\x01"),
-		Stats: &Stats{Strategy: "rs_hj", PlanCached: true, ResultCached: true},
+		Stats: &Stats{Strategy: "rs_hj", ResultCached: true},
 	}
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, in); err != nil {
@@ -47,7 +47,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	if out.Stmt != 3 || out.Params != 2 || out.Proto != ProtoVersion || !bytes.Equal(out.RowsEnc, in.RowsEnc) {
 		t.Fatalf("round trip mismatch: %+v", out)
 	}
-	if out.Stats == nil || !out.Stats.PlanCached || !out.Stats.ResultCached {
+	if out.Stats == nil || !out.Stats.ResultCached {
 		t.Fatalf("stats cache flags lost: %+v", out.Stats)
 	}
 }

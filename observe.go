@@ -52,7 +52,7 @@ func WithTracer(t *Tracer) Option {
 // run's transport byte totals. The query's results are discarded; any
 // tracer attached with WithTracer still receives the events.
 func (q *Query) ExplainAnalyze(ctx context.Context, s Strategy) (string, error) {
-	res, _, planCached, err := q.planFor(s)
+	res, _, err := q.planFor(s)
 	if err != nil {
 		return "", err
 	}
@@ -65,9 +65,7 @@ func (q *Query) ExplainAnalyze(ctx context.Context, s Strategy) (string, error) 
 	if err != nil {
 		return "", err
 	}
-	return explainWithPlanOrigin(
-		explainWithShares(engine.ExplainAnalyze(res.Rounds, col.Events(), report), res.HC, q.db.workers),
-		planCached), nil
+	return explainWithShares(engine.ExplainAnalyze(res.Rounds, col.Events(), report), res.HC, q.db.workers), nil
 }
 
 // explainOpts resolves a run's engine options, attaching an event collector

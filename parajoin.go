@@ -155,10 +155,9 @@ type DB struct {
 	workers  int
 	maxOrder int
 	seed     int64
-	// planCache and resultCache are nil unless enabled with WithPlanCache /
-	// WithResultCache; chaos records that a fault plan wraps the transport,
-	// which disqualifies runs from the result cache (see cache.go).
-	planCache   *cache.PlanCache
+	// resultCache is nil unless enabled with WithResultCache; chaos records
+	// that a fault plan wraps the transport, which disqualifies runs from
+	// the result cache (see cache.go).
 	resultCache *cache.ResultCache
 	chaos       bool
 }
@@ -429,63 +428,30 @@ func (q *Query) Run(ctx context.Context) (*Result, error) {
 	return q.RunWith(ctx, Auto)
 }
 
-// planFor resolves Auto and plans the query under the chosen strategy.
-// The returned bool reports a plan-cache hit: the physical plan was
-// rebuilt from cached optimizer decisions, skipping strategy resolution,
-// share optimization, and order search.
-func (q *Query) planFor(s Strategy) (*planner.Result, Strategy, bool, error) {
+// planFor resolves Auto and plans the query under the chosen strategy
+// against the latest published snapshot.
+func (q *Query) planFor(s Strategy) (*planner.Result, Strategy, error) {
 	planStart := time.Now()
 	defer func() { planSeconds.ObserveDuration(time.Since(planStart)) }()
 	db := q.db
-	// The snapshot carries the epoch its statistics were published at, so a
-	// plan-cache entry keyed on it always matches these statistics.
 	snap := db.snap.Load()
-	epoch, catalog := snap.epoch, snap.catalog
+	if s == Auto {
+		s = chooseStrategy(q.q, snap.catalog, db.workers)
+	}
+	cfg, err := s.planConfig()
+	if err != nil {
+		return nil, s, err
+	}
 	p := &planner.Planner{
 		Workers:   db.workers,
-		Catalog:   catalog,
+		Catalog:   snap.catalog,
 		Relations: snap.rels,
 		MaxOrders: db.maxOrder,
 		Seed:      db.seed,
 		Mode:      ljoin.SeekBinary,
 	}
-
-	var shape cache.Shape
-	var planKey string
-	if db.planCache != nil {
-		shape = cache.Normalize(q.q)
-		planKey = shape.PlanKey(string(s))
-		if e := db.planCache.Get(planKey, epoch); e != nil {
-			if hints := e.Hints(shape.Vars); hints != nil {
-				rs := Strategy(e.Strategy)
-				if cfg, err := rs.planConfig(); err == nil {
-					p.Hints = hints
-					if res, err := p.Plan(q.q, cfg); err == nil {
-						return res, rs, true, nil
-					}
-					// A hint the planner rejected (stale shape, impossible
-					// grid) degrades to a fresh plan, never an error.
-					p.Hints = nil
-				}
-			}
-		}
-	}
-
-	if s == Auto {
-		s = chooseStrategy(q.q, catalog, db.workers)
-	}
-	cfg, err := s.planConfig()
-	if err != nil {
-		return nil, s, false, err
-	}
 	res, err := p.Plan(q.q, cfg)
-	if err != nil {
-		return nil, s, false, err
-	}
-	if db.planCache != nil {
-		db.planCache.Put(planKey, epoch, cache.NewPlanEntry(string(s), res, shape.VarIndex()))
-	}
-	return res, s, false, nil
+	return res, s, err
 }
 
 // RunOptions tunes one execution of a query.
@@ -555,7 +521,7 @@ func (q *Query) RunWithOptions(ctx context.Context, opts RunOptions) (*Result, e
 			}, nil
 		}
 	}
-	res, s, planCached, err := q.planFor(opts.strategy())
+	res, s, err := q.planFor(opts.strategy())
 	if err != nil {
 		return nil, err
 	}
@@ -579,14 +545,13 @@ func (q *Query) RunWithOptions(ctx context.Context, opts RunOptions) (*Result, e
 			TuplesShuffled:  report.TotalTuplesShuffled(),
 			MaxConsumerSkew: report.MaxConsumerSkew(),
 			Workers:         db.workers,
-			PlanCached:      planCached,
 		},
 	}
 	result.Stats.fromReport(report)
 	if col != nil {
-		result.Stats.Explain = explainWithExecution(explainWithPlanOrigin(
+		result.Stats.Explain = explainWithExecution(
 			explainWithShares(engine.ExplainAnalyze(res.Rounds, col.Events(), report), res.HC, db.workers),
-			planCached), report)
+			report)
 	}
 	if s == HyperCubeTributary || s == HyperCubeHash {
 		result.Stats.HyperCubeShares = res.HC.String()
@@ -638,7 +603,7 @@ func (q *Query) CountWithOptions(ctx context.Context, opts RunOptions) (int64, *
 			}, nil
 		}
 	}
-	res, s, planCached, err := q.planFor(opts.strategy())
+	res, s, err := q.planFor(opts.strategy())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -667,13 +632,12 @@ func (q *Query) CountWithOptions(ctx context.Context, opts RunOptions) (int64, *
 		CPU:             report.TotalCPU(),
 		TuplesShuffled:  report.TotalTuplesShuffled(),
 		MaxConsumerSkew: report.MaxConsumerSkew(),
-		PlanCached:      planCached,
 	}
 	st.fromReport(report)
 	if col != nil {
-		st.Explain = explainWithExecution(explainWithPlanOrigin(
+		st.Explain = explainWithExecution(
 			explainWithShares(engine.ExplainAnalyze(res.Rounds, col.Events(), report), res.HC, db.workers),
-			planCached), report)
+			report)
 	}
 	if useRC && db.cluster.DataEpoch() == epoch {
 		db.resultCache.Put(rkey, epoch, &cache.Result{Strategy: string(s), Count: total})
@@ -723,11 +687,8 @@ type Stats struct {
 	// Explain is the run's EXPLAIN ANALYZE rendering, captured from the
 	// actual execution when RunOptions.Explain was set (empty otherwise).
 	Explain string
-	// PlanCached reports that the physical plan was rebuilt from cached
-	// optimizer decisions (share optimization and order search skipped);
-	// ResultCached reports that the answer itself was replayed from the
-	// result cache without executing at all.
-	PlanCached   bool
+	// ResultCached reports that the answer was replayed from the result
+	// cache without planning or executing.
 	ResultCached bool
 	// RemoteFragments is the number of operator fragments the query ran on
 	// remote data nodes (0 when the coordinator executed it locally);

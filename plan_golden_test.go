@@ -31,7 +31,7 @@ func goldenPlans(t *testing.T) string {
 	for _, name := range w.Names() {
 		q := &Query{db: db, q: w.Query(name)}
 		for _, s := range strategies {
-			res, resolved, _, err := q.planFor(s)
+			res, resolved, err := q.planFor(s)
 			if err != nil {
 				t.Fatalf("%s under %s: %v", name, s, err)
 			}
