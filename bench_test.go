@@ -330,23 +330,6 @@ func BenchmarkSemijoin_Q3Q7(b *testing.B) {
 	logRender(b, func(w interface{ Write([]byte) (int, error) }) { st.Render(w) })
 }
 
-// BenchmarkSkewStudy_HeavyHitterShuffle compares the plain regular shuffle
-// against the heavy-hitter-aware variant (footnote 2 of the paper).
-func BenchmarkSkewStudy_HeavyHitterShuffle(b *testing.B) {
-	s := suite()
-	var st *experiments.SkewStudy
-	var err error
-	for i := 0; i < b.N; i++ {
-		if st, err = s.SkewStudy("Q1"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	r := st.Rows[0]
-	b.ReportMetric(r.PlainSkew, "plainSkew")
-	b.ReportMetric(r.SkewAwareSkew, "awareSkew")
-	logRender(b, func(w interface{ Write([]byte) (int, error) }) { st.Render(w) })
-}
-
 // --- Ablations (design choices called out in DESIGN.md) --------------------
 
 // BenchmarkAblation_TJSortedArraysVsHashTree compares the local multiway

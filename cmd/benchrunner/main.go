@@ -120,10 +120,6 @@ var catalog = []experiment{
 		return renderErr(err, func() { st.Render(os.Stdout) })
 	}},
 	{"distscale", "Q1 six configurations pushed to 1/2/3 data nodes vs coordinator-local", runDistScale},
-	{"skewstudy", "heavy-hitter-aware shuffle vs plain (footnote 2)", func(s *experiments.Suite) error {
-		st, err := s.SkewStudy("Q1", "Q5")
-		return renderErr(err, func() { st.Render(os.Stdout) })
-	}},
 }
 
 func sixConfigs(q string) func(*experiments.Suite) error {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -32,7 +33,7 @@ func main() {
 	var (
 		queryName = flag.String("query", "Q1", "workload query Q1..Q8")
 		rule      = flag.String("rule", "", "ad-hoc datalog rule over the workload relations (overrides -query)")
-		config    = flag.String("config", "HC_TJ", "configuration: RS_HJ, RS_TJ, RS_HJ_SKEW, BR_HJ, BR_TJ, HC_HJ, HC_TJ, SEMIJOIN")
+		config    = flag.String("config", "HC_TJ", "configuration: RS_HJ, RS_TJ, BR_HJ, BR_TJ, HC_HJ, HC_TJ, SEMIJOIN")
 		all       = flag.Bool("all", false, "run every configuration")
 		workers   = flag.Int("workers", 64, "cluster size")
 		edges     = flag.Int("edges", dataset.DefaultTwitter().Edges, "synthetic graph edges")
@@ -152,23 +153,10 @@ func printOutcome(queryName string, cfg planner.PlanConfig, out *experiments.Run
 }
 
 func parseConfig(s string) (planner.PlanConfig, error) {
-	switch strings.ToUpper(s) {
-	case "RS_HJ":
-		return planner.RSHJ, nil
-	case "RS_TJ":
-		return planner.RSTJ, nil
-	case "BR_HJ":
-		return planner.BRHJ, nil
-	case "BR_TJ":
-		return planner.BRTJ, nil
-	case "HC_HJ":
-		return planner.HCHJ, nil
-	case "HC_TJ":
-		return planner.HCTJ, nil
-	case "SEMIJOIN":
-		return planner.SemiJoin, nil
-	case "RS_HJ_SKEW":
-		return planner.RSHJSkew, nil
+	for _, c := range slices.Concat(planner.Configs, []planner.PlanConfig{planner.SemiJoin}) {
+		if strings.EqualFold(s, c.String()) {
+			return c, nil
+		}
 	}
 	return 0, fmt.Errorf("unknown configuration %q", s)
 }

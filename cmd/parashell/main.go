@@ -285,16 +285,13 @@ func (sh *shell) command(line string) error {
 			fmt.Fprintf(sh.out, "strategy: %s\n", sh.strategy)
 			return nil
 		}
-		s := parajoin.Strategy(strings.ToLower(fields[1]))
-		switch s {
-		case parajoin.Auto, parajoin.HyperCubeTributary, parajoin.HyperCubeHash,
-			parajoin.RegularHash, parajoin.RegularTributary, parajoin.RegularHashSkew,
-			parajoin.BroadcastHash, parajoin.BroadcastTributary, parajoin.Semijoin:
-			sh.strategy = s
-			fmt.Fprintf(sh.out, "strategy: %s\n", s)
-			return nil
+		s, err := parajoin.ParseStrategy(fields[1])
+		if err != nil {
+			return err
 		}
-		return fmt.Errorf("unknown strategy %q", fields[1])
+		sh.strategy = s
+		fmt.Fprintf(sh.out, "strategy: %s\n", s)
+		return nil
 
 	case `\limit`:
 		if len(fields) != 2 {

@@ -409,9 +409,6 @@ func (e *exec) router(spec *ExchangeSpec, sch rel.Schema, sent *int64) (func(src
 	}
 
 	switch spec.Kind {
-	case RouteSkewHash:
-		return e.skewRouter(spec, sch, flush, flushAll, outs)
-
 	case RouteHash:
 		cols := make([]int, len(spec.HashCols))
 		for i, c := range spec.HashCols {

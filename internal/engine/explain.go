@@ -167,7 +167,7 @@ func (x *explainIndex) renderRound(b *strings.Builder, plan *Plan, run int64) {
 
 	for i := range plan.Exchanges {
 		spec := &plan.Exchanges[i]
-		fmt.Fprintf(b, "  exchange %d [%s] %s", spec.ID, routeLabel(spec), spec.Name)
+		fmt.Fprintf(b, "  exchange %d [%s] %s", spec.ID, spec.RouteLabel(), spec.Name)
 		if s := x.sends[sendKey{run, spec.ID}]; s != nil {
 			fmt.Fprintf(b, "  (sent=%d producer-skew=%.2f", s.rows, skew(s.maxRows, s.rows, x.workers))
 			if c := x.consumers[sendKey{run, spec.ID}]; c != nil {
@@ -280,8 +280,9 @@ func explainLabel(n Node) string {
 	}
 }
 
-// routeLabel names an exchange's routing policy.
-func routeLabel(spec *ExchangeSpec) string {
+// RouteLabel names the exchange's routing policy, as EXPLAIN and
+// planner.Describe print it.
+func (spec ExchangeSpec) RouteLabel() string {
 	switch spec.Kind {
 	case RouteHash:
 		return "hash(" + strings.Join(spec.HashCols, ",") + ")"
@@ -289,12 +290,6 @@ func routeLabel(spec *ExchangeSpec) string {
 		return "broadcast"
 	case RouteHyperCube:
 		return "hypercube"
-	case RouteSkewHash:
-		mode := "split"
-		if spec.Skew != nil && spec.Skew.Mode == SkewBroadcast {
-			mode = "bcast"
-		}
-		return fmt.Sprintf("skewhash(%s,%s)", strings.Join(spec.HashCols, ","), mode)
 	}
 	return "?"
 }

@@ -118,9 +118,6 @@ type ExchangeSpec struct {
 	Grid    *hypercube.Grid
 	Atom    core.Atom
 	CellMap []int
-
-	// Skew configures RouteSkewHash (heavy-hitter-aware partitioning).
-	Skew *SkewSpec
 }
 
 // Plan is a complete distributed query plan.

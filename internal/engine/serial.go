@@ -19,10 +19,10 @@ import (
 // rounds to every data node as a JSON fragment spec; each node rebuilds the
 // identical []Round and executes it as its hosted worker. The encoding is a
 // tagged union over the Node kinds, and every field that feeds hashing or
-// routing (seeds, grid dimensions, cell maps, skew heavy-hitter lists) is
-// carried verbatim, so a decoded plan routes every tuple to exactly the
-// worker the coordinator-local plan would — the property the byte-identical
-// merge invariant rests on. The HyperCube grid travels as its (Vars, Dims)
+// routing (seeds, grid dimensions, cell maps) is carried verbatim, so a
+// decoded plan routes every tuple to exactly the worker the
+// coordinator-local plan would — the property the byte-identical merge
+// invariant rests on. The HyperCube grid travels as its (Vars, Dims)
 // configuration: NewGrid derives the per-dimension hash seeds from the
 // variable names, so reconstruction is deterministic.
 
@@ -85,8 +85,6 @@ type sExchange struct {
 	GridDims []int      `json:"grid_dims,omitempty"`
 	Atom     core.Atom  `json:"atom,omitempty"`
 	CellMap  []int      `json:"cell_map,omitempty"`
-
-	Skew *SkewSpec `json:"skew,omitempty"`
 }
 
 // sRound is the serialized form of a Round.
@@ -231,7 +229,7 @@ func encodeExchange(ex *ExchangeSpec) (sExchange, error) {
 	s := sExchange{
 		ID: ex.ID, Name: ex.Name, Input: in, Kind: int(ex.Kind),
 		HashCols: ex.HashCols, Seed: ex.Seed,
-		Atom: ex.Atom, CellMap: ex.CellMap, Skew: ex.Skew,
+		Atom: ex.Atom, CellMap: ex.CellMap,
 	}
 	if ex.Grid != nil {
 		s.HasGrid = true
@@ -249,7 +247,7 @@ func decodeExchange(s sExchange) (ExchangeSpec, error) {
 	ex := ExchangeSpec{
 		ID: s.ID, Name: s.Name, Input: in, Kind: RouteKind(s.Kind),
 		HashCols: s.HashCols, Seed: s.Seed,
-		Atom: s.Atom, CellMap: s.CellMap, Skew: s.Skew,
+		Atom: s.Atom, CellMap: s.CellMap,
 	}
 	if s.HasGrid {
 		if len(s.GridVars) != len(s.GridDims) {

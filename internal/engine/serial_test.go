@@ -58,8 +58,7 @@ func testRounds(t *testing.T) []Round {
 					Atom: q.Atoms[1], CellMap: cellMap, Input: Scan{Table: "S"}},
 				{ID: 2, Name: "hc-T", Kind: RouteHyperCube, Grid: grid,
 					Atom: q.Atoms[2], CellMap: cellMap, Input: Scan{Table: "T"}},
-				{ID: 3, Name: "skew", Kind: RouteSkewHash, HashCols: []string{"x"}, Seed: 3,
-					Skew:  &SkewSpec{Mode: SkewBroadcast, Heavy: []int64{1, 2}},
+				{ID: 3, Name: "hash-R", Kind: RouteHash, HashCols: []string{"x"}, Seed: 3,
 					Input: Scan{Table: "R"}},
 			},
 			Root: Count{Input: HashJoin{

@@ -31,31 +31,13 @@ func Describe(res *Result) string {
 			b.WriteByte('\n')
 		}
 		for _, ex := range round.Plan.Exchanges {
-			fmt.Fprintf(&b, "  exchange %d [%s] %s\n", ex.ID, routeName(ex), ex.Name)
+			fmt.Fprintf(&b, "  exchange %d [%s] %s\n", ex.ID, ex.RouteLabel(), ex.Name)
 			describeNode(&b, ex.Input, 2)
 		}
 		fmt.Fprintf(&b, "  root\n")
 		describeNode(&b, round.Plan.Root, 2)
 	}
 	return b.String()
-}
-
-func routeName(ex engine.ExchangeSpec) string {
-	switch ex.Kind {
-	case engine.RouteHash:
-		return "hash(" + strings.Join(ex.HashCols, ",") + ")"
-	case engine.RouteBroadcast:
-		return "broadcast"
-	case engine.RouteHyperCube:
-		return "hypercube"
-	case engine.RouteSkewHash:
-		mode := "split"
-		if ex.Skew != nil && ex.Skew.Mode == engine.SkewBroadcast {
-			mode = "bcast"
-		}
-		return fmt.Sprintf("skewhash(%s,%s)", strings.Join(ex.HashCols, ","), mode)
-	}
-	return "?"
 }
 
 func describeNode(b *strings.Builder, n engine.Node, depth int) {

@@ -37,10 +37,6 @@ const (
 	HCTJ
 	// SemiJoin: the distributed Yannakakis reduction (acyclic queries only).
 	SemiJoin
-	// RSHJSkew: RS_HJ with heavy-hitter-aware shuffles — heavy join keys
-	// are split round-robin on one side and broadcast on the other, the
-	// standard skew-join technique the paper's footnote 2 mentions.
-	RSHJSkew
 )
 
 // Configs lists the six figure configurations in the paper's display order.
@@ -62,8 +58,6 @@ func (c PlanConfig) String() string {
 		return "HC_TJ"
 	case SemiJoin:
 		return "SEMIJOIN"
-	case RSHJSkew:
-		return "RS_HJ_SKEW"
 	}
 	return fmt.Sprintf("PlanConfig(%d)", int(c))
 }
@@ -134,8 +128,6 @@ func (p *Planner) Plan(q *core.Query, cfg PlanConfig) (*Result, error) {
 		err = b.buildHC(res, true)
 	case SemiJoin:
 		err = b.buildSemijoin(res)
-	case RSHJSkew:
-		err = b.buildRSMode(res, false, true)
 	default:
 		err = fmt.Errorf("planner: unknown configuration %v", cfg)
 	}

@@ -64,7 +64,6 @@ func (db *testDB) runAll(t *testing.T, q *core.Query) {
 	}
 
 	configs := append([]PlanConfig(nil), Configs...)
-	configs = append(configs, RSHJSkew)
 	if core.IsAcyclic(q) {
 		configs = append(configs, SemiJoin)
 	}

@@ -99,7 +99,6 @@ func TestRandomQueriesAllConfigs(t *testing.T) {
 		}
 
 		configs := append([]PlanConfig(nil), Configs...)
-		configs = append(configs, RSHJSkew)
 		if core.IsAcyclic(q) {
 			configs = append(configs, SemiJoin)
 		}

