@@ -8,15 +8,8 @@
 // unknown top-level keys are rejected to catch schema drift between
 // benchrunner and this gate.
 //
-// With -compare-bytes, benchcheck instead takes two reports over the same
-// workload — a flat-accounting baseline (benchrunner -columnar=false) and a
-// columnar run — matches their outcomes by (query, config, workers), and
-// fails unless every matched pair moved strictly fewer exchange bytes under
-// the columnar encoding: the regression gate for the colbatch format.
-//
 //	benchrunner -exp figure3 -workers 8 -edges 2000 -json report.json
 //	benchcheck report.json
-//	benchcheck -compare-bytes legacy.json columnar.json
 package main
 
 import (
@@ -68,31 +61,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchcheck: ")
 	minRuns := flag.Int("min-runs", 1, "fail when the report has fewer runs than this")
-	compareBytes := flag.Bool("compare-bytes", false, "compare two reports (legacy.json columnar.json) and fail unless exchange bytes strictly decreased for every matched run")
 	flag.Parse()
-
-	if *compareBytes {
-		if flag.NArg() != 2 {
-			log.Fatal("usage: benchcheck -compare-bytes legacy.json columnar.json")
-		}
-		legacy, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			log.Fatal(err)
-		}
-		columnar, err := os.ReadFile(flag.Arg(1))
-		if err != nil {
-			log.Fatal(err)
-		}
-		n, problems := compareBytesReports(legacy, columnar)
-		for _, p := range problems {
-			fmt.Println(p)
-		}
-		if len(problems) > 0 {
-			log.Fatalf("%s vs %s: byte comparison failed (%d problems)", flag.Arg(0), flag.Arg(1), len(problems))
-		}
-		fmt.Printf("benchcheck: exchange bytes strictly decreased on all %d matched runs\n", n)
-		return
-	}
 
 	if flag.NArg() != 1 {
 		log.Fatal("usage: benchcheck [-min-runs N] report.json")
@@ -109,78 +78,6 @@ func main() {
 		log.Fatalf("%s: report failed validation (%d problems)", flag.Arg(0), len(problems))
 	}
 	fmt.Printf("benchcheck: %d runs ok\n", n)
-}
-
-// runKey identifies one outcome across the two reports of a byte
-// comparison.
-type runKey struct {
-	Query   string
-	Config  string
-	Workers int
-}
-
-// compareBytesReports matches the two reports' outcomes and checks that
-// every matched pair (1) produced the same result cardinality — the
-// encoding must not change answers — and (2) moved strictly fewer exchange
-// bytes in the columnar report. Runs that shuffled nothing are exempt from
-// the strict decrease (there is nothing to compress) but must not grow.
-func compareBytesReports(legacyData, columnarData []byte) (int, []string) {
-	parse := func(name string, data []byte) (map[runKey]*experiments.RecordedOutcome, []string) {
-		var rep report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return nil, []string{fmt.Sprintf("%s report: malformed: %v", name, err)}
-		}
-		var problems []string
-		runs := make(map[runKey]*experiments.RecordedOutcome, len(rep.Outcomes))
-		for _, o := range rep.Outcomes {
-			if o.Failed {
-				problems = append(problems, fmt.Sprintf("%s report: FAILED run %s/%s: %s", name, o.Query, o.Config, o.FailWhy))
-				continue
-			}
-			if o.Report == nil {
-				problems = append(problems, fmt.Sprintf("%s report: %s/%s has no engine report (byte counters missing)", name, o.Query, o.Config))
-				continue
-			}
-			runs[runKey{o.Query, o.Config, o.Workers}] = o
-		}
-		return runs, problems
-	}
-	legacy, problems := parse("legacy", legacyData)
-	columnar, more := parse("columnar", columnarData)
-	problems = append(problems, more...)
-	if len(problems) > 0 {
-		return 0, problems
-	}
-
-	matched := 0
-	for k, lo := range legacy {
-		co, ok := columnar[k]
-		if !ok {
-			problems = append(problems, fmt.Sprintf("run %s/%s/%dw only in legacy report", k.Query, k.Config, k.Workers))
-			continue
-		}
-		matched++
-		if lo.Results != co.Results {
-			problems = append(problems, fmt.Sprintf("run %s/%s: result count changed %d -> %d (encoding must not change answers)",
-				k.Query, k.Config, lo.Results, co.Results))
-		}
-		lb, cb := lo.Report.BytesSent, co.Report.BytesSent
-		switch {
-		case lb > 0 && cb >= lb:
-			problems = append(problems, fmt.Sprintf("run %s/%s: exchange bytes did not decrease: %d -> %d", k.Query, k.Config, lb, cb))
-		case lb == 0 && cb != 0:
-			problems = append(problems, fmt.Sprintf("run %s/%s: exchange bytes grew from zero to %d", k.Query, k.Config, cb))
-		}
-	}
-	for k := range columnar {
-		if _, ok := legacy[k]; !ok {
-			problems = append(problems, fmt.Sprintf("run %s/%s/%dw only in columnar report", k.Query, k.Config, k.Workers))
-		}
-	}
-	if matched == 0 {
-		problems = append(problems, "no matched runs between the two reports")
-	}
-	return matched, problems
 }
 
 // knownKeys are the only top-level keys a report may carry; anything else

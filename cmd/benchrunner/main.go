@@ -141,7 +141,6 @@ func main() {
 		memLimit  = flag.Int64("mem-limit", 0, "per-worker tuple budget (0 = suite default)")
 		spillMode = flag.String("spill", "", "spill-to-disk policy: off, on-pressure, always (default: off)")
 		parallel  = flag.Int("parallelism", 0, "intra-worker join parallelism: 0 auto, 1 serial, K>1 sub-joins per worker")
-		columnar  = flag.Bool("columnar", true, "exchange batches as dictionary-encoded columnar frames; false restores the flat 8-bytes-per-value accounting")
 		jsonPath  = flag.String("json", "", "write every run's full report as JSON to this file (- for stdout)")
 		debugAddr = flag.String("debug-addr", "", "serve pprof/expvar/trace diagnostics on this address (e.g. :6060)")
 		chaos     = flag.String("chaos", "", "deterministic fault-injection plan, e.g. 'seed=1;stall:prob=0.01,delay=5ms' (see internal/fault)")
@@ -180,7 +179,6 @@ func main() {
 		suite.Spill = p
 	}
 	suite.Parallelism = *parallel
-	suite.Columnar = *columnar
 	if *chaos != "" {
 		plan, err := fault.ParsePlan(*chaos)
 		if err != nil {

@@ -96,7 +96,6 @@ func main() {
 		dataDir       = flag.String("data-dir", "", "durable partition catalog directory; loads persist here and restarts restore from it")
 		partSlots     = flag.Int("part-slots", 0, "hash partitions per persisted relation (0 = store default)")
 		clusterListen = flag.String("cluster-listen", "", "coordinator: accept cluster members on this address (requires -data-dir); data node: transfer listener bind address")
-		distributed   = flag.Bool("distributed", true, "coordinator: push operator fragments to data nodes; false keeps execution coordinator-local (the A/B baseline)")
 		joinAddr      = flag.String("join", "", "run as a data node: join the coordinator at this address (requires -data-dir and -node-name)")
 		nodeName      = flag.String("node-name", "", "this data node's stable cluster identity (with -join)")
 	)
@@ -278,7 +277,7 @@ func main() {
 			Tracer: tracer,
 			Logf:   log.Printf,
 			OnChange: func(members []string) {
-				rebuildForMembers(srv, store, coord, &disp, opts, members, *distributed, tracer)
+				rebuildForMembers(srv, store, coord, &disp, opts, members, tracer)
 			},
 		})
 		defer coord.Close()
@@ -352,10 +351,12 @@ func standaloneMembers(n int) []string {
 // rebuildForMembers swaps the serving engine for a new member set: the
 // partition catalog is re-sliced by rendezvous placement, one worker per
 // live member, while in-flight queries drain and retries re-resolve against
-// the new catalog. When an earlier query's rule is known, the HyperCube
-// share re-derivation for the new worker count is logged alongside.
+// the new catalog. The serving log line names the execution mode the new
+// generation actually runs. When an earlier query's rule is known, the
+// HyperCube share re-derivation for the new worker count is logged
+// alongside.
 func rebuildForMembers(srv *server.Server, store *partstore.Store, coord *cluster.Coordinator,
-	disp *dispatcherSlot, opts []parajoin.Option, members []string, distributed bool, tracer *trace.Tracer) {
+	disp *dispatcherSlot, opts []parajoin.Option, members []string, tracer *trace.Tracer) {
 	if len(members) == 0 {
 		log.Print("cluster: no live members; keeping the current engine")
 		return
@@ -367,6 +368,7 @@ func rebuildForMembers(srv *server.Server, store *partstore.Store, coord *cluste
 	// slots, and re-dispatch against the engine this rebuild installs.
 	disp.close()
 	before := srv.DB().Workers()
+	mode := "coordinator-local"
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	err := srv.Rebuild(ctx, func(*parajoin.DB) (*parajoin.DB, error) {
@@ -376,14 +378,12 @@ func rebuildForMembers(srv *server.Server, store *partstore.Store, coord *cluste
 		}
 		// Install the generation's fragment dispatcher before the swap makes
 		// the engine visible, so no query ever runs on a half-wired DB. A
-		// nil dispatcher (kill switch, or a member vanished between commit
-		// and here) keeps execution coordinator-local — the always-correct
-		// fallback.
-		if distributed {
-			if d := dispatcherFor(store, coord, members, tracer); d != nil {
-				ndb.SetRemoteRunner(d)
-				disp.set(d)
-			}
+		// nil dispatcher (a member vanished between commit and here) keeps
+		// execution coordinator-local — the always-correct fallback.
+		if d := dispatcherFor(store, coord, members, tracer); d != nil {
+			ndb.SetRemoteRunner(d)
+			disp.set(d)
+			mode = "distributed"
 		}
 		return ndb, nil
 	})
@@ -392,10 +392,6 @@ func rebuildForMembers(srv *server.Server, store *partstore.Store, coord *cluste
 		return
 	}
 	after := srv.DB().Workers()
-	mode := "coordinator-local"
-	if distributed {
-		mode = "distributed"
-	}
 	log.Printf("cluster: serving %d workers for members %v (catalog v%d, %s execution)",
 		after, members, store.CatalogVersion(), mode)
 	if rule := srv.LastRule(); rule != "" && before != after {

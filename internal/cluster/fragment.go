@@ -132,7 +132,7 @@ func (m *Member) buildFragRuntime(req *msg, worker int) (*fragRuntime, error) {
 	n := len(req.Members)
 	addrs := make([]string, n)
 	addrs[worker] = net.JoinHostPort(m.exchangeHost(), "0")
-	tcp, err := engine.NewTCPTransportOpts(addrs, []int{worker}, engine.TCPOptions{})
+	tcp, err := engine.NewTCPTransport(addrs, []int{worker})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: member %q exchange listener: %w", m.cfg.Name, err)
 	}

@@ -29,11 +29,10 @@ type MemberConfig struct {
 	ListenAddr string
 	// CallTimeout bounds every control exchange (default 10s).
 	CallTimeout time.Duration
-	// JoinRetries and JoinBackoff govern redialing the coordinator when the
-	// join is refused or fails — e.g. a replacement starting before the
-	// coordinator has declared its predecessor dead (defaults: 20 retries,
-	// 250ms backoff).
-	JoinRetries int
+	// JoinBackoff is the pause between joinRetries redials of the
+	// coordinator when the join is refused or fails — e.g. a replacement
+	// starting before the coordinator has declared its predecessor dead
+	// (default 250ms).
 	JoinBackoff time.Duration
 	// Injector, when non-nil, is consulted at the handoff fault point: after
 	// the recipient acked a donated partition but before this member reports
@@ -45,15 +44,16 @@ type MemberConfig struct {
 	Logf func(format string, args ...any)
 }
 
+// joinRetries is how many times a member redials the coordinator after a
+// refused or failed join before giving up.
+const joinRetries = 20
+
 func (c MemberConfig) withDefaults() MemberConfig {
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
 	}
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 10 * time.Second
-	}
-	if c.JoinRetries == 0 {
-		c.JoinRetries = 20
 	}
 	if c.JoinBackoff <= 0 {
 		c.JoinBackoff = 250 * time.Millisecond
@@ -241,7 +241,7 @@ func (m *Member) Close() error {
 // predecessor with this name is alive.
 func (m *Member) join(ctx context.Context, listenAddr string) (net.Conn, *msg, error) {
 	var lastErr error
-	for attempt := 0; attempt <= m.cfg.JoinRetries; attempt++ {
+	for attempt := 0; attempt <= joinRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-time.After(m.cfg.JoinBackoff):

@@ -108,13 +108,11 @@ var live = struct {
 	bytesRecv      *metrics.Counter
 	queueDepth     *metrics.Gauge
 	// TCP self-healing counters: reconnects after peer loss, frames
-	// replayed from the unacked buffer, duplicate frames the receiver's
-	// dedup dropped, and heartbeat outcomes.
+	// replayed from the unacked buffer, and duplicate frames the
+	// receiver's dedup dropped.
 	netReconnects       *metrics.Counter
 	netFramesResent     *metrics.Counter
 	netDupFramesDropped *metrics.Counter
-	netHeartbeats       *metrics.Counter
-	netHeartbeatMisses  *metrics.Counter
 }{
 	runsStarted:   metrics.Default.Counter("parajoin_engine_runs_started_total", "Query runs started."),
 	runsCompleted: metrics.Default.Counter("parajoin_engine_runs_completed_total", "Query runs finished (any outcome)."),
@@ -139,8 +137,4 @@ var live = struct {
 		"Frames replayed from the unacked buffer after a reconnect."),
 	netDupFramesDropped: metrics.Default.Counter("parajoin_net_dup_frames_dropped_total",
 		"Duplicate frames dropped by receiver dedup."),
-	netHeartbeats: metrics.Default.Counter("parajoin_net_heartbeats_total",
-		"Heartbeat probes answered in time."),
-	netHeartbeatMisses: metrics.Default.Counter("parajoin_net_heartbeat_misses_total",
-		"Heartbeat probes that timed out."),
 }

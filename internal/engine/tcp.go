@@ -12,7 +12,6 @@ import (
 
 	"parajoin/internal/colbatch"
 	"parajoin/internal/rel"
-	"parajoin/internal/trace"
 )
 
 // TCPTransport is the wire implementation of Transport: workers exchange
@@ -38,12 +37,10 @@ type TCPTransport struct {
 	n      int
 	addrs  []string
 	hosted map[int]bool
-	opts   TCPOptions
 	transportCounters
 
 	listeners []net.Listener
 	acceptWG  sync.WaitGroup
-	hbWG      sync.WaitGroup
 	closeCh   chan struct{}
 
 	mu       sync.Mutex
@@ -56,52 +53,21 @@ type TCPTransport struct {
 	closed   bool
 }
 
-// TCPOptions tune a TCPTransport's self-healing behavior. The zero value
-// gets defaults from withDefaults; NewTCPTransport uses all defaults.
-type TCPOptions struct {
-	// DialTimeout bounds each connection attempt (default 5s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write (default 10s); a peer that stops
-	// draining for longer counts as failed and triggers a redial.
-	WriteTimeout time.Duration
-	// RedialAttempts is how many reconnect-and-resend cycles one Send may
-	// burn through before failing with ErrTransport (default 4). Negative
-	// disables reconnection entirely: the first failure is final — the
-	// legacy fail-fast behavior, and the right setting when a higher layer
-	// owns recovery.
-	RedialAttempts int
-	// RedialBackoff is the delay before the first redial, doubling each
-	// attempt (capped at 2s) with ±50% jitter from the seeded source
-	// (default 25ms).
-	RedialBackoff time.Duration
-	// HeartbeatEvery, when > 0, pings established peer connections at this
-	// period so peer loss is detected on idle links and PeerHealth stays
-	// fresh. Off by default: exchanges are rarely idle, and heartbeat
-	// frames would perturb byte-level send/receive parity.
-	HeartbeatEvery time.Duration
-	// Seed drives backoff jitter. No global randomness: the same seed
-	// yields the same redial schedule.
-	Seed int64
-	// Tracer receives KindNet events (reconnects with resend counts,
-	// heartbeat misses). Nil disables them.
-	Tracer *trace.Tracer
-}
-
-func (o TCPOptions) withDefaults() TCPOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	if o.RedialAttempts == 0 {
-		o.RedialAttempts = 4
-	}
-	if o.RedialBackoff <= 0 {
-		o.RedialBackoff = 25 * time.Millisecond
-	}
-	return o
-}
+// Self-healing parameters. Recovery beyond this budget belongs to the
+// serving layer, which re-runs the query from base relations.
+const (
+	// tcpDialTimeout bounds each connection attempt.
+	tcpDialTimeout = 5 * time.Second
+	// tcpWriteTimeout bounds each frame write; a peer that stops draining
+	// for longer counts as failed and triggers a redial.
+	tcpWriteTimeout = 10 * time.Second
+	// tcpMaxRedials is how many reconnect-and-resend cycles one Send may
+	// burn through before failing with ErrTransport.
+	tcpMaxRedials = 4
+	// tcpRedialBackoff is the delay before the first redial, doubling each
+	// attempt (capped at 2s) with ±50% jitter from the peer's seeded stream.
+	tcpRedialBackoff = 25 * time.Millisecond
+)
 
 type inboxKey struct {
 	exchange int
@@ -119,8 +85,8 @@ type seqKey struct {
 
 // frame is the wire unit. Data and close frames flow sender→receiver and
 // carry Seq; ack frames flow back on the same connection (Ack set, Seq the
-// acknowledged number); heartbeat pings carry HB, pongs HB+Ack. A data
-// frame carries its batch as Col, exactly one encoded colbatch batch.
+// acknowledged number). A data frame carries its batch as Col, exactly one
+// encoded colbatch batch.
 type frame struct {
 	Exchange int
 	Src      int
@@ -128,7 +94,6 @@ type frame struct {
 	Seq      uint64
 	Close    bool
 	Ack      bool
-	HB       bool
 	Col      []byte
 }
 
@@ -163,22 +128,15 @@ type tcpPeer struct {
 // against an in-flight dial.
 var tcpDialHook func()
 
-// NewTCPTransport starts a transport hosting the given workers with
-// default options (self-healing on). addrs[i] is worker i's listen address;
-// hosted workers are bound immediately (pass port 0 addresses to let the OS
-// pick — see Addrs). Every worker of the cluster must be hosted by exactly
-// one process.
+// NewTCPTransport starts a transport hosting the given workers. addrs[i] is
+// worker i's listen address; hosted workers are bound immediately (pass
+// port 0 addresses to let the OS pick — see Addrs). Every worker of the
+// cluster must be hosted by exactly one process.
 func NewTCPTransport(addrs []string, hosted []int) (*TCPTransport, error) {
-	return NewTCPTransportOpts(addrs, hosted, TCPOptions{})
-}
-
-// NewTCPTransportOpts is NewTCPTransport with explicit options.
-func NewTCPTransportOpts(addrs []string, hosted []int, opts TCPOptions) (*TCPTransport, error) {
 	t := &TCPTransport{
 		n:        len(addrs),
 		addrs:    append([]string(nil), addrs...),
 		hosted:   make(map[int]bool, len(hosted)),
-		opts:     opts.withDefaults(),
 		closeCh:  make(chan struct{}),
 		peers:    make(map[string]*tcpPeer),
 		conns:    make(map[net.Conn]struct{}),
@@ -201,10 +159,6 @@ func NewTCPTransportOpts(addrs []string, hosted []int, opts TCPOptions) (*TCPTra
 		t.addrs[w] = l.Addr().String()
 		t.acceptWG.Add(1)
 		go t.acceptLoop(l)
-	}
-	if t.opts.HeartbeatEvery > 0 {
-		t.hbWG.Add(1)
-		go t.heartbeatLoop()
 	}
 	registerTCP(t)
 	return t, nil
@@ -250,9 +204,9 @@ func (t *TCPTransport) acceptLoop(l net.Listener) {
 
 // countReader and countWriter meter the wire: every byte read from or
 // written to a peer connection lands in the transport's counters, gob
-// framing and type descriptors included. Ack and heartbeat-pong frames
-// travel outside these (plain encoders on the reverse direction), so the
-// data direction's sent and received byte totals stay exactly equal.
+// framing and type descriptors included. Ack frames travel outside these
+// (plain encoders on the reverse direction), so the data direction's sent
+// and received byte totals stay exactly equal.
 type countReader struct {
 	c   net.Conn
 	ctr *transportCounters
@@ -284,7 +238,7 @@ func (w countWriter) Write(p []byte) (int, error) {
 // ack frames on the reverse direction (uncounted).
 func (t *TCPTransport) readLoop(c net.Conn) {
 	dec := gob.NewDecoder(countReader{c: c, ctr: &t.transportCounters})
-	enc := gob.NewEncoder(c) // acks and pongs; this loop is the only writer
+	enc := gob.NewEncoder(c) // acks; this loop is the only writer
 	defer func() {
 		c.Close()
 		t.mu.Lock()
@@ -295,13 +249,6 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 		var f frame
 		if err := dec.Decode(&f); err != nil {
 			return
-		}
-		if f.HB {
-			c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-			if enc.Encode(frame{HB: true, Ack: true}) != nil {
-				return
-			}
-			continue
 		}
 		// Decode a data frame's batch before admitting or acking: a corrupt
 		// batch (checksum or bounds failure) must not bump the dedup
@@ -319,7 +266,7 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 		q, dup := t.admit(&f)
 		if f.Seq > 0 {
 			// Ack duplicates too: the original ack may be what got lost.
-			c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+			c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
 			if enc.Encode(frame{Exchange: f.Exchange, Src: f.Src, Dst: f.Dst, Seq: f.Seq, Ack: true}) != nil {
 				return
 			}
@@ -395,8 +342,8 @@ func (t *TCPTransport) peer(addr string) (*tcpPeer, error) {
 			t:       t,
 			addr:    addr,
 			nextSeq: make(map[seqKey]uint64),
-			// Distinct deterministic jitter stream per (seed, peer).
-			jitter: uint64(t.opts.Seed)*0x9e3779b97f4a7c15 + hashAddr(addr),
+			// Distinct deterministic jitter stream per peer.
+			jitter: hashAddr(addr),
 		}
 		t.peers[addr] = p
 	}
@@ -428,13 +375,12 @@ func (t *TCPTransport) send(ctx context.Context, f *frame, dst int) error {
 // writeLocked delivers one sequenced frame, repairing the connection as
 // needed within the redial budget. Callers hold p.mu.
 func (p *tcpPeer) writeLocked(ctx context.Context, f *frame) error {
-	t := p.t
 	var lastErr error
 	for attempt := 0; ; attempt++ {
+		if attempt > tcpMaxRedials {
+			return fmt.Errorf("%w: peer %s after %d attempts: %v", ErrTransport, p.addr, attempt, lastErr)
+		}
 		if attempt > 0 {
-			if t.opts.RedialAttempts < 0 || attempt > t.opts.RedialAttempts {
-				return fmt.Errorf("%w: peer %s after %d attempts: %v", ErrTransport, p.addr, attempt, lastErr)
-			}
 			if err := p.backoffLocked(ctx, attempt); err != nil {
 				return err
 			}
@@ -445,7 +391,7 @@ func (p *tcpPeer) writeLocked(ctx context.Context, f *frame) error {
 				continue
 			}
 		}
-		p.c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+		p.c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
 		if err := p.enc.Encode(f); err != nil {
 			lastErr = err
 			p.dropConnLocked(err)
@@ -464,7 +410,7 @@ func (p *tcpPeer) writeLocked(ctx context.Context, f *frame) error {
 // the transport closes or the sender's context dies (so Close never waits
 // out a backoff schedule).
 func (p *tcpPeer) backoffLocked(ctx context.Context, attempt int) error {
-	d := p.t.opts.RedialBackoff << (attempt - 1)
+	d := tcpRedialBackoff << (attempt - 1)
 	if max := 2 * time.Second; d > max || d <= 0 {
 		d = 2 * time.Second
 	}
@@ -492,7 +438,7 @@ func (p *tcpPeer) backoffLocked(ctx context.Context, attempt int) error {
 // ack reader, and replays every unacknowledged frame in order.
 func (p *tcpPeer) redialLocked() error {
 	t := p.t
-	c, err := net.DialTimeout("tcp", p.addr, t.opts.DialTimeout)
+	c, err := net.DialTimeout("tcp", p.addr, tcpDialTimeout)
 	if err != nil {
 		p.lastErr = err.Error()
 		return fmt.Errorf("engine: dial %s: %w", p.addr, err)
@@ -520,16 +466,10 @@ func (p *tcpPeer) redialLocked() error {
 	if p.dialed > 1 {
 		p.reconnects++
 		live.netReconnects.Add(1)
-		if t.opts.Tracer.Enabled() {
-			t.opts.Tracer.Emit(trace.Event{
-				Kind: trace.KindNet, Run: -1, Worker: -1, Exchange: -1,
-				Name: "reconnect " + p.addr, Tuples: int64(len(pending)),
-			})
-		}
 	}
 	go p.ackLoop(c)
 	for i := range pending {
-		c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+		c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
 		if err := p.enc.Encode(&pending[i]); err != nil {
 			p.dropConnLocked(err)
 			return fmt.Errorf("engine: resend to %s: %w", p.addr, err)
@@ -561,7 +501,7 @@ func (p *tcpPeer) dropConnLocked(err error) {
 	t.mu.Unlock()
 }
 
-// ackLoop reads acknowledgments (and heartbeat pongs) off the reverse
+// ackLoop reads acknowledgments off the reverse
 // direction of one dialed connection and trims the unacked buffer. It
 // takes only ackMu — never the peer's send mutex — so it keeps draining
 // even while a send is blocked mid-write. It exits when the connection
@@ -575,7 +515,7 @@ func (p *tcpPeer) ackLoop(c net.Conn) {
 		}
 		p.ackMu.Lock()
 		p.lastOK = time.Now()
-		if !f.HB && f.Ack {
+		if f.Ack {
 			k := seqKey{f.Exchange, f.Src, f.Dst}
 			kept := p.unacked[:0]
 			for _, u := range p.unacked {
@@ -587,47 +527,6 @@ func (p *tcpPeer) ackLoop(c net.Conn) {
 			p.unacked = kept
 		}
 		p.ackMu.Unlock()
-	}
-}
-
-// heartbeatLoop pings every established peer connection at the configured
-// period. A failed ping drops the connection (the next Send repairs it) and
-// emits a heartbeat-miss event, so dead peers surface even on idle links.
-func (t *TCPTransport) heartbeatLoop() {
-	defer t.hbWG.Done()
-	tick := time.NewTicker(t.opts.HeartbeatEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.closeCh:
-			return
-		case <-tick.C:
-		}
-		t.mu.Lock()
-		peers := make([]*tcpPeer, 0, len(t.peers))
-		for _, p := range t.peers {
-			peers = append(peers, p)
-		}
-		t.mu.Unlock()
-		for _, p := range peers {
-			p.mu.Lock()
-			if p.c != nil {
-				p.c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-				if err := p.enc.Encode(&frame{HB: true}); err != nil {
-					p.dropConnLocked(err)
-					live.netHeartbeatMisses.Add(1)
-					if t.opts.Tracer.Enabled() {
-						t.opts.Tracer.Emit(trace.Event{
-							Kind: trace.KindNet, Run: -1, Worker: -1, Exchange: -1,
-							Name: "heartbeat-miss " + p.addr,
-						})
-					}
-				} else {
-					live.netHeartbeats.Add(1)
-				}
-			}
-			p.mu.Unlock()
-		}
 	}
 }
 
@@ -839,7 +738,6 @@ func (t *TCPTransport) Close() error {
 		c.Close()
 	}
 	t.acceptWG.Wait()
-	t.hbWG.Wait()
 	unregisterTCP(t)
 	return nil
 }

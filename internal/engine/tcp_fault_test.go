@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -83,31 +84,19 @@ func TestChaosTCPKilledConnectionRecovers(t *testing.T) {
 	}
 }
 
-// TestChaosTCPFailFastWithoutRetry pins the legacy behavior behind
-// RedialAttempts < 0: with self-healing disabled, a severed connection makes
-// the run fail promptly with a typed transport error instead of deadlocking
-// or silently retrying.
-func TestChaosTCPFailFastWithoutRetry(t *testing.T) {
-	opts := TCPOptions{RedialAttempts: -1}
-	trA, err := NewTCPTransportOpts([]string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}, []int{0, 1}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trB, err := NewTCPTransportOpts(trA.Addrs(), []int{2, 3}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trA.SetPeerAddrs(trB.Addrs())
-	a := NewPartialCluster(4, []int{0, 1}, trA)
-	b := NewPartialCluster(4, []int{2, 3}, trB)
-	t.Cleanup(func() { a.Close(); b.Close() })
-
+// TestChaosTCPRedialBudgetExhausted pins what happens when a peer is gone
+// for good: the first run warms the links, then the peer's transport
+// closes (listeners included) and this side's cached connections are
+// severed. The next run must burn through the fixed redial budget — every
+// redial refused — and fail with a retryable ErrTransport well inside the
+// deadline, rather than hang or succeed silently.
+func TestChaosTCPRedialBudgetExhausted(t *testing.T) {
+	a, b := twoProcessCluster(t)
 	r := randGraph("R", 600, 70, 302)
 	a.Load(r)
 	b.Load(r)
 	plan := shuffleGather("R", []string{"dst"})
 
-	// Warm the links with one clean run so both sides hold cached conns.
 	errs := make(chan error, 2)
 	for _, c := range []*Cluster{a, b} {
 		go func(c *Cluster) {
@@ -121,44 +110,37 @@ func TestChaosTCPFailFastWithoutRetry(t *testing.T) {
 		}
 	}
 
-	if trA.KillConnections()+trB.KillConnections() == 0 {
-		t.Fatal("no connections to kill")
+	b.Close()
+	if a.Transport().(*TCPTransport).KillConnections() == 0 {
+		t.Fatal("no connections to kill — the warm-up left no links open")
 	}
 
-	// Re-run on a shared context: the first side to fail cancels the other,
-	// mirroring how the serving layer tears down a partnered run. The
-	// deadline is the deadlock guard.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	runCtx, stop := context.WithCancel(ctx)
-	defer stop()
-	for _, c := range []*Cluster{a, b} {
-		go func(c *Cluster) {
-			_, _, err := c.RunFragments(runCtx, plan)
-			if err != nil {
-				stop()
-			}
-			errs <- err
-		}(c)
-	}
-	var sawTransport bool
-	for i := 0; i < 2; i++ {
-		err := <-errs
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, ErrTransport) {
-			sawTransport = true
-			if !Retryable(err) {
-				t.Errorf("fail-fast error %v must still classify as retryable for the serving layer", err)
-			}
-		}
-	}
+	start := time.Now()
+	_, _, err := a.RunFragments(ctx, plan)
+	elapsed := time.Since(start)
 	if ctx.Err() != nil {
-		t.Fatal("fail-fast run hit the deadline — it deadlocked instead of failing")
+		t.Fatal("run hit the deadline — it hung instead of exhausting the redial budget")
 	}
-	if !sawTransport {
-		t.Fatal("no side reported a typed ErrTransport failure")
+	if !errors.Is(err, ErrTransport) {
+		t.Fatalf("run against a closed peer returned %v, want ErrTransport", err)
+	}
+	if !Retryable(err) {
+		t.Errorf("exhausted-budget error %v must classify as retryable for the serving layer", err)
+	}
+	// The first write plus four refused redials.
+	if !strings.Contains(err.Error(), "after 5 attempts") {
+		t.Errorf("error %q does not report the full redial budget of 4", err)
+	}
+	// Each backoff is at least half its nominal delay, so burning the whole
+	// budget takes at least half their sum.
+	var minBackoff time.Duration
+	for i := 0; i < tcpMaxRedials; i++ {
+		minBackoff += tcpRedialBackoff << i / 2
+	}
+	if elapsed < minBackoff {
+		t.Errorf("failed after %v, before the redial budget's minimum backoff %v", elapsed, minBackoff)
 	}
 }
 

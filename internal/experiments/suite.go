@@ -65,12 +65,6 @@ type Suite struct {
 	// Record keeps a RecordedOutcome per executed run, retrievable with
 	// Outcomes — the data behind benchrunner's -json report.
 	Record bool
-	// Columnar routes every cluster's exchange batches through the colbatch
-	// codec (set it before the first Cluster call), so reported byte
-	// counters measure encoded wire bytes — the quantity the bytes/tuple
-	// study compares against the flat 8-bytes-per-value baseline. Results
-	// are identical either way. NewSuite turns it on.
-	Columnar bool
 
 	mu         sync.Mutex
 	workload   *queries.Workload
@@ -91,7 +85,6 @@ func NewSuite() *Suite {
 		MemLimitTuples: 2_000_000,
 		Timeout:        5 * time.Minute,
 		Seed:           1,
-		Columnar:       true,
 	}
 }
 
@@ -113,7 +106,9 @@ func (s *Suite) workloadLocked() *queries.Workload {
 func (s *Suite) Catalog() *stats.Catalog { return s.Workload().Catalog() }
 
 // Cluster returns (building and loading on first use) an n-worker cluster
-// with every workload relation round-robin partitioned.
+// with every workload relation round-robin partitioned. Its exchange batches
+// go through the colbatch codec, so reported byte counters measure encoded
+// wire bytes.
 func (s *Suite) Cluster(n int) *engine.Cluster {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -124,11 +119,7 @@ func (s *Suite) Cluster(n int) *engine.Cluster {
 	if !ok {
 		w := s.workloadLocked()
 		c = engine.NewCluster(n)
-		if s.Columnar {
-			if mt, ok := c.Transport().(*engine.MemTransport); ok {
-				mt.Columnar = true
-			}
-		}
+		c.Transport().(*engine.MemTransport).Columnar = true
 		c.MaxLocalTuples = s.MemLimitTuples
 		c.SpillPolicy = s.Spill
 		c.MaxSpillBytes = s.MaxSpillBytes

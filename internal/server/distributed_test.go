@@ -39,9 +39,9 @@ type distStack struct {
 // newDistStack starts a server over a fresh 4-worker DB with graph E
 // loaded and persisted to a partition catalog, plus a coordinator whose
 // OnChange mirrors parajoind's rebuildForMembers: rebuild from the store
-// for the committed member set and, when distributed execution is on,
-// install the generation's fragment dispatcher inside the swap.
-func newDistStack(t *testing.T, edges int, distributed bool, cfg server.Config) *distStack {
+// for the committed member set and install the generation's fragment
+// dispatcher inside the swap.
+func newDistStack(t *testing.T, edges int, cfg server.Config) *distStack {
 	t.Helper()
 	st := &distStack{t: t, serving: make(chan []string, 64)}
 
@@ -74,7 +74,7 @@ func newDistStack(t *testing.T, edges int, distributed bool, cfg server.Config) 
 		CallTimeout:    5 * time.Second,
 		Logf:           t.Logf,
 		OnChange: func(members []string) {
-			st.rebuild(members, distributed)
+			st.rebuild(members)
 			st.serving <- append([]string(nil), members...)
 		},
 	})
@@ -96,7 +96,7 @@ func newDistStack(t *testing.T, edges int, distributed bool, cfg server.Config) 
 }
 
 // rebuild is parajoind's rebuildForMembers in miniature.
-func (st *distStack) rebuild(members []string, distributed bool) {
+func (st *distStack) rebuild(members []string) {
 	if len(members) == 0 {
 		return
 	}
@@ -117,27 +117,25 @@ func (st *distStack) rebuild(members []string, distributed bool) {
 		if err != nil {
 			return nil, err
 		}
-		if distributed {
-			byName := make(map[string]string)
-			for _, ep := range st.coord.Endpoints() {
-				byName[ep.Name] = ep.Addr
-			}
-			eps := make([]cluster.Endpoint, 0, len(members))
-			for _, m := range members {
-				addr, ok := byName[m]
-				if !ok {
-					// A member vanished between commit and here; keep
-					// coordinator-local execution for this generation.
-					return ndb, nil
-				}
-				eps = append(eps, cluster.Endpoint{Name: m, Addr: addr})
-			}
-			d := cluster.NewDispatcher(st.store, eps, cluster.DispatcherConfig{Logf: st.t.Logf})
-			ndb.SetRemoteRunner(d)
-			st.mu.Lock()
-			st.disp = d
-			st.mu.Unlock()
+		byName := make(map[string]string)
+		for _, ep := range st.coord.Endpoints() {
+			byName[ep.Name] = ep.Addr
 		}
+		eps := make([]cluster.Endpoint, 0, len(members))
+		for _, m := range members {
+			addr, ok := byName[m]
+			if !ok {
+				// A member vanished between commit and here; keep
+				// coordinator-local execution for this generation.
+				return ndb, nil
+			}
+			eps = append(eps, cluster.Endpoint{Name: m, Addr: addr})
+		}
+		d := cluster.NewDispatcher(st.store, eps, cluster.DispatcherConfig{Logf: st.t.Logf})
+		ndb.SetRemoteRunner(d)
+		st.mu.Lock()
+		st.disp = d
+		st.mu.Unlock()
 		return ndb, nil
 	})
 	if err != nil {
@@ -203,7 +201,7 @@ func (st *distStack) waitServing(want ...string) {
 // set — byte-identical, row for row, using the deterministic HyperCube +
 // Tributary strategy — and to agree as a set with the pre-cluster baseline.
 func TestDistributedServingMatchesLocal(t *testing.T) {
-	st := newDistStack(t, 1500, true, server.Config{})
+	st := newDistStack(t, 1500, server.Config{})
 	c := dial(t, st.addr)
 	ctx := context.Background()
 	opts := client.QueryOptions{Strategy: "hc_tj"}
@@ -272,35 +270,6 @@ func TestDistributedServingMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDistributedKillSwitch runs the same stack with distributed execution
-// disabled: queries must stay coordinator-local (zero remote fragments) and
-// still answer correctly — the A/B baseline the -distributed flag preserves.
-func TestDistributedKillSwitch(t *testing.T) {
-	st := newDistStack(t, 1500, false, server.Config{})
-	c := dial(t, st.addr)
-	ctx := context.Background()
-
-	base, err := c.Run(ctx, triRule, client.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := canon(base.Rows)
-
-	st.addMember("m0")
-	st.waitServing("m0")
-
-	res, err := c.Run(ctx, triRule, client.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.RemoteFragments != 0 {
-		t.Fatalf("kill switch off but query ran %d remote fragments", res.Stats.RemoteFragments)
-	}
-	if got := canon(res.Rows); !reflect.DeepEqual(got, want) {
-		t.Fatalf("coordinator-local answer changed after rebuild: %d rows vs %d", len(got), len(want))
-	}
-}
-
 // TestDistributedMemberDeathRetriesQuery kills a data node while a query is
 // in flight on it. The dispatcher must surface a retryable transport error,
 // the coordinator's rebuild must shrink the serving engine to the survivor,
@@ -309,7 +278,7 @@ func TestDistributedKillSwitch(t *testing.T) {
 // client sees one successful response whose Attempts count proves the
 // re-dispatch happened.
 func TestDistributedMemberDeathRetriesQuery(t *testing.T) {
-	st := newDistStack(t, 2000, true, server.Config{
+	st := newDistStack(t, 2000, server.Config{
 		RetryBudget:  10,
 		RetryBackoff: 25 * time.Millisecond,
 	})

@@ -38,9 +38,10 @@ const (
 	// outcome event's Attempts field is > 1 when the query was automatically
 	// re-executed after a retryable transport failure.
 	KindQuery Kind = "query"
-	// KindNet is a transport-health event from TCPTransport: Name is
-	// "reconnect <peer>" (Tuples = unacked frames resent after redialing)
-	// or "heartbeat-miss <peer>".
+	// KindNet is a cluster event from the coordinator ("cluster-join",
+	// "-leave", "-dead", "-handoff", "-resize") or the fragment dispatcher
+	// ("frag-dispatch", "-result", "-merge"): Worker and Tuples carry the
+	// event's member id or count and its size.
 	KindNet Kind = "net"
 	// KindRetry marks one automatic query re-execution (emitted by
 	// internal/server between attempts): Attempts is the attempt about to
