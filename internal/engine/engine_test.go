@@ -260,7 +260,9 @@ func TestPipelinedTwoStagePlanMatchesNaive(t *testing.T) {
 	}
 }
 
-// hcTrianglePlan builds the HyperCube + Tributary plan for the triangle.
+// hcTrianglePlan builds the HyperCube + Tributary plan for the triangle,
+// or for any query whose atoms each scan a binary (src, dst) table named
+// after the atom's relation. The join order is the grid's variable order.
 func hcTrianglePlan(q *core.Query, cfg shares.Config, workers int) *Plan {
 	grid := hypercube.NewGrid(cfg)
 	cellMap := make([]int, grid.Cells())
@@ -269,15 +271,14 @@ func hcTrianglePlan(q *core.Query, cfg shares.Config, workers int) *Plan {
 	}
 	plan := &Plan{}
 	inputs := make(map[string]Node, len(q.Atoms))
-	tables := map[string]string{"R": "R", "S": "S", "T": "T"}
 	for i, atom := range q.Atoms {
 		plan.Exchanges = append(plan.Exchanges, ExchangeSpec{
-			ID: i, Name: "HCS " + atom.String(), Input: Scan{Table: tables[atom.Relation]},
+			ID: i, Name: "HCS " + atom.String(), Input: Scan{Table: atom.Relation},
 			Kind: RouteHyperCube, Grid: grid, Atom: atom, CellMap: cellMap,
 		})
 		inputs[atom.Alias] = Recv{Exchange: i, Schema: rel.Schema{"src", "dst"}}
 	}
-	plan.Root = Tributary{Query: q, Inputs: inputs, Order: []core.Var{"x", "y", "z"}, Mode: ljoin.SeekBinary}
+	plan.Root = Tributary{Query: q, Inputs: inputs, Order: cfg.Vars, Mode: ljoin.SeekBinary}
 	return plan
 }
 

@@ -80,7 +80,6 @@ func (e *exec) wireID(exchangeID int) int {
 // operator that tripped the limit.
 func (e *exec) charge(worker int, n int64, op string) error {
 	if e.acct.Reserve(worker, n) {
-		e.prog.AddMemTuples(n)
 		return nil
 	}
 	e.acct.Blow(worker, op)
@@ -121,8 +120,8 @@ func (e *exec) spillEnabled() bool {
 
 // spillConfig builds the Sorter/Buffer configuration for one operator.
 // With spilling off (or a zero-arity row shape no segment can hold) the
-// Create hook stays nil, so budget pressure hard-errors exactly as the
-// legacy path did.
+// Create hook stays nil: the operator never seals, and budget pressure is
+// a hard ErrOutOfMemory naming the operator's label.
 func (e *exec) spillConfig(worker, arity int, label string) spill.Config {
 	cfg := spill.Config{
 		Acct:       e.acct,
@@ -552,6 +551,9 @@ func (c *Cluster) runFragments(ctx context.Context, plan *Plan, opts RunOpts, te
 	// first), so this single deferred removal covers success, error, and
 	// cancellation alike.
 	defer e.cleanupSpill()
+	// The query's mem_tuples reading follows this run's accountant while
+	// the run lasts and drops back to 0 when it ends.
+	defer e.prog.AttachMem(e.acct.Resident)()
 	meter, _ := c.transport.(TransportMeter)
 	var ts0 TransportStats
 	if meter != nil {

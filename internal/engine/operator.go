@@ -299,10 +299,16 @@ func (o *hashJoinOp) next() ([]rel.Tuple, error) {
 // ---------------------------------------------------------------- tributary
 
 // tributaryOp materializes its inputs (the post-shuffle fragments of every
-// atom), sorts them (metered as sort time), runs the Tributary join
-// (metered as join time), and streams the result. With spilling enabled
-// the inputs go through an external merge sort and the result through a
-// spillable buffer, so the working set is bounded by the run's budget.
+// atom), sorts them, runs the Tributary join, and streams the result. Each
+// input streams through its atom's Normalizer into a spill.Sorter, the
+// sorted runs become the trie arrays, and the join's output goes through a
+// spill.Buffer that next() streams from. With spilling enabled the Sorter
+// and the Buffer seal to disk under pressure, so the working set is bounded
+// by the run's budget; with it off they never seal, and a budget breach is
+// the labelled ErrOutOfMemory. The "sort" phase covers receiving the input
+// as well as sorting it, less the time spent blocked on the transport (the
+// part of busy time the task's wait already excludes); the "join" phase
+// covers the join.
 type tributaryOp struct {
 	t      *task
 	q      *core.Query
@@ -311,102 +317,15 @@ type tributaryOp struct {
 	mode   ljoin.SeekMode
 	sch    rel.Schema
 
-	// In-memory path.
-	results []rel.Tuple
-	pos     int
-	// Spilled path.
 	stream spill.Stream
 }
 
 func (o *tributaryOp) schema() rel.Schema { return o.sch }
 
+// open sorts every input and runs the join into the output stream. The
+// Sorter's merged order is bit-identical to an in-memory sort of the whole
+// input, so a spilled run returns the unlimited run's rows exactly.
 func (o *tributaryOp) open() error {
-	if o.t.ex.spillEnabled() {
-		return o.openSpilled()
-	}
-	rels := make(map[string]*rel.Relation, len(o.inputs))
-	for alias, in := range o.inputs {
-		if err := in.open(); err != nil {
-			return err
-		}
-		r := &rel.Relation{Name: alias, Schema: in.schema().Clone()}
-		for {
-			b, err := in.next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			if err := o.t.ex.charge(o.t.worker, int64(len(b)), "tributary-input("+alias+")"); err != nil {
-				return err
-			}
-			r.Tuples = append(r.Tuples, b...)
-		}
-		if err := in.close(); err != nil {
-			return err
-		}
-		rels[alias] = r
-	}
-
-	var inputTuples int64
-	for _, r := range rels {
-		inputTuples += int64(r.Cardinality())
-	}
-	sortStart := time.Now()
-	p, err := ljoin.Prepare(o.q, rels, o.order, o.mode)
-	if err != nil {
-		return err
-	}
-	sortDur := time.Since(sortStart)
-	o.t.ex.metrics.addSort(o.t.worker, sortDur)
-	o.t.ex.metrics.addSorted(o.t.worker, inputTuples)
-	o.emitPhase("sort", sortDur, inputTuples)
-
-	joinStart := time.Now()
-	var runErr error
-	var seeks int64
-	if shards := o.shards(p); shards != nil {
-		runErr = o.joinParallel(shards)
-		seeks = shardSeeks(shards)
-	} else {
-		var produced int
-		runErr = p.Run(func(t rel.Tuple) bool {
-			if o.t.ex.charge(o.t.worker, 1, "tributary") != nil {
-				return false // stop early; memErr below reports the budget breach
-			}
-			// This enumeration can produce a worst-case-size result with no
-			// other cancellation point, so poll the run context periodically —
-			// deadlines, client cancels, and Close must not wait for it.
-			if produced++; produced&0x1fff == 0 && o.t.ex.ctx.Err() != nil {
-				return false
-			}
-			o.results = append(o.results, t.Clone())
-			return true
-		})
-		seeks = p.Stats().Seeks
-	}
-	joinDur := time.Since(joinStart)
-	o.t.ex.metrics.addJoin(o.t.worker, joinDur)
-	o.t.ex.metrics.addSeeks(o.t.worker, seeks)
-	o.emitPhase("join", joinDur, int64(len(o.results)))
-	if runErr != nil {
-		return runErr
-	}
-	if err := o.t.ex.ctx.Err(); err != nil {
-		return err
-	}
-	return o.t.ex.memErr(o.t.worker)
-}
-
-// openSpilled is the bounded-memory open: each input streams through its
-// atom's Normalizer into an external merge Sorter (sealed runs go to
-// disk under pressure), the k-way-merged stream rebuilds the trie arrays
-// as disk-backed state, and the join's output goes through a spillable
-// FIFO buffer that next() then streams from. The merged order is
-// bit-identical to the in-memory sort, so results match the unlimited
-// run exactly.
-func (o *tributaryOp) openSpilled() error {
 	e := o.t.ex
 	atoms := make(map[string]core.Atom, len(o.q.Atoms))
 	for _, a := range o.q.Atoms {
@@ -419,7 +338,7 @@ func (o *tributaryOp) openSpilled() error {
 	sort.Strings(aliases)
 
 	var inputTuples int64
-	sortStart := time.Now()
+	sortStart, wait0 := time.Now(), o.t.wait
 	rels := make(map[string]*rel.Relation, len(o.inputs))
 	for _, alias := range aliases {
 		in := o.inputs[alias]
@@ -436,7 +355,7 @@ func (o *tributaryOp) openSpilled() error {
 				atom, len(atom.Terms), alias, len(sch))
 		}
 		norm := ljoin.NewNormalizer(atom, o.order)
-		r := &rel.Relation{Name: alias, Schema: norm.Schema().Clone()}
+		r := &rel.Relation{Name: alias, Schema: norm.Schema()}
 		if norm.Arity() == 0 {
 			// Fully-constant atom: only existence matters, nothing is
 			// materialized.
@@ -502,14 +421,14 @@ func (o *tributaryOp) openSpilled() error {
 	if err != nil {
 		return err
 	}
-	sortDur := time.Since(sortStart)
+	sortDur := time.Since(sortStart) - (o.t.wait - wait0)
 	e.metrics.addSort(o.t.worker, sortDur)
 	e.metrics.addSorted(o.t.worker, inputTuples)
 	o.emitPhase("sort", sortDur, inputTuples)
 
 	joinStart := time.Now()
 	if shards := o.shards(p); shards != nil {
-		stream, perr := o.joinParallelSpilled(shards)
+		stream, perr := o.joinParallel(shards)
 		joinDur := time.Since(joinStart)
 		e.metrics.addJoin(o.t.worker, joinDur)
 		e.metrics.addSeeks(o.t.worker, shardSeeks(shards))
@@ -531,6 +450,9 @@ func (o *tributaryOp) openSpilled() error {
 		if addErr = buf.Add(t.Clone()); addErr != nil {
 			return false
 		}
+		// This enumeration can produce a worst-case-size result with no
+		// other cancellation point, so poll the run context periodically —
+		// deadlines, client cancels, and Close must not wait for it.
 		if produced++; produced&0x1fff == 0 && e.ctx.Err() != nil {
 			return false
 		}
@@ -572,32 +494,20 @@ func (o *tributaryOp) emitPhase(name string, d time.Duration, tuples int64) {
 }
 
 func (o *tributaryOp) next() ([]rel.Tuple, error) {
-	if o.stream != nil {
-		b := make([]rel.Tuple, 0, o.t.ex.batchSize)
-		for len(b) < o.t.ex.batchSize {
-			t, err := o.stream.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			b = append(b, t)
+	b := make([]rel.Tuple, 0, o.t.ex.batchSize)
+	for len(b) < o.t.ex.batchSize {
+		t, err := o.stream.Next()
+		if err == io.EOF {
+			break
 		}
-		if len(b) == 0 {
-			return nil, io.EOF
+		if err != nil {
+			return nil, err
 		}
-		return b, nil
+		b = append(b, t)
 	}
-	if o.pos >= len(o.results) {
+	if len(b) == 0 {
 		return nil, io.EOF
 	}
-	end := o.pos + o.t.ex.batchSize
-	if end > len(o.results) {
-		end = len(o.results)
-	}
-	b := o.results[o.pos:end:end]
-	o.pos = end
 	return b, nil
 }
 

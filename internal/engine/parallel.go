@@ -103,44 +103,12 @@ func (o *tributaryOp) runPool(n int, task func(i int) (int64, error)) error {
 	return nil
 }
 
-// joinParallel runs the in-memory sub-joins and concatenates their outputs
-// in range order into o.results. Each sub-range appends to its own slice
-// (no shared mutable state beyond the lock-free accountant), so charging,
-// context polling, and row cloning match the serial emit exactly.
-func (o *tributaryOp) joinParallel(shards []*ljoin.Prepared) error {
-	e := o.t.ex
-	results := make([][]rel.Tuple, len(shards))
-	err := o.runPool(len(shards), func(i int) (int64, error) {
-		var produced int
-		runErr := shards[i].Run(func(t rel.Tuple) bool {
-			if e.charge(o.t.worker, 1, "tributary") != nil {
-				return false // stop early; memErr reports the budget breach
-			}
-			if produced++; produced&0x1fff == 0 && e.ctx.Err() != nil {
-				return false
-			}
-			results[i] = append(results[i], t.Clone())
-			return true
-		})
-		return int64(len(results[i])), runErr
-	})
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	o.results = make([]rel.Tuple, 0, total)
-	for _, r := range results {
-		o.results = append(o.results, r...)
-	}
-	return err
-}
-
-// joinParallelSpilled is joinParallel for the bounded-memory path: each
-// sub-range materializes through its own spillable FIFO buffer (buffers
-// are single-goroutine; the accountant and segment factory they share are
-// lock-free/atomic), and the finished per-shard streams are chained in
-// range order, so the stream replays the serial path's row sequence.
-func (o *tributaryOp) joinParallelSpilled(shards []*ljoin.Prepared) (spill.Stream, error) {
+// joinParallel runs the sub-joins: each sub-range materializes through its
+// own spillable FIFO buffer (buffers are single-goroutine; the accountant
+// and segment factory they share are lock-free/atomic), and the finished
+// per-shard streams are chained in range order, so the stream replays the
+// serial path's row sequence.
+func (o *tributaryOp) joinParallel(shards []*ljoin.Prepared) (spill.Stream, error) {
 	e := o.t.ex
 	bufs := make([]*spill.Buffer, len(shards))
 	poolErr := o.runPool(len(shards), func(i int) (int64, error) {

@@ -10,6 +10,7 @@ import (
 
 	"parajoin/internal/core"
 	"parajoin/internal/ljoin"
+	"parajoin/internal/metrics"
 	"parajoin/internal/rel"
 	"parajoin/internal/shares"
 	"parajoin/internal/trace"
@@ -216,4 +217,93 @@ func TestCancelMidSpillRemovesTempDir(t *testing.T) {
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Fatalf("spill base dir not empty after cancel: %v", entries)
 	}
+}
+
+// TestSpillNormalizesConstantsAndRepeatedVars runs a rule with a constant
+// and a repeated variable through HyperCube + Tributary. The Normalizer in
+// front of each input's Sorter is the engine's only normalization, so with
+// spilling off and with every run sealed, serial and at K=4, the rows must
+// be the naive evaluator's.
+func TestSpillNormalizesConstantsAndRepeatedVars(t *testing.T) {
+	const workers = 4
+	q := core.MustQuery("Q", []core.Var{"x", "y"}, []core.Atom{
+		core.NewAtom("E", core.V("x"), core.V("y")),
+		core.NewAtom("E", core.V("y"), core.C(5)),
+		core.NewAtom("E", core.V("x"), core.V("x")),
+	})
+	e := randGraph("E", 600, 30, 31)
+	for v := int64(0); v < 30; v += 2 {
+		e.AppendRow(v, v)
+		e.AppendRow(v+1, 5)
+	}
+	e.Dedup()
+	rels := make(map[string]*rel.Relation, len(q.Atoms))
+	for _, a := range q.Atoms {
+		rels[a.Alias] = e
+	}
+	want, err := ljoin.NaiveEvaluate(q, rels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Cardinality() == 0 {
+		t.Fatal("naive answer is empty; the data exercises nothing")
+	}
+	plan := hcTrianglePlan(q, shares.Config{Vars: []core.Var{"x", "y"}, Dims: []int{2, 2}}, workers)
+
+	for _, policy := range []SpillPolicy{SpillOff, SpillAlways} {
+		for _, k := range []int{1, 4} {
+			dir := t.TempDir()
+			c := NewCluster(workers)
+			c.SpillPolicy = policy
+			c.SpillDir = dir
+			c.SpillSealTuples = 16
+			c.Load(e)
+			got, report, err := c.RunRoundsOpts(context.Background(),
+				[]Round{{Name: "hc_tj", Plan: plan}}, RunOpts{Parallelism: k})
+			c.Close()
+			if err != nil {
+				t.Fatalf("%v K=%d: %v", policy, k, err)
+			}
+			got.Dedup()
+			if !got.Equal(want) {
+				t.Fatalf("%v K=%d: %d rows, naive %d", policy, k, got.Cardinality(), want.Cardinality())
+			}
+			if sealed := report.SpillSegments > 0; sealed != (policy == SpillAlways) {
+				t.Errorf("%v K=%d: %d spill segments", policy, k, report.SpillSegments)
+			}
+			assertNoSpillFiles(t, dir)
+		}
+	}
+}
+
+// TestSpillOffMemTuplesDropToZeroAfterRun: a query's mem_tuples reading
+// (the /debug/queries column) follows the run's memory accountant, so it
+// reads 0 once the run is over even though the run reserved tuples.
+func TestSpillOffMemTuplesDropToZeroAfterRun(t *testing.T) {
+	const workers = 4
+	cfg := shares.Config{Vars: []core.Var{"x", "y", "z"}, Dims: []int{2, 2, 1}}
+	c := NewCluster(workers)
+	defer c.Close()
+	q, _ := spillTriangleData(c)
+
+	const id = 1 << 40 // clear of any id a serving layer hands out
+	prog := metrics.NewQueryProgress(id, "Triangle")
+	metrics.TrackQuery(prog)
+	defer metrics.UntrackQuery(prog)
+	_, report, err := c.Run(metrics.WithQuery(context.Background(), prog), hcTrianglePlan(q, cfg, workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxPeak(report) == 0 {
+		t.Fatal("the run reserved nothing; the test exercises nothing")
+	}
+	for _, s := range metrics.InflightQueries() {
+		if s.ID == id {
+			if s.MemTuples != 0 {
+				t.Fatalf("mem_tuples = %d after the run, want 0", s.MemTuples)
+			}
+			return
+		}
+	}
+	t.Fatal("query missing from the in-flight table")
 }

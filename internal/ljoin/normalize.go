@@ -9,9 +9,8 @@ import (
 // violating the atom's constant bindings or repeated-variable equalities
 // are dropped, the rest are projected onto the atom's distinct variables
 // in global-order position. It is the streaming form of NormalizeAtom,
-// used by the spilled execution path, which must normalize before the
-// external sort sees a tuple (the sort order is defined on the permuted
-// columns).
+// used by the engine, which must normalize before its sort sees a tuple
+// (the sort order is defined on the permuted columns).
 type Normalizer struct {
 	schema rel.Schema
 	srcs   []int
@@ -101,7 +100,7 @@ func (n *Normalizer) Apply(t rel.Tuple) (rel.Tuple, bool) {
 }
 
 // ApplyInto is Apply writing into dst (of length Arity) instead of a fresh
-// tuple, so a caller that copies the result on — the spilled path's Sorter
+// tuple, so a caller that copies the result on — the engine's Sorter
 // — normalizes every row into one reused buffer. dst is left unspecified
 // when ok is false.
 func (n *Normalizer) ApplyInto(dst, t rel.Tuple) bool {

@@ -83,9 +83,9 @@ func Prepare(q *core.Query, relations map[string]*rel.Relation, order []core.Var
 
 // PrepareSorted is Prepare for inputs that are already normalized (each
 // relation's columns are its atom's distinct variables in global-order
-// position) and sorted. The spilled execution path uses it: tuples are
-// normalized with a Normalizer before the external sort, so by the time
-// they reach the trie builder both steps are done.
+// position) and sorted. The engine uses it: tuples are normalized with a
+// Normalizer before its sort, so by the time they reach the trie builder
+// both steps are done.
 func PrepareSorted(q *core.Query, relations map[string]*rel.Relation, order []core.Var, mode SeekMode) (*Prepared, error) {
 	return prepare(q, order, mode, func(atom core.Atom) (*rel.Relation, bool, error) {
 		r := relations[atom.Alias]

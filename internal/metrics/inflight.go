@@ -22,8 +22,10 @@ type QueryProgress struct {
 	stage      atomic.Pointer[string]
 	attempt    atomic.Int64
 	tuples     atomic.Int64
-	memTuples  atomic.Int64
 	spillBytes atomic.Int64
+	// mem reads the running engine run's resident tuples (nil between
+	// runs, which reads as 0).
+	mem atomic.Pointer[func() int64]
 }
 
 // NewQueryProgress creates a progress record for a query identified by id
@@ -60,13 +62,19 @@ func (p *QueryProgress) AddTuples(n int64) {
 	p.tuples.Add(n)
 }
 
-// AddMemTuples moves the query's charged in-memory tuple reservation
-// (negative on release).
-func (p *QueryProgress) AddMemTuples(n int64) {
+// AttachMem makes resident the source of the query's in-memory tuple
+// reading until the returned detach is called; the engine attaches its
+// run's memory accountant for the length of the run. Reading the live
+// accountant, rather than counting every reservation here, keeps the
+// per-tuple reservation path free of a counter all workers share. A
+// detach after a later attach leaves the later source in place.
+func (p *QueryProgress) AttachMem(resident func() int64) (detach func()) {
 	if p == nil {
-		return
+		return func() {}
 	}
-	p.memTuples.Add(n)
+	src := &resident
+	p.mem.Store(src)
+	return func() { p.mem.CompareAndSwap(src, nil) }
 }
 
 // AddSpillBytes counts bytes the query has spilled to disk so far.
@@ -95,6 +103,10 @@ func (p *QueryProgress) snapshot(now time.Time) QuerySnapshot {
 	if s := p.stage.Load(); s != nil {
 		stage = *s
 	}
+	var mem int64
+	if src := p.mem.Load(); src != nil {
+		mem = (*src)()
+	}
 	return QuerySnapshot{
 		ID:         p.id,
 		Rule:       p.rule,
@@ -102,7 +114,7 @@ func (p *QueryProgress) snapshot(now time.Time) QuerySnapshot {
 		Elapsed:    now.Sub(p.start),
 		Attempt:    p.attempt.Load(),
 		Tuples:     p.tuples.Load(),
-		MemTuples:  p.memTuples.Load(),
+		MemTuples:  mem,
 		SpillBytes: p.spillBytes.Load(),
 	}
 }

@@ -190,8 +190,9 @@ func TestInflightTable(t *testing.T) {
 	p.SetStage("executing round 1/2")
 	p.SetAttempt(2)
 	p.AddTuples(100)
-	p.AddMemTuples(50)
-	p.AddMemTuples(-10)
+	resident := int64(50)
+	detach := p.AttachMem(func() int64 { return resident })
+	resident -= 10
 	p.AddSpillBytes(4096)
 
 	time.Sleep(time.Millisecond)
@@ -212,6 +213,17 @@ func TestInflightTable(t *testing.T) {
 	if found.Elapsed <= 0 {
 		t.Fatal("elapsed should be positive")
 	}
+	// A detach after a later attach leaves the later source in place;
+	// detaching that one reads 0 again.
+	detachLater := p.AttachMem(func() int64 { return 7 })
+	detach()
+	if got := memTuples(42); got != 7 {
+		t.Fatalf("mem_tuples after a stale detach = %d, want 7", got)
+	}
+	detachLater()
+	if got := memTuples(42); got != 0 {
+		t.Fatalf("mem_tuples after detach = %d, want 0", got)
+	}
 	UntrackQuery(p)
 	for _, s := range InflightQueries() {
 		if s.ID == 42 {
@@ -225,7 +237,7 @@ func TestNilProgressSafe(t *testing.T) {
 	p.SetStage("x")
 	p.SetAttempt(1)
 	p.AddTuples(1)
-	p.AddMemTuples(1)
+	p.AttachMem(func() int64 { return 1 })()
 	p.AddSpillBytes(1)
 	TrackQuery(nil)
 	UntrackQuery(nil)
@@ -240,4 +252,14 @@ func TestNilProgressSafe(t *testing.T) {
 	if QueryFrom(WithQuery(context.Background(), real)) != real {
 		t.Fatal("QueryFrom did not round-trip")
 	}
+}
+
+// memTuples reads the tracked query id's mem_tuples (-1 when not tracked).
+func memTuples(id int64) int64 {
+	for _, s := range InflightQueries() {
+		if s.ID == id {
+			return s.MemTuples
+		}
+	}
+	return -1
 }

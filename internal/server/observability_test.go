@@ -133,7 +133,8 @@ func TestSlowQueryLogThresholdSkipsFastQueries(t *testing.T) {
 }
 
 // A stalled query must appear in the live in-flight table (the data behind
-// /debug/queries) with its stage and attempt, and disappear once done.
+// /debug/queries) with its stage, attempt and resident tuples, and
+// disappear once done.
 func TestInflightQueryTableShowsRunningQuery(t *testing.T) {
 	// Stall the first 200 sends of every exchange stream 20ms each: the
 	// query stays mid-run long enough to be observed, then completes.
@@ -147,21 +148,30 @@ func TestInflightQueryTableShowsRunningQuery(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Run(context.Background(), triRule, client.QueryOptions{Strategy: "hc_tj"})
+		_, err := c.Run(context.Background(), triRule,
+			client.QueryOptions{Strategy: "hc_tj", Spill: "on-pressure"})
 		done <- err
 	}()
 
+	// Poll until the query finishes: the Tributary sorters' reservations
+	// must show up as mem_tuples while it runs.
 	var seen *metrics.QuerySnapshot
-	deadline := time.Now().Add(10 * time.Second)
-	for seen == nil && time.Now().Before(deadline) {
+	var memTuples int64
+	for running := true; running; {
 		for _, q := range metrics.InflightQueries() {
 			if q.Rule == triRule && strings.HasPrefix(q.Stage, "executing") {
 				snap := q
 				seen = &snap
+				memTuples = max(memTuples, q.MemTuples)
 			}
 		}
-		if seen == nil {
-			time.Sleep(2 * time.Millisecond)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		case <-time.After(2 * time.Millisecond):
 		}
 	}
 	if seen == nil {
@@ -173,12 +183,12 @@ func TestInflightQueryTableShowsRunningQuery(t *testing.T) {
 	if seen.Elapsed <= 0 {
 		t.Errorf("elapsed = %v, want > 0", seen.Elapsed)
 	}
-
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if memTuples <= 0 {
+		t.Error("mem_tuples never read above 0 while the query ran")
 	}
+
 	// Finished queries leave the table.
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		gone := true
 		for _, q := range metrics.InflightQueries() {

@@ -64,6 +64,15 @@ func (a *Accountant) Release(w int, n int64) {
 // Used returns worker w's current reservation.
 func (a *Accountant) Used(w int) int64 { return a.workers[w].used.Load() }
 
+// Resident returns the reservations of all workers together.
+func (a *Accountant) Resident() int64 {
+	var n int64
+	for i := range a.workers {
+		n += a.workers[i].used.Load()
+	}
+	return n
+}
+
 // Peak returns worker w's reservation high-water mark.
 func (a *Accountant) Peak(w int) int64 { return a.workers[w].peak.Load() }
 

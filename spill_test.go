@@ -141,7 +141,8 @@ func TestSpillColbatchJoinByteIdentical(t *testing.T) {
 }
 
 // TestSpillOffStillFailsHard: the legacy contract — budget exceeded with
-// spilling off is ErrOutOfMemory, not silent degradation.
+// spilling off is ErrOutOfMemory, not silent degradation. The error names
+// the Tributary input's sorter, which cannot seal with spilling off.
 func TestSpillOffStillFailsHard(t *testing.T) {
 	db := testDB(t, 2)
 	loadTriangleGraph(t, db)
@@ -153,8 +154,8 @@ func TestSpillOffStillFailsHard(t *testing.T) {
 		Strategy:       HyperCubeTributary,
 		MaxLocalTuples: 10,
 	})
-	if !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("err = %v, want ErrOutOfMemory", err)
+	if !errors.Is(err, ErrOutOfMemory) || !strings.Contains(err.Error(), "sort(") {
+		t.Fatalf("err = %v, want ErrOutOfMemory in sort(…)", err)
 	}
 }
 
