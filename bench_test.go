@@ -344,7 +344,7 @@ func BenchmarkAblation_TJSortedArraysVsHashTree(b *testing.B) {
 	}
 	b.Run("tributary", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			out, _, err := ljoin.Evaluate(q, rels, q.Vars(), ljoin.SeekBinary)
+			out, _, err := ljoin.Evaluate(q, rels, q.Vars())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -360,59 +360,6 @@ func BenchmarkAblation_TJSortedArraysVsHashTree(b *testing.B) {
 			b.ReportMetric(float64(rs.Cardinality()), "intermediate")
 		}
 	})
-}
-
-// BenchmarkAblation_SortedArraysVsBTree is the paper's §2.2 design
-// argument: backing the Leapfrog Triejoin API with sorted arrays (sort the
-// shuffled data, binary-search seeks) versus building a B-tree on the fly
-// (the LogicBlox backend). Sorting should win on freshly shuffled data.
-func BenchmarkAblation_SortedArraysVsBTree(b *testing.B) {
-	w := suite().Workload()
-	q := w.Query("Q1")
-	rels, err := w.AtomRelations(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		m    ljoin.SeekMode
-	}{{"sortedArrays", ljoin.SeekBinary}, {"btree", ljoin.SeekBTree}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, st, err := ljoin.Evaluate(q, rels, q.Vars(), mode.m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(out.Cardinality()), "triangles")
-				b.ReportMetric(st.SortTime.Seconds(), "buildSec")
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_GallopingSeek compares binary against galloping seeks
-// inside the Tributary join.
-func BenchmarkAblation_GallopingSeek(b *testing.B) {
-	w := suite().Workload()
-	q := w.Query("Q1")
-	rels, err := w.AtomRelations(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		m    ljoin.SeekMode
-	}{{"binary", ljoin.SeekBinary}, {"galloping", ljoin.SeekGalloping}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, st, err := ljoin.Evaluate(q, rels, q.Vars(), mode.m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(st.Seeks), "seeks")
-			}
-		})
-	}
 }
 
 // BenchmarkAblation_BatchSize sweeps the exchange batch granularity.

@@ -278,7 +278,7 @@ func hcTrianglePlan(q *core.Query, cfg shares.Config, workers int) *Plan {
 		})
 		inputs[atom.Alias] = Recv{Exchange: i, Schema: rel.Schema{"src", "dst"}}
 	}
-	plan.Root = Tributary{Query: q, Inputs: inputs, Order: cfg.Vars, Mode: ljoin.SeekBinary}
+	plan.Root = Tributary{Query: q, Inputs: inputs, Order: cfg.Vars}
 	return plan
 }
 

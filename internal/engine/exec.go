@@ -300,7 +300,7 @@ func (e *exec) compileNode(n Node, t *task) (operator, error) {
 		for i, h := range head {
 			sch[i] = string(h)
 		}
-		return &tributaryOp{t: t, q: v.Query, inputs: inputs, order: v.Order, mode: v.Mode, sch: sch}, nil
+		return &tributaryOp{t: t, q: v.Query, inputs: inputs, order: v.Order, sch: sch}, nil
 
 	case SemiJoin:
 		return e.compileSemiJoin(v, t)

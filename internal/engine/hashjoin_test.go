@@ -306,7 +306,7 @@ func TestOperatorBatchesAreClamped(t *testing.T) {
 		Scan{Table: "L"},
 		join,
 		Project{Input: join, Cols: []string{"l1", "r1"}},
-		Tributary{Query: triangleQuery(), Order: []core.Var{"x", "y", "z"}, Mode: ljoin.SeekBinary,
+		Tributary{Query: triangleQuery(), Order: []core.Var{"x", "y", "z"},
 			Inputs: map[string]Node{"R": Scan{Table: "S"}, "S": Scan{Table: "T"}, "T": Scan{Table: "U"}}},
 	} {
 		var kept, copies, grownRows []rel.Tuple

@@ -5,7 +5,6 @@ import (
 
 	"parajoin/internal/core"
 	"parajoin/internal/hypercube"
-	"parajoin/internal/ljoin"
 	"parajoin/internal/rel"
 )
 
@@ -68,7 +67,6 @@ type Tributary struct {
 	// Inputs maps atom aliases to their input nodes.
 	Inputs map[string]Node
 	Order  []core.Var
-	Mode   ljoin.SeekMode
 }
 
 // Recv consumes one side of an exchange. Schema declares the tuple layout

@@ -314,7 +314,6 @@ type tributaryOp struct {
 	q      *core.Query
 	inputs map[string]operator
 	order  []core.Var
-	mode   ljoin.SeekMode
 	sch    rel.Schema
 
 	stream spill.Stream
@@ -417,7 +416,7 @@ func (o *tributaryOp) open() error {
 		rels[alias] = r
 	}
 
-	p, err := ljoin.PrepareSorted(o.q, rels, o.order, o.mode)
+	p, err := ljoin.PrepareSorted(o.q, rels, o.order)
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 
 	"parajoin/internal/core"
 	"parajoin/internal/hypercube"
-	"parajoin/internal/ljoin"
 	"parajoin/internal/rel"
 	"parajoin/internal/shares"
 )
@@ -63,7 +62,6 @@ type sNode struct {
 	Query  *core.Query       `json:"query,omitempty"`
 	Inputs map[string]*sNode `json:"inputs,omitempty"`
 	Order  []core.Var        `json:"order,omitempty"`
-	Mode   int               `json:"mode,omitempty"`
 
 	// recv
 	Exchange int      `json:"exchange,omitempty"`
@@ -146,7 +144,7 @@ func encodeNode(n Node) (*sNode, error) {
 			}
 			inputs[alias] = sn
 		}
-		return &sNode{Kind: kindTributary, Query: v.Query, Inputs: inputs, Order: v.Order, Mode: int(v.Mode)}, nil
+		return &sNode{Kind: kindTributary, Query: v.Query, Inputs: inputs, Order: v.Order}, nil
 	case Recv:
 		return &sNode{Kind: kindRecv, Exchange: v.Exchange, Schema: v.Schema}, nil
 	case nil:
@@ -213,7 +211,7 @@ func decodeNode(s *sNode) (Node, error) {
 			}
 			inputs[alias] = in
 		}
-		return Tributary{Query: s.Query, Inputs: inputs, Order: s.Order, Mode: ljoin.SeekMode(s.Mode)}, nil
+		return Tributary{Query: s.Query, Inputs: inputs, Order: s.Order}, nil
 	case kindRecv:
 		return Recv{Exchange: s.Exchange, Schema: rel.Schema(s.Schema)}, nil
 	default:

@@ -7,7 +7,6 @@ import (
 
 	"parajoin/internal/core"
 	"parajoin/internal/hypercube"
-	"parajoin/internal/ljoin"
 	"parajoin/internal/rel"
 	"parajoin/internal/shares"
 )
@@ -70,7 +69,6 @@ func testRounds(t *testing.T) []Round {
 						"T": Recv{Exchange: 2, Schema: rel.Schema{"z", "x"}},
 					},
 					Order: []core.Var{"x", "y", "z"},
-					Mode:  ljoin.SeekGalloping,
 				},
 				Right:    Recv{Exchange: 3, Schema: rel.Schema{"x", "y2"}},
 				LeftCols: []string{"x"}, RightCols: []string{"x"},

@@ -99,7 +99,7 @@ func runOrderSample(q *core.Query, rels map[string]*rel.Relation, est *order.Est
 	}
 	sample := OrderSample{Order: ord, Estimate: cost}
 
-	p, err := ljoin.Prepare(q, rels, ord, ljoin.SeekBinary)
+	p, err := ljoin.Prepare(q, rels, ord)
 	if err != nil {
 		return OrderSample{}, err
 	}

@@ -21,7 +21,6 @@ import (
 	"parajoin/internal/dataset"
 	"parajoin/internal/engine"
 	"parajoin/internal/fault"
-	"parajoin/internal/ljoin"
 	"parajoin/internal/planner"
 	"parajoin/internal/queries"
 	"parajoin/internal/stats"
@@ -155,7 +154,6 @@ func (s *Suite) Planner(n int) *planner.Planner {
 			Relations: w.Relations,
 			MaxOrders: 5040,
 			Seed:      s.Seed,
-			Mode:      ljoin.SeekBinary,
 		}
 		s.planners[n] = p
 	}

@@ -22,7 +22,7 @@ func BenchmarkTributaryTriangle(b *testing.B) {
 	q, rels := benchRels(b, 12000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := Evaluate(q, rels, []core.Var{"x", "y", "z"}, SeekBinary)
+		out, _, err := Evaluate(q, rels, []core.Var{"x", "y", "z"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func BenchmarkTributaryPrepareSort(b *testing.B) {
 	q, rels := benchRels(b, 12000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Prepare(q, rels, []core.Var{"x", "y", "z"}, SeekBinary); err != nil {
+		if _, err := Prepare(q, rels, []core.Var{"x", "y", "z"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func BenchmarkLeapfrogIntersection(b *testing.B) {
 	mk := func(seed int64) *arrayTrie {
 		r := randGraph("A", 30000, 40000, seed).Project("A", []int{0})
 		r.Dedup()
-		return newArrayTrie(r.Tuples, 1, SeekBinary)
+		return newArrayTrie(r.Tuples, 1)
 	}
 	t1, t2, t3 := mk(206), mk(207), mk(208)
 	b.ResetTimer()
@@ -64,7 +64,7 @@ func BenchmarkLeapfrogIntersection(b *testing.B) {
 		t1.Open()
 		t2.Open()
 		t3.Open()
-		lf := leapfrog{iters: []TrieIterator{t1, t2, t3}}
+		lf := leapfrog{iters: []*arrayTrie{t1, t2, t3}}
 		lf.init()
 		n := 0
 		for !lf.atEnd {

@@ -1,12 +1,15 @@
 package ljoin
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // leapfrog intersects the current level of several trie iterators: it
 // enumerates, in increasing order, the values present in all of them. This
 // is the unary "leapfrog join" the multiway Tributary join is built from.
 type leapfrog struct {
-	iters []TrieIterator
+	iters []*arrayTrie
 	p     int // index of the iterator with the smallest key
 	atEnd bool
 }
@@ -21,7 +24,7 @@ func (l *leapfrog) init() {
 			return
 		}
 	}
-	sort.Slice(l.iters, func(i, j int) bool { return l.iters[i].Key() < l.iters[j].Key() })
+	slices.SortFunc(l.iters, func(a, b *arrayTrie) int { return cmp.Compare(a.Key(), b.Key()) })
 	l.p = 0
 	l.search()
 }

@@ -37,7 +37,7 @@ func TestTributaryTriangleMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := Evaluate(q, rels, []core.Var{"x", "y", "z"}, SeekBinary)
+	got, st, err := Evaluate(q, rels, []core.Var{"x", "y", "z"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,33 +65,13 @@ func TestTributaryAllOrdersAgree(t *testing.T) {
 		{"y", "z", "x"}, {"z", "x", "y"}, {"z", "y", "x"},
 	}
 	for _, ord := range orders {
-		got, _, err := Evaluate(q, rels, ord, SeekBinary)
+		got, _, err := Evaluate(q, rels, ord)
 		if err != nil {
 			t.Fatalf("order %v: %v", ord, err)
 		}
 		if !got.Equal(want) {
 			t.Fatalf("order %v: %d tuples, want %d", ord, got.Cardinality(), want.Cardinality())
 		}
-	}
-}
-
-func TestTributarySeekModesAgree(t *testing.T) {
-	q := triangleQuery()
-	rels := map[string]*rel.Relation{
-		"R": randGraph("R", 300, 25, 7),
-		"S": randGraph("S", 300, 25, 8),
-		"T": randGraph("T", 300, 25, 9),
-	}
-	bin, _, err := Evaluate(q, rels, []core.Var{"x", "y", "z"}, SeekBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gal, _, err := Evaluate(q, rels, []core.Var{"x", "y", "z"}, SeekGalloping)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bin.Equal(gal) {
-		t.Fatal("binary and galloping seek disagree")
 	}
 }
 
@@ -125,7 +105,7 @@ func TestTributaryConstantsAndFilters(t *testing.T) {
 	rels := map[string]*rel.Relation{"Name": name, "Award": award, "Actor": actor, "Year": year}
 
 	want, _ := NaiveEvaluate(q, rels)
-	got, _, err := Evaluate(q, rels, []core.Var{"aw", "h", "a", "y"}, SeekBinary)
+	got, _, err := Evaluate(q, rels, []core.Var{"aw", "h", "a", "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +129,7 @@ func TestTributaryVarVarFilter(t *testing.T) {
 	s := randGraph("S", 80, 10, 11)
 	rels := map[string]*rel.Relation{"R": r, "S": s}
 	want, _ := NaiveEvaluate(q, rels)
-	got, _, err := Evaluate(q, rels, []core.Var{"x", "f1", "f2"}, SeekBinary)
+	got, _, err := Evaluate(q, rels, []core.Var{"x", "f1", "f2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +152,7 @@ func TestTributaryRepeatedVariableAtom(t *testing.T) {
 	e.AppendRow(3, 1)
 	rels := map[string]*rel.Relation{"E": e, "E#2": e}
 	want, _ := NaiveEvaluate(q, rels)
-	got, _, err := Evaluate(q, rels, []core.Var{"x", "y"}, SeekBinary)
+	got, _, err := Evaluate(q, rels, []core.Var{"x", "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +168,7 @@ func TestTributaryEmptyRelation(t *testing.T) {
 		"S": rel.New("S", "a", "b"),
 		"T": randGraph("T", 50, 8, 13),
 	}
-	got, _, err := Evaluate(q, rels, []core.Var{"x", "y", "z"}, SeekBinary)
+	got, _, err := Evaluate(q, rels, []core.Var{"x", "y", "z"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +186,7 @@ func TestTributaryProjectionDedups(t *testing.T) {
 	r.AppendRow(1, 10)
 	r.AppendRow(1, 20)
 	r.AppendRow(2, 10)
-	got, _, err := Evaluate(q, map[string]*rel.Relation{"R": r}, []core.Var{"x", "y"}, SeekBinary)
+	got, _, err := Evaluate(q, map[string]*rel.Relation{"R": r}, []core.Var{"x", "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +202,7 @@ func TestTributaryEarlyStop(t *testing.T) {
 		"S": randGraph("S", 400, 15, 15),
 		"T": randGraph("T", 400, 15, 16),
 	}
-	p, err := Prepare(q, rels, []core.Var{"x", "y", "z"}, SeekBinary)
+	p, err := Prepare(q, rels, []core.Var{"x", "y", "z"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,14 +230,14 @@ func TestTributaryFullyConstantAtomGuard(t *testing.T) {
 	flagOff := rel.New("Flag", "f")
 	flagOff.AppendRow(2)
 
-	got, _, err := Evaluate(q, map[string]*rel.Relation{"Flag": flagOn, "R": r}, []core.Var{"x"}, SeekBinary)
+	got, _, err := Evaluate(q, map[string]*rel.Relation{"Flag": flagOn, "R": r}, []core.Var{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Cardinality() != 1 {
 		t.Fatalf("guard satisfied: got %d tuples, want 1", got.Cardinality())
 	}
-	got, _, err = Evaluate(q, map[string]*rel.Relation{"Flag": flagOff, "R": r}, []core.Var{"x"}, SeekBinary)
+	got, _, err = Evaluate(q, map[string]*rel.Relation{"Flag": flagOff, "R": r}, []core.Var{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,13 +249,13 @@ func TestTributaryFullyConstantAtomGuard(t *testing.T) {
 func TestTributaryErrors(t *testing.T) {
 	q := triangleQuery()
 	rels := map[string]*rel.Relation{"R": randGraph("R", 10, 5, 1), "S": randGraph("S", 10, 5, 2), "T": randGraph("T", 10, 5, 3)}
-	if _, err := Prepare(q, rels, []core.Var{"x", "y"}, SeekBinary); err == nil {
+	if _, err := Prepare(q, rels, []core.Var{"x", "y"}); err == nil {
 		t.Error("short order should be rejected")
 	}
-	if _, err := Prepare(q, rels, []core.Var{"x", "y", "y"}, SeekBinary); err == nil {
+	if _, err := Prepare(q, rels, []core.Var{"x", "y", "y"}); err == nil {
 		t.Error("repeated variable in order should be rejected")
 	}
-	if _, err := Prepare(q, map[string]*rel.Relation{"R": rels["R"]}, []core.Var{"x", "y", "z"}, SeekBinary); err == nil {
+	if _, err := Prepare(q, map[string]*rel.Relation{"R": rels["R"]}, []core.Var{"x", "y", "z"}); err == nil {
 		t.Error("missing relation should be rejected")
 	}
 }
@@ -328,31 +308,37 @@ func TestNormalizerApplyIntoMatchesApply(t *testing.T) {
 }
 
 // Property test: Tributary join agrees with the naive oracle on random
-// path queries with random data and a random variable order.
+// data for a two-atom path and the cyclic triangle, under every variable
+// order. The triangle drives a three-way leapfrog at every level.
 func TestTributaryPathProperty(t *testing.T) {
-	q := core.MustQuery("Path", nil, []core.Atom{
+	path := core.MustQuery("Path", nil, []core.Atom{
 		core.NewAtom("R", core.V("x"), core.V("y")),
 		core.NewAtom("S", core.V("y"), core.V("z")),
 	})
-	f := func(seedR, seedS int16, orderPick uint8) bool {
+	orders := [][]core.Var{
+		{"x", "y", "z"}, {"y", "x", "z"}, {"y", "z", "x"},
+		{"z", "y", "x"}, {"x", "z", "y"}, {"z", "x", "y"},
+	}
+	f := func(seedR, seedS, seedT int16) bool {
 		rels := map[string]*rel.Relation{
 			"R": randGraph("R", 60, 8, int64(seedR)),
 			"S": randGraph("S", 60, 8, int64(seedS)),
+			"T": randGraph("T", 60, 8, int64(seedT)),
 		}
-		orders := [][]core.Var{
-			{"x", "y", "z"}, {"y", "x", "z"}, {"y", "z", "x"},
-			{"z", "y", "x"}, {"x", "z", "y"}, {"z", "x", "y"},
+		for _, q := range []*core.Query{path, triangleQuery()} {
+			want, err := NaiveEvaluate(q, rels)
+			if err != nil {
+				return false
+			}
+			for _, ord := range orders {
+				got, _, err := Evaluate(q, rels, ord)
+				if err != nil || !got.Equal(want) {
+					t.Logf("%s, order %v: err %v", q.Name, ord, err)
+					return false
+				}
+			}
 		}
-		ord := orders[int(orderPick)%len(orders)]
-		want, err := NaiveEvaluate(q, rels)
-		if err != nil {
-			return false
-		}
-		got, _, err := Evaluate(q, rels, ord, SeekBinary)
-		if err != nil {
-			return false
-		}
-		return got.Equal(want)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -446,17 +432,17 @@ func TestNaiveEvaluateFiltersAndConstants(t *testing.T) {
 func TestLeapfrogUnary(t *testing.T) {
 	// Intersect {1,3,4,5,6,7,8,9,11} ∩ {1,2,3,8,10,11} ∩ {1,3,5,8,9,11}
 	// = {1,3,8,11} — the example from the LFTJ paper.
-	mk := func(vals ...int64) TrieIterator {
+	mk := func(vals ...int64) *arrayTrie {
 		r := rel.New("A", "v")
 		for _, v := range vals {
 			r.AppendRow(v)
 		}
 		r.Sort()
-		tr := newArrayTrie(r.Tuples, 1, SeekBinary)
+		tr := newArrayTrie(r.Tuples, 1)
 		tr.Open()
 		return tr
 	}
-	lf := leapfrog{iters: []TrieIterator{
+	lf := leapfrog{iters: []*arrayTrie{
 		mk(1, 3, 4, 5, 6, 7, 8, 9, 11),
 		mk(1, 2, 3, 8, 10, 11),
 		mk(1, 3, 5, 8, 9, 11),
@@ -478,22 +464,9 @@ func TestLeapfrogUnary(t *testing.T) {
 	}
 }
 
-func TestGallopMatchesLowerBound(t *testing.T) {
-	r := rel.New("A", "v")
-	rng := rand.New(rand.NewSource(40))
-	for i := 0; i < 500; i++ {
-		r.AppendRow(rng.Int63n(300))
-	}
-	r.Sort()
-	for v := int64(-5); v < 310; v += 3 {
-		lb := lowerBound(r.Tuples, 0, len(r.Tuples), 0, v)
-		gl := gallop(r.Tuples, 0, len(r.Tuples), 0, v)
-		if lb != gl {
-			t.Fatalf("v=%d: lowerBound %d, gallop %d", v, lb, gl)
-		}
-	}
-}
-
+// TestLowerBoundMatchesScan checks both searches — lowerBound and gallop,
+// the trie's seek — against a linear scan on random brackets [lo, hi),
+// empty ones included, on column 0 and on column 1 inside a column-0 run.
 func TestLowerBoundMatchesScan(t *testing.T) {
 	r := rel.New("A", "u", "v")
 	rng := rand.New(rand.NewSource(41))
@@ -519,6 +492,9 @@ func TestLowerBoundMatchesScan(t *testing.T) {
 		}
 		if got := lowerBound(r.Tuples, lo, hi, col, v); got != want {
 			t.Fatalf("lowerBound([%d,%d), col %d, %d) = %d, want %d", lo, hi, col, v, got, want)
+		}
+		if got := gallop(r.Tuples, lo, hi, col, v); got != want {
+			t.Fatalf("gallop([%d,%d), col %d, %d) = %d, want %d", lo, hi, col, v, got, want)
 		}
 	}
 }

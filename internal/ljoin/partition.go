@@ -22,29 +22,22 @@ import "parajoin/internal/rel"
 //
 // Shards returns nil — meaning "run serially" — when k ≤ 1, when the join
 // is degenerate (empty guard failed, no variables, unbound first variable,
-// empty pivot), when the backend is not a sorted array (SeekBTree has no
-// positional access for the partitioner), or when the pivot has fewer
-// distinct values than needed for at least two non-empty ranges.
+// empty pivot), or when the pivot has fewer distinct values than needed for
+// at least two non-empty ranges.
 //
 // The parent p stays runnable and is not aliased by the shards' mutable
 // state; its Stats do not include work done by shards.
 func (p *Prepared) Shards(k int) []*Prepared {
-	if k <= 1 || p.emptyGuardFailed || len(p.order) == 0 || p.mode == SeekBTree {
+	if k <= 1 || p.emptyGuardFailed || len(p.order) == 0 {
 		return nil
 	}
 	if len(p.byLevel[0]) == 0 {
 		return nil // Run reports the unbound-variable error; keep that serial.
 	}
-	for _, a := range p.atoms {
-		if _, ok := a.trie.(*arrayTrie); !ok {
-			return nil // mixed backends: no clone/partition support
-		}
-	}
 	var pivot *arrayTrie
-	for _, ai := range p.byLevel[0] {
-		at := p.atoms[ai].trie.(*arrayTrie)
-		if pivot == nil || len(at.tuples) > len(pivot.tuples) {
-			pivot = at
+	for _, ti := range p.byLevel[0] {
+		if t := p.tries[ti]; pivot == nil || len(t.tuples) > len(pivot.tuples) {
+			pivot = t
 		}
 	}
 	if len(pivot.tuples) == 0 {
@@ -60,7 +53,6 @@ func (p *Prepared) Shards(k int) []*Prepared {
 		s := &Prepared{
 			q:        p.q,
 			order:    p.order,
-			mode:     p.mode,
 			byLevel:  p.byLevel,
 			filters:  p.filters,
 			filterIx: p.filterIx,
@@ -73,13 +65,9 @@ func (p *Prepared) Shards(k int) []*Prepared {
 		if i < len(cuts) {
 			s.hi, s.hasHi = cuts[i], true
 		}
-		s.atoms = make([]*preparedAtom, len(p.atoms))
-		for j, a := range p.atoms {
-			s.atoms[j] = &preparedAtom{
-				alias: a.alias,
-				trie:  a.trie.(*arrayTrie).clone(),
-				depth: a.depth,
-			}
+		s.tries = make([]*arrayTrie, len(p.tries))
+		for j, t := range p.tries {
+			s.tries[j] = t.clone()
 		}
 		shards = append(shards, s)
 	}

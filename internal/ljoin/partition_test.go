@@ -2,6 +2,7 @@ package ljoin
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"parajoin/internal/core"
@@ -10,9 +11,9 @@ import (
 
 // runSerial prepares and runs a join serially, returning the emitted rows
 // in emission order (the order parallel shards must reproduce).
-func runSerial(t *testing.T, q *core.Query, rels map[string]*rel.Relation, order []core.Var, mode SeekMode) []rel.Tuple {
+func runSerial(t *testing.T, q *core.Query, rels map[string]*rel.Relation, order []core.Var) []rel.Tuple {
 	t.Helper()
-	p, err := Prepare(q, rels, order, mode)
+	p, err := Prepare(q, rels, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,12 +27,12 @@ func runSerial(t *testing.T, q *core.Query, rels map[string]*rel.Relation, order
 	return out
 }
 
-// runSharded prepares, splits into k shards, runs each shard (serially
-// here — concurrency is the engine's business), and concatenates outputs
+// runSharded prepares, splits into k shards, runs each shard — one after
+// another, or all at once when concurrent is set — and concatenates outputs
 // in range order. ok reports whether sharding happened at all.
-func runSharded(t *testing.T, q *core.Query, rels map[string]*rel.Relation, order []core.Var, mode SeekMode, k int) ([]rel.Tuple, bool) {
+func runSharded(t *testing.T, q *core.Query, rels map[string]*rel.Relation, order []core.Var, k int, concurrent bool) ([]rel.Tuple, bool) {
 	t.Helper()
-	p, err := Prepare(q, rels, order, mode)
+	p, err := Prepare(q, rels, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +40,30 @@ func runSharded(t *testing.T, q *core.Query, rels map[string]*rel.Relation, orde
 	if shards == nil {
 		return nil, false
 	}
-	var out []rel.Tuple
-	for _, s := range shards {
-		if err := s.Run(func(tp rel.Tuple) bool {
-			out = append(out, tp.Clone())
-			return true
-		}); err != nil {
-			t.Fatal(err)
+	outs := make([][]rel.Tuple, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, s := range shards {
+		run := func() {
+			errs[i] = s.Run(func(tp rel.Tuple) bool {
+				outs[i] = append(outs[i], tp.Clone())
+				return true
+			})
 		}
+		if concurrent {
+			wg.Add(1)
+			go func() { defer wg.Done(); run() }()
+		} else {
+			run()
+		}
+	}
+	wg.Wait()
+	var out []rel.Tuple
+	for i := range shards {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		out = append(out, outs[i]...)
 	}
 	return out, true
 }
@@ -65,7 +82,9 @@ func sameRows(a, b []rel.Tuple) bool {
 
 // TestShardsMatchSerial is the determinism property the engine's parallel
 // path rests on: for any k, shard outputs concatenated in range order are
-// identical — rows and row order — to the serial run.
+// identical — rows and row order — to the serial run. mode=0 runs the
+// shards one after another, mode=1 runs them concurrently over their shared
+// backing arrays.
 func TestShardsMatchSerial(t *testing.T) {
 	q := triangleQuery()
 	orders := [][]core.Var{{"x", "y", "z"}, {"z", "x", "y"}}
@@ -76,11 +95,11 @@ func TestShardsMatchSerial(t *testing.T) {
 			"T": randGraph("T", 300, 25, seed+200),
 		}
 		for _, ord := range orders {
-			for _, mode := range []SeekMode{SeekBinary, SeekGalloping} {
-				want := runSerial(t, q, rels, ord, mode)
+			want := runSerial(t, q, rels, ord)
+			for mode, concurrent := range []bool{false, true} {
 				for _, k := range []int{2, 3, 7, 16, 1000} {
 					t.Run(fmt.Sprintf("seed=%d/order=%v/mode=%d/k=%d", seed, ord, mode, k), func(t *testing.T) {
-						got, ok := runSharded(t, q, rels, ord, mode, k)
+						got, ok := runSharded(t, q, rels, ord, k, concurrent)
 						if !ok {
 							t.Fatalf("Shards(%d) declined on a %d-tuple pivot", k, 300)
 						}
@@ -103,7 +122,7 @@ func TestShardsCoverDomain(t *testing.T) {
 		"S": randGraph("S", 400, 40, 10),
 		"T": randGraph("T", 400, 40, 11),
 	}
-	p, err := Prepare(q, rels, []core.Var{"x", "y", "z"}, SeekBinary)
+	p, err := Prepare(q, rels, []core.Var{"x", "y", "z"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,18 +161,12 @@ func TestShardsDegenerateCases(t *testing.T) {
 	}
 	ord := []core.Var{"x", "y", "z"}
 
-	p, _ := Prepare(q, rels, ord, SeekBinary)
+	p, _ := Prepare(q, rels, ord)
 	if s := p.Shards(1); s != nil {
 		t.Errorf("Shards(1) = %d shards, want nil", len(s))
 	}
 	if s := p.Shards(0); s != nil {
 		t.Errorf("Shards(0) = %d shards, want nil", len(s))
-	}
-
-	// B-tree backend has no positional access for the partitioner.
-	pb, _ := Prepare(q, rels, ord, SeekBTree)
-	if s := pb.Shards(4); s != nil {
-		t.Error("Shards on SeekBTree should decline")
 	}
 
 	// Empty inputs: nothing to split.
@@ -162,7 +175,7 @@ func TestShardsDegenerateCases(t *testing.T) {
 		"S": rel.New("S", "a", "b"),
 		"T": rel.New("T", "a", "b"),
 	}
-	pe, _ := Prepare(q, empty, ord, SeekBinary)
+	pe, _ := Prepare(q, empty, ord)
 	if s := pe.Shards(4); s != nil {
 		t.Error("Shards on empty relations should decline")
 	}
@@ -173,7 +186,7 @@ func TestShardsDegenerateCases(t *testing.T) {
 	one.AppendRow(7, 2)
 	one.AppendRow(7, 3)
 	q1 := core.MustQuery("One", nil, []core.Atom{core.NewAtom("R", core.V("x"), core.V("y"))})
-	ps, err := Prepare(q1, map[string]*rel.Relation{"R": one}, []core.Var{"x", "y"}, SeekBinary)
+	ps, err := Prepare(q1, map[string]*rel.Relation{"R": one}, []core.Var{"x", "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +204,7 @@ func TestShardsParentUntouched(t *testing.T) {
 		"S": randGraph("S", 200, 20, 31),
 		"T": randGraph("T", 200, 20, 32),
 	}
-	p, err := Prepare(q, rels, []core.Var{"x", "y", "z"}, SeekBinary)
+	p, err := Prepare(q, rels, []core.Var{"x", "y", "z"})
 	if err != nil {
 		t.Fatal(err)
 	}

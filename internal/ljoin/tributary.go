@@ -16,8 +16,8 @@ import (
 
 // Stats reports the work a Tributary join performed.
 type Stats struct {
-	// Seeks is the number of binary (or galloping) searches, the quantity
-	// the Section-5 cost model estimates.
+	// Seeks is the number of galloping searches, the quantity the
+	// Section-5 cost model estimates.
 	Seeks int64
 	// Results is the number of tuples emitted.
 	Results int64
@@ -31,10 +31,9 @@ type Stats struct {
 type Prepared struct {
 	q     *core.Query
 	order []core.Var
-	mode  SeekMode
 
-	atoms            []*preparedAtom
-	byLevel          [][]int         // byLevel[d] = indexes of atoms whose trie includes level d's variable
+	tries            []*arrayTrie    // one per atom with variables
+	byLevel          [][]int         // byLevel[d] = indexes of tries that include level d's variable
 	filters          [][]core.Filter // filters that become checkable exactly at depth d
 	filterIx         [][][2]int      // per depth, per filter: operand positions in the binding (-1 = constant)
 	headIdx          []int           // binding positions of the head variables
@@ -56,19 +55,13 @@ type Prepared struct {
 	hasLo, hasHi bool
 }
 
-type preparedAtom struct {
-	alias string
-	trie  TrieIterator
-	depth int // number of variables = trie depth
-}
-
 // Prepare normalizes each atom's relation (applying constant selections,
 // repeated-variable equalities, and the column permutation dictated by the
 // global variable order), sorts it, and builds the trie iterators.
 // relations maps atom aliases to relations whose columns follow the atom's
 // term layout.
-func Prepare(q *core.Query, relations map[string]*rel.Relation, order []core.Var, mode SeekMode) (*Prepared, error) {
-	return prepare(q, order, mode, func(atom core.Atom) (*rel.Relation, bool, error) {
+func Prepare(q *core.Query, relations map[string]*rel.Relation, order []core.Var) (*Prepared, error) {
+	return prepare(q, order, func(atom core.Atom) (*rel.Relation, bool, error) {
 		r := relations[atom.Alias]
 		if r == nil {
 			return nil, false, fmt.Errorf("ljoin: no relation bound to atom %q", atom.Alias)
@@ -86,8 +79,8 @@ func Prepare(q *core.Query, relations map[string]*rel.Relation, order []core.Var
 // position) and sorted. The engine uses it: tuples are normalized with a
 // Normalizer before its sort, so by the time they reach the trie builder
 // both steps are done.
-func PrepareSorted(q *core.Query, relations map[string]*rel.Relation, order []core.Var, mode SeekMode) (*Prepared, error) {
-	return prepare(q, order, mode, func(atom core.Atom) (*rel.Relation, bool, error) {
+func PrepareSorted(q *core.Query, relations map[string]*rel.Relation, order []core.Var) (*Prepared, error) {
+	return prepare(q, order, func(atom core.Atom) (*rel.Relation, bool, error) {
 		r := relations[atom.Alias]
 		if r == nil {
 			return nil, false, fmt.Errorf("ljoin: no relation bound to atom %q", atom.Alias)
@@ -99,7 +92,7 @@ func PrepareSorted(q *core.Query, relations map[string]*rel.Relation, order []co
 // prepare builds a Prepared join, pulling each atom's relation from
 // supply, which also reports whether the relation is already sorted.
 // Supplied relations must be normalized (NormalizeAtom's output form).
-func prepare(q *core.Query, order []core.Var, mode SeekMode, supply func(core.Atom) (*rel.Relation, bool, error)) (*Prepared, error) {
+func prepare(q *core.Query, order []core.Var, supply func(core.Atom) (*rel.Relation, bool, error)) (*Prepared, error) {
 	if err := checkOrder(q, order); err != nil {
 		return nil, err
 	}
@@ -108,7 +101,7 @@ func prepare(q *core.Query, order []core.Var, mode SeekMode, supply func(core.At
 		pos[v] = i
 	}
 
-	p := &Prepared{q: q, order: order, mode: mode}
+	p := &Prepared{q: q, order: order}
 	p.byLevel = make([][]int, len(order))
 	start := time.Now()
 	for _, atom := range q.Atoms {
@@ -123,25 +116,11 @@ func prepare(q *core.Query, order []core.Var, mode SeekMode, supply func(core.At
 			}
 			continue
 		}
-		var trie TrieIterator
-		if mode == SeekBTree {
-			// The B-tree backend indexes instead of sorting; Prepare's
-			// "sort time" then meters the index build — the very cost the
-			// paper's array-based design avoids.
-			trie = newBTreeTrie(norm.Tuples, norm.Arity())
-		} else {
-			if !sorted {
-				norm.Sort()
-			}
-			trie = newArrayTrie(norm.Tuples, norm.Arity(), mode)
+		if !sorted {
+			norm.Sort()
 		}
-		pa := &preparedAtom{
-			alias: atom.Alias,
-			trie:  trie,
-			depth: norm.Arity(),
-		}
-		idx := len(p.atoms)
-		p.atoms = append(p.atoms, pa)
+		idx := len(p.tries)
+		p.tries = append(p.tries, newArrayTrie(norm.Tuples, norm.Arity()))
 		for _, v := range atom.Vars() {
 			p.byLevel[pos[v]] = append(p.byLevel[pos[v]], idx)
 		}
@@ -212,14 +191,14 @@ func (p *Prepared) Run(emit func(rel.Tuple) bool) error {
 // current bindings, recursing to deeper levels.
 func (p *Prepared) join(d int, binding, out rel.Tuple, emit func(rel.Tuple) bool) bool {
 	participants := p.byLevel[d]
-	iters := make([]TrieIterator, len(participants))
-	for i, ai := range participants {
-		p.atoms[ai].trie.Open()
-		iters[i] = p.atoms[ai].trie
+	iters := make([]*arrayTrie, len(participants))
+	for i, ti := range participants {
+		p.tries[ti].Open()
+		iters[i] = p.tries[ti]
 	}
 	defer func() {
-		for _, ai := range participants {
-			p.atoms[ai].trie.Up()
+		for _, ti := range participants {
+			p.tries[ti].Up()
 		}
 	}()
 
@@ -283,8 +262,8 @@ func (p *Prepared) Stopped() bool { return p.stopped }
 // Stats returns the work counters accumulated so far.
 func (p *Prepared) Stats() Stats {
 	s := Stats{Results: p.results, SortTime: p.sortTime}
-	for _, a := range p.atoms {
-		s.Seeks += a.trie.Seeks()
+	for _, t := range p.tries {
+		s.Seeks += t.seeks
 	}
 	return s
 }
@@ -292,8 +271,8 @@ func (p *Prepared) Stats() Stats {
 // Evaluate runs a complete Tributary join and materializes the result. The
 // output schema is the query's head variables; non-full queries are
 // deduplicated (datalog set semantics).
-func Evaluate(q *core.Query, relations map[string]*rel.Relation, order []core.Var, mode SeekMode) (*rel.Relation, Stats, error) {
-	p, err := Prepare(q, relations, order, mode)
+func Evaluate(q *core.Query, relations map[string]*rel.Relation, order []core.Var) (*rel.Relation, Stats, error) {
+	p, err := Prepare(q, relations, order)
 	if err != nil {
 		return nil, Stats{}, err
 	}

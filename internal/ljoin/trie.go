@@ -8,50 +8,20 @@ package ljoin
 
 import "parajoin/internal/rel"
 
-// SeekMode selects the search strategy TrieIterator.Seek uses. The paper's
-// Tributary join uses binary search over the remaining array (O(log n) per
-// seek); galloping (exponential) search is an ablation that is cheaper when
-// seeks move short distances.
+// SeekMode selects nothing: every Tributary join seeks by galloping search
+// over a sorted array. The type and its one constant are kept only for
+// bench/ledger.go, which names them (ROADMAP 1(a)).
 type SeekMode int
 
-// Seek strategies.
-const (
-	SeekBinary SeekMode = iota
-	SeekGalloping
-	// SeekBTree swaps the sorted-array backend for an on-the-fly B-tree —
-	// the LogicBlox-style LFTJ backend the paper compares against. The
-	// build cost replaces the sort cost; the paper argues sorting wins.
-	SeekBTree
-)
+// SeekBinary is SeekMode's zero value; it selects nothing.
+const SeekBinary SeekMode = 0
 
-// TrieIterator is the Leapfrog Triejoin API (Veldhuizen): a cursor over a
-// relation viewed as a trie whose level i holds the distinct values of
-// column i grouped under their prefix. LogicBlox backs this API with
-// B-trees; Tributary join backs it with a sorted array (see arrayTrie).
-type TrieIterator interface {
-	// Open descends to the first key one level below the current position.
-	Open()
-	// Up ascends one level, restoring the parent position.
-	Up()
-	// Next advances to the next key at the current level; may hit the end.
-	Next()
-	// Seek advances to the least key ≥ v at the current level; may hit the
-	// end. Seek never moves backwards.
-	SeekGE(v int64)
-	// Key returns the key at the current position. Only valid when !AtEnd.
-	Key() int64
-	// AtEnd reports whether the iterator moved past the last key at the
-	// current level.
-	AtEnd() bool
-	// Seeks returns the number of binary/galloping searches performed; the
-	// Section-5 cost model estimates exactly this number.
-	Seeks() int64
-}
-
-// arrayTrie is the sorted-array TrieIterator. The relation's tuples must be
-// lexicographically sorted. Level d ranges over the distinct values of
-// column d among the tuples in the half-open range [lo[d], hi[d]) that
-// share the key prefix chosen at levels 0..d-1. Because the array is
+// arrayTrie is the Leapfrog Triejoin API (Veldhuizen) over a sorted array:
+// a cursor over a relation viewed as a trie whose level i holds the
+// distinct values of column i grouped under their prefix. The relation's
+// tuples must be lexicographically sorted. Level d ranges over the distinct
+// values of column d among the tuples in the half-open range [lo[d], hi[d])
+// that share the key prefix chosen at levels 0..d-1. Because the array is
 // sorted, each residual relation is a contiguous sub-array, so Open/Up just
 // push and pop range bounds — the "adjust the start and endpoints" trick
 // from Section 2.2 of the paper.
@@ -62,13 +32,14 @@ type arrayTrie struct {
 	hi     []int
 	pos    []int
 	end    []bool
-	mode   SeekMode
-	seeks  int64
+	// seeks counts galloping searches, the quantity the Section-5 cost
+	// model estimates.
+	seeks int64
 }
 
 // newArrayTrie wraps a sorted relation. maxDepth is the number of columns
 // the join will descend through (the atom's variable count).
-func newArrayTrie(tuples []rel.Tuple, maxDepth int, mode SeekMode) *arrayTrie {
+func newArrayTrie(tuples []rel.Tuple, maxDepth int) *arrayTrie {
 	return &arrayTrie{
 		tuples: tuples,
 		depth:  -1,
@@ -76,10 +47,10 @@ func newArrayTrie(tuples []rel.Tuple, maxDepth int, mode SeekMode) *arrayTrie {
 		hi:     make([]int, maxDepth),
 		pos:    make([]int, maxDepth),
 		end:    make([]bool, maxDepth),
-		mode:   mode,
 	}
 }
 
+// Open descends to the first key one level below the current position.
 func (a *arrayTrie) Open() {
 	d := a.depth + 1
 	if d == 0 {
@@ -94,10 +65,12 @@ func (a *arrayTrie) Open() {
 	a.depth = d
 }
 
+// Up ascends one level, restoring the parent position.
 func (a *arrayTrie) Up() {
 	a.depth--
 }
 
+// Next advances to the next key at the current level; it may hit the end.
 func (a *arrayTrie) Next() {
 	d := a.depth
 	if a.end[d] {
@@ -107,30 +80,30 @@ func (a *arrayTrie) Next() {
 	a.end[d] = a.pos[d] >= a.hi[d]
 }
 
+// SeekGE advances to the least key ≥ v at the current level; it may hit
+// the end. SeekGE never moves backwards.
 func (a *arrayTrie) SeekGE(v int64) {
 	d := a.depth
 	if a.end[d] || a.tuples[a.pos[d]][d] >= v {
 		return
 	}
 	a.seeks++
-	switch a.mode {
-	case SeekGalloping:
-		a.pos[d] = gallop(a.tuples, a.pos[d], a.hi[d], d, v)
-	default:
-		a.pos[d] = lowerBound(a.tuples, a.pos[d], a.hi[d], d, v)
-	}
+	a.pos[d] = gallop(a.tuples, a.pos[d], a.hi[d], d, v)
 	a.end[d] = a.pos[d] >= a.hi[d]
 }
 
-func (a *arrayTrie) Key() int64   { return a.tuples[a.pos[a.depth]][a.depth] }
-func (a *arrayTrie) AtEnd() bool  { return a.end[a.depth] }
-func (a *arrayTrie) Seeks() int64 { return a.seeks }
+// Key returns the key at the current position. Only valid when !AtEnd.
+func (a *arrayTrie) Key() int64 { return a.tuples[a.pos[a.depth]][a.depth] }
+
+// AtEnd reports whether the iterator moved past the last key at the
+// current level.
+func (a *arrayTrie) AtEnd() bool { return a.end[a.depth] }
 
 // clone returns an independent iterator over the same (shared, immutable)
 // backing array, positioned at the virtual root with a fresh seek counter.
 // Shards use it to walk disjoint ranges of one relation concurrently.
 func (a *arrayTrie) clone() *arrayTrie {
-	return newArrayTrie(a.tuples, len(a.lo), a.mode)
+	return newArrayTrie(a.tuples, len(a.lo))
 }
 
 // keyRunEnd returns the index one past the run of tuples sharing the
@@ -138,12 +111,7 @@ func (a *arrayTrie) clone() *arrayTrie {
 func (a *arrayTrie) keyRunEnd(d int) int {
 	k := a.tuples[a.pos[d]][d]
 	a.seeks++
-	switch a.mode {
-	case SeekGalloping:
-		return gallop(a.tuples, a.pos[d]+1, a.hi[d], d, k+1)
-	default:
-		return lowerBound(a.tuples, a.pos[d]+1, a.hi[d], d, k+1)
-	}
+	return gallop(a.tuples, a.pos[d]+1, a.hi[d], d, k+1)
 }
 
 // lowerBound returns the smallest index i in [lo, hi) with tuples[i][col]
@@ -160,10 +128,10 @@ func lowerBound(tuples []rel.Tuple, lo, hi, col int, v int64) int {
 	return lo
 }
 
-// gallop performs exponential search from lo: it doubles a probe distance
-// until overshooting, then binary-searches the final bracket. Cost is
-// O(log d) where d is the distance moved, which beats plain binary search
-// when intersections advance in small steps.
+// gallop is lowerBound by exponential search from lo: it doubles a probe
+// distance until overshooting, then binary-searches the final bracket.
+// Cost is O(log d) where d is the distance moved, which beats plain binary
+// search when intersections advance in small steps.
 func gallop(tuples []rel.Tuple, lo, hi, col int, v int64) int {
 	if lo >= hi || tuples[lo][col] >= v {
 		return lo

@@ -197,7 +197,7 @@ func TestCostCorrelatesWithActualSeeks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, st, err := ljoin.Evaluate(q, rels, ord, ljoin.SeekBinary)
+		_, st, err := ljoin.Evaluate(q, rels, ord)
 		if err != nil {
 			t.Fatal(err)
 		}

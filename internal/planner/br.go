@@ -54,7 +54,7 @@ func (b *builder) localTributary(res *Result, termStreams []engine.Node) error {
 	for i, info := range b.atoms {
 		inputs[info.atom.Alias] = termStreams[i]
 	}
-	node := engine.Tributary{Query: b.q, Inputs: inputs, Order: ord, Mode: b.p.Mode}
+	node := engine.Tributary{Query: b.q, Inputs: inputs, Order: ord}
 	// The Tributary join evaluates the query's own filters internally.
 	for i := range b.appliedFilters {
 		b.appliedFilters[i] = true

@@ -77,7 +77,8 @@ type Planner struct {
 	MaxOrders int
 	// Seed makes sampled order enumeration reproducible.
 	Seed int64
-	// Mode selects the Tributary seek strategy.
+	// Mode selects nothing; kept only for bench/ledger.go, which sets it
+	// (ROADMAP 1(a)). Every Tributary join seeks by galloping search.
 	Mode ljoin.SeekMode
 }
 

@@ -103,7 +103,6 @@ func (b *builder) binaryTributary(left engine.Node, lSchema rel.Schema, right en
 		Query:  q,
 		Inputs: map[string]engine.Node{"L": left, "R": right},
 		Order:  ord,
-		Mode:   b.p.Mode,
 	}
 }
 

@@ -66,7 +66,7 @@ func TestAllQueriesConsistentAcrossEvaluators(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Single-machine Tributary join.
-		tj, _, err := ljoin.Evaluate(q, aliasRels, q.Vars(), ljoin.SeekBinary)
+		tj, _, err := ljoin.Evaluate(q, aliasRels, q.Vars())
 		if err != nil {
 			t.Fatalf("%s: TJ: %v", q.Name, err)
 		}
@@ -94,7 +94,7 @@ func TestQ3HasAnswers(t *testing.T) {
 	w := tinyWorkload()
 	q := w.Query("Q3")
 	aliasRels, _ := w.AtomRelations(q)
-	got, _, err := ljoin.Evaluate(q, aliasRels, q.Vars(), ljoin.SeekBinary)
+	got, _, err := ljoin.Evaluate(q, aliasRels, q.Vars())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestQ7HasAnswers(t *testing.T) {
 	w := tinyWorkload()
 	q := w.Query("Q7")
 	aliasRels, _ := w.AtomRelations(q)
-	got, _, err := ljoin.Evaluate(q, aliasRels, q.Vars(), ljoin.SeekBinary)
+	got, _, err := ljoin.Evaluate(q, aliasRels, q.Vars())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,6 @@ import (
 	"parajoin/internal/cache"
 	"parajoin/internal/core"
 	"parajoin/internal/engine"
-	"parajoin/internal/ljoin"
 	"parajoin/internal/planner"
 	"parajoin/internal/rel"
 	"parajoin/internal/shares"
@@ -458,7 +457,6 @@ func (q *Query) planFor(s Strategy) (*planner.Result, Strategy, error) {
 		Relations: snap.rels,
 		MaxOrders: db.maxOrder,
 		Seed:      db.seed,
-		Mode:      ljoin.SeekBinary,
 	}
 	res, err := p.Plan(q.q, cfg)
 	return res, s, err
