@@ -289,6 +289,13 @@ func (c *Client) call(ctx context.Context, req *wire.Request) (*wire.Response, e
 		c.mu.Lock()
 		delete(c.pending, req.ID)
 		c.mu.Unlock()
+		// A failed socket write (the server hung up) leaves the framing
+		// unknown, so the connection is gone for every caller.
+		var opErr *net.OpError
+		if errors.As(err, &opErr) {
+			err = fmt.Errorf("%w: %v", ErrConnClosed, err)
+			c.fail(err)
+		}
 		return nil, err
 	}
 

@@ -464,6 +464,22 @@ func TestLeapfrogUnary(t *testing.T) {
 	}
 }
 
+func TestGallopMatchesLowerBound(t *testing.T) {
+	r := rel.New("A", "v")
+	rng := rand.New(rand.NewSource(40))
+	for i := 0; i < 500; i++ {
+		r.AppendRow(rng.Int63n(300))
+	}
+	r.Sort()
+	for v := int64(-5); v < 310; v += 3 {
+		lb := lowerBound(r.Tuples, 0, len(r.Tuples), 0, v)
+		gl := gallop(r.Tuples, 0, len(r.Tuples), 0, v)
+		if lb != gl {
+			t.Fatalf("v=%d: lowerBound %d, gallop %d", v, lb, gl)
+		}
+	}
+}
+
 // TestLowerBoundMatchesScan checks both searches — lowerBound and gallop,
 // the trie's seek — against a linear scan on random brackets [lo, hi),
 // empty ones included, on column 0 and on column 1 inside a column-0 run.
