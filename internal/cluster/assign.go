@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-
-	"parajoin/internal/partstore"
 )
 
 // Owner picks which member owns one partition, by rendezvous (highest-
@@ -44,28 +42,6 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// Assignment maps every partition of every relation in the store to its
-// owning member: assignment[member] lists the (rel, slot) pairs that member
-// owns, each slot owned by exactly one member. Relations are walked in name
-// order and slots ascending, so the listing order is deterministic.
-func Assignment(store *partstore.Store, members []string) map[string][]PartRef {
-	out := make(map[string][]PartRef, len(members))
-	for _, m := range members {
-		out[m] = nil
-	}
-	for _, e := range store.Relations() {
-		for slot := 0; slot < e.Slots; slot++ {
-			owner := Owner(members, e.Name, slot)
-			ref := PartRef{Rel: e.Name, Slot: slot}
-			if pe := e.Partition(slot); pe != nil {
-				ref.CRC = pe.CRC
-			}
-			out[owner] = append(out[owner], ref)
-		}
-	}
-	return out
 }
 
 // SlotsFor returns the slots of one relation a member owns under the given

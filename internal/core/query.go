@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -429,16 +428,4 @@ func (q *Query) String() string {
 		b.WriteString(f.String())
 	}
 	return b.String()
-}
-
-// SortedVarNames returns the query's variables as sorted strings; useful for
-// deterministic output in tools and tests.
-func (q *Query) SortedVarNames() []string {
-	vs := q.Vars()
-	names := make([]string, len(vs))
-	for i, v := range vs {
-		names[i] = string(v)
-	}
-	sort.Strings(names)
-	return names
 }

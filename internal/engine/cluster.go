@@ -78,10 +78,10 @@ type Cluster struct {
 	SpillSealTuples int
 	// Parallelism is the number of concurrent sub-joins each worker may run
 	// inside one Tributary join. 0 (the default) resolves automatically from
-	// GOMAXPROCS and the number of hosted workers; 1 forces the serial path;
-	// K>1 splits the first join attribute's domain into contiguous ranges
-	// executed by up to K goroutines, with output concatenated in range
-	// order so the rows are bit-identical to the serial path's.
+	// GOMAXPROCS and the number of hosted workers; 1 runs the join as one
+	// shard; K>1 splits the first join attribute's domain into contiguous
+	// ranges executed by up to K goroutines, with output concatenated in
+	// range order so the rows are bit-identical to the one-shard run's.
 	Parallelism int
 	// Tracer receives span events for every run on this cluster. Nil (the
 	// default) disables tracing at zero cost: operators are not wrapped and
@@ -92,8 +92,10 @@ type Cluster struct {
 	// to it instead of running locally (distributed execution — see
 	// DESIGN.md, "Distributed execution"). The local workers and their
 	// storage stay intact, serving as the catalog and the fallback path.
-	// Set it before running queries; assigning nil restores local
-	// execution.
+	// The runner receives each run's budget, spill policy and spill cap
+	// resolved against this cluster; Parallelism and SpillDir are not
+	// resolved (see RunOpts). Set it before running queries; assigning nil
+	// restores local execution.
 	Remote RemoteRunner
 
 	workers   int
@@ -158,11 +160,6 @@ func NewPartialCluster(n int, hosted []int, t Transport) *Cluster {
 	c := NewClusterWithTransport(n, t)
 	c.hosted = append([]int(nil), hosted...)
 	return c
-}
-
-// Hosted returns the workers this process runs.
-func (c *Cluster) Hosted() []int {
-	return append([]int(nil), c.hosted...)
 }
 
 // Workers returns the number of workers.

@@ -43,7 +43,7 @@ type exec struct {
 	sealTuples  int    // run length at which policy Always seals; 0 = default
 
 	// parallelism caps concurrent sub-joins per Tributary join (resolved
-	// RunOpts → Cluster → default; 1 means the serial path).
+	// RunOpts → Cluster → default; 1 runs each join as one shard).
 	parallelism int
 
 	// prog is the serving layer's live progress record for this query, found

@@ -300,15 +300,16 @@ func (o *hashJoinOp) next() ([]rel.Tuple, error) {
 
 // tributaryOp materializes its inputs (the post-shuffle fragments of every
 // atom), sorts them, runs the Tributary join, and streams the result. Each
-// input streams through its atom's Normalizer into a spill.Sorter, the
-// sorted runs become the trie arrays, and the join's output goes through a
-// spill.Buffer that next() streams from. With spilling enabled the Sorter
-// and the Buffer seal to disk under pressure, so the working set is bounded
-// by the run's budget; with it off they never seal, and a budget breach is
-// the labelled ErrOutOfMemory. The "sort" phase covers receiving the input
-// as well as sorting it, less the time spent blocked on the transport (the
-// part of busy time the task's wait already excludes); the "join" phase
-// covers the join.
+// input streams through its atom's Normalizer into a spill.Sorter, and the
+// sorted runs become the trie arrays. The join runs as one or more shards
+// (parallel.go; one shard when K≤1), each into its own spill.Buffer, and
+// next() streams the buffers in shard order. With spilling enabled the
+// Sorter and the Buffers seal to disk under pressure, so the working set is
+// bounded by the run's budget; with it off they never seal, and a budget
+// breach is the labelled ErrOutOfMemory. The "sort" phase covers receiving
+// the input as well as sorting it, less the time spent blocked on the
+// transport (the part of busy time the task's wait already excludes); the
+// "join" phase covers the join.
 type tributaryOp struct {
 	t      *task
 	q      *core.Query
@@ -425,57 +426,25 @@ func (o *tributaryOp) open() error {
 	e.metrics.addSorted(o.t.worker, inputTuples)
 	o.emitPhase("sort", sortDur, inputTuples)
 
+	// The join's one cancellation point: polled every 4096 leapfrog steps,
+	// not per output row, so a join that emits nothing still stops. Shards
+	// copy it, so it goes in first.
+	p.SetStopCheck(func() bool { return e.ctx.Err() != nil })
 	joinStart := time.Now()
-	if shards := o.shards(p); shards != nil {
-		stream, perr := o.joinParallel(shards)
-		joinDur := time.Since(joinStart)
-		e.metrics.addJoin(o.t.worker, joinDur)
-		e.metrics.addSeeks(o.t.worker, shardSeeks(shards))
-		var tuples int64
-		if stream != nil {
-			tuples = stream.Len()
-		}
-		o.emitPhase("join", joinDur, tuples)
-		if perr != nil {
-			return perr
-		}
-		o.stream = stream
-		return nil
-	}
-	buf := spill.NewBuffer(e.spillConfig(o.t.worker, len(o.sch), "tributary"))
-	var addErr error
-	var produced int
-	runErr := p.Run(func(t rel.Tuple) bool {
-		if addErr = buf.Add(t.Clone()); addErr != nil {
-			return false
-		}
-		// This enumeration can produce a worst-case-size result with no
-		// other cancellation point, so poll the run context periodically —
-		// deadlines, client cancels, and Close must not wait for it.
-		if produced++; produced&0x1fff == 0 && e.ctx.Err() != nil {
-			return false
-		}
-		return true
-	})
+	shards := o.shards(p)
+	stream, err := o.join(shards)
 	joinDur := time.Since(joinStart)
 	e.metrics.addJoin(o.t.worker, joinDur)
-	e.metrics.addSeeks(o.t.worker, p.Stats().Seeks)
-	o.emitPhase("join", joinDur, buf.Len())
-	if runErr != nil {
-		return runErr
+	e.metrics.addSeeks(o.t.worker, shardSeeks(shards))
+	var tuples int64
+	if stream != nil {
+		tuples = stream.Len()
 	}
-	if addErr != nil {
-		return e.spillErr(o.t.worker, addErr)
-	}
-	if err := e.ctx.Err(); err != nil {
+	o.emitPhase("join", joinDur, tuples)
+	if err != nil {
 		return err
 	}
-	if err := e.memErr(o.t.worker); err != nil {
-		return err
-	}
-	if o.stream, err = buf.Finish(); err != nil {
-		return err
-	}
+	o.stream = stream
 	return nil
 }
 

@@ -12,29 +12,26 @@ import (
 	"parajoin/internal/trace"
 )
 
-// Intra-worker parallel Tributary join. With parallelism K>1 the prepared
-// join is split into contiguous sub-ranges of the first join attribute's
-// domain (see ljoin.Shards) and the sub-ranges run on a pool of up to K
-// goroutines. Because level-0 values enumerate in increasing order and the
-// ranges are disjoint and ordered, concatenating the sub-range outputs in
-// range order reproduces the serial path's row sequence exactly — the
-// determinism the retry-based fault tolerance of DESIGN.md's "Fault
-// tolerance" section depends on.
+// The Tributary join's one execution path. With parallelism K>1 the
+// prepared join is split into contiguous sub-ranges of the first join
+// attribute's domain (see ljoin.Shards) and the sub-ranges run on a pool of
+// up to K goroutines; with K≤1, or when the split declines, the whole join
+// is one shard run inline. Because level-0 values enumerate in increasing
+// order and the ranges are disjoint and ordered, concatenating the
+// sub-range outputs in range order reproduces the one-shard row sequence
+// exactly — the determinism the retry-based fault tolerance of DESIGN.md's
+// "Fault tolerance" section depends on.
 
-// shards decides whether a prepared join runs in parallel: it asks for
-// ~2K sub-ranges (oversampling lets the pool balance ranges of uneven
-// cost) and falls back to the serial path when the split declines — K≤1,
-// a B-tree-backed trie, or a domain too small to cut.
+// shards asks for ~2K sub-ranges (oversampling lets the pool balance ranges
+// of uneven cost) and falls back to the whole join as one shard when K≤1 or
+// the split declines: a degenerate join, or a domain too small to cut.
 func (o *tributaryOp) shards(p *ljoin.Prepared) []*ljoin.Prepared {
-	k := o.t.ex.parallelism
-	if k <= 1 {
-		return nil
+	if k := o.t.ex.parallelism; k > 1 {
+		if s := p.Shards(2 * k); s != nil {
+			return s
+		}
 	}
-	s := p.Shards(2 * k)
-	if len(s) < 2 {
-		return nil
-	}
-	return s
+	return []*ljoin.Prepared{p}
 }
 
 // runPool executes task(0..n-1) on min(parallelism, n) goroutines. Tasks
@@ -45,8 +42,13 @@ func (o *tributaryOp) shards(p *ljoin.Prepared) []*ljoin.Prepared {
 // context is canceled, or the worker's memory budget is blown. Each
 // task's range-order index, row count, and wall time are traced as a
 // KindJoin span, and the pool's task counts feed the JoinTasks and
-// JoinStealMax report counters.
+// JoinStealMax report counters. A single task — the unsplit join — runs
+// inline, with no span and no task accounting: those record a split.
 func (o *tributaryOp) runPool(n int, task func(i int) (int64, error)) error {
+	if n == 1 {
+		_, err := task(0)
+		return err
+	}
 	e := o.t.ex
 	workers := min(e.parallelism, n)
 	var next atomic.Int64
@@ -103,27 +105,25 @@ func (o *tributaryOp) runPool(n int, task func(i int) (int64, error)) error {
 	return nil
 }
 
-// joinParallel runs the sub-joins: each sub-range materializes through its
-// own spillable FIFO buffer (buffers are single-goroutine; the accountant
-// and segment factory they share are lock-free/atomic), and the finished
-// per-shard streams are chained in range order, so the stream replays the
-// serial path's row sequence.
-func (o *tributaryOp) joinParallel(shards []*ljoin.Prepared) (spill.Stream, error) {
+// join runs the shards: each materializes through its own spillable FIFO
+// buffer (buffers are single-goroutine; the accountant and segment factory
+// they share are lock-free/atomic), and the finished per-shard streams are
+// chained in range order. A lone shard's buffer is labelled "tributary",
+// a split one's "tributary[i]".
+func (o *tributaryOp) join(shards []*ljoin.Prepared) (spill.Stream, error) {
 	e := o.t.ex
 	bufs := make([]*spill.Buffer, len(shards))
 	poolErr := o.runPool(len(shards), func(i int) (int64, error) {
-		buf := spill.NewBuffer(e.spillConfig(o.t.worker, len(o.sch), fmt.Sprintf("tributary[%d]", i)))
+		label := "tributary"
+		if len(shards) > 1 {
+			label = fmt.Sprintf("tributary[%d]", i)
+		}
+		buf := spill.NewBuffer(e.spillConfig(o.t.worker, len(o.sch), label))
 		bufs[i] = buf
 		var addErr error
-		var produced int
 		runErr := shards[i].Run(func(t rel.Tuple) bool {
-			if addErr = buf.Add(t.Clone()); addErr != nil {
-				return false
-			}
-			if produced++; produced&0x1fff == 0 && e.ctx.Err() != nil {
-				return false
-			}
-			return true
+			addErr = buf.Add(t.Clone())
+			return addErr == nil
 		})
 		if runErr != nil {
 			return buf.Len(), runErr
@@ -156,9 +156,9 @@ func (o *tributaryOp) joinParallel(shards []*ljoin.Prepared) (spill.Stream, erro
 	return spill.Concat(streams...), nil
 }
 
-// shardSeeks sums the sub-joins' trie seeks — the parent Prepared never
-// ran, so its own counters stay zero and the shard sum is the whole join's
-// seek count.
+// shardSeeks sums the shards' trie seeks. A split join's parent Prepared
+// never ran, so its own counters stay zero and the shard sum is the whole
+// join's seek count.
 func shardSeeks(shards []*ljoin.Prepared) int64 {
 	var n int64
 	for _, s := range shards {

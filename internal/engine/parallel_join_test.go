@@ -129,8 +129,9 @@ func TestParallelJoinSpilledMatchesSerial(t *testing.T) {
 }
 
 // TestParallelismResolution checks the RunOpts → Cluster → default
-// resolution: a cluster-wide setting engages without per-run options, and
-// a negative per-run value forces the serial path over it.
+// resolution: a cluster-wide setting engages without per-run options, a
+// negative per-run value runs the join as one shard over it, and K>1 on a
+// join that ljoin.Shards declines does too.
 func TestParallelismResolution(t *testing.T) {
 	const workers = 4
 	cfg := shares.Config{Vars: []core.Var{"x", "y", "z"}, Dims: []int{2, 2, 1}}
@@ -156,6 +157,42 @@ func TestParallelismResolution(t *testing.T) {
 	}
 	if report.JoinTasks != 0 {
 		t.Errorf("RunOpts.Parallelism=-1 should force serial, got %d tasks", report.JoinTasks)
+	}
+
+	// One distinct x (the first join variable): ljoin.Shards declines, so
+	// K=4 runs every worker's join as one inline shard — no sub-join tasks,
+	// no KindJoin spans — and returns the K=1 rows.
+	one := NewCluster(workers)
+	defer one.Close()
+	r, u := rel.New("R", "src", "dst"), rel.New("T", "src", "dst")
+	for v := int64(0); v < 60; v++ {
+		r.AppendRow(1, v)
+		u.AppendRow(v, 1)
+	}
+	one.Load(r)
+	one.Load(randGraph("S", 1200, 60, 22))
+	one.Load(u)
+	k1, _, err := one.RunRoundsOpts(context.Background(), rounds, RunOpts{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := trace.NewRing(1 << 12)
+	k4, report, err := one.RunRoundsOpts(context.Background(), rounds,
+		RunOpts{Parallelism: 4, Tracer: trace.New(ring)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k1.Cardinality() == 0 {
+		t.Fatal("single-x triangle input has no answer")
+	}
+	identicalRows(t, k4, k1)
+	if report.JoinTasks != 0 {
+		t.Errorf("K=4 with one distinct x: %d sub-join tasks, want 0 (Shards declines)", report.JoinTasks)
+	}
+	for _, e := range ring.Snapshot() {
+		if e.Kind == trace.KindJoin {
+			t.Fatalf("K=4 with one distinct x emitted a KindJoin span: %+v", e)
+		}
 	}
 
 	if got := defaultParallelism(1); got < 1 || got > 8 {

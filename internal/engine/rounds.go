@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -46,8 +47,10 @@ type RunOpts struct {
 	// bytes: 0 inherits, a negative value lifts the cap.
 	MaxSpillBytes int64
 	// Parallelism overrides the cluster's intra-worker join parallelism for
-	// this run: 0 inherits, a negative value forces the serial path, K>0
-	// allows up to K concurrent sub-joins per worker.
+	// this run: 0 inherits, a negative value runs the join as one shard, K>0
+	// allows up to K concurrent sub-joins per worker. Unlike the limits
+	// above, a Remote runner receives it unresolved, because auto (0)
+	// depends on the cores of the host that executes the join.
 	Parallelism int
 	// Epoch, when > 0, pins the run's exchange-id namespace instead of
 	// drawing one from the cluster's internal counter; round i of a
@@ -114,11 +117,22 @@ func (c *Cluster) runParallelism(o RunOpts) int {
 	return max(k, 1)
 }
 
+// remoteOpts resolves this cluster's limits into opts for a Remote runner,
+// whose members would fill zeros from their own defaults: an unlimited cap
+// travels as -1 (lifted), an unset policy as SpillOff. SpillDir (a local
+// path) and Parallelism (auto depends on the executing host) stay as given.
+func (c *Cluster) remoteOpts(o RunOpts) RunOpts {
+	o.MaxLocalTuples = cmp.Or(c.runMemLimit(o), -1)
+	o.MaxSpillBytes = cmp.Or(c.runSpillBytes(o), -1)
+	o.Spill = cmp.Or(c.runSpillPolicy(o), SpillOff)
+	return o
+}
+
 // defaultParallelism sizes the auto sub-join pool: the hosted workers of a
 // run already execute concurrently, so each gets an even share of the
 // host's cores, clamped to [1, 8]. On a machine with fewer cores than
-// hosted workers this resolves to 1 — the serial path — so small hosts pay
-// no coordination overhead by default.
+// hosted workers this resolves to 1 — each join one shard, run inline — so
+// small hosts pay no coordination overhead by default.
 func defaultParallelism(hosted int) int {
 	if hosted < 1 {
 		hosted = 1
@@ -152,7 +166,7 @@ func (c *Cluster) RunRoundsOpts(ctx context.Context, rounds []Round, opts RunOpt
 		if c.closed.Load() {
 			return nil, nil, ErrClosed
 		}
-		return c.Remote.RunRounds(ctx, rounds, opts)
+		return c.Remote.RunRounds(ctx, rounds, c.remoteOpts(opts))
 	}
 	// temps is this run's private relation namespace: scans resolve here
 	// before the shared cluster storage.

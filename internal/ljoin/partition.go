@@ -8,7 +8,7 @@ import "parajoin/internal/rel"
 // values in strictly increasing order and every deeper level descends from
 // one level-0 binding, running the sub-joins independently and
 // concatenating their outputs in range order reproduces the serial output
-// bit for bit — the guarantee the engine's parallel path (and, through it,
+// bit for bit — the guarantee the engine's join (and, through it,
 // retry-based fault tolerance) relies on.
 
 // Shards splits p into up to k sub-joins over disjoint, contiguous,
@@ -20,13 +20,14 @@ import "parajoin/internal/rel"
 // value-run boundary at run time). Each shard holds fresh iterator clones
 // over the shared backing arrays, so shards are safe to Run concurrently.
 //
-// Shards returns nil — meaning "run serially" — when k ≤ 1, when the join
-// is degenerate (empty guard failed, no variables, unbound first variable,
-// empty pivot), or when the pivot has fewer distinct values than needed for
-// at least two non-empty ranges.
+// Shards returns nil — meaning "declined": run p whole — when k ≤ 1, when
+// the join is degenerate (empty guard failed, no variables, unbound first
+// variable, empty pivot), or when the pivot has fewer distinct values than
+// needed for at least two non-empty ranges.
 //
 // The parent p stays runnable and is not aliased by the shards' mutable
-// state; its Stats do not include work done by shards.
+// state; its Stats do not include work done by shards. Every shard shares
+// p's stop check, so install it (SetStopCheck) before splitting.
 func (p *Prepared) Shards(k int) []*Prepared {
 	if k <= 1 || p.emptyGuardFailed || len(p.order) == 0 {
 		return nil

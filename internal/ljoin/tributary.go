@@ -2,7 +2,6 @@ package ljoin
 
 import (
 	"fmt"
-	"time"
 
 	"parajoin/internal/core"
 	"parajoin/internal/rel"
@@ -21,9 +20,6 @@ type Stats struct {
 	Seeks int64
 	// Results is the number of tuples emitted.
 	Results int64
-	// SortTime is the time Prepare spent sorting inputs — the dominant cost
-	// of Tributary join in the paper's profile (Table 5).
-	SortTime time.Duration
 }
 
 // Prepared is a Tributary join ready to run: inputs normalized, sorted, and
@@ -37,12 +33,12 @@ type Prepared struct {
 	filters          [][]core.Filter // filters that become checkable exactly at depth d
 	filterIx         [][][2]int      // per depth, per filter: operand positions in the binding (-1 = constant)
 	headIdx          []int           // binding positions of the head variables
-	sortTime         time.Duration
 	results          int64
 	emptyGuardFailed bool
 
-	// stop, when set, is polled periodically during the join; returning
-	// true aborts the run (used for deadlines on known-bad variable orders).
+	// stop, when set, is polled every 4096 leapfrog steps; returning true
+	// aborts the run. The engine cancels joins with it, and the order study
+	// bounds known-bad variable orders with it.
 	stop      func() bool
 	stopSteps int64
 	stopped   bool
@@ -103,7 +99,6 @@ func prepare(q *core.Query, order []core.Var, supply func(core.Atom) (*rel.Relat
 
 	p := &Prepared{q: q, order: order}
 	p.byLevel = make([][]int, len(order))
-	start := time.Now()
 	for _, atom := range q.Atoms {
 		norm, sorted, err := supply(atom)
 		if err != nil {
@@ -125,7 +120,6 @@ func prepare(q *core.Query, order []core.Var, supply func(core.Atom) (*rel.Relat
 			p.byLevel[pos[v]] = append(p.byLevel[pos[v]], idx)
 		}
 	}
-	p.sortTime = time.Since(start)
 
 	// Attach each filter to the first depth where all its operands are bound.
 	p.filters = make([][]core.Filter, len(order))
@@ -261,7 +255,7 @@ func (p *Prepared) Stopped() bool { return p.stopped }
 
 // Stats returns the work counters accumulated so far.
 func (p *Prepared) Stats() Stats {
-	s := Stats{Results: p.results, SortTime: p.sortTime}
+	s := Stats{Results: p.results}
 	for _, t := range p.tries {
 		s.Seeks += t.seeks
 	}

@@ -3,7 +3,6 @@ package planner
 import (
 	"fmt"
 
-	"parajoin/internal/core"
 	"parajoin/internal/engine"
 	"parajoin/internal/hypercube"
 	"parajoin/internal/shares"
@@ -46,10 +45,4 @@ func (b *builder) buildHC(res *Result, tj bool) error {
 		return b.localTributary(res, termStreams)
 	}
 	return b.localHashTree(res, termStreams)
-}
-
-// HCConfig exposes the share configuration Algorithm 1 would pick for q on
-// this planner's cluster, without building a plan.
-func (p *Planner) HCConfig(q *core.Query) (shares.Config, error) {
-	return shares.Optimize(q, p.Catalog, p.Workers)
 }

@@ -57,7 +57,7 @@ func (b *Buffer) Finish() (Stream, error) {
 // Concat chains streams back to back in argument order: Len sums, Next
 // drains each stream before moving to the next, Close closes them all.
 // The parallel Tributary join uses it to stitch per-sub-range buffers
-// into one stream with the serial path's exact row order.
+// into one stream with the unsplit join's exact row order.
 func Concat(streams ...Stream) Stream {
 	if len(streams) == 1 {
 		return streams[0]

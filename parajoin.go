@@ -241,10 +241,10 @@ func WithSpillBudget(bytes int64) Option {
 
 // WithParallelism sets how many sub-joins each worker may run concurrently
 // inside one Tributary join. 0 (the default) resolves automatically from
-// GOMAXPROCS and the worker count; 1 forces the serial path; K>1 splits
-// the first join attribute's domain into contiguous ranges joined by up to
-// K goroutines. Output is bit-identical to the serial path whatever K is:
-// the ranges are disjoint and concatenated in domain order.
+// GOMAXPROCS and the worker count; 1 runs the join as one shard; K>1
+// splits the first join attribute's domain into contiguous ranges joined by
+// up to K goroutines. Output is bit-identical to the one-shard run whatever
+// K is: the ranges are disjoint and concatenated in domain order.
 func WithParallelism(k int) Option {
 	return func(db *DB) { db.cluster.Parallelism = k }
 }
@@ -478,8 +478,8 @@ type RunOptions struct {
 	// 0 inherits, a negative value lifts the cap.
 	MaxSpillBytes int64
 	// Parallelism overrides the database's intra-worker join parallelism
-	// for this query: 0 inherits, a negative value forces the serial path,
-	// K>0 allows up to K concurrent sub-joins per worker.
+	// for this query: 0 inherits, a negative value runs the join as one
+	// shard, K>0 allows up to K concurrent sub-joins per worker.
 	Parallelism int
 	// Explain captures the run's EXPLAIN ANALYZE rendering into
 	// Stats.Explain: tracing is forced on for the run and the annotated

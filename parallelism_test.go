@@ -2,8 +2,10 @@ package parajoin
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"parajoin/internal/dataset"
 )
@@ -146,5 +148,45 @@ func TestWithParallelismOption(t *testing.T) {
 	if res.Stats.JoinStealMax == 0 || res.Stats.JoinStealMax > res.Stats.JoinTasks {
 		t.Errorf("JoinStealMax=%d out of range (JoinTasks=%d)",
 			res.Stats.JoinStealMax, res.Stats.JoinTasks)
+	}
+}
+
+// TestJoinDeadlineEmitsNothing: a deadline must end a Tributary join that
+// emits no rows. No atom of the 4-cycle holds both a and c, so the
+// contradictory filters cannot be pushed into a scan; the join walks every
+// a–b–c path and rejects each one at c. On the hub graph (every leaf
+// points at the hub and back) that is ~leaves² steps over a few tens of
+// thousands of input tuples — about 20 s uncancelled at K=1 on a 2-core
+// Xeon — so the run must fail with the deadline long before.
+func TestJoinDeadlineEmitsNothing(t *testing.T) {
+	const leaves = 16000
+	const deadline = 200 * time.Millisecond
+	const hub = 0
+	edges := make([][2]int64, 0, 2*leaves)
+	for i := int64(1); i <= leaves; i++ {
+		edges = append(edges, [2]int64{i, hub}, [2]int64{hub, i})
+	}
+	db := testDB(t, 1)
+	if err := db.LoadEdges("E", edges); err != nil {
+		t.Fatal(err)
+	}
+	q, err := db.Query("C(a,b,c,d) :- E(a,b), E(b,c), E(c,d), E(d,a), a < c, c < a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			defer cancel()
+			start := time.Now()
+			_, err := q.RunWithOptions(ctx, RunOptions{Strategy: HyperCubeTributary, Parallelism: k})
+			elapsed := time.Since(start)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v after %v, want context.DeadlineExceeded", err, elapsed)
+			}
+			if elapsed > deadline+5*time.Second {
+				t.Fatalf("returned %v after a %v deadline", elapsed, deadline)
+			}
+		})
 	}
 }

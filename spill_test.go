@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"parajoin/internal/engine"
+	"parajoin/internal/rel"
 	"parajoin/internal/spill"
 	"parajoin/internal/trace"
 )
@@ -142,20 +144,34 @@ func TestSpillColbatchJoinByteIdentical(t *testing.T) {
 
 // TestSpillOffStillFailsHard: the legacy contract — budget exceeded with
 // spilling off is ErrOutOfMemory, not silent degradation. The error names
-// the Tributary input's sorter, which cannot seal with spilling off.
+// the operator that cannot seal with spilling off: at a tiny budget a
+// Tributary input's sorter; at half the peak of a 2-path join, whose
+// answer outgrows its inputs, the join's one-shard output buffer at K=1.
 func TestSpillOffStillFailsHard(t *testing.T) {
 	db := testDB(t, 2)
 	loadTriangleGraph(t, db)
-	q, err := db.Query(triangleRule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = q.RunWithOptions(context.Background(), RunOptions{
-		Strategy:       HyperCubeTributary,
-		MaxLocalTuples: 10,
-	})
-	if !errors.Is(err, ErrOutOfMemory) || !strings.Contains(err.Error(), "sort(") {
-		t.Fatalf("err = %v, want ErrOutOfMemory in sort(…)", err)
+	for _, c := range []struct {
+		rule   string
+		budget func(peak int64) int64
+		want   string
+	}{
+		{triangleRule, func(int64) int64 { return 10 }, "sort("},
+		{"P(x,y,z) :- E(x,y), E(y,z)", func(peak int64) int64 { return peak / 2 }, "in tributary)"},
+	} {
+		q, err := db.Query(c.rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := RunOptions{Strategy: HyperCubeTributary, Parallelism: 1}
+		base, err := q.RunWithOptions(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.MaxLocalTuples = c.budget(base.Stats.PeakResidentTuples)
+		_, err = q.RunWithOptions(context.Background(), opts)
+		if !errors.Is(err, ErrOutOfMemory) || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s at budget %d: err = %v, want ErrOutOfMemory in %s…", c.rule, opts.MaxLocalTuples, err, c.want)
+		}
 	}
 }
 
@@ -257,5 +273,74 @@ func TestHashJoinLowMemory(t *testing.T) {
 	}
 	if leftovers, _ := filepath.Glob(filepath.Join(dir, "parajoin-spill-*")); len(leftovers) != 0 {
 		t.Fatalf("spill dirs left behind: %v", leftovers)
+	}
+}
+
+// recordingRunner is a RemoteRunner that records the options of every run
+// it is handed and executes none of them.
+type recordingRunner struct{ got []engine.RunOpts }
+
+var errRecorded = errors.New("recorded, not run")
+
+func (r *recordingRunner) RunRounds(_ context.Context, _ []engine.Round, o engine.RunOpts) (*rel.Relation, *engine.Report, error) {
+	r.got = append(r.got, o)
+	return nil, nil, errRecorded
+}
+
+// TestRemoteRunnerGetsResolvedLimits: a distributed run ships the
+// coordinator's limits, not zeros a data node would fill from its own
+// defaults. The budget, spill policy and spill cap arrive resolved against
+// the DB (an unlimited one as -1, an unset policy as SpillOff); the spill
+// directory, a local path, and Parallelism, whose auto value depends on
+// the executing host, do not.
+func TestRemoteRunnerGetsResolvedLimits(t *testing.T) {
+	limited := []Option{WithMemoryLimit(1000), WithSpill(SpillOnPressure), WithSpillBudget(1 << 20),
+		WithSpillDir(t.TempDir()), WithParallelism(2)}
+	cases := []struct {
+		name string
+		db   []Option
+		run  RunOptions
+		want engine.RunOpts
+	}{
+		{"db limits", limited, RunOptions{},
+			engine.RunOpts{MaxLocalTuples: 1000, Spill: SpillOnPressure, MaxSpillBytes: 1 << 20}},
+		{"per-query overrides", limited,
+			RunOptions{MaxLocalTuples: 10, Spill: SpillAlways, MaxSpillBytes: 5, Parallelism: 3},
+			engine.RunOpts{MaxLocalTuples: 10, Spill: SpillAlways, MaxSpillBytes: 5, Parallelism: 3}},
+		{"per-query lifts", limited,
+			RunOptions{MaxLocalTuples: -1, MaxSpillBytes: -1, Parallelism: -1},
+			engine.RunOpts{MaxLocalTuples: -1, Spill: SpillOnPressure, MaxSpillBytes: -1, Parallelism: -1}},
+		{"no db limits", nil, RunOptions{},
+			engine.RunOpts{MaxLocalTuples: -1, Spill: SpillOff, MaxSpillBytes: -1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := Open(2, c.db...)
+			defer db.Close()
+			if err := db.LoadEdges("E", SyntheticGraph(50, 10, 3)); err != nil {
+				t.Fatal(err)
+			}
+			rec := &recordingRunner{}
+			db.SetRemoteRunner(rec)
+			q, err := db.Query(triangleRule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.run.Strategy = HyperCubeTributary
+			if _, err := q.RunWithOptions(context.Background(), c.run); !errors.Is(err, errRecorded) {
+				t.Fatalf("err = %v, want the recording runner's", err)
+			}
+			if len(rec.got) != 1 {
+				t.Fatalf("runner saw %d runs, want 1", len(rec.got))
+			}
+			got := rec.got[0]
+			if got.MaxLocalTuples != c.want.MaxLocalTuples || got.Spill != c.want.Spill ||
+				got.MaxSpillBytes != c.want.MaxSpillBytes || got.Parallelism != c.want.Parallelism ||
+				got.SpillDir != "" {
+				t.Errorf("runner got MaxLocalTuples=%d Spill=%v MaxSpillBytes=%d Parallelism=%d SpillDir=%q, "+
+					"want %d %v %d %d \"\"", got.MaxLocalTuples, got.Spill, got.MaxSpillBytes, got.Parallelism,
+					got.SpillDir, c.want.MaxLocalTuples, c.want.Spill, c.want.MaxSpillBytes, c.want.Parallelism)
+			}
+		})
 	}
 }
