@@ -122,7 +122,7 @@ func (o *tributaryOp) join(shards []*ljoin.Prepared) (spill.Stream, error) {
 		bufs[i] = buf
 		var addErr error
 		runErr := shards[i].Run(func(t rel.Tuple) bool {
-			addErr = buf.Add(t.Clone())
+			addErr = buf.Add(t)
 			return addErr == nil
 		})
 		if runErr != nil {

@@ -164,8 +164,9 @@ func checkOrder(q *core.Query, order []core.Var) error {
 }
 
 // Run executes the join, calling emit for every result tuple (laid out as
-// the query's head variables). emit returning false stops the join early.
-// Run may be called once per Prepared value.
+// the query's head variables). The tuple is overwritten by the next
+// result, so emit copies what it keeps. emit returning false stops the
+// join early. Run may be called once per Prepared value.
 func (p *Prepared) Run(emit func(rel.Tuple) bool) error {
 	if p.emptyGuardFailed {
 		return nil

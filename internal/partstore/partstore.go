@@ -525,7 +525,7 @@ func (s *Store) loadSegment(r *rel.Relation, name string, pe PartitionEntry) err
 		return fmt.Errorf("partstore: partition %s/%d checksum mismatch: file %08x, manifest %08x",
 			name, pe.Slot, crc, pe.CRC)
 	}
-	seg := &spill.Segment{Path: path, Arity: 0} // arity validated from the header
+	seg := &spill.Segment{Path: path, Arity: 0, Tuples: pe.Tuples} // arity validated from the header
 	rd, err := spill.OpenSegment(seg)
 	if err != nil {
 		return err

@@ -15,17 +15,20 @@
 //     atomics, so concurrent charges — including the sub-joins of one
 //     worker's parallel Tributary join — never deadlock or contend on a
 //     mutex.
-//   - Segment: the on-disk run format — a small header plus raw
-//     little-endian int64 values, streamed through buffered I/O.
+//   - Segment: the on-disk run format (PJSPILL2) — a 16-byte header
+//     (magic, arity), then colbatch batches of up to 4 096 rows, streamed
+//     through buffered I/O. A SegmentReader is a Stream.
 //   - Sorter: an external merge sort. Add copies each tuple into an arena
 //     the sorter owns; a run is sorted by packing rows into uint64 keys
 //     and radix-sorting them when they fit 64 bits, by comparison when
 //     they do not. Sealed runs are sorted before they hit disk, so reading
 //     them back is a k-way merge that yields the exact sequence an
 //     in-memory sort of the whole input would.
-//   - Buffer: the unsorted cousin, preserving append order — used for
-//     result, StoreAs, and per-sub-range join-output materialization
-//     (Concat chains per-shard buffers back into one ordered stream).
+//   - Buffer: the unsorted cousin on the same owned arena, preserving
+//     append order — used for result (StoreAs included) and
+//     per-sub-range join-output materialization. Its Finish chains its
+//     segments with Concat, which also chains per-shard buffers back into
+//     one ordered stream.
 //   - Dir: the per-run temp directory, removed wholesale when the run
 //     ends (success, error, or cancellation alike).
 //

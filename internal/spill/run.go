@@ -7,39 +7,15 @@ import (
 	"parajoin/internal/rel"
 )
 
-// runStore is a spiller's in-memory run: the tuples added since the last
-// seal.
-type runStore interface {
-	len() int
-	push(t rel.Tuple)
-	// writeTo writes the run to w, in sorted order if it is a Sorter's.
-	writeTo(w *SegmentWriter) error
-	reset()
-}
-
-// tupleRun is Buffer's run: the caller's rows, in insertion order.
-type tupleRun []rel.Tuple
-
-func (r *tupleRun) len() int         { return len(*r) }
-func (r *tupleRun) push(t rel.Tuple) { *r = append(*r, t) }
-func (r *tupleRun) reset()           { clear(*r); *r = (*r)[:0] } // drop row references for the GC
-func (r *tupleRun) writeTo(w *SegmentWriter) error {
-	for _, t := range *r {
-		if err := w.Write(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// arenaRun is Sorter's run: the added rows' values copied into arena
-// chunks the sorter owns, arity values per row, with no pointers for the
-// garbage collector to scan. Owning the values is what lets the sort
-// rewrite rows in place — the caller's rows may be shared (a workload's
-// base relation, say) and are never written. Chunks fill in order and a
-// row never straddles two, so a run grows without copying and wastes at
-// most one partly filled chunk; a sealed run's chunks are reused by the
-// next run.
+// arenaRun is a spiller's in-memory run: the rows added since the last
+// seal, their values copied into arena chunks the spiller owns, arity
+// values per row, with no pointers for the garbage collector to scan.
+// Owning the values is what lets a Sorter rewrite rows in place and lets
+// any caller reuse the row it added — the caller's rows may be shared (a
+// workload's base relation, say) and are never written. Chunks fill in
+// order and a row never straddles two, so a run grows without copying and
+// wastes at most one partly filled chunk; a sealed run's chunks are reused
+// by the next run.
 type arenaRun struct {
 	arity  int
 	rows   int
@@ -65,8 +41,6 @@ func newArenaRun(arity int) arenaRun {
 	first := make([]int64, 0, max(arenaFirstChunk, arity))
 	return arenaRun{arity: arity, chunks: [][]int64{first}, cols: cols}
 }
-
-func (r *arenaRun) len() int { return r.rows }
 
 func (r *arenaRun) push(t rel.Tuple) {
 	if c := r.chunks[r.cur]; len(c)+len(t) > cap(c) {
@@ -94,7 +68,6 @@ func (r *arenaRun) trim() {
 }
 
 func (r *arenaRun) writeTo(w *SegmentWriter) error {
-	r.sort()
 	a := r.arity
 	for _, c := range r.chunks[:r.cur+1] {
 		for i := 0; i < len(c); i += a {

@@ -17,8 +17,9 @@ import (
 // layout the exchange transport and wire protocol use, so spilled runs get
 // the same compression and share one decoder. Write order is preserved:
 // batch k holds rows k·segChunkRows onward, rows in row order within each
-// batch. Segments are process-private temp files that never outlive their
-// run; the per-batch CRC from colbatch is the only integrity check needed.
+// batch. Every batch carries colbatch's CRC. A spill segment is a private
+// temp file that never outlives its run; partstore keeps its durable
+// partitions in the same format and adds a whole-file CRC in its manifest.
 const (
 	segMagic      = "PJSPILL2"
 	segHeaderSize = 16
@@ -134,24 +135,26 @@ func (w *SegmentWriter) Finish() (*Segment, error) {
 }
 
 // SegmentReader streams a segment's tuples back in write order, decoding
-// one colbatch batch at a time.
+// one colbatch batch at a time. It is a Stream.
 type SegmentReader struct {
-	f     *os.File
-	br    *bufio.Reader
-	arity int
+	f      *os.File
+	br     *bufio.Reader
+	arity  int
+	tuples int64
 
 	cur     []rel.Tuple // materialized rows of the current batch
 	pos     int
 	scratch []byte // batch read buffer, reused
 }
 
-// OpenSegment opens seg for reading and validates its header.
+// OpenSegment opens seg for reading and validates its header. The
+// reader's Len is seg.Tuples.
 func OpenSegment(seg *Segment) (*SegmentReader, error) {
 	f, err := os.Open(seg.Path)
 	if err != nil {
 		return nil, err
 	}
-	r := &SegmentReader{f: f, br: bufio.NewReaderSize(f, segBufSize)}
+	r := &SegmentReader{f: f, br: bufio.NewReaderSize(f, segBufSize), tuples: seg.Tuples}
 	var hdr [segHeaderSize]byte
 	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
 		f.Close()
@@ -224,6 +227,9 @@ func (r *SegmentReader) Next() (rel.Tuple, error) {
 	r.pos++
 	return t, nil
 }
+
+// Len returns the segment's tuple count.
+func (r *SegmentReader) Len() int64 { return r.tuples }
 
 // Close closes the underlying file.
 func (r *SegmentReader) Close() error { return r.f.Close() }

@@ -41,15 +41,21 @@ func Drain(s Stream) ([]rel.Tuple, error) {
 }
 
 // spiller is the run/seal machinery shared by Sorter and Buffer: an
-// in-memory run charged to the accountant, sealed to a segment file when
-// the budget (or the Always threshold) says so.
+// in-memory arena run charged to the accountant, sealed to a segment file
+// when the budget (or the Always threshold) says so. A Sorter's spiller
+// sorts each run before it leaves memory.
 type spiller struct {
 	cfg      Config
-	run      runStore
+	run      arenaRun
+	sorts    bool
 	segs     []*Segment
 	total    int64
 	reserved int64 // tuples of run currently charged to the accountant
-	sealed   int64 // tuples currently on disk
+	finished bool
+}
+
+func newSpiller(cfg Config, sorts bool) spiller {
+	return spiller{cfg: cfg, run: newArenaRun(cfg.Arity), sorts: sorts}
 }
 
 // spillable reports whether this run may seal to disk at all.
@@ -57,13 +63,14 @@ func (s *spiller) spillable() bool {
 	return (s.cfg.Policy == OnPressure || s.cfg.Policy == Always) && s.cfg.Create != nil
 }
 
-// add reserves one tuple and appends it, sealing the current run first
-// when the policy calls for it.
-func (s *spiller) add(t rel.Tuple) error {
+// Add reserves one tuple and copies its values into the run, sealing the
+// current run first when the policy calls for it. The caller keeps t and
+// may reuse it at once.
+func (s *spiller) Add(t rel.Tuple) error {
 	if len(t) != s.cfg.Arity {
 		return fmt.Errorf("spill: %s: adding arity-%d tuple to arity-%d run", s.cfg.Label, len(t), s.cfg.Arity)
 	}
-	if s.cfg.Policy == Always && s.run.len() >= s.cfg.sealTuples() {
+	if s.cfg.Policy == Always && s.spillable() && s.run.rows >= s.cfg.sealTuples() {
 		if err := s.seal(); err != nil {
 			return err
 		}
@@ -98,7 +105,7 @@ func (s *spiller) add(t rel.Tuple) error {
 // seal writes the in-memory run to a fresh segment (a Sorter's run sorts
 // first: the external-sort invariant) and releases its reservation.
 func (s *spiller) seal() error {
-	n := int64(s.run.len())
+	n := int64(s.run.rows)
 	if n == 0 {
 		return nil
 	}
@@ -112,6 +119,9 @@ func (s *spiller) seal() error {
 		f.Close()
 		return err
 	}
+	if s.sorts {
+		s.run.sort()
+	}
 	if err := s.run.writeTo(w); err != nil {
 		f.Close()
 		return err
@@ -124,7 +134,6 @@ func (s *spiller) seal() error {
 		return err
 	}
 	s.segs = append(s.segs, seg)
-	s.sealed += n
 	s.cfg.Acct.Release(s.cfg.Worker, s.reserved)
 	s.reserved = 0
 	counters.spills.Add(1)
@@ -144,78 +153,58 @@ func (s *spiller) Segments() int { return len(s.segs) }
 // Len returns the tuples added so far.
 func (s *spiller) Len() int64 { return s.total }
 
-// Sorter is an external merge sort: tuples are added in any order, sealed
-// runs are sorted before they hit disk, and Finish returns a k-way merge
-// over the segments plus the residual in-memory run — the exact sequence
-// an in-memory sort of the whole input would produce (lexicographic
-// tuple order; duplicates survive, as Tributary's sorted arrays require).
-// The in-memory run is an arena the sorter owns (see arenaRun).
-type Sorter struct {
-	spiller
-	arena    arenaRun
-	finished bool
-}
-
-// NewSorter creates a sorter configured by cfg.
-func NewSorter(cfg Config) *Sorter {
-	s := &Sorter{arena: newArenaRun(cfg.Arity)}
-	s.spiller = spiller{cfg: cfg, run: &s.arena}
-	return s
-}
-
-// Add inserts one tuple. Its values are copied: the caller keeps t and
-// may reuse it at once.
-func (s *Sorter) Add(t rel.Tuple) error { return s.add(t) }
-
-// Finish sorts the residual run and returns the merged stream. The
-// sorter must not be used after Finish. An in-memory finish yields
-// capacity-clamped views into the sorter's arena.
-func (s *Sorter) Finish() (Stream, error) {
+// finish ends the run. With nothing on disk it returns the in-memory run
+// (sorted first for a Sorter) as one stream of capacity-clamped views
+// into the arena. Otherwise it seals the residual run too, releasing its
+// reservation — downstream operators get the budget back and the reader
+// sees only segments — and returns every segment, opened, in seal order.
+// The spiller must not be used after finish.
+func (s *spiller) finish() ([]Stream, error) {
 	if s.finished {
-		return nil, fmt.Errorf("spill: %s: sorter finished twice", s.cfg.Label)
+		return nil, fmt.Errorf("spill: %s: finished twice", s.cfg.Label)
 	}
 	s.finished = true
 	if len(s.segs) == 0 {
-		s.arena.sort()
-		s.arena.trim()
-		return &memStream{run: s.arena.views()}, nil
+		if s.sorts {
+			s.run.sort()
+		}
+		s.run.trim()
+		return []Stream{&memStream{run: s.run.views()}}, nil
 	}
-	// Already on disk: seal the residual run too, releasing its
-	// reservation — downstream operators get the budget back and the
-	// merge reads only segments.
 	if err := s.seal(); err != nil {
 		return nil, err
 	}
-	srcs := make([]source, 0, len(s.segs))
+	segs := make([]Stream, 0, len(s.segs))
 	for _, seg := range s.segs {
 		r, err := OpenSegment(seg)
 		if err != nil {
-			closeSources(srcs)
+			Concat(segs...).Close()
 			return nil, err
 		}
-		srcs = append(srcs, r)
+		segs = append(segs, r)
 	}
-	return newMergeStream(srcs, s.total)
+	return segs, nil
 }
 
-// ---------------------------------------------------------------- sources
+// Sorter is an external merge sort: tuples are added in any order, sealed
+// runs are sorted before they hit disk, and Finish returns a k-way merge
+// over the segments, or the sorted in-memory run — the exact sequence
+// an in-memory sort of the whole input would produce (lexicographic
+// tuple order; duplicates survive, as Tributary's sorted arrays require).
+type Sorter struct{ spiller }
 
-// source is one ordered tuple provider inside a stream.
-type source interface {
-	// next returns the next tuple or io.EOF.
-	next() (rel.Tuple, error)
-	close() error
-}
+// NewSorter creates a sorter configured by cfg.
+func NewSorter(cfg Config) *Sorter { return &Sorter{newSpiller(cfg, true)} }
 
-func closeSources(srcs []source) {
-	for _, s := range srcs {
-		s.close()
+// Finish returns the tuples as one stream in sorted order. The sorter
+// must not be used after Finish.
+func (s *Sorter) Finish() (Stream, error) {
+	parts, err := s.finish()
+	if err != nil {
+		return nil, err
 	}
+	return newMergeStream(parts, s.total)
 }
-
-// SegmentReader satisfies source directly.
-func (r *SegmentReader) next() (rel.Tuple, error) { return r.Next() }
-func (r *SegmentReader) close() error             { return r.Close() }
 
 // memStream is the no-spill fast path: the whole (sorted or
 // append-ordered) run is in memory.
@@ -238,13 +227,13 @@ func (m *memStream) Close() error { return nil }
 
 // ---------------------------------------------------------------- merge
 
-// mergeStream is the k-way merge over sorted sources. Ties break by
-// source index, which keeps the merge deterministic; since ties are
+// mergeStream is the k-way merge over sorted streams. Ties break by
+// stream index, which keeps the merge deterministic; since ties are
 // whole-tuple equal, the output sequence is identical to an in-memory
 // sort either way.
 type mergeStream struct {
 	h     mergeHeap
-	srcs  []source
+	srcs  []Stream
 	total int64
 }
 
@@ -253,15 +242,20 @@ type mergeEntry struct {
 	src int
 }
 
-func newMergeStream(srcs []source, total int64) (Stream, error) {
+// newMergeStream merges srcs, which yield total tuples between them. A
+// lone stream is already the merge and is returned as is.
+func newMergeStream(srcs []Stream, total int64) (Stream, error) {
+	if len(srcs) == 1 {
+		return srcs[0], nil
+	}
 	m := &mergeStream{srcs: srcs, total: total}
 	for i, s := range srcs {
-		t, err := s.next()
+		t, err := s.Next()
 		if err == io.EOF {
 			continue
 		}
 		if err != nil {
-			closeSources(srcs)
+			m.Close()
 			return nil, err
 		}
 		m.h = append(m.h, mergeEntry{t: t, src: i})
@@ -278,7 +272,7 @@ func (m *mergeStream) Next() (rel.Tuple, error) {
 	}
 	top := &m.h[0]
 	out := top.t
-	t, err := m.srcs[top.src].next()
+	t, err := m.srcs[top.src].Next()
 	switch {
 	case err == io.EOF:
 		heap.Pop(&m.h)
@@ -294,7 +288,7 @@ func (m *mergeStream) Next() (rel.Tuple, error) {
 func (m *mergeStream) Close() error {
 	var first error
 	for _, s := range m.srcs {
-		if err := s.close(); err != nil && first == nil {
+		if err := s.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -303,7 +297,7 @@ func (m *mergeStream) Close() error {
 	return first
 }
 
-// mergeHeap implements heap.Interface over the sources' current heads.
+// mergeHeap implements heap.Interface over the streams' current heads.
 type mergeHeap []mergeEntry
 
 func (h mergeHeap) Len() int { return len(h) }

@@ -50,11 +50,30 @@ func spanTuples(rng *rand.Rand, n, arity int, span uint64) []rel.Tuple {
 	return out
 }
 
-// sortThrough runs input through a Sorter under policy and drains the
-// result. Always seals runs just above the radix cutoff and OnPressure
-// holds a third of the input, so both spill paths sort runs on both sides
-// of the cutoff.
-func sortThrough(t testing.TB, input []rel.Tuple, arity int, policy Policy) []rel.Tuple {
+// sink is what Sorter and Buffer share: the tests drive both through it.
+type sink interface {
+	Add(rel.Tuple) error
+	Finish() (Stream, error)
+}
+
+// sinks are the two spillers, each with the order it must return its
+// input in: a Sorter's is the comparison sort, a Buffer's the input order.
+var sinks = []struct {
+	name   string
+	open   func(Config) sink
+	oracle func([]rel.Tuple) []rel.Tuple
+}{
+	{"Sorter", newSorter, oracleSort},
+	{"Buffer", func(c Config) sink { return NewBuffer(c) }, func(in []rel.Tuple) []rel.Tuple { return in }},
+}
+
+func newSorter(c Config) sink { return NewSorter(c) }
+
+// drainThrough runs input through the sink open makes under policy and
+// drains the result. Always seals runs just above the radix cutoff and
+// OnPressure holds a third of the input, so both spill paths sort runs on
+// both sides of the cutoff.
+func drainThrough(t testing.TB, open func(Config) sink, input []rel.Tuple, arity int, policy Policy) []rel.Tuple {
 	t.Helper()
 	dir, err := NewDir(t.TempDir())
 	if err != nil {
@@ -65,7 +84,7 @@ func sortThrough(t testing.TB, input []rel.Tuple, arity int, policy Policy) []re
 	if policy == OnPressure {
 		limit = int64(len(input)/3 + 1)
 	}
-	s := NewSorter(Config{
+	s := open(Config{
 		Acct:       NewAccountant(1, limit, 0),
 		Arity:      arity,
 		Create:     dir.Create,
@@ -120,7 +139,7 @@ func TestSpillSorterMatchesOracle(t *testing.T) {
 					for i, tup := range input {
 						unsorted[i] = tup.Clone()
 					}
-					got := sortThrough(t, input, arity, policy)
+					got := drainThrough(t, newSorter, input, arity, policy)
 					requireSameSequence(t, got, before)
 					// The sorter copies: the caller's rows are untouched.
 					requireSameSequence(t, input, unsorted)
@@ -131,30 +150,35 @@ func TestSpillSorterMatchesOracle(t *testing.T) {
 }
 
 // TestSorterAddCopiesScratch adds every row through one scratch tuple that
-// is overwritten after each call, as the engine's normalizing loop does.
+// is overwritten after each call, as the engine's normalizing loop and the
+// Tributary join's emitter do, to a Sorter and to a Buffer.
 func TestSorterAddCopiesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, policy := range []Policy{Off, Always} {
-		input := spanTuples(rng, 2000, 3, 1500)
-		s := NewSorter(Config{Acct: NewAccountant(1, 0, 0), Arity: 3, Create: mustDir(t).Create,
-			Policy: policy, SealTuples: 300, Label: "scratch"})
-		scratch := make(rel.Tuple, 3)
-		for _, tup := range input {
-			copy(scratch, tup)
-			if err := s.Add(scratch); err != nil {
-				t.Fatal(err)
-			}
-			scratch[0], scratch[1], scratch[2] = -7, -7, -7
+	for _, sk := range sinks {
+		for _, policy := range []Policy{Off, Always} {
+			t.Run(sk.name+"/"+policy.String(), func(t *testing.T) {
+				input := spanTuples(rng, 2000, 3, 1500)
+				s := sk.open(Config{Acct: NewAccountant(1, 0, 0), Arity: 3, Create: mustDir(t).Create,
+					Policy: policy, SealTuples: 300, Label: "scratch"})
+				scratch := make(rel.Tuple, 3)
+				for _, tup := range input {
+					copy(scratch, tup)
+					if err := s.Add(scratch); err != nil {
+						t.Fatal(err)
+					}
+					scratch[0], scratch[1], scratch[2] = -7, -7, -7
+				}
+				stream, err := s.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Drain(stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameSequence(t, got, sk.oracle(input))
+			})
 		}
-		stream, err := s.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Drain(stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameSequence(t, got, oracleSort(input))
 	}
 }
 
@@ -168,22 +192,25 @@ func mustDir(t *testing.T) *Dir {
 	return dir
 }
 
-// TestSorterAddAllocs pins the arena: adding n rows allocates once per
-// arena chunk (the doubling ramp, then one per 32 KiB), never once per row.
+// TestSorterAddAllocs pins the arena of a Sorter and of a Buffer: adding n
+// rows allocates once per arena chunk (the doubling ramp, then one per
+// 32 KiB), never once per row.
 func TestSorterAddAllocs(t *testing.T) {
 	const n = 10000
 	row := make(rel.Tuple, 2)
-	allocs := testing.AllocsPerRun(3, func() {
-		s := NewSorter(Config{Acct: NewAccountant(1, 0, 0), Arity: 2, Policy: Off, Label: "allocs"})
-		for i := 0; i < n; i++ {
-			row[0], row[1] = int64(i%97), int64(i)
-			if err := s.Add(row); err != nil {
-				t.Fatal(err)
+	for _, sk := range sinks {
+		allocs := testing.AllocsPerRun(3, func() {
+			s := sk.open(Config{Acct: NewAccountant(1, 0, 0), Arity: 2, Policy: Off, Label: "allocs"})
+			for i := 0; i < n; i++ {
+				row[0], row[1] = int64(i%97), int64(i)
+				if err := s.Add(row); err != nil {
+					t.Fatal(err)
+				}
 			}
+		})
+		if allocs > 32 {
+			t.Fatalf("%s: %v allocations for %d Adds, want one per arena chunk", sk.name, allocs, n)
 		}
-	})
-	if allocs > 32 {
-		t.Fatalf("%v allocations for %d Adds, want one per arena chunk", allocs, n)
 	}
 }
 
@@ -214,18 +241,48 @@ func TestDrainHandsOverMemoryRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := stream.(*memStream).run
 	got, err := Drain(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 4 || &got[0] != &b.rows[0] {
+	if len(got) != 4 || &got[0] != &run[0] {
 		t.Fatal("Drain copied an unread in-memory run")
+	}
+}
+
+// TestBufferArityZeroAlways holds a zero-arity Buffer under Always with no
+// segment factory — the configuration the engine builds for every
+// arity-0 shape — to its in-memory run: no seal is attempted.
+func TestBufferArityZeroAlways(t *testing.T) {
+	b := NewBuffer(Config{Acct: NewAccountant(1, 0, 0), Arity: 0, Policy: Always, SealTuples: 2, Label: "arity0"})
+	for range 5 {
+		if err := b.Add(rel.Tuple{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Drain(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 5 {
+		t.Fatalf("%d rows, want 5", len(got))
+	}
+	for i, r := range got {
+		if len(r) != 0 {
+			t.Fatalf("row %d = %v, want empty", i, r)
+		}
 	}
 }
 
 // FuzzSorter decodes bytes into rows — the first byte picks arity, value
 // width and policy, the rest are little-endian signed values — and checks
-// the sorted stream against the comparison sort.
+// the sorted stream against the comparison sort, and a Buffer's stream
+// under the same policy against the input order.
 func FuzzSorter(f *testing.F) {
 	f.Add([]byte{0x01, 3, 1, 2, 2, 9, 0, 0xff, 0x80})
 	f.Add([]byte{0x1f, 0, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
@@ -250,7 +307,9 @@ func FuzzSorter(f *testing.F) {
 			}
 			input = append(input, row)
 		}
-		requireSameSequence(t, sortThrough(t, input, arity, policy), oracleSort(input))
+		for _, sk := range sinks {
+			requireSameSequence(t, drainThrough(t, sk.open, input, arity, policy), sk.oracle(input))
+		}
 	})
 }
 

@@ -89,8 +89,9 @@ type Config struct {
 	Worker int
 	// Arity is the tuple width; every Add must match it.
 	Arity int
-	// Create opens a fresh segment file (normally Dir.Create); required
-	// for any policy that can spill.
+	// Create opens a fresh segment file (normally Dir.Create). Nil means
+	// the run never seals, whatever the policy: budget pressure is then
+	// ErrBudget.
 	Create func() (*os.File, error)
 	// Policy is the resolved spill policy: Off, OnPressure, or Always
 	// (Default is resolved by the engine before it gets here).
