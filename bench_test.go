@@ -107,9 +107,7 @@ func BenchmarkTable2_Q1RegularShuffleSkew(b *testing.B) {
 	// biggest and the most skewed.
 	worst := 0.0
 	for _, r := range t.Rows {
-		if r.ConsumerSkew > worst {
-			worst = r.ConsumerSkew
-		}
+		worst = max(worst, r.ConsumerSkew())
 	}
 	b.ReportMetric(worst, "maxConsumerSkew")
 	b.ReportMetric(float64(t.Total), "tuplesShuffled")
@@ -127,9 +125,7 @@ func BenchmarkTable3_Q1HyperCubeSkew(b *testing.B) {
 	}
 	worst := 0.0
 	for _, r := range t.Rows {
-		if r.ConsumerSkew > worst {
-			worst = r.ConsumerSkew
-		}
+		worst = max(worst, r.ConsumerSkew())
 	}
 	b.ReportMetric(worst, "maxConsumerSkew")
 	b.ReportMetric(float64(t.Total), "tuplesShuffled")

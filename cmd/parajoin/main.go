@@ -147,7 +147,7 @@ func printOutcome(queryName string, cfg planner.PlanConfig, out *experiments.Run
 	if verbose && out.Report != nil {
 		fmt.Printf("\n%-34s %14s %14s %14s\n", "shuffle", "tuples sent", "producer skew", "consumer skew")
 		for _, e := range out.Report.Exchanges {
-			fmt.Printf("%-34s %14d %14.2f %14.2f\n", e.Name, e.TuplesSent, e.ProducerSkew, e.ConsumerSkew)
+			fmt.Printf("%-34s %14d %14.2f %14.2f\n", e.Name, e.TuplesSent(), e.ProducerSkew(), e.ConsumerSkew())
 		}
 	}
 }

@@ -233,16 +233,8 @@ func (d *Dispatcher) RunRounds(ctx context.Context, rounds []engine.Round, opts 
 		return nil, nil, err
 	}
 
-	base := runEpochs.Add(int64(len(rounds))) - int64(len(rounds)) + 1
-	req := &msg{
-		Type: msgFragRun, CatalogVersion: gen, Epoch: base, Addrs: addrs, Rounds: blob,
-		RunOpts: &FragRunOpts{
-			MaxLocalTuples: opts.MaxLocalTuples,
-			Spill:          int(opts.Spill),
-			MaxSpillBytes:  opts.MaxSpillBytes,
-			Parallelism:    opts.Parallelism,
-		},
-	}
+	opts.Epoch = runEpochs.Add(int64(len(rounds))) - int64(len(rounds)) + 1
+	req := &msg{Type: msgFragRun, CatalogVersion: gen, Addrs: addrs, Rounds: blob, RunOpts: &opts}
 
 	distributedQueries.Inc()
 	// Fail fast: the first fragment failure cancels its siblings, whose

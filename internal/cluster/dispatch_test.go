@@ -146,7 +146,7 @@ func TestFragmentDispatchMatchesLocal(t *testing.T) {
 			// Tributary plan: per-worker output is a deterministic function
 			// of the received tuple set, so the merged result must match the
 			// coordinator-local run in serial order — byte-identical.
-			out, report, err := dispatchWithRetry(t, d, triangleRounds(n))
+			out, report, err := dispatchWithRetry(t, d, triangleRounds(n), engine.RunOpts{})
 			if err != nil {
 				t.Fatalf("dispatch: %v", err)
 			}
@@ -165,7 +165,7 @@ func TestFragmentDispatchMatchesLocal(t *testing.T) {
 			// Hash-join plan: batch arrival order may differ, so the promise
 			// is set equality; a second dispatch also proves epoch blocks
 			// advance cleanly through reused runtimes.
-			pout, _, err := dispatchWithRetry(t, d, pathRounds())
+			pout, _, err := dispatchWithRetry(t, d, pathRounds(), engine.RunOpts{})
 			if err != nil {
 				t.Fatalf("path dispatch: %v", err)
 			}
@@ -193,7 +193,7 @@ func TestFragmentDispatchEpochsAcrossDispatchers(t *testing.T) {
 	h.waitForEventually("m0", "m1")
 
 	d1 := NewDispatcher(h.store, h.coord.Endpoints(), DispatcherConfig{Logf: t.Logf})
-	want, _, err := dispatchWithRetry(t, d1, pathRounds())
+	want, _, err := dispatchWithRetry(t, d1, pathRounds(), engine.RunOpts{})
 	if err != nil {
 		t.Fatalf("first dispatcher: %v", err)
 	}
@@ -212,11 +212,36 @@ func TestFragmentDispatchEpochsAcrossDispatchers(t *testing.T) {
 	}
 }
 
+// TestFragmentDispatchShipsRunOpts: the per-query options reach the
+// members' engines over frag-run. A one-tuple budget with spilling off
+// fails on the member, and the failure comes back non-retryable with the
+// member's reason; a lifted cap answers.
+func TestFragmentDispatchShipsRunOpts(t *testing.T) {
+	h := newHarness(t, 400, 6)
+	h.startMember("m0", "", MemberConfig{})
+	h.startMember("m1", "", MemberConfig{})
+	h.waitForEventually("m0", "m1")
+	d := NewDispatcher(h.store, h.coord.Endpoints(), DispatcherConfig{Logf: t.Logf})
+	defer d.Close()
+
+	_, _, err := dispatchWithRetry(t, d, pathRounds(), engine.RunOpts{MaxLocalTuples: 1, Spill: engine.SpillOff})
+	if err == nil || engine.Retryable(err) || !strings.Contains(err.Error(), "exceeded 1 tuples") {
+		t.Fatalf("one-tuple budget: err = %v, want a non-retryable error naming \"exceeded 1 tuples\"", err)
+	}
+	out, _, err := dispatchWithRetry(t, d, pathRounds(), engine.RunOpts{MaxLocalTuples: -1, Spill: engine.SpillOff})
+	if err != nil {
+		t.Fatalf("lifted cap: %v", err)
+	}
+	if len(out.Tuples) == 0 {
+		t.Fatal("lifted cap: empty answer")
+	}
+}
+
 // dispatchWithRetry plays the serving layer's role: a retryable failure
 // (e.g. a generation still settling after concurrent joins) gets the query
 // re-dispatched after a short pause, exactly as the server's retry budget
 // would.
-func dispatchWithRetry(t *testing.T, d *Dispatcher, rounds []engine.Round) (*rel.Relation, *engine.Report, error) {
+func dispatchWithRetry(t *testing.T, d *Dispatcher, rounds []engine.Round, opts engine.RunOpts) (*rel.Relation, *engine.Report, error) {
 	t.Helper()
 	var (
 		out    *rel.Relation
@@ -224,7 +249,7 @@ func dispatchWithRetry(t *testing.T, d *Dispatcher, rounds []engine.Round) (*rel
 		err    error
 	)
 	for attempt := 0; attempt < 100; attempt++ {
-		out, report, err = d.RunRounds(context.Background(), rounds, engine.RunOpts{})
+		out, report, err = d.RunRounds(context.Background(), rounds, opts)
 		if err == nil || !engine.Retryable(err) {
 			return out, report, err
 		}
@@ -262,7 +287,7 @@ func TestFragmentDispatchMemberDeathIsRetryable(t *testing.T) {
 
 	d := NewDispatcher(h.store, h.coord.Endpoints(), DispatcherConfig{Logf: t.Logf})
 	// Prepare first so the kill lands mid-run, not mid-prepare.
-	if _, _, err := dispatchWithRetry(t, d, pathRounds()); err != nil {
+	if _, _, err := dispatchWithRetry(t, d, pathRounds(), engine.RunOpts{}); err != nil {
 		t.Fatalf("warmup dispatch: %v", err)
 	}
 
@@ -347,7 +372,7 @@ func TestFragmentRunCancellation(t *testing.T) {
 	h.waitForEventually("m0")
 
 	d := NewDispatcher(h.store, h.coord.Endpoints(), DispatcherConfig{Logf: t.Logf})
-	if _, _, err := dispatchWithRetry(t, d, pathRounds()); err != nil {
+	if _, _, err := dispatchWithRetry(t, d, pathRounds(), engine.RunOpts{}); err != nil {
 		t.Fatalf("warmup dispatch: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -199,12 +199,9 @@ func (m *Member) handleFragRun(conn net.Conn, req *msg) {
 	}
 	rt.tcp.SetPeerAddrs(req.Addrs)
 
-	opts := engine.RunOpts{Epoch: req.Epoch}
-	if o := req.RunOpts; o != nil {
-		opts.MaxLocalTuples = o.MaxLocalTuples
-		opts.Spill = engine.SpillPolicy(o.Spill)
-		opts.MaxSpillBytes = o.MaxSpillBytes
-		opts.Parallelism = o.Parallelism
+	var opts engine.RunOpts
+	if req.RunOpts != nil {
+		opts = *req.RunOpts
 	}
 
 	// The watcher turns a dropped dispatcher connection into a run

@@ -94,12 +94,12 @@ type msg struct {
 	Metas   []FragRelMeta `json:"metas,omitempty"`
 
 	// frag-run: the serialized rounds plus everything the member's engine
-	// needs to agree with its peers — the epoch block and the full
-	// exchange-address vector (Addrs[i] is Members[i]'s listener).
-	Epoch   int64        `json:"epoch,omitempty"`
-	Addrs   []string     `json:"addrs,omitempty"`
-	Rounds  []byte       `json:"rounds,omitempty"`
-	RunOpts *FragRunOpts `json:"run_opts,omitempty"`
+	// needs to agree with its peers — the full exchange-address vector
+	// (Addrs[i] is Members[i]'s listener) and the run options, whose Epoch
+	// pins the query's epoch block.
+	Addrs   []string        `json:"addrs,omitempty"`
+	Rounds  []byte          `json:"rounds,omitempty"`
+	RunOpts *engine.RunOpts `json:"run_opts,omitempty"`
 
 	// frag-done.
 	Schema    []string       `json:"schema,omitempty"`
@@ -117,16 +117,6 @@ type FragRelMeta struct {
 	Name    string   `json:"name"`
 	Columns []string `json:"columns"`
 	Slots   int      `json:"slots"`
-}
-
-// FragRunOpts is the serializable subset of engine.RunOpts a fragment
-// inherits from the coordinator's per-query options. Paths (spill
-// directories) deliberately do not travel: they are coordinator-local.
-type FragRunOpts struct {
-	MaxLocalTuples int64 `json:"max_local_tuples,omitempty"`
-	Spill          int   `json:"spill,omitempty"`
-	MaxSpillBytes  int64 `json:"max_spill_bytes,omitempty"`
-	Parallelism    int   `json:"parallelism,omitempty"`
 }
 
 // writeMsg / readMsg wrap the wire framing with the protocol's deadline

@@ -17,15 +17,17 @@
 //
 // # Distributed execution
 //
-// Plans and run options serialize (EncodeRounds / DecodeRounds, serial.go),
+// Plans serialize (EncodeRounds / DecodeRounds, serial.go) and RunOpts
+// travels as JSON minus its coordinator-local tracer and spill directory,
 // so a coordinator can plan once and ship each worker's fragment to a
 // remote data node. A Cluster with a RemoteRunner installed delegates
 // RunRounds to it wholesale; internal/cluster's Dispatcher implements the
 // interface by streaming fragments to members and concatenating their
 // results in worker order, which keeps distributed answers byte-identical
-// to coordinator-local runs of the same plan. MergeDistributedReports
-// combines the per-fragment engine reports into the same Report shape a
-// local run produces. See DESIGN.md, "Distributed execution".
+// to coordinator-local runs of the same plan. MergeDistributedReports sums
+// the members' per-worker vectors, exchange rows included, into exactly
+// the Report a local run produces, so traffic and skew derive the same way
+// on both paths. See DESIGN.md, "Distributed execution".
 //
 // Failure handling is round-grained: ErrTransport-class errors mean a
 // communication round died without side effects (shuffles are single

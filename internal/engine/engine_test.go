@@ -255,7 +255,7 @@ func TestPipelinedTwoStagePlanMatchesNaive(t *testing.T) {
 		t.Fatalf("report has %d exchanges, want 4", len(report.Exchanges))
 	}
 	// The intermediate shuffle must carry the join's output size.
-	if report.Exchanges[2].TuplesSent == 0 {
+	if report.Exchanges[2].TuplesSent() == 0 {
 		t.Fatal("intermediate exchange reported no traffic")
 	}
 }
@@ -383,11 +383,11 @@ func TestSkewMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := report.Exchanges[0]
-	if ex.ConsumerSkew != 4 {
-		t.Fatalf("consumer skew = %f, want 4 (all tuples on one worker)", ex.ConsumerSkew)
+	if ex.ConsumerSkew() != 4 {
+		t.Fatalf("consumer skew = %f, want 4 (all tuples on one worker)", ex.ConsumerSkew())
 	}
-	if ex.ProducerSkew > 1.01 {
-		t.Fatalf("producer skew = %f, want ~1 (round-robin input)", ex.ProducerSkew)
+	if ex.ProducerSkew() > 1.01 {
+		t.Fatalf("producer skew = %f, want ~1 (round-robin input)", ex.ProducerSkew())
 	}
 }
 

@@ -395,7 +395,7 @@ func (e *exec) router(spec *ExchangeSpec, sch rel.Schema, sent *int64) (func(src
 		batch := outs[dst]
 		outs[dst] = nil
 		*sent += int64(len(batch))
-		e.metrics.addSent(spec.ID, spec.Name, src, int64(len(batch)))
+		e.metrics.addSent(spec.ID, src, int64(len(batch)))
 		return e.transport.Send(e.ctx, e.wireID(spec.ID), src, dst, batch)
 	}
 	flushAll := func(src int) error {
@@ -533,7 +533,7 @@ func (c *Cluster) runFragments(ctx context.Context, plan *Plan, opts RunOpts, te
 	e := &exec{
 		cluster:     c,
 		transport:   c.transport,
-		metrics:     NewMetrics(n),
+		metrics:     NewMetrics(n, plan.Exchanges),
 		tracer:      c.runTracer(opts),
 		ctx:         runCtx,
 		cancel:      cancel,

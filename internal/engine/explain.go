@@ -14,7 +14,10 @@ import (
 // worker), per-exchange tuples sent with producer and consumer skew, and
 // the Tributary sort/join phase split. rounds is the plan that ran, events
 // the trace it emitted (a Collector or Ring snapshot covering the whole
-// execution), report the merged metrics RunRounds returned.
+// execution), report the merged metrics RunRounds returned. Traffic and
+// skew come from the report's exchange rows; the trace supplies times and
+// operator row counts, so a run whose operators executed elsewhere (no
+// local events) still shows its shuffles.
 //
 // Operator identity is positional: ids are assigned by the same postorder
 // traversal compile uses (children before parents; HashJoin/SemiJoin left
@@ -36,7 +39,7 @@ func ExplainAnalyze(rounds []Round, events []trace.Event, report *Report) string
 		if !ok {
 			run = -1 // no trace for this round: render the bare tree
 		}
-		x.renderRound(&b, round.Plan, run)
+		x.renderRound(&b, i, round.Plan, run)
 	}
 	if report != nil {
 		fmt.Fprintf(&b, "total: %s\n", report.String())
@@ -52,21 +55,15 @@ func ExplainAnalyze(rounds []Round, events []trace.Event, report *Report) string
 // opAgg aggregates one operator's (or exchange producer's) events across
 // workers.
 type opAgg struct {
-	rows    int64
-	maxRows int64
-	maxDur  time.Duration
-	workers int
+	rows   int64
+	maxDur time.Duration
 }
 
 func (a *opAgg) add(tuples int64, d time.Duration) {
 	a.rows += tuples
-	if tuples > a.maxRows {
-		a.maxRows = tuples
-	}
 	if d > a.maxDur {
 		a.maxDur = d
 	}
-	a.workers++
 }
 
 type opKey struct {
@@ -87,35 +84,25 @@ type phaseKey struct {
 }
 
 type explainIndex struct {
-	workers int
-	runs    []int64 // distinct run ids, ascending = round order
-	ops     map[opKey]*opAgg
-	sends   map[sendKey]*opAgg
-	phases  map[phaseKey]*opAgg
-	// consumers maps an exchange (within a run) to its Recv operator's
-	// aggregate — filled in by renderRound's id-assignment walk, since only
-	// the tree knows which op consumes which exchange.
-	consumers map[sendKey]*opAgg
+	report *Report
+	runs   []int64 // distinct run ids, ascending = round order
+	ops    map[opKey]*opAgg
+	sends  map[sendKey]*opAgg
+	phases map[phaseKey]*opAgg
 }
 
 func newExplainIndex(events []trace.Event, report *Report) *explainIndex {
 	x := &explainIndex{
-		ops:       make(map[opKey]*opAgg),
-		sends:     make(map[sendKey]*opAgg),
-		phases:    make(map[phaseKey]*opAgg),
-		consumers: make(map[sendKey]*opAgg),
-	}
-	if report != nil {
-		x.workers = report.Workers
+		report: report,
+		ops:    make(map[opKey]*opAgg),
+		sends:  make(map[sendKey]*opAgg),
+		phases: make(map[phaseKey]*opAgg),
 	}
 	seen := make(map[int64]bool)
 	for _, e := range events {
 		if !seen[e.Run] {
 			seen[e.Run] = true
 			x.runs = append(x.runs, e.Run)
-		}
-		if e.Worker+1 > x.workers {
-			x.workers = e.Worker + 1
 		}
 		switch e.Kind {
 		case trace.KindOp:
@@ -155,31 +142,40 @@ func (x *explainIndex) runForRound(i int) (int64, bool) {
 	return 0, false
 }
 
-func (x *explainIndex) renderRound(b *strings.Builder, plan *Plan, run int64) {
-	// Render every tree first: the walk assigns operator ids and records
-	// which Recv consumes which exchange, which the exchange header lines
-	// need before their trees are printed.
-	producers := make([]string, len(plan.Exchanges))
-	for i := range plan.Exchanges {
-		producers[i] = x.renderTree(plan.Exchanges[i].Input, run, plan.Exchanges[i].ID)
-	}
-	root := x.renderTree(plan.Root, run, -1)
-
+func (x *explainIndex) renderRound(b *strings.Builder, round int, plan *Plan, run int64) {
 	for i := range plan.Exchanges {
 		spec := &plan.Exchanges[i]
 		fmt.Fprintf(b, "  exchange %d [%s] %s", spec.ID, spec.RouteLabel(), spec.Name)
+		var notes []string
+		if e := x.exchange(round, spec.ID); e != nil {
+			notes = append(notes, fmt.Sprintf("sent=%d producer-skew=%.2f consumer-skew=%.2f",
+				e.TuplesSent(), e.ProducerSkew(), e.ConsumerSkew()))
+		}
 		if s := x.sends[sendKey{run, spec.ID}]; s != nil {
-			fmt.Fprintf(b, "  (sent=%d producer-skew=%.2f", s.rows, skew(s.maxRows, s.rows, x.workers))
-			if c := x.consumers[sendKey{run, spec.ID}]; c != nil {
-				fmt.Fprintf(b, " consumer-skew=%.2f", skew(c.maxRows, c.rows, x.workers))
-			}
-			fmt.Fprintf(b, " time=%v)", s.maxDur)
+			notes = append(notes, fmt.Sprintf("time=%v", s.maxDur))
+		}
+		if len(notes) > 0 {
+			fmt.Fprintf(b, "  (%s)", strings.Join(notes, " "))
 		}
 		b.WriteByte('\n')
-		b.WriteString(producers[i])
+		b.WriteString(x.renderTree(spec.Input, run, spec.ID))
 	}
 	b.WriteString("  root\n")
-	b.WriteString(root)
+	b.WriteString(x.renderTree(plan.Root, run, -1))
+}
+
+// exchange returns the report's traffic row for exchange id of the given
+// round, nil without a report.
+func (x *explainIndex) exchange(round, id int) *ExchangeReport {
+	if x.report == nil {
+		return nil
+	}
+	for i, e := range x.report.Exchanges {
+		if e.Round == round && e.ID == id {
+			return &x.report.Exchanges[i]
+		}
+	}
+	return nil
 }
 
 // renderTree renders one operator tree with actuals. Ids are assigned
@@ -187,15 +183,13 @@ func (x *explainIndex) renderRound(b *strings.Builder, plan *Plan, run int64) {
 // first, so children render into their own buffers before the parent line
 // is built.
 func (x *explainIndex) renderTree(n Node, run int64, tree int) string {
-	text, _ := x.renderNode(n, run, tree, 2, new(int))
-	return text
+	return x.renderNode(n, run, tree, 2, new(int))
 }
 
-func (x *explainIndex) renderNode(n Node, run int64, tree, depth int, seq *int) (string, int) {
+func (x *explainIndex) renderNode(n Node, run int64, tree, depth int, seq *int) string {
 	var children strings.Builder
 	child := func(c Node) {
-		t, _ := x.renderNode(c, run, tree, depth+1, seq)
-		children.WriteString(t)
+		children.WriteString(x.renderNode(c, run, tree, depth+1, seq))
 	}
 	switch v := n.(type) {
 	case Select:
@@ -240,10 +234,7 @@ func (x *explainIndex) renderNode(n Node, run int64, tree, depth int, seq *int) 
 		line.WriteByte(')')
 	}
 	line.WriteByte('\n')
-	if r, ok := n.(Recv); ok && agg != nil {
-		x.consumers[sendKey{run, r.Exchange}] = agg
-	}
-	return line.String() + children.String(), id
+	return line.String() + children.String()
 }
 
 // explainLabel names a node in EXPLAIN ANALYZE output — opLabel's short

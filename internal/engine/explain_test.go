@@ -37,7 +37,7 @@ func explainTriangle(t *testing.T) ([]Round, []trace.Event, *Report) {
 	cfg := shares.Config{Vars: []core.Var{"x", "y", "z"}, Dims: []int{2, 2, 2}}
 	rounds := []Round{{Name: "hc_tj", Plan: hcTrianglePlan(q, cfg, workers)}}
 	col := trace.NewCollector()
-	_, report, err := c.RunRoundsTraced(context.Background(), rounds, trace.New(col))
+	_, report, err := c.RunRoundsOpts(context.Background(), rounds, RunOpts{Tracer: trace.New(col)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,8 @@ func TestExplainAnalyzeMatchesReport(t *testing.T) {
 	rounds, events, report := explainTriangle(t)
 	out := ExplainAnalyze(rounds, events, report)
 	for _, ex := range report.Exchanges {
-		wantSent := fmt.Sprintf("sent=%d", ex.TuplesSent)
-		wantSkew := fmt.Sprintf("producer-skew=%.2f consumer-skew=%.2f", ex.ProducerSkew, ex.ConsumerSkew)
+		wantSent := fmt.Sprintf("sent=%d", ex.TuplesSent())
+		wantSkew := fmt.Sprintf("producer-skew=%.2f consumer-skew=%.2f", ex.ProducerSkew(), ex.ConsumerSkew())
 		if !strings.Contains(out, wantSent) {
 			t.Errorf("exchange %d: output lacks %q\n%s", ex.ID, wantSent, out)
 		}
@@ -116,7 +116,7 @@ func TestExplainAnalyzeMultiRound(t *testing.T) {
 		{Name: "join", Plan: second},
 	}
 	col := trace.NewCollector()
-	_, report, err := c.RunRoundsTraced(context.Background(), rounds, trace.New(col))
+	_, report, err := c.RunRoundsOpts(context.Background(), rounds, RunOpts{Tracer: trace.New(col)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,7 +252,7 @@ func TestKeyTableSpansChunks(t *testing.T) {
 // opExec is a one-worker exec over c with no budget, enough to compile
 // and drain an operator tree outside Cluster.Run.
 func opExec(c *Cluster) *exec {
-	return &exec{cluster: c, metrics: NewMetrics(c.Workers()), ctx: context.Background(),
+	return &exec{cluster: c, metrics: NewMetrics(c.Workers(), nil), ctx: context.Background(),
 		batchSize: c.BatchSize, acct: spill.NewAccountant(c.Workers(), 0, 0)}
 }
 

@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -10,128 +10,105 @@ import (
 // Metrics collects, per query run, the quantities the paper's evaluation
 // reports: tuples sent and received per exchange (from which producer and
 // consumer skew derive), per-worker busy time (the stand-in for CPU time),
-// and phase timings (sort vs join) for the Tributary join.
+// and phase timings (sort vs join) for the Tributary join. It accumulates
+// straight into the Report the run hands back.
 type Metrics struct {
 	mu sync.Mutex
-
-	workers   int
-	exchanges map[int]*ExchangeMetrics
-	busy      []time.Duration
-	sortTime  []time.Duration
-	joinTime  []time.Duration
-	processed []int64
-	sorted    []int64
-	seeks     []int64
-
-	// Intra-worker parallel-join counters: sub-ranges executed across the
-	// run, and the most any single pool goroutine claimed (load balance).
-	joinTasks    int64
-	joinStealMax int64
+	r  Report
+	ex map[int]*ExchangeReport // exchange id → its row of r.Exchanges
 }
 
-// ExchangeMetrics counts one exchange's traffic.
-type ExchangeMetrics struct {
-	Name     string
-	Sent     []int64 // per producer worker
-	Received []int64 // per consumer worker
-}
-
-// NewMetrics creates metrics for n workers.
-func NewMetrics(n int) *Metrics {
-	return &Metrics{
-		workers:   n,
-		exchanges: make(map[int]*ExchangeMetrics),
-		busy:      make([]time.Duration, n),
-		sortTime:  make([]time.Duration, n),
-		joinTime:  make([]time.Duration, n),
-		processed: make([]int64, n),
-		sorted:    make([]int64, n),
-		seeks:     make([]int64, n),
+// NewMetrics creates metrics for n workers running a plan with the given
+// exchanges: one traffic row per exchange, in plan order.
+func NewMetrics(n int, exchanges []ExchangeSpec) *Metrics {
+	m := &Metrics{
+		r: Report{
+			Workers:   n,
+			BusyTime:  make([]time.Duration, n),
+			SortTime:  make([]time.Duration, n),
+			JoinTime:  make([]time.Duration, n),
+			Processed: make([]int64, n),
+			Sorted:    make([]int64, n),
+			Seeks:     make([]int64, n),
+			Exchanges: make([]ExchangeReport, len(exchanges)),
+		},
+		ex: make(map[int]*ExchangeReport, len(exchanges)),
 	}
+	for i, spec := range exchanges {
+		row := &m.r.Exchanges[i]
+		*row = ExchangeReport{ID: spec.ID, Name: spec.Name, Sent: make([]int64, n), Received: make([]int64, n)}
+		m.ex[spec.ID] = row
+	}
+	return m
 }
 
-func (m *Metrics) exchange(id int, name string) *ExchangeMetrics {
+func (m *Metrics) addSent(id, worker int, n int64) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	em, ok := m.exchanges[id]
-	if !ok {
-		em = &ExchangeMetrics{
-			Name:     name,
-			Sent:     make([]int64, m.workers),
-			Received: make([]int64, m.workers),
-		}
-		m.exchanges[id] = em
-	}
-	if name != "" && em.Name == "" {
-		em.Name = name
-	}
-	return em
-}
-
-func (m *Metrics) addSent(id int, name string, worker int, n int64) {
-	em := m.exchange(id, name)
-	m.mu.Lock()
-	em.Sent[worker] += n
+	m.ex[id].Sent[worker] += n
 	m.mu.Unlock()
 	live.tuplesSent.Add(n)
 }
 
 func (m *Metrics) addReceived(id, worker int, n int64) {
-	em := m.exchange(id, "")
 	m.mu.Lock()
-	em.Received[worker] += n
+	m.ex[id].Received[worker] += n
 	m.mu.Unlock()
 	live.tuplesReceived.Add(n)
 }
 
 func (m *Metrics) addBusy(worker int, d time.Duration) {
 	m.mu.Lock()
-	m.busy[worker] += d
+	m.r.BusyTime[worker] += d
 	m.mu.Unlock()
 }
 
 func (m *Metrics) addSort(worker int, d time.Duration) {
 	m.mu.Lock()
-	m.sortTime[worker] += d
+	m.r.SortTime[worker] += d
 	m.mu.Unlock()
 }
 
 func (m *Metrics) addJoin(worker int, d time.Duration) {
 	m.mu.Lock()
-	m.joinTime[worker] += d
+	m.r.JoinTime[worker] += d
 	m.mu.Unlock()
 }
 
 func (m *Metrics) addProcessed(worker int, n int64) {
 	m.mu.Lock()
-	m.processed[worker] += n
+	m.r.Processed[worker] += n
 	m.mu.Unlock()
 }
 
 func (m *Metrics) addSorted(worker int, n int64) {
 	m.mu.Lock()
-	m.sorted[worker] += n
+	m.r.Sorted[worker] += n
 	m.mu.Unlock()
 }
 
 func (m *Metrics) addSeeks(worker int, n int64) {
 	m.mu.Lock()
-	m.seeks[worker] += n
+	m.r.Seeks[worker] += n
 	m.mu.Unlock()
 }
 
 func (m *Metrics) addJoinTasks(n int64) {
 	m.mu.Lock()
-	m.joinTasks += n
+	m.r.JoinTasks += n
 	m.mu.Unlock()
 }
 
 func (m *Metrics) noteJoinSteal(n int64) {
 	m.mu.Lock()
-	if n > m.joinStealMax {
-		m.joinStealMax = n
-	}
+	m.r.JoinStealMax = max(m.r.JoinStealMax, n)
 	m.mu.Unlock()
+}
+
+// report hands over the accumulated Report. Call it once, after every
+// worker goroutine has finished.
+func (m *Metrics) report(wall time.Duration) *Report {
+	m.r.WallTime = wall
+	return &m.r
 }
 
 // Report is an immutable snapshot of a finished run's metrics.
@@ -193,38 +170,43 @@ type Report struct {
 	// fragment dispatcher, never by local execution.
 	RemoteFragments int
 	RemoteMembers   []string
-	// Exchanges lists per-exchange traffic in plan order.
+	// Exchanges holds one traffic row per plan exchange, rounds in order
+	// and plan order within a round.
 	Exchanges []ExchangeReport
 }
 
 // ExchangeReport is the per-shuffle row of the paper's load-balance tables
-// (Tables 2–4): total tuples plus producer and consumer skew.
+// (Tables 2–4). Round and ID name the exchange within a multi-round run;
+// Sent and Received are per-worker tuple counts (producers and consumers),
+// from which the totals and skews derive.
 type ExchangeReport struct {
-	ID           int
-	Name         string
-	TuplesSent   int64
-	ProducerSkew float64
-	ConsumerSkew float64
-	Received     []int64
+	Round    int
+	ID       int
+	Name     string
+	Sent     []int64
+	Received []int64
 }
+
+// TuplesSent is the exchange's total traffic.
+func (e ExchangeReport) TuplesSent() int64 { return sum(e.Sent) }
+
+// ProducerSkew is max/average tuples sent per producer worker.
+func (e ExchangeReport) ProducerSkew() float64 { return skew(e.Sent) }
+
+// ConsumerSkew is max/average tuples received per consumer worker.
+func (e ExchangeReport) ConsumerSkew() float64 { return skew(e.Received) }
 
 // TotalTuplesShuffled sums traffic across all exchanges.
 func (r *Report) TotalTuplesShuffled() int64 {
 	var total int64
 	for _, e := range r.Exchanges {
-		total += e.TuplesSent
+		total += e.TuplesSent()
 	}
 	return total
 }
 
 // TotalBusy sums per-worker busy time.
-func (r *Report) TotalBusy() time.Duration {
-	var total time.Duration
-	for _, d := range r.BusyTime {
-		total += d
-	}
-	return total
-}
+func (r *Report) TotalBusy() time.Duration { return sum(r.BusyTime) }
 
 // TotalCPU returns the run's total CPU time: the measured process CPU when
 // available, otherwise the busy-time sum.
@@ -273,74 +255,80 @@ func (r *Report) MaxProcessed() int64 {
 // handful of tuples per worker are ignored: a one-tuple shuffle trivially
 // lands on one worker (skew = N) without telling us anything about balance.
 func (r *Report) MaxConsumerSkew() float64 {
-	max := 0.0
+	worst := 0.0
 	for _, e := range r.Exchanges {
-		if e.TuplesSent < 4*int64(r.Workers) {
-			continue
-		}
-		if e.ConsumerSkew > max {
-			max = e.ConsumerSkew
+		if e.TuplesSent() >= 4*int64(r.Workers) {
+			worst = max(worst, e.ConsumerSkew())
 		}
 	}
-	return max
+	return worst
 }
 
-func (m *Metrics) report(wall time.Duration) *Report {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r := &Report{
-		Workers:   m.workers,
-		WallTime:  wall,
-		BusyTime:  append([]time.Duration(nil), m.busy...),
-		SortTime:  append([]time.Duration(nil), m.sortTime...),
-		JoinTime:  append([]time.Duration(nil), m.joinTime...),
-		Processed: append([]int64(nil), m.processed...),
-		Sorted:    append([]int64(nil), m.sorted...),
-		Seeks:     append([]int64(nil), m.seeks...),
-
-		JoinTasks:    m.joinTasks,
-		JoinStealMax: m.joinStealMax,
-	}
-	ids := make([]int, 0, len(m.exchanges))
-	for id := range m.exchanges {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		em := m.exchanges[id]
-		er := ExchangeReport{
-			ID:       id,
-			Name:     em.Name,
-			Received: append([]int64(nil), em.Received...),
-		}
-		var sentMax, recvMax int64
-		var recvTotal int64
-		for _, s := range em.Sent {
-			er.TuplesSent += s
-			if s > sentMax {
-				sentMax = s
-			}
-		}
-		for _, rcv := range em.Received {
-			recvTotal += rcv
-			if rcv > recvMax {
-				recvMax = rcv
-			}
-		}
-		er.ProducerSkew = skew(sentMax, er.TuplesSent, m.workers)
-		er.ConsumerSkew = skew(recvMax, recvTotal, m.workers)
-		r.Exchanges = append(r.Exchanges, er)
-	}
-	return r
-}
-
-// skew is the max/average ratio, 1 when there is no traffic.
-func skew(max, total int64, workers int) float64 {
+// skew is the max/average ratio of a per-worker vector, 1 when there is no
+// traffic.
+func skew(v []int64) float64 {
+	total := sum(v)
 	if total == 0 {
 		return 1
 	}
-	avg := float64(total) / float64(workers)
-	return float64(max) / avg
+	return float64(slices.Max(v)) / (float64(total) / float64(len(v)))
+}
+
+func sum[T ~int64](v []T) T {
+	var total T
+	for _, x := range v {
+		total += x
+	}
+	return total
+}
+
+// add folds b's per-worker vectors and counters into r: work and traffic
+// sum, high-water marks take the max. Wall time and exchange rows are left
+// to the caller — rounds run one after another, members side by side.
+func (r *Report) add(b *Report) {
+	r.Workers = max(r.Workers, b.Workers)
+	r.CPUTime += b.CPUTime
+	r.BusyTime = addVec(r.BusyTime, b.BusyTime)
+	r.SortTime = addVec(r.SortTime, b.SortTime)
+	r.JoinTime = addVec(r.JoinTime, b.JoinTime)
+	r.Processed = addVec(r.Processed, b.Processed)
+	r.Sorted = addVec(r.Sorted, b.Sorted)
+	r.Seeks = addVec(r.Seeks, b.Seeks)
+	r.BytesSent += b.BytesSent
+	r.BytesReceived += b.BytesReceived
+	r.BatchesSent += b.BatchesSent
+	r.BatchesReceived += b.BatchesReceived
+	r.MaxQueueDepth = max(r.MaxQueueDepth, b.MaxQueueDepth)
+	// Rounds free their state before the next starts and each member holds
+	// only its own workers' slots, so the peak merges as a max either way.
+	r.PeakResidentTuples = maxVec(r.PeakResidentTuples, b.PeakResidentTuples)
+	r.SpilledBytes += b.SpilledBytes
+	r.SpillSegments += b.SpillSegments
+	r.Spills += b.Spills
+	r.JoinTasks += b.JoinTasks
+	r.JoinStealMax = max(r.JoinStealMax, b.JoinStealMax)
+}
+
+// addVec and maxVec fold src into dst elementwise, cloning src when dst
+// is empty so a merged report never aliases its inputs.
+func addVec[T ~int64](dst, src []T) []T {
+	if dst == nil {
+		return slices.Clone(src)
+	}
+	for i := range min(len(dst), len(src)) {
+		dst[i] += src[i]
+	}
+	return dst
+}
+
+func maxVec(dst, src []int64) []int64 {
+	if dst == nil {
+		return slices.Clone(src)
+	}
+	for i := range min(len(dst), len(src)) {
+		dst[i] = max(dst[i], src[i])
+	}
+	return dst
 }
 
 func (r *Report) String() string {

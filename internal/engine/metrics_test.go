@@ -8,13 +8,13 @@ import (
 )
 
 func TestSkewHelper(t *testing.T) {
-	if got := skew(0, 0, 4); got != 1 {
+	if got := skew([]int64{0, 0, 0, 0}); got != 1 {
 		t.Errorf("no traffic skew = %f, want 1", got)
 	}
-	if got := skew(100, 100, 4); got != 4 {
+	if got := skew([]int64{0, 100, 0, 0}); got != 4 {
 		t.Errorf("all-on-one skew = %f, want 4", got)
 	}
-	if got := skew(25, 100, 4); got != 1 {
+	if got := skew([]int64{25, 25, 25, 25}); got != 1 {
 		t.Errorf("balanced skew = %f, want 1", got)
 	}
 }
@@ -26,8 +26,8 @@ func TestReportAggregates(t *testing.T) {
 		BusyTime:  []time.Duration{time.Second, 2 * time.Second, time.Second, 0},
 		Processed: []int64{10, 40, 20, 30},
 		Exchanges: []ExchangeReport{
-			{TuplesSent: 100, ConsumerSkew: 2.5},
-			{TuplesSent: 3, ConsumerSkew: 4.0}, // tiny: excluded from skew
+			{Sent: []int64{25, 25, 25, 25}, Received: []int64{50, 50, 0, 0}},
+			{Sent: []int64{3, 0, 0, 0}, Received: []int64{3, 0, 0, 0}}, // tiny: excluded from skew
 		},
 	}
 	if r.TotalTuplesShuffled() != 103 {
@@ -49,8 +49,8 @@ func TestReportAggregates(t *testing.T) {
 		t.Errorf("max processed = %d", r.MaxProcessed())
 	}
 	// The 3-tuple exchange (below 4×workers) must not dominate the skew.
-	if got := r.MaxConsumerSkew(); got != 2.5 {
-		t.Errorf("MaxConsumerSkew = %f, want 2.5 (tiny exchange excluded)", got)
+	if got := r.MaxConsumerSkew(); got != 2 {
+		t.Errorf("MaxConsumerSkew = %f, want 2 (tiny exchange excluded)", got)
 	}
 	if s := r.String(); !strings.Contains(s, "shuffled=103") {
 		t.Errorf("String() = %q", s)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -80,15 +81,16 @@ func TestPartialClusterJoin(t *testing.T) {
 	plan := rsJoinPlan()
 	var wg sync.WaitGroup
 	var fragsA, fragsB []*rel.Relation
+	var repA, repB *Report
 	var errA, errB error
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		fragsA, _, errA = a.RunFragments(context.Background(), plan)
+		fragsA, repA, errA = a.RunFragments(context.Background(), plan)
 	}()
 	go func() {
 		defer wg.Done()
-		fragsB, _, errB = b.RunFragments(context.Background(), plan)
+		fragsB, repB, errB = b.RunFragments(context.Background(), plan)
 	}()
 	wg.Wait()
 	if errA != nil || errB != nil {
@@ -100,12 +102,39 @@ func TestPartialClusterJoin(t *testing.T) {
 	defer single.Close()
 	single.Load(r)
 	single.Load(s)
-	want, _, err := single.Run(context.Background(), rsJoinPlan())
+	want, wantRep, err := single.Run(context.Background(), rsJoinPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := rel.Concat("J", append(append([]*rel.Relation(nil), fragsA...), fragsB...))
 	if !got.Equal(want) {
 		t.Fatalf("two-process join: %d tuples, single-process %d", got.Cardinality(), want.Cardinality())
+	}
+
+	// Each process hosts two workers; merging their reports must give the
+	// single-process report's per-worker vectors and the traffic and skews
+	// derived from them.
+	merged := MergeDistributedReports([]*Report{repA, repB})
+	if len(merged.Exchanges) != len(wantRep.Exchanges) {
+		t.Fatalf("merged %d exchange rows, single-process %d", len(merged.Exchanges), len(wantRep.Exchanges))
+	}
+	for i, w := range wantRep.Exchanges {
+		g := merged.Exchanges[i]
+		if !slices.Equal(g.Sent, w.Sent) || !slices.Equal(g.Received, w.Received) {
+			t.Errorf("exchange %d: sent %v received %v, single-process %v %v", w.ID, g.Sent, g.Received, w.Sent, w.Received)
+		}
+		if g.TuplesSent() != w.TuplesSent() || g.ProducerSkew() != w.ProducerSkew() || g.ConsumerSkew() != w.ConsumerSkew() {
+			t.Errorf("exchange %d: sent=%d producer-skew=%.3f consumer-skew=%.3f, single-process %d %.3f %.3f", w.ID,
+				g.TuplesSent(), g.ProducerSkew(), g.ConsumerSkew(), w.TuplesSent(), w.ProducerSkew(), w.ConsumerSkew())
+		}
+	}
+	for name, v := range map[string][2][]int64{
+		"Processed": {merged.Processed, wantRep.Processed},
+		"Sorted":    {merged.Sorted, wantRep.Sorted},
+		"Seeks":     {merged.Seeks, wantRep.Seeks},
+	} {
+		if !slices.Equal(v[0], v[1]) {
+			t.Errorf("%s: merged %v, single-process %v", name, v[0], v[1])
+		}
 	}
 }

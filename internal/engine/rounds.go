@@ -5,7 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"time"
+	"slices"
 
 	"parajoin/internal/metrics"
 	"parajoin/internal/rel"
@@ -27,31 +27,32 @@ type Round struct {
 }
 
 // RunOpts tunes one execution. The zero value inherits the cluster's
-// defaults.
+// defaults. Fragment dispatch ships it to data nodes as JSON; the tracer
+// and the spill directory are coordinator-local and stay behind.
 type RunOpts struct {
 	// Tracer receives this run's span events; nil falls back to the
 	// cluster's Tracer.
-	Tracer *trace.Tracer
+	Tracer *trace.Tracer `json:"-"`
 	// MaxLocalTuples overrides the cluster's per-worker materialization
 	// budget for this run: 0 inherits the cluster's, a negative value lifts
 	// the cap entirely. The serving layer uses it to carve per-query budgets
 	// out of the cluster-wide limit.
-	MaxLocalTuples int64
+	MaxLocalTuples int64 `json:"max_local_tuples,omitempty"`
 	// Spill selects this run's spill policy; SpillDefault inherits the
 	// cluster's (whose own default is SpillOff — the legacy hard-OOM
 	// behavior).
-	Spill SpillPolicy
+	Spill SpillPolicy `json:"spill,omitempty"`
 	// SpillDir overrides the cluster's spill directory ("" inherits).
-	SpillDir string
+	SpillDir string `json:"-"`
 	// MaxSpillBytes overrides the cluster's hard cap on this run's spilled
 	// bytes: 0 inherits, a negative value lifts the cap.
-	MaxSpillBytes int64
+	MaxSpillBytes int64 `json:"max_spill_bytes,omitempty"`
 	// Parallelism overrides the cluster's intra-worker join parallelism for
 	// this run: 0 inherits, a negative value runs the join as one shard, K>0
 	// allows up to K concurrent sub-joins per worker. Unlike the limits
 	// above, a Remote runner receives it unresolved, because auto (0)
 	// depends on the cores of the host that executes the join.
-	Parallelism int
+	Parallelism int `json:"parallelism,omitempty"`
 	// Epoch, when > 0, pins the run's exchange-id namespace instead of
 	// drawing one from the cluster's internal counter; round i of a
 	// multi-round plan uses Epoch+i. Distributed execution needs it: every
@@ -59,7 +60,7 @@ type RunOpts struct {
 	// must agree on the epoch, and concurrent queries must not collide —
 	// the coordinator allocates each query a disjoint block. 0 (the
 	// default) keeps the process-local counter.
-	Epoch int64
+	Epoch int64 `json:"epoch,omitempty"`
 }
 
 func (c *Cluster) runTracer(o RunOpts) *trace.Tracer {
@@ -147,13 +148,6 @@ func (c *Cluster) RunRounds(ctx context.Context, rounds []Round) (*rel.Relation,
 	return c.RunRoundsOpts(ctx, rounds, RunOpts{})
 }
 
-// RunRoundsTraced is RunRounds with an explicit tracer for this execution,
-// overriding the cluster's default — EXPLAIN ANALYZE uses it to capture one
-// run's events without re-configuring the cluster.
-func (c *Cluster) RunRoundsTraced(ctx context.Context, rounds []Round, tracer *trace.Tracer) (*rel.Relation, *Report, error) {
-	return c.RunRoundsOpts(ctx, rounds, RunOpts{Tracer: tracer})
-}
-
 // RunRoundsOpts is RunRounds with per-run options.
 func (c *Cluster) RunRoundsOpts(ctx context.Context, rounds []Round, opts RunOpts) (*rel.Relation, *Report, error) {
 	if len(rounds) == 0 {
@@ -187,6 +181,11 @@ func (c *Cluster) RunRoundsOpts(ctx context.Context, rounds []Round, opts RunOpt
 			ropts.Epoch = opts.Epoch + int64(i)
 		}
 		frags, report, err := c.runFragments(ctx, round.Plan, ropts, temps)
+		if report != nil {
+			for j := range report.Exchanges {
+				report.Exchanges[j].Round = i
+			}
+		}
 		combined = mergeReports(combined, report)
 		if err != nil {
 			return nil, combined, fmt.Errorf("engine: round %d (%s): %w", i, round.Name, err)
@@ -205,69 +204,15 @@ func (c *Cluster) RunRoundsOpts(ctx context.Context, rounds []Round, opts RunOpt
 	panic("unreachable")
 }
 
-// mergeReports folds b into a: traffic counters append (exchange ids are
-// offset to stay unique), time counters add, wall times add (rounds run
-// sequentially).
+// mergeReports folds round b's report into the run's report so far. Rounds
+// run one after another, so wall times add; b's exchange rows, tagged with
+// their round, append.
 func mergeReports(a, b *Report) *Report {
-	if b == nil {
-		return a
+	if a == nil || b == nil {
+		return cmp.Or(a, b)
 	}
-	if a == nil {
-		return b
-	}
-	out := &Report{
-		Workers:         a.Workers,
-		WallTime:        a.WallTime + b.WallTime,
-		CPUTime:         a.CPUTime + b.CPUTime,
-		BusyTime:        append([]time.Duration(nil), a.BusyTime...),
-		SortTime:        append([]time.Duration(nil), a.SortTime...),
-		JoinTime:        append([]time.Duration(nil), a.JoinTime...),
-		Processed:       append([]int64(nil), a.Processed...),
-		Sorted:          append([]int64(nil), a.Sorted...),
-		Seeks:           append([]int64(nil), a.Seeks...),
-		BytesSent:       a.BytesSent + b.BytesSent,
-		BytesReceived:   a.BytesReceived + b.BytesReceived,
-		BatchesSent:     a.BatchesSent + b.BatchesSent,
-		BatchesReceived: a.BatchesReceived + b.BatchesReceived,
-		MaxQueueDepth:   max(a.MaxQueueDepth, b.MaxQueueDepth),
-
-		PeakResidentTuples: append([]int64(nil), a.PeakResidentTuples...),
-		SpilledBytes:       a.SpilledBytes + b.SpilledBytes,
-		SpillSegments:      a.SpillSegments + b.SpillSegments,
-		Spills:             a.Spills + b.Spills,
-
-		JoinTasks:    a.JoinTasks + b.JoinTasks,
-		JoinStealMax: max(a.JoinStealMax, b.JoinStealMax),
-
-		RemoteFragments: max(a.RemoteFragments, b.RemoteFragments),
-		RemoteMembers:   a.RemoteMembers,
-	}
-	if len(out.RemoteMembers) == 0 {
-		out.RemoteMembers = b.RemoteMembers
-	}
-	for i := range out.BusyTime {
-		out.BusyTime[i] += b.BusyTime[i]
-		out.SortTime[i] += b.SortTime[i]
-		out.JoinTime[i] += b.JoinTime[i]
-		out.Processed[i] += b.Processed[i]
-		out.Sorted[i] += b.Sorted[i]
-		out.Seeks[i] += b.Seeks[i]
-	}
-	// Rounds free their state between executions, so the run's peak is the
-	// max across rounds, not the sum.
-	for i := range out.PeakResidentTuples {
-		out.PeakResidentTuples[i] = max(out.PeakResidentTuples[i], b.PeakResidentTuples[i])
-	}
-	out.Exchanges = append(out.Exchanges, a.Exchanges...)
-	offset := 0
-	for _, e := range a.Exchanges {
-		if e.ID >= offset {
-			offset = e.ID + 1
-		}
-	}
-	for _, e := range b.Exchanges {
-		e.ID += offset
-		out.Exchanges = append(out.Exchanges, e)
-	}
+	out := &Report{WallTime: a.WallTime + b.WallTime, Exchanges: slices.Concat(a.Exchanges, b.Exchanges)}
+	out.add(a)
+	out.add(b)
 	return out
 }

@@ -91,13 +91,18 @@ func TestMergeReports(t *testing.T) {
 		Workers: 2, WallTime: time.Second, CPUTime: time.Second,
 		BusyTime: []time.Duration{1, 2}, SortTime: []time.Duration{0, 0}, JoinTime: []time.Duration{0, 0},
 		Processed: []int64{10, 20}, Sorted: []int64{1, 2}, Seeks: []int64{3, 4},
-		Exchanges: []ExchangeReport{{ID: 0, TuplesSent: 5}, {ID: 3, TuplesSent: 7}},
+		PeakResidentTuples: []int64{7, 1},
+		Exchanges: []ExchangeReport{
+			{Round: 0, ID: 0, Sent: []int64{5, 0}},
+			{Round: 0, ID: 3, Sent: []int64{3, 4}},
+		},
 	}
 	b := &Report{
 		Workers: 2, WallTime: 2 * time.Second, CPUTime: time.Second,
 		BusyTime: []time.Duration{10, 20}, SortTime: []time.Duration{1, 1}, JoinTime: []time.Duration{2, 2},
 		Processed: []int64{100, 200}, Sorted: []int64{10, 20}, Seeks: []int64{30, 40},
-		Exchanges: []ExchangeReport{{ID: 0, TuplesSent: 11}},
+		PeakResidentTuples: []int64{2, 9},
+		Exchanges:          []ExchangeReport{{Round: 1, ID: 0, Sent: []int64{5, 6}}},
 	}
 	m := mergeReports(a, b)
 	if m.WallTime != 3*time.Second || m.CPUTime != 2*time.Second {
@@ -106,12 +111,19 @@ func TestMergeReports(t *testing.T) {
 	if m.BusyTime[1] != 22 || m.Processed[0] != 110 || m.Seeks[1] != 44 {
 		t.Fatalf("counters merged wrong: %+v", m)
 	}
+	// Rounds free their state between executions: the peak is a max.
+	if m.PeakResidentTuples[0] != 7 || m.PeakResidentTuples[1] != 9 {
+		t.Fatalf("peaks merged wrong: %v", m.PeakResidentTuples)
+	}
+	if a.Processed[0] != 10 {
+		t.Fatal("merge mutated its input")
+	}
 	if len(m.Exchanges) != 3 {
 		t.Fatalf("%d exchanges", len(m.Exchanges))
 	}
-	// b's exchange ids must be offset past a's.
-	if m.Exchanges[2].ID <= 3 {
-		t.Fatalf("exchange id collision: %d", m.Exchanges[2].ID)
+	// Rows from different rounds stay distinct by Round, ids untouched.
+	if e := m.Exchanges[2]; e.Round != 1 || e.ID != 0 || m.Exchanges[0].Round != 0 {
+		t.Fatalf("round rows: %+v", m.Exchanges)
 	}
 	if m.TotalTuplesShuffled() != 23 {
 		t.Fatalf("total shuffled %d", m.TotalTuplesShuffled())

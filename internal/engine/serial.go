@@ -4,8 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
-	"time"
+	"slices"
 
 	"parajoin/internal/core"
 	"parajoin/internal/hypercube"
@@ -338,106 +337,33 @@ type RemoteRunner interface {
 }
 
 // MergeDistributedReports folds per-member run reports into one cluster-wide
-// report. reports[i] must come from the member hosting worker i of an
-// n-worker plan; each carries full-length per-worker vectors with only its
-// hosted worker's slots populated, so vectors merge elementwise. Exchange
-// rows merge by exchange id: member i's TuplesSent is exactly worker i's
-// share of the shuffle, which lets producer skew be recomputed exactly, and
-// consumer skew falls out of the elementwise-summed Received vectors. Wall
-// time is the slowest member's (fragments run concurrently); CPU and byte
-// counters sum.
+// report. Each member's report carries full-length per-worker vectors with
+// only its hosted workers' slots populated, so every vector — the exchange
+// rows' Sent and Received included — merges elementwise, and the totals and
+// skews derived from them equal a single-process run's. Exchange rows match
+// by (round, id). Wall time is the slowest member's (fragments run
+// concurrently); CPU and byte counters sum.
 func MergeDistributedReports(reports []*Report) *Report {
-	var first *Report
+	var out *Report
 	for _, r := range reports {
-		if r != nil {
-			first = r
-			break
-		}
-	}
-	if first == nil {
-		return nil
-	}
-	n := first.Workers
-	out := &Report{
-		Workers:            n,
-		BusyTime:           make([]time.Duration, n),
-		SortTime:           make([]time.Duration, n),
-		JoinTime:           make([]time.Duration, n),
-		Processed:          make([]int64, n),
-		Sorted:             make([]int64, n),
-		Seeks:              make([]int64, n),
-		PeakResidentTuples: make([]int64, n),
-	}
-	type exAgg struct {
-		name     string
-		sent     []int64 // per producing member
-		received []int64 // per worker
-	}
-	exs := make(map[int]*exAgg)
-	for i, r := range reports {
 		if r == nil {
 			continue
 		}
-		if r.WallTime > out.WallTime {
-			out.WallTime = r.WallTime
+		if out == nil {
+			out = &Report{}
 		}
-		out.CPUTime += r.CPUTime
-		for j := 0; j < n && j < len(r.BusyTime); j++ {
-			out.BusyTime[j] += r.BusyTime[j]
-			out.SortTime[j] += r.SortTime[j]
-			out.JoinTime[j] += r.JoinTime[j]
-			out.Processed[j] += r.Processed[j]
-			out.Sorted[j] += r.Sorted[j]
-			out.Seeks[j] += r.Seeks[j]
-		}
-		for j := 0; j < n && j < len(r.PeakResidentTuples); j++ {
-			out.PeakResidentTuples[j] = max(out.PeakResidentTuples[j], r.PeakResidentTuples[j])
-		}
-		out.BytesSent += r.BytesSent
-		out.BytesReceived += r.BytesReceived
-		out.BatchesSent += r.BatchesSent
-		out.BatchesReceived += r.BatchesReceived
-		out.MaxQueueDepth = max(out.MaxQueueDepth, r.MaxQueueDepth)
-		out.SpilledBytes += r.SpilledBytes
-		out.SpillSegments += r.SpillSegments
-		out.Spills += r.Spills
-		out.JoinTasks += r.JoinTasks
-		out.JoinStealMax = max(out.JoinStealMax, r.JoinStealMax)
+		out.add(r)
+		out.WallTime = max(out.WallTime, r.WallTime)
 		for _, e := range r.Exchanges {
-			agg := exs[e.ID]
-			if agg == nil {
-				agg = &exAgg{name: e.Name, sent: make([]int64, len(reports)), received: make([]int64, n)}
-				exs[e.ID] = agg
+			i := slices.IndexFunc(out.Exchanges, func(o ExchangeReport) bool { return o.Round == e.Round && o.ID == e.ID })
+			if i < 0 {
+				i = len(out.Exchanges)
+				out.Exchanges = append(out.Exchanges, ExchangeReport{Round: e.Round, ID: e.ID, Name: e.Name})
 			}
-			if agg.name == "" {
-				agg.name = e.Name
-			}
-			agg.sent[i] += e.TuplesSent
-			for j := 0; j < n && j < len(e.Received); j++ {
-				agg.received[j] += e.Received[j]
-			}
+			row := &out.Exchanges[i]
+			row.Sent = addVec(row.Sent, e.Sent)
+			row.Received = addVec(row.Received, e.Received)
 		}
-	}
-	ids := make([]int, 0, len(exs))
-	for id := range exs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		agg := exs[id]
-		er := ExchangeReport{ID: id, Name: agg.name, Received: agg.received}
-		var sentMax, recvMax, recvTotal int64
-		for _, s := range agg.sent {
-			er.TuplesSent += s
-			sentMax = max(sentMax, s)
-		}
-		for _, rcv := range agg.received {
-			recvTotal += rcv
-			recvMax = max(recvMax, rcv)
-		}
-		er.ProducerSkew = skew(sentMax, er.TuplesSent, n)
-		er.ConsumerSkew = skew(recvMax, recvTotal, n)
-		out.Exchanges = append(out.Exchanges, er)
 	}
 	return out
 }

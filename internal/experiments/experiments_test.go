@@ -111,8 +111,8 @@ func TestTables(t *testing.T) {
 	}
 	// HC consumer skew must be mild on every exchange.
 	for _, r := range t3.Rows {
-		if r.ConsumerSkew > 3 {
-			t.Errorf("HC shuffle %s skew %.2f unexpectedly high", r.Name, r.ConsumerSkew)
+		if r.ConsumerSkew() > 3 {
+			t.Errorf("HC shuffle %s skew %.2f unexpectedly high", r.Name, r.ConsumerSkew())
 		}
 	}
 	t4, err := s.Table4()

@@ -106,7 +106,7 @@ func (lb *LoadBalance) Render(w io.Writer) {
 	fmt.Fprintln(w, lb.Title)
 	fmt.Fprintf(w, "%-34s %14s %14s %14s\n", "shuffle", "tuples sent", "producer skew", "consumer skew")
 	for _, r := range lb.Rows {
-		fmt.Fprintf(w, "%-34s %14d %14.2f %14.2f\n", r.Name, r.TuplesSent, r.ProducerSkew, r.ConsumerSkew)
+		fmt.Fprintf(w, "%-34s %14d %14.2f %14.2f\n", r.Name, r.TuplesSent(), r.ProducerSkew(), r.ConsumerSkew())
 	}
 	fmt.Fprintf(w, "%-34s %14d\n", "Total", lb.Total)
 }

@@ -7,8 +7,11 @@ package server_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"reflect"
+	"regexp"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -255,18 +258,44 @@ func TestDistributedServingMatchesLocal(t *testing.T) {
 			ldb.Close()
 			t.Fatal(err)
 		}
+		lexp, err := q.RunWithOptions(ctx, parajoin.RunOptions{Strategy: parajoin.Strategy("hc_tj"), Explain: true})
+		ldb.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(lres.Rows) != len(res.Rows) {
-			ldb.Close()
 			t.Fatalf("at %d members: local %d rows vs distributed %d", n, len(lres.Rows), len(res.Rows))
 		}
 		for i := range lres.Rows {
 			if !reflect.DeepEqual(lres.Rows[i], res.Rows[i]) {
-				ldb.Close()
 				t.Fatalf("at %d members: row %d differs in serial order: local %v vs distributed %v",
 					n, i, lres.Rows[i], res.Rows[i])
 			}
 		}
-		ldb.Close()
+
+		// The members' merged reports carry the local run's traffic and skew.
+		if res.Stats.TuplesShuffled != lres.Stats.TuplesShuffled || res.Stats.MaxConsumerSkew != lres.Stats.MaxConsumerSkew {
+			t.Fatalf("at %d members: distributed shuffled %d (skew %v), local %d (skew %v)", n,
+				res.Stats.TuplesShuffled, res.Stats.MaxConsumerSkew, lres.Stats.TuplesShuffled, lres.Stats.MaxConsumerSkew)
+		}
+		// A served EXPLAIN says where the operators ran and shows the same
+		// per-exchange traffic as the local one.
+		exp, err := c.Explain(ctx, triRule, opts)
+		if err != nil {
+			t.Fatalf("distributed explain at %d members: %v", n, err)
+		}
+		if line := fmt.Sprintf("execution: distributed over %d data node(s)", n); !strings.Contains(exp, line) {
+			t.Fatalf("at %d members: explain lacks %q:\n%s", n, line, exp)
+		}
+		traffic := regexp.MustCompile(`sent=\d+ producer-skew=\S+ consumer-skew=[^ )]+`).FindAllString(lexp.Stats.Explain, -1)
+		if len(traffic) == 0 {
+			t.Fatalf("local explain shows no exchange traffic:\n%s", lexp.Stats.Explain)
+		}
+		for _, tr := range traffic {
+			if !strings.Contains(exp, tr) {
+				t.Fatalf("at %d members: distributed explain lacks the local %q:\n%s", n, tr, exp)
+			}
+		}
 	}
 }
 

@@ -756,7 +756,7 @@ func (ss *session) query(req *wire.Request) {
 		}
 		prog.SetStage("planning")
 		execStart := time.Now()
-		resp, rows, explain, err = ss.execute(req, q, strategy, opts, runCtx)
+		resp, rows, explain, err = ss.execute(req, q, opts, runCtx)
 		queryMetrics.exec.ObserveDuration(time.Since(execStart))
 		// Released between attempts (and before the backoff sleep) so a
 		// retrying query never starves other admitted work; the response is
@@ -829,9 +829,9 @@ func (ss *session) query(req *wire.Request) {
 
 // execute runs a single attempt of an evaluation op. The returned explain
 // string is the run's in-flight EXPLAIN ANALYZE capture (empty unless
-// RunOptions.Explain was set) — it feeds the slow-query log, not the wire
-// response.
-func (ss *session) execute(req *wire.Request, q *parajoin.Query, strategy parajoin.Strategy, opts parajoin.RunOptions, runCtx context.Context) (*wire.Response, int64, string, error) {
+// RunOptions.Explain was set) — it feeds the slow-query log, and is the
+// wire response of OpExplain, which runs under the same resolved options.
+func (ss *session) execute(req *wire.Request, q *parajoin.Query, opts parajoin.RunOptions, runCtx context.Context) (*wire.Response, int64, string, error) {
 	resp := &wire.Response{ID: req.ID}
 	switch req.Op {
 	case wire.OpRun, wire.OpExecute:
@@ -857,12 +857,13 @@ func (ss *session) execute(req *wire.Request, q *parajoin.Query, strategy parajo
 		return resp, n, st.Explain, nil
 
 	default: // wire.OpExplain (dispatch admits no other op here)
-		out, err := q.ExplainAnalyze(runCtx, strategy)
+		opts.Explain = true
+		res, err := q.RunWithOptions(runCtx, opts)
 		if err != nil {
 			return nil, 0, "", err
 		}
-		resp.Explain = out
-		return resp, 0, out, nil
+		resp.Explain = res.Stats.Explain
+		return resp, 0, resp.Explain, nil
 	}
 }
 

@@ -382,6 +382,22 @@ func TestServerMemoryBudget(t *testing.T) {
 	}
 }
 
+// TestServerExplainHonorsBudget: a served EXPLAIN runs under the same
+// resolved per-query budget and spill policy as a served run, not the
+// DB-wide limit (here: none).
+func TestServerExplainHonorsBudget(t *testing.T) {
+	_, _, addr := newTestServer(t, 1500, server.Config{PerQueryMemTuples: 64})
+	c := dial(t, addr)
+	ctx := context.Background()
+	opts := client.QueryOptions{Strategy: "hc_tj"}
+	if _, err := c.Run(ctx, triRule, opts); !errors.Is(err, client.ErrOutOfMemory) {
+		t.Fatalf("run: err = %v, want ErrOutOfMemory", err)
+	}
+	if _, err := c.Explain(ctx, triRule, opts); !errors.Is(err, client.ErrOutOfMemory) {
+		t.Fatalf("explain: err = %v, want ErrOutOfMemory", err)
+	}
+}
+
 // TestServerCatalogAndBadRequests covers load/relations/explain plus the
 // bad_request mappings.
 func TestServerCatalogAndBadRequests(t *testing.T) {

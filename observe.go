@@ -49,23 +49,15 @@ func WithTracer(t *Tracer) Option {
 // forced on and returns the physical plan annotated with actuals: rows and
 // wall time per operator (slowest worker), tuples sent with producer and
 // consumer skew per exchange, Tributary sort/join phase times, and the
-// run's transport byte totals. The query's results are discarded; any
+// run's transport byte totals. It is RunWithOptions with Explain set: the
+// database's limits apply, the query's results are discarded, and any
 // tracer attached with WithTracer still receives the events.
 func (q *Query) ExplainAnalyze(ctx context.Context, s Strategy) (string, error) {
-	res, _, err := q.planFor(s)
+	res, err := q.RunWithOptions(ctx, RunOptions{Strategy: s, Explain: true})
 	if err != nil {
 		return "", err
 	}
-	col := trace.NewCollector()
-	sink := TraceSink(col)
-	if t := q.db.cluster.Tracer; t.Enabled() {
-		sink = trace.MultiSink(col, t.Sink())
-	}
-	_, report, err := q.db.cluster.RunRoundsTraced(ctx, res.Rounds, trace.New(sink))
-	if err != nil {
-		return "", err
-	}
-	return explainWithShares(engine.ExplainAnalyze(res.Rounds, col.Events(), report), res.HC, q.db.workers), nil
+	return res.Stats.Explain, nil
 }
 
 // explainOpts resolves a run's engine options, attaching an event collector

@@ -46,6 +46,7 @@ import (
 	"parajoin/internal/rel"
 	"parajoin/internal/shares"
 	"parajoin/internal/stats"
+	"parajoin/internal/trace"
 )
 
 // Strategy selects how a query is shuffled and joined.
@@ -546,20 +547,7 @@ func (q *Query) RunWithOptions(ctx context.Context, opts RunOptions) (*Result, e
 	result := &Result{
 		Columns: []string(out.Schema),
 		Rows:    make([][]int64, len(out.Tuples)),
-		Stats: Stats{
-			Strategy:        s,
-			Wall:            time.Since(start),
-			CPU:             report.TotalCPU(),
-			TuplesShuffled:  report.TotalTuplesShuffled(),
-			MaxConsumerSkew: report.MaxConsumerSkew(),
-			Workers:         db.workers,
-		},
-	}
-	result.Stats.fromReport(report)
-	if col != nil {
-		result.Stats.Explain = explainWithExecution(
-			explainWithShares(engine.ExplainAnalyze(res.Rounds, col.Events(), report), res.HC, db.workers),
-			report)
+		Stats:   db.statsFrom(s, start, res, report, col),
 	}
 	if s == HyperCubeTributary || s == HyperCubeHash {
 		result.Stats.HyperCubeShares = res.HC.String()
@@ -633,24 +621,11 @@ func (q *Query) CountWithOptions(ctx context.Context, opts RunOptions) (int64, *
 	for _, t := range out.Tuples {
 		total += t[0]
 	}
-	st := &Stats{
-		Strategy:        s,
-		Workers:         db.workers,
-		Wall:            time.Since(start),
-		CPU:             report.TotalCPU(),
-		TuplesShuffled:  report.TotalTuplesShuffled(),
-		MaxConsumerSkew: report.MaxConsumerSkew(),
-	}
-	st.fromReport(report)
-	if col != nil {
-		st.Explain = explainWithExecution(
-			explainWithShares(engine.ExplainAnalyze(res.Rounds, col.Events(), report), res.HC, db.workers),
-			report)
-	}
+	st := db.statsFrom(s, start, res, report, col)
 	if useRC && db.cluster.DataEpoch() == epoch {
 		db.resultCache.Put(rkey, epoch, &cache.Result{Strategy: string(s), Count: total})
 	}
-	return total, st, nil
+	return total, &st, nil
 }
 
 // Result is a materialized query answer plus execution statistics.
@@ -705,21 +680,34 @@ type Stats struct {
 	RemoteMembers   []string
 }
 
-// fromReport copies the report's spill and parallel-join counters into a
-// Stats value.
-func (s *Stats) fromReport(report *engine.Report) {
-	for _, p := range report.PeakResidentTuples {
-		if p > s.PeakResidentTuples {
-			s.PeakResidentTuples = p
-		}
+// statsFrom builds a finished run's Stats: every field the report derives,
+// plus the in-flight EXPLAIN ANALYZE rendering when col collected the run's
+// events.
+func (db *DB) statsFrom(s Strategy, start time.Time, res *planner.Result, report *engine.Report, col *trace.Collector) Stats {
+	st := Stats{
+		Strategy:        s,
+		Workers:         db.workers,
+		Wall:            time.Since(start),
+		CPU:             report.TotalCPU(),
+		TuplesShuffled:  report.TotalTuplesShuffled(),
+		MaxConsumerSkew: report.MaxConsumerSkew(),
+		BytesShuffled:   report.BytesSent,
+		SpilledBytes:    report.SpilledBytes,
+		SpillSegments:   report.SpillSegments,
+		JoinTasks:       report.JoinTasks,
+		JoinStealMax:    report.JoinStealMax,
+		RemoteFragments: report.RemoteFragments,
+		RemoteMembers:   report.RemoteMembers,
 	}
-	s.BytesShuffled = report.BytesSent
-	s.SpilledBytes = report.SpilledBytes
-	s.SpillSegments = report.SpillSegments
-	s.JoinTasks = report.JoinTasks
-	s.JoinStealMax = report.JoinStealMax
-	s.RemoteFragments = report.RemoteFragments
-	s.RemoteMembers = report.RemoteMembers
+	for _, p := range report.PeakResidentTuples {
+		st.PeakResidentTuples = max(st.PeakResidentTuples, p)
+	}
+	if col != nil {
+		st.Explain = explainWithExecution(
+			explainWithShares(engine.ExplainAnalyze(res.Rounds, col.Events(), report), res.HC, db.workers),
+			report)
+	}
+	return st
 }
 
 // chooseStrategy applies the paper's Table-6 conclusion: when the regular
