@@ -29,7 +29,8 @@ import (
 //	/debug/vars     expvar: the runtime's memstats and cmdline, plus
 //	                "parajoin_server" (admission gate, sessions) and
 //	                "parajoin_tcp_peers" (per-peer link health) once a
-//	                server or TCP transport exists in the process
+//	                server or a listening TCP transport (NewTCPTransport)
+//	                exists in the process
 //	/debug/queries  in-flight queries (id, rule, stage, elapsed, progress) as JSON
 //	/debug/trace    ring's current events as JSON Lines (404 when ring is nil)
 func Handler(ring *trace.Ring) http.Handler {

@@ -57,20 +57,16 @@ func BenchmarkTriangle(b *testing.B) {
 	}
 }
 
+// BenchmarkTCPShuffle shuffles across two processes' worth of workers, so
+// half of every batch crosses a loopback socket.
 func BenchmarkTCPShuffle(b *testing.B) {
-	addrs := []string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}
-	tr, err := NewTCPTransport(addrs, []int{0, 1, 2, 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := NewClusterWithTransport(4, tr)
-	defer c.Close()
-	c.Load(randGraph("R", 20000, 2000, 213))
+	x, y := twoProcessCluster(b)
+	r := randGraph("R", 20000, 2000, 213)
+	x.Load(r)
+	y.Load(r)
 	plan := shuffleGather("R", []string{"dst"})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Run(context.Background(), plan); err != nil {
-			b.Fatal(err)
-		}
+		runSplit(b, x, y, plan)
 	}
 }

@@ -120,9 +120,12 @@ type Cluster struct {
 	closeErr  error
 }
 
-// NewCluster creates an n-worker cluster over the in-memory transport.
+// NewCluster creates an n-worker cluster hosting every worker in this
+// process: its transport passes batches by reference and opens no socket.
 func NewCluster(n int) *Cluster {
-	return NewClusterWithTransport(n, NewMemTransport(n))
+	c := NewClusterWithTransport(n, nil)
+	c.transport = newTransport(make([]string, n), c.hosted)
+	return c
 }
 
 // NewClusterWithTransport creates a cluster over a custom transport (for

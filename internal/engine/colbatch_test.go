@@ -13,37 +13,29 @@ import (
 )
 
 // TestTCPColumnarMatchesLegacy is the oracle for colbatch frames: the same
-// shuffle over TCP loopback (every batch one encoded colbatch frame) and
-// over the flat in-memory transport (batches passed by reference, the path
-// that predates colbatch) must produce identical bags, and the TCP run's
-// wire bytes must balance exactly between senders and receivers.
+// shuffle split across two processes (every cross-process batch one
+// encoded colbatch frame) and on a single-process cluster (every batch
+// passed by reference, the path that predates colbatch) must produce
+// identical bags.
 func TestTCPColumnarMatchesLegacy(t *testing.T) {
 	r := randGraph("R", 1500, 80, 46)
 	plan := shuffleGather("R", []string{"dst"})
 
-	run := func(c *Cluster) *rel.Relation {
-		t.Helper()
-		c.Load(r)
-		got, _, err := c.Run(context.Background(), plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
+	a, b := twoProcessCluster(t)
+	a.Load(r)
+	b.Load(r)
+	got, _ := runSplit(t, a, b, plan)
 
-	tcp := loopbackCluster(t, 3)
-	got := run(tcp)
-	mem := NewCluster(3)
+	mem := NewCluster(4)
 	defer mem.Close()
-	want := run(mem)
-
+	mem.Load(r)
+	want, _, err := mem.Run(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !got.Equal(want) {
 		t.Fatalf("TCP and in-memory shuffles diverged: %d vs %d tuples",
 			got.Cardinality(), want.Cardinality())
-	}
-	stats := tcp.Transport().(TransportMeter).TransportStats()
-	if stats.BytesSent == 0 || stats.BytesSent != stats.BytesReceived {
-		t.Fatalf("byte totals disagree: sent=%d received=%d", stats.BytesSent, stats.BytesReceived)
 	}
 }
 
@@ -208,41 +200,5 @@ func TestTCPCorruptFrameDropsConnection(t *testing.T) {
 		if !got[i].Equal(want[i]) {
 			t.Fatalf("tuple %d = %v, want %v", i, got[i], want[i])
 		}
-	}
-}
-
-// TestMemTransportColumnarMatchesLegacy checks the in-memory columnar mode:
-// identical join output, byte counters reporting the (smaller) encoded
-// sizes.
-func TestMemTransportColumnarMatchesLegacy(t *testing.T) {
-	r := randGraph("R", 600, 50, 47)
-	s := randGraph("S", 600, 50, 48)
-
-	run := func(columnar bool) (*rel.Relation, int64) {
-		t.Helper()
-		c := NewCluster(4)
-		defer c.Close()
-		c.Transport().(*MemTransport).Columnar = columnar
-		c.Load(r)
-		c.Load(s)
-		got, _, err := c.Run(context.Background(), rsJoinPlan())
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats := c.Transport().(TransportMeter).TransportStats()
-		if stats.BytesSent != stats.BytesReceived {
-			t.Fatalf("columnar=%v: sent=%d received=%d", columnar, stats.BytesSent, stats.BytesReceived)
-		}
-		return got.Clone().Dedup(), stats.BytesSent
-	}
-
-	colGot, colBytes := run(true)
-	legGot, legBytes := run(false)
-	if !colGot.Equal(legGot) {
-		t.Fatalf("columnar mem transport changed the join: %d vs %d tuples",
-			colGot.Cardinality(), legGot.Cardinality())
-	}
-	if colBytes >= legBytes {
-		t.Fatalf("encoded bytes %d not below flat accounting %d", colBytes, legBytes)
 	}
 }

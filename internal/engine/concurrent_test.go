@@ -80,8 +80,8 @@ func (t *stallTransport) Recv(ctx context.Context, exchangeID, dst int) ([]rel.T
 }
 
 func TestCloseDuringRun(t *testing.T) {
-	inner := NewMemTransport(2)
-	c := NewClusterWithTransport(2, &stallTransport{Transport: inner})
+	c := NewCluster(2)
+	c.WrapTransport(func(t Transport) Transport { return &stallTransport{Transport: t} })
 	c.Load(randGraph("R", 100, 50, 1))
 
 	errCh := make(chan error, 1)
@@ -172,8 +172,7 @@ func TestConcurrentMultiRoundRunsKeepPrivateTemps(t *testing.T) {
 // TestReleaseEpoch checks that finished runs free their transport queues —
 // the per-query leak a long-running server would otherwise accumulate.
 func TestReleaseEpoch(t *testing.T) {
-	tr := NewMemTransport(4)
-	c := NewClusterWithTransport(4, tr)
+	c := NewCluster(4)
 	defer c.Close()
 	c.Load(randGraph("R", 1000, 200, 1))
 
@@ -182,10 +181,7 @@ func TestReleaseEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr.mu.Lock()
-	left := len(tr.queues)
-	tr.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d exchange queue sets left on the transport after runs completed", left)
+	if left := c.Transport().(*TCPTransport).QueueCount(); left != 0 {
+		t.Fatalf("%d inbox queues left on the transport after runs completed", left)
 	}
 }

@@ -1,5 +1,5 @@
 // Package engine is parajoin's shared-nothing parallel execution engine: N
-// workers, each with private storage, exchanging tuples through a pluggable
+// workers, each with private storage, exchanging tuples through a
 // Transport. It plays the role Myria plays in the paper — the substrate the
 // shuffle and join algorithms run on — and it meters exactly the quantities
 // the paper's evaluation reports: tuples shuffled per exchange (with
@@ -9,11 +9,11 @@
 // fragment, and a plan's exchanges decide which tuples cross worker
 // boundaries (hash routing for Repartition joins, HyperCube routing for
 // multi-way joins, broadcast for small build sides). Workers are an
-// abstraction over placement: NewCluster hosts all N in one process wired
-// by an in-memory transport, while NewPartialCluster hosts any subset and
-// reaches the rest through a TCPTransport — the same plan, the same worker
-// indices, the same answer, whether the workers share a process or a
-// datacenter.
+// abstraction over placement: one TCPTransport carries every exchange.
+// NewCluster hosts all N workers in one process, where every batch is
+// handed over in memory, while NewPartialCluster hosts any subset and
+// reaches the rest over TCP — the same plan, the same worker indices, the
+// same answer, whether the workers share a process or a datacenter.
 //
 // # Distributed execution
 //

@@ -554,11 +554,7 @@ func (c *Cluster) runFragments(ctx context.Context, plan *Plan, opts RunOpts, te
 	// The query's mem_tuples reading follows this run's accountant while
 	// the run lasts and drops back to 0 when it ends.
 	defer e.prog.AttachMem(e.acct.Resident)()
-	meter, _ := c.transport.(TransportMeter)
-	var ts0 TransportStats
-	if meter != nil {
-		ts0 = meter.TransportStats()
-	}
+	ts0 := c.transport.TransportStats()
 	live.runsStarted.Add(1)
 	live.activeRuns.Add(1)
 	defer live.activeRuns.Add(-1)
@@ -611,9 +607,7 @@ func (c *Cluster) runFragments(ctx context.Context, plan *Plan, opts RunOpts, te
 	// All local producers and consumers are done: free this epoch's queue
 	// state on the transport so a long-running server doesn't accumulate
 	// one queue set per query forever.
-	if rel, ok := c.transport.(EpochReleaser); ok {
-		rel.ReleaseEpoch(e.epoch)
-	}
+	c.transport.ReleaseEpoch(e.epoch)
 	wall := time.Since(start)
 	report := e.metrics.report(wall)
 	defer observeRound(report)
@@ -622,17 +616,15 @@ func (c *Cluster) runFragments(ctx context.Context, plan *Plan, opts RunOpts, te
 	report.SpilledBytes = e.acct.DiskUsed()
 	report.SpillSegments = e.spillSegs.Load()
 	report.Spills = e.spills.Load()
-	if meter != nil {
-		// On a transport shared by concurrent runs the byte deltas cover
-		// everything in flight, not just this run; parajoin's usage (one
-		// run at a time per cluster) makes them exact.
-		ts1 := meter.TransportStats()
-		report.BytesSent = ts1.BytesSent - ts0.BytesSent
-		report.BytesReceived = ts1.BytesReceived - ts0.BytesReceived
-		report.BatchesSent = ts1.BatchesSent - ts0.BatchesSent
-		report.BatchesReceived = ts1.BatchesReceived - ts0.BatchesReceived
-		report.MaxQueueDepth = ts1.MaxQueueDepth
-	}
+	// On a transport shared by concurrent runs the byte deltas cover
+	// everything in flight, not just this run; parajoin's usage (one run at
+	// a time per cluster) makes them exact.
+	ts1 := c.transport.TransportStats()
+	report.BytesSent = ts1.BytesSent - ts0.BytesSent
+	report.BytesReceived = ts1.BytesReceived - ts0.BytesReceived
+	report.BatchesSent = ts1.BatchesSent - ts0.BatchesSent
+	report.BatchesReceived = ts1.BatchesReceived - ts0.BatchesReceived
+	report.MaxQueueDepth = ts1.MaxQueueDepth
 	e.tracer.Emit(trace.Event{
 		Kind: trace.KindRun, Run: e.epoch, Worker: -1, Exchange: -1,
 		Name: "end", Dur: wall, Bytes: report.BytesSent,

@@ -43,7 +43,7 @@ func ExplainAnalyze(rounds []Round, events []trace.Event, report *Report) string
 	}
 	if report != nil {
 		fmt.Fprintf(&b, "total: %s\n", report.String())
-		if report.BytesSent > 0 || report.BytesReceived > 0 {
+		if report.BatchesSent > 0 || report.BatchesReceived > 0 {
 			fmt.Fprintf(&b, "transport: %d bytes sent, %d received (%d/%d batches, max queue depth %d)\n",
 				report.BytesSent, report.BytesReceived,
 				report.BatchesSent, report.BatchesReceived, report.MaxQueueDepth)

@@ -137,8 +137,8 @@ type Report struct {
 	Sorted []int64
 	Seeks  []int64
 	// BytesSent/BytesReceived and BatchesSent/BatchesReceived count the
-	// run's transport traffic — wire bytes on TCPTransport, 8 bytes per
-	// value on MemTransport. Zero when the transport has no meter.
+	// run's transport traffic. Bytes are the ones that crossed a socket, so
+	// they stay 0 when every worker is hosted in one process.
 	BytesSent       int64
 	BytesReceived   int64
 	BatchesSent     int64

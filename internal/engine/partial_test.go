@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -12,18 +13,18 @@ import (
 // twoProcessCluster simulates a two-process deployment inside one test:
 // two TCP transports, each hosting half of a 4-worker cluster, connected
 // over loopback. Both "processes" must run the same plans.
-func twoProcessCluster(t *testing.T) (a, b *Cluster) {
-	t.Helper()
+func twoProcessCluster(tb testing.TB) (a, b *Cluster) {
+	tb.Helper()
 	// Reserve ports by binding both transports against the same address
 	// list. First bind A's listeners, learn the real ports, then B's.
 	trA, err := NewTCPTransport([]string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}, []int{0, 1})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	addrs := trA.Addrs() // workers 0,1 resolved; 2,3 still :0
 	trB, err := NewTCPTransport(addrs, []int{2, 3})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	// B resolved workers 2 and 3; A must learn them.
 	final := trB.Addrs()
@@ -31,8 +32,36 @@ func twoProcessCluster(t *testing.T) (a, b *Cluster) {
 
 	a = NewPartialCluster(4, []int{0, 1}, trA)
 	b = NewPartialCluster(4, []int{2, 3}, trB)
-	t.Cleanup(func() { a.Close(); b.Close() })
+	tb.Cleanup(func() { a.Close(); b.Close() })
 	return a, b
+}
+
+// runSplit runs plan on both halves of a split cluster at once and returns
+// the union of their result fragments and each half's report. Each half
+// must put bytes on the wire: every caller's plan shuffles across halves.
+func runSplit(tb testing.TB, a, b *Cluster, plan *Plan) (*rel.Relation, [2]*Report) {
+	tb.Helper()
+	var frags [2][]*rel.Relation
+	var reps [2]*Report
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, c := range []*Cluster{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			frags[i], reps[i], errs[i] = c.RunFragments(context.Background(), plan)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs[:]...); err != nil {
+		tb.Fatal(err)
+	}
+	for i, r := range reps {
+		if r.BytesSent == 0 {
+			tb.Fatalf("half %d sent no bytes over the wire", i)
+		}
+	}
+	return rel.Concat("result", append(frags[0], frags[1]...)), reps
 }
 
 func TestPartialClusterShuffle(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,16 +12,10 @@ import (
 	"parajoin/internal/rel"
 )
 
-// queueCounter is the introspection hook both transports expose for leak
-// checks.
-type queueCounter interface {
-	QueueCount() int
-}
-
 // faultyAfter passes a fixed number of sends through and then fails every
 // later one with a transport-flavored error, so a run dies mid-shuffle with
-// data already sitting in receiver queues. ReleaseEpoch and Close delegate,
-// keeping the inner transport's cleanup path reachable through the wrapper.
+// data already sitting in receiver queues. Every other method reaches the
+// embedded transport, epoch release and Close included.
 type faultyAfter struct {
 	Transport
 	calls atomic.Int64
@@ -34,23 +29,22 @@ func (f *faultyAfter) Send(ctx context.Context, exchangeID, src, dst int, batch 
 	return f.Transport.Send(ctx, exchangeID, src, dst, batch)
 }
 
-func (f *faultyAfter) ReleaseEpoch(epoch int64) {
-	if r, ok := f.Transport.(EpochReleaser); ok {
-		r.ReleaseEpoch(epoch)
-	}
-}
-
 // testReleaseEpoch runs the success / mid-run error / client cancel
-// trifecta against a transport and asserts the inbox queue count returns to
-// zero each time: every run, however it ends, must release its epoch.
-func testReleaseEpoch(t *testing.T, mk func(t *testing.T) Transport) {
-	run := func(t *testing.T, after int64, cancelMidRun bool) (Transport, error) {
+// trifecta and asserts the inbox queue count of every transport returns to
+// zero each time: every run, however it ends, must release its epoch. mk
+// builds the cluster's processes — one cluster per transport, all running
+// the same plan. The first one's sends fail in the error case, and any
+// failed process cancels the others, as the fragment dispatcher does.
+func testReleaseEpoch(t *testing.T, mk func(t *testing.T) []*Cluster) {
+	run := func(t *testing.T, after int64, cancelMidRun bool) ([]*TCPTransport, []*Report, error) {
 		t.Helper()
-		inner := mk(t)
-		wrapped := &faultyAfter{Transport: inner, after: after}
-		c := NewClusterWithTransport(3, wrapped)
-		t.Cleanup(func() { c.Close() })
-		c.Load(randGraph("R", 900, 80, 303))
+		cs := mk(t)
+		inners := make([]*TCPTransport, len(cs))
+		for i, c := range cs {
+			inners[i] = c.Transport().(*TCPTransport)
+			c.Load(randGraph("R", 900, 80, 303))
+		}
+		cs[0].WrapTransport(func(tr Transport) Transport { return &faultyAfter{Transport: tr, after: after} })
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		if cancelMidRun {
@@ -59,56 +53,81 @@ func testReleaseEpoch(t *testing.T, mk func(t *testing.T) Transport) {
 				cancel()
 			}()
 		}
-		_, _, err := c.Run(ctx, shuffleGather("R", []string{"dst"}))
-		return inner, err
+		reps := make([]*Report, len(cs))
+		errs := make([]error, len(cs))
+		var wg sync.WaitGroup
+		for i, c := range cs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, reps[i], errs[i] = c.RunFragments(ctx, shuffleGather("R", []string{"dst"}))
+				if errs[i] != nil {
+					cancel()
+				}
+			}()
+		}
+		wg.Wait()
+		return inners, reps, errors.Join(errs...)
 	}
-	assertDrained := func(t *testing.T, inner Transport) {
+	assertDrained := func(t *testing.T, inners []*TCPTransport) {
 		t.Helper()
-		if n := inner.(queueCounter).QueueCount(); n != 0 {
-			t.Fatalf("%d inbox queues survived the run's epoch release", n)
+		for i, tr := range inners {
+			if n := tr.QueueCount(); n != 0 {
+				t.Fatalf("transport %d: %d inbox queues survived the run's epoch release", i, n)
+			}
 		}
 	}
 
 	t.Run("success", func(t *testing.T) {
-		inner, err := run(t, 0, false)
+		inners, reps, err := run(t, 0, false)
 		if err != nil {
 			t.Fatalf("clean run failed: %v", err)
 		}
-		assertDrained(t, inner)
+		if len(reps) > 1 {
+			for i, r := range reps {
+				if r.BytesSent == 0 {
+					t.Fatalf("process %d sent no bytes over the wire", i)
+				}
+			}
+		}
+		assertDrained(t, inners)
 	})
 	t.Run("error", func(t *testing.T) {
-		inner, err := run(t, 2, false)
+		inners, _, err := run(t, 2, false)
 		if err == nil {
 			t.Fatal("run survived a failing transport")
 		}
 		if !errors.Is(err, ErrTransport) {
 			t.Fatalf("error %v does not wrap ErrTransport", err)
 		}
-		assertDrained(t, inner)
+		assertDrained(t, inners)
 	})
 	t.Run("cancel", func(t *testing.T) {
-		inner, err := run(t, 0, true)
+		inners, _, err := run(t, 0, true)
 		// The cancel races run completion; either outcome must drain.
 		if err != nil && !errors.Is(err, context.Canceled) {
 			t.Fatalf("canceled run returned %v, want nil or context.Canceled", err)
 		}
-		assertDrained(t, inner)
+		assertDrained(t, inners)
 	})
 }
 
+// TestReleaseEpochMemTransport covers the single-process cluster, whose
+// transport hosts every worker and delivers in memory.
 func TestReleaseEpochMemTransport(t *testing.T) {
-	testReleaseEpoch(t, func(t *testing.T) Transport {
-		return NewMemTransport(3)
+	testReleaseEpoch(t, func(t *testing.T) []*Cluster {
+		c := NewCluster(3)
+		t.Cleanup(func() { c.Close() })
+		return []*Cluster{c}
 	})
 }
 
+// TestReleaseEpochTCPTransport covers a cluster split across two
+// transports, where frames cross real sockets and a failed or canceled
+// half releases its epoch while the other may still be sending to it.
 func TestReleaseEpochTCPTransport(t *testing.T) {
-	testReleaseEpoch(t, func(t *testing.T) Transport {
-		tr, err := NewTCPTransport(
-			[]string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}, []int{0, 1, 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
+	testReleaseEpoch(t, func(t *testing.T) []*Cluster {
+		a, b := twoProcessCluster(t)
+		return []*Cluster{a, b}
 	})
 }

@@ -3,7 +3,9 @@ package engine
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"parajoin/internal/core"
 	"parajoin/internal/hypercube"
@@ -179,7 +181,7 @@ func TestRunOptsEpochPinning(t *testing.T) {
 		Exchanges: []ExchangeSpec{{ID: 0, Kind: RouteBroadcast, Input: Scan{Table: "R"}}},
 		Root:      Recv{Exchange: 0, Schema: rel.Schema{"a", "b"}},
 	}}}
-	for _, epoch := range []int64{41, 1, 41} { // reuse must be safe on MemTransport
+	for _, epoch := range []int64{41, 1, 42} {
 		out, _, err := c.RunRoundsOpts(context.Background(), rounds, RunOpts{Epoch: epoch})
 		if err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
@@ -187,6 +189,15 @@ func TestRunOptsEpochPinning(t *testing.T) {
 		if out.Cardinality() != 4 { // 2 tuples broadcast to 2 workers
 			t.Fatalf("epoch %d: got %d tuples, want 4", epoch, out.Cardinality())
 		}
+	}
+	// Epochs are single-use per transport: re-running a released one fails
+	// fast with a retryable error instead of waiting on queues nothing
+	// will ever fill.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	_, _, err := c.RunRoundsOpts(ctx, rounds, RunOpts{Epoch: 41})
+	if !errors.Is(err, ErrTransport) || !Retryable(err) || ctx.Err() != nil {
+		t.Fatalf("re-run of epoch 41: err = %v (context %v), want a retryable ErrTransport within 1 s", err, ctx.Err())
 	}
 }
 

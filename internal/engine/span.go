@@ -108,11 +108,13 @@ var live = struct {
 	bytesRecv      *metrics.Counter
 	queueDepth     *metrics.Gauge
 	// TCP self-healing counters: reconnects after peer loss, frames
-	// replayed from the unacked buffer, and duplicate frames the
-	// receiver's dedup dropped.
+	// replayed from the unacked buffer, duplicate frames the receiver's
+	// dedup dropped, and frames dropped because their run's epoch was
+	// already released.
 	netReconnects       *metrics.Counter
 	netFramesResent     *metrics.Counter
 	netDupFramesDropped *metrics.Counter
+	netStragglerFrames  *metrics.Counter
 }{
 	runsStarted:   metrics.Default.Counter("parajoin_engine_runs_started_total", "Query runs started."),
 	runsCompleted: metrics.Default.Counter("parajoin_engine_runs_completed_total", "Query runs finished (any outcome)."),
@@ -137,4 +139,6 @@ var live = struct {
 		"Frames replayed from the unacked buffer after a reconnect."),
 	netDupFramesDropped: metrics.Default.Counter("parajoin_net_dup_frames_dropped_total",
 		"Duplicate frames dropped by receiver dedup."),
+	netStragglerFrames: metrics.Default.Counter("parajoin_tcp_straggler_frames_total",
+		"Frames for an already released epoch, acked and dropped on arrival."),
 }

@@ -14,11 +14,14 @@ import (
 	"parajoin/internal/rel"
 )
 
-// TCPTransport is the wire implementation of Transport: workers exchange
-// dictionary-encoded columnar batches (internal/colbatch frames, gob-framed)
-// over TCP connections. A transport instance hosts one or more workers of
-// the cluster (all of them for a single-process loopback cluster, one per
-// process for a real deployment) and dials peers lazily.
+// TCPTransport is the engine's Transport. An instance hosts one or more
+// workers of the cluster: all of them for a single-process cluster
+// (NewCluster), one per process for a real deployment. A batch for a
+// worker this instance hosts is pushed by reference onto that worker's
+// inbox queue; it is neither encoded nor counted as bytes. A batch for a
+// worker hosted elsewhere travels as one dictionary-encoded columnar batch
+// (an internal/colbatch frame, gob-framed) over a TCP connection dialed
+// lazily, so only tuples that change processes pay for the network.
 //
 // Framing is one gob stream per (sender-process → receiver-worker-host)
 // connection carrying frames of the form {Exchange, Src, Dst, Seq, Close,
@@ -133,23 +136,14 @@ var tcpDialHook func()
 // port 0 addresses to let the OS pick — see Addrs). Every worker of the
 // cluster must be hosted by exactly one process.
 func NewTCPTransport(addrs []string, hosted []int) (*TCPTransport, error) {
-	t := &TCPTransport{
-		n:        len(addrs),
-		addrs:    append([]string(nil), addrs...),
-		hosted:   make(map[int]bool, len(hosted)),
-		closeCh:  make(chan struct{}),
-		peers:    make(map[string]*tcpPeer),
-		conns:    make(map[net.Conn]struct{}),
-		inbox:    make(map[inboxKey]*memQueue),
-		recvSeq:  make(map[seqKey]uint64),
-		released: make(map[int64]bool),
-	}
-	t.listeners = make([]net.Listener, t.n)
 	for _, w := range hosted {
-		if w < 0 || w >= t.n {
+		if w < 0 || w >= len(addrs) {
 			return nil, fmt.Errorf("engine: hosted worker %d out of range", w)
 		}
-		t.hosted[w] = true
+	}
+	t := newTransport(addrs, hosted)
+	t.listeners = make([]net.Listener, t.n)
+	for _, w := range hosted {
 		l, err := net.Listen("tcp", t.addrs[w])
 		if err != nil {
 			t.Close()
@@ -162,6 +156,27 @@ func NewTCPTransport(addrs []string, hosted []int) (*TCPTransport, error) {
 	}
 	registerTCP(t)
 	return t, nil
+}
+
+// newTransport builds a transport for len(addrs) workers that hosts the
+// given ones and listens for none. NewCluster uses it as is: with every
+// worker hosted, no batch needs a socket.
+func newTransport(addrs []string, hosted []int) *TCPTransport {
+	t := &TCPTransport{
+		n:        len(addrs),
+		addrs:    append([]string(nil), addrs...),
+		hosted:   make(map[int]bool, len(hosted)),
+		closeCh:  make(chan struct{}),
+		peers:    make(map[string]*tcpPeer),
+		conns:    make(map[net.Conn]struct{}),
+		inbox:    make(map[inboxKey]*memQueue),
+		recvSeq:  make(map[seqKey]uint64),
+		released: make(map[int64]bool),
+	}
+	for _, w := range hosted {
+		t.hosted[w] = true
+	}
+	return t
 }
 
 // Addrs returns the resolved listen addresses (useful with ":0" listeners).
@@ -278,6 +293,7 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 		if q == nil {
 			// Straggler for a finished run: drop instead of resurrecting its
 			// queues.
+			live.netStragglerFrames.Add(1)
 			continue
 		}
 		if f.Close {
@@ -285,7 +301,7 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 			continue
 		}
 		t.countReceived(1, 0)
-		q.push(wireBatch{tuples: batch})
+		q.push(batch)
 	}
 }
 
@@ -311,10 +327,25 @@ func (t *TCPTransport) admit(f *frame) (q *memQueue, dup bool) {
 	return t.queueLocked(f.Exchange, f.Dst), false
 }
 
-func (t *TCPTransport) queue(exchange, worker int) *memQueue {
+// route resolves where the exchange's frames for worker dst go: dst's
+// inbox queue when this transport hosts it, else the sending state toward
+// dst's address. Epochs are single-use, so an exchange of a released epoch
+// fails with a retryable ErrTransport. As in admit, the check shares a
+// lock hold with the queue lookup, so a queue ReleaseEpoch freed is never
+// re-created.
+func (t *TCPTransport) route(exchange, dst int) (*memQueue, *tcpPeer, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.queueLocked(exchange, worker)
+	if epoch := wireEpoch(exchange); t.released[epoch] {
+		return nil, nil, fmt.Errorf("%w: epoch %d was already released", ErrTransport, epoch)
+	}
+	if t.hosted[dst] {
+		return t.queueLocked(exchange, dst), nil, nil
+	}
+	if t.closed {
+		return nil, nil, fmt.Errorf("engine: transport closed")
+	}
+	return nil, t.peerLocked(t.addrs[dst]), nil
 }
 
 // queueLocked returns (creating if needed) one inbox queue. Callers hold
@@ -329,13 +360,9 @@ func (t *TCPTransport) queueLocked(exchange, worker int) *memQueue {
 	return q
 }
 
-// peer returns (creating if needed) the sending state for a peer address.
-func (t *TCPTransport) peer(addr string) (*tcpPeer, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, fmt.Errorf("engine: transport closed")
-	}
+// peerLocked returns (creating if needed) the sending state for a peer
+// address. Callers hold t.mu.
+func (t *TCPTransport) peerLocked(addr string) *tcpPeer {
 	p, ok := t.peers[addr]
 	if !ok {
 		p = &tcpPeer{
@@ -347,7 +374,7 @@ func (t *TCPTransport) peer(addr string) (*tcpPeer, error) {
 		}
 		t.peers[addr] = p
 	}
-	return p, nil
+	return p
 }
 
 func hashAddr(addr string) uint64 {
@@ -359,11 +386,8 @@ func hashAddr(addr string) uint64 {
 	return h
 }
 
-func (t *TCPTransport) send(ctx context.Context, f *frame, dst int) error {
-	p, err := t.peer(t.addrs[dst])
-	if err != nil {
-		return err
-	}
+// send assigns f the next sequence number of its stream and writes it.
+func (p *tcpPeer) send(ctx context.Context, f *frame) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	k := seqKey{f.Exchange, f.Src, f.Dst}
@@ -530,28 +554,45 @@ func (p *tcpPeer) ackLoop(c net.Conn) {
 	}
 }
 
-// Send implements Transport. Frames always travel over TCP, even between
-// workers hosted by the same process, so loopback clusters exercise the
-// full wire path.
+// Send implements Transport. A batch for a hosted worker is queued by
+// reference; only a batch for a worker hosted elsewhere is encoded and
+// written to a connection.
 func (t *TCPTransport) Send(ctx context.Context, exchangeID, src, dst int, batch []rel.Tuple) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	q, p, err := t.route(exchangeID, dst)
+	if err != nil {
+		return err
+	}
 	t.countSent(1, 0) // wire bytes are counted by the connection's countWriter
+	if q != nil {
+		t.countReceived(1, 0)
+		q.push(batch)
+		return nil
+	}
 	enc, err := encodeBatch(batch)
 	if err != nil {
 		return fmt.Errorf("%w: encode batch: %v", ErrTransport, err)
 	}
-	return t.send(ctx, &frame{Exchange: exchangeID, Src: src, Dst: dst, Col: enc}, dst)
+	return p.send(ctx, &frame{Exchange: exchangeID, Src: src, Dst: dst, Col: enc})
 }
 
-// CloseSend implements Transport. Close frames are sequenced and
-// deduplicated like data frames, so a resend after reconnection can never
-// double-close a queue.
+// CloseSend implements Transport. A hosted worker's queue is closed
+// directly. Close frames to other processes are sequenced and deduplicated
+// like data frames, so a resend after reconnection can never double-close
+// a queue.
 func (t *TCPTransport) CloseSend(ctx context.Context, exchangeID, src int) error {
 	var firstErr error
 	for dst := 0; dst < t.n; dst++ {
-		err := t.send(ctx, &frame{Exchange: exchangeID, Src: src, Dst: dst, Close: true}, dst)
+		q, p, err := t.route(exchangeID, dst)
+		switch {
+		case err != nil:
+		case q != nil:
+			q.closeOne()
+		default:
+			err = p.send(ctx, &frame{Exchange: exchangeID, Src: src, Dst: dst, Close: true})
+		}
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -564,24 +605,28 @@ func (t *TCPTransport) Recv(ctx context.Context, exchangeID, dst int) ([]rel.Tup
 	if !t.hosted[dst] {
 		return nil, false, fmt.Errorf("engine: worker %d is not hosted by this transport", dst)
 	}
-	q := t.queue(exchangeID, dst)
+	q, _, err := t.route(exchangeID, dst)
+	if err != nil {
+		return nil, false, err
+	}
 	stop := context.AfterFunc(ctx, func() { q.cond.Broadcast() })
 	defer stop()
 	b, ok, err := q.pop(ctx.Done())
 	if err != nil {
 		return nil, false, recvErr(ctx, err)
 	}
-	return b.tuples, ok, nil
+	return b, ok, nil
 }
 
 // releasedEpochMemory bounds the straggler filter: remembering this many
 // released epochs is far more than any in-flight frame can lag behind.
 const releasedEpochMemory = 256
 
-// ReleaseEpoch implements EpochReleaser: it frees the inbox queues, dedup
+// ReleaseEpoch implements Transport: it frees the inbox queues, dedup
 // marks, and sender-side sequence state of a finished run, and remembers
 // the epoch so straggler frames still in flight are dropped on arrival
-// instead of resurrecting queues nothing will read.
+// instead of resurrecting queues nothing will read, and a local Send,
+// CloseSend or Recv on it fails.
 func (t *TCPTransport) ReleaseEpoch(epoch int64) {
 	t.mu.Lock()
 	for k, q := range t.inbox {
@@ -589,10 +634,8 @@ func (t *TCPTransport) ReleaseEpoch(epoch int64) {
 			continue
 		}
 		q.mu.Lock()
-		if q.ctr != nil {
-			for range q.batches {
-				q.ctr.dequeued()
-			}
+		for range q.batches {
+			q.ctr.dequeued()
 		}
 		q.batches = nil
 		q.mu.Unlock()

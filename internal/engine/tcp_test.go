@@ -3,57 +3,37 @@ package engine
 import (
 	"context"
 	"testing"
+	"time"
 
 	"parajoin/internal/core"
 	"parajoin/internal/ljoin"
 	"parajoin/internal/rel"
 )
 
-// loopbackCluster builds an n-worker cluster whose exchanges travel over
-// real TCP loopback sockets.
-func loopbackCluster(t *testing.T, n int) *Cluster {
-	t.Helper()
-	addrs := make([]string, n)
-	hosted := make([]int, n)
-	for i := range addrs {
-		addrs[i] = "127.0.0.1:0"
-		hosted[i] = i
-	}
-	tr, err := NewTCPTransport(addrs, hosted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClusterWithTransport(n, tr)
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
 func TestTCPShufflePreservesBag(t *testing.T) {
-	c := loopbackCluster(t, 3)
+	a, b := twoProcessCluster(t)
 	r := randGraph("R", 500, 60, 41)
-	c.Load(r)
-	got, report, err := c.Run(context.Background(), shuffleGather("R", []string{"dst"}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a.Load(r)
+	b.Load(r)
+	got, reps := runSplit(t, a, b, shuffleGather("R", []string{"dst"}))
 	if !got.Equal(r) {
 		t.Fatalf("TCP shuffle changed the bag: %d vs %d", got.Cardinality(), r.Cardinality())
 	}
+	report := MergeDistributedReports(reps[:])
 	if report.TotalTuplesShuffled() != int64(r.Cardinality()) {
 		t.Fatalf("metered %d tuples, want %d", report.TotalTuplesShuffled(), r.Cardinality())
 	}
 }
 
 func TestTCPJoinPlanMatchesNaive(t *testing.T) {
-	c := loopbackCluster(t, 4)
+	a, b := twoProcessCluster(t)
 	r := randGraph("R", 300, 40, 42)
 	s := randGraph("S", 300, 40, 43)
-	c.Load(r)
-	c.Load(s)
-	got, _, err := c.Run(context.Background(), rsJoinPlan())
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []*Cluster{a, b} {
+		c.Load(r)
+		c.Load(s)
 	}
+	got, _ := runSplit(t, a, b, rsJoinPlan())
 	q := core.MustQuery("Path", nil, []core.Atom{
 		core.NewAtom("R", core.V("x"), core.V("y")),
 		core.NewAtom("S", core.V("y"), core.V("z")),
@@ -65,36 +45,99 @@ func TestTCPJoinPlanMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestTCPByteTotalsAgree checks the wire meter's parity invariant: once a
-// run completes every sent frame has been decoded (close frames are the
-// last on each connection, and the run only finishes after all of them are
-// consumed), so sent and received byte totals must match exactly — gob
-// type descriptors and framing included.
+// TestTCPByteTotalsAgree checks the wire meter's parity invariant per
+// direction: once both halves finish, every frame one sent has been
+// decoded by the other (close frames are the last on each connection, and
+// a run only finishes after all of them are consumed), so A's sent bytes
+// equal B's received bytes exactly — gob type descriptors and framing
+// included — and the other way round.
 func TestTCPByteTotalsAgree(t *testing.T) {
-	c := loopbackCluster(t, 3)
+	a, b := twoProcessCluster(t)
 	r := randGraph("R", 500, 60, 44)
-	c.Load(r)
-	_, report, err := c.Run(context.Background(), shuffleGather("R", []string{"dst"}))
+	a.Load(r)
+	b.Load(r)
+	_, reps := runSplit(t, a, b, shuffleGather("R", []string{"dst"}))
+	sa, sb := a.Transport().TransportStats(), b.Transport().TransportStats()
+	if sa.BytesSent != sb.BytesReceived || sb.BytesSent != sa.BytesReceived {
+		t.Fatalf("byte totals disagree: A sent %d, B received %d; B sent %d, A received %d",
+			sa.BytesSent, sb.BytesReceived, sb.BytesSent, sa.BytesReceived)
+	}
+	if got, want := sa.BatchesReceived+sb.BatchesReceived, sa.BatchesSent+sb.BatchesSent; got != want {
+		t.Fatalf("batch totals disagree: received=%d sent=%d", got, want)
+	}
+	for i, st := range []TransportStats{sa, sb} {
+		if st.QueueDepth != 0 {
+			t.Fatalf("half %d: queue depth %d after the run drained", i, st.QueueDepth)
+		}
+		// The report's sent delta covers the transport's only run. (Its
+		// received delta may miss frames the other half sent before this
+		// half's run began.)
+		if rep := reps[i]; rep.BytesSent != st.BytesSent {
+			t.Fatalf("half %d: report sent %d bytes, transport total %d", i, rep.BytesSent, st.BytesSent)
+		}
+	}
+}
+
+// TestTCPHostedRunOpensNoConnection pins the hosted path: a transport that
+// listens for every worker delivers all batches by reference, so a run
+// answers correctly without dialing anyone and meters no bytes.
+func TestTCPHostedRunOpensNoConnection(t *testing.T) {
+	tr, err := NewTCPTransport([]string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}, []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := c.Transport().(TransportMeter).TransportStats()
-	if stats.BytesSent == 0 {
-		t.Fatal("TCP transport metered no sent bytes")
+	c := NewClusterWithTransport(3, tr)
+	defer c.Close()
+	r := randGraph("R", 500, 60, 47)
+	c.Load(r)
+	got, report, err := c.Run(context.Background(), shuffleGather("R", []string{"dst"}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats.BytesSent != stats.BytesReceived {
-		t.Fatalf("byte totals disagree: sent=%d received=%d", stats.BytesSent, stats.BytesReceived)
+	if !got.Equal(r) {
+		t.Fatalf("hosted shuffle changed the bag: %d vs %d", got.Cardinality(), r.Cardinality())
 	}
-	if stats.BatchesSent != stats.BatchesReceived {
-		t.Fatalf("batch totals disagree: sent=%d received=%d", stats.BatchesSent, stats.BatchesReceived)
+	tr.mu.Lock()
+	conns, peers := len(tr.conns), len(tr.peers)
+	tr.mu.Unlock()
+	if conns != 0 || peers != 0 {
+		t.Fatalf("hosted run opened %d connections to %d peers", conns, peers)
 	}
-	if stats.QueueDepth != 0 {
-		t.Fatalf("queue depth %d after the run drained", stats.QueueDepth)
+	if report.BytesSent != 0 || report.BatchesSent == 0 {
+		t.Fatalf("hosted run metered %d bytes in %d batches, want 0 bytes in >0 batches",
+			report.BytesSent, report.BatchesSent)
 	}
-	// The report's per-run deltas cover the transport's only run.
-	if report.BytesSent != stats.BytesSent || report.BytesReceived != stats.BytesReceived {
-		t.Fatalf("report deltas (%d/%d) disagree with transport totals (%d/%d)",
-			report.BytesSent, report.BytesReceived, stats.BytesSent, stats.BytesReceived)
+}
+
+// TestEpochSingleUse checks that a released epoch is closed for good on
+// both delivery paths: Send to a hosted worker, Send to a worker hosted
+// elsewhere, CloseSend and Recv all fail at once with a retryable
+// ErrTransport instead of re-creating the epoch's queues (which a hosted
+// Recv would then wait on until its context ended, and a remote peer
+// would drop as stragglers).
+func TestEpochSingleUse(t *testing.T) {
+	a, _ := twoProcessCluster(t)
+	tr := a.Transport()
+	const epoch = 7
+	ex := int(epoch) << 20
+	tr.ReleaseEpoch(epoch)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	batch := []rel.Tuple{{1, 2}}
+	_, _, recvErr := tr.Recv(ctx, ex, 0)
+	for name, err := range map[string]error{
+		"send hosted": tr.Send(ctx, ex, 0, 1, batch),
+		"send remote": tr.Send(ctx, ex, 0, 2, batch),
+		"close send":  tr.CloseSend(ctx, ex, 0),
+		"recv":        recvErr,
+	} {
+		if !Retryable(err) || ctx.Err() != nil {
+			t.Errorf("%s on a released epoch: err = %v (context %v), want a retryable ErrTransport within 100 ms", name, err, ctx.Err())
+		}
+	}
+	if n := tr.(*TCPTransport).QueueCount(); n != 0 {
+		t.Fatalf("%d inbox queues re-created for the released epoch", n)
 	}
 }
 
@@ -119,8 +162,8 @@ func TestTCPTwoProcessByteParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sa := a.Transport().(TransportMeter).TransportStats()
-	sb := b.Transport().(TransportMeter).TransportStats()
+	sa := a.Transport().TransportStats()
+	sb := b.Transport().TransportStats()
 	if sa.BytesSent+sb.BytesSent == 0 {
 		t.Fatal("no bytes metered across either endpoint")
 	}

@@ -105,9 +105,7 @@ func (s *Suite) workloadLocked() *queries.Workload {
 func (s *Suite) Catalog() *stats.Catalog { return s.Workload().Catalog() }
 
 // Cluster returns (building and loading on first use) an n-worker cluster
-// with every workload relation round-robin partitioned. Its exchange batches
-// go through the colbatch codec, so reported byte counters measure encoded
-// wire bytes.
+// with every workload relation round-robin partitioned.
 func (s *Suite) Cluster(n int) *engine.Cluster {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,7 +116,6 @@ func (s *Suite) Cluster(n int) *engine.Cluster {
 	if !ok {
 		w := s.workloadLocked()
 		c = engine.NewCluster(n)
-		c.Transport().(*engine.MemTransport).Columnar = true
 		c.MaxLocalTuples = s.MemLimitTuples
 		c.SpillPolicy = s.Spill
 		c.MaxSpillBytes = s.MaxSpillBytes

@@ -166,11 +166,18 @@ func TestCrashAndRecvKinds(t *testing.T) {
 	}
 }
 
-// memTransport-backed wrapper: injected errors must classify as retryable
-// transport failures and metering/epoch release must see through the
-// wrapper.
+// hostedTransport returns the in-process transport of a 2-worker cluster.
+func hostedTransport(t *testing.T) *engine.TCPTransport {
+	c := engine.NewCluster(2)
+	t.Cleanup(func() { c.Close() })
+	return c.Transport().(*engine.TCPTransport)
+}
+
+// Wrapping the in-process transport: injected errors must classify as
+// retryable transport failures and metering/epoch release must see through
+// the wrapper.
 func TestWrapTransport(t *testing.T) {
-	inner := engine.NewMemTransport(2)
+	inner := hostedTransport(t)
 	p := &Plan{Seed: 1, Rules: []Rule{
 		{Kind: KindDrop, Exchange: -1, Worker: 0, Nth: 2},
 		{Kind: KindStall, Exchange: -1, Worker: 1, Nth: 1, Delay: time.Millisecond},
@@ -204,13 +211,13 @@ func TestWrapTransport(t *testing.T) {
 	}
 
 	// Metering sees through the wrapper: 2 delivered batches.
-	st := tr.(engine.TransportMeter).TransportStats()
+	st := tr.TransportStats()
 	if st.BatchesSent != 2 {
 		t.Errorf("BatchesSent = %d, want 2 (dropped send must not count)", st.BatchesSent)
 	}
 
 	// Epoch release reaches the inner transport.
-	tr.(engine.EpochReleaser).ReleaseEpoch(0)
+	tr.ReleaseEpoch(0)
 	if n := inner.QueueCount(); n != 0 {
 		t.Errorf("QueueCount after ReleaseEpoch = %d, want 0", n)
 	}
@@ -218,7 +225,7 @@ func TestWrapTransport(t *testing.T) {
 
 // A stalled send aborts promptly when its context dies mid-stall.
 func TestStallRespectsContext(t *testing.T) {
-	inner := engine.NewMemTransport(2)
+	inner := hostedTransport(t)
 	p := &Plan{Seed: 1, Rules: []Rule{{Kind: KindStall, Exchange: -1, Worker: -1, Nth: 1, Delay: time.Hour}}}
 	tr := Wrap(inner, p.NewInjector())
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)

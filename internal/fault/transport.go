@@ -14,15 +14,15 @@ import (
 // and engine.ErrTransport, so the query-level recovery path classifies them
 // as retryable — exactly like the real network failures they stand in for.
 //
-// The wrapper forwards TransportStats and ReleaseEpoch when the inner
-// transport supports them, so metering and epoch cleanup see through it.
+// The wrapper embeds the inner transport, so metering, epoch cleanup and
+// Close reach it unchanged.
 func Wrap(t engine.Transport, inj *Injector) engine.Transport {
-	return &transport{inner: t, inj: inj}
+	return &transport{Transport: t, inj: inj}
 }
 
 type transport struct {
-	inner engine.Transport
-	inj   *Injector
+	engine.Transport
+	inj *Injector
 }
 
 // wireErr upgrades an injected fault to a transport-layer error.
@@ -47,37 +47,19 @@ func (t *transport) Send(ctx context.Context, exchangeID, src, dst int, batch []
 	if err != nil {
 		return wireErr(err)
 	}
-	return t.inner.Send(ctx, exchangeID, src, dst, batch)
+	return t.Transport.Send(ctx, exchangeID, src, dst, batch)
 }
 
 func (t *transport) CloseSend(ctx context.Context, exchangeID, src int) error {
 	if err := t.inj.CloseSend(engine.PlanExchangeID(exchangeID), src); err != nil {
 		return wireErr(err)
 	}
-	return t.inner.CloseSend(ctx, exchangeID, src)
+	return t.Transport.CloseSend(ctx, exchangeID, src)
 }
 
 func (t *transport) Recv(ctx context.Context, exchangeID, dst int) ([]rel.Tuple, bool, error) {
 	if err := t.inj.Recv(engine.PlanExchangeID(exchangeID), dst); err != nil {
 		return nil, false, wireErr(err)
 	}
-	return t.inner.Recv(ctx, exchangeID, dst)
-}
-
-func (t *transport) Close() error { return t.inner.Close() }
-
-// TransportStats implements engine.TransportMeter by delegation (zero when
-// the inner transport doesn't meter).
-func (t *transport) TransportStats() engine.TransportStats {
-	if m, ok := t.inner.(engine.TransportMeter); ok {
-		return m.TransportStats()
-	}
-	return engine.TransportStats{}
-}
-
-// ReleaseEpoch implements engine.EpochReleaser by delegation.
-func (t *transport) ReleaseEpoch(epoch int64) {
-	if r, ok := t.inner.(engine.EpochReleaser); ok {
-		r.ReleaseEpoch(epoch)
-	}
+	return t.Transport.Recv(ctx, exchangeID, dst)
 }

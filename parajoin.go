@@ -255,17 +255,17 @@ func WithSeed(seed int64) Option {
 	return func(db *DB) { db.seed = seed }
 }
 
-// Open creates a database with the given number of workers over the
-// in-memory transport.
+// Open creates a database with the given number of workers, all hosted in
+// this process: exchanges pass batches in memory and open no socket.
 func Open(workers int, opts ...Option) *DB {
 	return newDB(engine.NewCluster(workers), workers, opts)
 }
 
-// OpenTCP creates a database whose workers exchange tuples over TCP.
-// addrs[i] is worker i's listen address; hosted lists the workers this
-// process runs — all of them for a single-process loopback cluster, a
-// subset for a multi-process deployment (each worker hosted by exactly one
-// process). In the multi-process case every process must load the same
+// OpenTCP creates a database that runs the workers listed in hosted and
+// reaches every other worker over TCP. addrs[i] is worker i's listen
+// address; each worker must be hosted by exactly one process. Batches
+// between two hosted workers stay in memory, so only a multi-process
+// deployment puts tuples on the wire. Every process must load the same
 // relations and execute the same sequence of queries with the same options
 // (the SPMD contract extended across processes); each process's results
 // cover its hosted workers.
@@ -644,10 +644,10 @@ type Stats struct {
 	CPU             time.Duration
 	TuplesShuffled  int64
 	MaxConsumerSkew float64
-	// BytesShuffled is the run's transport bytes sent — encoded colbatch
-	// frames on metered transports, 8 bytes per value on the in-memory
-	// one. In distributed execution it aggregates the members' exchange
-	// traffic from their merged reports.
+	// BytesShuffled is the run's exchange bytes sent over sockets: encoded
+	// colbatch frames to workers in other processes. It is 0 when every
+	// worker is hosted in this process. In distributed execution it
+	// aggregates the members' exchange traffic from their merged reports.
 	BytesShuffled int64
 	// HyperCubeShares describes the share configuration ("[x:4 × y:4 × z:4]")
 	// for HyperCube strategies.

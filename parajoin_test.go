@@ -3,6 +3,7 @@ package parajoin
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -261,22 +262,52 @@ func TestRelationsAndCardinality(t *testing.T) {
 	}
 }
 
+// TestOpenTCPFacade runs one query through the public API of a deployment
+// split across two DBs, each hosting one worker: together they must return
+// the single-process answer, and each must have shuffled over the wire.
 func TestOpenTCPFacade(t *testing.T) {
-	db, err := OpenTCP([]string{"127.0.0.1:0", "127.0.0.1:0"}, []int{0, 1})
+	const rule = "P(x,y,z) :- E(x,y), E(y,z)"
+	edges := SyntheticGraph(500, 80, 5)
+	single := testDB(t, 2)
+	dbs := openSplit(t, 2, WithSeed(7))
+	for _, db := range append(dbs[:], single) {
+		if err := db.LoadEdges("E", edges); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rows [][]int64
+	var results [2]*Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, db := range dbs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q, err := db.Query(rule)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			results[i], errs[i] = q.RunWith(context.Background(), RegularHash)
+		}()
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if res.Stats.BytesShuffled == 0 {
+			t.Fatalf("DB %d shuffled no bytes over TCP", i)
+		}
+		rows = append(rows, res.Rows...)
+	}
+	q, _ := single.Query(rule)
+	want, err := q.RunWith(context.Background(), RegularHash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	if err := db.LoadEdges("E", SyntheticGraph(500, 80, 5)); err != nil {
-		t.Fatal(err)
-	}
-	q, _ := db.Query("P(x,y,z) :- E(x,y), E(y,z)")
-	res, err := q.RunWith(context.Background(), RegularHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no paths over TCP cluster")
+	if len(rows) == 0 || !equalRows(sortedRows(rows), sortedRows(want.Rows)) {
+		t.Fatalf("split TCP deployment: %d paths, single process %d", len(rows), len(want.Rows))
 	}
 }
 
