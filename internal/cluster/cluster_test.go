@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net"
 	"testing"
 	"time"
@@ -9,7 +11,32 @@ import (
 	"parajoin/internal/core"
 	"parajoin/internal/partstore"
 	"parajoin/internal/rel"
+	"parajoin/internal/wire"
 )
+
+// A msg's Data travels as the frame's raw payload: the frame is the JSON
+// header, the bytes and two length words, and Data comes back intact.
+func TestMsgDataTravelsRaw(t *testing.T) {
+	in := &msg{Type: msgFragRows, Data: bytes.Repeat([]byte{0xfe, 0}, 2048)}
+	var buf bytes.Buffer
+	if err := wire.WriteFrame(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	header, err := json.Marshal(msg{Type: in.Type})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max := len(in.Data) + len(header) + 8; buf.Len() > max {
+		t.Fatalf("frame is %d bytes, want at most %d", buf.Len(), max)
+	}
+	var out msg
+	if err := wire.ReadFrame(&buf, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Type != in.Type || !bytes.Equal(out.Data, in.Data) {
+		t.Fatalf("got %s with %d data bytes, want %s with %d", out.Type, len(out.Data), in.Type, len(in.Data))
+	}
+}
 
 func testRelation(name string, rows int) *rel.Relation {
 	r := rel.New(name, "src", "dst")

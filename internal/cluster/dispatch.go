@@ -138,23 +138,6 @@ func fragErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", engine.ErrTransport, fmt.Sprintf(format, args...))
 }
 
-// exchange dials a member and performs one bounded request/reply.
-func (d *Dispatcher) exchange(ep Endpoint, req *msg) (*msg, error) {
-	conn, err := net.DialTimeout("tcp", ep.Addr, d.cfg.CallTimeout)
-	if err != nil {
-		return nil, fragErr("dialing member %q at %s: %v", ep.Name, ep.Addr, err)
-	}
-	defer conn.Close()
-	if err := writeMsg(conn, d.cfg.CallTimeout, req); err != nil {
-		return nil, fragErr("sending %s to member %q: %v", req.Type, ep.Name, err)
-	}
-	reply, err := readMsg(conn, d.cfg.CallTimeout)
-	if err != nil {
-		return nil, fragErr("waiting for member %q to answer %s: %v", ep.Name, req.Type, err)
-	}
-	return reply, nil
-}
-
 // prepare builds (or confirms) every member's engine runtime for this
 // generation and records their exchange-listener addresses. Idempotent and
 // cheap after the first success; a failure leaves the dispatcher unprepared
@@ -183,9 +166,9 @@ func (d *Dispatcher) prepare() ([]string, int64, error) {
 		wg.Add(1)
 		go func(i int, ep Endpoint) {
 			defer wg.Done()
-			reply, err := d.exchange(ep, req)
+			reply, err := transfer(ep.Addr, d.cfg.CallTimeout, req)
 			if err != nil {
-				errs[i] = err
+				errs[i] = fragErr("member %q: %v", ep.Name, err)
 				return
 			}
 			if reply.Type != msgFragReady || reply.Addr == "" {
@@ -234,7 +217,7 @@ func (d *Dispatcher) RunRounds(ctx context.Context, rounds []engine.Round, opts 
 	}
 
 	opts.Epoch = runEpochs.Add(int64(len(rounds))) - int64(len(rounds)) + 1
-	req := &msg{Type: msgFragRun, CatalogVersion: gen, Addrs: addrs, Rounds: blob, RunOpts: &opts}
+	req := &msg{Type: msgFragRun, CatalogVersion: gen, Addrs: addrs, Data: blob, RunOpts: &opts}
 
 	distributedQueries.Inc()
 	// Fail fast: the first fragment failure cancels its siblings, whose
@@ -322,7 +305,7 @@ func (d *Dispatcher) runFragment(ctx context.Context, ep Endpoint, req *msg) (*f
 		return nil, fragErr("sending frag-run to member %q: %v", ep.Name, err)
 	}
 	fragDispatched.Inc()
-	d.emit("frag-dispatch", 1, int64(len(req.Rounds)))
+	d.emit("frag-dispatch", 1, int64(len(req.Data)))
 
 	var tuples []rel.Tuple
 	for {
@@ -338,7 +321,7 @@ func (d *Dispatcher) runFragment(ctx context.Context, ep Endpoint, req *msg) (*f
 		}
 		switch reply.Type {
 		case msgFragRows:
-			chunk, _, err := fragDecode(reply.Data)
+			chunk, err := fragDecode(reply.Data)
 			if err != nil {
 				return nil, fragErr("decoding result chunk from member %q: %v", ep.Name, err)
 			}
@@ -362,19 +345,17 @@ func (d *Dispatcher) runFragment(ctx context.Context, ep Endpoint, req *msg) (*f
 }
 
 // fragDecode decodes every batch in one frag-rows payload.
-func fragDecode(data []byte) ([]rel.Tuple, int, error) {
+func fragDecode(data []byte) ([]rel.Tuple, error) {
 	var tuples []rel.Tuple
-	total := 0
 	for len(data) > 0 {
 		batch, n, err := colbatch.DecodeNext(data)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		tuples = append(tuples, batch.Tuples()...)
 		data = data[n:]
-		total += n
 	}
-	return tuples, total, nil
+	return tuples, nil
 }
 
 // emit sends one KindNet trace event (nil-tracer safe).

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 
 	"parajoin/internal/colbatch"
@@ -50,20 +51,6 @@ func (rt *fragRuntime) close() {
 	}
 }
 
-// sameMembers reports whether the runtime was built for exactly this
-// membership (the catalog version should imply it, but trust and verify).
-func (rt *fragRuntime) sameMembers(members []string) bool {
-	if len(rt.members) != len(members) {
-		return false
-	}
-	for i, m := range rt.members {
-		if m != members[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // exchangeHost derives the bind host for the member's exchange listener from
 // its transfer listener, so both are reachable at the same interface.
 func (m *Member) exchangeHost() string {
@@ -104,7 +91,8 @@ func (m *Member) handleFragPrepare(req *msg) *msg {
 
 	m.fragMu.Lock()
 	defer m.fragMu.Unlock()
-	if rt := m.frag; rt != nil && rt.gen == req.CatalogVersion && rt.sameMembers(req.Members) {
+	// The catalog version should imply the membership, but trust and verify.
+	if rt := m.frag; rt != nil && rt.gen == req.CatalogVersion && slices.Equal(rt.members, req.Members) {
 		return &msg{Type: msgFragReady, Addr: rt.addr}
 	}
 
@@ -192,7 +180,7 @@ func (m *Member) handleFragRun(conn net.Conn, req *msg) {
 			"cluster: frag-run carries %d exchange addrs for %d members", len(req.Addrs), len(rt.members))})
 		return
 	}
-	rounds, err := engine.DecodeRounds(req.Rounds)
+	rounds, err := engine.DecodeRounds(req.Data)
 	if err != nil {
 		reply(&msg{Type: msgFragDone, Err: err.Error()})
 		return
@@ -209,9 +197,7 @@ func (m *Member) handleFragRun(conn net.Conn, req *msg) {
 	// it can never consume a real frame.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	watchDone := make(chan struct{})
 	go func() {
-		defer close(watchDone)
 		buf := make([]byte, 1)
 		conn.Read(buf)
 		cancel()
@@ -245,7 +231,6 @@ func (m *Member) handleFragRun(conn net.Conn, req *msg) {
 	}
 	fragRunsServed.Inc()
 	reply(&msg{Type: msgFragDone, Schema: out.Schema, Report: report})
-	_ = watchDone
 }
 
 // closeFragRuntime tears down the member's engine runtime (if any).

@@ -307,13 +307,7 @@ func (m *Member) handle(cmd *msg) *msg {
 		return &msg{Type: msgPong}
 
 	case msgPut:
-		if cmd.Meta == nil || cmd.Entry == nil {
-			return &msg{Type: msgErr, Err: "cluster: put without meta/entry"}
-		}
-		if err := m.store.PutPartition(*cmd.Meta, *cmd.Entry, cmd.Data); err != nil {
-			return &msg{Type: msgErr, Err: err.Error()}
-		}
-		return &msg{Type: msgOK}
+		return m.put(cmd)
 
 	case msgRelease:
 		if err := m.store.DropPartition(cmd.Rel, cmd.Slot); err != nil {
@@ -334,6 +328,17 @@ func (m *Member) handle(cmd *msg) *msg {
 	}
 }
 
+// put stores one pushed partition; PutPartition verifies its checksum.
+func (m *Member) put(req *msg) *msg {
+	if req.Meta == nil || req.Entry == nil {
+		return &msg{Type: msgErr, Err: "cluster: put without meta/entry"}
+	}
+	if err := m.store.PutPartition(*req.Meta, *req.Entry, req.Data); err != nil {
+		return &msg{Type: msgErr, Err: err.Error()}
+	}
+	return &msg{Type: msgOK}
+}
+
 // donate streams one partition to its new owner: read the verified bytes
 // from the local store, push them, and report "done" only after the
 // recipient's checksum-verified ack. The fault point sits exactly between
@@ -348,8 +353,12 @@ func (m *Member) donate(cmd *msg) *msg {
 		return &msg{Type: msgErr, Err: err.Error()}
 	}
 	meta := m.store.Entry(cmd.Rel).Meta()
-	if err := pushPartition(cmd.To, m.cfg.CallTimeout, meta, entry, data); err != nil {
-		return &msg{Type: msgErr, Err: err.Error()}
+	reply, err := transfer(cmd.To, m.cfg.CallTimeout, &msg{Type: msgPut, Meta: &meta, Entry: &entry, Data: data})
+	if err == nil && reply.Type != msgOK {
+		err = fmt.Errorf("%s refused %s/%d: %s", cmd.To, meta.Name, entry.Slot, reply.Err)
+	}
+	if err != nil {
+		return &msg{Type: msgErr, Err: "cluster: " + err.Error()}
 	}
 	if inj := m.cfg.Injector; inj != nil {
 		if err := inj.CloseSend(0, m.ID()); err != nil {
@@ -386,13 +395,7 @@ func (m *Member) serveTransfers(ln net.Listener) {
 			var reply *msg
 			switch req.Type {
 			case msgPut:
-				if req.Meta == nil || req.Entry == nil {
-					reply = &msg{Type: msgErr, Err: "cluster: put without meta/entry"}
-				} else if err := m.store.PutPartition(*req.Meta, *req.Entry, req.Data); err != nil {
-					reply = &msg{Type: msgErr, Err: err.Error()}
-				} else {
-					reply = &msg{Type: msgOK}
-				}
+				reply = m.put(req)
 			case msgFragPrepare:
 				reply = m.handleFragPrepare(req)
 			case msgFragRun:

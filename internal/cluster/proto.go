@@ -10,9 +10,8 @@ import (
 	"parajoin/internal/wire"
 )
 
-// The cluster control protocol is length-prefixed JSON frames (the same
-// framing the query wire protocol uses) carrying msg values. Two kinds of
-// connections speak it:
+// The cluster control protocol is internal/wire frames carrying msg values,
+// msg.Data as the raw payload. Two kinds of connections speak it:
 //
 //   - The membership connection: a member dials the coordinator, sends
 //     "hello", receives "welcome", and from then on the coordinator drives
@@ -75,10 +74,11 @@ type msg struct {
 	// version (and welcome): the catalog version to adopt.
 	CatalogVersion int64 `json:"catalog_version,omitempty"`
 
-	// put.
+	// put. Data, the frame's payload, is the segment bytes of a put, the
+	// serialized rounds of a frag-run, or one colbatch chunk of frag-rows.
 	Meta  *partstore.Meta           `json:"meta,omitempty"`
 	Entry *partstore.PartitionEntry `json:"entry,omitempty"`
-	Data  []byte                    `json:"data,omitempty"`
+	Data  []byte                    `json:"-"`
 
 	// handoff / release.
 	Rel  string `json:"rel,omitempty"`
@@ -93,12 +93,11 @@ type msg struct {
 	Members []string      `json:"members,omitempty"`
 	Metas   []FragRelMeta `json:"metas,omitempty"`
 
-	// frag-run: the serialized rounds plus everything the member's engine
+	// frag-run: the rounds (in Data) plus everything the member's engine
 	// needs to agree with its peers — the full exchange-address vector
 	// (Addrs[i] is Members[i]'s listener) and the run options, whose Epoch
 	// pins the query's epoch block.
 	Addrs   []string        `json:"addrs,omitempty"`
-	Rounds  []byte          `json:"rounds,omitempty"`
 	RunOpts *engine.RunOpts `json:"run_opts,omitempty"`
 
 	// frag-done.
@@ -109,6 +108,10 @@ type msg struct {
 	// err (and frag-done failures).
 	Err string `json:"err,omitempty"`
 }
+
+// Payload and SetPayload implement wire.Payloader over Data.
+func (m msg) Payload() []byte      { return m.Data }
+func (m *msg) SetPayload(b []byte) { m.Data = b }
 
 // FragRelMeta describes one relation of the fragment catalog: enough for a
 // member to load its rendezvous slice (or instantiate an empty fragment with
@@ -142,25 +145,20 @@ func readMsg(conn net.Conn, timeout time.Duration) (*msg, error) {
 	return m, nil
 }
 
-// pushPartition dials a member's cluster listener and performs one transfer
-// exchange: put → ok. Used by donors during handoff and by the coordinator
-// when it pushes from its own authoritative store.
-func pushPartition(addr string, timeout time.Duration, meta partstore.Meta, entry partstore.PartitionEntry, data []byte) error {
+// transfer dials a member's cluster listener for one bounded request/reply
+// exchange: put → ok, or frag-prepare → frag-ready.
+func transfer(addr string, timeout time.Duration, req *msg) (*msg, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return fmt.Errorf("cluster: dialing %s for transfer: %w", addr, err)
+		return nil, fmt.Errorf("dialing %s: %w", addr, err)
 	}
 	defer conn.Close()
-	put := &msg{Type: msgPut, Meta: &meta, Entry: &entry, Data: data}
-	if err := writeMsg(conn, timeout, put); err != nil {
-		return fmt.Errorf("cluster: sending %s/%d to %s: %w", meta.Name, entry.Slot, addr, err)
+	if err := writeMsg(conn, timeout, req); err != nil {
+		return nil, fmt.Errorf("sending %s to %s: %w", req.Type, addr, err)
 	}
 	reply, err := readMsg(conn, timeout)
 	if err != nil {
-		return fmt.Errorf("cluster: waiting for %s to ack %s/%d: %w", addr, meta.Name, entry.Slot, err)
+		return nil, fmt.Errorf("waiting for %s to answer %s: %w", addr, req.Type, err)
 	}
-	if reply.Type != msgOK {
-		return fmt.Errorf("cluster: %s refused %s/%d: %s", addr, meta.Name, entry.Slot, reply.Err)
-	}
-	return nil
+	return reply, nil
 }

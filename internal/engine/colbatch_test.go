@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bufio"
+	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"net"
 	"os"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"parajoin/internal/rel"
+	"parajoin/internal/wire"
 )
 
 // TestTCPColumnarMatchesLegacy is the oracle for colbatch frames: the same
@@ -127,6 +130,36 @@ func TestTCPColumnarByteParityAfterResend(t *testing.T) {
 	}
 }
 
+// An exchange frame's batch travels as the frame's raw payload: the frame
+// is the JSON header, the batch and two length words.
+func TestTCPFrameBatchTravelsRaw(t *testing.T) {
+	col, err := encodeBatch([]rel.Tuple{{1, 2}, {3, 4}, {5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := frame{Exchange: 1<<16 | 3, Src: 1, Dst: 2, Seq: 9, Col: col}
+	var buf bytes.Buffer
+	if err := wire.WriteFrame(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	bare := in
+	bare.Col = nil
+	header, err := json.Marshal(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max := len(col) + len(header) + 8; buf.Len() > max {
+		t.Fatalf("frame is %d bytes, want at most %d", buf.Len(), max)
+	}
+	var out frame
+	if err := wire.ReadFrame(&buf, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Exchange != in.Exchange || out.Seq != in.Seq || !bytes.Equal(out.Col, col) {
+		t.Fatalf("got %+v, want %+v", out, in)
+	}
+}
+
 // TestTCPCorruptFrameDropsConnection feeds a hosted worker's listener a
 // data frame whose batch fails colbatch validation. The receiver must hang
 // up without acking and without moving the dedup high-water mark, so the
@@ -146,7 +179,7 @@ func TestTCPCorruptFrameDropsConnection(t *testing.T) {
 	bad[len(bad)-1] ^= 0xff // payload byte flipped: checksum mismatch
 
 	// dial opens a raw sender connection; send writes one frame on it.
-	dial := func() (net.Conn, *gob.Encoder, *gob.Decoder) {
+	dial := func() (net.Conn, *bufio.Reader) {
 		t.Helper()
 		c, err := net.Dial("tcp", tr.Addrs()[0])
 		if err != nil {
@@ -154,28 +187,28 @@ func TestTCPCorruptFrameDropsConnection(t *testing.T) {
 		}
 		t.Cleanup(func() { c.Close() })
 		c.SetDeadline(time.Now().Add(10 * time.Second))
-		return c, gob.NewEncoder(c), gob.NewDecoder(c)
+		return c, bufio.NewReader(c)
 	}
-	send := func(enc *gob.Encoder, f frame) {
+	send := func(c net.Conn, f frame) {
 		t.Helper()
-		if err := enc.Encode(&f); err != nil {
+		if err := wire.WriteFrame(c, f); err != nil {
 			t.Fatalf("write frame %+v: %v", f, err)
 		}
 	}
 
-	_, enc, dec := dial()
-	send(enc, frame{Seq: 1, Col: bad})
+	c, r := dial()
+	send(c, frame{Seq: 1, Col: bad})
 	var reply frame
-	if err := dec.Decode(&reply); err == nil {
+	if err := wire.ReadFrame(r, &reply); err == nil {
 		t.Fatalf("corrupt frame answered with %+v", reply)
 	} else if errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatal("connection not dropped after a corrupt frame")
 	}
 
-	_, enc, dec = dial()
+	c, r = dial()
 	for _, f := range []frame{{Seq: 1, Col: good}, {Seq: 1, Col: good}, {Seq: 2, Close: true}} {
-		send(enc, f)
-		if err := dec.Decode(&reply); err != nil {
+		send(c, f)
+		if err := wire.ReadFrame(r, &reply); err != nil {
 			t.Fatalf("no ack for %+v: %v", f, err)
 		}
 		if !reply.Ack || reply.Seq != f.Seq {

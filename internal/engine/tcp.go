@@ -1,8 +1,8 @@
 package engine
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"expvar"
 	"fmt"
 	"net"
@@ -12,6 +12,7 @@ import (
 
 	"parajoin/internal/colbatch"
 	"parajoin/internal/rel"
+	"parajoin/internal/wire"
 )
 
 // TCPTransport is the engine's Transport. An instance hosts one or more
@@ -20,12 +21,12 @@ import (
 // worker this instance hosts is pushed by reference onto that worker's
 // inbox queue; it is neither encoded nor counted as bytes. A batch for a
 // worker hosted elsewhere travels as one dictionary-encoded columnar batch
-// (an internal/colbatch frame, gob-framed) over a TCP connection dialed
-// lazily, so only tuples that change processes pay for the network.
+// (an internal/colbatch batch) over a TCP connection dialed lazily, so only
+// tuples that change processes pay for the network.
 //
-// Framing is one gob stream per (sender-process → receiver-worker-host)
-// connection carrying frames of the form {Exchange, Src, Dst, Seq, Close,
-// Col}, where Col is one encoded colbatch batch. The transport is
+// Each (sender-process → receiver-worker-host) connection carries
+// internal/wire frames: a JSON header {exchange, src, dst, seq, close} and,
+// on a data frame, the colbatch batch as the raw payload. The transport is
 // self-healing: every data frame carries a per-(exchange, src, dst)
 // sequence number and stays buffered on the sender until the receiver
 // acknowledges it on the reverse direction of the same connection. When a
@@ -89,16 +90,20 @@ type seqKey struct {
 // frame is the wire unit. Data and close frames flow sender→receiver and
 // carry Seq; ack frames flow back on the same connection (Ack set, Seq the
 // acknowledged number). A data frame carries its batch as Col, exactly one
-// encoded colbatch batch.
+// encoded colbatch batch, sent as the frame's payload.
 type frame struct {
-	Exchange int
-	Src      int
-	Dst      int
-	Seq      uint64
-	Close    bool
-	Ack      bool
-	Col      []byte
+	Exchange int    `json:"exchange,omitempty"`
+	Src      int    `json:"src,omitempty"`
+	Dst      int    `json:"dst,omitempty"`
+	Seq      uint64 `json:"seq,omitempty"`
+	Close    bool   `json:"close,omitempty"`
+	Ack      bool   `json:"ack,omitempty"`
+	Col      []byte `json:"-"`
 }
+
+// Payload and SetPayload implement wire.Payloader over Col.
+func (f frame) Payload() []byte      { return f.Col }
+func (f *frame) SetPayload(b []byte) { f.Col = b }
 
 // tcpPeer is the sending half toward one peer address: the connection, the
 // per-stream sequence counters, and the unacknowledged frame buffer the
@@ -114,7 +119,6 @@ type tcpPeer struct {
 
 	mu         sync.Mutex
 	c          net.Conn
-	enc        *gob.Encoder
 	nextSeq    map[seqKey]uint64
 	dialed     int64 // successful dials
 	reconnects int64 // successful dials after the first
@@ -218,9 +222,9 @@ func (t *TCPTransport) acceptLoop(l net.Listener) {
 }
 
 // countReader and countWriter meter the wire: every byte read from or
-// written to a peer connection lands in the transport's counters, gob
-// framing and type descriptors included. Ack frames travel outside these
-// (plain encoders on the reverse direction), so the data direction's sent
+// written to a peer connection lands in the transport's counters, frame
+// length words and headers included. Ack frames travel outside these
+// (written and read on the raw connection), so the data direction's sent
 // and received byte totals stay exactly equal.
 type countReader struct {
 	c   net.Conn
@@ -250,10 +254,9 @@ func (w countWriter) Write(p []byte) (int, error) {
 
 // readLoop is the receiving half of one accepted connection: it decodes
 // data frames (counted), deduplicates by sequence number, and answers with
-// ack frames on the reverse direction (uncounted).
+// ack frames on the reverse direction (uncounted; it is their only writer).
 func (t *TCPTransport) readLoop(c net.Conn) {
-	dec := gob.NewDecoder(countReader{c: c, ctr: &t.transportCounters})
-	enc := gob.NewEncoder(c) // acks; this loop is the only writer
+	r := bufio.NewReader(countReader{c: c, ctr: &t.transportCounters})
 	defer func() {
 		c.Close()
 		t.mu.Lock()
@@ -262,7 +265,7 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 	}()
 	for {
 		var f frame
-		if err := dec.Decode(&f); err != nil {
+		if err := wire.ReadFrame(r, &f); err != nil {
 			return
 		}
 		// Decode a data frame's batch before admitting or acking: a corrupt
@@ -282,7 +285,7 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 		if f.Seq > 0 {
 			// Ack duplicates too: the original ack may be what got lost.
 			c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
-			if enc.Encode(frame{Exchange: f.Exchange, Src: f.Src, Dst: f.Dst, Seq: f.Seq, Ack: true}) != nil {
+			if wire.WriteFrame(c, frame{Exchange: f.Exchange, Src: f.Src, Dst: f.Dst, Seq: f.Seq, Ack: true}) != nil {
 				return
 			}
 		}
@@ -416,7 +419,7 @@ func (p *tcpPeer) writeLocked(ctx context.Context, f *frame) error {
 			}
 		}
 		p.c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
-		if err := p.enc.Encode(f); err != nil {
+		if err := wire.WriteFrame(countWriter{c: p.c, ctr: &p.t.transportCounters}, f); err != nil {
 			lastErr = err
 			p.dropConnLocked(err)
 			continue
@@ -480,7 +483,6 @@ func (p *tcpPeer) redialLocked() error {
 	t.mu.Unlock()
 
 	p.c = c
-	p.enc = gob.NewEncoder(countWriter{c: c, ctr: &t.transportCounters})
 	p.dialed++
 	// Snapshot the replay buffer; concurrent ack-driven trims are fine —
 	// resending an already-acked frame is harmless (receiver dedup).
@@ -494,7 +496,7 @@ func (p *tcpPeer) redialLocked() error {
 	go p.ackLoop(c)
 	for i := range pending {
 		c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
-		if err := p.enc.Encode(&pending[i]); err != nil {
+		if err := wire.WriteFrame(countWriter{c: c, ctr: &t.transportCounters}, &pending[i]); err != nil {
 			p.dropConnLocked(err)
 			return fmt.Errorf("engine: resend to %s: %w", p.addr, err)
 		}
@@ -517,7 +519,7 @@ func (p *tcpPeer) dropConnLocked(err error) {
 		return
 	}
 	c := p.c
-	p.c, p.enc = nil, nil
+	p.c = nil
 	c.Close()
 	t := p.t
 	t.mu.Lock()
@@ -531,10 +533,10 @@ func (p *tcpPeer) dropConnLocked(err error) {
 // even while a send is blocked mid-write. It exits when the connection
 // dies.
 func (p *tcpPeer) ackLoop(c net.Conn) {
-	dec := gob.NewDecoder(c) // uncounted: acks are bookkeeping, not data
+	r := bufio.NewReader(c) // uncounted: acks are bookkeeping, not data
 	for {
 		var f frame
-		if err := dec.Decode(&f); err != nil {
+		if err := wire.ReadFrame(r, &f); err != nil {
 			return
 		}
 		p.ackMu.Lock()

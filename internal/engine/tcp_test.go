@@ -49,7 +49,7 @@ func TestTCPJoinPlanMatchesNaive(t *testing.T) {
 // direction: once both halves finish, every frame one sent has been
 // decoded by the other (close frames are the last on each connection, and
 // a run only finishes after all of them are consumed), so A's sent bytes
-// equal B's received bytes exactly — gob type descriptors and framing
+// equal B's received bytes exactly — frame length words and headers
 // included — and the other way round.
 func TestTCPByteTotalsAgree(t *testing.T) {
 	a, b := twoProcessCluster(t)

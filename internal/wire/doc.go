@@ -1,18 +1,19 @@
-// Package wire defines parajoind's client↔server protocol: length-prefixed
-// JSON frames over a byte stream (normally TCP).
+// Package wire defines parajoind's client↔server protocol and the one frame
+// codec every parajoin link uses: clients, the cluster protocol, the engine's
+// tuple exchange.
 //
-// Every frame is a 4-byte big-endian length followed by that many bytes of
-// JSON. Requests carry a client-chosen ID; the server answers every request
+// A frame is a 4-byte big-endian length and that many bytes of JSON header.
+// When the length word's top bit is set, a 4-byte payload length follows it
+// and that many raw bytes follow the header: the one []byte field of a type
+// implementing Payloader, such as Response.RowsEnc, rides there instead of
+// base64 inside the JSON. A payload-free frame is plain length-prefixed JSON,
+// debuggable with nc/jq and implementable from any language.
+//
+// Requests carry a client-chosen ID; the server answers every request
 // with exactly one Response bearing the same ID. Responses may arrive out
 // of order — the server evaluates queries concurrently — so clients must
 // demultiplex by ID. A Cancel request references another in-flight request
 // by Target; both the cancel and the canceled request get responses.
-//
-// JSON framing keeps the protocol debuggable with nc/jq and implementable
-// from any language. Result rows are the one exception: run and execute
-// answer with a colbatch stream (internal/colbatch) inside the JSON frame,
-// base64-coded through the Response's RowsEnc field, which beats
-// 8-bytes-per-value JSON arrays by several times on typical results.
 //
 // # Versioning
 //
@@ -33,6 +34,9 @@
 //     request's Encoding field says (the field is still accepted, and
 //     ignored), and a failure to encode fails the query.
 //   - v4: the cluster status frame (cluster).
+//   - v5: RowsEnc (and the cluster protocol's and exchange's binary
+//     fields) moved from base64 JSON into the frame payload. A pre-v5
+//     reader fails a row-bearing response with "exceeds limit".
 //
 // The request vocabulary, error taxonomy, and framing rationale are
 // specified in DESIGN.md's "Concurrent query service" section; the row

@@ -5,23 +5,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
-// MaxFrame bounds a frame's JSON payload (64 MiB). A peer announcing a
-// larger frame is broken or hostile; readers fail the connection.
+// MaxFrame bounds a frame's header plus payload (64 MiB). A peer announcing
+// a larger frame is broken or hostile; readers fail the connection.
 const MaxFrame = 64 << 20
 
-// ProtoVersion is the protocol revision this package speaks. Version 2
-// added prepared statements (OpPrepare/OpExecute/OpCloseStmt) and the
-// typed unsupported_frame error; version 3 added colbatch result rows
-// (Response.RowsEnc), now the only result-row form; version 4 added the
-// cluster status frame (OpCluster, Response.Cluster). A client advertises
-// its version in the Proto field of its first request; the server echoes
-// its own in every response carrying a non-zero request Proto, so both
-// sides can detect a peer that predates a frame before (or instead of)
-// tripping over it. A zero Proto means a version-1 peer; its requests are
-// still accepted, but the rows it gets back are always in RowsEnc.
-const ProtoVersion = 4
+// ProtoVersion is the protocol revision this package speaks; the package
+// documentation lists what each version added. A client advertises its
+// version in the Proto field of its first request; the server echoes its
+// own in every response carrying a non-zero request Proto, so both sides
+// can detect a peer that predates a frame before (or instead of) tripping
+// over it. A zero Proto means a version-1 peer.
+const ProtoVersion = 5
 
 // EncodingColbatch is the Request.Encoding value version-3 clients send to
 // ask for colbatch rows. Rows are always colbatch whatever Encoding says;
@@ -224,9 +221,9 @@ type Response struct {
 	// Cluster answers OpCluster (protocol 4).
 	Cluster *ClusterInfo `json:"cluster,omitempty"`
 	// RowsEnc carries an OpRun/OpExecute answer's rows as a colbatch stream
-	// (internal/colbatch; base64 via encoding/json's []byte convention). It
-	// is the only form result rows take; an empty answer is one empty batch.
-	RowsEnc []byte `json:"rows_enc,omitempty"`
+	// (internal/colbatch), sent raw as the frame's payload. It is the only
+	// form result rows take; an empty answer is one empty batch.
+	RowsEnc []byte `json:"-"`
 
 	// Proto is the server's protocol version, echoed when the request
 	// advertised one. Stmt and Params answer OpPrepare: the statement
@@ -236,60 +233,90 @@ type Response struct {
 	Params int    `json:"params,omitempty"`
 }
 
-// WriteFrame encodes v as one length-prefixed JSON frame. Callers must
+// Payloader is a frame type whose one []byte field, tagged json:"-",
+// travels raw after the JSON header. Payload is a value method, so
+// WriteFrame finds it on a value or a pointer; ReadFrame calls SetPayload.
+type Payloader interface {
+	Payload() []byte
+	SetPayload([]byte)
+}
+
+// Payload and SetPayload implement Payloader over RowsEnc.
+func (r Response) Payload() []byte      { return r.RowsEnc }
+func (r *Response) SetPayload(b []byte) { r.RowsEnc = b }
+
+// payloadFlag marks a length word that a payload-length word follows.
+const payloadFlag = 1 << 31
+
+// WriteFrame encodes v as one frame: the length words and the JSON header
+// in one Write, then v's payload, if non-empty, in one more. Callers must
 // serialize concurrent writes to the same writer themselves.
 func WriteFrame(w io.Writer, v any) error {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("wire: encode: %w", err)
 	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(body), MaxFrame)
+	var payload []byte
+	if p, ok := v.(interface{ Payload() []byte }); ok {
+		payload = p.Payload()
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if n := len(body) + len(payload); n > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
+	}
+	word, buf := uint32(len(body)), make([]byte, 4, 8+len(body))
+	if len(payload) > 0 {
+		word |= payloadFlag
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+	}
+	binary.BigEndian.PutUint32(buf, word)
+	if _, err := w.Write(append(buf, body...)); err != nil || len(payload) == 0 {
 		return err
 	}
-	_, err = w.Write(body)
+	_, err = w.Write(payload)
 	return err
 }
 
 // readChunk caps how much a reader allocates ahead of the bytes actually
-// arriving, so a hostile length prefix cannot reserve MaxFrame at once.
+// arriving, so a hostile length word cannot reserve MaxFrame at once.
 const readChunk = 1 << 20
 
-// ReadFrame decodes the next frame into v. The body buffer grows in
-// chunks as bytes arrive rather than trusting the length prefix up front:
-// a peer announcing a 64 MiB frame and hanging up costs one chunk, not
-// the full announcement.
+// ReadFrame decodes the next frame into v, its payload through v's
+// SetPayload. The buffer grows one readChunk at a time as bytes arrive, so a
+// peer announcing a 64 MiB frame and hanging up costs one chunk.
 func ReadFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var words [8]byte
+	if _, err := io.ReadFull(r, words[:4]); err != nil {
 		return err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
+	word := binary.BigEndian.Uint32(words[:4])
+	n := int(word &^ payloadFlag)
+	size := int64(n)
+	dst, _ := v.(Payloader)
+	if word&payloadFlag != 0 {
+		if dst == nil {
+			return fmt.Errorf("wire: %T takes no payload", v)
+		}
+		if _, err := io.ReadFull(r, words[4:]); err != nil {
+			return err
+		}
+		size += int64(binary.BigEndian.Uint32(words[4:]))
 	}
-	body := make([]byte, 0, min(n, readChunk))
-	for len(body) < n {
-		take := min(n-len(body), readChunk)
-		start := len(body)
-		body = append(body, make([]byte, take)...)
-		if _, err := io.ReadFull(r, body[start:]); err != nil {
+	if size > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", size, MaxFrame)
+	}
+	buf := make([]byte, 0, min(size, readChunk))
+	for int64(len(buf)) < size {
+		start, take := len(buf), int(min(size-int64(len(buf)), readChunk))
+		buf = slices.Grow(buf, take)[:start+take]
+		if _, err := io.ReadFull(r, buf[start:]); err != nil {
 			return err
 		}
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	if err := json.Unmarshal(buf[:n], v); err != nil {
 		return fmt.Errorf("wire: decode: %w", err)
 	}
-	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
+	if len(buf) > n {
+		dst.SetPayload(buf[n:])
 	}
-	return b
+	return nil
 }

@@ -3,10 +3,34 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// Frames without a payload are byte-identical to the format that predates
+// payloads: a 4-byte length and the JSON, nothing else.
+func TestPayloadFreeFramesUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		want string
+	}{
+		{Request{ID: 7, Op: OpRun, Proto: 4, Rule: "T(x) :- E(x,y)", Strategy: "hc_tj", Encoding: EncodingColbatch},
+			"\x00\x00\x00Y{\"id\":7,\"op\":\"run\",\"proto\":4,\"rule\":\"T(x) :- E(x,y)\",\"strategy\":\"hc_tj\",\"enc\":\"colbatch\"}"},
+		{Response{ID: 7, Count: 3, Columns: []string{"x"}, Stats: &Stats{Strategy: "hc_tj", Workers: 2}},
+			"\x00\x00\x00\x9e{\"id\":7,\"columns\":[\"x\"],\"count\":3,\"stats\":{\"strategy\":\"hc_tj\",\"workers\":2,\"wall_ns\":0,\"cpu_ns\":0,\"tuples_shuffled\":0,\"max_consumer_skew\":0,\"queue_wait_ns\":0}}"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, tc.v); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); got != tc.want {
+			t.Errorf("frame of %T:\n got %q\nwant %q", tc.v, got, tc.want)
+		}
+	}
+}
 
 func TestRequestRoundTrip(t *testing.T) {
 	in := Request{
@@ -30,15 +54,26 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// A Response written by value still carries RowsEnc, raw: the frame is the
+// JSON header, the rows and two length words, with no base64 inflation.
 func TestResponseRoundTrip(t *testing.T) {
 	in := Response{
 		ID: 9, Proto: ProtoVersion, Stmt: 3, Params: 2,
-		Columns: []string{"x", "y"}, RowsEnc: []byte("PJCB\x00\x01"),
+		Columns: []string{"x", "y"}, RowsEnc: append([]byte("PJCB\x00\x01"), make([]byte, 1000)...),
 		Stats: &Stats{Strategy: "rs_hj", ResultCached: true},
 	}
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatalf("write: %v", err)
+	}
+	bare := in
+	bare.RowsEnc = nil
+	header, err := json.Marshal(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max := len(in.RowsEnc) + len(header) + 8; buf.Len() > max {
+		t.Fatalf("frame is %d bytes, want at most %d", buf.Len(), max)
 	}
 	var out Response
 	if err := ReadFrame(&buf, &out); err != nil {
@@ -52,13 +87,38 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// lengthWords builds a frame's length words: a header length, and a payload
+// length when withPayload is set.
+func lengthWords(header uint32, withPayload bool, payload uint32) []byte {
+	if !withPayload {
+		return binary.BigEndian.AppendUint32(nil, header)
+	}
+	return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, header|payloadFlag), payload)
+}
+
 func TestReadFrameRejectsOversizedAnnouncement(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
+	for _, words := range [][]byte{
+		lengthWords(MaxFrame+1, false, 0),
+		lengthWords(2, true, MaxFrame+1),
+		lengthWords(MaxFrame/2, true, MaxFrame/2+1),
+	} {
+		var v Response
+		err := ReadFrame(bytes.NewReader(words), &v)
+		if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+			t.Fatalf("words % x: want size error, got %v", words, err)
+		}
+	}
+}
+
+// A payload for a type that takes none fails the frame.
+func TestReadFrameRejectsUnwantedPayload(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, Response{ID: 1, RowsEnc: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
 	var v Request
-	err := ReadFrame(bytes.NewReader(hdr[:]), &v)
-	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("want size error, got %v", err)
+	if err := ReadFrame(&buf, &v); err == nil {
+		t.Fatal("payload accepted into a Request")
 	}
 }
 
@@ -74,6 +134,25 @@ func TestReadFrameTruncatedBody(t *testing.T) {
 	var v Request
 	if err := ReadFrame(&buf, &v); err != io.ErrUnexpectedEOF {
 		t.Fatalf("want ErrUnexpectedEOF, got %v", err)
+	}
+}
+
+// Announcing a huge payload and hanging up costs one readChunk of
+// allocation, not the announced size.
+func TestReadFrameTruncatedPayload(t *testing.T) {
+	frame := append(lengthWords(2, true, MaxFrame-2), "{}"...)
+	frame = append(frame, "rows"...) // then hang up
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var v Response
+	err := ReadFrame(bytes.NewReader(frame), &v)
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("want ErrUnexpectedEOF, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*readChunk {
+		t.Fatalf("allocated %d bytes for a truncated payload, want about one chunk (%d)", got, readChunk)
 	}
 }
 
@@ -101,8 +180,13 @@ func TestReadFrameMultiChunk(t *testing.T) {
 }
 
 func TestWriteFrameRejectsOversizedBody(t *testing.T) {
-	huge := Response{Explain: strings.Repeat("x", MaxFrame)}
-	if err := WriteFrame(io.Discard, huge); err == nil {
-		t.Fatal("want size error for oversized frame")
+	for _, huge := range []Response{
+		{Explain: strings.Repeat("x", MaxFrame)},
+		{RowsEnc: make([]byte, MaxFrame)},
+	} {
+		err := WriteFrame(io.Discard, huge)
+		if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+			t.Fatalf("want size error for oversized frame, got %v", err)
+		}
 	}
 }
