@@ -55,6 +55,10 @@ var (
 	// it speaks an older protocol. Degrade (e.g. fall back from
 	// Prepare/Execute to plain Run); the connection itself stays healthy.
 	ErrUnsupported = errors.New("parajoind: unsupported frame")
+	// ErrTooLarge: the query ran, but its answer exceeds the largest frame
+	// the protocol carries, so the server did not send it. The connection
+	// stays healthy; narrow the query or count it instead.
+	ErrTooLarge = errors.New("parajoind: answer too large for one frame")
 )
 
 // ServerError is a failure reported by the server. It unwraps to the typed
@@ -86,6 +90,8 @@ func (e *ServerError) Unwrap() error {
 		return context.DeadlineExceeded
 	case wire.CodeUnsupportedFrame:
 		return ErrUnsupported
+	case wire.CodeTooLarge:
+		return ErrTooLarge
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -321,11 +322,10 @@ func (d *Dispatcher) runFragment(ctx context.Context, ep Endpoint, req *msg) (*f
 		}
 		switch reply.Type {
 		case msgFragRows:
-			chunk, err := fragDecode(reply.Data)
+			tuples, err = fragDecode(tuples, reply.Data)
 			if err != nil {
 				return nil, fragErr("decoding result chunk from member %q: %v", ep.Name, err)
 			}
-			tuples = append(tuples, chunk...)
 			fragResultBytes.Add(int64(len(reply.Data)))
 		case msgFragDone:
 			if reply.Err != "" {
@@ -344,15 +344,16 @@ func (d *Dispatcher) runFragment(ctx context.Context, ep Endpoint, req *msg) (*f
 	}
 }
 
-// fragDecode decodes every batch in one frag-rows payload.
-func fragDecode(data []byte) ([]rel.Tuple, error) {
-	var tuples []rel.Tuple
+// fragDecode decodes every batch in one frag-rows payload and appends its
+// rows to tuples, grown once for the rows the batch headers claim.
+func fragDecode(tuples []rel.Tuple, data []byte) ([]rel.Tuple, error) {
+	tuples = slices.Grow(tuples, colbatch.RowsHint(data))
 	for len(data) > 0 {
 		batch, n, err := colbatch.DecodeNext(data)
 		if err != nil {
 			return nil, err
 		}
-		tuples = append(tuples, batch.Tuples()...)
+		tuples = batch.AppendTuples(tuples)
 		data = data[n:]
 	}
 	return tuples, nil

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
+	"slices"
 
 	"parajoin/internal/rel"
 )
@@ -40,22 +42,11 @@ const (
 
 // zigzagLen is the encoded length of v as a zigzag varint.
 func zigzagLen(v int64) int {
-	u := uint64(v<<1) ^ uint64(v>>63)
-	n := 1
-	for u >= 0x80 {
-		u >>= 7
-		n++
-	}
-	return n
+	return uvarintLen(uint64(v<<1) ^ uint64(v>>63))
 }
 
 func uvarintLen(u uint64) int {
-	n := 1
-	for u >= 0x80 {
-		u >>= 7
-		n++
-	}
-	return n
+	return (bits.Len64(u|1) + 6) / 7
 }
 
 // Encoder turns row batches into encoded columnar batches. The zero value
@@ -64,9 +55,56 @@ func uvarintLen(u uint64) int {
 type Encoder struct {
 	cols     [][]int64
 	colArena []int64
-	dict     map[int64]uint32
+	dict     dictTable
 	dictVals []int64
 	idx      []uint32
+}
+
+// dictTable maps a column's values to their dictionary indexes: open
+// addressing with linear probing over at least twice as many slots as the
+// column's dictionary may hold, so it is never more than half full. A slot
+// is live only when stamped with the current generation, so starting the
+// next column is one increment, not a sweep of the table.
+type dictTable struct {
+	slots []dictSlot // power-of-two length
+	shift uint       // 64 - log2(len(slots))
+	gen   uint32
+}
+
+type dictSlot struct {
+	val int64
+	idx uint32
+	gen uint32
+}
+
+// reset empties the table for a column whose dictionary holds at most
+// limit values.
+func (t *dictTable) reset(limit int) {
+	if len(t.slots) < 2*limit {
+		n := 1 << bits.Len(uint(2*limit-1))
+		t.slots = make([]dictSlot, n)
+		t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	}
+	t.gen++
+	if t.gen == 0 {
+		// Wrapped: a slot stamped 2^32 columns ago would read as live.
+		clear(t.slots)
+		t.gen = 1
+	}
+}
+
+// find returns the slot holding v, or the empty slot v belongs in (one
+// whose gen is stale).
+func (t *dictTable) find(v int64) *dictSlot {
+	mask := uint64(len(t.slots) - 1)
+	h := (uint64(v) * 0x9e3779b97f4a7c15) >> t.shift
+	for {
+		s := &t.slots[h]
+		if s.gen != t.gen || s.val == v {
+			return s
+		}
+		h = (h + 1) & mask
+	}
 }
 
 // AppendTuples appends the encoded form of rows (all of one arity) to dst
@@ -157,40 +195,35 @@ func (e *Encoder) appendColumn(dst []byte, col []int64) []byte {
 	if len(col) == 0 {
 		return append(dst, encRaw)
 	}
-	// One scan builds the dictionary (first-appearance order, abandoned
-	// past maxDict or half the rows — beyond that raw can't lose by much)
-	// and the exact encoded sizes of every alternative.
-	if e.dict == nil {
-		e.dict = make(map[int64]uint32, maxDict)
+	// One scan sizes the raw encoding; a second builds the dictionary
+	// (first-appearance order, abandoned past maxDict or half the rows —
+	// beyond that raw can't lose by much) and sizes the dict encoding.
+	dictLimit := maxDict
+	if half := len(col) / 2; half < dictLimit {
+		dictLimit = half + 1
 	}
-	clear(e.dict)
+	e.dict.reset(dictLimit)
 	e.dictVals = e.dictVals[:0]
 	if cap(e.idx) < len(col) {
 		e.idx = make([]uint32, len(col))
 	}
 	e.idx = e.idx[:len(col)]
-	dictLimit := maxDict
-	if half := len(col) / 2; half < dictLimit {
-		dictLimit = half + 1
-	}
 	rawSize, idxSize, dictOK := 0, 0, true
-	for i, v := range col {
+	for _, v := range col {
 		rawSize += zigzagLen(v)
-		if !dictOK {
-			continue
-		}
-		k, ok := e.dict[v]
-		if !ok {
-			if len(e.dictVals) >= dictLimit {
+	}
+	for i, v := range col {
+		s := e.dict.find(v)
+		if s.gen != e.dict.gen {
+			if len(e.dictVals) == dictLimit {
 				dictOK = false
-				continue
+				break
 			}
-			k = uint32(len(e.dictVals))
-			e.dict[v] = k
+			*s = dictSlot{val: v, idx: uint32(len(e.dictVals)), gen: e.dict.gen}
 			e.dictVals = append(e.dictVals, v)
 		}
-		e.idx[i] = k
-		idxSize += uvarintLen(uint64(k))
+		e.idx[i] = s.idx
+		idxSize += uvarintLen(uint64(s.idx))
 	}
 	if dictOK && len(e.dictVals) == 1 {
 		counters.valuesConst.Add(int64(len(col)))
@@ -204,6 +237,7 @@ func (e *Encoder) appendColumn(dst []byte, col []int64) []byte {
 		}
 		if dictSize < rawSize {
 			counters.valuesDict.Add(int64(len(col)))
+			dst = slices.Grow(dst, 1+dictSize)
 			dst = append(dst, encDict)
 			dst = binary.AppendUvarint(dst, uint64(len(e.dictVals)))
 			for _, v := range e.dictVals {
@@ -216,6 +250,7 @@ func (e *Encoder) appendColumn(dst []byte, col []int64) []byte {
 		}
 	}
 	counters.valuesRaw.Add(int64(len(col)))
+	dst = slices.Grow(dst, 1+rawSize)
 	dst = append(dst, encRaw)
 	for _, v := range col {
 		dst = binary.AppendVarint(dst, v)
@@ -223,52 +258,39 @@ func (e *Encoder) appendColumn(dst []byte, col []int64) []byte {
 	return dst
 }
 
-// Batch is one decoded columnar batch: per-column int64 vectors over a
-// shared arena.
+// Batch is one decoded batch, held row-major: row i is
+// arena[i*cols : (i+1)*cols].
 type Batch struct {
-	cols [][]int64
-	rows int
+	arena      []int64
+	rows, cols int
 }
 
 // Rows returns the batch's row count.
 func (b *Batch) Rows() int { return b.rows }
 
 // Cols returns the batch's column count.
-func (b *Batch) Cols() int { return len(b.cols) }
+func (b *Batch) Cols() int { return b.cols }
 
-// Col returns column j's values in row order. The slice aliases the
-// batch's arena; callers must not mutate it.
-func (b *Batch) Col(j int) []int64 { return b.cols[j] }
-
-// Tuples materializes the batch row-major as a tuple slice. All tuples
-// share one backing arena (two allocations total, not one per row); their
-// capacities are clamped so appending to one can never bleed into its
-// neighbor. Callers own the result.
+// Tuples returns the batch's rows as tuples: views of the batch's arena,
+// one allocation for the tuple headers and none per row. Every call views
+// the same values, so a caller that mutates a row in place changes it for
+// every other view too.
 func (b *Batch) Tuples() []rel.Tuple {
-	ncols := len(b.cols)
-	out := make([]rel.Tuple, b.rows)
-	arena := make([]int64, b.rows*ncols)
-	for i := range out {
-		t := arena[i*ncols : (i+1)*ncols : (i+1)*ncols]
-		for j, col := range b.cols {
-			t[j] = col[i]
-		}
-		out[i] = t
-	}
-	return out
+	return appendViews(b, make([]rel.Tuple, 0, b.rows))
 }
 
-// AppendRows appends the batch's rows, materialized as []int64 slices over
-// a shared arena, to dst.
-func (b *Batch) AppendRows(dst [][]int64) [][]int64 {
-	ncols := len(b.cols)
-	arena := make([]int64, b.rows*ncols)
+// AppendTuples appends the batch's rows, as Tuples returns them, to dst.
+func (b *Batch) AppendTuples(dst []rel.Tuple) []rel.Tuple { return appendViews(b, dst) }
+
+// AppendRows is AppendTuples for plain [][]int64 rows.
+func (b *Batch) AppendRows(dst [][]int64) [][]int64 { return appendViews(b, dst) }
+
+// appendViews appends one view of the arena per row to dst, each with its
+// capacity clamped so that appending to it can never bleed into the next.
+func appendViews[R ~[]int64](b *Batch, dst []R) []R {
+	dst = slices.Grow(dst, b.rows)
 	for i := 0; i < b.rows; i++ {
-		r := arena[i*ncols : (i+1)*ncols : (i+1)*ncols]
-		for j, col := range b.cols {
-			r[j] = col[i]
-		}
-		dst = append(dst, r)
+		dst = append(dst, b.arena[i*b.cols:(i+1)*b.cols:(i+1)*b.cols])
 	}
 	return dst
 }
@@ -287,7 +309,8 @@ func Decode(data []byte) (*Batch, error) {
 
 // DecodeNext decodes the batch at the head of data and returns it with the
 // number of bytes it occupied — the stream-reading form. Every limit and
-// the checksum are verified before the value arena is allocated.
+// the checksum are verified before the value arena is allocated; each
+// column is then decoded straight into its row-major slots.
 func DecodeNext(data []byte) (*Batch, int, error) {
 	if len(data) < HeaderSize {
 		return nil, 0, fmt.Errorf("colbatch: truncated header (%d of %d bytes)", len(data), HeaderSize)
@@ -314,6 +337,12 @@ func DecodeNext(data []byte) (*Batch, int, error) {
 	if plen > MaxPayload {
 		return nil, 0, fmt.Errorf("colbatch: payload of %d bytes exceeds limit %d", plen, MaxPayload)
 	}
+	if ncols > plen {
+		// Every column block holds at least its encoding byte. The checksum
+		// covers only the payload, so without this a header's column count
+		// could claim an arena of MaxRows×MaxCols values.
+		return nil, 0, fmt.Errorf("colbatch: %d columns in a %d-byte payload", ncols, plen)
+	}
 	if len(data) < HeaderSize+plen {
 		return nil, 0, fmt.Errorf("colbatch: truncated payload (%d of %d bytes)", len(data)-HeaderSize, plen)
 	}
@@ -321,16 +350,13 @@ func DecodeNext(data []byte) (*Batch, int, error) {
 	if got := crc32.ChecksumIEEE(payload); got != sum {
 		return nil, 0, fmt.Errorf("colbatch: checksum mismatch: header %#x, payload %#x", sum, got)
 	}
-	b := &Batch{rows: nrows, cols: make([][]int64, ncols)}
-	arena := make([]int64, nrows*ncols)
+	b := &Batch{rows: nrows, cols: ncols, arena: make([]int64, nrows*ncols)}
 	for j := 0; j < ncols; j++ {
-		col := arena[j*nrows : (j+1)*nrows]
-		n, err := decodeColumn(col, payload)
+		n, err := decodeColumn(b.arena, j, ncols, nrows, payload)
 		if err != nil {
 			return nil, 0, fmt.Errorf("colbatch: column %d: %w", j, err)
 		}
 		payload = payload[n:]
-		b.cols[j] = col
 	}
 	if len(payload) != 0 {
 		return nil, 0, fmt.Errorf("colbatch: %d undecoded payload bytes", len(payload))
@@ -340,81 +366,85 @@ func DecodeNext(data []byte) (*Batch, int, error) {
 	return b, HeaderSize + plen, nil
 }
 
-// decodeColumn decodes one column block from the head of payload into col
-// and returns the bytes consumed.
-func decodeColumn(col []int64, payload []byte) (int, error) {
+// unzigzag maps a zigzag-coded uvarint back to its int64.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// decodeColumn decodes one column block of nrows values from the head of
+// payload into dst[at], dst[at+stride], dst[at+2*stride], … and returns
+// the bytes consumed.
+func decodeColumn(dst []int64, at, stride, nrows int, payload []byte) (int, error) {
 	if len(payload) == 0 {
 		return 0, fmt.Errorf("missing encoding byte")
 	}
 	enc := payload[0]
 	p := payload[1:]
-	used := 1
-	readVarint := func() (int64, error) {
-		v, n := binary.Varint(p)
-		if n <= 0 {
-			return 0, fmt.Errorf("bad varint at payload offset %d", used)
-		}
-		p = p[n:]
-		used += n
-		return v, nil
+	bad := func(what string) error {
+		return fmt.Errorf("bad %s at payload offset %d", what, len(payload)-len(p))
 	}
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, fmt.Errorf("bad uvarint at payload offset %d", used)
-		}
-		p = p[n:]
-		used += n
-		return v, nil
-	}
+	// The row loops decode one-byte varints inline; binary.Uvarint takes
+	// the rest.
 	switch enc {
 	case encConst:
-		if len(col) == 0 {
+		if nrows == 0 {
 			return 0, fmt.Errorf("const encoding for empty column")
 		}
-		v, err := readVarint()
-		if err != nil {
-			return 0, err
+		u, n := binary.Uvarint(p)
+		if n <= 0 {
+			return 0, bad("varint")
 		}
-		for i := range col {
-			col[i] = v
+		p = p[n:]
+		v := unzigzag(u)
+		for i := 0; i < nrows; i++ {
+			dst[at+i*stride] = v
 		}
 	case encRaw:
-		for i := range col {
-			v, err := readVarint()
-			if err != nil {
-				return 0, err
+		for i := 0; i < nrows; i++ {
+			var u uint64
+			var n int
+			if len(p) > 0 && p[0] < 0x80 {
+				u, n = uint64(p[0]), 1
+			} else if u, n = binary.Uvarint(p); n <= 0 {
+				return 0, bad("varint")
 			}
-			col[i] = v
+			p = p[n:]
+			dst[at+i*stride] = unzigzag(u)
 		}
 	case encDict:
-		d, err := readUvarint()
-		if err != nil {
-			return 0, err
+		d, n := binary.Uvarint(p)
+		if n <= 0 {
+			return 0, bad("uvarint")
 		}
-		if d == 0 || d > uint64(len(col)) || d > maxDict {
-			return 0, fmt.Errorf("dictionary of %d entries for %d rows", d, len(col))
+		p = p[n:]
+		if d == 0 || d > uint64(nrows) || d > maxDict {
+			return 0, fmt.Errorf("dictionary of %d entries for %d rows", d, nrows)
 		}
 		dict := make([]int64, d)
 		for i := range dict {
-			if dict[i], err = readVarint(); err != nil {
-				return 0, err
+			u, n := binary.Uvarint(p)
+			if n <= 0 {
+				return 0, bad("varint")
 			}
+			p = p[n:]
+			dict[i] = unzigzag(u)
 		}
-		for i := range col {
-			k, err := readUvarint()
-			if err != nil {
-				return 0, err
+		for i := 0; i < nrows; i++ {
+			var k uint64
+			var n int
+			if len(p) > 0 && p[0] < 0x80 {
+				k, n = uint64(p[0]), 1
+			} else if k, n = binary.Uvarint(p); n <= 0 {
+				return 0, bad("uvarint")
 			}
+			p = p[n:]
 			if k >= d {
 				return 0, fmt.Errorf("dictionary index %d out of %d entries", k, d)
 			}
-			col[i] = dict[k]
+			dst[at+i*stride] = dict[k]
 		}
 	default:
 		return 0, fmt.Errorf("unknown column encoding %d", enc)
 	}
-	return used, nil
+	return len(payload) - len(p), nil
 }
 
 // streamChunkRows is the per-batch row cap AppendRowsStream chunks at:
@@ -446,6 +476,7 @@ func AppendRowsStream(dst []byte, rows [][]int64) ([]byte, error) {
 // DecodeRowsStream decodes a concatenation of batches back into rows.
 func DecodeRowsStream(data []byte) ([][]int64, error) {
 	var rows [][]int64
+	rows = slices.Grow(rows, RowsHint(data))
 	for len(data) > 0 {
 		b, n, err := DecodeNext(data)
 		if err != nil {
@@ -455,4 +486,22 @@ func DecodeRowsStream(data []byte) ([][]int64, error) {
 		rows = b.AppendRows(rows)
 	}
 	return rows, nil
+}
+
+// RowsHint is the row count the batch headers in a stream claim, for
+// presizing a decoder's output. It reads the headers unverified, so it
+// is capped at len(data): a header claiming MaxRows rows cannot reserve
+// more than a few row headers per input byte. Rows that take less than a
+// byte each (constant or zero-width columns) are appended past the hint.
+func RowsHint(data []byte) int {
+	total, rest := 0, data
+	for len(rest) >= HeaderSize && total < len(data) {
+		total += int(binary.LittleEndian.Uint32(rest[8:]))
+		plen := int(binary.LittleEndian.Uint32(rest[12:]))
+		if plen > len(rest)-HeaderSize {
+			break
+		}
+		rest = rest[HeaderSize+plen:]
+	}
+	return min(total, len(data))
 }

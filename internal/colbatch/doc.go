@@ -34,14 +34,26 @@
 // whose (string or integer) values repeat within a batch, which is exactly
 // the shape dictionary-encoded string workloads produce.
 //
+// # Writing
+//
+// An Encoder builds each column's dictionary in a table it owns: open
+// addressing with linear probing over at least twice as many slots as the
+// dictionary may hold, each slot stamped with a generation, so starting
+// the next column is one increment and never a sweep. Dictionaries keep
+// first-appearance order, so the bytes are those of the plain map-based
+// encoder the table replaced.
+//
 // # Reading
 //
 // Decode validates the magic, version, checksum, and size limits before
-// allocating, then materializes the payload into per-column int64 vectors
-// backed by a single arena allocation. A receiver can scan columns in place
-// (Batch.Col) or materialize rows (Batch.Tuples/Rows) without a per-tuple
-// allocation: row headers slice the shared arena with capacity clamps, so
-// handing them to an owner that never mutates its inputs is safe.
+// allocating, then decodes each column straight into one row-major arena
+// (row i is values [i*cols, (i+1)*cols)). A receiver materializes rows
+// (Batch.Tuples, AppendTuples, AppendRows) as views of that arena: one
+// header per row, no value copy, capacities clamped so that appending to
+// one row can never clobber the next. Stream readers presize their output
+// with RowsHint, which reads the batch headers and is capped at the input
+// length, so a header claiming rows that never arrive reserves nothing
+// beyond the bytes that did.
 //
 // Batches are capped at MaxRows rows; Append/Decode of larger payloads is
 // an error. Larger row sets travel as a stream of concatenated batches

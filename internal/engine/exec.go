@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -670,16 +671,20 @@ func (e *exec) runRoot(root Node, w int) (*rel.Relation, error) {
 
 	out := &rel.Relation{Name: "result", Schema: op.schema().Clone()}
 	if !e.spillEnabled() {
+		// Every next() returns a slice of its own, so the batches are kept
+		// as they come and flattened once, at exact size.
+		var batches [][]rel.Tuple
 		for {
 			b, err := op.next()
 			if err == io.EOF {
+				out.Tuples = slices.Concat(batches...)
 				return out, nil
 			}
 			if err != nil {
 				return nil, err
 			}
 			e.prog.AddTuples(int64(len(b)))
-			out.Tuples = append(out.Tuples, b...)
+			batches = append(batches, b)
 		}
 	}
 	// With spilling on, result (and StoreAs) materialization is charged to

@@ -5,6 +5,8 @@ package rel
 // placement), and the regular shuffle re-partitions by a hash of the join
 // columns.
 
+import "slices"
+
 // Hash64 is the seeded 64-bit mix used for every hash partition decision in
 // parajoin. Different seeds give (empirically) independent hash functions,
 // which is what the HyperCube shuffle needs: one independent function per
@@ -70,6 +72,7 @@ func emptyFragments(r *Relation, p int) []*Relation {
 // the inverse of the partitioning helpers up to tuple order.
 func Concat(name string, frags []*Relation) *Relation {
 	out := &Relation{Name: name}
+	parts := make([][]Tuple, 0, len(frags))
 	for _, f := range frags {
 		if f == nil {
 			continue
@@ -77,7 +80,8 @@ func Concat(name string, frags []*Relation) *Relation {
 		if out.Schema == nil {
 			out.Schema = f.Schema.Clone()
 		}
-		out.Tuples = append(out.Tuples, f.Tuples...)
+		parts = append(parts, f.Tuples)
 	}
+	out.Tuples = slices.Concat(parts...) // one exact-size allocation
 	return out
 }

@@ -25,7 +25,7 @@ var queryMetrics = struct {
 			"ok", wire.CodeOverloaded, wire.CodeDraining, wire.CodeCanceled,
 			wire.CodeDeadline, wire.CodeOOM, wire.CodeSpillBudget, wire.CodeClosed,
 			wire.CodeBadRequest, wire.CodeRetriesExhausted, wire.CodeInternal,
-			wire.CodeUnsupportedFrame,
+			wire.CodeUnsupportedFrame, wire.CodeTooLarge,
 		} {
 			out[outcome] = metrics.Default.Histogram("parajoin_query_seconds",
 				"End-to-end served query latency (admission wait, planning, every execution attempt, backoffs), by outcome.",

@@ -449,14 +449,28 @@ func (ss *session) lookupStmt(id uint64) *parajoin.Prepared {
 	return ss.stmts[id]
 }
 
-func (ss *session) reply(resp *wire.Response) {
+// stamp echoes the server's protocol version once the peer has advertised
+// its own.
+func (ss *session) stamp(resp *wire.Response) {
 	if resp.Proto == 0 && ss.peerProto.Load() != 0 {
 		resp.Proto = wire.ProtoVersion
 	}
+}
+
+// reply writes resp. A response over wire.MaxFrame is never started, so
+// that one request is answered with a CodeTooLarge error instead and the
+// connection carries on. Any other write error closes the connection, and
+// the read loop notices.
+func (ss *session) reply(resp *wire.Response) {
+	ss.stamp(resp)
 	ss.wmu.Lock()
 	defer ss.wmu.Unlock()
-	if err := wire.WriteFrame(ss.conn, resp); err != nil {
-		// The read loop will notice the dead conn; nothing else to do.
+	err := wire.WriteFrame(ss.conn, resp)
+	if errors.Is(err, wire.ErrFrameTooLarge) {
+		err = wire.WriteFrame(ss.conn, &wire.Response{ID: resp.ID, Proto: resp.Proto,
+			ErrCode: wire.CodeTooLarge, Err: fmt.Sprintf("server: answer not sent: %v", err)})
+	}
+	if err != nil {
 		ss.conn.Close()
 	}
 }
@@ -823,7 +837,17 @@ func (ss *session) query(req *wire.Request) {
 	if req.Op != wire.OpExecute && req.Rule != "" {
 		srv.lastRule.Store(req.Rule)
 	}
-	outcome("ok", rows, resp.Stats, explain, nil)
+	// The outcome is what the client will get: an answer over
+	// wire.MaxFrame (sized by framing it into io.Discard) goes out as a
+	// CodeTooLarge error, and is logged so. It is recorded before the
+	// write, so a client holding its answer finds the query's trace and
+	// slow-log line complete.
+	ss.stamp(resp)
+	if err := wire.WriteFrame(io.Discard, resp); errors.Is(err, wire.ErrFrameTooLarge) {
+		outcome(wire.CodeTooLarge, rows, resp.Stats, explain, err)
+	} else {
+		outcome("ok", rows, resp.Stats, explain, nil)
+	}
 	ss.reply(resp)
 }
 

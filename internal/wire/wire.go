@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -11,6 +12,11 @@ import (
 // MaxFrame bounds a frame's header plus payload (64 MiB). A peer announcing
 // a larger frame is broken or hostile; readers fail the connection.
 const MaxFrame = 64 << 20
+
+// ErrFrameTooLarge is the error WriteFrame wraps when it refuses a frame
+// over MaxFrame. It has written nothing, so the connection is still in
+// step and the writer may answer with a smaller frame instead.
+var ErrFrameTooLarge = errors.New("wire: frame too large")
 
 // ProtoVersion is the protocol revision this package speaks; the package
 // documentation lists what each version added. A client advertises its
@@ -92,6 +98,10 @@ const (
 	// connection stays healthy; the client should degrade (e.g. fall back
 	// from prepare/execute to plain run).
 	CodeUnsupportedFrame = "unsupported_frame"
+	// CodeTooLarge: the response would not fit in one frame (MaxFrame);
+	// the query ran, but its answer was not sent. The connection stays
+	// healthy.
+	CodeTooLarge = "too_large"
 	// CodeInternal: anything else.
 	CodeInternal = "internal"
 )
@@ -261,7 +271,7 @@ func WriteFrame(w io.Writer, v any) error {
 		payload = p.Payload()
 	}
 	if n := len(body) + len(payload); n > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
+		return fmt.Errorf("%w: %d bytes exceeds limit %d", ErrFrameTooLarge, n, MaxFrame)
 	}
 	word, buf := uint32(len(body)), make([]byte, 4, 8+len(body))
 	if len(payload) > 0 {

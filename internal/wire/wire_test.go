@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"runtime"
 	"strings"
@@ -184,9 +185,13 @@ func TestWriteFrameRejectsOversizedBody(t *testing.T) {
 		{Explain: strings.Repeat("x", MaxFrame)},
 		{RowsEnc: make([]byte, MaxFrame)},
 	} {
-		err := WriteFrame(io.Discard, huge)
-		if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-			t.Fatalf("want size error for oversized frame, got %v", err)
+		var buf bytes.Buffer
+		err := WriteFrame(&buf, huge)
+		if !errors.Is(err, ErrFrameTooLarge) || !strings.Contains(err.Error(), "exceeds limit") {
+			t.Fatalf("want ErrFrameTooLarge for oversized frame, got %v", err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("refused frame wrote %d bytes", buf.Len())
 		}
 	}
 }
