@@ -1,8 +1,10 @@
 // Benchmarks that regenerate every table and figure of the paper's
 // evaluation (see DESIGN.md for the experiment index). Each benchmark
 // reports the experiment's headline numbers as custom metrics and logs the
-// full paper-style table (visible with -v). cmd/benchrunner prints the same
-// tables directly.
+// full paper-style table (visible with -v); EXPERIMENTS.md is regenerated
+// from these logs with
+//
+//	go test -run '^$' -bench . -benchtime 1x -v .
 //
 // Set PARAJOIN_BENCH_FAST=1 to run on a reduced dataset.
 package parajoin
@@ -35,7 +37,7 @@ func suite() *experiments.Suite {
 	benchSuiteOnce.Do(func() {
 		benchSuite = experiments.NewSuite()
 		benchSuite.Timeout = 4 * time.Minute
-		if os.Getenv("PARAJOIN_BENCH_FAST") != "" {
+		if fastBench() {
 			benchSuite.Workers = 16
 			benchSuite.Graph = dataset.GraphConfig{Edges: 6000, Nodes: 500, Skew: 1.3, Seed: 42}
 			benchSuite.KB = dataset.KBConfig{Actors: 600, Films: 400, Performances: 2000,
@@ -44,6 +46,9 @@ func suite() *experiments.Suite {
 	})
 	return benchSuite
 }
+
+// fastBench reports whether PARAJOIN_BENCH_FAST asks for reduced datasets.
+func fastBench() bool { return os.Getenv("PARAJOIN_BENCH_FAST") != "" }
 
 // logRender captures a Render call into the benchmark log (shown with -v).
 func logRender(b *testing.B, render func(w interface{ Write([]byte) (int, error) })) {

@@ -58,8 +58,7 @@ func (s *Suite) Speedup(n int, ks []int, queryNames ...string) (*SpeedupStudy, e
 			if k <= 1 {
 				opts.Parallelism = -1 // force the serial baseline
 			}
-			label := fmt.Sprintf("%s×K%d", planner.HCTJ, k)
-			out, err := s.runOn(s.Cluster(n), q, planner.HCTJ, n, label, opts)
+			out, err := s.runOn(q, planner.HCTJ, n, opts)
 			if err != nil {
 				return nil, err
 			}

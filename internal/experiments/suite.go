@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation on the synthetic workload. Each experiment returns a
 // structured result with a Render method that prints the same rows/series
-// the paper reports; bench_test.go and cmd/benchrunner are thin wrappers
-// around this package.
+// the paper reports; the root package's bench_test.go runs them and prints
+// the tables.
 //
 // Absolute numbers differ from the paper — the substrate is an in-process
 // engine on synthetic data, not Myria on a 16-machine cluster — but the
@@ -20,7 +20,6 @@ import (
 	"parajoin/internal/core"
 	"parajoin/internal/dataset"
 	"parajoin/internal/engine"
-	"parajoin/internal/fault"
 	"parajoin/internal/planner"
 	"parajoin/internal/queries"
 	"parajoin/internal/stats"
@@ -37,18 +36,6 @@ type Suite struct {
 	// MemLimitTuples is the per-worker materialization budget; runs that
 	// exceed it report FAIL, reproducing the paper's out-of-memory entries.
 	MemLimitTuples int64
-	// Spill is the spill-to-disk policy for all clusters (set it before the
-	// first Cluster call). With engine.SpillOnPressure, runs that cross the
-	// budget degrade to external sort instead of reporting FAIL.
-	Spill engine.SpillPolicy
-	// MaxSpillBytes caps spilled bytes per run; exceeding it reports FAIL
-	// with reason SPILL-CAP. 0 = unlimited.
-	MaxSpillBytes int64
-	// Parallelism is the intra-worker join parallelism for all clusters
-	// (set it before the first Cluster call): 0 = automatic, 1 = serial,
-	// K>1 = up to K concurrent sub-joins per worker. Figure 10b overrides
-	// it per run to sweep K.
-	Parallelism int
 	// Timeout bounds each single run (the paper kills queries at 1000 s).
 	Timeout time.Duration
 	// Seed drives order sampling.
@@ -56,14 +43,6 @@ type Suite struct {
 	// Tracer, when set, traces every run on the suite's clusters (set it
 	// before the first Cluster call).
 	Tracer *trace.Tracer
-	// FaultPlan, when set, wraps every cluster's transport in a
-	// deterministic fault injector (set it before the first Cluster call) —
-	// benchrunner's -chaos mode. Runs that hit an injected fault report the
-	// transport error; stall rules only perturb timing.
-	FaultPlan *fault.Plan
-	// Record keeps a RecordedOutcome per executed run, retrievable with
-	// Outcomes — the data behind benchrunner's -json report.
-	Record bool
 
 	mu         sync.Mutex
 	workload   *queries.Workload
@@ -71,7 +50,6 @@ type Suite struct {
 	planners   map[int]*planner.Planner
 	sixCache   map[string]*SixConfigs
 	orderCache map[string]*OrderStudy
-	outcomes   []*RecordedOutcome
 }
 
 // NewSuite returns a suite with laptop-scale defaults: 64 workers (the
@@ -117,18 +95,9 @@ func (s *Suite) Cluster(n int) *engine.Cluster {
 		w := s.workloadLocked()
 		c = engine.NewCluster(n)
 		c.MaxLocalTuples = s.MemLimitTuples
-		c.SpillPolicy = s.Spill
-		c.MaxSpillBytes = s.MaxSpillBytes
-		c.Parallelism = s.Parallelism
 		c.Tracer = s.Tracer
 		for _, r := range w.Relations {
 			c.Load(r)
-		}
-		if s.FaultPlan != nil {
-			inj := s.FaultPlan.NewInjector()
-			c.WrapTransport(func(t engine.Transport) engine.Transport {
-				return fault.Wrap(t, inj)
-			})
 		}
 		s.clusters[n] = c
 	}
@@ -180,50 +149,6 @@ type RunOutcome struct {
 	Plan     *planner.Result
 }
 
-// RecordedOutcome is one executed run in the suite's log (see Record): the
-// RunOutcome's measurements plus identifying context, with the full Report
-// (byte counters included) for machine consumption.
-type RecordedOutcome struct {
-	Query    string
-	Config   string
-	Workers  int
-	Failed   bool   `json:",omitempty"`
-	FailWhy  string `json:",omitempty"`
-	Wall     time.Duration
-	CPU      time.Duration
-	Shuffled int64
-	Results  int
-	// Bytes is the run's transport bytes sent (exchange traffic), when the
-	// measuring harness has them outside the full Report — the distributed
-	// scaling study records it per arm.
-	Bytes int64 `json:",omitempty"`
-	// PeakResident is the largest per-worker in-memory working set over the
-	// run; SpilledBytes and SpillSegments describe spill-to-disk activity.
-	PeakResident  int64          `json:",omitempty"`
-	SpilledBytes  int64          `json:",omitempty"`
-	SpillSegments int64          `json:",omitempty"`
-	Report        *engine.Report `json:",omitempty"`
-}
-
-// RecordOutcome appends one externally measured run to the JSON record
-// (no-op unless Record is set). The distributed scaling study uses it: its
-// runs execute on their own coordinator+data-node stack rather than on the
-// suite's in-process clusters.
-func (s *Suite) RecordOutcome(o *RecordedOutcome) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.Record {
-		s.outcomes = append(s.outcomes, o)
-	}
-}
-
-// Outcomes returns the runs recorded so far (Record must be set).
-func (s *Suite) Outcomes() []*RecordedOutcome {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*RecordedOutcome(nil), s.outcomes...)
-}
-
 // RunConfig plans and executes one configuration of a workload query on an
 // n-worker cluster. Out-of-memory and timeout become Failed outcomes (the
 // paper's FAIL cells); other errors are returned.
@@ -236,14 +161,14 @@ func (s *Suite) RunConfig(queryName string, cfg planner.PlanConfig, n int) (*Run
 // (cmd/parajoin's -rule mode).
 func (s *Suite) RunQuery(q *core.Query, cfg planner.PlanConfig, n int) (*RunOutcome, error) {
 	s.Workload()
-	return s.runOn(s.Cluster(n), q, cfg, n, cfg.String(), engine.RunOpts{})
+	return s.runOn(q, cfg, n, engine.RunOpts{})
 }
 
 // runOn is the execution core behind RunQuery, shared with experiments
-// (Figure 10b) that re-run one configuration under per-run engine options;
-// label names the configuration in the recorded outcome.
-func (s *Suite) runOn(c *engine.Cluster, q *core.Query, cfg planner.PlanConfig, n int, label string, opts engine.RunOpts) (*RunOutcome, error) {
+// (Figure 10b) that re-run one configuration under per-run engine options.
+func (s *Suite) runOn(q *core.Query, cfg planner.PlanConfig, n int, opts engine.RunOpts) (*RunOutcome, error) {
 	p := s.Planner(n)
+	c := s.Cluster(n)
 
 	res, err := p.Plan(q, cfg)
 	if err != nil {
@@ -275,32 +200,10 @@ func (s *Suite) runOn(c *engine.Cluster, q *core.Query, cfg planner.PlanConfig, 
 		out.Results = result.Cardinality()
 	case errors.Is(err, engine.ErrOutOfMemory):
 		out.Failed, out.FailWhy = true, "OOM"
-	case errors.Is(err, engine.ErrSpillBudget):
-		out.Failed, out.FailWhy = true, "SPILL-CAP"
 	case errors.Is(err, context.DeadlineExceeded):
 		out.Failed, out.FailWhy = true, "TIMEOUT"
 	default:
 		return nil, fmt.Errorf("experiments: running %s/%v: %w", q.Name, cfg, err)
-	}
-	if s.Record {
-		rec := &RecordedOutcome{
-			Query: q.Name, Config: label, Workers: n,
-			Failed: out.Failed, FailWhy: out.FailWhy,
-			Wall: out.Wall, CPU: out.CPU,
-			Shuffled: out.Shuffled, Results: out.Results, Report: out.Report,
-		}
-		if report != nil {
-			for _, p := range report.PeakResidentTuples {
-				if p > rec.PeakResident {
-					rec.PeakResident = p
-				}
-			}
-			rec.SpilledBytes = report.SpilledBytes
-			rec.SpillSegments = report.SpillSegments
-		}
-		s.mu.Lock()
-		s.outcomes = append(s.outcomes, rec)
-		s.mu.Unlock()
 	}
 	return out, nil
 }

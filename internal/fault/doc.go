@@ -10,8 +10,8 @@
 // makes single-retry soak tests deterministic.
 //
 // Plans wrap a cluster's Transport (see Wrap in transport.go) and are
-// usable from three entry points: engine/server tests, `benchrunner -chaos
-// <spec>`, and the `parajoind -fault-plan <spec>` dev flag. The plan
+// usable from two entry points: engine/server tests and the
+// `parajoind -fault-plan <spec>` dev flag. The plan
 // grammar, the retry loop the injected faults exercise, and the
 // determinism contract they rest on (a re-executed query must reproduce
 // identical rows — including under intra-worker parallel joins) are
