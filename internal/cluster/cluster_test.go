@@ -58,6 +58,16 @@ type harness struct {
 
 func newHarness(t *testing.T, rows, slots int) *harness {
 	t.Helper()
+	return newHarnessWith(t, rows, slots, CoordinatorConfig{
+		HeartbeatEvery: 20 * time.Millisecond,
+		CallTimeout:    5 * time.Second,
+	})
+}
+
+// newHarnessWith is newHarness with the coordinator's heartbeat interval
+// and call timeout taken from cfg.
+func newHarnessWith(t *testing.T, rows, slots int, cfg CoordinatorConfig) *harness {
+	t.Helper()
 	store, err := partstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -66,12 +76,9 @@ func newHarness(t *testing.T, rows, slots int) *harness {
 		t.Fatal(err)
 	}
 	h := &harness{t: t, store: store, changes: make(chan []string, 64)}
-	h.coord = NewCoordinator(store, CoordinatorConfig{
-		HeartbeatEvery: 20 * time.Millisecond,
-		CallTimeout:    5 * time.Second,
-		OnChange:       func(members []string) { h.changes <- append([]string(nil), members...) },
-		Logf:           t.Logf,
-	})
+	cfg.OnChange = func(members []string) { h.changes <- append([]string(nil), members...) }
+	cfg.Logf = t.Logf
+	h.coord = NewCoordinator(store, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

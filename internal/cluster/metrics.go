@@ -3,12 +3,10 @@ package cluster
 import "parajoin/internal/metrics"
 
 // The parajoin_cluster_* metric family. Handoffs are labeled by how the
-// partition reached its new owner: "donor" (streamed by the previous owner
-// and released only after the checksum-verified ack), "direct" (pushed from
-// the coordinator's authoritative store because the donor was gone or
-// failed mid-handoff), or "cached" (the new owner already held the
-// partition with the right checksum — the rejoin fast path — so no bytes
-// moved at all).
+// partition reached its new owner: "direct" (pushed from the coordinator's
+// authoritative store over the member's link) or "cached" (the new owner
+// already held the partition with the right checksum — the rejoin fast
+// path — so no bytes moved at all).
 var (
 	membersGauge = metrics.Default.Gauge("parajoin_cluster_members",
 		"Live members of the elastic cluster.")
@@ -19,10 +17,8 @@ var (
 	deathsTotal = metrics.Default.Counter("parajoin_cluster_member_deaths_total",
 		"Members declared dead after missed heartbeats or a broken connection.")
 	rebalancedBytes = metrics.Default.Counter("parajoin_cluster_rebalanced_bytes_total",
-		"Segment bytes moved between stores by partition handoffs.")
+		"Segment bytes pushed to members by partition handoffs.")
 
-	handoffsDonor = metrics.Default.Counter("parajoin_cluster_handoffs_total",
-		"Partition handoffs, by transfer path.", metrics.Label{Name: "path", Value: "donor"})
 	handoffsDirect = metrics.Default.Counter("parajoin_cluster_handoffs_total",
 		"Partition handoffs, by transfer path.", metrics.Label{Name: "path", Value: "direct"})
 	handoffsCached = metrics.Default.Counter("parajoin_cluster_handoffs_total",
@@ -32,7 +28,7 @@ var (
 	// work actually performed on data nodes; dispatcher-side counters track
 	// what the coordinator pushed out and what came back.
 	fragPrepares = metrics.Default.Counter("parajoin_cluster_fragment_prepares_total",
-		"Per-generation engine runtimes built on members (frag-prepare).")
+		"Per-generation engine runtimes built on members when they adopt a catalog version.")
 	fragRunsServed = metrics.Default.Counter("parajoin_cluster_fragments_served_total",
 		"Operator fragments executed to completion on members.")
 	fragRunErrors = metrics.Default.Counter("parajoin_cluster_fragment_errors_total",

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"net"
 	"time"
 
@@ -11,43 +10,33 @@ import (
 )
 
 // The cluster control protocol is internal/wire frames carrying msg values,
-// msg.Data as the raw payload. Two kinds of connections speak it:
-//
-//   - The membership connection: a member dials the coordinator, sends
-//     "hello", receives "welcome", and from then on the coordinator drives
-//     a strict request/response exchange ("ping", "put", "handoff",
-//     "release", "version") with the member answering each command. The
-//     one member-initiated frame is "leave", sent in place of a reply when
-//     the member shuts down cleanly.
-//
-//   - The transfer connection: a donor member (or the coordinator) dials a
-//     member's cluster listener and sends a single "put" carrying one
-//     partition's segment bytes; the recipient verifies the checksum,
-//     persists it, answers "ok", and the connection closes.
+// msg.Data as the raw payload, over one connection per member: the member
+// dials the coordinator, sends "hello" and receives "welcome". From then on
+// the coordinator sends commands ("ping", "put", "release", "version",
+// "frag-run", "frag-cancel"), each stamped with a fresh request ID, and the
+// member answers with frames carrying the same ID — one reply for most
+// commands, zero or more "frag-rows" and then "frag-done" for a frag-run,
+// nothing for a frag-cancel. Many requests may be open at once and replies
+// arrive in any order: a heartbeat is answered while a fragment streams.
+// The one member-initiated frame is "leave", sent when the member shuts
+// down cleanly.
 const (
-	msgHello   = "hello"   // member → coordinator: join (Name, Addr, Inventory)
-	msgWelcome = "welcome" // coordinator → member: accepted (ID, CatalogVersion)
+	msgHello   = "hello"   // member → coordinator: join (Name, Inventory)
+	msgWelcome = "welcome" // coordinator → member: accepted (Member, CatalogVersion)
 	msgPing    = "ping"    // coordinator → member: heartbeat
 	msgPong    = "pong"    // member → coordinator: heartbeat reply
-	msgPut     = "put"     // push one partition (Meta, Entry, Data)
-	msgHandoff = "handoff" // coordinator → donor: stream Rel/Slot to To
-	msgDone    = "done"    // donor → coordinator: recipient acked the put
-	msgRelease = "release" // coordinator → donor: drop Rel/Slot (ownership moved)
-	msgVersion = "version" // coordinator → member: adopt CatalogVersion
+	msgPut     = "put"     // coordinator → member: store one partition (Meta, Entry, Data)
+	msgRelease = "release" // coordinator → member: drop Rel/Slot (ownership moved)
+	msgVersion = "version" // coordinator → member: adopt CatalogVersion, build its runtime (Members, Metas)
 	msgLeave   = "leave"   // member → coordinator: clean shutdown
-	msgOK      = "ok"      // generic success reply
+	msgOK      = "ok"      // generic success reply (Addr answers a version)
 	msgErr     = "err"     // generic failure reply (Err)
 
-	// Fragment dispatch (distributed execution). These travel on transfer
-	// connections, never on the membership connection: a fragment runs for
-	// as long as the query does, and the membership connection's strict
-	// request/response discipline (and heartbeat cadence) must not stall
-	// behind it.
-	msgFragPrepare = "frag-prepare" // coordinator → member: build the generation's engine runtime
-	msgFragReady   = "frag-ready"   // member → coordinator: runtime up (Addr = exchange listener)
-	msgFragRun     = "frag-run"     // coordinator → member: execute serialized rounds
-	msgFragRows    = "frag-rows"    // member → coordinator: one colbatch chunk of the result fragment
-	msgFragDone    = "frag-done"    // member → coordinator: fragment finished (Schema, Report | Err)
+	// Fragment dispatch (distributed execution).
+	msgFragRun    = "frag-run"    // coordinator → member: execute serialized rounds
+	msgFragCancel = "frag-cancel" // coordinator → member: abort the frag-run with this ID
+	msgFragRows   = "frag-rows"   // member → coordinator: one colbatch chunk of the result fragment
+	msgFragDone   = "frag-done"   // member → coordinator: fragment finished (Schema, Report | Err)
 )
 
 // PartRef identifies one partition replica by content: a member's hello
@@ -64,12 +53,15 @@ type PartRef struct {
 // types; Type decides which are meaningful.
 type msg struct {
 	Type string `json:"type"`
+	// ID is the request a frame belongs to: the coordinator numbers its
+	// commands, and every frame the member sends in answer carries the
+	// command's ID.
+	ID uint64 `json:"id,omitempty"`
 
 	// hello / welcome.
 	Name      string    `json:"name,omitempty"`
-	Addr      string    `json:"addr,omitempty"`
 	Inventory []PartRef `json:"inventory,omitempty"`
-	ID        int       `json:"id,omitempty"`
+	Member    int       `json:"member,omitempty"`
 
 	// version (and welcome): the catalog version to adopt.
 	CatalogVersion int64 `json:"catalog_version,omitempty"`
@@ -80,23 +72,25 @@ type msg struct {
 	Entry *partstore.PartitionEntry `json:"entry,omitempty"`
 	Data  []byte                    `json:"-"`
 
-	// handoff / release.
+	// release.
 	Rel  string `json:"rel,omitempty"`
 	Slot int    `json:"slot,omitempty"`
-	To   string `json:"to,omitempty"`
 
-	// frag-prepare: the generation's membership and relation catalog.
-	// CatalogVersion doubles as the generation id; Members is the sorted
-	// member list (worker i of the plan is Members[i]); Metas describes
-	// every relation so members can instantiate empty fragments for
-	// relations they hold no slots of.
+	// version: the generation's membership and relation catalog, from which
+	// the member builds its engine runtime. Members is the sorted member
+	// list (worker i of the plan is Members[i]); Metas describes every
+	// relation so members can instantiate empty fragments for relations
+	// they hold no slots of. The ok reply's Addr is the runtime's exchange
+	// listener.
 	Members []string      `json:"members,omitempty"`
 	Metas   []FragRelMeta `json:"metas,omitempty"`
+	Addr    string        `json:"addr,omitempty"`
 
 	// frag-run: the rounds (in Data) plus everything the member's engine
 	// needs to agree with its peers — the full exchange-address vector
 	// (Addrs[i] is Members[i]'s listener) and the run options, whose Epoch
-	// pins the query's epoch block.
+	// pins the query's epoch block. CatalogVersion names the generation the
+	// plan was made for.
 	Addrs   []string        `json:"addrs,omitempty"`
 	RunOpts *engine.RunOpts `json:"run_opts,omitempty"`
 
@@ -122,9 +116,9 @@ type FragRelMeta struct {
 	Slots   int      `json:"slots"`
 }
 
-// writeMsg / readMsg wrap the wire framing with the protocol's deadline
-// discipline: every control exchange is bounded, so a hung peer surfaces as
-// an error instead of wedging the coordinator.
+// writeMsg / readMsg wrap the wire framing with a deadline: a bounded write
+// or handshake read surfaces a hung peer as an error instead of wedging the
+// caller. A zero timeout waits indefinitely.
 func writeMsg(conn net.Conn, timeout time.Duration, m *msg) error {
 	if timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(timeout))
@@ -143,22 +137,4 @@ func readMsg(conn net.Conn, timeout time.Duration) (*msg, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// transfer dials a member's cluster listener for one bounded request/reply
-// exchange: put → ok, or frag-prepare → frag-ready.
-func transfer(addr string, timeout time.Duration, req *msg) (*msg, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("dialing %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if err := writeMsg(conn, timeout, req); err != nil {
-		return nil, fmt.Errorf("sending %s to %s: %w", req.Type, addr, err)
-	}
-	reply, err := readMsg(conn, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("waiting for %s to answer %s: %w", addr, req.Type, err)
-	}
-	return reply, nil
 }
