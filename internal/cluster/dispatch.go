@@ -179,9 +179,10 @@ func (d *Dispatcher) RunRounds(ctx context.Context, rounds []engine.Round, opts 
 
 	distributedQueries.Inc()
 	// Fail fast: the first fragment failure cancels its siblings, whose
-	// engines would otherwise sit out the dead peer's full redial budget
-	// waiting for exchange tuples that will never come. Canceling the run
-	// context sends each sibling's member a frag-cancel.
+	// engines may otherwise wait for exchange tuples that will never come —
+	// a peer that lost its run sends no more, and a lost connection fails
+	// only the transports at its two ends. Canceling the run context sends
+	// each sibling's member a frag-cancel.
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 	var (

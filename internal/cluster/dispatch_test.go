@@ -468,6 +468,77 @@ func TestFragmentRunCancellation(t *testing.T) {
 	}
 }
 
+// TestFragmentExchangeKillMidRun kills one member's exchange connections
+// while a two-member dispatch is held mid-run. The exchange has no resend:
+// the dispatch either completes with the local answer or fails retryably,
+// within 2s of the kill. The next dispatch dials afresh and must match the
+// local run byte for byte, and the kill must cost no member its
+// membership.
+func TestFragmentExchangeKillMidRun(t *testing.T) {
+	h := newHarness(t, 400, 6)
+	names := []string{"m0", "m1"}
+	tm0 := h.startMember("m0", "", MemberConfig{})
+	h.waitForEventually("m0")
+	tm1 := h.startMember("m1", "", MemberConfig{})
+	h.waitForEventually(names...)
+	want := localRun(t, h, names, triangleRounds(2))
+	if len(want.Tuples) == 0 {
+		t.Fatal("baseline produced no triangles; test data too sparse")
+	}
+	d := NewDispatcher(h.store, h.coord.Endpoints(), DispatcherConfig{Logf: t.Logf})
+	if _, _, err := dispatchWithRetry(t, d, triangleRounds(2), engine.RunOpts{}); err != nil {
+		t.Fatalf("warmup dispatch: %v", err)
+	}
+
+	inj := stallRuns(tm0.m, 500*time.Millisecond)
+	type answer struct {
+		out *rel.Relation
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		out, _, err := d.RunRounds(context.Background(), triangleRounds(2), engine.RunOpts{})
+		done <- answer{out, err}
+	}()
+	waitUntil(t, 5*time.Second, func() bool { return inj.InjectedTotal() > 0 || len(done) > 0 },
+		"frag-run never reached the member's stall")
+	if len(done) > 0 {
+		t.Fatalf("dispatch ended before the kill: %v", (<-done).err)
+	}
+	tm1.m.fragMu.Lock()
+	killed := tm1.m.frag.tcp.KillConnections()
+	tm1.m.fragMu.Unlock()
+	if killed == 0 {
+		t.Fatal("no exchange connections to kill — the warmup left no links open")
+	}
+	select {
+	case a := <-done:
+		if a.err != nil && !engine.Retryable(a.err) {
+			t.Fatalf("dispatch across the kill returned %v, want the answer or a retryable error", a.err)
+		}
+		if a.err == nil {
+			sameSerialOrder(t, want, a.out)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("dispatch across the kill still runs 2s later")
+	}
+	// A failed dispatch returns without waiting for its canceled sibling;
+	// let both members finish before the next dispatch.
+	waitUntil(t, 2*time.Second, func() bool { return tm0.m.runsInFlight()+tm1.m.runsInFlight() == 0 },
+		"members still run the dispatch across the kill 2s later")
+
+	out, _, err := d.RunRounds(context.Background(), triangleRounds(2), engine.RunOpts{})
+	if err != nil {
+		t.Fatalf("dispatch after the kill: %v", err)
+	}
+	sameSerialOrder(t, want, out)
+	for _, m := range h.coord.Status().Members {
+		if m.State != StateAlive {
+			t.Fatalf("member %q is %s after the exchange kill", m.Name, m.State)
+		}
+	}
+}
+
 // TestHeartbeatsShareTheLinkWithALongFragment: a fragment whose run and
 // result stream last far longer than the coordinator's call timeout travels
 // on the link the heartbeats use. The member must keep answering them — no

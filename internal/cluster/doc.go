@@ -52,7 +52,8 @@
 // link, a refused generation — wraps engine.ErrTransport, which the serving
 // layer's retry budget re-dispatches after the coordinator's next rebuild.
 // A link has no resend of its own: a broken link is a member death, and
-// the query is simply run again.
+// the query is simply run again. The member-to-member exchange follows the
+// same rule (engine.TCPTransport).
 //
 // The coordinator concatenates fragment results in member (worker) order,
 // so a distributed answer is byte-identical to the coordinator-local run

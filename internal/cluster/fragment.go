@@ -20,8 +20,10 @@ import (
 // its position in the sorted member list, loaded with the rendezvous slice
 // its local store already holds — and on frag-run it executes the
 // coordinator's serialized rounds against that runtime, exchanging tuples
-// directly with its peers over the engine's self-healing TCP transport and
-// streaming only its result fragment back over the link as colbatch chunks.
+// directly with its peers over the engine's TCP transport and streaming
+// only its result fragment back over the link as colbatch chunks. Neither
+// the exchange nor the link resends: a lost frame fails the run
+// retryably, and the serving layer runs the query again.
 //
 // The runtime is keyed on the catalog version: any membership or data
 // change bumps the version, so a stale runtime can never serve a query

@@ -27,10 +27,8 @@ import (
 //	/metrics        the process-wide metrics registry in Prometheus text format
 //	/debug/pprof/*  net/http/pprof profiles
 //	/debug/vars     expvar: the runtime's memstats and cmdline, plus
-//	                "parajoin_server" (admission gate, sessions) and
-//	                "parajoin_tcp_peers" (per-peer link health) once a
-//	                server or a listening TCP transport (NewTCPTransport)
-//	                exists in the process
+//	                "parajoin_server" (admission gate, sessions) once a
+//	                server exists in the process
 //	/debug/queries  in-flight queries (id, rule, stage, elapsed, progress) as JSON
 //	/debug/trace    ring's current events as JSON Lines (404 when ring is nil)
 func Handler(ring *trace.Ring) http.Handler {

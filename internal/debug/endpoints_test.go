@@ -74,7 +74,7 @@ func TestMetricsFamiliesPresent(t *testing.T) {
 	for _, family := range []string{
 		"parajoin_engine_runs_started_total",
 		"parajoin_exchange_tuples_total",
-		"parajoin_net_reconnects_total",
+		"parajoin_tcp_straggler_frames_total",
 		"parajoin_spill_seals_total",
 	} {
 		if !strings.Contains(body, "# TYPE "+family) {

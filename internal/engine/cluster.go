@@ -257,12 +257,6 @@ func (c *Cluster) Close() error {
 	c.closeOnce.Do(func() {
 		c.closed.Store(true)
 		close(c.closeCh)
-		// A closeable RemoteRunner (e.g. a fragment dispatcher) belongs to
-		// this engine generation; closing it aborts any dispatch still in
-		// flight so nothing waits on a superseded cluster.
-		if rc, ok := c.Remote.(interface{ Close() error }); ok {
-			rc.Close()
-		}
 		c.closeErr = c.transport.Close()
 	})
 	return c.closeErr

@@ -107,14 +107,8 @@ var live = struct {
 	bytesSent      *metrics.Counter
 	bytesRecv      *metrics.Counter
 	queueDepth     *metrics.Gauge
-	// TCP self-healing counters: reconnects after peer loss, frames
-	// replayed from the unacked buffer, duplicate frames the receiver's
-	// dedup dropped, and frames dropped because their run's epoch was
-	// already released.
-	netReconnects       *metrics.Counter
-	netFramesResent     *metrics.Counter
-	netDupFramesDropped *metrics.Counter
-	netStragglerFrames  *metrics.Counter
+	// Frames dropped because their run's epoch was already released.
+	netStragglerFrames *metrics.Counter
 }{
 	runsStarted:   metrics.Default.Counter("parajoin_engine_runs_started_total", "Query runs started."),
 	runsCompleted: metrics.Default.Counter("parajoin_engine_runs_completed_total", "Query runs finished (any outcome)."),
@@ -133,12 +127,6 @@ var live = struct {
 		"Exchange payload bytes moved.", metrics.Label{Name: "dir", Value: "received"}),
 	queueDepth: metrics.Default.Gauge("parajoin_exchange_queue_depth",
 		"Batches enqueued in exchange channels right now."),
-	netReconnects: metrics.Default.Counter("parajoin_net_reconnects_total",
-		"TCP transport reconnects after peer loss."),
-	netFramesResent: metrics.Default.Counter("parajoin_net_frames_resent_total",
-		"Frames replayed from the unacked buffer after a reconnect."),
-	netDupFramesDropped: metrics.Default.Counter("parajoin_net_dup_frames_dropped_total",
-		"Duplicate frames dropped by receiver dedup."),
 	netStragglerFrames: metrics.Default.Counter("parajoin_tcp_straggler_frames_total",
-		"Frames for an already released epoch, acked and dropped on arrival."),
+		"Frames for an already released epoch, dropped on arrival."),
 }

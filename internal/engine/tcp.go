@@ -3,10 +3,9 @@ package engine
 import (
 	"bufio"
 	"context"
-	"expvar"
 	"fmt"
+	"io"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -25,18 +24,17 @@ import (
 // tuples that change processes pay for the network.
 //
 // Each (sender-process → receiver-worker-host) connection carries
-// internal/wire frames: a JSON header {exchange, src, dst, seq, close} and,
-// on a data frame, the colbatch batch as the raw payload. The transport is
-// self-healing: every data frame carries a per-(exchange, src, dst)
-// sequence number and stays buffered on the sender until the receiver
-// acknowledges it on the reverse direction of the same connection. When a
-// write fails (or a dial breaks), the sender redials with exponential
-// backoff and seeded jitter, replays its unacknowledged frames in order,
-// and continues; the receiver drops the duplicates its
-// acks didn't reach the sender in time to prevent. A run therefore
-// survives any connection loss the redial budget covers, exactly once —
-// and when the budget runs out, the failure surfaces as a typed
-// ErrTransport the query-level recovery can retry.
+// internal/wire frames one way: a JSON header {exchange, src, dst, seq,
+// close} and, on a data frame, the colbatch batch as the raw payload. The
+// transport has the membership link's failure model (DESIGN.md, "Fault
+// tolerance"): a sender writes each frame once, and a receiver delivers a
+// stream only while its frames arrive complete and in order — data frames
+// numbered 1, 2, …, n per (exchange, src, dst), then a close numbered n+1.
+// Anything else fails the stream with a retryable ErrTransport: a failed
+// dial or write, a skipped or repeated number, a batch that does not
+// decode, or a lost connection, which fails at both its ends every run in
+// flight up to the newest it carried. A single-round plan keeps no state across
+// runs, so the query is simply run again.
 type TCPTransport struct {
 	n      int
 	addrs  []string
@@ -45,32 +43,26 @@ type TCPTransport struct {
 
 	listeners []net.Listener
 	acceptWG  sync.WaitGroup
-	closeCh   chan struct{}
 
 	mu       sync.Mutex
 	peers    map[string]*tcpPeer    // peer address -> sending state
 	conns    map[net.Conn]struct{}  // every live conn (dialed + accepted)
 	inbox    map[inboxKey]*memQueue // receiving state
-	recvSeq  map[seqKey]uint64      // receiver-side dedup high-water marks
+	recvSeq  map[seqKey]streamState // receiver-side position of each stream
 	released map[int64]bool         // recently released epochs (straggler filter)
 	relOrder []int64                // insertion order of released, for pruning
-	closed   bool
+	// failBelow is one past the highest epoch a lost connection carried:
+	// every unreleased epoch below it has failed.
+	failBelow int64
+	closed    bool
 }
 
-// Self-healing parameters. Recovery beyond this budget belongs to the
-// serving layer, which re-runs the query from base relations.
 const (
 	// tcpDialTimeout bounds each connection attempt.
 	tcpDialTimeout = 5 * time.Second
 	// tcpWriteTimeout bounds each frame write; a peer that stops draining
-	// for longer counts as failed and triggers a redial.
+	// for longer counts as lost.
 	tcpWriteTimeout = 10 * time.Second
-	// tcpMaxRedials is how many reconnect-and-resend cycles one Send may
-	// burn through before failing with ErrTransport.
-	tcpMaxRedials = 4
-	// tcpRedialBackoff is the delay before the first redial, doubling each
-	// attempt (capped at 2s) with ±50% jitter from the peer's seeded stream.
-	tcpRedialBackoff = 25 * time.Millisecond
 )
 
 type inboxKey struct {
@@ -79,25 +71,28 @@ type inboxKey struct {
 }
 
 // seqKey identifies one ordered frame stream: sequence numbers count per
-// (exchange, src, dst), so resends are idempotent per stream no matter how
-// exchanges interleave on the shared connection.
+// (exchange, src, dst), however exchanges interleave on a connection.
 type seqKey struct {
 	exchange int
 	src      int
 	dst      int
 }
 
-// frame is the wire unit. Data and close frames flow sender→receiver and
-// carry Seq; ack frames flow back on the same connection (Ack set, Seq the
-// acknowledged number). A data frame carries its batch as Col, exactly one
-// encoded colbatch batch, sent as the frame's payload.
+// streamState is how far the receiver has admitted one stream.
+type streamState struct {
+	seq    uint64 // last admitted sequence number
+	closed bool   // the close frame was admitted; nothing may follow it
+}
+
+// frame is the wire unit, sender→receiver. Data and close frames carry
+// Seq; a data frame carries its batch as Col, exactly one encoded colbatch
+// batch, sent as the frame's payload.
 type frame struct {
 	Exchange int    `json:"exchange,omitempty"`
 	Src      int    `json:"src,omitempty"`
 	Dst      int    `json:"dst,omitempty"`
 	Seq      uint64 `json:"seq,omitempty"`
 	Close    bool   `json:"close,omitempty"`
-	Ack      bool   `json:"ack,omitempty"`
 	Col      []byte `json:"-"`
 }
 
@@ -105,29 +100,21 @@ type frame struct {
 func (f frame) Payload() []byte      { return f.Col }
 func (f *frame) SetPayload(b []byte) { f.Col = b }
 
-// tcpPeer is the sending half toward one peer address: the connection, the
-// per-stream sequence counters, and the unacknowledged frame buffer the
-// resend path replays.
-//
-// Two mutexes, ordered mu → ackMu: mu serializes senders (and is held
-// across a blocking frame write), while ackMu guards only the unacked
-// buffer, so the ack reader trims it promptly even while a send is blocked
-// on a slow peer.
+// errLinkLost fails the runs in flight on a transport that lost a
+// connection: any of their frames may have gone with it.
+var errLinkLost = fmt.Errorf("%w: an exchange connection was lost mid-run", ErrTransport)
+
+// tcpPeer is the sending half toward one peer address: the connection and
+// the per-stream sequence counters. mu serializes senders and is held
+// across a dial and a frame write.
 type tcpPeer struct {
 	t    *TCPTransport
 	addr string
 
-	mu         sync.Mutex
-	c          net.Conn
-	nextSeq    map[seqKey]uint64
-	dialed     int64 // successful dials
-	reconnects int64 // successful dials after the first
-	lastErr    string
-	jitter     uint64 // splitmix64 state for backoff jitter
-
-	ackMu   sync.Mutex
-	unacked []frame
-	lastOK  time.Time
+	mu      sync.Mutex
+	c       net.Conn
+	upTo    int64 // one past the highest epoch written on c
+	nextSeq map[seqKey]uint64
 }
 
 // tcpDialHook, when set, runs between a successful dial and the
@@ -158,7 +145,6 @@ func NewTCPTransport(addrs []string, hosted []int) (*TCPTransport, error) {
 		t.acceptWG.Add(1)
 		go t.acceptLoop(l)
 	}
-	registerTCP(t)
 	return t, nil
 }
 
@@ -170,11 +156,10 @@ func newTransport(addrs []string, hosted []int) *TCPTransport {
 		n:        len(addrs),
 		addrs:    append([]string(nil), addrs...),
 		hosted:   make(map[int]bool, len(hosted)),
-		closeCh:  make(chan struct{}),
 		peers:    make(map[string]*tcpPeer),
 		conns:    make(map[net.Conn]struct{}),
 		inbox:    make(map[inboxKey]*memQueue),
-		recvSeq:  make(map[seqKey]uint64),
+		recvSeq:  make(map[seqKey]streamState),
 		released: make(map[int64]bool),
 	}
 	for _, w := range hosted {
@@ -223,9 +208,8 @@ func (t *TCPTransport) acceptLoop(l net.Listener) {
 
 // countReader and countWriter meter the wire: every byte read from or
 // written to a peer connection lands in the transport's counters, frame
-// length words and headers included. Ack frames travel outside these
-// (written and read on the raw connection), so the data direction's sent
-// and received byte totals stay exactly equal.
+// length words and headers included, so sent and received byte totals
+// agree exactly.
 type countReader struct {
 	c   net.Conn
 	ctr *transportCounters
@@ -252,82 +236,67 @@ func (w countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// readLoop is the receiving half of one accepted connection: it decodes
-// data frames (counted), deduplicates by sequence number, and answers with
-// ack frames on the reverse direction (uncounted; it is their only writer).
+// readLoop is the receiving half of one accepted connection: it admits
+// frames in sequence and queues their batches. A batch that does not decode
+// fails its stream and drops the connection, whose bytes are suspect from
+// then on.
 func (t *TCPTransport) readLoop(c net.Conn) {
 	r := bufio.NewReader(countReader{c: c, ctr: &t.transportCounters})
-	defer func() {
-		c.Close()
-		t.mu.Lock()
-		delete(t.conns, c)
-		t.mu.Unlock()
-	}()
+	var upTo int64 // one past the highest epoch read off c
+	defer func() { t.lose(c, upTo) }()
 	for {
 		var f frame
 		if err := wire.ReadFrame(r, &f); err != nil {
 			return
 		}
-		// Decode a data frame's batch before admitting or acking: a corrupt
-		// batch (checksum or bounds failure) must not bump the dedup
-		// high-water mark or trim the sender's replay buffer. Dropping the
-		// connection instead makes the sender redial and resend the frame,
-		// the same repair path as a lost write.
-		var batch []rel.Tuple
-		if !f.Close {
-			cb, err := colbatch.Decode(f.Col)
-			if err != nil {
-				return
-			}
-			batch = cb.Tuples()
-		}
-		q, dup := t.admit(&f)
-		if f.Seq > 0 {
-			// Ack duplicates too: the original ack may be what got lost.
-			c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
-			if wire.WriteFrame(c, frame{Exchange: f.Exchange, Src: f.Src, Dst: f.Dst, Seq: f.Seq, Ack: true}) != nil {
-				return
-			}
-		}
-		if dup {
-			live.netDupFramesDropped.Add(1)
-			continue
-		}
+		upTo = max(upTo, wireEpoch(f.Exchange)+1)
+		q := t.admit(&f)
 		if q == nil {
-			// Straggler for a finished run: drop instead of resurrecting its
-			// queues.
-			live.netStragglerFrames.Add(1)
 			continue
 		}
 		if f.Close {
 			q.closeOne()
 			continue
 		}
+		cb, err := colbatch.Decode(f.Col)
+		if err != nil {
+			q.fail(fmt.Errorf("%w: exchange %d stream %d→%d: %v", ErrTransport, f.Exchange, f.Src, f.Dst, err))
+			return
+		}
 		t.countReceived(1, 0)
-		q.push(batch)
+		q.push(cb.Tuples())
 	}
 }
 
-// admit checks one incoming data/close frame against the dedup high-water
-// mark and the released-epoch filter, and returns the inbox queue the frame
-// belongs to — nil for a duplicate or a straggler of a released epoch. The
-// queue is found or created in the same lock hold as the released check, so
-// a concurrent ReleaseEpoch either frees it or is seen by the check; a queue
-// created between the two would be one that nothing ever reads.
-func (t *TCPTransport) admit(f *frame) (q *memQueue, dup bool) {
+// admit checks one incoming frame against its stream's position and
+// returns the inbox queue the frame belongs to, or nil for a frame to drop:
+// a straggler of a released epoch, a frame of a queue that has failed, or
+// a frame out of sequence — a skipped or repeated number, or anything after
+// the close — which fails its queue. The connection stays up: the frames
+// behind it may belong to other runs. The queue is found or created in the
+// same lock hold as the released check, so a concurrent ReleaseEpoch either
+// frees it or is seen by the check; a queue created between the two would
+// be one that nothing ever reads.
+func (t *TCPTransport) admit(f *frame) *memQueue {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if f.Seq > 0 {
-		k := seqKey{f.Exchange, f.Src, f.Dst}
-		if f.Seq <= t.recvSeq[k] {
-			return nil, true
-		}
-		t.recvSeq[k] = f.Seq
-	}
 	if t.released[wireEpoch(f.Exchange)] {
-		return nil, false
+		live.netStragglerFrames.Add(1)
+		return nil
 	}
-	return t.queueLocked(f.Exchange, f.Dst), false
+	q := t.queueLocked(f.Exchange, f.Dst)
+	if q.failed() {
+		return nil
+	}
+	k := seqKey{f.Exchange, f.Src, f.Dst}
+	s := t.recvSeq[k]
+	if s.closed || f.Seq != s.seq+1 {
+		q.fail(fmt.Errorf("%w: exchange %d stream %d→%d: frame %d after %d (closed %t)",
+			ErrTransport, f.Exchange, f.Src, f.Dst, f.Seq, s.seq, s.closed))
+		return nil
+	}
+	t.recvSeq[k] = streamState{seq: f.Seq, closed: f.Close}
+	return q
 }
 
 // route resolves where the exchange's frames for worker dst go: dst's
@@ -351,13 +320,16 @@ func (t *TCPTransport) route(exchange, dst int) (*memQueue, *tcpPeer, error) {
 	return nil, t.peerLocked(t.addrs[dst]), nil
 }
 
-// queueLocked returns (creating if needed) one inbox queue. Callers hold
-// t.mu.
+// queueLocked returns (creating if needed) one inbox queue. A queue of an
+// epoch a lost connection carried is created failed. Callers hold t.mu.
 func (t *TCPTransport) queueLocked(exchange, worker int) *memQueue {
 	k := inboxKey{exchange, worker}
 	q, ok := t.inbox[k]
 	if !ok {
 		q = newMemQueue(t.n, &t.transportCounters)
+		if wireEpoch(exchange) < t.failBelow {
+			q.err = errLinkLost
+		}
 		t.inbox[k] = q
 	}
 	return q
@@ -368,107 +340,45 @@ func (t *TCPTransport) queueLocked(exchange, worker int) *memQueue {
 func (t *TCPTransport) peerLocked(addr string) *tcpPeer {
 	p, ok := t.peers[addr]
 	if !ok {
-		p = &tcpPeer{
-			t:       t,
-			addr:    addr,
-			nextSeq: make(map[seqKey]uint64),
-			// Distinct deterministic jitter stream per peer.
-			jitter: hashAddr(addr),
-		}
+		p = &tcpPeer{t: t, addr: addr, nextSeq: make(map[seqKey]uint64)}
 		t.peers[addr] = p
 	}
 	return p
 }
 
-func hashAddr(addr string) uint64 {
-	var h uint64 = 1469598103934665603 // FNV-1a
-	for i := 0; i < len(addr); i++ {
-		h ^= uint64(addr[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// send assigns f the next sequence number of its stream and writes it.
-func (p *tcpPeer) send(ctx context.Context, f *frame) error {
+// send numbers f within its stream and writes it once, dialing first if
+// the peer has no connection. A failed dial or write fails with
+// ErrTransport, and a failed write loses the connection: the receiver can
+// no longer see the stream whole, so the run is retried instead of
+// repaired.
+func (p *tcpPeer) send(f *frame) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	k := seqKey{f.Exchange, f.Src, f.Dst}
 	p.nextSeq[k]++
 	f.Seq = p.nextSeq[k]
-	return p.writeLocked(ctx, f)
+	if p.c == nil {
+		if err := p.dialLocked(); err != nil {
+			return err
+		}
+	}
+	p.upTo = max(p.upTo, wireEpoch(f.Exchange)+1)
+	p.c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
+	if err := wire.WriteFrame(countWriter{c: p.c, ctr: &p.t.transportCounters}, f); err != nil {
+		p.loseLocked()
+		return p.t.lostErr(fmt.Errorf("%w: write to %s: %v", ErrTransport, p.addr, err))
+	}
+	return nil
 }
 
-// writeLocked delivers one sequenced frame, repairing the connection as
-// needed within the redial budget. Callers hold p.mu.
-func (p *tcpPeer) writeLocked(ctx context.Context, f *frame) error {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > tcpMaxRedials {
-			return fmt.Errorf("%w: peer %s after %d attempts: %v", ErrTransport, p.addr, attempt, lastErr)
-		}
-		if attempt > 0 {
-			if err := p.backoffLocked(ctx, attempt); err != nil {
-				return err
-			}
-		}
-		if p.c == nil {
-			if err := p.redialLocked(); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		p.c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
-		if err := wire.WriteFrame(countWriter{c: p.c, ctr: &p.t.transportCounters}, f); err != nil {
-			lastErr = err
-			p.dropConnLocked(err)
-			continue
-		}
-		p.ackMu.Lock()
-		p.unacked = append(p.unacked, *f)
-		p.lastOK = time.Now()
-		p.ackMu.Unlock()
-		return nil
-	}
-}
-
-// backoffLocked sleeps the exponential-backoff delay before redial attempt
-// n, with ±50% jitter from the peer's seeded stream. It aborts early when
-// the transport closes or the sender's context dies (so Close never waits
-// out a backoff schedule).
-func (p *tcpPeer) backoffLocked(ctx context.Context, attempt int) error {
-	d := tcpRedialBackoff << (attempt - 1)
-	if max := 2 * time.Second; d > max || d <= 0 {
-		d = 2 * time.Second
-	}
-	// splitmix64 step: stateful per peer, seeded, no global randomness.
-	p.jitter += 0x9e3779b97f4a7c15
-	x := p.jitter
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	d = d/2 + time.Duration(x%uint64(d))
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-p.t.closeCh:
-		return fmt.Errorf("engine: transport closed")
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// redialLocked dials the peer, registers the connection (unless the
-// transport closed meanwhile — the close-during-dial leak fix), starts the
-// ack reader, and replays every unacknowledged frame in order.
-func (p *tcpPeer) redialLocked() error {
+// dialLocked connects to the peer, registers the connection (unless the
+// transport closed meanwhile — the close-during-dial leak fix) and starts
+// its watcher. Callers hold p.mu.
+func (p *tcpPeer) dialLocked() error {
 	t := p.t
 	c, err := net.DialTimeout("tcp", p.addr, tcpDialTimeout)
 	if err != nil {
-		p.lastErr = err.Error()
-		return fmt.Errorf("engine: dial %s: %w", p.addr, err)
+		return t.lostErr(fmt.Errorf("%w: dial %s: %v", ErrTransport, p.addr, err))
 	}
 	if tcpDialHook != nil {
 		tcpDialHook()
@@ -481,79 +391,61 @@ func (p *tcpPeer) redialLocked() error {
 	}
 	t.conns[c] = struct{}{}
 	t.mu.Unlock()
-
-	p.c = c
-	p.dialed++
-	// Snapshot the replay buffer; concurrent ack-driven trims are fine —
-	// resending an already-acked frame is harmless (receiver dedup).
-	p.ackMu.Lock()
-	pending := append([]frame(nil), p.unacked...)
-	p.ackMu.Unlock()
-	if p.dialed > 1 {
-		p.reconnects++
-		live.netReconnects.Add(1)
-	}
-	go p.ackLoop(c)
-	for i := range pending {
-		c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
-		if err := wire.WriteFrame(countWriter{c: c, ctr: &t.transportCounters}, &pending[i]); err != nil {
-			p.dropConnLocked(err)
-			return fmt.Errorf("engine: resend to %s: %w", p.addr, err)
-		}
-	}
-	if p.dialed > 1 {
-		live.netFramesResent.Add(int64(len(pending)))
-	}
-	p.ackMu.Lock()
-	p.lastOK = time.Now()
-	p.ackMu.Unlock()
+	p.c, p.upTo = c, 0
+	go p.watch(c)
 	return nil
 }
 
-// dropConnLocked discards a failed connection; the next write redials.
-func (p *tcpPeer) dropConnLocked(err error) {
-	if err != nil {
-		p.lastErr = err.Error()
+// watch waits for a dialed connection to end and loses it, so a
+// connection that dies while idle is dialed afresh by the next frame
+// instead of failing it. Nothing is ever written back, so the read only
+// returns when the connection ends.
+func (p *tcpPeer) watch(c net.Conn) {
+	io.Copy(io.Discard, c)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.c == c {
+		p.loseLocked()
 	}
-	if p.c == nil {
-		return
-	}
-	c := p.c
-	p.c = nil
-	c.Close()
-	t := p.t
-	t.mu.Lock()
-	delete(t.conns, c)
-	t.mu.Unlock()
 }
 
-// ackLoop reads acknowledgments off the reverse
-// direction of one dialed connection and trims the unacked buffer. It
-// takes only ackMu — never the peer's send mutex — so it keeps draining
-// even while a send is blocked mid-write. It exits when the connection
-// dies.
-func (p *tcpPeer) ackLoop(c net.Conn) {
-	r := bufio.NewReader(c) // uncounted: acks are bookkeeping, not data
-	for {
-		var f frame
-		if err := wire.ReadFrame(r, &f); err != nil {
-			return
-		}
-		p.ackMu.Lock()
-		p.lastOK = time.Now()
-		if f.Ack {
-			k := seqKey{f.Exchange, f.Src, f.Dst}
-			kept := p.unacked[:0]
-			for _, u := range p.unacked {
-				if (seqKey{u.Exchange, u.Src, u.Dst} == k) && u.Seq <= f.Seq {
-					continue
-				}
-				kept = append(kept, u)
-			}
-			p.unacked = kept
-		}
-		p.ackMu.Unlock()
+// loseLocked loses the peer's connection. Callers hold p.mu.
+func (p *tcpPeer) loseLocked() {
+	p.t.lose(p.c, p.upTo)
+	p.c = nil
+}
+
+// lose closes a connection that ended or failed, in either direction, and
+// fails every unreleased epoch below upTo, one past the highest epoch the
+// connection carried: which of their frames it took with it is unknown,
+// and a single-round run is cheaper to re-run than to repair. Only the
+// first call for a connection counts, and Close forgets every connection
+// first, so a closing transport fails no run this way.
+func (t *TCPTransport) lose(c net.Conn, upTo int64) {
+	c.Close()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.conns[c]; !ok {
+		return
 	}
+	delete(t.conns, c)
+	t.failBelow = max(t.failBelow, upTo)
+	for k, q := range t.inbox {
+		if wireEpoch(k.exchange) < upTo {
+			q.fail(errLinkLost)
+		}
+	}
+}
+
+// lostErr returns err, unless the transport was closed: a run that a Close
+// cut off fails terminally, not retryably.
+func (t *TCPTransport) lostErr(err error) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return fmt.Errorf("engine: transport closed")
+	}
+	return err
 }
 
 // Send implements Transport. A batch for a hosted worker is queued by
@@ -577,13 +469,13 @@ func (t *TCPTransport) Send(ctx context.Context, exchangeID, src, dst int, batch
 	if err != nil {
 		return fmt.Errorf("%w: encode batch: %v", ErrTransport, err)
 	}
-	return p.send(ctx, &frame{Exchange: exchangeID, Src: src, Dst: dst, Col: enc})
+	return p.send(&frame{Exchange: exchangeID, Src: src, Dst: dst, Col: enc})
 }
 
 // CloseSend implements Transport. A hosted worker's queue is closed
-// directly. Close frames to other processes are sequenced and deduplicated
-// like data frames, so a resend after reconnection can never double-close
-// a queue.
+// directly; a close frame to another process carries the stream's next
+// sequence number, so the receiver can tell a complete stream from one
+// that lost frames.
 func (t *TCPTransport) CloseSend(ctx context.Context, exchangeID, src int) error {
 	var firstErr error
 	for dst := 0; dst < t.n; dst++ {
@@ -593,7 +485,7 @@ func (t *TCPTransport) CloseSend(ctx context.Context, exchangeID, src int) error
 		case q != nil:
 			q.closeOne()
 		default:
-			err = p.send(ctx, &frame{Exchange: exchangeID, Src: src, Dst: dst, Close: true})
+			err = p.send(&frame{Exchange: exchangeID, Src: src, Dst: dst, Close: true})
 		}
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -624,11 +516,11 @@ func (t *TCPTransport) Recv(ctx context.Context, exchangeID, dst int) ([]rel.Tup
 // released epochs is far more than any in-flight frame can lag behind.
 const releasedEpochMemory = 256
 
-// ReleaseEpoch implements Transport: it frees the inbox queues, dedup
-// marks, and sender-side sequence state of a finished run, and remembers
-// the epoch so straggler frames still in flight are dropped on arrival
-// instead of resurrecting queues nothing will read, and a local Send,
-// CloseSend or Recv on it fails.
+// ReleaseEpoch implements Transport: it frees the inbox queues, stream
+// positions, and sender-side sequence state of a finished run, and
+// remembers the epoch so straggler frames still in flight are dropped on
+// arrival instead of resurrecting queues nothing will read, and a local
+// Send, CloseSend or Recv on it fails.
 func (t *TCPTransport) ReleaseEpoch(epoch int64) {
 	t.mu.Lock()
 	for k, q := range t.inbox {
@@ -669,15 +561,6 @@ func (t *TCPTransport) ReleaseEpoch(epoch int64) {
 			}
 		}
 		p.mu.Unlock()
-		p.ackMu.Lock()
-		kept := p.unacked[:0]
-		for _, u := range p.unacked {
-			if wireEpoch(u.Exchange) != epoch {
-				kept = append(kept, u)
-			}
-		}
-		p.unacked = kept
-		p.ackMu.Unlock()
 	}
 }
 
@@ -691,9 +574,9 @@ func (t *TCPTransport) QueueCount() int {
 }
 
 // KillConnections abruptly closes every live TCP connection — dialed and
-// accepted — without telling the sending state, simulating a network
-// partition or peer restart: the next write on each severed connection
-// fails and exercises the reconnect/resend path. It returns the number of
+// accepted — simulating a network partition or peer restart: both ends of
+// each connection fail the runs in flight on their transport, and the next
+// frame dials afresh. It returns the number of
 // connections killed. Chaos tooling; safe any time.
 func (t *TCPTransport) KillConnections() int {
 	t.mu.Lock()
@@ -708,54 +591,6 @@ func (t *TCPTransport) KillConnections() int {
 	return len(conns)
 }
 
-// PeerHealth describes the transport's view of one peer link.
-type PeerHealth struct {
-	// Addr is the peer's address.
-	Addr string
-	// Connected reports whether a connection is currently established.
-	Connected bool
-	// Reconnects counts successful redials after the first connection.
-	Reconnects int64
-	// UnackedFrames is the number of frames sent but not yet acknowledged —
-	// the replay buffer a reconnect would resend.
-	UnackedFrames int
-	// LastOK is the last time the link made progress (successful write or
-	// received ack); zero if never.
-	LastOK time.Time
-	// LastErr is the most recent connection error, "" if none.
-	LastErr string
-}
-
-// PeerHealth snapshots the health of every peer this transport has sent
-// to, sorted by address. Published process-wide via the
-// "parajoin_tcp_peers" expvar.
-func (t *TCPTransport) PeerHealth() []PeerHealth {
-	t.mu.Lock()
-	peers := make([]*tcpPeer, 0, len(t.peers))
-	for _, p := range t.peers {
-		peers = append(peers, p)
-	}
-	t.mu.Unlock()
-	out := make([]PeerHealth, 0, len(peers))
-	for _, p := range peers {
-		p.mu.Lock()
-		h := PeerHealth{
-			Addr:       p.addr,
-			Connected:  p.c != nil,
-			Reconnects: p.reconnects,
-			LastErr:    p.lastErr,
-		}
-		p.mu.Unlock()
-		p.ackMu.Lock()
-		h.UnackedFrames = len(p.unacked)
-		h.LastOK = p.lastOK
-		p.ackMu.Unlock()
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
-}
-
 // Close implements Transport.
 func (t *TCPTransport) Close() error {
 	t.mu.Lock()
@@ -764,7 +599,6 @@ func (t *TCPTransport) Close() error {
 		return nil
 	}
 	t.closed = true
-	close(t.closeCh) // wakes redial backoffs so Close never waits them out
 	conns := make([]net.Conn, 0, len(t.conns))
 	for c := range t.conns {
 		conns = append(conns, c)
@@ -783,43 +617,5 @@ func (t *TCPTransport) Close() error {
 		c.Close()
 	}
 	t.acceptWG.Wait()
-	unregisterTCP(t)
 	return nil
-}
-
-// ---------------------------------------------------------------- expvar
-
-// Live TCP transports, published as the "parajoin_tcp_peers" expvar: a
-// peer-health list aggregated across every transport in the process.
-var (
-	tcpRegistryMu sync.Mutex
-	tcpRegistry   = make(map[*TCPTransport]struct{})
-	tcpPublish    sync.Once
-)
-
-func registerTCP(t *TCPTransport) {
-	tcpRegistryMu.Lock()
-	tcpRegistry[t] = struct{}{}
-	tcpRegistryMu.Unlock()
-	tcpPublish.Do(func() {
-		expvar.Publish("parajoin_tcp_peers", expvar.Func(func() any {
-			tcpRegistryMu.Lock()
-			transports := make([]*TCPTransport, 0, len(tcpRegistry))
-			for t := range tcpRegistry {
-				transports = append(transports, t)
-			}
-			tcpRegistryMu.Unlock()
-			var all []PeerHealth
-			for _, t := range transports {
-				all = append(all, t.PeerHealth()...)
-			}
-			return all
-		}))
-	})
-}
-
-func unregisterTCP(t *TCPTransport) {
-	tcpRegistryMu.Lock()
-	delete(tcpRegistry, t)
-	tcpRegistryMu.Unlock()
 }

@@ -11,11 +11,12 @@ import (
 	"parajoin/internal/rel"
 )
 
-// ErrTransport marks transport-layer failures: dials, writes, and peer loss
-// that survived the transport's own repair budget (reconnect + resend).
-// Errors wrapping it are retryable — the HyperCube shuffle is a single
-// communication round, so a failed run left no state behind and can simply
-// be re-executed from base relations.
+// ErrTransport marks transport-layer failures: a failed dial or write, a
+// lost connection, or a stream whose frames arrived out of sequence or
+// corrupt. The transport repairs none of them. Errors wrapping it are
+// retryable — the HyperCube shuffle is a single communication round, so a
+// failed run left no state behind and can simply be re-executed from base
+// relations.
 var ErrTransport = errors.New("engine: transport failure")
 
 // Retryable classifies a run error for query-level recovery: transport
@@ -165,7 +166,8 @@ type memQueue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	batches [][]rel.Tuple
-	open    int // producers that have not closed yet
+	open    int   // producers that have not closed yet
+	err     error // set once a stream into the queue broke; pop returns it
 	ctr     *transportCounters
 }
 
@@ -192,6 +194,23 @@ func (q *memQueue) closeOne() {
 	q.cond.Broadcast()
 }
 
+// fail breaks the queue: every pop from now on returns err (the first one
+// given wins).
+func (q *memQueue) fail(err error) {
+	q.mu.Lock()
+	if q.err == nil {
+		q.err = err
+	}
+	q.mu.Unlock()
+	q.cond.Broadcast()
+}
+
+func (q *memQueue) failed() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.err != nil
+}
+
 // errRecvInterrupted is pop's wait-aborted error. It wraps
 // context.Canceled (so cancellation filters still match) but is distinct
 // from a bare context error: Recv replaces it with the context's actual
@@ -199,12 +218,15 @@ func (q *memQueue) closeOne() {
 // codes tell a client cancel from a transport failure or a Close.
 var errRecvInterrupted = fmt.Errorf("engine: recv interrupted: %w", context.Canceled)
 
-// pop blocks until a batch is available or all producers closed. The done
-// channel aborts the wait with errRecvInterrupted.
+// pop blocks until a batch is available, all producers closed or the queue
+// failed. The done channel aborts the wait with errRecvInterrupted.
 func (q *memQueue) pop(done <-chan struct{}) ([]rel.Tuple, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
+		if q.err != nil {
+			return nil, false, q.err
+		}
 		if len(q.batches) > 0 {
 			b := q.batches[0]
 			q.batches = q.batches[1:]

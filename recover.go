@@ -5,11 +5,12 @@ import (
 	"parajoin/internal/fault"
 )
 
-// ErrTransport marks retryable transport-layer failures: connection loss the
-// TCP transport could not heal within its redial budget, or an injected
-// fault standing in for one. Because HyperCube plans shuffle in a single
-// round and keep no cross-query state, a query that fails with ErrTransport
-// can simply be run again — the serving layer does exactly that (see
+// ErrTransport marks retryable transport-layer failures: a failed dial or
+// write, a lost exchange connection, a stream that arrived out of sequence
+// or corrupt, or an injected fault standing in for one. The TCP transport
+// repairs none of them: because HyperCube plans shuffle in a single round
+// and keep no cross-query state, a query that fails with ErrTransport can
+// simply be run again — the serving layer does exactly that (see
 // server.Config.RetryBudget).
 var ErrTransport = engine.ErrTransport
 
