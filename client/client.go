@@ -1,8 +1,8 @@
 // Package client is the Go client for parajoind, parajoin's query service.
 // A Client holds one TCP connection and multiplexes any number of
-// concurrent requests over it: every request carries an ID, a background
-// read loop demultiplexes responses back to callers, so goroutines can
-// share one Client freely.
+// concurrent requests over it: every request carries an ID, and the
+// connection's wire.Link hands each response back to its caller, so
+// goroutines can share one Client freely.
 //
 // Cancellation is first-class: when a caller's context expires mid-query,
 // the client sends a cancel frame referencing the in-flight request and the
@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -188,25 +187,14 @@ type Relation struct {
 }
 
 // Client is a connection to a parajoind server, safe for concurrent use.
+// Its requests share one wire.Link, which finishes each exactly once: with
+// the server's response, or with an error wrapping ErrConnClosed when the
+// connection ends.
 type Client struct {
-	conn net.Conn
-	wmu  sync.Mutex // serializes request frames
-
-	mu      sync.Mutex
-	pending map[uint64]chan *wire.Response
-	err     error // set once the connection dies
-
-	nextID atomic.Uint64
-
-	// protoSent flips once the first request has advertised our protocol
-	// version; serverProto remembers the version the server echoed back.
-	protoSent   atomic.Bool
-	serverProto atomic.Int64
+	link *wire.Link[wire.Response]
+	// protoSent flips once the first request has advertised our version.
+	protoSent atomic.Bool
 }
-
-// ServerProto reports the protocol version the server has echoed back, or 0
-// if no response carried one yet (a version-1 server never echoes).
-func (c *Client) ServerProto() int { return int(c.serverProto.Load()) }
 
 // Dial connects to a parajoind server, retrying with exponential backoff if
 // the server isn't accepting yet.
@@ -228,122 +216,50 @@ func Dial(addr string, opts Options) (*Client, error) {
 		time.Sleep(backoff)
 		backoff *= 2
 	}
-	c := &Client{conn: conn, pending: make(map[uint64]chan *wire.Response)}
-	go c.readLoop()
-	return c, nil
+	return &Client{link: wire.NewLink(conn, wire.LinkConfig[wire.Response]{
+		Failed: func(cause error) error {
+			if errors.Is(cause, wire.ErrFrameTooLarge) {
+				return cause // nothing was written; the connection stays up
+			}
+			return fmt.Errorf("%w: %v", ErrConnClosed, cause)
+		},
+	})}, nil
 }
 
 // Close tears down the connection. In-flight calls fail with ErrConnClosed.
-func (c *Client) Close() error {
-	err := c.conn.Close()
-	c.fail(ErrConnClosed)
-	return err
-}
-
-// readLoop demultiplexes responses to waiting callers by request ID.
-func (c *Client) readLoop() {
-	for {
-		resp := new(wire.Response)
-		if err := wire.ReadFrame(c.conn, resp); err != nil {
-			c.fail(fmt.Errorf("%w: %v", ErrConnClosed, err))
-			return
-		}
-		c.mu.Lock()
-		ch := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- resp
-		}
-	}
-}
-
-// fail marks the connection dead and unblocks every waiter.
-func (c *Client) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	pending := c.pending
-	c.pending = make(map[uint64]chan *wire.Response)
-	c.mu.Unlock()
-	for _, ch := range pending {
-		close(ch) // receivers treat a closed channel as connection loss
-	}
-}
+func (c *Client) Close() error { return c.link.Close() }
 
 // call sends req and waits for its response. If ctx expires first it sends
 // a cancel frame and still waits for the (now canceled) response, so the
 // server's slot accounting and the connection framing stay consistent.
 func (c *Client) call(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	req.ID = c.nextID.Add(1)
 	if c.protoSent.CompareAndSwap(false, true) {
 		req.Proto = wire.ProtoVersion
 	}
-	ch := make(chan *wire.Response, 1)
-
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
+	type reply struct {
+		resp *wire.Response
+		err  error
 	}
-	c.pending[req.ID] = ch
-	c.mu.Unlock()
-
-	if err := c.send(req); err != nil {
-		c.mu.Lock()
-		delete(c.pending, req.ID)
-		c.mu.Unlock()
-		// A failed socket write (the server hung up) leaves the framing
-		// unknown, so the connection is gone for every caller.
-		var opErr *net.OpError
-		if errors.As(err, &opErr) {
-			err = fmt.Errorf("%w: %v", ErrConnClosed, err)
-			c.fail(err)
-		}
-		return nil, err
-	}
-
+	ch := make(chan reply, 1)
+	id := c.link.Send(req, func(resp *wire.Response, err error) { ch <- reply{resp, err} })
+	var r reply
 	select {
-	case resp, ok := <-ch:
-		return c.finish(resp, ok)
+	case r = <-ch:
 	case <-ctx.Done():
 		// Ask the server to cancel, then wait for the original response —
 		// the server answers every request exactly once.
-		cancelID := c.nextID.Add(1)
-		_ = c.send(&wire.Request{ID: cancelID, Op: wire.OpCancel, Target: req.ID})
-		resp, ok := <-ch
-		if !ok {
+		c.link.Send(&wire.Request{Op: wire.OpCancel, Target: id}, func(*wire.Response, error) {})
+		if r = <-ch; r.err != nil {
 			return nil, context.Cause(ctx)
 		}
-		return c.finish(resp, ok)
 	}
-}
-
-func (c *Client) finish(resp *wire.Response, ok bool) (*wire.Response, error) {
-	if !ok {
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrConnClosed
-		}
-		return nil, err
+	switch {
+	case r.err != nil:
+		return nil, r.err
+	case r.resp.ErrCode != "":
+		return nil, &ServerError{Code: r.resp.ErrCode, Msg: r.resp.Err}
 	}
-	if resp.Proto != 0 {
-		c.serverProto.Store(int64(resp.Proto))
-	}
-	if resp.ErrCode != "" {
-		return nil, &ServerError{Code: resp.ErrCode, Msg: resp.Err}
-	}
-	return resp, nil
-}
-
-func (c *Client) send(req *wire.Request) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return wire.WriteFrame(c.conn, req)
+	return r.resp, nil
 }
 
 // Ping checks the server is alive.

@@ -72,27 +72,22 @@ type slotKey struct {
 // link (the member's one connection, which carries membership, partitions
 // and fragments alike), and the coordinator's record of which partition
 // versions the member holds (seeded from the hello inventory, updated as
-// puts and releases succeed). Requests are multiplexed on the link by
-// msg.ID; readLoop hands every frame the member sends to the request it
-// answers.
+// puts and releases succeed). The embedded wire.Link multiplexes requests
+// by msg.ID and finishes each exactly once, through its handler: with the
+// member's last reply, or with a retryable engine.ErrTransport naming the
+// member when the link drops or the member leaves.
 type memberConn struct {
+	*wire.Link[msg]
 	id      int
 	name    string
-	addr    string // the link's remote address
-	conn    net.Conn
+	addr    string        // the link's remote address
 	timeout time.Duration // the coordinator's CallTimeout
 	state   string
 	// holds maps slot → CRC of the segment the member is known to hold.
 	// Guarded by the coordinator's mu.
 	holds map[slotKey]uint32
 
-	wmu sync.Mutex // serializes frame writes on conn
-
-	mu      sync.Mutex
-	nextReq uint64
-	pending map[uint64]replyFunc
-	err     error         // why the link dropped; set once readLoop ends
-	gone    chan struct{} // closed when readLoop ends
+	mu sync.Mutex
 	// want is the last version request sent: the generation the member
 	// should build. asking counts the version requests still open. built
 	// is the generation the member last answered for.
@@ -108,46 +103,6 @@ type builtGen struct {
 	addr    string   // the runtime's exchange listener
 }
 
-// replyFunc receives the frames answering one request, on the link's reader
-// goroutine, and reports whether the exchange is over. It must not block.
-// When the link drops it is called once more with a nil frame and the
-// cause.
-type replyFunc func(m *msg, err error) (done bool)
-
-// send stamps req with a fresh request ID, registers h for its replies, and
-// writes it.
-func (mc *memberConn) send(req *msg, h replyFunc) (uint64, error) {
-	mc.mu.Lock()
-	if mc.err != nil {
-		err := mc.err
-		mc.mu.Unlock()
-		return 0, err
-	}
-	mc.nextReq++
-	id := mc.nextReq
-	mc.pending[id] = h
-	mc.mu.Unlock()
-	req.ID = id
-	if err := mc.write(req); err != nil {
-		mc.forget(id)
-		return 0, fmt.Errorf("%w: sending %s to member %q: %v", engine.ErrTransport, req.Type, mc.name, err)
-	}
-	return id, nil
-}
-
-func (mc *memberConn) write(m *msg) error {
-	mc.wmu.Lock()
-	defer mc.wmu.Unlock()
-	return writeMsg(mc.conn, mc.timeout, m)
-}
-
-// forget drops a request's handler; later frames for it are discarded.
-func (mc *memberConn) forget(id uint64) {
-	mc.mu.Lock()
-	delete(mc.pending, id)
-	mc.mu.Unlock()
-}
-
 // call performs one command/reply exchange, bounded by the CallTimeout.
 func (mc *memberConn) call(m *msg) (*msg, error) {
 	type result struct {
@@ -155,56 +110,16 @@ func (mc *memberConn) call(m *msg) (*msg, error) {
 		err error
 	}
 	ch := make(chan result, 1)
-	id, err := mc.send(m, func(r *msg, err error) bool {
-		ch <- result{r, err}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
+	id := mc.Send(m, func(r *msg, err error) { ch <- result{r, err} })
 	timer := time.NewTimer(mc.timeout)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
 		return r.m, r.err
 	case <-timer.C:
-		mc.forget(id)
+		mc.Forget(id)
 		return nil, fmt.Errorf("%w: member %q did not answer %s within %v", engine.ErrTransport, mc.name, m.Type, mc.timeout)
 	}
-}
-
-// readLoop routes the member's frames to their requests until the link
-// drops or the member leaves, then fails every open request with a
-// retryable error. Handlers run here, so a result chunk is decoded as it
-// arrives and no consumer can stall the link.
-func (mc *memberConn) readLoop() {
-	var cause error
-	for {
-		m, err := readMsg(mc.conn, 0)
-		if err != nil {
-			cause = err
-			break
-		}
-		if m.Type == msgLeave {
-			cause = errLeft
-			break
-		}
-		mc.mu.Lock()
-		h := mc.pending[m.ID]
-		mc.mu.Unlock()
-		if h != nil && h(m, nil) {
-			mc.forget(m.ID)
-		}
-	}
-	mc.mu.Lock()
-	mc.err = fmt.Errorf("%w: link to member %q: %w", engine.ErrTransport, mc.name, cause)
-	pending := mc.pending
-	mc.pending = nil
-	mc.mu.Unlock()
-	for _, h := range pending {
-		h(nil, mc.err)
-	}
-	close(mc.gone)
 }
 
 // adopt sends the member a version request, which has it build the
@@ -219,29 +134,19 @@ func (mc *memberConn) adopt(req *msg) <-chan error {
 	}
 	mc.asking++
 	mc.mu.Unlock()
-	end := func(addr string, err error) {
+	r := *req // Send stamps its own copy with the request ID
+	mc.Send(&r, func(reply *msg, err error) {
+		if err == nil && reply.Type != msgOK {
+			err = fmt.Errorf("member %q: %s", mc.name, reply.Err)
+		}
 		mc.mu.Lock()
 		mc.asking--
 		if err == nil && req.CatalogVersion > mc.built.version {
-			mc.built = builtGen{version: req.CatalogVersion, members: req.Members, addr: addr}
+			mc.built = builtGen{version: req.CatalogVersion, members: req.Members, addr: reply.Addr}
 		}
 		mc.mu.Unlock()
 		res <- err
-	}
-	r := *req // send stamps its own copy with the request ID
-	if _, err := mc.send(&r, func(reply *msg, err error) bool {
-		switch {
-		case err != nil:
-			end("", err)
-		case reply.Type != msgOK:
-			end("", fmt.Errorf("member %q: %s", mc.name, reply.Err))
-		default:
-			end(reply.Addr, nil)
-		}
-		return true
-	}); err != nil {
-		end("", err)
-	}
+	})
 	return res
 }
 
@@ -349,7 +254,7 @@ func (c *Coordinator) Close() error {
 		ln.Close()
 	}
 	for _, mc := range conns {
-		mc.conn.Close()
+		mc.Close()
 	}
 	c.wg.Wait()
 	return nil
@@ -403,9 +308,8 @@ func (c *Coordinator) handleJoin(conn net.Conn) {
 	}
 
 	mc := &memberConn{
-		name: hello.Name, addr: conn.RemoteAddr().String(), conn: conn, timeout: c.cfg.CallTimeout,
+		name: hello.Name, addr: conn.RemoteAddr().String(), timeout: c.cfg.CallTimeout,
 		state: StateJoining, holds: make(map[slotKey]uint32, len(hello.Inventory)),
-		pending: make(map[uint64]replyFunc), gone: make(chan struct{}),
 	}
 	for _, ref := range hello.Inventory {
 		mc.holds[slotKey{ref.Rel, ref.Slot}] = ref.CRC
@@ -425,21 +329,27 @@ func (c *Coordinator) handleJoin(conn net.Conn) {
 	}
 	c.nextID++
 	mc.id = c.nextID
-	mc.wmu.Lock() // the welcome is the first frame, ahead of any command
+	// Every frame write is bounded by the CallTimeout, a frag-run's reply
+	// stream ends at its frag-done, and the member's leave ends the link.
+	mc.Link = wire.NewLink(conn, wire.LinkConfig[msg]{
+		WriteTimeout: c.cfg.CallTimeout,
+		Last:         func(m *msg) bool { return m.Type != msgFragRows },
+		Stray: func(m *msg) error {
+			if m.Type == msgLeave {
+				return errLeft
+			}
+			return nil
+		},
+		Failed: func(cause error) error {
+			return fmt.Errorf("%w: link to member %q: %w", engine.ErrTransport, mc.name, cause)
+		},
+	})
+	welcome := mc.Reserve() // the welcome is the first frame, ahead of any command
 	c.members[hello.Name] = mc
 	membersGauge.Set(int64(len(c.members)))
 	c.mu.Unlock()
 
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		mc.readLoop()
-	}()
-	err = writeMsg(conn, c.cfg.CallTimeout, &msg{
-		Type: msgWelcome, Member: mc.id, CatalogVersion: c.store.CatalogVersion(),
-	})
-	mc.wmu.Unlock()
-	if err != nil {
+	if err := welcome(&msg{Type: msgWelcome, Member: mc.id, CatalogVersion: c.store.CatalogVersion()}); err != nil {
 		c.remove(mc, StateDead, err)
 		return
 	}
@@ -460,8 +370,8 @@ func (c *Coordinator) handleJoin(conn net.Conn) {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-mc.gone:
-			err = mc.err // written before gone closed
+		case <-mc.Done():
+			err = mc.Err()
 		case <-ticker.C:
 			var reply *msg
 			if reply, err = mc.call(&msg{Type: msgPing}); err == nil && reply.Type != msgPong {
@@ -506,7 +416,7 @@ func (c *Coordinator) remove(mc *memberConn, state string, cause error) {
 	membersGauge.Set(int64(len(c.members)))
 	closed := c.closed
 	c.mu.Unlock()
-	mc.conn.Close()
+	mc.Close()
 	if closed {
 		return
 	}

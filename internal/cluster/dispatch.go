@@ -243,7 +243,7 @@ func (d *Dispatcher) runFragment(ctx context.Context, ep Endpoint, req msg) (*fr
 		tuples    []rel.Tuple
 		decodeErr error
 	)
-	id, err := ep.link.send(&req, func(reply *msg, err error) bool {
+	id := ep.link.Send(&req, func(reply *msg, err error) {
 		var o outcome
 		switch {
 		case err != nil:
@@ -253,7 +253,7 @@ func (d *Dispatcher) runFragment(ctx context.Context, ep Endpoint, req msg) (*fr
 				tuples, decodeErr = fragDecode(tuples, reply.Data)
 				fragResultBytes.Add(int64(len(reply.Data)))
 			}
-			return false
+			return
 		case reply.Type != msgFragDone:
 			o.err = fragErr("member %q sent unexpected %q mid-stream", ep.Name, reply.Type)
 		case reply.Err != "" && reply.Retryable:
@@ -269,21 +269,17 @@ func (d *Dispatcher) runFragment(ctx context.Context, ep Endpoint, req msg) (*fr
 			d.emit("frag-result", 1, int64(len(tuples)))
 		}
 		done <- o
-		return true
 	})
-	if err != nil {
-		return nil, err
-	}
 	fragDispatched.Inc()
 	d.emit("frag-dispatch", 1, int64(len(req.Data)))
 	select {
 	case o := <-done:
 		return o.res, o.err
 	case <-ctx.Done():
-		ep.link.forget(id)
+		ep.link.Forget(id)
 		// Best effort: if the write fails the link is down, and a dropped
 		// link cancels every run on the member anyway.
-		_ = ep.link.write(&msg{Type: msgFragCancel, ID: id})
+		_ = ep.link.Reserve()(&msg{Type: msgFragCancel, ID: id})
 		return nil, ctx.Err()
 	}
 }

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"parajoin/internal/engine"
 	"parajoin/internal/fault"
 	"parajoin/internal/hypercube"
+	"parajoin/internal/partstore"
 	"parajoin/internal/rel"
 	"parajoin/internal/shares"
 )
@@ -738,6 +741,111 @@ func TestFailedRuntimeBuildIsRequestedAgain(t *testing.T) {
 	if builds != 2 {
 		t.Fatalf("member built %d times, want the failed build and one more", builds)
 	}
+}
+
+// TestRuntimeBuildRequestLostWithItsLink: a version request whose write
+// fails while the link's reader fails the same link is finished once. The
+// coordinator reports the member dead, and Close returns instead of
+// waiting forever on a commit stuck in the lost request's second ending.
+func TestRuntimeBuildRequestLostWithItsLink(t *testing.T) {
+	store, err := partstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := partstore.SaveRelation(store, testRelation("E", 200), 4); err != nil {
+		t.Fatal(err)
+	}
+	h := &harness{t: t, store: store, changes: make(chan []string, 64)}
+	h.coord = NewCoordinator(store, CoordinatorConfig{
+		HeartbeatEvery: 20 * time.Millisecond,
+		CallTimeout:    5 * time.Second,
+		OnChange:       func(members []string) { h.changes <- members },
+		Logf:           t.Logf,
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossy := &versionLossListener{Listener: ln, fired: make(chan struct{})}
+	h.addr = ln.Addr().String()
+	go h.coord.Serve(lossy)
+	var closing sync.Once
+	closed := make(chan struct{})
+	closeCoord := func() {
+		closing.Do(func() { go func() { h.coord.Close(); close(closed) }() })
+		select {
+		case <-closed:
+		case <-time.After(3 * time.Second):
+			t.Fatal("Coordinator.Close still waits 3s later")
+		}
+	}
+	t.Cleanup(closeCoord)
+
+	h.startMember("m0", "", MemberConfig{})
+	select {
+	case <-lossy.fired:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the coordinator never sent the member a version request")
+	}
+	waitUntil(t, 3*time.Second, func() bool {
+		for _, m := range h.coord.Status().Members {
+			if m.Name == "m0" && m.State == StateDead {
+				return true
+			}
+		}
+		return false
+	}, "member whose link was lost mid-request is not reported dead within 3s")
+	closeCoord()
+}
+
+// versionLossListener wraps the coordinator's listener. The first version
+// frame the coordinator writes on any accepted link closes that link's
+// socket; the write returns its error only after the coordinator's read
+// has failed, so the link's reader and the failed write both see the
+// request lost.
+type versionLossListener struct {
+	net.Listener
+	once  sync.Once
+	fired chan struct{} // closed once the version write has failed
+}
+
+func (l *versionLossListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &versionLossConn{Conn: conn, l: l, readFailed: make(chan struct{})}, nil
+}
+
+type versionLossConn struct {
+	net.Conn
+	l          *versionLossListener
+	readOnce   sync.Once
+	readFailed chan struct{}
+}
+
+func (c *versionLossConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		c.readOnce.Do(func() { close(c.readFailed) })
+	}
+	return n, err
+}
+
+func (c *versionLossConn) Write(p []byte) (int, error) {
+	fire := false
+	if bytes.Contains(p, []byte(`"type":"version"`)) {
+		c.l.once.Do(func() { fire = true })
+	}
+	if !fire {
+		return c.Conn.Write(p)
+	}
+	c.Conn.Close()
+	<-c.readFailed
+	// Give the reader time to fail the link's open requests.
+	time.Sleep(50 * time.Millisecond)
+	close(c.l.fired)
+	return 0, errors.New("injected: link lost while writing a version request")
 }
 
 // TestCommitAbortsInFlightDispatch: a fragment gang still running when a

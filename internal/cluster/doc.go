@@ -17,11 +17,12 @@
 // Each member has one connection to the coordinator, its link, and
 // everything between the two travels on it: heartbeats, partition puts and
 // releases, catalog versions, and fragments. Requests are multiplexed by ID
-// (proto.go). A partition is always pushed from the coordinator's
-// authoritative store, and its previous owner releases it only after every
-// new owner has stored a checksum-verified copy; puts are idempotent and the
-// assignment names exactly one owner per slot, so a death mid-rebalance can
-// neither lose nor duplicate a partition.
+// on a wire.Link, which finishes each exactly once (proto.go). A partition
+// is always pushed from the coordinator's authoritative store, and its
+// previous owner releases it only after every new owner has stored a
+// checksum-verified copy; puts are idempotent and the assignment names
+// exactly one owner per slot, so a death mid-rebalance can neither lose nor
+// duplicate a partition.
 //
 // On every membership change the coordinator bumps the catalog version,
 // broadcasts it, and re-derives HyperCube shares for the new worker count

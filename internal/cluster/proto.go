@@ -103,6 +103,9 @@ type msg struct {
 	Err string `json:"err,omitempty"`
 }
 
+// RequestID implements wire.Frame.
+func (m *msg) RequestID() *uint64 { return &m.ID }
+
 // Payload and SetPayload implement wire.Payloader over Data.
 func (m msg) Payload() []byte      { return m.Data }
 func (m *msg) SetPayload(b []byte) { m.Data = b }

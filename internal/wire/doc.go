@@ -11,9 +11,10 @@
 //
 // Requests carry a client-chosen ID; the server answers every request
 // with exactly one Response bearing the same ID. Responses may arrive out
-// of order — the server evaluates queries concurrently — so clients must
-// demultiplex by ID. A Cancel request references another in-flight request
-// by Target; both the cancel and the canceled request get responses.
+// of order — the server evaluates queries concurrently — so clients
+// demultiplex by ID with a Link, as the cluster coordinator does on its
+// member links; a Link finishes each request exactly once. A Cancel request
+// references another in-flight request by Target; both get responses.
 //
 // # Versioning
 //
