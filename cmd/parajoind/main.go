@@ -80,7 +80,7 @@ func main() {
 		memLimit      = flag.Int64("mem-limit", 0, "cluster-wide per-worker tuple budget (0 = unlimited)")
 		perQueryMem   = flag.Int64("per-query-mem", 0, "per-query per-worker tuple budget (0 = mem-limit/max-concurrent)")
 		spillMode     = flag.String("spill", "on-pressure", "spill-to-disk policy: off, on-pressure, always")
-		spillDir      = flag.String("spill-dir", "", "directory for spill segment files (default: system temp dir)")
+		spillDir      = flag.String("spill-dir", "", "directory for per-query spill files (default: system temp dir)")
 		maxSpillBytes = flag.Int64("max-spill-bytes", 0, "hard cap on spilled bytes per query (0 = unlimited)")
 		parallelism   = flag.Int("parallelism", 0, "intra-worker join parallelism: 0 auto, 1 serial, K>1 sub-joins per worker")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight queries")

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -52,8 +51,9 @@ type exec struct {
 	// method tolerates nil, so hooks update unconditionally).
 	prog *metrics.QueryProgress
 
-	// runDir is created lazily by the first seal and removed when the run
-	// ends (any way it ends). spillSegs counts this run's sealed segments.
+	// runDir and its run file are created lazily by the first seal and
+	// removed when the run ends (any way it ends). spillSegs counts this
+	// run's sealed runs.
 	dirOnce   sync.Once
 	runDir    *spill.Dir
 	dirErr    error
@@ -133,7 +133,7 @@ func (e *exec) spillConfig(worker, arity int, label string) spill.Config {
 		Label:      label,
 	}
 	if e.spillEnabled() && arity > 0 {
-		cfg.Create = e.segmentFile
+		cfg.Create = e.spillFile
 		cfg.OnSpill = func(ev spill.Event) {
 			e.spills.Add(1)
 			e.spillSegs.Add(1)
@@ -149,9 +149,9 @@ func (e *exec) spillConfig(worker, arity int, label string) spill.Config {
 	return cfg
 }
 
-// segmentFile hands out segment files inside the run's spill directory,
-// creating the directory on first use.
-func (e *exec) segmentFile() (*os.File, error) {
+// spillFile hands every seal of the run the run's spill directory,
+// creating the directory and its one file on first use.
+func (e *exec) spillFile() (*spill.Dir, error) {
 	e.dirOnce.Do(func() {
 		e.runDir, e.dirErr = spill.NewDir(e.spillBase)
 	})
@@ -162,7 +162,8 @@ func (e *exec) segmentFile() (*os.File, error) {
 }
 
 // cleanupSpill removes the run's spill directory. Called once all worker
-// goroutines have finished, however the run ended.
+// goroutines have finished, however the run ended: every spill stream is
+// drained inside its worker, so no reader of the run file is left.
 func (e *exec) cleanupSpill() {
 	if e.runDir != nil {
 		e.runDir.Remove()

@@ -173,7 +173,7 @@ func TestSpillDiskCapFails(t *testing.T) {
 }
 
 // TestCancelMidSpillRemovesTempDir cancels the run as soon as the first
-// segment file appears on disk and verifies the per-run directory is gone
+// sealed run reaches the run's spill file and verifies the per-run directory is gone
 // once Run returns — the cleanup path must cover cancellation, not just
 // success.
 func TestCancelMidSpillRemovesTempDir(t *testing.T) {
@@ -194,10 +194,13 @@ func TestCancelMidSpillRemovesTempDir(t *testing.T) {
 	go func() {
 		defer close(stop)
 		for {
-			segs, _ := filepath.Glob(filepath.Join(dir, "parajoin-spill-*", "seg-*.spill"))
-			if len(segs) > 0 {
-				cancel()
-				return
+			// Cancel once the first sealed run has reached the run file.
+			files, _ := filepath.Glob(filepath.Join(dir, "parajoin-spill-*", "run.spill"))
+			if len(files) > 0 {
+				if fi, err := os.Stat(files[0]); err == nil && fi.Size() > 0 {
+					cancel()
+					return
+				}
 			}
 			select {
 			case <-ctx.Done():

@@ -1,6 +1,7 @@
 package partstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -309,45 +310,20 @@ func SaveRelation(s *Store, r *rel.Relation, slots int) error {
 // writeSegment writes one slot's tuples as a PJSPILL2 segment file and
 // returns its partition entry (file written, not yet in the manifest).
 func (s *Store) writeSegment(name string, slot int, frag *rel.Relation) (PartitionEntry, error) {
-	path := filepath.Join(s.dir, segFile(name, slot))
-	f, err := os.Create(path)
+	data, err := spill.AppendSegment(nil, max(1, len(frag.Schema)), frag.Tuples)
 	if err != nil {
+		return PartitionEntry{}, err
+	}
+	if err := os.WriteFile(filepath.Join(s.dir, segFile(name, slot)), data, 0o666); err != nil {
 		return PartitionEntry{}, fmt.Errorf("partstore: %w", err)
-	}
-	w, err := spill.NewSegmentWriter(f, max(1, len(frag.Schema)))
-	if err != nil {
-		f.Close()
-		return PartitionEntry{}, err
-	}
-	for _, t := range frag.Tuples {
-		if err := w.Write(t); err != nil {
-			f.Close()
-			return PartitionEntry{}, err
-		}
-	}
-	seg, err := w.Finish()
-	if err != nil {
-		return PartitionEntry{}, err
-	}
-	crc, err := fileCRC(path)
-	if err != nil {
-		return PartitionEntry{}, err
 	}
 	return PartitionEntry{
 		Slot:   slot,
 		File:   segFile(name, slot),
-		Tuples: seg.Tuples,
-		Bytes:  seg.Bytes,
-		CRC:    crc,
+		Tuples: int64(len(frag.Tuples)),
+		Bytes:  int64(len(data)),
+		CRC:    crc32.ChecksumIEEE(data),
 	}, nil
-}
-
-func fileCRC(path string) (uint32, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("partstore: %w", err)
-	}
-	return crc32.ChecksumIEEE(raw), nil
 }
 
 // PartitionBytes reads one partition's raw segment bytes, verifying the
@@ -514,39 +490,31 @@ func (s *Store) LoadRelation(name string) (*rel.Relation, error) {
 	return s.LoadSlots(name, slots)
 }
 
-// loadSegment appends one verified segment's tuples to r.
+// loadSegment appends one verified segment's tuples to r. The file is
+// read once: the checksum is verified over the bytes that are decoded.
 func (s *Store) loadSegment(r *rel.Relation, name string, pe PartitionEntry) error {
-	path := filepath.Join(s.dir, pe.File)
-	crc, err := fileCRC(path)
+	raw, err := os.ReadFile(filepath.Join(s.dir, pe.File))
 	if err != nil {
-		return err
+		return fmt.Errorf("partstore: %w", err)
 	}
-	if crc != pe.CRC {
+	if crc := crc32.ChecksumIEEE(raw); crc != pe.CRC {
 		return fmt.Errorf("partstore: partition %s/%d checksum mismatch: file %08x, manifest %08x",
 			name, pe.Slot, crc, pe.CRC)
 	}
-	seg := &spill.Segment{Path: path, Arity: 0, Tuples: pe.Tuples} // arity validated from the header
-	rd, err := spill.OpenSegment(seg)
+	// Arity 0: the arity is validated from the segment header.
+	rd, err := spill.NewSegmentReader(io.NewSectionReader(bytes.NewReader(raw), 0, int64(len(raw))), 0, pe.Tuples)
 	if err != nil {
-		return err
+		return fmt.Errorf("partstore: partition %s/%d: %w", name, pe.Slot, err)
 	}
 	defer rd.Close()
 	for {
 		t, err := rd.Next()
 		if errors.Is(err, io.EOF) {
-			break
+			return nil
 		}
 		if err != nil {
-			return err
+			return fmt.Errorf("partstore: partition %s/%d: %w", name, pe.Slot, err)
 		}
 		r.Append(t)
 	}
-	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

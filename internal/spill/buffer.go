@@ -9,7 +9,7 @@ import (
 // Buffer is a spillable FIFO tuple buffer: the materialization primitive
 // for root results (StoreAs temps included) and the Tributary join's
 // output. Like Sorter it copies each added row into an arena it owns, but
-// it preserves insertion order — sealed segments replay in seal order,
+// it preserves insertion order — sealed runs replay in seal order,
 // then the in-memory tail.
 type Buffer struct{ spiller }
 
@@ -28,7 +28,7 @@ func (b *Buffer) Finish() (Stream, error) {
 
 // Concat chains streams back to back in argument order: Len sums, Next
 // drains each stream before moving to the next, Close closes them all.
-// Buffer chains its segments with it, and the parallel Tributary join
+// Buffer chains its sealed runs with it, and the parallel Tributary join
 // stitches per-sub-range buffers into one stream with the unsplit join's
 // exact row order.
 func Concat(streams ...Stream) Stream {

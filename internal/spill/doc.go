@@ -1,7 +1,7 @@
 // Package spill is parajoin's bounded-memory escape hatch: when an
 // operator's materialized state crosses its memory reservation, the
-// in-memory run is sealed to a compact binary segment file in a per-run
-// temporary directory, and the operator continues against a budget that
+// in-memory run is sealed as a compact binary segment appended to the
+// run's one spill file, and the operator continues against a budget that
 // just got that much room back. The paper's workers sit on Postgres
 // instances that survive inputs larger than RAM; this package gives the
 // in-process engine the same property — queries that used to abort with
@@ -16,8 +16,10 @@
 //     worker's parallel Tributary join — never deadlock or contend on a
 //     mutex.
 //   - Segment: the on-disk run format (PJSPILL2) — a 16-byte header
-//     (magic, arity), then colbatch batches of up to 4 096 rows, streamed
-//     through buffered I/O. A SegmentReader is a Stream.
+//     (magic, arity), then colbatch batches of up to 4 096 rows.
+//     AppendSegment is its one encoder (sealed runs and partstore's
+//     partitions alike); a SegmentReader reads one back from an
+//     io.SectionReader, one positioned read per batch, and is a Stream.
 //   - Sorter: an external merge sort. Add copies each tuple into an arena
 //     the sorter owns; a run is sorted by packing rows into uint64 keys
 //     and radix-sorting them when they fit 64 bits, by comparison when
@@ -29,12 +31,16 @@
 //     per-sub-range join-output materialization. Its Finish chains its
 //     segments with Concat, which also chains per-shard buffers back into
 //     one ordered stream.
-//   - Dir: the per-run temp directory, removed wholesale when the run
-//     ends (success, error, or cancellation alike).
+//   - Dir: the per-run temp directory and its one spill file. Every
+//     sealed run of the run, from any sorter or buffer on any worker, is
+//     appended to that file as an extent (one positioned write at an
+//     atomically reserved offset) and read back with positioned reads.
+//     Removed wholesale when the run ends (success, error, or
+//     cancellation alike).
 //
 // The package is engine-agnostic: it never touches transports, plans, or
-// tracing. The engine supplies a segment-file factory and an OnSpill hook
-// and maps the sentinel errors onto its own. The budget semantics, seal
+// tracing. The engine supplies its run's Dir (Config.Create) and an
+// OnSpill hook and maps the sentinel errors onto its own. The budget semantics, seal
 // policies, and operator integration are specified in DESIGN.md's "Memory
 // management & spilling" section; the interaction with parallel sub-joins
 // is in "Intra-worker parallelism".

@@ -67,22 +67,15 @@ func (r *arenaRun) trim() {
 	r.chunks[r.cur] = slices.Clone(r.chunks[r.cur])
 }
 
-func (r *arenaRun) writeTo(w *SegmentWriter) error {
-	a := r.arity
-	for _, c := range r.chunks[:r.cur+1] {
-		for i := 0; i < len(c); i += a {
-			if err := w.Write(c[i : i+a]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // views returns the rows in order as capacity-clamped tuples over the
 // arena: appending to one reallocates instead of clobbering its neighbour.
 func (r *arenaRun) views() []rel.Tuple {
-	out := make([]rel.Tuple, 0, r.rows)
+	return r.appendViews(make([]rel.Tuple, 0, r.rows))
+}
+
+// appendViews appends the rows' views, as views returns them, to out.
+func (r *arenaRun) appendViews(out []rel.Tuple) []rel.Tuple {
+	out = slices.Grow(out, r.rows)
 	if a := r.arity; a > 0 {
 		for _, c := range r.chunks[:r.cur+1] {
 			for i := 0; i < len(c); i += a {

@@ -1,11 +1,10 @@
 package spill
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
+	"sync"
 
 	"parajoin/internal/colbatch"
 	"parajoin/internal/rel"
@@ -17,9 +16,10 @@ import (
 // layout the exchange transport and wire protocol use, so spilled runs get
 // the same compression and share one decoder. Write order is preserved:
 // batch k holds rows k·segChunkRows onward, rows in row order within each
-// batch. Every batch carries colbatch's CRC. A spill segment is a private
-// temp file that never outlives its run; partstore keeps its durable
-// partitions in the same format and adds a whole-file CRC in its manifest.
+// batch. Every batch carries colbatch's CRC. A sealed run is one segment
+// stored as an extent of its run's spill file, which never outlives the
+// run; partstore keeps each durable partition as one segment in a file of
+// its own and adds a whole-file CRC in its manifest.
 const (
 	segMagic      = "PJSPILL2"
 	segHeaderSize = 16
@@ -30,186 +30,141 @@ const (
 // time.
 const segChunkRows = 4096
 
-// segBufSize is the buffered-I/O granularity for segment reads and writes.
-const segBufSize = 64 << 10
-
-// Segment describes one sealed run on disk.
-type Segment struct {
-	Path   string
-	Arity  int
-	Tuples int64
-	Bytes  int64 // file size, header included
+// encodeState is what one encode works in: the colbatch encoder's
+// transpose and dictionary tables, the row views of a sealed run and the
+// encoded bytes. Encodes borrow one from encodePool, so the buffers follow
+// the seals that are running rather than the spillers that exist.
+type encodeState struct {
+	enc   colbatch.Encoder
+	views []rel.Tuple
+	buf   []byte
 }
 
-// SegmentWriter streams tuples of a fixed arity into a segment file.
-type SegmentWriter struct {
-	f      *os.File
-	bw     *bufio.Writer
-	arity  int
-	tuples int64
-	bytes  int64 // encoded batch bytes written so far
+var encodePool = sync.Pool{New: func() any { return new(encodeState) }}
 
-	enc     colbatch.Encoder
-	vals    []int64   // pending rows, flat
-	rows    [][]int64 // slices into vals, rebuilt per flush
-	pending int       // rows buffered in vals
-	scratch []byte    // encode buffer, reused across flushes
+// AppendSegment appends rows, all of the given arity, to dst as one
+// segment and returns the extended slice. It is the format's one encoder:
+// sealed runs and partstore's partitions both come from it.
+func AppendSegment(dst []byte, arity int, rows []rel.Tuple) ([]byte, error) {
+	st := encodePool.Get().(*encodeState)
+	defer encodePool.Put(st)
+	return appendSegment(dst, &st.enc, arity, rows)
 }
 
-// NewSegmentWriter wraps f (fresh and empty, normally from Dir.Create)
-// and writes the segment header.
-func NewSegmentWriter(f *os.File, arity int) (*SegmentWriter, error) {
+func appendSegment(dst []byte, enc *colbatch.Encoder, arity int, rows []rel.Tuple) ([]byte, error) {
 	if arity <= 0 {
 		return nil, fmt.Errorf("spill: segment arity must be positive, got %d", arity)
 	}
-	w := &SegmentWriter{f: f, bw: bufio.NewWriterSize(f, segBufSize), arity: arity}
-	var hdr [segHeaderSize]byte
-	copy(hdr[:], segMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(arity))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return nil, err
+	dst = append(dst, segMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(arity))
+	dst = append(dst, 0, 0, 0, 0)
+	for len(rows) > 0 {
+		n := min(len(rows), segChunkRows)
+		// The encoder checks every row of a batch against its first.
+		if len(rows[0]) != arity {
+			return nil, fmt.Errorf("spill: writing arity-%d tuple to arity-%d segment", len(rows[0]), arity)
+		}
+		var err error
+		if dst, err = enc.AppendTuples(dst, rows[:n]); err != nil {
+			return nil, fmt.Errorf("spill: encoding segment batch: %w", err)
+		}
+		rows = rows[n:]
 	}
-	return w, nil
-}
-
-// Write appends one tuple. The tuple is copied; the caller keeps
-// ownership.
-func (w *SegmentWriter) Write(t rel.Tuple) error {
-	if len(t) != w.arity {
-		return fmt.Errorf("spill: writing arity-%d tuple to arity-%d segment", len(t), w.arity)
-	}
-	w.vals = append(w.vals, t...)
-	w.pending++
-	if w.pending >= segChunkRows {
-		return w.flush()
-	}
-	return nil
-}
-
-// flush encodes the pending rows as one colbatch batch and writes it.
-func (w *SegmentWriter) flush() error {
-	if w.pending == 0 {
-		return nil
-	}
-	w.rows = w.rows[:0]
-	for i := 0; i < w.pending; i++ {
-		w.rows = append(w.rows, w.vals[i*w.arity:(i+1)*w.arity])
-	}
-	data, err := w.enc.AppendRows(w.scratch[:0], w.rows)
-	if err != nil {
-		return fmt.Errorf("spill: encoding segment batch: %w", err)
-	}
-	w.scratch = data
-	if _, err := w.bw.Write(data); err != nil {
-		return err
-	}
-	w.tuples += int64(w.pending)
-	w.bytes += int64(len(data))
-	w.vals = w.vals[:0]
-	w.pending = 0
-	return nil
-}
-
-// Finish flushes and closes the file, returning the segment descriptor.
-func (w *SegmentWriter) Finish() (*Segment, error) {
-	if err := w.flush(); err != nil {
-		w.f.Close()
-		return nil, err
-	}
-	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
-		return nil, err
-	}
-	if err := w.f.Close(); err != nil {
-		return nil, err
-	}
-	seg := &Segment{
-		Path:   w.f.Name(),
-		Arity:  w.arity,
-		Tuples: w.tuples,
-		Bytes:  segHeaderSize + w.bytes,
-	}
-	counters.segments.Add(1)
-	counters.bytesWritten.Add(seg.Bytes)
-	return seg, nil
+	return dst, nil
 }
 
 // SegmentReader streams a segment's tuples back in write order, decoding
-// one colbatch batch at a time. It is a Stream.
+// one colbatch batch at a time. Each batch costs one positioned read,
+// which also fetches the next batch's header, into a buffer the reader
+// reuses. It is a Stream.
 type SegmentReader struct {
-	f      *os.File
-	br     *bufio.Reader
+	src    *io.SectionReader
 	arity  int
 	tuples int64
 
-	cur     []rel.Tuple // materialized rows of the current batch
-	pos     int
-	scratch []byte // batch read buffer, reused
+	// buf[:next] is the next batch's header, read with the previous batch
+	// (next is 0 after the last batch); off is where its payload starts.
+	buf  []byte
+	next int
+	off  int64
+
+	cur []rel.Tuple // row views of the current batch, reused per batch
+	pos int
 }
 
-// OpenSegment opens seg for reading and validates its header. The
-// reader's Len is seg.Tuples.
-func OpenSegment(seg *Segment) (*SegmentReader, error) {
-	f, err := os.Open(seg.Path)
-	if err != nil {
-		return nil, err
+// NewSegmentReader reads the segment that fills src — an extent of a run
+// file or a whole partition file — and validates its header. arity 0
+// takes the header's arity; any other value must match it. The reader's
+// Len is tuples.
+func NewSegmentReader(src *io.SectionReader, arity int, tuples int64) (*SegmentReader, error) {
+	r := &SegmentReader{src: src, tuples: tuples}
+	r.buf = make([]byte, min(src.Size(), segHeaderSize+colbatch.HeaderSize))
+	if err := r.readAt(r.buf, 0); err != nil {
+		return nil, fmt.Errorf("spill: reading segment header: %w", err)
 	}
-	r := &SegmentReader{f: f, br: bufio.NewReaderSize(f, segBufSize), tuples: seg.Tuples}
-	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("spill: reading segment header of %s: %w", seg.Path, err)
+	if len(r.buf) < segHeaderSize || string(r.buf[:8]) != segMagic {
+		return nil, fmt.Errorf("spill: not a segment")
 	}
-	if string(hdr[:8]) != segMagic {
-		f.Close()
-		return nil, fmt.Errorf("spill: %s is not a segment file", seg.Path)
+	r.arity = int(binary.LittleEndian.Uint32(r.buf[8:]))
+	if arity != 0 && r.arity != arity {
+		return nil, fmt.Errorf("spill: segment has arity %d, expected %d", r.arity, arity)
 	}
-	r.arity = int(binary.LittleEndian.Uint32(hdr[8:]))
-	if seg.Arity != 0 && r.arity != seg.Arity {
-		f.Close()
-		return nil, fmt.Errorf("spill: segment %s has arity %d, expected %d", seg.Path, r.arity, seg.Arity)
-	}
+	r.next = copy(r.buf, r.buf[segHeaderSize:])
+	r.off = int64(len(r.buf))
 	return r, nil
 }
 
-// loadBatch reads and decodes the next colbatch batch from the file.
+// readAt fills p from src at off; a short read is an error.
+func (r *SegmentReader) readAt(p []byte, off int64) error {
+	n, err := r.src.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// loadBatch reads and decodes the next colbatch batch.
 func (r *SegmentReader) loadBatch() error {
-	hdr := r.scratch
-	if cap(hdr) < colbatch.HeaderSize {
-		hdr = make([]byte, colbatch.HeaderSize)
+	const h = colbatch.HeaderSize
+	switch {
+	case r.next == 0:
+		return io.EOF
+	case r.next < h:
+		return fmt.Errorf("spill: segment ends inside a batch header")
 	}
-	hdr = hdr[:colbatch.HeaderSize]
-	if _, err := io.ReadFull(r.br, hdr); err != nil {
-		if err == io.EOF {
-			return io.EOF
-		}
-		return fmt.Errorf("spill: reading segment %s: %w", r.f.Name(), err)
+	plen := int64(binary.LittleEndian.Uint32(r.buf[12:]))
+	rest := r.src.Size() - r.off
+	if plen > colbatch.MaxPayload || plen > rest {
+		return fmt.Errorf("spill: segment batch payload of %d bytes overruns the segment", plen)
 	}
-	plen := int(binary.LittleEndian.Uint32(hdr[12:]))
-	if plen > colbatch.MaxPayload {
-		return fmt.Errorf("spill: segment %s: batch payload of %d bytes exceeds limit", r.f.Name(), plen)
+	// One read: this batch's payload and, unless it is the last, the next
+	// batch's header.
+	total := h + plen
+	end := total + min(rest-plen, h)
+	if cap(r.buf) < int(end) {
+		grown := make([]byte, end)
+		copy(grown, r.buf[:h])
+		r.buf = grown
 	}
-	total := colbatch.HeaderSize + plen
-	if cap(hdr) < total {
-		grown := make([]byte, total)
-		copy(grown, hdr)
-		hdr = grown
+	r.buf = r.buf[:end]
+	if err := r.readAt(r.buf[h:], r.off); err != nil {
+		return fmt.Errorf("spill: reading segment: %w", err)
 	}
-	hdr = hdr[:total]
-	if _, err := io.ReadFull(r.br, hdr[colbatch.HeaderSize:]); err != nil {
-		return fmt.Errorf("spill: reading segment %s: %w", r.f.Name(), err)
-	}
-	r.scratch = hdr
-	b, err := colbatch.Decode(hdr)
+	b, err := colbatch.Decode(r.buf[:total])
 	if err != nil {
-		return fmt.Errorf("spill: decoding segment %s: %w", r.f.Name(), err)
+		return fmt.Errorf("spill: decoding segment: %w", err)
 	}
 	if b.Rows() > 0 && b.Cols() != r.arity {
-		return fmt.Errorf("spill: segment %s: batch arity %d, expected %d", r.f.Name(), b.Cols(), r.arity)
+		return fmt.Errorf("spill: segment batch arity %d, expected %d", b.Cols(), r.arity)
 	}
-	counters.bytesRead.Add(int64(total))
-	r.cur = b.Tuples()
+	counters.bytesRead.Add(total)
+	r.cur = b.AppendTuples(r.cur[:0])
 	r.pos = 0
+	r.next = copy(r.buf, r.buf[total:])
+	r.off += end - h
 	return nil
 }
 
@@ -231,5 +186,9 @@ func (r *SegmentReader) Next() (rel.Tuple, error) {
 // Len returns the segment's tuple count.
 func (r *SegmentReader) Len() int64 { return r.tuples }
 
-// Close closes the underlying file.
-func (r *SegmentReader) Close() error { return r.f.Close() }
+// Close drops the reader's buffers. The segment's file belongs to its
+// owner (the run's Dir, or partstore), which closes it.
+func (r *SegmentReader) Close() error {
+	r.buf, r.cur, r.next = nil, nil, 0
+	return nil
+}

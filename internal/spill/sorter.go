@@ -10,8 +10,8 @@ import (
 )
 
 // Stream yields tuples one at a time; Next returns io.EOF after the
-// last. Streams over spilled state hold open file descriptors until
-// Close.
+// last. Close releases a stream's buffers; streams over spilled state read
+// their run's file, so they must be done before its Dir is removed.
 type Stream interface {
 	Next() (rel.Tuple, error)
 	// Len is the total number of tuples the stream yields.
@@ -41,17 +41,25 @@ func Drain(s Stream) ([]rel.Tuple, error) {
 }
 
 // spiller is the run/seal machinery shared by Sorter and Buffer: an
-// in-memory arena run charged to the accountant, sealed to a segment file
-// when the budget (or the Always threshold) says so. A Sorter's spiller
-// sorts each run before it leaves memory.
+// in-memory arena run charged to the accountant, sealed to an extent of
+// the run's spill file when the budget (or the Always threshold) says so.
+// A Sorter's spiller sorts each run before it leaves memory.
 type spiller struct {
 	cfg      Config
 	run      arenaRun
 	sorts    bool
-	segs     []*Segment
+	segs     []extent
 	total    int64
 	reserved int64 // tuples of run currently charged to the accountant
 	finished bool
+}
+
+// extent is one sealed run: a segment of bytes bytes at off in dir's run
+// file.
+type extent struct {
+	dir        *Dir
+	off, bytes int64
+	tuples     int64
 }
 
 func newSpiller(cfg Config, sorts bool) spiller {
@@ -102,43 +110,49 @@ func (s *spiller) Add(t rel.Tuple) error {
 	return nil
 }
 
-// seal writes the in-memory run to a fresh segment (a Sorter's run sorts
-// first: the external-sort invariant) and releases its reservation.
+// seal writes the in-memory run as a new extent of the run file (a
+// Sorter's run sorts first: the external-sort invariant) and releases its
+// reservation. The run is encoded before anything touches the disk, so the
+// disk cap is checked against its exact size and a refused seal writes
+// nothing.
 func (s *spiller) seal() error {
 	n := int64(s.run.rows)
 	if n == 0 {
 		return nil
 	}
 	start := time.Now()
-	f, err := s.cfg.Create()
-	if err != nil {
-		return err
-	}
-	w, err := NewSegmentWriter(f, s.cfg.Arity)
-	if err != nil {
-		f.Close()
-		return err
-	}
 	if s.sorts {
 		s.run.sort()
 	}
-	if err := s.run.writeTo(w); err != nil {
-		f.Close()
-		return err
-	}
-	seg, err := w.Finish()
+	st := encodePool.Get().(*encodeState)
+	defer encodePool.Put(st)
+	st.views = s.run.appendViews(st.views[:0])
+	data, err := appendSegment(st.buf[:0], &st.enc, s.cfg.Arity, st.views)
+	clear(st.views) // the pool must not pin this run's arena
 	if err != nil {
 		return err
 	}
-	if err := s.cfg.Acct.ReserveDisk(seg.Bytes); err != nil {
+	st.buf = data
+	size := int64(len(data))
+	if err := s.cfg.Acct.ReserveDisk(size); err != nil {
 		return err
 	}
-	s.segs = append(s.segs, seg)
+	d, err := s.cfg.Create()
+	if err != nil {
+		return err
+	}
+	off, err := d.append(data)
+	if err != nil {
+		return err
+	}
+	counters.segments.Add(1)
+	counters.bytesWritten.Add(size)
+	s.segs = append(s.segs, extent{dir: d, off: off, bytes: size, tuples: n})
 	s.cfg.Acct.Release(s.cfg.Worker, s.reserved)
 	s.reserved = 0
 	counters.spills.Add(1)
 	if s.cfg.OnSpill != nil {
-		s.cfg.OnSpill(Event{Label: s.cfg.Label, Tuples: n, Bytes: seg.Bytes, Dur: time.Since(start)})
+		s.cfg.OnSpill(Event{Label: s.cfg.Label, Tuples: n, Bytes: size, Dur: time.Since(start)})
 	}
 	s.run.reset()
 	return nil
@@ -147,7 +161,7 @@ func (s *spiller) seal() error {
 // Spilled reports whether any run was sealed to disk.
 func (s *spiller) Spilled() bool { return len(s.segs) > 0 }
 
-// Segments returns how many segment files were written.
+// Segments returns how many runs were sealed to disk.
 func (s *spiller) Segments() int { return len(s.segs) }
 
 // Len returns the tuples added so far.
@@ -157,7 +171,8 @@ func (s *spiller) Len() int64 { return s.total }
 // (sorted first for a Sorter) as one stream of capacity-clamped views
 // into the arena. Otherwise it seals the residual run too, releasing its
 // reservation — downstream operators get the budget back and the reader
-// sees only segments — and returns every segment, opened, in seal order.
+// sees only extents — and returns a reader over every extent, in seal
+// order.
 // The spiller must not be used after finish.
 func (s *spiller) finish() ([]Stream, error) {
 	if s.finished {
@@ -175,8 +190,8 @@ func (s *spiller) finish() ([]Stream, error) {
 		return nil, err
 	}
 	segs := make([]Stream, 0, len(s.segs))
-	for _, seg := range s.segs {
-		r, err := OpenSegment(seg)
+	for _, x := range s.segs {
+		r, err := NewSegmentReader(io.NewSectionReader(x.dir.f, x.off, x.bytes), s.cfg.Arity, x.tuples)
 		if err != nil {
 			Concat(segs...).Close()
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -211,6 +212,53 @@ func TestSorterAddAllocs(t *testing.T) {
 		if allocs > 32 {
 			t.Fatalf("%s: %v allocations for %d Adds, want one per arena chunk", sk.name, allocs, n)
 		}
+	}
+}
+
+// TestSealAllocs pins what a seal costs once its pooled encode state is
+// warm: sealing a 4 096-row run allocates well under the two 64 KiB I/O
+// buffers a segment file used to cost, and its object count does not grow
+// with the number of seals before it. GC is held off so the pool keeps
+// its state between seals, as it does between the seals of a busy run.
+func TestSealAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items on purpose")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runRows = 4096
+	s := NewSorter(Config{Acct: NewAccountant(1, 0, 0), Arity: 2, Create: mustDir(t).Create,
+		Policy: Always, SealTuples: runRows, Label: "seal-allocs"})
+	row := make(rel.Tuple, 2)
+	next := int64(0)
+	// sealOne adds one run's worth of rows; the first of them seals the
+	// previous run.
+	sealOne := func() {
+		for range runRows {
+			next++
+			row[0], row[1] = next*7919%1000, next
+			if err := s.Add(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sealOne()
+	sealOne() // warm-up: one seal
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sealOne()
+	runtime.ReadMemStats(&after)
+	sealBytes := after.TotalAlloc - before.TotalAlloc
+	if sealBytes >= 64<<10 {
+		t.Fatalf("sealing a %d-row run allocated %d bytes, want < 64 KiB", runRows, sealBytes)
+	}
+	early := testing.AllocsPerRun(10, sealOne)
+	for range 100 {
+		sealOne()
+	}
+	late := testing.AllocsPerRun(10, sealOne)
+	t.Logf("one seal: %d bytes; objects per seal: %.1f after 13 seals, %.1f after 124", sealBytes, early, late)
+	if late > early+1 {
+		t.Fatalf("objects per seal grew from %.1f to %.1f with the number of seals", early, late)
 	}
 }
 

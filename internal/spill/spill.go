@@ -3,7 +3,6 @@ package spill
 import (
 	"errors"
 	"fmt"
-	"os"
 	"time"
 )
 
@@ -18,7 +17,7 @@ const (
 	// Off keeps the pre-spill behaviour: exceeding the budget fails the
 	// run with an out-of-memory error.
 	Off
-	// OnPressure seals the in-memory run to a segment file when the
+	// OnPressure seals the in-memory run to the run's spill file when the
 	// budget is hit, releasing its reservation; the query completes at
 	// disk speed instead of failing.
 	OnPressure
@@ -89,10 +88,11 @@ type Config struct {
 	Worker int
 	// Arity is the tuple width; every Add must match it.
 	Arity int
-	// Create opens a fresh segment file (normally Dir.Create). Nil means
-	// the run never seals, whatever the policy: budget pressure is then
-	// ErrBudget.
-	Create func() (*os.File, error)
+	// Create returns the run's spill directory, whose file every seal
+	// appends an extent to (normally Dir.Create, which creates the file
+	// on first use). Nil means the run never seals, whatever the policy:
+	// budget pressure is then ErrBudget.
+	Create func() (*Dir, error)
 	// Policy is the resolved spill policy: Off, OnPressure, or Always
 	// (Default is resolved by the engine before it gets here).
 	Policy Policy

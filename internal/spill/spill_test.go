@@ -1,11 +1,16 @@
 package spill
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"parajoin/internal/rel"
@@ -98,65 +103,136 @@ func TestAccountantDiskBudget(t *testing.T) {
 	}
 }
 
-func TestSegmentRoundtrip(t *testing.T) {
-	dir, err := NewDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dir.Remove()
-	f, err := dir.Create()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewSegmentWriter(f, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []rel.Tuple{{1, 2, 3}, {-4, 0, 1 << 40}, {7, 7, 7}}
-	for _, tup := range want {
-		if err := w.Write(tup); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seg, err := w.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg.Tuples != 3 {
-		t.Fatalf("segment descriptor = %+v", seg)
-	}
-	if fi, err := os.Stat(seg.Path); err != nil || seg.Bytes != fi.Size() {
-		t.Fatalf("segment Bytes = %d, file size = %v (%v)", seg.Bytes, fi.Size(), err)
-	}
-	if flat := int64(16 + 8*3*3); seg.Bytes >= flat {
-		t.Fatalf("columnar segment is %d bytes, not smaller than flat %d", seg.Bytes, flat)
-	}
-	r, err := OpenSegment(seg)
+// readAll drains a segment reader, failing the test on any error.
+func readAll(t *testing.T, r *SegmentReader, err error) []rel.Tuple {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	for i, tup := range want {
-		got, err := r.Next()
+	var got []rel.Tuple
+	for {
+		tup, err := r.Next()
+		if err == io.EOF {
+			return got
+		}
 		if err != nil {
-			t.Fatalf("tuple %d: %v", i, err)
+			t.Fatalf("tuple %d: %v", len(got), err)
 		}
-		if !got.Equal(tup) {
-			t.Fatalf("tuple %d = %v, want %v", i, got, tup)
-		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("after last tuple: %v, want EOF", err)
+		got = append(got, tup)
 	}
 }
 
+// TestSegmentRoundtrip writes one segment both ways the format is stored —
+// as a partition file of its own and as an extent of a run file, behind
+// another extent — and reads each back through the one reader.
+func TestSegmentRoundtrip(t *testing.T) {
+	want := []rel.Tuple{{1, 2, 3}, {-4, 0, 1 << 40}, {7, 7, 7}}
+	data, err := AppendSegment(nil, 3, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat := int64(16 + 8*3*3); int64(len(data)) >= flat {
+		t.Fatalf("columnar segment is %d bytes, not smaller than flat %d", len(data), flat)
+	}
+
+	t.Run("partition file", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "p000.seg")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		fi, err := f.Stat()
+		if err != nil || fi.Size() != int64(len(data)) {
+			t.Fatalf("segment is %d bytes, file size = %v (%v)", len(data), fi.Size(), err)
+		}
+		r, err := NewSegmentReader(io.NewSectionReader(f, 0, fi.Size()), 0, 3)
+		if err == nil && r.Len() != 3 {
+			t.Fatalf("reader Len = %d, want 3", r.Len())
+		}
+		requireSameSequence(t, readAll(t, r, err), want)
+	})
+
+	t.Run("run file extent", func(t *testing.T) {
+		d, err := mustDir(t).Create()
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := AppendSegment(nil, 3, []rel.Tuple{{9, 9, 9}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.append(other); err != nil {
+			t.Fatal(err)
+		}
+		off, err := d.append(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off != int64(len(other)) {
+			t.Fatalf("second extent at offset %d, want %d", off, len(other))
+		}
+		fi, err := os.Stat(filepath.Join(d.Path(), runFileName))
+		if err != nil || fi.Size() != off+int64(len(data)) {
+			t.Fatalf("run file size = %v (%v), want %d", fi.Size(), err, off+int64(len(data)))
+		}
+		r, err := NewSegmentReader(io.NewSectionReader(d.f, off, int64(len(data))), 3, 3)
+		requireSameSequence(t, readAll(t, r, err), want)
+	})
+}
+
+// goldenRows is a fixed 3-column relation of 5 000 rows: two batches,
+// whose columns take each of colbatch's encodings (the first is constant
+// within each batch, the second a small dictionary, the third raw).
+func goldenRows() []rel.Tuple {
+	rows := make([]rel.Tuple, 5000)
+	for i := range rows {
+		v := int64(i)
+		rows[i] = rel.Tuple{v / 4096, (v*37)%101 - 50, v*v*2654435761 - 1<<40}
+	}
+	return rows
+}
+
+// TestSegmentFormatGolden pins the format's bytes: goldenRows encoded by
+// AppendSegment must be exactly what the streaming SegmentWriter of
+// earlier releases wrote for them (46 016 bytes, SHA-256 captured from
+// it), so partition files written by those releases stay readable.
+func TestSegmentFormatGolden(t *testing.T) {
+	rows := goldenRows()
+	data, err := AppendSegment(nil, 3, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantSum = "7ef43b29abc8240a8ec3a88f06b1aff871ee596cda3115c71d652c1c4dbd1f6e"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != 46016 || got != wantSum {
+		t.Fatalf("segment is %d bytes, SHA-256 %s; want 46016 bytes, %s", len(data), got, wantSum)
+	}
+	r, err := NewSegmentReader(io.NewSectionReader(bytes.NewReader(data), 0, int64(len(data))), 3, int64(len(rows)))
+	requireSameSequence(t, readAll(t, r, err), rows)
+}
+
+// TestDirRemoveIdempotent checks Remove's cleanup contract: the directory
+// and its run file are gone, a second Remove is a no-op, and a stream read
+// after Remove fails rather than yielding a row.
 func TestDirRemoveIdempotent(t *testing.T) {
 	base := t.TempDir()
 	dir, err := NewDir(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dir.Create(); err != nil {
+	b := NewBuffer(Config{Acct: NewAccountant(1, 0, 0), Arity: 1, Create: dir.Create,
+		Policy: Always, SealTuples: 2, Label: "removed"})
+	for i := int64(0); i < 6; i++ {
+		if err := b.Add(rel.Tuple{i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream, err := b.Finish()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := dir.Remove(); err != nil {
@@ -170,6 +246,79 @@ func TestDirRemoveIdempotent(t *testing.T) {
 	}
 	if entries, _ := filepath.Glob(filepath.Join(base, "parajoin-spill-*")); len(entries) != 0 {
 		t.Fatalf("leftover spill dirs: %v", entries)
+	}
+	if tup, err := stream.Next(); err == nil || err == io.EOF || tup != nil {
+		t.Fatalf("read after Remove = %v, %v; want an error and no row", tup, err)
+	}
+	stream.Close()
+	if _, err := dir.Create(); err == nil {
+		t.Fatal("Create after Remove succeeded")
+	}
+}
+
+// TestSpillRunFileConcurrentSeals has eight sorters on eight workers seal
+// into one Dir at once. Each stream must yield exactly its own rows in
+// sorted order, and the run must leave exactly one file.
+func TestSpillRunFileConcurrentSeals(t *testing.T) {
+	const workers = 8
+	dir := mustDir(t)
+	acct := NewAccountant(workers, 0, 0)
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			input := make([]rel.Tuple, 1000+97*w)
+			for i := range input {
+				input[i] = rel.Tuple{int64(w), rng.Int63n(500)}
+			}
+			s := NewSorter(Config{Acct: acct, Worker: w, Arity: 2, Create: dir.Create,
+				Policy: Always, SealTuples: 100, Label: fmt.Sprintf("sort-%d", w)})
+			for _, tup := range input {
+				if errs[w] = s.Add(tup); errs[w] != nil {
+					return
+				}
+			}
+			stream, err := s.Finish()
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			got, err := Drain(stream)
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			want := oracleSort(input)
+			if len(got) != len(want) {
+				errs[w] = fmt.Errorf("worker %d: %d rows, want %d", w, len(got), len(want))
+				return
+			}
+			for i := range got {
+				if !got[i].Equal(want[i]) {
+					errs[w] = fmt.Errorf("worker %d: row %d = %v, want %v", w, i, got[i], want[i])
+					return
+				}
+			}
+			if s.Segments() < 10 {
+				errs[w] = fmt.Errorf("worker %d sealed %d runs, want ≥ 10", w, s.Segments())
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dir.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != runFileName {
+		t.Fatalf("run directory holds %v, want only %s", entries, runFileName)
 	}
 }
 
@@ -320,14 +469,18 @@ func TestSorterBudgetErrorWhenOff(t *testing.T) {
 	}
 }
 
+// TestSorterDiskCap checks the disk cap is enforced before the bytes reach
+// the disk: a refused seal writes nothing and counts no segment.
 func TestSorterDiskCap(t *testing.T) {
 	dir, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dir.Remove()
-	acct := NewAccountant(1, 8, 40) // disk cap smaller than one sealed run
+	const diskCap = 40
+	acct := NewAccountant(1, 8, diskCap) // disk cap smaller than one sealed run
 	s := NewSorter(Config{Acct: acct, Arity: 2, Create: dir.Create, Policy: OnPressure, Label: "capped"})
+	before := ReadStats()
 	var last error
 	for i := int64(0); i < 100; i++ {
 		if last = s.Add(rel.Tuple{i, i}); last != nil {
@@ -336,6 +489,26 @@ func TestSorterDiskCap(t *testing.T) {
 	}
 	if last != ErrDiskBudget {
 		t.Fatalf("err = %v, want ErrDiskBudget", last)
+	}
+	var onDisk int64
+	err = filepath.WalkDir(dir.Path(), func(_ string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		fi, err := e.Info()
+		onDisk += fi.Size()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onDisk > diskCap {
+		t.Fatalf("%d bytes on disk after the refused seal, cap %d", onDisk, diskCap)
+	}
+	after := ReadStats()
+	if after.Segments != before.Segments || after.BytesWritten != before.BytesWritten {
+		t.Fatalf("refused seal counted: segments %d → %d, bytes written %d → %d",
+			before.Segments, after.Segments, before.BytesWritten, after.BytesWritten)
 	}
 }
 

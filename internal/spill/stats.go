@@ -7,7 +7,7 @@ import "parajoin/internal/metrics"
 // cluster in the process.
 var counters = struct {
 	spills       *metrics.Counter // runs sealed to disk
-	segments     *metrics.Counter // segment files finished
+	segments     *metrics.Counter // sealed runs written as segments
 	bytesWritten *metrics.Counter
 	bytesRead    *metrics.Counter
 	dirsCreated  *metrics.Counter
@@ -16,7 +16,7 @@ var counters = struct {
 	spills: metrics.Default.Counter("parajoin_spill_seals_total",
 		"In-memory runs sealed to disk."),
 	segments: metrics.Default.Counter("parajoin_spill_segments_total",
-		"Spill segment files written."),
+		"Spill segments written (one per sealed run, each an extent of its run's spill file)."),
 	bytesWritten: metrics.Default.Counter("parajoin_spill_bytes_total",
 		"Spill segment I/O bytes.", metrics.Label{Name: "dir", Value: "written"}),
 	bytesRead: metrics.Default.Counter("parajoin_spill_bytes_total",
@@ -31,7 +31,8 @@ var counters = struct {
 type Stats struct {
 	// Spills counts in-memory runs sealed to disk.
 	Spills int64
-	// Segments counts segment files written.
+	// Segments counts segments written: one per sealed run, each an
+	// extent of its run's spill file.
 	Segments int64
 	// BytesWritten and BytesRead count segment I/O.
 	BytesWritten int64

@@ -221,8 +221,8 @@ func WithBatchSize(n int) Option {
 // WithSpill sets the database-wide spill policy. With SpillOnPressure a
 // query that crosses its memory budget degrades to disk instead of
 // failing: spillable operator state (Tributary sort runs, exchange
-// materializations, result buffers) is sealed to compact segment files
-// and merged back streamingly.
+// materializations, result buffers) is sealed as compact segments appended
+// to one spill file per query and merged back streamingly.
 func WithSpill(p SpillPolicy) Option {
 	return func(db *DB) { db.cluster.SpillPolicy = p }
 }
