@@ -383,6 +383,35 @@ func (e *exec) runExchange(spec *ExchangeSpec, w int) (retErr error) {
 	}
 }
 
+// hcBatches recycles the HyperCube router's per-destination batches, one
+// pool for the process. The HyperCube router takes every batch it fills
+// from it, and only the Tributary input loop returns one: after copying
+// its rows into a Sorter, and only for a batch its input received from an
+// exchange, which no one else holds. The transport, runRoot and scans
+// never return a batch. A pooled batch is empty and its row headers are
+// cleared, so the pool pins no rows; it keeps the capacity the traffic
+// grew it to.
+var hcBatches sync.Pool
+
+// hcBatchStart is the capacity of a new HyperCube batch; append grows it
+// toward the exchange batch size.
+const hcBatchStart = 64
+
+// getBatch takes an empty batch from hcBatches, or makes a new one.
+func getBatch() []rel.Tuple {
+	if b, ok := hcBatches.Get().(*[]rel.Tuple); ok {
+		return *b
+	}
+	return make([]rel.Tuple, 0, hcBatchStart)
+}
+
+// putBatch returns a batch whose rows have been copied out to hcBatches.
+func putBatch(b []rel.Tuple) {
+	clear(b)
+	b = b[:0]
+	hcBatches.Put(&b)
+}
+
 // router returns the routing function for an exchange. It buffers per
 // destination and flushes batches through the transport, counting every
 // tuple sent (sent accumulates the post-replication total for the producer's
@@ -467,6 +496,9 @@ func (e *exec) router(spec *ExchangeSpec, sch rel.Schema, sent *int64) (func(src
 						continue
 					}
 					seen[dst] = true
+					if outs[dst] == nil {
+						outs[dst] = getBatch()
+					}
 					outs[dst] = append(outs[dst], t)
 					if err := flush(src, dst, false); err != nil {
 						return err

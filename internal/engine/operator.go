@@ -339,7 +339,7 @@ func (o *tributaryOp) open() error {
 
 	var inputTuples int64
 	sortStart, wait0 := time.Now(), o.t.wait
-	rels := make(map[string]*rel.Relation, len(o.inputs))
+	sorted := make(map[string]ljoin.Sorted, len(o.inputs))
 	for _, alias := range aliases {
 		in := o.inputs[alias]
 		atom, ok := atoms[alias]
@@ -354,12 +354,15 @@ func (o *tributaryOp) open() error {
 			return fmt.Errorf("engine: atom %s has %d terms but input %s has arity %d",
 				atom, len(atom.Terms), alias, len(sch))
 		}
+		// A batch received from an exchange is this task's alone, so once
+		// its rows are copied out it goes back to the HyperCube pool. A
+		// scan's batches view shared fragments and are never returned.
+		recycle := receives(in)
 		norm := ljoin.NewNormalizer(atom, o.order)
-		r := &rel.Relation{Name: alias, Schema: norm.Schema()}
-		if norm.Arity() == 0 {
+		s := ljoin.Sorted{Arity: norm.Arity()}
+		if s.Arity == 0 {
 			// Fully-constant atom: only existence matters, nothing is
 			// materialized.
-			exists := false
 			for {
 				b, err := in.next()
 				if err == io.EOF {
@@ -371,16 +374,16 @@ func (o *tributaryOp) open() error {
 				inputTuples += int64(len(b))
 				for _, t := range b {
 					if norm.Match(t) {
-						exists = true
+						s.Rows = 1
 					}
 				}
-			}
-			if exists {
-				r.Tuples = []rel.Tuple{{}}
+				if recycle {
+					putBatch(b)
+				}
 			}
 		} else {
-			sorter := spill.NewSorter(e.spillConfig(o.t.worker, norm.Arity(), "sort("+alias+")"))
-			nt := make(rel.Tuple, norm.Arity()) // Add copies, so one buffer serves every row
+			sorter := spill.NewSorter(e.spillConfig(o.t.worker, s.Arity, "sort("+alias+")"))
+			nt := make(rel.Tuple, s.Arity) // Add copies, so one buffer serves every row
 			for {
 				b, err := in.next()
 				if err == io.EOF {
@@ -398,26 +401,27 @@ func (o *tributaryOp) open() error {
 						return e.spillErr(o.t.worker, err)
 					}
 				}
+				if recycle {
+					putBatch(b)
+				}
 			}
-			stream, err := sorter.Finish()
+			// The merged sorted run, one flat array, becomes the trie's
+			// backing array. Its spilled part was charged to the disk cap
+			// when sealed; the read-back is modeled as a disk-backed index,
+			// so it is not re-charged to the tuple budget.
+			vals, err := sorter.FinishFlat()
 			if err != nil {
 				return err
 			}
-			// The merged sorted run becomes the trie's backing array. Its
-			// spilled part was charged to the disk cap when sealed; the
-			// read-back is modeled as a disk-backed index, so it is not
-			// re-charged to the tuple budget.
-			if r.Tuples, err = spill.Drain(stream); err != nil {
-				return err
-			}
+			s.Vals, s.Rows = vals, len(vals)/s.Arity
 		}
 		if err := in.close(); err != nil {
 			return err
 		}
-		rels[alias] = r
+		sorted[alias] = s
 	}
 
-	p, err := ljoin.PrepareSorted(o.q, rels, o.order)
+	p, err := ljoin.PrepareSorted(o.q, sorted, o.order)
 	if err != nil {
 		return err
 	}
@@ -487,6 +491,16 @@ func (o *tributaryOp) close() error {
 }
 
 // ---------------------------------------------------------------- recv
+
+// receives reports whether op's batches come straight from an exchange:
+// op is a recvOp, or the tracing shim around one.
+func receives(op operator) bool {
+	if s, ok := op.(*spanOp); ok {
+		op = s.in
+	}
+	_, ok := op.(*recvOp)
+	return ok
+}
 
 type recvOp struct {
 	t        *task

@@ -44,7 +44,12 @@ func Retryable(err error) bool {
 // rules out exchange deadlocks by construction.
 type Transport interface {
 	// Send delivers a batch from worker src to worker dst on the given
-	// exchange. The callee owns the batch after the call.
+	// exchange. The caller must not write the batch after the call: a
+	// worker the transport hosts receives that very slice. The transport
+	// itself never writes, recycles or pools a batch, so a caller that only
+	// reads it on (a resend, say) sees it intact. The receiver may recycle
+	// what it receives; the engine's Tributary input loop returns received
+	// batches to the HyperCube router's pool.
 	Send(ctx context.Context, exchangeID, src, dst int, batch []rel.Tuple) error
 	// CloseSend signals that src will send nothing more on the exchange.
 	// Every worker must call it exactly once per exchange it produces for.

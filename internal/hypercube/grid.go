@@ -78,13 +78,16 @@ func (g *Grid) CoordsOf(cell int) []int {
 
 // Router routes the tuples of one atom: it knows which grid dimensions the
 // atom's variables bind (and at which tuple position), and enumerates the
-// free dimensions for replication.
+// free dimensions for replication. A Router owns the odometer it
+// enumerates with, so it is not safe for concurrent use: each routing
+// goroutine builds its own with RouterFor.
 type Router struct {
 	grid *Grid
 	// boundPos[i] is the tuple position that fixes dimension i, or -1 when
 	// the atom does not contain the dimension's variable.
 	boundPos []int
 	freeDims []int
+	idx      []int // odometer over freeDims, reused by every Destinations call
 	// Replication is the number of cells each tuple is sent to: the product
 	// of the free dimension sizes.
 	Replication int
@@ -105,6 +108,7 @@ func (g *Grid) RouterFor(atom core.Atom) *Router {
 			r.Replication *= g.Dims[i]
 		}
 	}
+	r.idx = make([]int, len(r.freeDims))
 	return r
 }
 
@@ -123,8 +127,8 @@ func (r *Router) Destinations(t rel.Tuple, dst []int) []int {
 	if len(r.freeDims) == 0 {
 		return append(dst, base)
 	}
-	// Odometer over the free dimensions.
-	idx := make([]int, len(r.freeDims))
+	// Odometer over the free dimensions; it ends back at all zeros.
+	idx := r.idx
 	for {
 		cell := base
 		for j, d := range r.freeDims {

@@ -210,3 +210,25 @@ func TestGridZeroDims(t *testing.T) {
 		t.Fatalf("destinations = %v, want [0]", dst)
 	}
 }
+
+// TestDestinationsAllocatesNothing pins that the free-dimension odometer is
+// the Router's own scratch: routing a replicated tuple into a slice with
+// room allocates nothing.
+func TestDestinationsAllocatesNothing(t *testing.T) {
+	g := NewGrid(shares.Config{Vars: []core.Var{"x", "y", "z"}, Dims: []int{2, 3, 4}})
+	r := g.RouterFor(core.NewAtom("R", core.V("x"), core.V("y"))) // z is free
+	if r.Replication != 4 {
+		t.Fatalf("replication = %d, want 4", r.Replication)
+	}
+	cells := make([]int, 0, r.Replication)
+	tup := rel.Tuple{7, 11}
+	allocs := testing.AllocsPerRun(100, func() {
+		cells = r.Destinations(tup, cells[:0])
+	})
+	if allocs != 0 {
+		t.Fatalf("Destinations allocates %.1f times per call, want 0", allocs)
+	}
+	if len(cells) != r.Replication {
+		t.Fatalf("destinations = %v, want %d cells", cells, r.Replication)
+	}
+}

@@ -54,7 +54,7 @@ func BenchmarkLeapfrogIntersection(b *testing.B) {
 	mk := func(seed int64) *arrayTrie {
 		r := randGraph("A", 30000, 40000, seed).Project("A", []int{0})
 		r.Dedup()
-		return newArrayTrie(r.Tuples, 1)
+		return newArrayTrie(flatten(r))
 	}
 	t1, t2, t3 := mk(206), mk(207), mk(208)
 	b.ResetTimer()

@@ -2,6 +2,7 @@ package ljoin
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -438,7 +439,7 @@ func TestLeapfrogUnary(t *testing.T) {
 			r.AppendRow(v)
 		}
 		r.Sort()
-		tr := newArrayTrie(r.Tuples, 1)
+		tr := newArrayTrie(flatten(r))
 		tr.Open()
 		return tr
 	}
@@ -471,9 +472,10 @@ func TestGallopMatchesLowerBound(t *testing.T) {
 		r.AppendRow(rng.Int63n(300))
 	}
 	r.Sort()
+	s := flatten(r)
 	for v := int64(-5); v < 310; v += 3 {
-		lb := lowerBound(r.Tuples, 0, len(r.Tuples), 0, v)
-		gl := gallop(r.Tuples, 0, len(r.Tuples), 0, v)
+		lb := lowerBound(s.Vals, 1, 0, s.Rows, v)
+		gl := gallop(s.Vals, 1, 0, s.Rows, v)
 		if lb != gl {
 			t.Fatalf("v=%d: lowerBound %d, gallop %d", v, lb, gl)
 		}
@@ -482,22 +484,15 @@ func TestGallopMatchesLowerBound(t *testing.T) {
 
 // TestLowerBoundMatchesScan checks both searches — lowerBound and gallop,
 // the trie's seek — against a linear scan on random brackets [lo, hi),
-// empty ones included, on column 0 and on column 1 inside a column-0 run.
+// empty ones included: on stride 2, column 0 and column 1 inside a
+// column-0 run; on stride 3, column 2 inside a run of equal columns 0–1.
 func TestLowerBoundMatchesScan(t *testing.T) {
-	r := rel.New("A", "u", "v")
 	rng := rand.New(rand.NewSource(41))
-	for i := 0; i < 300; i++ {
-		r.AppendRow(rng.Int63n(20), rng.Int63n(50))
-	}
-	r.Sort()
-	n := len(r.Tuples)
-	for trial := 0; trial < 2000; trial++ {
-		lo := rng.Intn(n + 1)
-		hi := lo + rng.Intn(n-lo+1)
-		col := rng.Intn(2)
-		for end := lo; col == 1 && end < hi; end++ {
-			// Column 1 is sorted only within a run of equal column-0 keys.
-			if r.Tuples[end][0] != r.Tuples[lo][0] {
+	check := func(r *rel.Relation, s Sorted, col, lo, hi int) {
+		t.Helper()
+		// Column col is sorted only within a run of equal earlier columns.
+		for end := lo; end < hi; end++ {
+			if !slices.Equal(r.Tuples[end][:col], r.Tuples[lo][:col]) {
 				hi = end
 			}
 		}
@@ -506,11 +501,37 @@ func TestLowerBoundMatchesScan(t *testing.T) {
 		for want < hi && r.Tuples[want][col] < v {
 			want++
 		}
-		if got := lowerBound(r.Tuples, lo, hi, col, v); got != want {
-			t.Fatalf("lowerBound([%d,%d), col %d, %d) = %d, want %d", lo, hi, col, v, got, want)
+		if got := lowerBound(s.Vals[col:], s.Arity, lo, hi, v); got != want {
+			t.Fatalf("stride %d: lowerBound([%d,%d), col %d, %d) = %d, want %d", s.Arity, lo, hi, col, v, got, want)
 		}
-		if got := gallop(r.Tuples, lo, hi, col, v); got != want {
-			t.Fatalf("gallop([%d,%d), col %d, %d) = %d, want %d", lo, hi, col, v, got, want)
+		if got := gallop(s.Vals[col:], s.Arity, lo, hi, v); got != want {
+			t.Fatalf("stride %d: gallop([%d,%d), col %d, %d) = %d, want %d", s.Arity, lo, hi, col, v, got, want)
 		}
+	}
+	bracket := func(n int) (lo, hi int) {
+		lo = rng.Intn(n + 1)
+		return lo, lo + rng.Intn(n-lo+1)
+	}
+
+	r := rel.New("A", "u", "v")
+	for i := 0; i < 300; i++ {
+		r.AppendRow(rng.Int63n(20), rng.Int63n(50))
+	}
+	r.Sort()
+	s := flatten(r)
+	for trial := 0; trial < 2000; trial++ {
+		lo, hi := bracket(len(r.Tuples))
+		check(r, s, rng.Intn(2), lo, hi)
+	}
+
+	r3 := rel.New("B", "u", "v", "w")
+	for i := 0; i < 300; i++ {
+		r3.AppendRow(rng.Int63n(3), rng.Int63n(4), rng.Int63n(50))
+	}
+	r3.Sort()
+	s3 := flatten(r3)
+	for trial := 0; trial < 2000; trial++ {
+		lo, hi := bracket(len(r3.Tuples))
+		check(r3, s3, 2, lo, hi)
 	}
 }

@@ -1,7 +1,5 @@
 package ljoin
 
-import "parajoin/internal/rel"
-
 // Range partitioning for intra-worker parallelism: a prepared Tributary
 // join splits into disjoint sub-joins over contiguous ranges of the first
 // global variable's domain. Because the serial join enumerates level-0
@@ -37,14 +35,14 @@ func (p *Prepared) Shards(k int) []*Prepared {
 	}
 	var pivot *arrayTrie
 	for _, ti := range p.byLevel[0] {
-		if t := p.tries[ti]; pivot == nil || len(t.tuples) > len(pivot.tuples) {
+		if t := p.tries[ti]; pivot == nil || t.rows > pivot.rows {
 			pivot = t
 		}
 	}
-	if len(pivot.tuples) == 0 {
+	if pivot.rows == 0 {
 		return nil
 	}
-	cuts := cutValues(pivot.tuples, k)
+	cuts := cutValues(pivot, k)
 	if len(cuts) == 0 {
 		return nil
 	}
@@ -58,6 +56,7 @@ func (p *Prepared) Shards(k int) []*Prepared {
 			filters:  p.filters,
 			filterIx: p.filterIx,
 			headIdx:  p.headIdx,
+			iters:    levelIters(p.byLevel),
 			stop:     p.stop,
 		}
 		if i > 0 {
@@ -82,18 +81,18 @@ func (p *Prepared) Range() (lo int64, hasLo bool, hi int64, hasHi bool) {
 }
 
 // cutValues picks up to k-1 strictly increasing boundary values at the
-// index-proportional quantiles of a sorted array's first column. Duplicate
+// index-proportional quantiles of a sorted trie's first column. Duplicate
 // quantiles collapse (a value run longer than n/k yields fewer cuts), so
 // every resulting half-open range is non-empty on the pivot.
-func cutValues(tuples []rel.Tuple, k int) []int64 {
-	n := len(tuples)
+func cutValues(pivot *arrayTrie, k int) []int64 {
+	n := pivot.rows
 	if n == 0 {
 		return nil
 	}
 	var cuts []int64
-	first := tuples[0][0]
+	first := pivot.vals[0]
 	for i := 1; i < k; i++ {
-		v := tuples[i*n/k][0]
+		v := pivot.vals[i*n/k*pivot.stride]
 		if v <= first || (len(cuts) > 0 && v <= cuts[len(cuts)-1]) {
 			continue
 		}

@@ -22,14 +22,15 @@ type Stats struct {
 	Results int64
 }
 
-// Prepared is a Tributary join ready to run: inputs normalized, sorted, and
-// wrapped in trie iterators.
+// Prepared is a Tributary join ready to run: inputs normalized, sorted,
+// flattened, and wrapped in trie iterators.
 type Prepared struct {
 	q     *core.Query
 	order []core.Var
 
 	tries            []*arrayTrie    // one per atom with variables
 	byLevel          [][]int         // byLevel[d] = indexes of tries that include level d's variable
+	iters            [][]*arrayTrie  // iters[d]: level d's tries, refilled from byLevel[d] at each entry
 	filters          [][]core.Filter // filters that become checkable exactly at depth d
 	filterIx         [][][2]int      // per depth, per filter: operand positions in the binding (-1 = constant)
 	headIdx          []int           // binding positions of the head variables
@@ -51,44 +52,64 @@ type Prepared struct {
 	hasLo, hasHi bool
 }
 
+// Sorted is one normalized, lexicographically sorted join input in flat
+// form: Rows rows of Arity values each, row-major in Vals (length
+// Rows·Arity). A fully-constant atom is an existence guard: Arity 0, and
+// Rows 0 when no row matched (the engine passes 0 or 1).
+type Sorted struct {
+	Arity, Rows int
+	Vals        []int64
+}
+
+// flatten lays a sorted relation out as Sorted, one copy of its values.
+func flatten(r *rel.Relation) Sorted {
+	s := Sorted{Arity: r.Arity(), Rows: r.Cardinality()}
+	s.Vals = make([]int64, 0, s.Rows*s.Arity)
+	for _, t := range r.Tuples {
+		s.Vals = append(s.Vals, t...)
+	}
+	return s
+}
+
 // Prepare normalizes each atom's relation (applying constant selections,
 // repeated-variable equalities, and the column permutation dictated by the
-// global variable order), sorts it, and builds the trie iterators.
-// relations maps atom aliases to relations whose columns follow the atom's
-// term layout.
+// global variable order), sorts and flattens it, and builds the trie
+// iterators. relations maps atom aliases to relations whose columns follow
+// the atom's term layout.
 func Prepare(q *core.Query, relations map[string]*rel.Relation, order []core.Var) (*Prepared, error) {
-	return prepare(q, order, func(atom core.Atom) (*rel.Relation, bool, error) {
+	return prepare(q, order, func(atom core.Atom) (Sorted, error) {
 		r := relations[atom.Alias]
 		if r == nil {
-			return nil, false, fmt.Errorf("ljoin: no relation bound to atom %q", atom.Alias)
+			return Sorted{}, fmt.Errorf("ljoin: no relation bound to atom %q", atom.Alias)
 		}
 		if len(r.Schema) != len(atom.Terms) {
-			return nil, false, fmt.Errorf("ljoin: atom %s has %d terms but relation %s has arity %d",
+			return Sorted{}, fmt.Errorf("ljoin: atom %s has %d terms but relation %s has arity %d",
 				atom, len(atom.Terms), r.Name, len(r.Schema))
 		}
-		return NormalizeAtom(atom, r, order), false, nil
+		norm := NormalizeAtom(atom, r, order)
+		norm.Sort()
+		return flatten(norm), nil
 	})
 }
 
 // PrepareSorted is Prepare for inputs that are already normalized (each
-// relation's columns are its atom's distinct variables in global-order
-// position) and sorted. The engine uses it: tuples are normalized with a
-// Normalizer before its sort, so by the time they reach the trie builder
-// both steps are done.
-func PrepareSorted(q *core.Query, relations map[string]*rel.Relation, order []core.Var) (*Prepared, error) {
-	return prepare(q, order, func(atom core.Atom) (*rel.Relation, bool, error) {
-		r := relations[atom.Alias]
-		if r == nil {
-			return nil, false, fmt.Errorf("ljoin: no relation bound to atom %q", atom.Alias)
+// input's columns are its atom's distinct variables in global-order
+// position), sorted and flat. The engine uses it: tuples are normalized
+// with a Normalizer before its sort, and the sort hands over one flat
+// array, so by the time they reach the trie builder every step is done.
+func PrepareSorted(q *core.Query, inputs map[string]Sorted, order []core.Var) (*Prepared, error) {
+	return prepare(q, order, func(atom core.Atom) (Sorted, error) {
+		s, ok := inputs[atom.Alias]
+		if !ok {
+			return Sorted{}, fmt.Errorf("ljoin: no relation bound to atom %q", atom.Alias)
 		}
-		return r, true, nil
+		return s, nil
 	})
 }
 
-// prepare builds a Prepared join, pulling each atom's relation from
-// supply, which also reports whether the relation is already sorted.
-// Supplied relations must be normalized (NormalizeAtom's output form).
-func prepare(q *core.Query, order []core.Var, supply func(core.Atom) (*rel.Relation, bool, error)) (*Prepared, error) {
+// prepare builds a Prepared join, pulling each atom's normalized, sorted
+// input from supply.
+func prepare(q *core.Query, order []core.Var, supply func(core.Atom) (Sorted, error)) (*Prepared, error) {
 	if err := checkOrder(q, order); err != nil {
 		return nil, err
 	}
@@ -100,26 +121,24 @@ func prepare(q *core.Query, order []core.Var, supply func(core.Atom) (*rel.Relat
 	p := &Prepared{q: q, order: order}
 	p.byLevel = make([][]int, len(order))
 	for _, atom := range q.Atoms {
-		norm, sorted, err := supply(atom)
+		in, err := supply(atom)
 		if err != nil {
 			return nil, err
 		}
-		if norm.Arity() == 0 {
+		if in.Arity == 0 {
 			// Fully-constant atom: an existence guard.
-			if norm.Cardinality() == 0 {
+			if in.Rows == 0 {
 				p.emptyGuardFailed = true
 			}
 			continue
 		}
-		if !sorted {
-			norm.Sort()
-		}
 		idx := len(p.tries)
-		p.tries = append(p.tries, newArrayTrie(norm.Tuples, norm.Arity()))
+		p.tries = append(p.tries, newArrayTrie(in))
 		for _, v := range atom.Vars() {
 			p.byLevel[pos[v]] = append(p.byLevel[pos[v]], idx)
 		}
 	}
+	p.iters = levelIters(p.byLevel)
 
 	// Attach each filter to the first depth where all its operands are bound.
 	p.filters = make([][]core.Filter, len(order))
@@ -141,6 +160,16 @@ func prepare(q *core.Query, order []core.Var, supply func(core.Atom) (*rel.Relat
 		p.headIdx = append(p.headIdx, pos[h])
 	}
 	return p, nil
+}
+
+// levelIters allocates the per-level iterator slices a join refills at
+// every entry into a level, sized by the participants of each level.
+func levelIters(byLevel [][]int) [][]*arrayTrie {
+	iters := make([][]*arrayTrie, len(byLevel))
+	for d, ps := range byLevel {
+		iters[d] = make([]*arrayTrie, len(ps))
+	}
+	return iters
 }
 
 func checkOrder(q *core.Query, order []core.Var) error {
@@ -183,20 +212,25 @@ func (p *Prepared) Run(emit func(rel.Tuple) bool) error {
 }
 
 // join enumerates the values of variable level d consistent with the
-// current bindings, recursing to deeper levels.
+// current bindings, recursing to deeper levels. It opens level d on every
+// participating trie, intersects, and ascends again.
 func (p *Prepared) join(d int, binding, out rel.Tuple, emit func(rel.Tuple) bool) bool {
-	participants := p.byLevel[d]
-	iters := make([]*arrayTrie, len(participants))
-	for i, ti := range participants {
-		p.tries[ti].Open()
+	// The leapfrog reorders iters, so refill it from byLevel at each entry.
+	iters := p.iters[d]
+	for i, ti := range p.byLevel[d] {
 		iters[i] = p.tries[ti]
+		iters[i].Open()
 	}
-	defer func() {
-		for _, ti := range participants {
-			p.tries[ti].Up()
-		}
-	}()
+	ok := p.intersect(d, iters, binding, out, emit)
+	for _, it := range iters {
+		it.Up()
+	}
+	return ok
+}
 
+// intersect runs the leapfrog over level d's opened iterators, binding
+// each common value and descending. It returns false when the join stops.
+func (p *Prepared) intersect(d int, iters []*arrayTrie, binding, out rel.Tuple, emit func(rel.Tuple) bool) bool {
 	lf := leapfrog{iters: iters}
 	lf.init()
 	if d == 0 && p.hasLo && !lf.atEnd && lf.key() < p.lo {

@@ -6,8 +6,6 @@
 // evaluator used as a correctness oracle in tests.
 package ljoin
 
-import "parajoin/internal/rel"
-
 // SeekMode selects nothing: every Tributary join seeks by galloping search
 // over a sorted array. The type and its one constant are kept only for
 // bench/ledger.go, which names them (ROADMAP 1(a)).
@@ -18,15 +16,18 @@ const SeekBinary SeekMode = 0
 
 // arrayTrie is the Leapfrog Triejoin API (Veldhuizen) over a sorted array:
 // a cursor over a relation viewed as a trie whose level i holds the
-// distinct values of column i grouped under their prefix. The relation's
-// tuples must be lexicographically sorted. Level d ranges over the distinct
-// values of column d among the tuples in the half-open range [lo[d], hi[d])
-// that share the key prefix chosen at levels 0..d-1. Because the array is
-// sorted, each residual relation is a contiguous sub-array, so Open/Up just
-// push and pop range bounds — the "adjust the start and endpoints" trick
-// from Section 2.2 of the paper.
+// distinct values of column i grouped under their prefix. The relation is
+// one flat row-major array, stride values per row, whose rows must be
+// lexicographically sorted. Level d ranges over the distinct values of
+// column d among the rows in the half-open range [lo[d], hi[d]) that share
+// the key prefix chosen at levels 0..d-1. Because the array is sorted,
+// each residual relation is a contiguous sub-array, so Open/Up just push
+// and pop range bounds — the "adjust the start and endpoints" trick from
+// Section 2.2 of the paper.
 type arrayTrie struct {
-	tuples []rel.Tuple
+	vals   []int64 // rows·stride values, row-major
+	stride int     // the relation's arity, also the trie's depth
+	rows   int
 	depth  int // current level; -1 = positioned at the (virtual) root
 	lo     []int
 	hi     []int
@@ -37,16 +38,18 @@ type arrayTrie struct {
 	seeks int64
 }
 
-// newArrayTrie wraps a sorted relation. maxDepth is the number of columns
-// the join will descend through (the atom's variable count).
-func newArrayTrie(tuples []rel.Tuple, maxDepth int) *arrayTrie {
+// newArrayTrie wraps a sorted relation of arity ≥ 1. The join descends
+// through every column.
+func newArrayTrie(s Sorted) *arrayTrie {
 	return &arrayTrie{
-		tuples: tuples,
+		vals:   s.Vals,
+		stride: s.Arity,
+		rows:   s.Rows,
 		depth:  -1,
-		lo:     make([]int, maxDepth),
-		hi:     make([]int, maxDepth),
-		pos:    make([]int, maxDepth),
-		end:    make([]bool, maxDepth),
+		lo:     make([]int, s.Arity),
+		hi:     make([]int, s.Arity),
+		pos:    make([]int, s.Arity),
+		end:    make([]bool, s.Arity),
 	}
 }
 
@@ -54,9 +57,9 @@ func newArrayTrie(tuples []rel.Tuple, maxDepth int) *arrayTrie {
 func (a *arrayTrie) Open() {
 	d := a.depth + 1
 	if d == 0 {
-		a.lo[0], a.hi[0] = 0, len(a.tuples)
+		a.lo[0], a.hi[0] = 0, a.rows
 	} else {
-		// The children of the current key are the run of tuples sharing it.
+		// The children of the current key are the run of rows sharing it.
 		a.lo[d] = a.pos[d-1]
 		a.hi[d] = a.keyRunEnd(d - 1)
 	}
@@ -84,16 +87,16 @@ func (a *arrayTrie) Next() {
 // the end. SeekGE never moves backwards.
 func (a *arrayTrie) SeekGE(v int64) {
 	d := a.depth
-	if a.end[d] || a.tuples[a.pos[d]][d] >= v {
+	if a.end[d] || a.vals[a.pos[d]*a.stride+d] >= v {
 		return
 	}
 	a.seeks++
-	a.pos[d] = gallop(a.tuples, a.pos[d], a.hi[d], d, v)
+	a.pos[d] = gallop(a.vals[d:], a.stride, a.pos[d], a.hi[d], v)
 	a.end[d] = a.pos[d] >= a.hi[d]
 }
 
 // Key returns the key at the current position. Only valid when !AtEnd.
-func (a *arrayTrie) Key() int64 { return a.tuples[a.pos[a.depth]][a.depth] }
+func (a *arrayTrie) Key() int64 { return a.vals[a.pos[a.depth]*a.stride+a.depth] }
 
 // AtEnd reports whether the iterator moved past the last key at the
 // current level.
@@ -103,23 +106,25 @@ func (a *arrayTrie) AtEnd() bool { return a.end[a.depth] }
 // backing array, positioned at the virtual root with a fresh seek counter.
 // Shards use it to walk disjoint ranges of one relation concurrently.
 func (a *arrayTrie) clone() *arrayTrie {
-	return newArrayTrie(a.tuples, len(a.lo))
+	return newArrayTrie(Sorted{Arity: a.stride, Rows: a.rows, Vals: a.vals})
 }
 
-// keyRunEnd returns the index one past the run of tuples sharing the
+// keyRunEnd returns the index one past the run of rows sharing the
 // current key at level d within [pos[d], hi[d]).
 func (a *arrayTrie) keyRunEnd(d int) int {
-	k := a.tuples[a.pos[d]][d]
+	col := a.vals[d:]
+	k := col[a.pos[d]*a.stride]
 	a.seeks++
-	return gallop(a.tuples, a.pos[d]+1, a.hi[d], d, k+1)
+	return gallop(col, a.stride, a.pos[d]+1, a.hi[d], k+1)
 }
 
-// lowerBound returns the smallest index i in [lo, hi) with tuples[i][col]
-// ≥ v, or hi when none exists.
-func lowerBound(tuples []rel.Tuple, lo, hi, col int, v int64) int {
+// lowerBound returns the smallest row index i in [lo, hi) with
+// col[i·stride] ≥ v, or hi when none exists. col is a flat row-major array
+// re-sliced to start at the searched column, so row i's value is one load.
+func lowerBound(col []int64, stride, lo, hi int, v int64) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if tuples[mid][col] < v {
+		if col[mid*stride] < v {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -132,13 +137,13 @@ func lowerBound(tuples []rel.Tuple, lo, hi, col int, v int64) int {
 // distance until overshooting, then binary-searches the final bracket.
 // Cost is O(log d) where d is the distance moved, which beats plain binary
 // search when intersections advance in small steps.
-func gallop(tuples []rel.Tuple, lo, hi, col int, v int64) int {
-	if lo >= hi || tuples[lo][col] >= v {
+func gallop(col []int64, stride, lo, hi int, v int64) int {
+	if lo >= hi || col[lo*stride] >= v {
 		return lo
 	}
 	step := 1
 	prev := lo
-	for lo+step < hi && tuples[lo+step][col] < v {
+	for lo+step < hi && col[(lo+step)*stride] < v {
 		prev = lo + step
 		step *= 2
 	}
@@ -146,5 +151,5 @@ func gallop(tuples []rel.Tuple, lo, hi, col int, v int64) int {
 	if upper > hi {
 		upper = hi
 	}
-	return lowerBound(tuples, prev+1, upper, col, v)
+	return lowerBound(col, stride, prev+1, upper, v)
 }

@@ -19,7 +19,7 @@ func NewBuffer(cfg Config) *Buffer { return &Buffer{newSpiller(cfg, false)} }
 // Finish returns the buffered tuples as a stream in insertion order. The
 // buffer must not be used after Finish.
 func (b *Buffer) Finish() (Stream, error) {
-	parts, err := b.finish()
+	parts, err := b.stream()
 	if err != nil {
 		return nil, err
 	}

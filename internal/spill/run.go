@@ -60,20 +60,18 @@ func (r *arenaRun) reset() {
 	r.cur, r.rows = 0, 0
 }
 
-// trim drops the spare chunks and shrinks the last filled one to its rows,
-// so a run that stays in memory holds no free space.
-func (r *arenaRun) trim() {
-	r.chunks = r.chunks[:r.cur+1]
-	r.chunks[r.cur] = slices.Clone(r.chunks[r.cur])
+// appendFlat appends the rows' values, in order, to out.
+func (r *arenaRun) appendFlat(out []int64) []int64 {
+	out = slices.Grow(out, r.rows*r.arity)
+	for _, c := range r.chunks[:r.cur+1] {
+		out = append(out, c...)
+	}
+	return out
 }
 
-// views returns the rows in order as capacity-clamped tuples over the
-// arena: appending to one reallocates instead of clobbering its neighbour.
-func (r *arenaRun) views() []rel.Tuple {
-	return r.appendViews(make([]rel.Tuple, 0, r.rows))
-}
-
-// appendViews appends the rows' views, as views returns them, to out.
+// appendViews appends the rows in order to out as capacity-clamped tuples
+// over the arena: appending to one reallocates instead of clobbering its
+// neighbour.
 func (r *arenaRun) appendViews(out []rel.Tuple) []rel.Tuple {
 	out = slices.Grow(out, r.rows)
 	if a := r.arity; a > 0 {
@@ -95,7 +93,8 @@ func (r *arenaRun) appendViews(out []rel.Tuple) []rel.Tuple {
 // every row packs into a uint64 key (first column most significant), the
 // keys are radix-sorted and unpacked back into the arena. Equal keys are
 // equal rows, so the result is exactly the comparison sort's. Wider rows
-// are sorted by comparison over views, then copied back in order.
+// are copied out flat, their offsets sorted by comparing the rows, and
+// the rows copied back in that order.
 func (r *arenaRun) sort() {
 	a := r.arity
 	if r.rows < 2 || a == 0 {
@@ -113,14 +112,17 @@ func (r *arenaRun) sort() {
 	}
 	p, ok := rel.NewKeyPacker(r.cols, r.lo, r.hi)
 	if !ok {
-		views := r.views()
-		slices.SortFunc(views, rel.Tuple.Compare)
-		sorted := make([]int64, 0, r.rows*a)
-		for _, v := range views {
-			sorted = append(sorted, v...)
+		flat := r.appendFlat(make([]int64, 0, r.rows*a))
+		offs := make([]int, r.rows)
+		for i := range offs {
+			offs[i] = i * a
 		}
+		slices.SortFunc(offs, func(x, y int) int { return slices.Compare(flat[x:x+a], flat[y:y+a]) })
 		for _, c := range filled {
-			sorted = sorted[copy(c, sorted):]
+			for i := 0; i < len(c); i += a {
+				copy(c[i:i+a], flat[offs[0]:])
+				offs = offs[1:]
+			}
 		}
 		return
 	}

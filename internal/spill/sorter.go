@@ -19,13 +19,9 @@ type Stream interface {
 	Close() error
 }
 
-// Drain materializes a stream and closes it. An unread in-memory stream
-// hands over its run as is.
+// Drain materializes a stream and closes it. The rows of an in-memory
+// stream stay views into its run's arena: no value is copied.
 func Drain(s Stream) ([]rel.Tuple, error) {
-	if m, ok := s.(*memStream); ok && m.pos == 0 {
-		m.pos = len(m.run)
-		return m.run, nil
-	}
 	out := make([]rel.Tuple, 0, s.Len())
 	for {
 		t, err := s.Next()
@@ -167,12 +163,11 @@ func (s *spiller) Segments() int { return len(s.segs) }
 // Len returns the tuples added so far.
 func (s *spiller) Len() int64 { return s.total }
 
-// finish ends the run. With nothing on disk it returns the in-memory run
-// (sorted first for a Sorter) as one stream of capacity-clamped views
-// into the arena. Otherwise it seals the residual run too, releasing its
-// reservation — downstream operators get the budget back and the reader
-// sees only extents — and returns a reader over every extent, in seal
-// order.
+// finish ends the run. With nothing on disk it returns no streams: the
+// run stays in memory, sorted first for a Sorter. Otherwise it seals the
+// residual run too, releasing its reservation — downstream operators get
+// the budget back and the reader sees only extents — and returns a reader
+// over every extent, in seal order.
 // The spiller must not be used after finish.
 func (s *spiller) finish() ([]Stream, error) {
 	if s.finished {
@@ -183,8 +178,7 @@ func (s *spiller) finish() ([]Stream, error) {
 		if s.sorts {
 			s.run.sort()
 		}
-		s.run.trim()
-		return []Stream{&memStream{run: s.run.views()}}, nil
+		return nil, nil
 	}
 	if err := s.seal(); err != nil {
 		return nil, err
@@ -201,6 +195,16 @@ func (s *spiller) finish() ([]Stream, error) {
 	return segs, nil
 }
 
+// stream ends the run as one stream per part: the in-memory run, or the
+// extents in seal order.
+func (s *spiller) stream() ([]Stream, error) {
+	parts, err := s.finish()
+	if err != nil || parts != nil {
+		return parts, err
+	}
+	return []Stream{&memStream{run: s.run, left: s.run.rows}}, nil
+}
+
 // Sorter is an external merge sort: tuples are added in any order, sealed
 // runs are sorted before they hit disk, and Finish returns a k-way merge
 // over the segments, or the sorted in-memory run — the exact sequence
@@ -214,30 +218,74 @@ func NewSorter(cfg Config) *Sorter { return &Sorter{newSpiller(cfg, true)} }
 // Finish returns the tuples as one stream in sorted order. The sorter
 // must not be used after Finish.
 func (s *Sorter) Finish() (Stream, error) {
-	parts, err := s.finish()
+	parts, err := s.stream()
 	if err != nil {
 		return nil, err
 	}
 	return newMergeStream(parts, s.total)
 }
 
+// FinishFlat is Finish handing the sorted rows over as one flat row-major
+// array of exactly Len()·arity values rather than as a stream: an
+// in-memory run is copied out of its arena once, and a spilled run's merge
+// is appended straight into it. No per-row view is built. The sorter must
+// not be used after FinishFlat.
+func (s *Sorter) FinishFlat() ([]int64, error) {
+	parts, err := s.finish()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int64, 0, s.total*int64(s.cfg.Arity))
+	if parts == nil {
+		out = s.run.appendFlat(out)
+		s.run = arenaRun{} // the arena is garbage now; out holds the rows
+		return out, nil
+	}
+	m, err := newMergeStream(parts, s.total)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		t, err := m.Next()
+		if err == io.EOF {
+			return out, m.Close()
+		}
+		if err != nil {
+			m.Close()
+			return nil, err
+		}
+		out = append(out, t...)
+	}
+}
+
 // memStream is the no-spill fast path: the whole (sorted or
-// append-ordered) run is in memory.
+// append-ordered) run is in memory, and each row it yields is a
+// capacity-clamped view into the run's arena.
 type memStream struct {
-	run []rel.Tuple
-	pos int
+	run        arenaRun
+	chunk, off int // the next row's chunk and offset in it
+	left       int // rows not yet yielded
 }
 
 func (m *memStream) Next() (rel.Tuple, error) {
-	if m.pos >= len(m.run) {
+	if m.left == 0 {
 		return nil, io.EOF
 	}
-	t := m.run[m.pos]
-	m.pos++
+	m.left--
+	a := m.run.arity
+	if a == 0 {
+		return rel.Tuple{}, nil
+	}
+	for m.off == len(m.run.chunks[m.chunk]) {
+		m.chunk, m.off = m.chunk+1, 0
+	}
+	c := m.run.chunks[m.chunk]
+	t := c[m.off : m.off+a : m.off+a]
+	m.off += a
 	return t, nil
 }
 
-func (m *memStream) Len() int64   { return int64(len(m.run)) }
+func (m *memStream) Len() int64   { return int64(m.run.rows) }
 func (m *memStream) Close() error { return nil }
 
 // ---------------------------------------------------------------- merge

@@ -2,6 +2,8 @@ package spill
 
 import (
 	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -59,16 +61,53 @@ type sink interface {
 
 // sinks are the two spillers, each with the order it must return its
 // input in: a Sorter's is the comparison sort, a Buffer's the input order.
+// A Sorter is driven through both of its finishes.
 var sinks = []struct {
 	name   string
 	open   func(Config) sink
 	oracle func([]rel.Tuple) []rel.Tuple
 }{
 	{"Sorter", newSorter, oracleSort},
+	{"SorterFlat", func(c Config) sink { return flatSorter{NewSorter(c)} }, oracleSort},
 	{"Buffer", func(c Config) sink { return NewBuffer(c) }, func(in []rel.Tuple) []rel.Tuple { return in }},
 }
 
 func newSorter(c Config) sink { return NewSorter(c) }
+
+// flatSorter finishes a Sorter with FinishFlat and streams the flat array
+// back as rows, after checking it holds exactly Len()·arity values.
+type flatSorter struct{ *Sorter }
+
+func (f flatSorter) Finish() (Stream, error) {
+	vals, err := f.FinishFlat()
+	if err != nil {
+		return nil, err
+	}
+	a := f.cfg.Arity
+	if int64(len(vals)) != f.Len()*int64(a) || cap(vals) != len(vals) {
+		return nil, fmt.Errorf("FinishFlat: %d values (cap %d) for %d rows of arity %d", len(vals), cap(vals), f.Len(), a)
+	}
+	rows := make([]rel.Tuple, f.Len())
+	for i := range rows {
+		rows[i] = vals[i*a : (i+1)*a]
+	}
+	return &rowStream{rows: rows}, nil
+}
+
+// rowStream streams a slice of rows.
+type rowStream struct{ rows []rel.Tuple }
+
+func (r *rowStream) Next() (rel.Tuple, error) {
+	if len(r.rows) == 0 {
+		return nil, io.EOF
+	}
+	t := r.rows[0]
+	r.rows = r.rows[1:]
+	return t, nil
+}
+
+func (r *rowStream) Len() int64   { return int64(len(r.rows)) }
+func (r *rowStream) Close() error { return nil }
 
 // drainThrough runs input through the sink open makes under policy and
 // drains the result. Always seals runs just above the radix cutoff and
@@ -140,10 +179,12 @@ func TestSpillSorterMatchesOracle(t *testing.T) {
 					for i, tup := range input {
 						unsorted[i] = tup.Clone()
 					}
-					got := drainThrough(t, newSorter, input, arity, policy)
-					requireSameSequence(t, got, before)
-					// The sorter copies: the caller's rows are untouched.
-					requireSameSequence(t, input, unsorted)
+					for _, sk := range sinks[:2] { // Finish and FinishFlat
+						got := drainThrough(t, sk.open, input, arity, policy)
+						requireSameSequence(t, got, before)
+						// The sorter copies: the caller's rows are untouched.
+						requireSameSequence(t, input, unsorted)
+					}
 				}
 			}
 		}
@@ -277,7 +318,7 @@ func TestRadixSortSkipsUniformDigits(t *testing.T) {
 }
 
 // TestDrainHandsOverMemoryRun checks the in-memory finish is not copied:
-// Drain returns the stream's own run.
+// Drain's rows are views into the stream's own arena.
 func TestDrainHandsOverMemoryRun(t *testing.T) {
 	b := NewBuffer(Config{Acct: NewAccountant(1, 0, 0), Arity: 1, Policy: Off, Label: "drain"})
 	for i := int64(0); i < 4; i++ {
@@ -289,12 +330,12 @@ func TestDrainHandsOverMemoryRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := stream.(*memStream).run
+	arena := stream.(*memStream).run.chunks[0]
 	got, err := Drain(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 4 || &got[0] != &run[0] {
+	if len(got) != 4 || &got[0][0] != &arena[0] || &got[3][0] != &arena[3] {
 		t.Fatal("Drain copied an unread in-memory run")
 	}
 }
