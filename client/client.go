@@ -54,9 +54,11 @@ var (
 	// it speaks an older protocol. Degrade (e.g. fall back from
 	// Prepare/Execute to plain Run); the connection itself stays healthy.
 	ErrUnsupported = errors.New("parajoind: unsupported frame")
-	// ErrTooLarge: the query ran, but its answer exceeds the largest frame
-	// the protocol carries, so the server did not send it. The connection
-	// stays healthy; narrow the query or count it instead.
+	// ErrTooLarge: the server handled the request, but a one-frame
+	// response exceeds the largest frame the protocol carries (MaxFrame),
+	// so it did not send it. The connection stays healthy. Run and Execute
+	// answers stream as chunk frames (protocol 6), so no answer gets it,
+	// whatever its size.
 	ErrTooLarge = errors.New("parajoind: answer too large for one frame")
 )
 
@@ -217,6 +219,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 		backoff *= 2
 	}
 	return &Client{link: wire.NewLink(conn, wire.LinkConfig[wire.Response]{
+		Last: func(resp *wire.Response) bool { return !resp.More },
 		Failed: func(cause error) error {
 			if errors.Is(cause, wire.ErrFrameTooLarge) {
 				return cause // nothing was written; the connection stays up
@@ -229,10 +232,13 @@ func Dial(addr string, opts Options) (*Client, error) {
 // Close tears down the connection. In-flight calls fail with ErrConnClosed.
 func (c *Client) Close() error { return c.link.Close() }
 
-// call sends req and waits for its response. If ctx expires first it sends
-// a cancel frame and still waits for the (now canceled) response, so the
-// server's slot accounting and the connection framing stay consistent.
-func (c *Client) call(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+// call sends req and waits for its last response frame. Each frame before
+// it, a chunk of a streamed answer (More set), goes to chunk on the link's
+// reader as it arrives, so everything chunk did happens before call
+// returns. If ctx expires first call sends a cancel frame and still waits
+// for the last frame, so the server's slot accounting and the connection
+// framing stay consistent.
+func (c *Client) call(ctx context.Context, req *wire.Request, chunk func(*wire.Response)) (*wire.Response, error) {
 	if c.protoSent.CompareAndSwap(false, true) {
 		req.Proto = wire.ProtoVersion
 	}
@@ -241,13 +247,21 @@ func (c *Client) call(ctx context.Context, req *wire.Request) (*wire.Response, e
 		err  error
 	}
 	ch := make(chan reply, 1)
-	id := c.link.Send(req, func(resp *wire.Response, err error) { ch <- reply{resp, err} })
+	id := c.link.Send(req, func(resp *wire.Response, err error) {
+		if resp != nil && resp.More {
+			if chunk != nil {
+				chunk(resp)
+			}
+			return
+		}
+		ch <- reply{resp, err}
+	})
 	var r reply
 	select {
 	case r = <-ch:
 	case <-ctx.Done():
-		// Ask the server to cancel, then wait for the original response —
-		// the server answers every request exactly once.
+		// Ask the server to cancel, then wait for the original request's
+		// last frame — the server ends every request exactly once.
 		c.link.Send(&wire.Request{Op: wire.OpCancel, Target: id}, func(*wire.Response, error) {})
 		if r = <-ch; r.err != nil {
 			return nil, context.Cause(ctx)
@@ -264,13 +278,13 @@ func (c *Client) call(ctx context.Context, req *wire.Request) (*wire.Response, e
 
 // Ping checks the server is alive.
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.call(ctx, &wire.Request{Op: wire.OpPing})
+	_, err := c.call(ctx, &wire.Request{Op: wire.OpPing}, nil)
 	return err
 }
 
 // Load registers a relation on the server.
 func (c *Client) Load(ctx context.Context, name string, columns []string, rows [][]int64) error {
-	_, err := c.call(ctx, &wire.Request{Op: wire.OpLoad, Name: name, Columns: columns, Rows: rows})
+	_, err := c.call(ctx, &wire.Request{Op: wire.OpLoad, Name: name, Columns: columns, Rows: rows}, nil)
 	return err
 }
 
@@ -278,13 +292,13 @@ func (c *Client) Load(ctx context.Context, name string, columns []string, rows [
 // Non-integer values are dictionary-encoded server-side, so string
 // constants written in rules match the loaded data.
 func (c *Client) LoadCSV(ctx context.Context, name, csv string) error {
-	_, err := c.call(ctx, &wire.Request{Op: wire.OpLoadCSV, Name: name, CSV: csv})
+	_, err := c.call(ctx, &wire.Request{Op: wire.OpLoadCSV, Name: name, CSV: csv}, nil)
 	return err
 }
 
 // Relations lists the server's catalog.
 func (c *Client) Relations(ctx context.Context) ([]Relation, error) {
-	resp, err := c.call(ctx, &wire.Request{Op: wire.OpRelations})
+	resp, err := c.call(ctx, &wire.Request{Op: wire.OpRelations}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +319,7 @@ type ClusterInfo = wire.ClusterInfo
 // ErrUnsupported) means the server predates the cluster frame (protocol
 // version < 4).
 func (c *Client) Cluster(ctx context.Context) (*ClusterInfo, error) {
-	resp, err := c.call(ctx, &wire.Request{Op: wire.OpCluster})
+	resp, err := c.call(ctx, &wire.Request{Op: wire.OpCluster}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -326,13 +340,38 @@ func queryReq(op, rule string, opts QueryOptions) *wire.Request {
 	}
 }
 
-// resultRows decodes a row-bearing response's colbatch row stream.
-func resultRows(resp *wire.Response) ([][]int64, error) {
-	rows, err := colbatch.DecodeRowsStream(resp.RowsEnc)
-	if err != nil {
-		return nil, fmt.Errorf("parajoind: decoding columnar rows: %w", err)
+// query sends a run or execute request and gathers its streamed answer.
+// Each chunk frame is decoded into its own arena as it arrives, and the
+// result's rows are views of those arenas: one row slice, sized once the
+// last frame is in, is the only copy.
+func (c *Client) query(ctx context.Context, req *wire.Request) (*Result, error) {
+	var (
+		batches []*colbatch.Batch
+		n       int
+		derr    error
+	)
+	decode := func(data []byte) {
+		for derr == nil && len(data) > 0 {
+			b, used, err := colbatch.DecodeNext(data)
+			if err != nil {
+				derr = fmt.Errorf("parajoind: decoding columnar rows: %w", err)
+				return
+			}
+			batches, n, data = append(batches, b), n+b.Rows(), data[used:]
+		}
 	}
-	return rows, nil
+	resp, err := c.call(ctx, req, func(f *wire.Response) { decode(f.RowsEnc) })
+	if err != nil {
+		return nil, err
+	}
+	if decode(resp.RowsEnc); derr != nil {
+		return nil, derr
+	}
+	rows := make([][]int64, 0, n)
+	for _, b := range batches {
+		rows = b.AppendRows(rows)
+	}
+	return &Result{Columns: resp.Columns, Rows: rows, Stats: statsOf(resp.Stats)}, nil
 }
 
 func statsOf(w *wire.Stats) Stats {
@@ -360,20 +399,12 @@ func statsOf(w *wire.Stats) Stats {
 
 // Run evaluates a datalog rule on the server and returns the result rows.
 func (c *Client) Run(ctx context.Context, rule string, opts QueryOptions) (*Result, error) {
-	resp, err := c.call(ctx, queryReq(wire.OpRun, rule, opts))
-	if err != nil {
-		return nil, err
-	}
-	rows, err := resultRows(resp)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: resp.Columns, Rows: rows, Stats: statsOf(resp.Stats)}, nil
+	return c.query(ctx, queryReq(wire.OpRun, rule, opts))
 }
 
 // Count evaluates a rule and returns only the answer count.
 func (c *Client) Count(ctx context.Context, rule string, opts QueryOptions) (int64, Stats, error) {
-	resp, err := c.call(ctx, queryReq(wire.OpCount, rule, opts))
+	resp, err := c.call(ctx, queryReq(wire.OpCount, rule, opts), nil)
 	if err != nil {
 		return 0, Stats{}, err
 	}
@@ -382,7 +413,7 @@ func (c *Client) Count(ctx context.Context, rule string, opts QueryOptions) (int
 
 // Explain runs EXPLAIN ANALYZE on a rule and returns the rendered plan.
 func (c *Client) Explain(ctx context.Context, rule string, opts QueryOptions) (string, error) {
-	resp, err := c.call(ctx, queryReq(wire.OpExplain, rule, opts))
+	resp, err := c.call(ctx, queryReq(wire.OpExplain, rule, opts), nil)
 	if err != nil {
 		return "", err
 	}
@@ -405,7 +436,7 @@ type Stmt struct {
 // means the server predates prepared statements — fall back to Run with the
 // constants inlined.
 func (c *Client) Prepare(ctx context.Context, rule string) (*Stmt, error) {
-	resp, err := c.call(ctx, &wire.Request{Op: wire.OpPrepare, Rule: rule})
+	resp, err := c.call(ctx, &wire.Request{Op: wire.OpPrepare, Rule: rule}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -429,20 +460,12 @@ func (s *Stmt) ExecuteWith(ctx context.Context, opts QueryOptions, args ...int64
 	req := queryReq(wire.OpExecute, "", opts)
 	req.Stmt = s.id
 	req.Args = args
-	resp, err := s.c.call(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := resultRows(resp)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: resp.Columns, Rows: rows, Stats: statsOf(resp.Stats)}, nil
+	return s.c.query(ctx, req)
 }
 
 // Close frees the statement on the server. Closing twice is harmless, and
 // statements are freed automatically when the connection ends.
 func (s *Stmt) Close(ctx context.Context) error {
-	_, err := s.c.call(ctx, &wire.Request{Op: wire.OpCloseStmt, Stmt: s.id})
+	_, err := s.c.call(ctx, &wire.Request{Op: wire.OpCloseStmt, Stmt: s.id}, nil)
 	return err
 }

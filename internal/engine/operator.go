@@ -317,7 +317,8 @@ type tributaryOp struct {
 	order  []core.Var
 	sch    rel.Schema
 
-	stream spill.Stream
+	stream  spill.Stream
+	emitted int64 // rows next has taken from stream
 }
 
 func (o *tributaryOp) schema() rel.Schema { return o.sch }
@@ -466,8 +467,14 @@ func (o *tributaryOp) emitPhase(name string, d time.Duration, tuples int64) {
 }
 
 func (o *tributaryOp) next() ([]rel.Tuple, error) {
-	b := make([]rel.Tuple, 0, o.t.ex.batchSize)
-	for len(b) < o.t.ex.batchSize {
+	// Sized to the rows the stream has left, so the last batch of a short
+	// join output is not a full batchSize allocation.
+	left := o.stream.Len() - o.emitted
+	if left <= 0 {
+		return nil, io.EOF
+	}
+	b := make([]rel.Tuple, 0, min(int64(o.t.ex.batchSize), left))
+	for len(b) < cap(b) {
 		t, err := o.stream.Next()
 		if err == io.EOF {
 			break
@@ -477,6 +484,7 @@ func (o *tributaryOp) next() ([]rel.Tuple, error) {
 		}
 		b = append(b, t)
 	}
+	o.emitted += int64(len(b))
 	if len(b) == 0 {
 		return nil, io.EOF
 	}

@@ -150,6 +150,19 @@ func (c *Cluster) RunRounds(ctx context.Context, rounds []Round) (*rel.Relation,
 
 // RunRoundsOpts is RunRounds with per-run options.
 func (c *Cluster) RunRoundsOpts(ctx context.Context, rounds []Round, opts RunOpts) (*rel.Relation, *Report, error) {
+	frags, report, err := c.RunRoundsFragments(ctx, rounds, opts)
+	if err != nil {
+		return nil, report, err
+	}
+	return rel.Concat("result", frags), report, nil
+}
+
+// RunRoundsFragments is RunRoundsOpts without the final gather: it returns
+// the last round's fragments in worker order (nil for a worker this process
+// does not host), so a caller that streams the answer never copies it into
+// one relation. A run delegated to Remote returns its answer as one
+// fragment.
+func (c *Cluster) RunRoundsFragments(ctx context.Context, rounds []Round, opts RunOpts) ([]*rel.Relation, *Report, error) {
 	if len(rounds) == 0 {
 		return nil, nil, fmt.Errorf("engine: no rounds")
 	}
@@ -160,7 +173,11 @@ func (c *Cluster) RunRoundsOpts(ctx context.Context, rounds []Round, opts RunOpt
 		if c.closed.Load() {
 			return nil, nil, ErrClosed
 		}
-		return c.Remote.RunRounds(ctx, rounds, c.remoteOpts(opts))
+		out, report, err := c.Remote.RunRounds(ctx, rounds, c.remoteOpts(opts))
+		if err != nil {
+			return nil, report, err
+		}
+		return []*rel.Relation{out}, report, nil
 	}
 	// temps is this run's private relation namespace: scans resolve here
 	// before the shared cluster storage.
@@ -199,7 +216,7 @@ func (c *Cluster) RunRoundsOpts(ctx context.Context, rounds []Round, opts RunOpt
 			temps[round.StoreAs] = frags
 			continue
 		}
-		return rel.Concat("result", frags), combined, nil
+		return frags, combined, nil
 	}
 	panic("unreachable")
 }

@@ -503,9 +503,14 @@ func (t *TCPTransport) Recv(ctx context.Context, exchangeID, dst int) ([]rel.Tup
 	if err != nil {
 		return nil, false, err
 	}
-	stop := context.AfterFunc(ctx, func() { q.cond.Broadcast() })
-	defer stop()
-	b, ok, err := q.pop(ctx.Done())
+	// An already-queued batch needs no wake-up on cancellation, so only a
+	// Recv that has to wait registers one.
+	b, ok, ready, err := q.tryPop()
+	if !ready {
+		stop := context.AfterFunc(ctx, func() { q.cond.Broadcast() })
+		defer stop()
+		b, ok, err = q.pop(ctx.Done())
+	}
 	if err != nil {
 		return nil, false, recvErr(ctx, err)
 	}

@@ -196,3 +196,29 @@ func TestTCPAddrsResolved(t *testing.T) {
 		t.Fatal("listen address was not resolved")
 	}
 }
+
+// TestTCPRecvQueuedBatchAllocatesNothing: a Recv that finds a batch already
+// queued returns it without registering a cancellation wake-up, so it
+// allocates nothing. Only a Recv that has to wait pays for one.
+func TestTCPRecvQueuedBatchAllocatesNothing(t *testing.T) {
+	tr := newTransport([]string{"a", "b"}, []int{0, 1})
+	defer tr.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const runs = 100
+	batch := []rel.Tuple{{1, 2}}
+	// AllocsPerRun calls its function once more than runs, to warm up.
+	for i := 0; i < runs+1; i++ {
+		if err := tr.Send(ctx, 1<<20, 1, 0, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, ok, err := tr.Recv(ctx, 1<<20, 0); !ok || err != nil {
+			t.Fatalf("Recv of a queued batch: ok %v, err %v", ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Recv of a queued batch allocates %.1f times, want 0", allocs)
+	}
+}

@@ -229,17 +229,8 @@ func (q *memQueue) pop(done <-chan struct{}) ([]rel.Tuple, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if q.err != nil {
-			return nil, false, q.err
-		}
-		if len(q.batches) > 0 {
-			b := q.batches[0]
-			q.batches = q.batches[1:]
-			q.ctr.dequeued()
-			return b, true, nil
-		}
-		if q.open <= 0 {
-			return nil, false, nil
+		if b, ok, ready, err := q.take(); ready {
+			return b, ok, err
 		}
 		select {
 		case <-done:
@@ -248,6 +239,31 @@ func (q *memQueue) pop(done <-chan struct{}) ([]rel.Tuple, bool, error) {
 		}
 		q.cond.Wait()
 	}
+}
+
+// tryPop is pop without the wait: ready is false when the queue holds no
+// batch and still has open producers.
+func (q *memQueue) tryPop() (b []rel.Tuple, ok, ready bool, err error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.take()
+}
+
+// take is pop's outcome when it needs no wait: the queue's failure, its
+// next batch, or the end of its stream. The caller holds q.mu.
+func (q *memQueue) take() (b []rel.Tuple, ok, ready bool, err error) {
+	switch {
+	case q.err != nil:
+		return nil, false, true, q.err
+	case len(q.batches) > 0:
+		b = q.batches[0]
+		q.batches = q.batches[1:]
+		q.ctr.dequeued()
+		return b, true, true, nil
+	case q.open <= 0:
+		return nil, false, true, nil
+	}
+	return nil, false, false, nil
 }
 
 // recvErr translates pop's abort into the receiving context's cancellation

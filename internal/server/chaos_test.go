@@ -165,17 +165,19 @@ func TestChaosSoakBitIdentical(t *testing.T) {
 				if res.Stats.RetryCause == "" {
 					t.Fatal("RetryCause empty on a retried query")
 				}
+				// The server records a query's outcome, and flushes its
+				// trace, after the answer's last frame is written, so the
+				// client can hold its rows before the events arrive.
+				waitFor(t, "a KindQuery outcome event with Attempts >= 2", func() bool {
+					for _, e := range sink.find(trace.KindQuery) {
+						if e.Name == "ok" && e.Attempts >= 2 {
+							return true
+						}
+					}
+					return false
+				})
 				if len(sink.find(trace.KindRetry)) == 0 {
 					t.Fatal("no KindRetry trace event emitted")
-				}
-				var sawAttempts bool
-				for _, e := range sink.find(trace.KindQuery) {
-					if e.Name == "ok" && e.Attempts >= 2 {
-						sawAttempts = true
-					}
-				}
-				if !sawAttempts {
-					t.Fatal("no KindQuery outcome event carried Attempts >= 2")
 				}
 			})
 		}

@@ -16,6 +16,7 @@ import (
 	"parajoin"
 	"parajoin/internal/colbatch"
 	"parajoin/internal/metrics"
+	"parajoin/internal/rel"
 	"parajoin/internal/trace"
 	"parajoin/internal/wire"
 )
@@ -457,26 +458,124 @@ func (ss *session) stamp(resp *wire.Response) {
 	}
 }
 
-// reply writes resp. A response over wire.MaxFrame is never started, so
-// that one request is answered with a CodeTooLarge error instead and the
-// connection carries on. Any other write error closes the connection, and
-// the read loop notices.
-func (ss *session) reply(resp *wire.Response) {
+// reply writes resp and returns the write's error. A response over
+// wire.MaxFrame is never started, so that one request is answered with a
+// CodeTooLarge error instead, the connection carries on, and the error
+// returned wraps wire.ErrFrameTooLarge. Any other write error closes the
+// connection, and the read loop notices.
+func (ss *session) reply(resp *wire.Response) error {
 	ss.stamp(resp)
 	ss.wmu.Lock()
 	defer ss.wmu.Unlock()
 	err := wire.WriteFrame(ss.conn, resp)
 	if errors.Is(err, wire.ErrFrameTooLarge) {
-		err = wire.WriteFrame(ss.conn, &wire.Response{ID: resp.ID, Proto: resp.Proto,
-			ErrCode: wire.CodeTooLarge, Err: fmt.Sprintf("server: answer not sent: %v", err)})
+		if werr := wire.WriteFrame(ss.conn, &wire.Response{ID: resp.ID, Proto: resp.Proto,
+			ErrCode: wire.CodeTooLarge, Err: fmt.Sprintf("server: answer not sent: %v", err)}); werr != nil {
+			err = werr
+		}
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, wire.ErrFrameTooLarge) {
 		ss.conn.Close()
 	}
+	return err
 }
 
 func (ss *session) fail(id uint64, code string, err error) {
 	ss.reply(&wire.Response{ID: id, ErrCode: code, Err: err.Error()})
+}
+
+// sentOutcome is the outcome a reply's error leaves the client with: the
+// response itself, a CodeTooLarge error in its place, or, once the
+// connection has failed, nothing — which the client sees as the
+// connection loss CodeCanceled stands for.
+func sentOutcome(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, wire.ErrFrameTooLarge):
+		return wire.CodeTooLarge
+	}
+	return wire.CodeCanceled
+}
+
+// chunkValues caps the values (rows × arity) of one answer chunk, the
+// colbatch batch one frame of a streamed run/execute answer carries. It
+// keeps a chunk frame a few hundred KiB, far below wire.MaxFrame.
+const chunkValues = 1 << 16
+
+// chunkedProto is the protocol version that added streamed answers
+// (wire.Response.More).
+const chunkedProto = 6
+
+// streamAnswer sends a run/execute answer as frames on last's ID and
+// returns the outcome the client got. Every frame but the last sets More
+// and carries one colbatch chunk, encoded by one Encoder straight from the
+// worker fragments, in worker order; last, which holds the columns and
+// stats, goes out with the final chunk, so a one-chunk answer is one
+// frame. Each frame takes the write lock alone, so the frames of
+// concurrent answers on the connection interleave. An answer that needs
+// more than one frame is refused to a peer below protocol 6, and ctx
+// ending between frames ends the answer with its error instead of the
+// last frame: a client never takes part of an answer for all of it.
+func (ss *session) streamAnswer(ctx context.Context, last *wire.Response, a *parajoin.Answer) (string, error) {
+	chunkRows := max(chunkValues/max(len(last.Columns), 1), 1)
+	total := a.Len()
+	if proto := ss.peerProto.Load(); total > chunkRows && proto < chunkedProto {
+		err := fmt.Errorf("an answer of %d rows takes more than one frame, which needs protocol %d (client speaks %d)",
+			total, chunkedProto, max(proto, 1))
+		ss.fail(last.ID, wire.CodeUnsupportedFrame, err)
+		return wire.CodeUnsupportedFrame, err
+	}
+	var (
+		enc    colbatch.Encoder
+		buf    []byte
+		gather []rel.Tuple
+	)
+	fi, ri, pending := 0, 0, total
+	for {
+		// The next chunk is a slice of one fragment when its rows lie in
+		// one, and a gathered list of row views when they straddle two.
+		var chunk []rel.Tuple
+		gathered := false
+		for len(chunk) < chunkRows && fi < len(a.Fragments) {
+			f := a.Fragments[fi]
+			take := f[ri:min(len(f), ri+chunkRows-len(chunk))]
+			if ri += len(take); ri == len(f) {
+				fi, ri = fi+1, 0
+			}
+			switch {
+			case len(take) == 0:
+			case len(chunk) == 0:
+				chunk = take
+			case !gathered:
+				gather = append(append(gather[:0], chunk...), take...)
+				chunk, gathered = gather, true
+			default:
+				gather = append(gather, take...)
+				chunk = gather
+			}
+		}
+		pending -= len(chunk)
+		var err error
+		if buf, err = enc.AppendTuples(buf[:0], chunk); err != nil {
+			err = fmt.Errorf("server: encoding result rows: %w", err)
+			ss.fail(last.ID, wire.CodeInternal, err)
+			return wire.CodeInternal, err
+		}
+		if pending == 0 {
+			last.RowsEnc = buf
+			err := ss.reply(last)
+			return sentOutcome(err), err
+		}
+		if err := ss.reply(&wire.Response{ID: last.ID, RowsEnc: buf, More: true}); err != nil {
+			return sentOutcome(err), err
+		}
+		if err := context.Cause(ctx); err != nil {
+			code := errCode(err)
+			ss.fail(last.ID, code, err)
+			return code, err
+		}
+	}
 }
 
 // errCanceledByClient distinguishes an OpCancel from other context
@@ -736,7 +835,7 @@ func (ss *session) query(req *wire.Request) {
 
 	var (
 		resp    *wire.Response
-		rows    int64
+		ans     *parajoin.Answer
 		explain string
 	)
 	for {
@@ -770,7 +869,7 @@ func (ss *session) query(req *wire.Request) {
 		}
 		prog.SetStage("planning")
 		execStart := time.Now()
-		resp, rows, explain, err = ss.execute(req, q, opts, runCtx)
+		resp, ans, explain, err = ss.execute(req, q, opts, runCtx)
 		queryMetrics.exec.ObserveDuration(time.Since(execStart))
 		// Released between attempts (and before the backoff sleep) so a
 		// retrying query never starves other admitted work; the response is
@@ -837,57 +936,54 @@ func (ss *session) query(req *wire.Request) {
 	if req.Op != wire.OpExecute && req.Rule != "" {
 		srv.lastRule.Store(req.Rule)
 	}
-	// The outcome is what the client will get: an answer over
-	// wire.MaxFrame (sized by framing it into io.Discard) goes out as a
-	// CodeTooLarge error, and is logged so. It is recorded before the
-	// write, so a client holding its answer finds the query's trace and
-	// slow-log line complete.
-	ss.stamp(resp)
-	if err := wire.WriteFrame(io.Discard, resp); errors.Is(err, wire.ErrFrameTooLarge) {
-		outcome(wire.CodeTooLarge, rows, resp.Stats, explain, err)
-	} else {
-		outcome("ok", rows, resp.Stats, explain, nil)
+	// The outcome is what the client got, so it is recorded after the last
+	// write: a client holding its answer may find the query's trace event
+	// and slow-log line still to come.
+	if ans == nil {
+		err := ss.reply(resp)
+		outcome(sentOutcome(err), resp.Count, resp.Stats, explain, err)
+		return
 	}
-	ss.reply(resp)
+	prog.SetStage("streaming")
+	sent, err := ss.streamAnswer(ctx, resp, ans)
+	outcome(sent, int64(ans.Len()), resp.Stats, explain, err)
 }
 
-// execute runs a single attempt of an evaluation op. The returned explain
-// string is the run's in-flight EXPLAIN ANALYZE capture (empty unless
+// execute runs a single attempt of an evaluation op. For run and execute
+// the rows stay in the returned answer, for streamAnswer to send, and resp
+// is the answer's last frame without them. The returned explain string is
+// the run's in-flight EXPLAIN ANALYZE capture (empty unless
 // RunOptions.Explain was set) — it feeds the slow-query log, and is the
 // wire response of OpExplain, which runs under the same resolved options.
-func (ss *session) execute(req *wire.Request, q *parajoin.Query, opts parajoin.RunOptions, runCtx context.Context) (*wire.Response, int64, string, error) {
+func (ss *session) execute(req *wire.Request, q *parajoin.Query, opts parajoin.RunOptions, runCtx context.Context) (*wire.Response, *parajoin.Answer, string, error) {
 	resp := &wire.Response{ID: req.ID}
 	switch req.Op {
 	case wire.OpRun, wire.OpExecute:
-		res, err := q.RunWithOptions(runCtx, opts)
+		a, err := q.AnswerWithOptions(runCtx, opts)
 		if err != nil {
-			return nil, 0, "", err
+			return nil, nil, "", err
 		}
-		enc, err := colbatch.AppendRowsStream(nil, res.Rows)
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("server: encoding result rows: %w", err)
-		}
-		resp.Columns, resp.RowsEnc = res.Columns, enc
-		resp.Stats = wireStats(&res.Stats)
-		return resp, int64(len(res.Rows)), res.Stats.Explain, nil
+		resp.Columns = a.Columns
+		resp.Stats = wireStats(&a.Stats)
+		return resp, a, a.Stats.Explain, nil
 
 	case wire.OpCount:
 		n, st, err := q.CountWithOptions(runCtx, opts)
 		if err != nil {
-			return nil, 0, "", err
+			return nil, nil, "", err
 		}
 		resp.Count = n
 		resp.Stats = wireStats(st)
-		return resp, n, st.Explain, nil
+		return resp, nil, st.Explain, nil
 
 	default: // wire.OpExplain (dispatch admits no other op here)
 		opts.Explain = true
-		res, err := q.RunWithOptions(runCtx, opts)
+		a, err := q.AnswerWithOptions(runCtx, opts)
 		if err != nil {
-			return nil, 0, "", err
+			return nil, nil, "", err
 		}
-		resp.Explain = res.Stats.Explain
-		return resp, 0, resp.Explain, nil
+		resp.Explain = a.Stats.Explain
+		return resp, nil, resp.Explain, nil
 	}
 }
 

@@ -10,11 +10,16 @@
 // debuggable with nc/jq and implementable from any language.
 //
 // Requests carry a client-chosen ID; the server answers every request
-// with exactly one Response bearing the same ID. Responses may arrive out
-// of order — the server evaluates queries concurrently — so clients
-// demultiplex by ID with a Link, as the cluster coordinator does on its
-// member links; a Link finishes each request exactly once. A Cancel request
-// references another in-flight request by Target; both get responses.
+// with one or more Response frames bearing the same ID, the last with More
+// unset. Only a run/execute answer takes more than one: its rows stream as
+// colbatch chunks, one per frame, and the last frame carries the columns
+// and stats (or the error that ends the answer, after which the client
+// drops the chunks it has). Responses may arrive out of order and the
+// frames of concurrent answers interleave — the server evaluates queries
+// concurrently — so clients demultiplex by ID with a Link, as the cluster
+// coordinator does on its member links; a Link finishes each request
+// exactly once, on its last frame. A Cancel request references another
+// in-flight request by Target; both get responses.
 //
 // # Versioning
 //
@@ -38,6 +43,14 @@
 //   - v5: RowsEnc (and the cluster protocol's and exchange's binary
 //     fields) moved from base64 JSON into the frame payload. A pre-v5
 //     reader fails a row-bearing response with "exceeds limit".
+//   - v6: chunked answers. A run/execute answer streams as frames on its
+//     request ID, each carrying one colbatch chunk of a bounded number of
+//     values; every frame but the last sets More. MaxFrame then bounds a
+//     chunk, not an answer. An answer that needs more than one frame is
+//     refused to a peer that advertised no Proto or one below 6, with
+//     CodeUnsupportedFrame, since such a peer would take its first frame
+//     for the whole answer; a one-frame answer is the same bytes in every
+//     version and goes to any peer.
 //
 // The request vocabulary, error taxonomy, and framing rationale are
 // specified in DESIGN.md's "Concurrent query service" section; the row

@@ -262,3 +262,45 @@ func TestLinkSendAfterFailureFailsAtOnce(t *testing.T) {
 		t.Fatalf("handler called %d times with %v before Send returned, want once with Err() = %v", calls, got, l.Err())
 	}
 }
+
+// TestLinkChunkedAnswerEndsOnLastFrame: with Last reporting !More, as the
+// client configures it, each request's handler gets every frame of its
+// streamed answer in order while the frames of two answers interleave, and
+// each request leaves the table on its frame with More unset.
+func TestLinkChunkedAnswerEndsOnLastFrame(t *testing.T) {
+	l := linkPair(t, LinkConfig[Response]{Last: func(r *Response) bool { return !r.More }}, nil, func(conn net.Conn) {
+		var a, b Request
+		if ReadFrame(conn, &a) != nil || ReadFrame(conn, &b) != nil {
+			return
+		}
+		for _, f := range []*Response{
+			{ID: a.ID, Count: 1, More: true}, {ID: b.ID, Count: 1, More: true},
+			{ID: a.ID, Count: 2, More: true}, {ID: b.ID, Count: 2}, {ID: a.ID, Count: 3},
+		} {
+			if WriteFrame(conn, f) != nil {
+				return
+			}
+		}
+		answerAll(conn)
+	})
+	oa, ob := newOutcome(), newOutcome()
+	l.Send(&Request{Op: OpRun}, oa.handle)
+	l.Send(&Request{Op: OpRun}, ob.handle)
+	for _, o := range []struct {
+		name   string
+		out    *outcome
+		frames int64
+	}{{"a", oa, 3}, {"b", ob, 2}} {
+		for i := int64(1); i <= o.frames; i++ {
+			if r := o.out.wantResponse(t); r.Count != i || r.More != (i < o.frames) {
+				t.Fatalf("answer %s frame %d: count %d, more %v", o.name, i, r.Count, r.More)
+			}
+		}
+	}
+	l.mu.Lock()
+	open := len(l.pending)
+	l.mu.Unlock()
+	if open != 0 {
+		t.Fatalf("%d requests still open after their last frames", open)
+	}
+}

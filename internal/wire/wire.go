@@ -24,7 +24,7 @@ var ErrFrameTooLarge = errors.New("wire: frame too large")
 // own in every response carrying a non-zero request Proto, so both sides
 // can detect a peer that predates a frame before (or instead of) tripping
 // over it. A zero Proto means a version-1 peer.
-const ProtoVersion = 5
+const ProtoVersion = 6
 
 // EncodingColbatch is the Request.Encoding value version-3 clients send to
 // ask for colbatch rows. Rows are always colbatch whatever Encoding says;
@@ -98,9 +98,10 @@ const (
 	// connection stays healthy; the client should degrade (e.g. fall back
 	// from prepare/execute to plain run).
 	CodeUnsupportedFrame = "unsupported_frame"
-	// CodeTooLarge: the response would not fit in one frame (MaxFrame);
-	// the query ran, but its answer was not sent. The connection stays
-	// healthy.
+	// CodeTooLarge: a one-frame response would not fit in MaxFrame; the
+	// request ran, but its response was not sent. The connection stays
+	// healthy. A run/execute answer streams as chunk frames (protocol 6),
+	// so no answer gets it.
 	CodeTooLarge = "too_large"
 	// CodeInternal: anything else.
 	CodeInternal = "internal"
@@ -230,10 +231,15 @@ type Response struct {
 	Explain   string         `json:"explain,omitempty"`
 	// Cluster answers OpCluster (protocol 4).
 	Cluster *ClusterInfo `json:"cluster,omitempty"`
-	// RowsEnc carries an OpRun/OpExecute answer's rows as a colbatch stream
-	// (internal/colbatch), sent raw as the frame's payload. It is the only
-	// form result rows take; an empty answer is one empty batch.
+	// RowsEnc carries one chunk of an OpRun/OpExecute answer's rows as
+	// colbatch (internal/colbatch), sent raw as the frame's payload. It is
+	// the only form result rows take; an empty answer is one empty batch.
 	RowsEnc []byte `json:"-"`
+	// More marks a frame of a streamed OpRun/OpExecute answer that another
+	// frame with the same ID follows (protocol 6). Every frame but the last
+	// sets it and carries only a chunk; the last carries Columns, Stats and
+	// any last chunk, or the error that ends the answer instead.
+	More bool `json:"more,omitempty"`
 
 	// Proto is the server's protocol version, echoed when the request
 	// advertised one. Stmt and Params answer OpPrepare: the statement

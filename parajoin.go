@@ -33,6 +33,7 @@ package parajoin
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -513,14 +514,61 @@ func (q *Query) RunWith(ctx context.Context, s Strategy) (*Result, error) {
 
 // RunWithOptions evaluates the query with explicit per-run options.
 func (q *Query) RunWithOptions(ctx context.Context, opts RunOptions) (*Result, error) {
+	a, err := q.AnswerWithOptions(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Columns: a.Columns, Rows: a.rows(), Stats: a.Stats}, nil
+}
+
+// Answer is a query answer as the workers left it: Fragments holds the
+// rows in worker order, and concatenated they are Result.Rows. A
+// deduplicated projection, a result-cache hit and a distributed run each
+// leave one fragment. The rows may be shared with the engine and the
+// result cache, so callers must not modify them.
+type Answer struct {
+	Columns   []string
+	Fragments [][]rel.Tuple
+	Stats     Stats
+}
+
+// Len is the answer's row count.
+func (a *Answer) Len() int {
+	n := 0
+	for _, f := range a.Fragments {
+		n += len(f)
+	}
+	return n
+}
+
+// rows gathers the fragments into one row slice: views of the same rows,
+// not copies of their values.
+func (a *Answer) rows() [][]int64 {
+	rows := make([][]int64, 0, a.Len())
+	for _, f := range a.Fragments {
+		for _, t := range f {
+			rows = append(rows, t)
+		}
+	}
+	return rows
+}
+
+// AnswerWithOptions evaluates the query like RunWithOptions but leaves the
+// answer in its worker fragments, so a caller that streams it (the serving
+// layer encodes it straight onto the wire) never gathers it into one slice.
+func (q *Query) AnswerWithOptions(ctx context.Context, opts RunOptions) (*Answer, error) {
 	db := q.db
 	start := time.Now()
 	rkey, epoch, useRC := db.resultProbe(q.q, "run", opts)
 	if useRC {
 		if r := db.resultCache.Get(rkey, epoch); r != nil {
-			return &Result{
-				Columns: r.Columns,
-				Rows:    r.Rows,
+			frag := make([]rel.Tuple, len(r.Rows))
+			for i, row := range r.Rows {
+				frag[i] = row
+			}
+			return &Answer{
+				Columns:   r.Columns,
+				Fragments: [][]rel.Tuple{frag},
 				Stats: Stats{
 					Strategy:     Strategy(r.Strategy),
 					Workers:      db.workers,
@@ -536,38 +584,43 @@ func (q *Query) RunWithOptions(ctx context.Context, opts RunOptions) (*Result, e
 	}
 	eopts, col := db.explainOpts(opts)
 
-	out, report, err := db.cluster.RunRoundsOpts(ctx, res.Rounds, eopts)
+	frags, report, err := db.cluster.RunRoundsFragments(ctx, res.Rounds, eopts)
 	if err != nil {
 		return nil, err
 	}
+	a := &Answer{Fragments: make([][]rel.Tuple, 0, len(frags))}
+	for _, f := range frags {
+		if f == nil {
+			continue
+		}
+		if a.Columns == nil {
+			a.Columns = []string(f.Schema.Clone())
+		}
+		a.Fragments = append(a.Fragments, f.Tuples)
+	}
 	if !q.q.IsFull() {
-		out.Dedup()
+		// Set semantics need every row in one sorted slice.
+		all := &rel.Relation{Tuples: slices.Concat(a.Fragments...)}
+		a.Fragments = [][]rel.Tuple{all.Dedup().Tuples}
 	}
 
-	result := &Result{
-		Columns: []string(out.Schema),
-		Rows:    make([][]int64, len(out.Tuples)),
-		Stats:   db.statsFrom(s, start, res, report, col),
-	}
+	a.Stats = db.statsFrom(s, start, res, report, col)
 	if s == HyperCubeTributary || s == HyperCubeHash {
-		result.Stats.HyperCubeShares = res.HC.String()
+		a.Stats.HyperCubeShares = res.HC.String()
 	}
 	if len(res.Order) > 0 {
 		vars := make([]string, len(res.Order))
 		for i, v := range res.Order {
 			vars[i] = string(v)
 		}
-		result.Stats.VariableOrder = vars
-	}
-	for i, t := range out.Tuples {
-		result.Rows[i] = []int64(t)
+		a.Stats.VariableOrder = vars
 	}
 	if useRC && db.cluster.DataEpoch() == epoch {
 		db.resultCache.Put(rkey, epoch, &cache.Result{
-			Strategy: string(s), Columns: result.Columns, Rows: result.Rows,
+			Strategy: string(s), Columns: a.Columns, Rows: a.rows(),
 		})
 	}
-	return result, nil
+	return a, nil
 }
 
 // Count evaluates the query and returns only the number of answers,
