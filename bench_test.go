@@ -368,8 +368,9 @@ func BenchmarkAblation_BatchSize(b *testing.B) {
 	w := suite().Workload()
 	for _, batch := range []int{64, 1024, 8192} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			db := Open(8, WithBatchSize(batch))
+			db := Open(8)
 			defer db.Close()
+			db.cluster.BatchSize = batch
 			tw := w.Relations["Twitter"]
 			edges := make([][2]int64, len(tw.Tuples))
 			for i, t := range tw.Tuples {

@@ -21,7 +21,7 @@ func sortRows(rows [][]int64) []string {
 
 func cacheTestDB(t *testing.T, opts ...Option) *DB {
 	t.Helper()
-	db := Open(4, append([]Option{WithSeed(7)}, opts...)...)
+	db := Open(4, opts...)
 	t.Cleanup(func() { db.Close() })
 	if err := db.LoadEdges("E", SyntheticGraph(2000, 300, 5)); err != nil {
 		t.Fatal(err)

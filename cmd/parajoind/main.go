@@ -9,8 +9,8 @@
 //	parajoind: serving on [::]:4160 (8 workers, 4 concurrent queries)
 //
 // On SIGINT/SIGTERM the daemon drains: in-flight queries finish and their
-// responses flush, new ones are refused, then it exits. A second signal
-// aborts the drain.
+// responses flush, new ones are refused, then it exits. The drain waits at
+// most 30 s; a second signal aborts it.
 //
 // With -data-dir the daemon is durable: every loaded relation is hash-
 // partitioned into an on-disk partition catalog, and a restart restores the
@@ -73,18 +73,14 @@ func main() {
 		addr          = flag.String("addr", "127.0.0.1:4160", "listen address")
 		workers       = flag.Int("workers", 8, "engine cluster size")
 		maxConcurrent = flag.Int("max-concurrent", 4, "queries evaluated simultaneously")
-		maxQueue      = flag.Int("max-queue", 0, "queued queries before rejecting (default 4×max-concurrent)")
 		maxQueueWait  = flag.Duration("max-queue-wait", 10*time.Second, "longest a query may wait for a slot")
 		defTimeout    = flag.Duration("default-timeout", 60*time.Second, "per-query deadline when the client sets none")
-		maxTimeout    = flag.Duration("max-timeout", 0, "cap on client-requested deadlines (default 10×default-timeout)")
 		memLimit      = flag.Int64("mem-limit", 0, "cluster-wide per-worker tuple budget (0 = unlimited)")
 		perQueryMem   = flag.Int64("per-query-mem", 0, "per-query per-worker tuple budget (0 = mem-limit/max-concurrent)")
 		spillMode     = flag.String("spill", "on-pressure", "spill-to-disk policy: off, on-pressure, always")
 		spillDir      = flag.String("spill-dir", "", "directory for per-query spill files (default: system temp dir)")
 		maxSpillBytes = flag.Int64("max-spill-bytes", 0, "hard cap on spilled bytes per query (0 = unlimited)")
 		parallelism   = flag.Int("parallelism", 0, "intra-worker join parallelism: 0 auto, 1 serial, K>1 sub-joins per worker")
-		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight queries")
-		seed          = flag.Int64("seed", 1, "planner sampling seed")
 		debugAddr     = flag.String("debug-addr", "", "serve /metrics, pprof, expvar, and trace diagnostics on this address (e.g. :6060)")
 		traceFile     = flag.String("trace", "", "append query + engine trace events to this JSONL file")
 		slowLog       = flag.String("slow-log", "", "append a JSONL record (stats, retry history, EXPLAIN ANALYZE) for every slow query to this file")
@@ -143,7 +139,7 @@ func main() {
 		log.Fatalf("-spill: %v", err)
 	}
 
-	opts := []parajoin.Option{parajoin.WithSeed(*seed), parajoin.WithSpill(spillPolicy)}
+	opts := []parajoin.Option{parajoin.WithSpill(spillPolicy)}
 	if *memLimit > 0 {
 		opts = append(opts, parajoin.WithMemoryLimit(*memLimit))
 	}
@@ -242,10 +238,8 @@ func main() {
 	}
 	cfg := server.Config{
 		MaxConcurrent:     *maxConcurrent,
-		MaxQueue:          *maxQueue,
 		MaxQueueWait:      *maxQueueWait,
 		DefaultTimeout:    *defTimeout,
-		MaxTimeout:        *maxTimeout,
 		PerQueryMemTuples: *perQueryMem,
 		Spill:             spillPolicy,
 		Tracer:            tracer,
@@ -323,7 +317,7 @@ func main() {
 		log.Printf("%s: draining (ctrl-c again to abort)", sig)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	go func() {
 		<-sigs
@@ -336,6 +330,9 @@ func main() {
 	}
 	fmt.Fprintln(os.Stderr, "parajoind: bye")
 }
+
+// drainTimeout bounds how long shutdown waits for in-flight queries.
+const drainTimeout = 30 * time.Second
 
 // standaloneMembers synthesizes stable pseudo-member names so a partition
 // catalog can be opened at any worker count outside a live cluster:

@@ -226,8 +226,10 @@ func (o *hashJoinOp) close() error {
 // size, from 64 rows up to a batch, so a join that emits a handful of rows
 // stays small. Output chunks double from 16 rows up to keyChunk values and
 // are never reused: their rows escape downstream (exchanges, the result
-// merge, colbatch encode), and later rows are only ever appended.
-func (o *hashJoinOp) emit(left, right []int64) {
+// merge, colbatch encode), and later rows are only ever appended. One probe
+// batch over a heavy key can match millions of rows, so each queued batch
+// polls the run's context and emit returns its error.
+func (o *hashJoinOp) emit(left, right []int64) error {
 	w := len(o.sch)
 	if len(o.out)+w > cap(o.out) {
 		o.out = make([]int64, 0, min(max(2*cap(o.out), 16*w), keyChunk))
@@ -237,13 +239,16 @@ func (o *hashJoinOp) emit(left, right []int64) {
 	for _, c := range o.rKeep {
 		o.out = append(o.out, right[c])
 	}
+	var err error
 	if len(o.pending) == cap(o.pending) {
 		if len(o.pending) > 0 {
 			o.ready = append(o.ready, o.pending)
+			err = o.t.ex.ctx.Err()
 		}
 		o.pending = make([]rel.Tuple, 0, min(max(2*cap(o.pending), 64), o.t.ex.batchSize))
 	}
 	o.pending = append(o.pending, o.out[n:n+w:n+w])
+	return err
 }
 
 func (o *hashJoinOp) next() ([]rel.Tuple, error) {
@@ -286,9 +291,12 @@ func (o *hashJoinOp) next() ([]rel.Tuple, error) {
 			}
 			for m := other.find(t, cols, h); m >= 0; m = other.next[m] {
 				if s == 0 {
-					o.emit(t, other.row(m))
+					err = o.emit(t, other.row(m))
 				} else {
-					o.emit(other.row(m), t)
+					err = o.emit(other.row(m), t)
+				}
+				if err != nil {
+					return nil, err
 				}
 			}
 		}

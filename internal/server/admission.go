@@ -7,7 +7,7 @@
 //	   │
 //	   ├─(slot free)──────────────────────────────▶ RUNNING
 //	   │
-//	   ├─(queue full: waiters ≥ MaxQueue)─────────▶ rejected: ErrOverloaded
+//	   ├─(queue full: waiters ≥ 4×MaxConcurrent)──▶ rejected: ErrOverloaded
 //	   │
 //	   ▼
 //	QUEUED ──(slot freed, FIFO)───────────────────▶ RUNNING
@@ -39,12 +39,15 @@ var ErrOverloaded = errors.New("server: overloaded")
 // ErrDraining is returned to queries arriving after shutdown began.
 var ErrDraining = errors.New("server: draining, not admitting new queries")
 
+// queuePerSlot is how many queries may wait per concurrency slot.
+const queuePerSlot = 4
+
 // gate is the admission controller: at most maxConcurrent holders at once,
-// at most maxQueue goroutines waiting, each waiting at most maxWait.
+// at most queuePerSlot×maxConcurrent goroutines waiting, each waiting at
+// most maxWait.
 type gate struct {
-	slots    chan struct{} // capacity maxConcurrent, holds free slots
-	maxQueue int
-	maxWait  time.Duration
+	slots   chan struct{} // capacity maxConcurrent, holds free slots
+	maxWait time.Duration
 
 	mu       sync.Mutex
 	draining bool
@@ -60,11 +63,10 @@ type gate struct {
 	canceledQueued atomic.Int64
 }
 
-func newGate(maxConcurrent, maxQueue int, maxWait time.Duration) *gate {
+func newGate(maxConcurrent int, maxWait time.Duration) *gate {
 	g := &gate{
-		slots:    make(chan struct{}, maxConcurrent),
-		maxQueue: maxQueue,
-		maxWait:  maxWait,
+		slots:   make(chan struct{}, maxConcurrent),
+		maxWait: maxWait,
 	}
 	for i := 0; i < maxConcurrent; i++ {
 		g.slots <- struct{}{}
@@ -94,7 +96,7 @@ func (g *gate) acquire(ctx context.Context) (release func(), waited time.Duratio
 	}
 
 	// Queue, bounded in depth…
-	if waiting := g.queued.Add(1); waiting > int64(g.maxQueue) {
+	if waiting := g.queued.Add(1); waiting > int64(queuePerSlot*cap(g.slots)) {
 		g.queued.Add(-1)
 		g.rejectedFull.Add(1)
 		g.active.Done()
@@ -139,7 +141,7 @@ func (g *gate) admit() func() {
 // quiesce claims every concurrency slot, waiting for in-flight queries to
 // release theirs, and returns a resume func that gives the slots back. While
 // quiesced nothing executes, but unlike drain the gate keeps accepting:
-// arrivals queue (bounded by MaxQueue/MaxQueueWait as usual) and run when
+// arrivals queue (bounded in depth and MaxQueueWait as usual) and run when
 // resume is called. This is the pause a database swap needs — Rebuild uses
 // it to replace the served DB between queries, never under one.
 func (g *gate) quiesce(ctx context.Context) (resume func(), err error) {

@@ -19,14 +19,14 @@ func block(t *testing.T, g *gate) func() {
 }
 
 func TestGateQueueFullRejection(t *testing.T) {
-	g := newGate(1, 2, time.Minute)
+	g := newGate(1, time.Minute)
 	done := block(t, g) // occupies the only slot
 	defer done()
 
-	// Fill the queue with 2 waiters.
+	// Fill the queue: 4 waiters per slot.
 	var wg sync.WaitGroup
-	releases := make(chan func(), 2)
-	for i := 0; i < 2; i++ {
+	releases := make(chan func(), queuePerSlot)
+	for i := 0; i < queuePerSlot; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -38,9 +38,9 @@ func TestGateQueueFullRejection(t *testing.T) {
 			releases <- r
 		}()
 	}
-	waitFor(t, func() bool { return g.stats().Queued == 2 })
+	waitFor(t, func() bool { return g.stats().Queued == queuePerSlot })
 
-	// The third arrival must bounce immediately.
+	// The next arrival must bounce immediately.
 	start := time.Now()
 	_, _, err := g.acquire(context.Background())
 	if !errors.Is(err, ErrOverloaded) {
@@ -50,22 +50,23 @@ func TestGateQueueFullRejection(t *testing.T) {
 		t.Fatalf("queue-full rejection took %v, want immediate", d)
 	}
 
-	done() // free the slot; both waiters drain FIFO
-	(<-releases)()
-	(<-releases)()
+	done() // free the slot; the waiters drain FIFO
+	for i := 0; i < queuePerSlot; i++ {
+		(<-releases)()
+	}
 	wg.Wait()
 
 	st := g.stats()
 	if st.RejectedQueueFull != 1 {
 		t.Fatalf("RejectedQueueFull = %d, want 1", st.RejectedQueueFull)
 	}
-	if st.Admitted != 3 || st.Completed != 3 {
-		t.Fatalf("admitted/completed = %d/%d, want 3/3", st.Admitted, st.Completed)
+	if st.Admitted != queuePerSlot+1 || st.Completed != queuePerSlot+1 {
+		t.Fatalf("admitted/completed = %d/%d, want %d/%d", st.Admitted, st.Completed, queuePerSlot+1, queuePerSlot+1)
 	}
 }
 
 func TestGateWaitDeadlineRejection(t *testing.T) {
-	g := newGate(1, 8, 30*time.Millisecond)
+	g := newGate(1, 30*time.Millisecond)
 	done := block(t, g)
 	defer done()
 
@@ -82,7 +83,7 @@ func TestGateWaitDeadlineRejection(t *testing.T) {
 }
 
 func TestGateCancelWhileQueued(t *testing.T) {
-	g := newGate(1, 8, time.Minute)
+	g := newGate(1, time.Minute)
 	done := block(t, g)
 	defer done()
 
@@ -108,7 +109,7 @@ func TestGateCancelWhileQueued(t *testing.T) {
 }
 
 func TestGateDrain(t *testing.T) {
-	g := newGate(1, 8, time.Minute)
+	g := newGate(1, time.Minute)
 	done := block(t, g)
 
 	// A waiter already queued when drain begins keeps its place.
@@ -152,7 +153,7 @@ func TestGateDrain(t *testing.T) {
 }
 
 func TestGateDrainTimeout(t *testing.T) {
-	g := newGate(1, 8, time.Minute)
+	g := newGate(1, time.Minute)
 	done := block(t, g)
 	defer done()
 
@@ -164,12 +165,12 @@ func TestGateDrainTimeout(t *testing.T) {
 }
 
 func TestGateFIFO(t *testing.T) {
-	g := newGate(1, 16, time.Minute)
+	g := newGate(1, time.Minute)
 	done := block(t, g)
 
 	// Queue waiters one at a time so arrival order is deterministic, then
 	// check they are admitted in that order.
-	const n = 5
+	const n = queuePerSlot
 	order := make(chan int, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

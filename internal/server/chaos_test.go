@@ -61,7 +61,7 @@ func (s *captureSink) find(kind trace.Kind) []trace.Event {
 
 // chaosServer starts a server whose DB runs under the given fault plan
 // (nil for none), loaded with the standard test graph. Extra DB options
-// (e.g. WithParallelism) are appended after the defaults.
+// (e.g. WithParallelism) are appended after the fault plan.
 func chaosServer(t *testing.T, plan *fault.Plan, cfg server.Config, extra ...parajoin.Option) (*server.Server, string, *captureSink) {
 	t.Helper()
 	sink := &captureSink{}
@@ -69,7 +69,7 @@ func chaosServer(t *testing.T, plan *fault.Plan, cfg server.Config, extra ...par
 		cfg.Logf = quiet
 	}
 	cfg.Tracer = trace.New(sink)
-	opts := []parajoin.Option{parajoin.WithSeed(7)}
+	var opts []parajoin.Option
 	if plan != nil {
 		opts = append(opts, parajoin.WithFaultPlan(plan))
 	}
@@ -93,10 +93,10 @@ func chaosServer(t *testing.T, plan *fault.Plan, cfg server.Config, extra ...par
 	return srv, ln.addr, sink
 }
 
-// baseline evaluates a rule fault-free on an identically seeded DB.
+// baseline evaluates a rule on a fault-free DB over the same graph.
 func baseline(t *testing.T, rule, strategy string) []string {
 	t.Helper()
-	db := parajoin.Open(4, parajoin.WithSeed(7))
+	db := parajoin.Open(4)
 	defer db.Close()
 	if err := db.LoadEdges("E", parajoin.SyntheticGraph(1200, 200, 5)); err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestChaosRetryDisabled(t *testing.T) {
 // one admission each, no re-execution.
 func TestChaosTerminalNeverRetried(t *testing.T) {
 	t.Run("oom", func(t *testing.T) {
-		db := parajoin.Open(4, parajoin.WithSeed(7), parajoin.WithMemoryLimit(64))
+		db := parajoin.Open(4, parajoin.WithMemoryLimit(64))
 		if err := db.LoadEdges("E", parajoin.SyntheticGraph(1200, 200, 5)); err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestChaosTerminalNeverRetried(t *testing.T) {
 	})
 
 	t.Run("spill-budget", func(t *testing.T) {
-		db := parajoin.Open(4, parajoin.WithSeed(7), parajoin.WithMemoryLimit(64),
+		db := parajoin.Open(4, parajoin.WithMemoryLimit(64),
 			parajoin.WithSpill(parajoin.SpillOnPressure), parajoin.WithSpillBudget(1))
 		if err := db.LoadEdges("E", parajoin.SyntheticGraph(1200, 200, 5)); err != nil {
 			t.Fatal(err)

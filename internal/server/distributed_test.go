@@ -44,7 +44,7 @@ func newDistStack(t *testing.T, edges int, cfg server.Config) *distStack {
 	t.Helper()
 	st := &distStack{t: t, serving: make(chan []string, 64)}
 
-	db := parajoin.Open(4, parajoin.WithSeed(7))
+	db := parajoin.Open(4)
 	if err := db.LoadEdges("E", parajoin.SyntheticGraph(edges, 300, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func (st *distStack) rebuild(members []string) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	err := st.srv.Rebuild(ctx, func(*parajoin.DB) (*parajoin.DB, error) {
-		ndb, err := parajoin.OpenFromStore(st.store, members, parajoin.WithSeed(7))
+		ndb, err := parajoin.OpenFromStore(st.store, members)
 		if err != nil {
 			return nil, err
 		}
@@ -218,7 +218,7 @@ func TestDistributedServingMatchesLocal(t *testing.T) {
 		// The byte-identical-merge invariant: a coordinator-local engine
 		// over the same catalog generation and member set must produce the
 		// same rows in the same serial order.
-		ldb, err := parajoin.OpenFromStore(st.store, members[:n], parajoin.WithSeed(7))
+		ldb, err := parajoin.OpenFromStore(st.store, members[:n])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func TestRebuildByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	} {
 		members := members
 		if err := srv.Rebuild(ctx, func(*parajoin.DB) (*parajoin.DB, error) {
-			return parajoin.OpenFromStore(store, members, parajoin.WithSeed(7))
+			return parajoin.OpenFromStore(store, members)
 		}); err != nil {
 			t.Fatalf("rebuild for %v: %v", members, err)
 		}
@@ -120,7 +120,7 @@ func TestRebuildUnderConcurrentQueries(t *testing.T) {
 		members := members
 		rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 		err := srv.Rebuild(rctx, func(*parajoin.DB) (*parajoin.DB, error) {
-			return parajoin.OpenFromStore(store, members, parajoin.WithSeed(7))
+			return parajoin.OpenFromStore(store, members)
 		})
 		cancel()
 		if err != nil {

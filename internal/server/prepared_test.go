@@ -26,8 +26,7 @@ import (
 // enabled, so prepared re-executions exercise the cache path.
 func newCachingTestServer(t *testing.T, edges int) (*parajoin.DB, string) {
 	t.Helper()
-	db := parajoin.Open(4, parajoin.WithSeed(7),
-		parajoin.WithResultCache(1<<16))
+	db := parajoin.Open(4, parajoin.WithResultCache(1<<16))
 	if err := db.LoadEdges("E", parajoin.SyntheticGraph(edges, 300, 5)); err != nil {
 		t.Fatal(err)
 	}

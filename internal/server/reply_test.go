@@ -17,7 +17,7 @@ import (
 // answered with a typed CodeTooLarge error for its own request, and the
 // next request on the same connection still gets its rows.
 func TestOversizedReplyKeepsConnection(t *testing.T) {
-	db := parajoin.Open(2, parajoin.WithSeed(7))
+	db := parajoin.Open(2)
 	defer db.Close()
 	if err := db.LoadEdges("E", parajoin.SyntheticGraph(300, 60, 5)); err != nil {
 		t.Fatal(err)

@@ -27,18 +27,13 @@ type Config struct {
 	// (default 4). The shared cluster's workers are multiplexed across
 	// them, so this bounds CPU oversubscription.
 	MaxConcurrent int
-	// MaxQueue is the number of queries allowed to wait for a slot before
-	// new arrivals are rejected with the overloaded error (default
-	// 4×MaxConcurrent).
-	MaxQueue int
 	// MaxQueueWait is the longest a query may sit in the queue before it is
 	// rejected with the overloaded error (default 10s).
 	MaxQueueWait time.Duration
 	// DefaultTimeout caps a query's run time when the client doesn't ask
-	// for one (default 60s); MaxTimeout clamps what clients may ask for
-	// (default 10×DefaultTimeout).
+	// for one (default 60s); what clients may ask for is clamped at
+	// 10×DefaultTimeout.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 	// PerQueryMemTuples is each query's per-worker materialization budget.
 	// 0 carves the DB-wide limit evenly across MaxConcurrent slots (when
 	// the DB has a limit); negative lifts the cap. Clients may request a
@@ -86,17 +81,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 4
 	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 4 * c.MaxConcurrent
-	}
 	if c.MaxQueueWait <= 0 {
 		c.MaxQueueWait = 10 * time.Second
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 10 * c.DefaultTimeout
 	}
 	if c.RetryBudget == 0 {
 		c.RetryBudget = 2
@@ -151,7 +140,7 @@ func New(db *parajoin.DB, cfg Config) *Server {
 	s := &Server{
 		db:       db,
 		cfg:      cfg,
-		gate:     newGate(cfg.MaxConcurrent, cfg.MaxQueue, cfg.MaxQueueWait),
+		gate:     newGate(cfg.MaxConcurrent, cfg.MaxQueueWait),
 		sessions: make(map[*session]struct{}),
 	}
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
@@ -697,14 +686,11 @@ func (s *Server) spillFor(req *wire.Request) (parajoin.SpillPolicy, error) {
 	return p, nil
 }
 
-// timeoutFor clamps the client's requested deadline to the server's cap.
+// timeoutFor clamps the client's requested deadline to 10×DefaultTimeout.
 func (s *Server) timeoutFor(req *wire.Request) time.Duration {
 	t := s.cfg.DefaultTimeout
 	if req.TimeoutMillis > 0 {
-		t = time.Duration(req.TimeoutMillis) * time.Millisecond
-	}
-	if t > s.cfg.MaxTimeout {
-		t = s.cfg.MaxTimeout
+		t = min(time.Duration(req.TimeoutMillis)*time.Millisecond, 10*t)
 	}
 	return t
 }

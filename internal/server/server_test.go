@@ -40,7 +40,7 @@ func newTestServer(t *testing.T, edges int, cfg server.Config) (*server.Server, 
 	if cfg.Logf == nil {
 		cfg.Logf = quiet
 	}
-	db := parajoin.Open(4, parajoin.WithSeed(7))
+	db := parajoin.Open(4)
 	if err := db.LoadEdges("E", parajoin.SyntheticGraph(edges, 300, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // strategies, every result checked against an in-process serial baseline.
 func TestServerConcurrentClients(t *testing.T) {
 	srv, db, addr := newTestServer(t, 1500, server.Config{
-		MaxConcurrent: 4, MaxQueue: 256, MaxQueueWait: time.Minute,
+		MaxConcurrent: 4, MaxQueueWait: time.Minute,
 	})
 
 	rules := []string{triRule, chainRule, twohopRule}
@@ -194,12 +194,12 @@ func TestServerConcurrentClients(t *testing.T) {
 }
 
 // TestServerOverloadAndCancel sequences the admission state machine end to
-// end: saturate the single slot, fill the queue, assert the typed
-// overloaded rejection, then cancel the running query and watch the slot
-// hand over to the queued one promptly.
+// end: saturate the single slot, fill the queue (4 waiters per slot),
+// assert the typed overloaded rejection, then cancel the running query and
+// watch the slot hand over to the oldest queued one promptly.
 func TestServerOverloadAndCancel(t *testing.T) {
 	srv, _, addr := newTestServer(t, 4000, server.Config{
-		MaxConcurrent: 1, MaxQueue: 1, MaxQueueWait: time.Minute,
+		MaxConcurrent: 1, MaxQueueWait: time.Minute,
 	})
 	c := dial(t, addr)
 
@@ -213,15 +213,18 @@ func TestServerOverloadAndCancel(t *testing.T) {
 	}()
 	waitFor(t, "A in flight", func() bool { return srv.Stats().Gate.InFlight == 1 })
 
-	// B: waits in the queue.
+	// B: four queries fill the queue, one at a time.
+	const queue = 4
 	ctxB, cancelB := context.WithCancel(context.Background())
 	defer cancelB()
-	errB := make(chan error, 1)
-	go func() {
-		_, _, err := c.Count(ctxB, slowRule, client.QueryOptions{Strategy: "rs_hj"})
-		errB <- err
-	}()
-	waitFor(t, "B queued", func() bool { return srv.Stats().Gate.Queued == 1 })
+	errB := make(chan error, queue)
+	for i := 1; i <= queue; i++ {
+		go func() {
+			_, _, err := c.Count(ctxB, slowRule, client.QueryOptions{Strategy: "rs_hj"})
+			errB <- err
+		}()
+		waitFor(t, "B queued", func() bool { return srv.Stats().Gate.Queued == int64(i) })
+	}
 
 	// C: beyond concurrency + queue limit — typed overloaded, immediately.
 	start := time.Now()
@@ -245,12 +248,14 @@ func TestServerOverloadAndCancel(t *testing.T) {
 	}
 	waitFor(t, "B admitted after A's cancel", func() bool {
 		st := srv.Stats().Gate
-		return st.Queued == 0 && st.InFlight == 1
+		return st.Queued == queue-1 && st.InFlight == 1
 	})
 
 	cancelB()
-	if err := <-errB; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled queued query: err = %v, want context.Canceled", err)
+	for range queue {
+		if err := <-errB; !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled queued query: err = %v, want context.Canceled", err)
+		}
 	}
 	waitFor(t, "gate empty", func() bool { return srv.Stats().Gate.InFlight == 0 })
 
@@ -264,7 +269,7 @@ func TestServerOverloadAndCancel(t *testing.T) {
 // (correct) response while new arrivals get the typed draining error.
 func TestServerDrain(t *testing.T) {
 	srv, db, addr := newTestServer(t, 4000, server.Config{
-		MaxConcurrent: 2, MaxQueue: 8, MaxQueueWait: time.Minute,
+		MaxConcurrent: 2, MaxQueueWait: time.Minute,
 	})
 
 	q, err := db.Query(chainRule)
@@ -322,11 +327,12 @@ func TestServerDrain(t *testing.T) {
 }
 
 // TestServerDeadline: the server-side per-query timeout fires as a typed
-// deadline error.
+// deadline error, and a client-requested one is clamped at ten times the
+// default.
 func TestServerDeadline(t *testing.T) {
 	_, _, addr := newTestServer(t, 4000, server.Config{
-		MaxConcurrent: 2, MaxQueue: 8, MaxQueueWait: time.Minute,
-		DefaultTimeout: 50 * time.Millisecond, MaxTimeout: 100 * time.Millisecond,
+		MaxConcurrent: 2, MaxQueueWait: time.Minute,
+		DefaultTimeout: 50 * time.Millisecond,
 	})
 	c := dial(t, addr)
 
@@ -334,18 +340,22 @@ func TestServerDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
-	// A client-requested timeout beyond MaxTimeout gets clamped, so this
-	// still expires server-side.
+	// A client-requested hour is clamped to 500 ms, so this still expires
+	// server-side, and no sooner than the clamp.
+	start := time.Now()
 	_, _, err = c.Count(context.Background(), slowRule, client.QueryOptions{Timeout: time.Hour})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("clamped timeout: err = %v, want DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d < 500*time.Millisecond {
+		t.Fatalf("clamped timeout fired after %v, want at least 500ms", d)
 	}
 }
 
 // TestServerMemoryBudget: per-query budgets carved from the cluster-wide
 // limit surface as typed OOM errors.
 func TestServerMemoryBudget(t *testing.T) {
-	db := parajoin.Open(4, parajoin.WithSeed(7), parajoin.WithMemoryLimit(4000))
+	db := parajoin.Open(4, parajoin.WithMemoryLimit(4000))
 	if err := db.LoadEdges("E", parajoin.SyntheticGraph(1500, 300, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +490,7 @@ func TestServerRetiredStrategy(t *testing.T) {
 // spill policy is a bad_request.
 func TestServerSpillBudgetOverride(t *testing.T) {
 	dir := t.TempDir()
-	db := parajoin.Open(4, parajoin.WithSeed(7), parajoin.WithSpillDir(dir))
+	db := parajoin.Open(4, parajoin.WithSpillDir(dir))
 	if err := db.LoadEdges("E", parajoin.SyntheticGraph(1500, 300, 5)); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ var hcTJ = string(parajoin.HyperCubeTributary)
 // eight chunk frames, and returns it with the DB.
 func streamServer(t *testing.T) (*Server, *parajoin.DB) {
 	t.Helper()
-	db := parajoin.Open(2, parajoin.WithSeed(7))
+	db := parajoin.Open(2)
 	if err := db.LoadEdges("E", parajoin.SyntheticGraph(10000, 500, 5)); err != nil {
 		t.Fatal(err)
 	}

@@ -260,12 +260,17 @@ func TestSorterAddAllocs(t *testing.T) {
 // warm: sealing a 4 096-row run allocates well under the two 64 KiB I/O
 // buffers a segment file used to cost, and its object count does not grow
 // with the number of seals before it. GC is held off so the pool keeps
-// its state between seals, as it does between the seals of a busy run.
+// its state between seals, as it does between the seals of a busy run,
+// and one P serves every seal: a sync.Pool item Put on one P is private
+// to it, so a goroutine the scheduler moves to another P between seals
+// finds the pool empty and builds a fresh state, as AllocsPerRun also
+// guards against.
 func TestSealAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items on purpose")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runRows = 4096
 	s := NewSorter(Config{Acct: NewAccountant(1, 0, 0), Arity: 2, Create: mustDir(t).Create,
 		Policy: Always, SealTuples: runRows, Label: "seal-allocs"})

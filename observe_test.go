@@ -10,7 +10,7 @@ import (
 
 func TestWithTracerSeesEveryRun(t *testing.T) {
 	col := trace.NewCollector()
-	db := Open(4, WithSeed(7), WithTracer(NewTracer(col)))
+	db := Open(4, WithTracer(NewTracer(col)))
 	defer db.Close()
 	if err := db.LoadEdges("E", SyntheticGraph(1500, 200, 3)); err != nil {
 		t.Fatal(err)

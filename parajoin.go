@@ -159,13 +159,11 @@ func ParseSpillPolicy(s string) (SpillPolicy, error) { return engine.ParseSpillP
 // run-private storage.
 type DB struct {
 	// mu serializes mutations; readers load snap without it.
-	mu       sync.Mutex
-	snap     atomic.Pointer[planSnapshot]
-	cluster  *engine.Cluster
-	dict     *rel.Dict
-	workers  int
-	maxOrder int
-	seed     int64
+	mu      sync.Mutex
+	snap    atomic.Pointer[planSnapshot]
+	cluster *engine.Cluster
+	dict    *rel.Dict
+	workers int
 	// resultCache is nil unless enabled with WithResultCache; chaos records
 	// that a fault plan wraps the transport, which disqualifies runs from
 	// the result cache (see cache.go).
@@ -214,11 +212,6 @@ func WithMemoryLimit(tuples int64) Option {
 	return func(db *DB) { db.cluster.MaxLocalTuples = tuples }
 }
 
-// WithBatchSize sets the exchange/operator batch granularity.
-func WithBatchSize(n int) Option {
-	return func(db *DB) { db.cluster.BatchSize = n }
-}
-
 // WithSpill sets the database-wide spill policy. With SpillOnPressure a
 // query that crosses its memory budget degrades to disk instead of
 // failing: spillable operator state (Tributary sort runs, exchange
@@ -251,11 +244,6 @@ func WithParallelism(k int) Option {
 	return func(db *DB) { db.cluster.Parallelism = k }
 }
 
-// WithSeed seeds the variable-order sampling for reproducible plans.
-func WithSeed(seed int64) Option {
-	return func(db *DB) { db.seed = seed }
-}
-
 // Open creates a database with the given number of workers, all hosted in
 // this process: exchanges pass batches in memory and open no socket.
 func Open(workers int, opts ...Option) *DB {
@@ -281,11 +269,9 @@ func OpenTCP(addrs []string, hosted []int, opts ...Option) (*DB, error) {
 
 func newDB(cluster *engine.Cluster, workers int, opts []Option) *DB {
 	db := &DB{
-		cluster:  cluster,
-		dict:     rel.NewDict(),
-		workers:  workers,
-		maxOrder: 5040,
-		seed:     1,
+		cluster: cluster,
+		dict:    rel.NewDict(),
+		workers: workers,
 	}
 	db.snap.Store(&planSnapshot{epoch: cluster.DataEpoch(), catalog: stats.NewCatalog(), rels: map[string]*rel.Relation{}})
 	for _, o := range opts {
@@ -457,8 +443,8 @@ func (q *Query) planFor(s Strategy) (*planner.Result, Strategy, error) {
 		Workers:   db.workers,
 		Catalog:   snap.catalog,
 		Relations: snap.rels,
-		MaxOrders: db.maxOrder,
-		Seed:      db.seed,
+		MaxOrders: 5040, // 7!: every order of up to 7 variables, sampled past that
+		Seed:      1,
 	}
 	res, err := p.Plan(q.q, cfg)
 	return res, s, err

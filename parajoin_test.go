@@ -9,7 +9,7 @@ import (
 
 func testDB(t *testing.T, workers int) *DB {
 	t.Helper()
-	db := Open(workers, WithSeed(7))
+	db := Open(workers)
 	t.Cleanup(func() { db.Close() })
 	return db
 }
@@ -269,7 +269,7 @@ func TestOpenTCPFacade(t *testing.T) {
 	const rule = "P(x,y,z) :- E(x,y), E(y,z)"
 	edges := SyntheticGraph(500, 80, 5)
 	single := testDB(t, 2)
-	dbs := openSplit(t, 2, WithSeed(7))
+	dbs := openSplit(t, 2)
 	for _, db := range append(dbs[:], single) {
 		if err := db.LoadEdges("E", edges); err != nil {
 			t.Fatal(err)

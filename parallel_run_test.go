@@ -116,7 +116,7 @@ func runParallelMix(t *testing.T, db *DB, run func(g int, rule string, s Strateg
 // TestParallelRunsMemTransport runs the mix through the public API of one
 // single-process DB.
 func TestParallelRunsMemTransport(t *testing.T) {
-	db := Open(4, WithSeed(7))
+	db := Open(4)
 	defer db.Close()
 	runParallelMix(t, db, func(_ int, rule string, s Strategy, count bool) ([]string, int64, error) {
 		q, err := db.Query(rule)
@@ -143,7 +143,7 @@ func TestParallelRunsTCPTransport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("split TCP deployment in -short mode")
 	}
-	dbs := openSplit(t, 4, WithSeed(7))
+	dbs := openSplit(t, 4)
 	for _, db := range dbs {
 		if err := db.LoadEdges("E", mixEdges()); err != nil {
 			t.Fatal(err)
@@ -249,7 +249,7 @@ func runSplitPinned(dbs [2]*DB, rule string, s Strategy, count bool, epoch int64
 // TestLoadDuringQueries races Load against Run on the public API (the
 // engine-level regression test lives in internal/engine).
 func TestLoadDuringQueries(t *testing.T) {
-	db := Open(4, WithSeed(7))
+	db := Open(4)
 	defer db.Close()
 	if err := db.LoadEdges("E", SyntheticGraph(800, 120, 1)); err != nil {
 		t.Fatal(err)

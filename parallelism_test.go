@@ -97,7 +97,7 @@ func TestParallelJoinDeterminism(t *testing.T) {
 // spill path forced on: per-shard buffers must chain back in range order.
 func TestParallelJoinDeterminismWithSpill(t *testing.T) {
 	open := func() (*DB, *Query) {
-		db := Open(4, WithSeed(7), WithSpill(SpillAlways), WithSpillDir(t.TempDir()))
+		db := Open(4, WithSpill(SpillAlways), WithSpillDir(t.TempDir()))
 		t.Cleanup(func() { db.Close() })
 		if err := db.LoadEdges("E", SyntheticGraph(1500, 200, 3)); err != nil {
 			t.Fatal(err)
@@ -126,7 +126,7 @@ func TestParallelJoinDeterminismWithSpill(t *testing.T) {
 }
 
 func TestWithParallelismOption(t *testing.T) {
-	db := Open(2, WithSeed(7), WithParallelism(3))
+	db := Open(2, WithParallelism(3))
 	defer db.Close()
 	if got := db.Parallelism(); got != 3 {
 		t.Fatalf("Parallelism() = %d, want 3", got)
@@ -151,13 +151,16 @@ func TestWithParallelismOption(t *testing.T) {
 	}
 }
 
-// TestJoinDeadlineEmitsNothing: a deadline must end a Tributary join that
-// emits no rows. No atom of the 4-cycle holds both a and c, so the
-// contradictory filters cannot be pushed into a scan; the join walks every
-// a–b–c path and rejects each one at c. On the hub graph (every leaf
-// points at the hub and back) that is ~leaves² steps over a few tens of
-// thousands of input tuples — about 20 s uncancelled at K=1 on a 2-core
-// Xeon — so the run must fail with the deadline long before.
+// TestJoinDeadlineEmitsNothing: a deadline must end a join that emits no
+// rows, under every plan. No atom of the 4-cycle holds both a and c, so the
+// contradictory filters cannot be pushed into a scan; a Tributary join walks
+// every a–b–c path and rejects each one at c, and a hash join emits every
+// path for the filter above it to drop. On the hub graph (every leaf points
+// at the hub and back) that is ~leaves² rows over a few tens of thousands of
+// input tuples — 14–20 s uncancelled on a 2-core Xeon, and one 1 024-row
+// probe batch yields ~16 M hash-join matches — so the run must fail with the
+// deadline within twice its length. The semijoin plan needs an acyclic
+// query, so it runs the 2-hop path with the same filters.
 func TestJoinDeadlineEmitsNothing(t *testing.T) {
 	const leaves = 16000
 	const deadline = 200 * time.Millisecond
@@ -170,22 +173,44 @@ func TestJoinDeadlineEmitsNothing(t *testing.T) {
 	if err := db.LoadEdges("E", edges); err != nil {
 		t.Fatal(err)
 	}
-	q, err := db.Query("C(a,b,c,d) :- E(a,b), E(b,c), E(c,d), E(d,a), a < c, c < a")
+	cycle, err := db.Query("C(a,b,c,d) :- E(a,b), E(b,c), E(c,d), E(d,a), a < c, c < a")
 	if err != nil {
 		t.Fatal(err)
 	}
+	path, err := db.Query("P(a,b,c) :- E(a,b), E(b,c), a < c, c < a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// -race slows the work before the first poll; it gets a fixed second.
+	limit := 2 * deadline
+	if raceEnabled {
+		limit = deadline + time.Second
+	}
+	cases := []struct {
+		s Strategy
+		q *Query
+	}{
+		{RegularHash, cycle}, {RegularTributary, cycle},
+		{BroadcastHash, cycle}, {BroadcastTributary, cycle},
+		{HyperCubeHash, cycle}, {HyperCubeTributary, cycle},
+		{Semijoin, path},
+	}
 	for _, k := range []int{1, 4} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			defer cancel()
-			start := time.Now()
-			_, err := q.RunWithOptions(ctx, RunOptions{Strategy: HyperCubeTributary, Parallelism: k})
-			elapsed := time.Since(start)
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v after %v, want context.DeadlineExceeded", err, elapsed)
-			}
-			if elapsed > deadline+5*time.Second {
-				t.Fatalf("returned %v after a %v deadline", elapsed, deadline)
+			for _, c := range cases {
+				t.Run(string(c.s), func(t *testing.T) {
+					ctx, cancel := context.WithTimeout(context.Background(), deadline)
+					defer cancel()
+					start := time.Now()
+					_, err := c.q.RunWithOptions(ctx, RunOptions{Strategy: c.s, Parallelism: k})
+					elapsed := time.Since(start)
+					if !errors.Is(err, context.DeadlineExceeded) {
+						t.Fatalf("err = %v after %v, want context.DeadlineExceeded", err, elapsed)
+					}
+					if elapsed > limit {
+						t.Fatalf("returned %v after a %v deadline, want within %v", elapsed, deadline, limit)
+					}
+				})
 			}
 		})
 	}

@@ -17,7 +17,7 @@ func benchEdges() [][2]int64 { return SyntheticGraph(20000, 1200, 5) }
 
 func planBenchDB(b *testing.B) *DB {
 	b.Helper()
-	db := Open(4, WithSeed(7))
+	db := Open(4)
 	b.Cleanup(func() { db.Close() })
 	if err := db.LoadEdges("E", benchEdges()); err != nil {
 		b.Fatal(err)

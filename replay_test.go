@@ -49,7 +49,7 @@ func (a replayArm) p50() time.Duration { return a.lat[len(a.lat)/2] }
 // Zipf draw (argument 0 is the heavy hitter).
 func (r replay) run(tb testing.TB, opts ...Option) replayArm {
 	tb.Helper()
-	db := Open(r.Workers, append([]Option{WithSeed(7)}, opts...)...)
+	db := Open(r.Workers, opts...)
 	defer db.Close()
 	if err := db.LoadEdges("E", SyntheticGraph(r.Edges, r.Nodes, 5)); err != nil {
 		tb.Fatal(err)

@@ -26,7 +26,7 @@ const triangleRule = "Tri(x,y,z) :- E(x,y), E(y,z), E(z,x)"
 func TestSpillAcceptance(t *testing.T) {
 	dir := t.TempDir()
 	ring := NewTraceRing(1 << 14)
-	db := Open(4, WithSeed(7), WithSpillDir(dir), WithTracer(NewTracer(ring)))
+	db := Open(4, WithSpillDir(dir), WithTracer(NewTracer(ring)))
 	defer db.Close()
 	if err := db.LoadEdges("E", SyntheticGraph(3000, 250, 3)); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestSpillColbatchJoinByteIdentical(t *testing.T) {
 	}
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
-			db := Open(4, WithSeed(7), WithSpillDir(t.TempDir()))
+			db := Open(4, WithSpillDir(t.TempDir()))
 			defer db.Close()
 			if err := db.LoadEdges("E", in.edges); err != nil {
 				t.Fatal(err)
@@ -184,7 +184,7 @@ func TestSpillOffStillFailsHard(t *testing.T) {
 func TestSpillLowMemoryTriangleSuite(t *testing.T) {
 	div := lowMemDiv(t)
 	dir := t.TempDir()
-	db := Open(3, WithSeed(7), WithSpillDir(dir))
+	db := Open(3, WithSpillDir(dir))
 	defer db.Close()
 	if err := db.LoadEdges("E", SyntheticGraph(2000, 200, 3)); err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func lowMemDiv(t *testing.T) int64 {
 // CI's low-memory job runs it under the race detector.
 func TestHashJoinLowMemory(t *testing.T) {
 	dir := t.TempDir()
-	db := Open(3, WithSeed(7), WithSpillDir(dir))
+	db := Open(3, WithSpillDir(dir))
 	defer db.Close()
 	if err := db.LoadEdges("E", SyntheticGraph(2000, 200, 3)); err != nil {
 		t.Fatal(err)
