@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"parajoin/internal/hypercube"
 	"parajoin/internal/metrics"
 	"parajoin/internal/rel"
 	"parajoin/internal/spill"
@@ -59,6 +60,10 @@ type exec struct {
 	dirErr    error
 	spillSegs atomic.Int64
 	spills    atomic.Int64
+
+	// routes holds each HyperCube exchange's worker table, by exchange id.
+	routesMu sync.Mutex
+	routes   map[int]*hypercube.WorkerRoutes
 }
 
 // fragment resolves a table name for one worker: run-private temporaries
@@ -480,22 +485,17 @@ func (e *exec) router(spec *ExchangeSpec, sch rel.Schema, sent *int64) (func(src
 		if spec.Grid == nil || len(spec.CellMap) != spec.Grid.Cells() {
 			return nil, fmt.Errorf("engine: exchange %d hypercube misconfigured", spec.ID)
 		}
-		router := spec.Grid.RouterFor(spec.Atom)
 		if len(spec.Atom.Terms) != len(sch) {
 			return nil, fmt.Errorf("engine: exchange %d atom %s arity %d vs schema %v",
 				spec.ID, spec.Atom, len(spec.Atom.Terms), sch)
 		}
-		var cells []int
-		seen := make([]bool, n)
+		routes, err := e.workerRoutes(spec)
+		if err != nil {
+			return nil, err
+		}
 		return func(src int, b []rel.Tuple) error {
 			for _, t := range b {
-				cells = router.Destinations(t, cells[:0])
-				for _, c := range cells {
-					dst := spec.CellMap[c]
-					if seen[dst] {
-						continue
-					}
-					seen[dst] = true
+				for _, dst := range routes.Of(t) {
 					if outs[dst] == nil {
 						outs[dst] = getBatch()
 					}
@@ -503,9 +503,6 @@ func (e *exec) router(spec *ExchangeSpec, sch rel.Schema, sent *int64) (func(src
 					if err := flush(src, dst, false); err != nil {
 						return err
 					}
-				}
-				for _, c := range cells {
-					seen[spec.CellMap[c]] = false
 				}
 			}
 			if b == nil {
@@ -517,6 +514,28 @@ func (e *exec) router(spec *ExchangeSpec, sch rel.Schema, sent *int64) (func(src
 	default:
 		return nil, fmt.Errorf("engine: unknown route kind %d", spec.Kind)
 	}
+}
+
+// workerRoutes returns a HyperCube exchange's worker table, built by the
+// first of its producers to ask and shared by the rest.
+func (e *exec) workerRoutes(spec *ExchangeSpec) (*hypercube.WorkerRoutes, error) {
+	e.routesMu.Lock()
+	defer e.routesMu.Unlock()
+	if r, ok := e.routes[spec.ID]; ok {
+		return r, nil
+	}
+	n := e.cluster.Workers()
+	for _, w := range spec.CellMap {
+		if w < 0 || w >= n {
+			return nil, fmt.Errorf("engine: exchange %d maps a cell to worker %d of %d", spec.ID, w, n)
+		}
+	}
+	if e.routes == nil {
+		e.routes = make(map[int]*hypercube.WorkerRoutes)
+	}
+	r := spec.Grid.RouterFor(spec.Atom).WorkerRoutes(spec.CellMap, n)
+	e.routes[spec.ID] = r
+	return r, nil
 }
 
 // Run executes a plan across the cluster's workers and returns the union of
@@ -725,6 +744,7 @@ func (e *exec) runRoot(root Node, w int) (*rel.Relation, error) {
 	// pressure; the final read-back is modeled as disk-backed state and is
 	// accounted against the disk cap, not the tuple budget.
 	buf := spill.NewBuffer(e.spillConfig(w, len(out.Schema), "result"))
+	blk := rowBlock{buf: buf, max: e.batchSize}
 	for {
 		b, err := op.next()
 		if err == io.EOF {
@@ -735,9 +755,12 @@ func (e *exec) runRoot(root Node, w int) (*rel.Relation, error) {
 		}
 		e.prog.AddTuples(int64(len(b)))
 		for _, t := range b {
-			if err := buf.Add(t); err != nil {
+			if err := blk.add(t); err != nil {
 				return nil, e.spillErr(w, err)
 			}
+		}
+		if err := blk.flush(); err != nil {
+			return nil, e.spillErr(w, err)
 		}
 	}
 	stream, err := buf.Finish()

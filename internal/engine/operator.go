@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"parajoin/internal/core"
@@ -331,6 +333,13 @@ type tributaryOp struct {
 
 func (o *tributaryOp) schema() rel.Schema { return o.sch }
 
+// flatRows recycles the row-major scratches rows are gathered in on their
+// way into a Sorter or Buffer: a received batch's normalized rows in the
+// Tributary input loop, a rowBlock's rows. A scratch is held only until its
+// rows are copied in, so the scratches in use follow the batches being
+// copied, not the operators that exist. A pooled scratch is empty.
+var flatRows = sync.Pool{New: func() any { return new([]int64) }}
+
 // open sorts every input and runs the join into the output stream. The
 // Sorter's merged order is bit-identical to an in-memory sort of the whole
 // input, so a spilled run returns the unlimited run's rows exactly.
@@ -392,7 +401,6 @@ func (o *tributaryOp) open() error {
 			}
 		} else {
 			sorter := spill.NewSorter(e.spillConfig(o.t.worker, s.Arity, "sort("+alias+")"))
-			nt := make(rel.Tuple, s.Arity) // Add copies, so one buffer serves every row
 			for {
 				b, err := in.next()
 				if err == io.EOF {
@@ -402,13 +410,20 @@ func (o *tributaryOp) open() error {
 					return err
 				}
 				inputTuples += int64(len(b))
+				// The batch's normalized rows go into one flat scratch side by
+				// side and reach the sorter in one AddFlat, which copies them.
+				scratch := flatRows.Get().(*[]int64)
+				flat := slices.Grow(*scratch, len(b)*s.Arity)
 				for _, t := range b {
-					if !norm.ApplyInto(nt, t) {
-						continue
+					if row := flat[len(flat) : len(flat)+s.Arity]; norm.ApplyInto(row, t) {
+						flat = flat[:len(flat)+s.Arity]
 					}
-					if err := sorter.Add(nt); err != nil {
-						return e.spillErr(o.t.worker, err)
-					}
+				}
+				err = sorter.AddFlat(flat)
+				*scratch = flat[:0]
+				flatRows.Put(scratch)
+				if err != nil {
+					return e.spillErr(o.t.worker, err)
 				}
 				if recycle {
 					putBatch(b)

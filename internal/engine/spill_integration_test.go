@@ -3,8 +3,11 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,6 +16,7 @@ import (
 	"parajoin/internal/metrics"
 	"parajoin/internal/rel"
 	"parajoin/internal/shares"
+	"parajoin/internal/spill"
 	"parajoin/internal/trace"
 )
 
@@ -309,4 +313,69 @@ func TestSpillOffMemTuplesDropToZeroAfterRun(t *testing.T) {
 		}
 	}
 	t.Fatal("query missing from the in-flight table")
+}
+
+// TestRowBlockBufferMatchesAdd gathers rows into blocks the way each
+// Tributary shard and runRoot do, and checks the Buffer ends up exactly as
+// with one Add per row: the same rows and Len, and under a budget that
+// runs out part way, the same error after the same rows. Zero-arity rows
+// take the one-row path.
+func TestRowBlockBufferMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	for arity := 0; arity <= 3; arity++ {
+		rows := make([]rel.Tuple, 200)
+		for i := range rows {
+			rows[i] = make(rel.Tuple, arity)
+			for c := range rows[i] {
+				rows[i][c] = rng.Int63n(1000)
+			}
+		}
+		for _, most := range []int{1, 7, 1024} {
+			for _, limit := range []int64{0, 50} {
+				open := func() *spill.Buffer {
+					return spill.NewBuffer(spill.Config{Acct: spill.NewAccountant(1, limit, 0), Arity: arity,
+						Policy: spill.Off, Label: "result"})
+				}
+				want := open()
+				var wantErr error
+				for _, r := range rows {
+					if wantErr = want.Add(r); wantErr != nil {
+						break
+					}
+				}
+				got := open()
+				blk := rowBlock{buf: got, max: most}
+				var gotErr error
+				for _, r := range rows {
+					if gotErr = blk.add(r); gotErr != nil {
+						break
+					}
+				}
+				if gotErr == nil {
+					gotErr = blk.flush()
+				}
+				name := fmt.Sprintf("arity %d, blocks of %d, limit %d", arity, most, limit)
+				if gotErr != wantErr || got.Len() != want.Len() {
+					t.Fatalf("%s: blocks gave %d rows and %v, rows one by one %d and %v",
+						name, got.Len(), gotErr, want.Len(), wantErr)
+				}
+				if wantErr != nil {
+					continue
+				}
+				var drained [2][]rel.Tuple
+				for i, b := range []*spill.Buffer{got, want} {
+					s, err := b.Finish()
+					if err == nil {
+						drained[i], err = spill.Drain(s)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !slices.EqualFunc(drained[0], drained[1], rel.Tuple.Equal) {
+					t.Fatalf("%s: blocks gave rows %v, want %v", name, drained[0], drained[1])
+				}
+			}
+		}
+	}
 }

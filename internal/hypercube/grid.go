@@ -79,8 +79,9 @@ func (g *Grid) CoordsOf(cell int) []int {
 // Router routes the tuples of one atom: it knows which grid dimensions the
 // atom's variables bind (and at which tuple position), and enumerates the
 // free dimensions for replication. A Router owns the odometer it
-// enumerates with, so it is not safe for concurrent use: each routing
-// goroutine builds its own with RouterFor.
+// enumerates with, so it is not safe for concurrent use: each goroutine
+// builds its own with RouterFor. Its WorkerRoutes table is the form that
+// routing goroutines share.
 type Router struct {
 	grid *Grid
 	// boundPos[i] is the tuple position that fixes dimension i, or -1 when
@@ -124,6 +125,13 @@ func (r *Router) Destinations(t rel.Tuple, dst []int) []int {
 			base += g.Coord(i, t[pos]) * g.strides[i]
 		}
 	}
+	return r.cellsFrom(base, dst)
+}
+
+// cellsFrom appends the cells that share base's bound coordinates — base
+// itself, replicated along every free dimension — in odometer order.
+func (r *Router) cellsFrom(base int, dst []int) []int {
+	g := r.grid
 	if len(r.freeDims) == 0 {
 		return append(dst, base)
 	}
@@ -150,6 +158,73 @@ func (r *Router) Destinations(t rel.Tuple, dst []int) []int {
 	}
 }
 
+// WorkerRoutes is a router's destinations mapped through a cell→worker
+// table and deduplicated per worker, precomputed: one entry per
+// combination of the bound dimensions' coordinates, holding the distinct
+// workers of that combination's cells in the order Destinations first
+// reaches them. Routing a tuple is then one hash per bound dimension and a
+// table lookup. A WorkerRoutes is read-only once built, so every producer
+// of an exchange can share one.
+type WorkerRoutes struct {
+	grid *Grid
+	// bound lists the bound dimensions, pos their tuple positions, and
+	// stride their strides in the table's row-major index.
+	bound, pos, stride []int
+	// The workers of entry i are workers[offs[i]:offs[i+1]].
+	offs    []int
+	workers []int
+}
+
+// WorkerRoutes builds r's worker table. cellWorker maps each of the grid's
+// cells to a worker in [0, workers).
+func (r *Router) WorkerRoutes(cellWorker []int, workers int) *WorkerRoutes {
+	g := r.grid
+	wr := &WorkerRoutes{grid: g}
+	entries := 1
+	for i, pos := range r.boundPos {
+		if pos >= 0 {
+			wr.bound = append(wr.bound, i)
+			wr.pos = append(wr.pos, pos)
+			wr.stride = append(wr.stride, entries)
+			entries *= g.Dims[i]
+		}
+	}
+	wr.offs = make([]int, 1, entries+1)
+	seen := make([]bool, workers)
+	var cells []int
+	for e := 0; e < entries; e++ {
+		base := 0
+		for j, d := range wr.bound {
+			base += e / wr.stride[j] % g.Dims[d] * g.strides[d]
+		}
+		cells = r.cellsFrom(base, cells[:0])
+		first := len(wr.workers)
+		for _, c := range cells {
+			if w := cellWorker[c]; !seen[w] {
+				seen[w] = true
+				wr.workers = append(wr.workers, w)
+			}
+		}
+		for _, w := range wr.workers[first:] {
+			seen[w] = false
+		}
+		wr.offs = append(wr.offs, len(wr.workers))
+	}
+	return wr
+}
+
+// Of returns the workers that must receive t, each once, in the order
+// Destinations' cells first reach them. The slice is the table's own and
+// must not be modified.
+func (wr *WorkerRoutes) Of(t rel.Tuple) []int {
+	e := 0
+	for j, d := range wr.bound {
+		e += wr.grid.Coord(d, t[wr.pos[j]]) * wr.stride[j]
+	}
+	lo, hi := wr.offs[e], wr.offs[e+1]
+	return wr.workers[lo:hi:hi]
+}
+
 // SimulateLoads routes every tuple of every atom's relation through the
 // grid and the allocation's cell→worker map, and returns the number of
 // tuples received per worker. Cells of the same worker are deduplicated —
@@ -162,29 +237,15 @@ func SimulateLoads(q *core.Query, relations map[string]*rel.Relation, alloc *sha
 		return nil, fmt.Errorf("hypercube: allocation covers %d cells, grid has %d", len(alloc.Assign), g.Cells())
 	}
 	loads := make([]int64, alloc.Workers)
-	var cells []int
-	workerSeen := make([]bool, alloc.Workers)
 	for _, atom := range q.Atoms {
 		r := relations[atom.Alias]
 		if r == nil {
 			return nil, fmt.Errorf("hypercube: no relation bound to atom %q", atom.Alias)
 		}
-		router := g.RouterFor(atom)
+		routes := g.RouterFor(atom).WorkerRoutes(alloc.Assign, alloc.Workers)
 		for _, t := range r.Tuples {
-			cells = router.Destinations(t, cells[:0])
-			if len(cells) == 1 {
-				loads[alloc.Assign[cells[0]]]++
-				continue
-			}
-			for _, c := range cells {
-				w := alloc.Assign[c]
-				if !workerSeen[w] {
-					workerSeen[w] = true
-					loads[w]++
-				}
-			}
-			for _, c := range cells {
-				workerSeen[alloc.Assign[c]] = false
+			for _, w := range routes.Of(t) {
+				loads[w]++
 			}
 		}
 	}

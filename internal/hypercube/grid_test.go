@@ -2,6 +2,7 @@ package hypercube
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -230,5 +231,89 @@ func TestDestinationsAllocatesNothing(t *testing.T) {
 	}
 	if len(cells) != r.Replication {
 		t.Fatalf("destinations = %v, want %d cells", cells, r.Replication)
+	}
+}
+
+// workerImage is the reference for WorkerRoutes.Of: t's destination cells
+// mapped through cellWorker, each worker kept at its first occurrence.
+func workerImage(r *Router, cellWorker []int, t rel.Tuple) []int {
+	var out []int
+	for _, c := range r.Destinations(t, nil) {
+		if w := cellWorker[c]; !slices.Contains(out, w) {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// TestWorkerRoutesMatchDestinations checks the precomputed table against
+// routing one tuple at a time, over random grids of up to four dimensions
+// of sizes 1 to 4, atoms that bind none, some or all of them (a repeated
+// variable, a constant and a variable outside the grid among them), and
+// cell maps that put several cells on one worker.
+func TestWorkerRoutesMatchDestinations(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	names := []core.Var{"a", "b", "c", "d"}
+	for trial := range 300 {
+		dims := make([]int, rng.Intn(5))
+		for i := range dims {
+			dims[i] = 1 + rng.Intn(4)
+		}
+		g := NewGrid(shares.Config{Vars: names[:len(dims)], Dims: dims})
+		// Terms drawn from the grid's variables (repeats allowed), a
+		// variable the grid does not know and a constant.
+		terms := make([]core.Term, 1+rng.Intn(4))
+		for i := range terms {
+			switch k := rng.Intn(len(dims) + 2); {
+			case k < len(dims):
+				terms[i] = core.V(string(names[k]))
+			case k == len(dims):
+				terms[i] = core.V("w")
+			default:
+				terms[i] = core.C(7)
+			}
+		}
+		atom := core.NewAtom("R", terms...)
+		workers := 1 + rng.Intn(g.Cells())
+		cellWorker := make([]int, g.Cells())
+		for c := range cellWorker {
+			cellWorker[c] = rng.Intn(workers)
+		}
+		r := g.RouterFor(atom)
+		routes := r.WorkerRoutes(cellWorker, workers)
+		for range 50 {
+			tup := make(rel.Tuple, len(terms))
+			for i := range tup {
+				tup[i] = rng.Int63n(100) - 50
+			}
+			if got, want := routes.Of(tup), workerImage(r, cellWorker, tup); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: grid %v, atom %s, cells→workers %v: Of(%v) = %v, want %v",
+					trial, dims, atom, cellWorker, tup, got, want)
+			}
+		}
+	}
+}
+
+// TestWorkerRoutesOfAllocatesNothing pins that routing a tuple through
+// the table is a lookup: no allocation, and the slice it returns cannot
+// grow into its neighbour's entry.
+func TestWorkerRoutesOfAllocatesNothing(t *testing.T) {
+	g := grid444()
+	r := g.RouterFor(core.NewAtom("R", core.V("x"), core.V("y"))) // z is free
+	cellWorker := make([]int, g.Cells())
+	for c := range cellWorker {
+		cellWorker[c] = c % 16
+	}
+	routes := r.WorkerRoutes(cellWorker, 16)
+	tup := rel.Tuple{7, 11}
+	var ws []int
+	allocs := testing.AllocsPerRun(100, func() {
+		ws = routes.Of(tup)
+	})
+	if allocs != 0 {
+		t.Fatalf("Of allocates %.1f times per call, want 0", allocs)
+	}
+	if len(ws) == 0 || cap(ws) != len(ws) {
+		t.Fatalf("Of = %v with capacity %d, want a non-empty slice clamped to its length", ws, cap(ws))
 	}
 }

@@ -39,18 +39,38 @@ func (a *Accountant) Limit() int64 { return a.limit }
 
 // Reserve charges n tuples to worker w's budget. It reports false — and
 // leaves the usage unchanged — when the reservation would exceed the
-// budget; the caller either spills and retries or fails the run.
+// budget; the caller either spills and retries or fails the run. A
+// reservation that does not fit is never stored, not even for a moment, so
+// a failed reservation of a whole stretch of rows cannot make a concurrent
+// reservation on the same worker fail that fits.
 func (a *Accountant) Reserve(w int, n int64) bool {
 	wa := &a.workers[w]
-	used := wa.used.Add(n)
-	if a.limit > 0 && used > a.limit {
-		wa.used.Add(-n)
+	used, ok := addUpTo(&wa.used, n, a.limit)
+	if !ok {
 		return false
 	}
 	for {
 		p := wa.peak.Load()
 		if used <= p || wa.peak.CompareAndSwap(p, used) {
 			return true
+		}
+	}
+}
+
+// addUpTo adds n to v unless the sum would exceed limit (<= 0 means
+// unlimited), and returns the sum and whether it was stored. A sum over
+// the limit is never stored.
+func addUpTo(v *atomic.Int64, n, limit int64) (int64, bool) {
+	if limit <= 0 {
+		return v.Add(n), true
+	}
+	for {
+		cur := v.Load()
+		if cur+n > limit {
+			return cur, false
+		}
+		if v.CompareAndSwap(cur, cur+n) {
+			return cur + n, true
 		}
 	}
 }
@@ -102,11 +122,10 @@ func (a *Accountant) Blown(w int) (string, bool) {
 }
 
 // ReserveDisk charges n freshly spilled bytes against the run's disk
-// cap, returning ErrDiskBudget when the cap is exceeded.
+// cap, returning ErrDiskBudget when the cap would be exceeded. Like
+// Reserve, it never stores a charge over the cap.
 func (a *Accountant) ReserveDisk(n int64) error {
-	used := a.diskUsed.Add(n)
-	if a.diskLimit > 0 && used > a.diskLimit {
-		a.diskUsed.Add(-n)
+	if _, ok := addUpTo(&a.diskUsed, n, a.diskLimit); !ok {
 		return ErrDiskBudget
 	}
 	return nil

@@ -14,14 +14,19 @@
 //     and a hard byte cap on spilled data. All methods are lock-free
 //     atomics, so concurrent charges — including the sub-joins of one
 //     worker's parallel Tributary join — never deadlock or contend on a
-//     mutex.
+//     mutex. A reservation never over-commits: one that does not fit is
+//     refused without ever being stored, so it cannot make a concurrent
+//     one fail that fits.
 //   - Segment: the on-disk run format (PJSPILL2) — a 16-byte header
 //     (magic, arity), then colbatch batches of up to 4 096 rows.
 //     AppendSegment is its one encoder (sealed runs and partstore's
 //     partitions alike); a SegmentReader reads one back from an
 //     io.SectionReader, one positioned read per batch, and is a Stream.
-//   - Sorter: an external merge sort. Add copies each tuple into an arena
-//     the sorter owns; a run is sorted by packing rows into uint64 keys
+//   - Sorter: an external merge sort. AddFlat copies a batch of rows,
+//     laid out row-major, into an arena the sorter owns, reserving the
+//     budget a stretch of rows at a time yet with exactly the seals,
+//     peaks and errors of adding the rows one by one (Add is the one-row
+//     form). A run is sorted by packing rows into uint64 keys
 //     and radix-sorting them when they fit 64 bits, by comparison when
 //     they do not. Sealed runs are sorted before they hit disk, so reading
 //     them back is a k-way merge that yields the exact sequence an

@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -27,10 +28,12 @@ type arenaRun struct {
 
 // Arena chunks double from arenaFirstChunk values up to arenaMaxChunk:
 // small runs stay small, and full chunks are 32 KiB, the largest size
-// class the allocator recycles without going to the page heap.
+// class the allocator recycles without going to the page heap. arenaSizes
+// is the number of sizes on that ramp, both ends included.
 const (
 	arenaFirstChunk = 64
 	arenaMaxChunk   = 4096
+	arenaSizes      = 7
 )
 
 func newArenaRun(arity int) arenaRun {
@@ -38,19 +41,66 @@ func newArenaRun(arity int) arenaRun {
 	for i := range cols {
 		cols[i] = i
 	}
-	first := make([]int64, 0, max(arenaFirstChunk, arity))
+	first := newChunk(max(arenaFirstChunk, arity))
 	return arenaRun{arity: arity, chunks: [][]int64{first}, cols: cols}
 }
 
-func (r *arenaRun) push(t rel.Tuple) {
-	if c := r.chunks[r.cur]; len(c)+len(t) > cap(c) {
-		if r.cur++; r.cur == len(r.chunks) {
-			size := max(min(2*cap(c), arenaMaxChunk), r.arity)
-			r.chunks = append(r.chunks, make([]int64, 0, size))
+// push copies rows rows, laid out row-major in vals, into the run with one
+// bulk copy per chunk they fill.
+func (r *arenaRun) push(vals []int64, rows int) {
+	r.rows += rows
+	a := r.arity
+	for len(vals) > 0 {
+		c := r.chunks[r.cur]
+		n := min(len(vals), (cap(c)-len(c))/a*a)
+		if n == 0 {
+			if r.cur++; r.cur == len(r.chunks) {
+				r.chunks = append(r.chunks, newChunk(max(min(2*cap(c), arenaMaxChunk), a)))
+			}
+			continue
+		}
+		r.chunks[r.cur] = append(c, vals[:n]...)
+		vals = vals[n:]
+	}
+}
+
+// chunkPools recycle arena chunks between runs, one pool per size on the
+// doubling ramp: chunkPools[i] holds empty chunks of arenaFirstChunk<<i
+// values. A run whose rows have all been copied out (Sorter.FinishFlat)
+// hands its chunks back, and a run takes each chunk it grows by from the
+// pool of its size before it makes one, which it would have to zero.
+var chunkPools [arenaSizes]sync.Pool
+
+// chunkPool returns the pool for chunks of size values, or nil for a size
+// off the ramp (a row wider than the first chunk).
+func chunkPool(size int) *sync.Pool {
+	i := bits.Len(uint(size/arenaFirstChunk)) - 1
+	if i < 0 || i >= len(chunkPools) || arenaFirstChunk<<i != size {
+		return nil
+	}
+	return &chunkPools[i]
+}
+
+// newChunk returns an empty chunk of capacity size.
+func newChunk(size int) []int64 {
+	if p := chunkPool(size); p != nil {
+		if c, ok := p.Get().(*[]int64); ok {
+			return *c
 		}
 	}
-	r.chunks[r.cur] = append(r.chunks[r.cur], t...)
-	r.rows++
+	return make([]int64, 0, size)
+}
+
+// release hands the run's chunks to chunkPools. Nothing may view the
+// run's rows any more, and the run must not be used after.
+func (r *arenaRun) release() {
+	for _, c := range r.chunks {
+		if p := chunkPool(cap(c)); p != nil {
+			c = c[:0]
+			p.Put(&c)
+		}
+	}
+	*r = arenaRun{}
 }
 
 func (r *arenaRun) reset() {

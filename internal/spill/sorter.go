@@ -67,42 +67,93 @@ func (s *spiller) spillable() bool {
 	return (s.cfg.Policy == OnPressure || s.cfg.Policy == Always) && s.cfg.Create != nil
 }
 
-// Add reserves one tuple and copies its values into the run, sealing the
-// current run first when the policy calls for it. The caller keeps t and
+// Add adds one tuple: AddFlat with a one-row batch, and the only way to add
+// a zero-arity row, which has no values to lay out. The caller keeps t and
 // may reuse it at once.
 func (s *spiller) Add(t rel.Tuple) error {
 	if len(t) != s.cfg.Arity {
 		return fmt.Errorf("spill: %s: adding arity-%d tuple to arity-%d run", s.cfg.Label, len(t), s.cfg.Arity)
 	}
-	if s.cfg.Policy == Always && s.spillable() && s.run.rows >= s.cfg.sealTuples() {
-		if err := s.seal(); err != nil {
-			return err
+	return s.add(t, 1)
+}
+
+// AddFlat adds len(vals)/arity rows laid out row-major in vals, copying
+// their values into the run. The caller keeps vals and may reuse it at
+// once. It takes the rows in stretches: each stretch is one budget
+// reservation and one bulk copy per arena chunk it fills. The result is
+// exactly that of adding the rows one at a time — the same seals, the same
+// peaks, the same error after the same rows — because a stretch is only
+// taken whole when every one of its rows would have fitted on its own.
+// The arity must be at least 1: a zero-arity row has no values to lay out,
+// so it goes through Add.
+func (s *spiller) AddFlat(vals []int64) error {
+	a := s.cfg.Arity
+	if a == 0 || len(vals)%a != 0 {
+		return fmt.Errorf("spill: %s: adding %d values to an arity-%d run", s.cfg.Label, len(vals), a)
+	}
+	return s.add(vals, len(vals)/a)
+}
+
+// add reserves and copies rows rows of vals, sealing the current run first
+// whenever the policy calls for it. Under Always a stretch ends where the
+// run reaches its seal size. A stretch the budget refuses is retaken one
+// row at a time until a seal frees room; the rows after it go back to
+// stretches.
+func (s *spiller) add(vals []int64, rows int) error {
+	a := s.cfg.Arity
+	always := s.cfg.Policy == Always && s.spillable()
+	single := 0 // rows of a refused stretch still to take one at a time
+	for rows > 0 {
+		if always && s.run.rows >= s.cfg.sealTuples() {
+			if err := s.seal(); err != nil {
+				return err
+			}
+		}
+		k := 1
+		if single == 0 {
+			k = rows
+			if always {
+				k = min(k, s.cfg.sealTuples()-s.run.rows)
+			}
+		}
+		if !s.cfg.Acct.Reserve(s.cfg.Worker, int64(k)) {
+			if k > 1 {
+				single = k
+				continue
+			}
+			// Budget pressure. Without a disk escape the run is genuinely
+			// out of memory; otherwise seal what we hold and try again.
+			if !s.spillable() {
+				s.cfg.Acct.Blow(s.cfg.Worker, s.cfg.Label)
+				return ErrBudget
+			}
+			if err := s.seal(); err != nil {
+				return err
+			}
+			single = 0
+			if !s.cfg.Acct.Reserve(s.cfg.Worker, 1) {
+				// The whole budget is held by operators that cannot free
+				// anything here. Progress is still possible without growing
+				// resident state: push the row through an unreserved
+				// singleton run straight to disk. Degenerate (one segment
+				// per row) but bounded — the last resort before failing.
+				s.run.push(vals[:a], 1)
+				s.total++
+				if err := s.seal(); err != nil {
+					return err
+				}
+				vals, rows = vals[a:], rows-1
+				continue
+			}
+		}
+		s.reserved += int64(k)
+		s.run.push(vals[:k*a], k)
+		s.total += int64(k)
+		vals, rows = vals[k*a:], rows-k
+		if single > 0 {
+			single--
 		}
 	}
-	if !s.cfg.Acct.Reserve(s.cfg.Worker, 1) {
-		// Budget pressure. Without a disk escape the run is genuinely out
-		// of memory; otherwise seal what we hold and try again.
-		if !s.spillable() {
-			s.cfg.Acct.Blow(s.cfg.Worker, s.cfg.Label)
-			return ErrBudget
-		}
-		if err := s.seal(); err != nil {
-			return err
-		}
-		if !s.cfg.Acct.Reserve(s.cfg.Worker, 1) {
-			// The whole budget is held by operators that cannot free
-			// anything here. Progress is still possible without growing
-			// resident state: push the tuple through an unreserved
-			// singleton run straight to disk. Degenerate (one segment per
-			// tuple) but bounded — the last resort before failing.
-			s.run.push(t)
-			s.total++
-			return s.seal()
-		}
-	}
-	s.reserved++
-	s.run.push(t)
-	s.total++
 	return nil
 }
 
@@ -238,7 +289,7 @@ func (s *Sorter) FinishFlat() ([]int64, error) {
 	out := make([]int64, 0, s.total*int64(s.cfg.Arity))
 	if parts == nil {
 		out = s.run.appendFlat(out)
-		s.run = arenaRun{} // the arena is garbage now; out holds the rows
+		s.run.release() // out holds the rows; the next run reuses the arena
 		return out, nil
 	}
 	m, err := newMergeStream(parts, s.total)

@@ -3,6 +3,7 @@ package spill
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -56,6 +57,9 @@ func spanTuples(rng *rand.Rand, n, arity int, span uint64) []rel.Tuple {
 // sink is what Sorter and Buffer share: the tests drive both through it.
 type sink interface {
 	Add(rel.Tuple) error
+	AddFlat([]int64) error
+	Len() int64
+	Segments() int
 	Finish() (Stream, error)
 }
 
@@ -112,8 +116,10 @@ func (r *rowStream) Close() error { return nil }
 // drainThrough runs input through the sink open makes under policy and
 // drains the result. Always seals runs just above the radix cutoff and
 // OnPressure holds a third of the input, so both spill paths sort runs on
-// both sides of the cutoff.
-func drainThrough(t testing.TB, open func(Config) sink, input []rel.Tuple, arity int, policy Policy) []rel.Tuple {
+// both sides of the cutoff. With splits nil every row goes in with Add;
+// otherwise the input goes in with AddFlat, in batches of random lengths
+// drawn from splits.
+func drainThrough(t testing.TB, open func(Config) sink, input []rel.Tuple, arity int, policy Policy, splits *rand.Rand) []rel.Tuple {
 	t.Helper()
 	dir, err := NewDir(t.TempDir())
 	if err != nil {
@@ -132,9 +138,17 @@ func drainThrough(t testing.TB, open func(Config) sink, input []rel.Tuple, arity
 		SealTuples: radixCutoff + 50,
 		Label:      "oracle",
 	})
-	for _, tup := range input {
-		if err := s.Add(tup); err != nil {
-			t.Fatalf("Add: %v", err)
+	if splits == nil {
+		for _, tup := range input {
+			if err := s.Add(tup); err != nil {
+				t.Fatalf("Add: %v", err)
+			}
+		}
+	} else {
+		for _, b := range randomBatches(splits, input, 2*radixCutoff) {
+			if err := s.AddFlat(flatten(b)); err != nil {
+				t.Fatalf("AddFlat: %v", err)
+			}
 		}
 	}
 	stream, err := s.Finish()
@@ -146,6 +160,27 @@ func drainThrough(t testing.TB, open func(Config) sink, input []rel.Tuple, arity
 		t.Fatalf("Drain: %v", err)
 	}
 	return got
+}
+
+// randomBatches cuts rows into consecutive batches of 1 to most rows,
+// lengths drawn from rng.
+func randomBatches(rng *rand.Rand, rows []rel.Tuple, most int) [][]rel.Tuple {
+	var out [][]rel.Tuple
+	for len(rows) > 0 {
+		n := min(1+rng.Intn(most), len(rows))
+		out = append(out, rows[:n])
+		rows = rows[n:]
+	}
+	return out
+}
+
+// flatten lays rows out row-major, as AddFlat takes them.
+func flatten(rows []rel.Tuple) []int64 {
+	var out []int64
+	for _, t := range rows {
+		out = append(out, t...)
+	}
+	return out
 }
 
 func requireSameSequence(t testing.TB, got, want []rel.Tuple) {
@@ -180,7 +215,7 @@ func TestSpillSorterMatchesOracle(t *testing.T) {
 						unsorted[i] = tup.Clone()
 					}
 					for _, sk := range sinks[:2] { // Finish and FinishFlat
-						got := drainThrough(t, sk.open, input, arity, policy)
+						got := drainThrough(t, sk.open, input, arity, policy, nil)
 						requireSameSequence(t, got, before)
 						// The sorter copies: the caller's rows are untouched.
 						requireSameSequence(t, input, unsorted)
@@ -252,6 +287,154 @@ func TestSorterAddAllocs(t *testing.T) {
 		})
 		if allocs > 32 {
 			t.Fatalf("%s: %v allocations for %d Adds, want one per arena chunk", sk.name, allocs, n)
+		}
+	}
+}
+
+// TestAddFlatAllocs pins that adding a batch to a warm run allocates
+// nothing: once the arena holds the chunks a batch needs, as it does after
+// a seal (which keeps them for the next run), AddFlat is one reservation
+// and bulk copies.
+func TestAddFlatAllocs(t *testing.T) {
+	batch := make([]int64, 1024*3)
+	for i := range batch {
+		batch[i] = int64(i * 7919 % 1000)
+	}
+	cfg := Config{Acct: NewAccountant(1, 0, 0), Arity: 3, Policy: Off, Label: "allocs"}
+	for name, sp := range map[string]*spiller{"Sorter": &NewSorter(cfg).spiller, "Buffer": &NewBuffer(cfg).spiller} {
+		allocs := testing.AllocsPerRun(20, func() {
+			sp.run.reset()
+			if err := sp.AddFlat(batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: a warm AddFlat of 1 024 rows allocates %.1f times, want 0", name, allocs)
+		}
+	}
+}
+
+// TestFinishFlatRecyclesChunks pins that a run FinishFlat has copied out
+// hands its chunks to the next run: a second sorter taking as many rows
+// allocates none of its 543 KiB of chunks, ramp or full size. GC is held
+// off and one P serves both sorters, so the pools keep what they are given
+// (see TestSealAllocs).
+func TestFinishFlatRecyclesChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items on purpose")
+	}
+	if arenaFirstChunk<<(arenaSizes-1) != arenaMaxChunk {
+		t.Fatalf("%d chunk sizes from %d values do not end at %d", arenaSizes, arenaFirstChunk, arenaMaxChunk)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	vals := make([]int64, 16*arenaMaxChunk)
+	for i := range vals {
+		vals[i] = int64(i % 1000)
+	}
+	fill := func() *Sorter {
+		s := NewSorter(Config{Acct: NewAccountant(1, 0, 0), Arity: 2, Policy: Off, Label: "recycle"})
+		if err := s.AddFlat(vals); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if _, err := fill().FinishFlat(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fill()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<10 {
+		t.Fatalf("filling a sorter after FinishFlat allocated %d bytes, want < 8 KiB", got)
+	}
+}
+
+// TestAddFlatMatchesAdd feeds the same rows to a sink twice, row by row
+// with Add and in random batches with AddFlat, and requires the two to
+// agree on everything observable: the rows, Len, Segments, the worker's
+// reservation and peak, the error and the operator it blames. The budgets
+// are small enough that a batch's stretch is refused part way through,
+// and between batches a sibling operator on the same worker reserves or
+// releases part of the budget, at times all of it, which forces the
+// singleton seals of the last resort.
+func TestAddFlatMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	type outcome struct {
+		rows       []rel.Tuple
+		n          int64
+		segs       int
+		used, peak int64
+		err        error
+		blown      string
+	}
+	for _, sk := range sinks {
+		for _, policy := range []Policy{Off, OnPressure, Always} {
+			for trial := range 25 {
+				arity := 1 + rng.Intn(3)
+				input := spanTuples(rng, rng.Intn(1500), arity, 1500)
+				var limit int64 // unlimited in one trial of five
+				if trial%5 != 0 {
+					limit = 1 + rng.Int63n(400)
+				}
+				seal := 1 + rng.Intn(300)
+				batches := randomBatches(rng, input, 600)
+				sibling := make([]int64, len(batches)) // > 0 reserves, 0 releases all
+				for i := range sibling {
+					if rng.Intn(3) > 0 {
+						sibling[i] = rng.Int63n(limit + 2)
+					}
+				}
+				feed := func(flat bool) (o outcome) {
+					acct := NewAccountant(1, limit, 0)
+					s := sk.open(Config{Acct: acct, Arity: arity, Create: mustDir(t).Create,
+						Policy: policy, SealTuples: seal, Label: "stretch"})
+					var held int64
+					for i, b := range batches {
+						if sibling[i] == 0 {
+							acct.Release(0, held)
+							held = 0
+						} else if acct.Reserve(0, sibling[i]) {
+							held += sibling[i]
+						}
+						if flat {
+							o.err = s.AddFlat(flatten(b))
+						} else {
+							for _, tup := range b {
+								if o.err = s.Add(tup); o.err != nil {
+									break
+								}
+							}
+						}
+						if o.err != nil {
+							break
+						}
+					}
+					o.n, o.segs, o.used, o.peak = s.Len(), s.Segments(), acct.Used(0), acct.Peak(0)
+					o.blown, _ = acct.Blown(0)
+					if o.err == nil {
+						stream, err := s.Finish()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if o.rows, err = Drain(stream); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return o
+				}
+				want, got := feed(false), feed(true)
+				name := fmt.Sprintf("%s/%v/trial %d (%d rows, limit %d, seal %d)", sk.name, policy, trial, len(input), limit, seal)
+				if got.err != want.err || got.blown != want.blown {
+					t.Fatalf("%s: AddFlat error %v blaming %q, Add error %v blaming %q", name, got.err, got.blown, want.err, want.blown)
+				}
+				if got.n != want.n || got.segs != want.segs || got.used != want.used || got.peak != want.peak {
+					t.Fatalf("%s: AddFlat len %d, segments %d, used %d, peak %d; Add %d, %d, %d, %d",
+						name, got.n, got.segs, got.used, got.peak, want.n, want.segs, want.used, want.peak)
+				}
+				requireSameSequence(t, got.rows, want.rows)
+			}
 		}
 	}
 }
@@ -376,7 +559,8 @@ func TestBufferArityZeroAlways(t *testing.T) {
 // FuzzSorter decodes bytes into rows — the first byte picks arity, value
 // width and policy, the rest are little-endian signed values — and checks
 // the sorted stream against the comparison sort, and a Buffer's stream
-// under the same policy against the input order.
+// under the same policy against the input order: once with the rows added
+// one by one, once in AddFlat batches of lengths seeded from the input.
 func FuzzSorter(f *testing.F) {
 	f.Add([]byte{0x01, 3, 1, 2, 2, 9, 0, 0xff, 0x80})
 	f.Add([]byte{0x1f, 0, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
@@ -401,8 +585,11 @@ func FuzzSorter(f *testing.F) {
 			}
 			input = append(input, row)
 		}
+		splits := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
 		for _, sk := range sinks {
-			requireSameSequence(t, drainThrough(t, sk.open, input, arity, policy), sk.oracle(input))
+			want := sk.oracle(input)
+			requireSameSequence(t, drainThrough(t, sk.open, input, arity, policy, nil), want)
+			requireSameSequence(t, drainThrough(t, sk.open, input, arity, policy, splits), want)
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"parajoin/internal/rel"
@@ -100,6 +101,59 @@ func TestAccountantDiskBudget(t *testing.T) {
 	}
 	if got := a.DiskUsed(); got != 80 {
 		t.Fatalf("failed disk reserve changed usage: %d", got)
+	}
+}
+
+// TestAccountantFailedReserveNeverBlocksAFit races a reserver that keeps
+// asking for a stretch that cannot fit against one that reserves and
+// releases a single tuple that always fits, on one worker. The failed
+// stretch must never be visible: were it added and then taken back, the
+// single tuple would fail now and then although the budget has room for
+// it. Run it with -race.
+func TestAccountantFailedReserveNeverBlocksAFit(t *testing.T) {
+	const limit, held = 1000, 500
+	a := NewAccountant(1, limit, 0)
+	if !a.Reserve(0, held) { // a sibling operator's state
+		t.Fatal("reserving the held tuples failed")
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var fitted atomic.Int64
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if a.Reserve(0, limit-held+1) {
+					fitted.Add(1)
+					return
+				}
+			}
+		}()
+	}
+	failures := 0
+	for range 200000 {
+		if !a.Reserve(0, 1) {
+			failures++
+			continue
+		}
+		a.Release(0, 1)
+	}
+	close(stop)
+	wg.Wait()
+	if fitted.Load() > 0 {
+		t.Fatal("an over-budget stretch was reserved")
+	}
+	if failures > 0 {
+		t.Fatalf("%d of 200000 one-tuple reservations failed with %d of %d tuples held", failures, held, limit)
+	}
+	if used, peak := a.Used(0), a.Peak(0); used != held || peak != held+1 {
+		t.Fatalf("used %d, peak %d; want %d, %d", used, peak, held, held+1)
 	}
 }
 
