@@ -724,7 +724,7 @@ func (e *exec) runRoot(root Node, w int) (*rel.Relation, error) {
 	out := &rel.Relation{Name: "result", Schema: op.schema().Clone()}
 	if !e.spillEnabled() {
 		// Every next() returns a slice of its own, so the batches are kept
-		// as they come and flattened once, at exact size.
+		// as they come and concatenated once, at exact size.
 		var batches [][]rel.Tuple
 		for {
 			b, err := op.next()

@@ -43,6 +43,9 @@ func ExplainAnalyze(rounds []Round, events []trace.Event, report *Report) string
 	}
 	if report != nil {
 		fmt.Fprintf(&b, "total: %s\n", report.String())
+		if s, j, h := slowest(report.SortTime), slowest(report.JoinTime), slowest(report.HashTime); s+j+h > 0 {
+			fmt.Fprintf(&b, "local (slowest worker): sort=%v join=%v hash=%v\n", s, j, h)
+		}
 		if report.BatchesSent > 0 || report.BatchesReceived > 0 {
 			fmt.Fprintf(&b, "transport: %d bytes sent, %d received (%d/%d batches, max queue depth %d)\n",
 				report.BytesSent, report.BytesReceived,
@@ -50,6 +53,15 @@ func ExplainAnalyze(rounds []Round, events []trace.Event, report *Report) string
 		}
 	}
 	return b.String()
+}
+
+// slowest is the largest of per-worker durations, 0 for none.
+func slowest(v []time.Duration) time.Duration {
+	var m time.Duration
+	for _, d := range v {
+		m = max(m, d)
+	}
+	return m
 }
 
 // opAgg aggregates one operator's (or exchange producer's) events across

@@ -10,8 +10,9 @@ import (
 // Metrics collects, per query run, the quantities the paper's evaluation
 // reports: tuples sent and received per exchange (from which producer and
 // consumer skew derive), per-worker busy time (the stand-in for CPU time),
-// and phase timings (sort vs join) for the Tributary join. It accumulates
-// straight into the Report the run hands back.
+// and phase timings: sort vs join for the Tributary join, and the hash
+// joins' time apart from both. It accumulates straight into the Report
+// the run hands back.
 type Metrics struct {
 	mu sync.Mutex
 	r  Report
@@ -27,6 +28,7 @@ func NewMetrics(n int, exchanges []ExchangeSpec) *Metrics {
 			BusyTime:  make([]time.Duration, n),
 			SortTime:  make([]time.Duration, n),
 			JoinTime:  make([]time.Duration, n),
+			HashTime:  make([]time.Duration, n),
 			Processed: make([]int64, n),
 			Sorted:    make([]int64, n),
 			Seeks:     make([]int64, n),
@@ -71,6 +73,12 @@ func (m *Metrics) addSort(worker int, d time.Duration) {
 func (m *Metrics) addJoin(worker int, d time.Duration) {
 	m.mu.Lock()
 	m.r.JoinTime[worker] += d
+	m.mu.Unlock()
+}
+
+func (m *Metrics) addHash(worker int, d time.Duration) {
+	m.mu.Lock()
+	m.r.HashTime[worker] += d
 	m.mu.Unlock()
 }
 
@@ -125,9 +133,11 @@ type Report struct {
 	// than workers it overstates absolute work (runnable-but-descheduled
 	// time counts), so totals should come from CPUTime.
 	BusyTime []time.Duration
-	// SortTime and JoinTime break down the Tributary join phases (Table 5).
+	// SortTime and JoinTime break down the Tributary join phases (Table 5);
+	// HashTime is the time hash joins spend building and probing.
 	SortTime []time.Duration
 	JoinTime []time.Duration
+	HashTime []time.Duration
 	// Processed counts tuples entering each worker's operators (scans plus
 	// exchange receipts) — a deterministic per-worker load measure that,
 	// unlike busy time, is immune to host-core oversubscription.
@@ -291,6 +301,7 @@ func (r *Report) add(b *Report) {
 	r.BusyTime = addVec(r.BusyTime, b.BusyTime)
 	r.SortTime = addVec(r.SortTime, b.SortTime)
 	r.JoinTime = addVec(r.JoinTime, b.JoinTime)
+	r.HashTime = addVec(r.HashTime, b.HashTime)
 	r.Processed = addVec(r.Processed, b.Processed)
 	r.Sorted = addVec(r.Sorted, b.Sorted)
 	r.Seeks = addVec(r.Seeks, b.Seeks)

@@ -5,6 +5,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"parajoin/internal/core"
+	"parajoin/internal/rel"
+	"parajoin/internal/shares"
+	"parajoin/internal/trace"
 )
 
 func TestSkewHelper(t *testing.T) {
@@ -125,5 +130,52 @@ func TestReportDeltasResetBetweenRuns(t *testing.T) {
 	// per-run deltas, so two identical runs report identical traffic.
 	if first.BytesSent != second.BytesSent {
 		t.Fatalf("per-run byte deltas drifted: %d then %d", first.BytesSent, second.BytesSent)
+	}
+}
+
+// TestHashJoinTimeIsHashTime: an RS_HJ-shaped run (hash shuffles into a
+// hash join) books its join time as HashTime, leaving JoinTime — the
+// Tributary join's phase — at zero, and EXPLAIN ANALYZE shows it next to
+// sort and join. A Tributary run books no HashTime.
+func TestHashJoinTimeIsHashTime(t *testing.T) {
+	c := NewCluster(4)
+	defer c.Close()
+	c.Load(randGraph("R", 3000, 150, 31))
+	c.Load(randGraph("S", 3000, 150, 32))
+	c.Load(randGraph("T", 3000, 150, 33))
+	plan := &Plan{
+		Exchanges: []ExchangeSpec{
+			{ID: 0, Name: "R", Input: Scan{Table: "R"}, Kind: RouteHash, HashCols: []string{"dst"}, Seed: 5},
+			{ID: 1, Name: "S", Input: Project{
+				Input: Scan{Table: "S"}, Cols: []string{"src", "dst"}, As: []string{"dst", "c"},
+			}, Kind: RouteHash, HashCols: []string{"dst"}, Seed: 5},
+		},
+		Root: HashJoin{
+			Left:     Recv{Exchange: 0, Schema: rel.Schema{"src", "dst"}},
+			Right:    Recv{Exchange: 1, Schema: rel.Schema{"dst", "c"}},
+			LeftCols: []string{"dst"}, RightCols: []string{"dst"},
+		},
+	}
+	rounds := []Round{{Name: "rs_hj", Plan: plan}}
+	col := trace.NewCollector()
+	_, report, err := c.RunRoundsOpts(context.Background(), rounds, RunOpts{Tracer: trace.New(col)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, h := sum(report.JoinTime), sum(report.HashTime); j != 0 || h == 0 {
+		t.Fatalf("hash-join run: JoinTime %v, HashTime %v; want 0 and > 0", j, h)
+	}
+	if out := ExplainAnalyze(rounds, col.Events(), report); !strings.Contains(out, " hash=") {
+		t.Fatalf("EXPLAIN ANALYZE lacks the hash time:\n%s", out)
+	}
+
+	q := triangleQuery()
+	cfg := shares.Config{Vars: []core.Var{"x", "y", "z"}, Dims: []int{2, 2, 1}}
+	_, report, err = c.RunRounds(context.Background(), []Round{{Name: "hc_tj", Plan: hcTrianglePlan(q, cfg, 4)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, h := sum(report.JoinTime), sum(report.HashTime); j == 0 || h != 0 {
+		t.Fatalf("Tributary run: JoinTime %v, HashTime %v; want > 0 and 0", j, h)
 	}
 }

@@ -302,7 +302,7 @@ func (o *hashJoinOp) next() ([]rel.Tuple, error) {
 				}
 			}
 		}
-		o.t.ex.metrics.addJoin(o.t.worker, time.Since(t0))
+		o.t.ex.metrics.addHash(o.t.worker, time.Since(t0))
 	}
 }
 
@@ -377,8 +377,9 @@ func (o *tributaryOp) open() error {
 		// scan's batches view shared fragments and are never returned.
 		recycle := receives(in)
 		norm := ljoin.NewNormalizer(atom, o.order)
-		s := ljoin.Sorted{Arity: norm.Arity()}
-		if s.Arity == 0 {
+		arity := norm.Arity()
+		var s ljoin.Sorted
+		if arity == 0 {
 			// Fully-constant atom: only existence matters, nothing is
 			// materialized.
 			for {
@@ -400,7 +401,7 @@ func (o *tributaryOp) open() error {
 				}
 			}
 		} else {
-			sorter := spill.NewSorter(e.spillConfig(o.t.worker, s.Arity, "sort("+alias+")"))
+			sorter := spill.NewSorter(e.spillConfig(o.t.worker, arity, "sort("+alias+")"))
 			for {
 				b, err := in.next()
 				if err == io.EOF {
@@ -413,10 +414,10 @@ func (o *tributaryOp) open() error {
 				// The batch's normalized rows go into one flat scratch side by
 				// side and reach the sorter in one AddFlat, which copies them.
 				scratch := flatRows.Get().(*[]int64)
-				flat := slices.Grow(*scratch, len(b)*s.Arity)
+				flat := slices.Grow(*scratch, len(b)*arity)
 				for _, t := range b {
-					if row := flat[len(flat) : len(flat)+s.Arity]; norm.ApplyInto(row, t) {
-						flat = flat[:len(flat)+s.Arity]
+					if row := flat[len(flat) : len(flat)+arity]; norm.ApplyInto(row, t) {
+						flat = flat[:len(flat)+arity]
 					}
 				}
 				err = sorter.AddFlat(flat)
@@ -429,15 +430,15 @@ func (o *tributaryOp) open() error {
 					putBatch(b)
 				}
 			}
-			// The merged sorted run, one flat array, becomes the trie's
-			// backing array. Its spilled part was charged to the disk cap
-			// when sealed; the read-back is modeled as a disk-backed index,
-			// so it is not re-charged to the tuple budget.
-			vals, err := sorter.FinishFlat()
+			// The sorted run's packed keys become the trie's backing
+			// array. Its spilled part was charged to the disk cap when
+			// sealed; the read-back is modeled as a disk-backed index, so
+			// it is not re-charged to the tuple budget.
+			words, layout, err := sorter.FinishPacked()
 			if err != nil {
 				return err
 			}
-			s.Vals, s.Rows = vals, len(vals)/s.Arity
+			s = ljoin.Sorted{Rows: len(words) / layout.Words(), Words: words, Layout: layout}
 		}
 		if err := in.close(); err != nil {
 			return err

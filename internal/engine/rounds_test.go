@@ -90,6 +90,7 @@ func TestMergeReports(t *testing.T) {
 	a := &Report{
 		Workers: 2, WallTime: time.Second, CPUTime: time.Second,
 		BusyTime: []time.Duration{1, 2}, SortTime: []time.Duration{0, 0}, JoinTime: []time.Duration{0, 0},
+		HashTime:  []time.Duration{0, 5},
 		Processed: []int64{10, 20}, Sorted: []int64{1, 2}, Seeks: []int64{3, 4},
 		PeakResidentTuples: []int64{7, 1},
 		Exchanges: []ExchangeReport{
@@ -100,6 +101,7 @@ func TestMergeReports(t *testing.T) {
 	b := &Report{
 		Workers: 2, WallTime: 2 * time.Second, CPUTime: time.Second,
 		BusyTime: []time.Duration{10, 20}, SortTime: []time.Duration{1, 1}, JoinTime: []time.Duration{2, 2},
+		HashTime:  []time.Duration{1, 1},
 		Processed: []int64{100, 200}, Sorted: []int64{10, 20}, Seeks: []int64{30, 40},
 		PeakResidentTuples: []int64{2, 9},
 		Exchanges:          []ExchangeReport{{Round: 1, ID: 0, Sent: []int64{5, 6}}},
@@ -108,7 +110,7 @@ func TestMergeReports(t *testing.T) {
 	if m.WallTime != 3*time.Second || m.CPUTime != 2*time.Second {
 		t.Fatalf("times: wall %v cpu %v", m.WallTime, m.CPUTime)
 	}
-	if m.BusyTime[1] != 22 || m.Processed[0] != 110 || m.Seeks[1] != 44 {
+	if m.BusyTime[1] != 22 || m.Processed[0] != 110 || m.Seeks[1] != 44 || m.HashTime[1] != 6 {
 		t.Fatalf("counters merged wrong: %+v", m)
 	}
 	// Rounds free their state between executions: the peak is a max.

@@ -139,10 +139,11 @@ func (s *Suite) Table5() (*OperatorTime, error) {
 		if run.Failed || run.Report == nil {
 			continue
 		}
-		var sort, join time.Duration
+		var sort, join, hash time.Duration
 		for w := range run.Report.SortTime {
 			sort += run.Report.SortTime[w]
 			join += run.Report.JoinTime[w]
+			hash += run.Report.HashTime[w]
 		}
 		busy := run.Report.TotalBusy()
 		share := func(d time.Duration) float64 {
@@ -157,9 +158,9 @@ func (s *Suite) Table5() (*OperatorTime, error) {
 				OperatorTimeRow{cfg, "TJ(R,S,T)", join, share(join)},
 			)
 		} else {
-			other := busy - join
+			other := busy - hash
 			out.Rows = append(out.Rows,
-				OperatorTimeRow{cfg, "hash joins", join, share(join)},
+				OperatorTimeRow{cfg, "hash joins", hash, share(hash)},
 				OperatorTimeRow{cfg, "everything else", other, share(other)},
 			)
 		}

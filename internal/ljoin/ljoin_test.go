@@ -439,7 +439,7 @@ func TestLeapfrogUnary(t *testing.T) {
 			r.AppendRow(v)
 		}
 		r.Sort()
-		tr := newArrayTrie(flatten(r))
+		tr := newArrayTrie(pack(r))
 		tr.Open()
 		return tr
 	}
@@ -466,16 +466,15 @@ func TestLeapfrogUnary(t *testing.T) {
 }
 
 func TestGallopMatchesLowerBound(t *testing.T) {
-	r := rel.New("A", "v")
 	rng := rand.New(rand.NewSource(40))
-	for i := 0; i < 500; i++ {
-		r.AppendRow(rng.Int63n(300))
+	words := make([]uint64, 500)
+	for i := range words {
+		words[i] = uint64(rng.Int63n(300))
 	}
-	r.Sort()
-	s := flatten(r)
-	for v := int64(-5); v < 310; v += 3 {
-		lb := lowerBound(s.Vals, 1, 0, s.Rows, v)
-		gl := gallop(s.Vals, 1, 0, s.Rows, v)
+	slices.Sort(words)
+	for v := uint64(0); v < 310; v += 3 {
+		lb := lowerBound(words, 1, 0, len(words), v)
+		gl := gallop(words, 1, 0, len(words), v)
 		if lb != gl {
 			t.Fatalf("v=%d: lowerBound %d, gallop %d", v, lb, gl)
 		}
@@ -484,54 +483,56 @@ func TestGallopMatchesLowerBound(t *testing.T) {
 
 // TestLowerBoundMatchesScan checks both searches — lowerBound and gallop,
 // the trie's seek — against a linear scan on random brackets [lo, hi),
-// empty ones included: on stride 2, column 0 and column 1 inside a
-// column-0 run; on stride 3, column 2 inside a run of equal columns 0–1.
+// empty ones included, over rows of a word per column: on stride 2, word
+// 0 and word 1 inside a word-0 run; on stride 3, word 2 inside a run of
+// equal words 0–1.
 func TestLowerBoundMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	check := func(r *rel.Relation, s Sorted, col, lo, hi int) {
+	check := func(rows [][]uint64, words []uint64, col, lo, hi int) {
 		t.Helper()
-		// Column col is sorted only within a run of equal earlier columns.
+		stride := len(rows[0])
+		// Word col is sorted only within a run of equal earlier words.
 		for end := lo; end < hi; end++ {
-			if !slices.Equal(r.Tuples[end][:col], r.Tuples[lo][:col]) {
+			if !slices.Equal(rows[end][:col], rows[lo][:col]) {
 				hi = end
 			}
 		}
-		v := rng.Int63n(55) - 2
+		v := uint64(rng.Intn(55))
 		want := lo
-		for want < hi && r.Tuples[want][col] < v {
+		for want < hi && rows[want][col] < v {
 			want++
 		}
-		if got := lowerBound(s.Vals[col:], s.Arity, lo, hi, v); got != want {
-			t.Fatalf("stride %d: lowerBound([%d,%d), col %d, %d) = %d, want %d", s.Arity, lo, hi, col, v, got, want)
+		if got := lowerBound(words[col:], stride, lo, hi, v); got != want {
+			t.Fatalf("stride %d: lowerBound([%d,%d), col %d, %d) = %d, want %d", stride, lo, hi, col, v, got, want)
 		}
-		if got := gallop(s.Vals[col:], s.Arity, lo, hi, v); got != want {
-			t.Fatalf("stride %d: gallop([%d,%d), col %d, %d) = %d, want %d", s.Arity, lo, hi, col, v, got, want)
+		if got := gallop(words[col:], stride, lo, hi, v); got != want {
+			t.Fatalf("stride %d: gallop([%d,%d), col %d, %d) = %d, want %d", stride, lo, hi, col, v, got, want)
 		}
 	}
 	bracket := func(n int) (lo, hi int) {
 		lo = rng.Intn(n + 1)
 		return lo, lo + rng.Intn(n-lo+1)
 	}
+	sortedRows := func(spans ...int) ([][]uint64, []uint64) {
+		rows := make([][]uint64, 300)
+		for i := range rows {
+			for _, span := range spans {
+				rows[i] = append(rows[i], uint64(rng.Intn(span)))
+			}
+		}
+		slices.SortFunc(rows, slices.Compare)
+		return rows, slices.Concat(rows...)
+	}
 
-	r := rel.New("A", "u", "v")
-	for i := 0; i < 300; i++ {
-		r.AppendRow(rng.Int63n(20), rng.Int63n(50))
-	}
-	r.Sort()
-	s := flatten(r)
+	rows, words := sortedRows(20, 50)
 	for trial := 0; trial < 2000; trial++ {
-		lo, hi := bracket(len(r.Tuples))
-		check(r, s, rng.Intn(2), lo, hi)
+		lo, hi := bracket(len(rows))
+		check(rows, words, rng.Intn(2), lo, hi)
 	}
 
-	r3 := rel.New("B", "u", "v", "w")
-	for i := 0; i < 300; i++ {
-		r3.AppendRow(rng.Int63n(3), rng.Int63n(4), rng.Int63n(50))
-	}
-	r3.Sort()
-	s3 := flatten(r3)
+	rows3, words3 := sortedRows(3, 4, 50)
 	for trial := 0; trial < 2000; trial++ {
-		lo, hi := bracket(len(r3.Tuples))
-		check(r3, s3, 2, lo, hi)
+		lo, hi := bracket(len(rows3))
+		check(rows3, words3, 2, lo, hi)
 	}
 }

@@ -90,9 +90,10 @@ func cutValues(pivot *arrayTrie, k int) []int64 {
 		return nil
 	}
 	var cuts []int64
-	first := pivot.vals[0]
+	l := &pivot.levels[0]
+	first := pivot.value(l, 0)
 	for i := 1; i < k; i++ {
-		v := pivot.vals[i*n/k*pivot.stride]
+		v := pivot.value(l, i*n/k)
 		if v <= first || (len(cuts) > 0 && v <= cuts[len(cuts)-1]) {
 			continue
 		}

@@ -23,7 +23,7 @@ type Stats struct {
 }
 
 // Prepared is a Tributary join ready to run: inputs normalized, sorted,
-// flattened, and wrapped in trie iterators.
+// packed, and wrapped in trie iterators.
 type Prepared struct {
 	q     *core.Query
 	order []core.Var
@@ -52,28 +52,44 @@ type Prepared struct {
 	hasLo, hasHi bool
 }
 
-// Sorted is one normalized, lexicographically sorted join input in flat
-// form: Rows rows of Arity values each, row-major in Vals (length
-// Rows·Arity). A fully-constant atom is an existence guard: Arity 0, and
-// Rows 0 when no row matched (the engine passes 0 or 1).
+// Sorted is one normalized, lexicographically sorted join input in packed
+// form: Rows rows of Layout.Words() words each, row after row in Words,
+// whose unsigned lexicographic order is the rows' order (rel.KeyPacker
+// over the input's columns decodes them). A fully-constant atom is an
+// existence guard: no columns, and Rows 0 when no row matched (the engine
+// passes 0 or 1).
 type Sorted struct {
-	Arity, Rows int
-	Vals        []int64
+	Rows   int
+	Words  []uint64
+	Layout rel.KeyPacker
 }
 
-// flatten lays a sorted relation out as Sorted, one copy of its values.
-func flatten(r *rel.Relation) Sorted {
-	s := Sorted{Arity: r.Arity(), Rows: r.Cardinality()}
-	s.Vals = make([]int64, 0, s.Rows*s.Arity)
+// pack lays a sorted relation out as Sorted, under the layout its
+// columns' ranges call for.
+func pack(r *rel.Relation) Sorted {
+	a := r.Arity()
+	lo, hi := make([]int64, a), make([]int64, a)
+	if len(r.Tuples) > 0 {
+		copy(lo, r.Tuples[0])
+		copy(hi, r.Tuples[0])
+	}
 	for _, t := range r.Tuples {
-		s.Vals = append(s.Vals, t...)
+		for j, v := range t {
+			lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
+		}
+	}
+	s := Sorted{Rows: len(r.Tuples), Layout: rel.NewRowPacker(lo, hi)}
+	w := s.Layout.Words()
+	s.Words = make([]uint64, s.Rows*w)
+	for i, t := range r.Tuples {
+		s.Layout.PackInto(s.Words[i*w:(i+1)*w], t)
 	}
 	return s
 }
 
 // Prepare normalizes each atom's relation (applying constant selections,
 // repeated-variable equalities, and the column permutation dictated by the
-// global variable order), sorts and flattens it, and builds the trie
+// global variable order), sorts and packs it, and builds the trie
 // iterators. relations maps atom aliases to relations whose columns follow
 // the atom's term layout.
 func Prepare(q *core.Query, relations map[string]*rel.Relation, order []core.Var) (*Prepared, error) {
@@ -88,15 +104,15 @@ func Prepare(q *core.Query, relations map[string]*rel.Relation, order []core.Var
 		}
 		norm := NormalizeAtom(atom, r, order)
 		norm.Sort()
-		return flatten(norm), nil
+		return pack(norm), nil
 	})
 }
 
 // PrepareSorted is Prepare for inputs that are already normalized (each
 // input's columns are its atom's distinct variables in global-order
-// position), sorted and flat. The engine uses it: tuples are normalized
-// with a Normalizer before its sort, and the sort hands over one flat
-// array, so by the time they reach the trie builder every step is done.
+// position), sorted and packed. The engine uses it: tuples are normalized
+// with a Normalizer before its sort, and the sort hands over its packed
+// keys, so by the time they reach the trie builder every step is done.
 func PrepareSorted(q *core.Query, inputs map[string]Sorted, order []core.Var) (*Prepared, error) {
 	return prepare(q, order, func(atom core.Atom) (Sorted, error) {
 		s, ok := inputs[atom.Alias]
@@ -125,7 +141,7 @@ func prepare(q *core.Query, order []core.Var, supply func(core.Atom) (Sorted, er
 		if err != nil {
 			return nil, err
 		}
-		if in.Arity == 0 {
+		if len(in.Layout.Fields()) == 0 {
 			// Fully-constant atom: an existence guard.
 			if in.Rows == 0 {
 				p.emptyGuardFailed = true

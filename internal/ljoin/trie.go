@@ -6,6 +6,11 @@
 // evaluator used as a correctness oracle in tests.
 package ljoin
 
+import (
+	"math"
+	"slices"
+)
+
 // SeekMode selects nothing: every Tributary join seeks by galloping search
 // over a sorted array. The type and its one constant are kept only for
 // bench/ledger.go, which names them (ROADMAP 1(a)).
@@ -17,54 +22,65 @@ const SeekBinary SeekMode = 0
 // arrayTrie is the Leapfrog Triejoin API (Veldhuizen) over a sorted array:
 // a cursor over a relation viewed as a trie whose level i holds the
 // distinct values of column i grouped under their prefix. The relation is
-// one flat row-major array, stride values per row, whose rows must be
-// lexicographically sorted. Level d ranges over the distinct values of
-// column d among the rows in the half-open range [lo[d], hi[d]) that share
-// the key prefix chosen at levels 0..d-1. Because the array is sorted,
-// each residual relation is a contiguous sub-array, so Open/Up just push
-// and pop range bounds — the "adjust the start and endpoints" trick from
+// its packed rows (rel.KeyPacker), w words per row, row after row, in the
+// words' unsigned lexicographic order, which is the rows' lexicographic
+// order. Level d ranges over the distinct values of column d among the
+// rows in the half-open range [lo, hi) of its level that share the key
+// prefix chosen at levels 0..d-1. Because the array is sorted, each
+// residual relation is a contiguous sub-array, so Open/Up just push and
+// pop range bounds — the "adjust the start and endpoints" trick from
 // Section 2.2 of the paper.
 type arrayTrie struct {
-	vals   []int64 // rows·stride values, row-major
-	stride int     // the relation's arity, also the trie's depth
+	words  []uint64 // rows·w words
+	w      int      // words per row
 	rows   int
 	depth  int // current level; -1 = positioned at the (virtual) root
-	lo     []int
-	hi     []int
-	pos    []int
-	end    []bool
+	levels []level
 	// seeks counts galloping searches, the quantity the Section-5 cost
 	// model estimates.
 	seeks int64
 }
 
+// level is one trie level: where its column lies in a packed row (value
+// min + (row[word]>>shift)&mask, low the bits below the field), its
+// current row range [lo, hi), the row at which its current key starts,
+// that key, and whether it has run off the end. Within [lo, hi) every
+// row's word holds the same bits above the column's field, so comparing
+// whole words compares the column.
+type level struct {
+	word   int
+	shift  uint
+	mask   uint64
+	low    uint64
+	min    int64
+	lo, hi int
+	pos    int
+	key    int64
+	end    bool
+}
+
 // newArrayTrie wraps a sorted relation of arity ≥ 1. The join descends
 // through every column.
 func newArrayTrie(s Sorted) *arrayTrie {
-	return &arrayTrie{
-		vals:   s.Vals,
-		stride: s.Arity,
-		rows:   s.Rows,
-		depth:  -1,
-		lo:     make([]int, s.Arity),
-		hi:     make([]int, s.Arity),
-		pos:    make([]int, s.Arity),
-		end:    make([]bool, s.Arity),
+	a := &arrayTrie{words: s.Words, w: s.Layout.Words(), rows: s.Rows, depth: -1}
+	for _, f := range s.Layout.Fields() {
+		// A field of width 0 may sit at shift 64, above every bit.
+		a.levels = append(a.levels, level{word: f.Word, shift: f.Shift, mask: f.Mask, low: 1<<f.Shift - 1, min: f.Min})
 	}
+	return a
 }
 
 // Open descends to the first key one level below the current position.
 func (a *arrayTrie) Open() {
 	d := a.depth + 1
+	l := &a.levels[d]
 	if d == 0 {
-		a.lo[0], a.hi[0] = 0, a.rows
+		l.lo, l.hi = 0, a.rows
 	} else {
 		// The children of the current key are the run of rows sharing it.
-		a.lo[d] = a.pos[d-1]
-		a.hi[d] = a.keyRunEnd(d - 1)
+		l.lo, l.hi = a.levels[d-1].pos, a.keyRunEnd(&a.levels[d-1])
 	}
-	a.pos[d] = a.lo[d]
-	a.end[d] = a.lo[d] >= a.hi[d]
+	a.move(l, l.lo)
 	a.depth = d
 }
 
@@ -75,53 +91,81 @@ func (a *arrayTrie) Up() {
 
 // Next advances to the next key at the current level; it may hit the end.
 func (a *arrayTrie) Next() {
-	d := a.depth
-	if a.end[d] {
-		return
+	l := &a.levels[a.depth]
+	if !l.end {
+		a.move(l, a.keyRunEnd(l))
 	}
-	a.pos[d] = a.keyRunEnd(d)
-	a.end[d] = a.pos[d] >= a.hi[d]
 }
 
 // SeekGE advances to the least key ≥ v at the current level; it may hit
-// the end. SeekGE never moves backwards.
+// the end. SeekGE never moves backwards. The target word is the current
+// row's bits above the column with v's offset in the column's field, so
+// one gallop over whole words finds it.
 func (a *arrayTrie) SeekGE(v int64) {
-	d := a.depth
-	if a.end[d] || a.vals[a.pos[d]*a.stride+d] >= v {
+	l := &a.levels[a.depth]
+	if l.end || l.key >= v {
 		return
 	}
 	a.seeks++
-	a.pos[d] = gallop(a.vals[d:], a.stride, a.pos[d], a.hi[d], v)
-	a.end[d] = a.pos[d] >= a.hi[d]
+	off := uint64(v) - uint64(l.min) // > 0: v exceeds the current key
+	if off > l.mask {
+		l.pos, l.end = l.hi, true // beyond the column's range
+		return
+	}
+	col := a.words[l.word:]
+	above := col[l.pos*a.w] &^ (l.mask<<(l.shift&63) | l.low)
+	a.move(l, gallop(col, a.w, l.pos, l.hi, above|off<<(l.shift&63)))
+}
+
+// move positions level l at row i, decoding its key unless i is past the
+// level's range. (A shift of 64 only occurs with a zero mask, so masking
+// it to 63 changes no value.)
+func (a *arrayTrie) move(l *level, i int) {
+	l.pos, l.end = i, i >= l.hi
+	if !l.end {
+		l.key = a.value(l, i)
+	}
 }
 
 // Key returns the key at the current position. Only valid when !AtEnd.
-func (a *arrayTrie) Key() int64 { return a.vals[a.pos[a.depth]*a.stride+a.depth] }
+func (a *arrayTrie) Key() int64 { return a.levels[a.depth].key }
+
+// value decodes level l's column of row i.
+func (a *arrayTrie) value(l *level, i int) int64 {
+	return l.min + int64(a.words[i*a.w+l.word]>>(l.shift&63)&l.mask)
+}
 
 // AtEnd reports whether the iterator moved past the last key at the
 // current level.
-func (a *arrayTrie) AtEnd() bool { return a.end[a.depth] }
+func (a *arrayTrie) AtEnd() bool { return a.levels[a.depth].end }
 
 // clone returns an independent iterator over the same (shared, immutable)
 // backing array, positioned at the virtual root with a fresh seek counter.
 // Shards use it to walk disjoint ranges of one relation concurrently.
 func (a *arrayTrie) clone() *arrayTrie {
-	return newArrayTrie(Sorted{Arity: a.stride, Rows: a.rows, Vals: a.vals})
+	c := *a
+	c.levels = slices.Clone(a.levels)
+	c.depth, c.seeks = -1, 0
+	return &c
 }
 
-// keyRunEnd returns the index one past the run of rows sharing the
-// current key at level d within [pos[d], hi[d]).
-func (a *arrayTrie) keyRunEnd(d int) int {
-	col := a.vals[d:]
-	k := col[a.pos[d]*a.stride]
+// keyRunEnd returns the index one past the run of rows sharing level l's
+// current key within [pos, hi): the first row whose word exceeds the key's
+// with every bit below the column's field set.
+func (a *arrayTrie) keyRunEnd(l *level) int {
+	col := a.words[l.word:]
+	last := col[l.pos*a.w] | l.low
 	a.seeks++
-	return gallop(col, a.stride, a.pos[d]+1, a.hi[d], k+1)
+	if last == math.MaxUint64 {
+		return l.hi
+	}
+	return gallop(col, a.w, l.pos+1, l.hi, last+1)
 }
 
 // lowerBound returns the smallest row index i in [lo, hi) with
-// col[i·stride] ≥ v, or hi when none exists. col is a flat row-major array
-// re-sliced to start at the searched column, so row i's value is one load.
-func lowerBound(col []int64, stride, lo, hi int, v int64) int {
+// col[i·stride] ≥ v, or hi when none exists. col is a row-major word array
+// re-sliced to start at the searched word, so row i's word is one load.
+func lowerBound(col []uint64, stride, lo, hi int, v uint64) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if col[mid*stride] < v {
@@ -137,7 +181,7 @@ func lowerBound(col []int64, stride, lo, hi int, v int64) int {
 // distance until overshooting, then binary-searches the final bracket.
 // Cost is O(log d) where d is the distance moved, which beats plain binary
 // search when intersections advance in small steps.
-func gallop(col []int64, stride, lo, hi int, v int64) int {
+func gallop(col []uint64, stride, lo, hi int, v uint64) int {
 	if lo >= hi || col[lo*stride] >= v {
 		return lo
 	}

@@ -30,9 +30,11 @@
 //     and radix-sorting them when they fit 64 bits, by comparison when
 //     they do not. Sealed runs are sorted before they hit disk, so reading
 //     them back is a k-way merge that yields the exact sequence an
-//     in-memory sort of the whole input would. FinishFlat hands that
-//     sequence over as one exact-size row-major []int64 (the Tributary
-//     trie's backing array); Finish hands it over as a Stream.
+//     in-memory sort of the whole input would. FinishPacked hands that
+//     sequence over as packed rows (rel.KeyPacker: one word per row when
+//     the columns fit 64 bits, a word per column otherwise) — for an
+//     in-memory run, the radix sort's own keys — which are the Tributary
+//     trie's backing array; Finish hands it over as a Stream.
 //   - Buffer: the unsorted cousin on the same owned arena, preserving
 //     append order — used for result (StoreAs included) and
 //     per-sub-range join-output materialization. Its Finish chains its

@@ -22,8 +22,7 @@ type arenaRun struct {
 	rows   int
 	chunks [][]int64 // chunks[:cur+1] hold the rows; later ones are empty spares
 	cur    int
-	cols   []int   // 0..arity-1: every column packs, in order
-	lo, hi []int64 // per-column range of the run being sorted
+	lo, hi []int64 // per-column range of the run last sorted
 }
 
 // Arena chunks double from arenaFirstChunk values up to arenaMaxChunk:
@@ -37,12 +36,8 @@ const (
 )
 
 func newArenaRun(arity int) arenaRun {
-	cols := make([]int, arity)
-	for i := range cols {
-		cols[i] = i
-	}
 	first := newChunk(max(arenaFirstChunk, arity))
-	return arenaRun{arity: arity, chunks: [][]int64{first}, cols: cols}
+	return arenaRun{arity: arity, chunks: [][]int64{first}}
 }
 
 // push copies rows rows, laid out row-major in vals, into the run with one
@@ -66,7 +61,7 @@ func (r *arenaRun) push(vals []int64, rows int) {
 
 // chunkPools recycle arena chunks between runs, one pool per size on the
 // doubling ramp: chunkPools[i] holds empty chunks of arenaFirstChunk<<i
-// values. A run whose rows have all been copied out (Sorter.FinishFlat)
+// values. A run whose rows have all been packed out (Sorter.FinishPacked)
 // hands its chunks back, and a run takes each chunk it grows by from the
 // pool of its size before it makes one, which it would have to zero.
 var chunkPools [arenaSizes]sync.Pool
@@ -139,61 +134,123 @@ func (r *arenaRun) appendViews(out []rel.Tuple) []rel.Tuple {
 }
 
 // sort orders the rows lexicographically in place. One min/max pass per
-// column decides the representation: when the ranges fit 64 bits together,
-// every row packs into a uint64 key (first column most significant), the
-// keys are radix-sorted and unpacked back into the arena. Equal keys are
-// equal rows, so the result is exactly the comparison sort's. Wider rows
-// are copied out flat, their offsets sorted by comparing the rows, and
-// the rows copied back in that order.
+// column (layout) decides the representation: when the ranges fit 64 bits
+// together, every row packs into a uint64 key (first column most
+// significant), the keys are radix-sorted and unpacked back into the
+// arena. Equal keys are equal rows, so the result is exactly the
+// comparison sort's. Wider rows are sorted by comparison (sortRows).
 func (r *arenaRun) sort() {
-	a := r.arity
-	if r.rows < 2 || a == 0 {
+	if r.rows == 0 || r.arity == 0 {
 		return
 	}
-	filled := r.chunks[:r.cur+1]
-	r.lo = append(r.lo[:0], filled[0][:a]...)
-	r.hi = append(r.hi[:0], filled[0][:a]...)
-	for _, c := range filled {
-		for i := 0; i < len(c); i += a {
-			for j, v := range c[i : i+a] {
-				r.lo[j], r.hi[j] = min(r.lo[j], v), max(r.hi[j], v)
-			}
-		}
+	p := r.layout()
+	if p.Words() > 1 {
+		r.sortRows()
+		return
 	}
-	p, ok := rel.NewKeyPacker(r.cols, r.lo, r.hi)
-	if !ok {
-		flat := r.appendFlat(make([]int64, 0, r.rows*a))
-		offs := make([]int, r.rows)
-		for i := range offs {
-			offs[i] = i * a
-		}
-		slices.SortFunc(offs, func(x, y int) int { return slices.Compare(flat[x:x+a], flat[y:y+a]) })
-		for _, c := range filled {
-			for i := 0; i < len(c); i += a {
-				copy(c[i:i+a], flat[offs[0]:])
-				offs = offs[1:]
-			}
-		}
+	if r.rows < 2 {
 		return
 	}
 	sc := scratchPool.Get().(*sortScratch)
 	defer scratchPool.Put(sc)
+	sorted := r.sortKeys(sc, &p)
+	a := r.arity
+	for _, c := range r.chunks[:r.cur+1] {
+		for i := 0; i < len(c); i += a {
+			p.Unpack(sorted[:1], c[i:i+a])
+			sorted = sorted[1:]
+		}
+	}
+}
+
+// packed sorts the rows and returns them packed, p.Words() words per row
+// in order, with the layout p that decodes them. When a row fits one word
+// the words are the radix sort's own key buffer, taken from the scratch
+// pool rather than unpacked (a buffer more than twice the run's size is
+// left in the pool and its keys copied out); wider rows are sorted in the
+// arena and packed in order. The arena's rows are left unspecified.
+func (r *arenaRun) packed() ([]uint64, rel.KeyPacker) {
+	if r.arity == 0 {
+		return make([]uint64, r.rows), rel.NewRowPacker(nil, nil)
+	}
+	p := r.layout()
+	if w := p.Words(); w > 1 {
+		r.sortRows()
+		words, k := make([]uint64, r.rows*w), 0
+		for _, c := range r.chunks[:r.cur+1] {
+			for i := 0; i < len(c); i += r.arity {
+				p.PackInto(words[k:k+w], c[i:i+r.arity])
+				k += w
+			}
+		}
+		return words, p
+	}
+	sc := scratchPool.Get().(*sortScratch)
+	defer scratchPool.Put(sc)
+	keys := r.sortKeys(sc, &p)
+	if cap(keys) > 2*len(keys) {
+		return slices.Clone(keys), p
+	}
+	sc.keys = nil
+	return keys, p
+}
+
+// layout sets lo and hi to the rows' per-column ranges (zero for an empty
+// run) and lays the row out for them.
+func (r *arenaRun) layout() rel.KeyPacker {
+	a := r.arity
+	r.lo, r.hi = slices.Grow(r.lo[:0], a)[:a], slices.Grow(r.hi[:0], a)[:a]
+	clear(r.lo)
+	clear(r.hi)
+	if r.rows > 0 {
+		filled := r.chunks[:r.cur+1]
+		copy(r.lo, filled[0][:a])
+		copy(r.hi, filled[0][:a])
+		for _, c := range filled {
+			for i := 0; i < len(c); i += a {
+				for j, v := range c[i : i+a] {
+					r.lo[j], r.hi[j] = min(r.lo[j], v), max(r.hi[j], v)
+				}
+			}
+		}
+	}
+	return rel.NewRowPacker(r.lo, r.hi)
+}
+
+// sortRows sorts rows too wide for one key: they are copied out flat,
+// their offsets sorted by comparing the rows, and the rows copied back in
+// that order.
+func (r *arenaRun) sortRows() {
+	a := r.arity
+	flat := r.appendFlat(make([]int64, 0, r.rows*a))
+	offs := make([]int, r.rows)
+	for i := range offs {
+		offs[i] = i * a
+	}
+	slices.SortFunc(offs, func(x, y int) int { return slices.Compare(flat[x:x+a], flat[y:y+a]) })
+	for _, c := range r.chunks[:r.cur+1] {
+		for i := 0; i < len(c); i += a {
+			copy(c[i:i+a], flat[offs[0]:])
+			offs = offs[1:]
+		}
+	}
+}
+
+// sortKeys packs every row under the one-word layout p into sc.keys and
+// sorts the keys there, growing sc's buffers to the run's length.
+func (r *arenaRun) sortKeys(sc *sortScratch, p *rel.KeyPacker) []uint64 {
+	a := r.arity
 	sc.keys = slices.Grow(sc.keys[:0], r.rows)[:r.rows]
 	sc.tmp = slices.Grow(sc.tmp[:0], r.rows)[:r.rows]
 	k := 0
-	for _, c := range filled {
+	for _, c := range r.chunks[:r.cur+1] {
 		for i := 0; i < len(c); i += a {
 			sc.keys[k] = p.Pack(c[i : i+a])
 			k++
 		}
 	}
-	sorted := sc.radixSort(p.Width())
-	for _, c := range filled {
-		for i := 0; i < len(c); i += a {
-			p.Unpack(sorted[0], c[i:i+a])
-			sorted = sorted[1:]
-		}
-	}
+	sc.radixSort(p.Width())
+	return sc.keys
 }
 
 // sortScratch is what one packed sort works in: the key buffer, its radix
@@ -219,17 +276,17 @@ const radixDigitBits = 11
 // radixSort sorts sc.keys, whose set bits all lie in the low width bits:
 // an LSD radix sort in ceil(width/11) passes of equal digit width,
 // ping-ponging through sc.tmp (as long as sc.keys). A pass whose digit is
-// the same for every key moves nothing and is skipped. It returns
-// whichever of the two buffers holds the sorted keys.
-func (sc *sortScratch) radixSort(width int) []uint64 {
+// the same for every key moves nothing and is skipped. The sorted keys end
+// in sc.keys, whichever buffer that now is.
+func (sc *sortScratch) radixSort(width int) {
 	keys, tmp := sc.keys, sc.tmp
 	if len(keys) < radixCutoff {
 		slices.Sort(keys)
-		return keys
+		return
 	}
 	passes := (width + radixDigitBits - 1) / radixDigitBits
 	if passes == 0 {
-		return keys
+		return
 	}
 	digit := uint((width + passes - 1) / passes)
 	mask := uint64(1)<<digit - 1
@@ -254,5 +311,5 @@ func (sc *sortScratch) radixSort(width int) []uint64 {
 		}
 		keys, tmp = tmp, keys
 	}
-	return keys
+	sc.keys, sc.tmp = keys, tmp
 }

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"parajoin/internal/rel"
@@ -48,6 +49,7 @@ type spiller struct {
 	total    int64
 	reserved int64 // tuples of run currently charged to the accountant
 	finished bool
+	lo, hi   []int64 // a Sorter's per-column ranges over its sealed runs
 }
 
 // extent is one sealed run: a segment of bytes bytes at off in dir's run
@@ -170,6 +172,7 @@ func (s *spiller) seal() error {
 	start := time.Now()
 	if s.sorts {
 		s.run.sort()
+		s.widen()
 	}
 	st := encodePool.Get().(*encodeState)
 	defer encodePool.Put(st)
@@ -205,6 +208,19 @@ func (s *spiller) seal() error {
 	return nil
 }
 
+// widen folds the run just sorted's column ranges into the ranges of
+// every run sealed so far, which a spilled FinishPacked lays its rows out
+// for.
+func (s *spiller) widen() {
+	if s.lo == nil {
+		s.lo, s.hi = slices.Clone(s.run.lo), slices.Clone(s.run.hi)
+		return
+	}
+	for j := range s.lo {
+		s.lo[j], s.hi[j] = min(s.lo[j], s.run.lo[j]), max(s.hi[j], s.run.hi[j])
+	}
+}
+
 // Spilled reports whether any run was sealed to disk.
 func (s *spiller) Spilled() bool { return len(s.segs) > 0 }
 
@@ -215,7 +231,7 @@ func (s *spiller) Segments() int { return len(s.segs) }
 func (s *spiller) Len() int64 { return s.total }
 
 // finish ends the run. With nothing on disk it returns no streams: the
-// run stays in memory, sorted first for a Sorter. Otherwise it seals the
+// run stays in memory, unsorted. Otherwise it seals the
 // residual run too, releasing its reservation — downstream operators get
 // the budget back and the reader sees only extents — and returns a reader
 // over every extent, in seal order.
@@ -226,9 +242,6 @@ func (s *spiller) finish() ([]Stream, error) {
 	}
 	s.finished = true
 	if len(s.segs) == 0 {
-		if s.sorts {
-			s.run.sort()
-		}
 		return nil, nil
 	}
 	if err := s.seal(); err != nil {
@@ -246,12 +259,15 @@ func (s *spiller) finish() ([]Stream, error) {
 	return segs, nil
 }
 
-// stream ends the run as one stream per part: the in-memory run, or the
-// extents in seal order.
+// stream ends the run as one stream per part: the in-memory run (sorted
+// first for a Sorter), or the extents in seal order.
 func (s *spiller) stream() ([]Stream, error) {
 	parts, err := s.finish()
 	if err != nil || parts != nil {
 		return parts, err
+	}
+	if s.sorts {
+		s.run.sort()
 	}
 	return []Stream{&memStream{run: s.run, left: s.run.rows}}, nil
 }
@@ -276,36 +292,43 @@ func (s *Sorter) Finish() (Stream, error) {
 	return newMergeStream(parts, s.total)
 }
 
-// FinishFlat is Finish handing the sorted rows over as one flat row-major
-// array of exactly Len()·arity values rather than as a stream: an
-// in-memory run is copied out of its arena once, and a spilled run's merge
-// is appended straight into it. No per-row view is built. The sorter must
-// not be used after FinishFlat.
-func (s *Sorter) FinishFlat() ([]int64, error) {
+// FinishPacked is Finish handing the sorted rows over packed rather than
+// as a stream: Len() rows of p.Words() words each, one row after another,
+// whose unsigned lexicographic order is the rows' order, and the layout p
+// (over columns 0..arity-1) that decodes them. An in-memory run whose rows
+// fit one word hands over its radix sort's own key array, with no row
+// unpacked or copied, and a wider one is sorted in its arena and packed in
+// order; either way the arena goes back to the chunk pools. A spilled
+// run's merge is packed row by row straight into the words, under a layout
+// fitted to the ranges its runs had when they were sorted. The sorter must
+// not be used after FinishPacked.
+func (s *Sorter) FinishPacked() ([]uint64, rel.KeyPacker, error) {
 	parts, err := s.finish()
 	if err != nil {
-		return nil, err
+		return nil, rel.KeyPacker{}, err
 	}
-	out := make([]int64, 0, s.total*int64(s.cfg.Arity))
 	if parts == nil {
-		out = s.run.appendFlat(out)
-		s.run.release() // out holds the rows; the next run reuses the arena
-		return out, nil
+		words, p := s.run.packed()
+		s.run.release() // the words hold the rows; the next run reuses the arena
+		return words, p, nil
 	}
+	p := rel.NewRowPacker(s.lo, s.hi)
 	m, err := newMergeStream(parts, s.total)
 	if err != nil {
-		return nil, err
+		return nil, rel.KeyPacker{}, err
 	}
-	for {
+	w := p.Words()
+	words := make([]uint64, s.total*int64(w))
+	for i := 0; ; i += w {
 		t, err := m.Next()
 		if err == io.EOF {
-			return out, m.Close()
+			return words, p, m.Close()
 		}
 		if err != nil {
 			m.Close()
-			return nil, err
+			return nil, rel.KeyPacker{}, err
 		}
-		out = append(out, t...)
+		p.PackInto(words[i:i+w], t)
 	}
 }
 

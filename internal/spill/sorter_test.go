@@ -72,28 +72,33 @@ var sinks = []struct {
 	oracle func([]rel.Tuple) []rel.Tuple
 }{
 	{"Sorter", newSorter, oracleSort},
-	{"SorterFlat", func(c Config) sink { return flatSorter{NewSorter(c)} }, oracleSort},
+	{"SorterFlat", newPackedSorter, oracleSort},
 	{"Buffer", func(c Config) sink { return NewBuffer(c) }, func(in []rel.Tuple) []rel.Tuple { return in }},
 }
 
 func newSorter(c Config) sink { return NewSorter(c) }
 
-// flatSorter finishes a Sorter with FinishFlat and streams the flat array
-// back as rows, after checking it holds exactly Len()·arity values.
-type flatSorter struct{ *Sorter }
+func newPackedSorter(c Config) sink { return packedSorter{NewSorter(c)} }
 
-func (f flatSorter) Finish() (Stream, error) {
-	vals, err := f.FinishFlat()
+// packedSorter finishes a Sorter with FinishPacked and streams the
+// decoded rows back, after checking the words hold exactly Len() rows of
+// the layout's width.
+type packedSorter struct{ *Sorter }
+
+func (f packedSorter) Finish() (Stream, error) {
+	words, p, err := f.FinishPacked()
 	if err != nil {
 		return nil, err
 	}
-	a := f.cfg.Arity
-	if int64(len(vals)) != f.Len()*int64(a) || cap(vals) != len(vals) {
-		return nil, fmt.Errorf("FinishFlat: %d values (cap %d) for %d rows of arity %d", len(vals), cap(vals), f.Len(), a)
+	a, w := f.cfg.Arity, p.Words()
+	if int64(len(words)) != f.Len()*int64(w) || len(p.Fields()) != a {
+		return nil, fmt.Errorf("FinishPacked: %d words of %d-word rows, %d fields, for %d rows of arity %d",
+			len(words), w, len(p.Fields()), f.Len(), a)
 	}
 	rows := make([]rel.Tuple, f.Len())
 	for i := range rows {
-		rows[i] = vals[i*a : (i+1)*a]
+		rows[i] = make(rel.Tuple, a)
+		p.Unpack(words[i*w:(i+1)*w], rows[i])
 	}
 	return &rowStream{rows: rows}, nil
 }
@@ -146,7 +151,7 @@ func drainThrough(t testing.TB, open func(Config) sink, input []rel.Tuple, arity
 		}
 	} else {
 		for _, b := range randomBatches(splits, input, 2*radixCutoff) {
-			if err := s.AddFlat(flatten(b)); err != nil {
+			if err := s.AddFlat(rowMajor(b)); err != nil {
 				t.Fatalf("AddFlat: %v", err)
 			}
 		}
@@ -174,8 +179,8 @@ func randomBatches(rng *rand.Rand, rows []rel.Tuple, most int) [][]rel.Tuple {
 	return out
 }
 
-// flatten lays rows out row-major, as AddFlat takes them.
-func flatten(rows []rel.Tuple) []int64 {
+// rowMajor lays rows out row-major, as AddFlat takes them.
+func rowMajor(rows []rel.Tuple) []int64 {
 	var out []int64
 	for _, t := range rows {
 		out = append(out, t...)
@@ -214,7 +219,7 @@ func TestSpillSorterMatchesOracle(t *testing.T) {
 					for i, tup := range input {
 						unsorted[i] = tup.Clone()
 					}
-					for _, sk := range sinks[:2] { // Finish and FinishFlat
+					for _, sk := range sinks[:2] { // Finish and FinishPacked
 						got := drainThrough(t, sk.open, input, arity, policy, nil)
 						requireSameSequence(t, got, before)
 						// The sorter copies: the caller's rows are untouched.
@@ -314,12 +319,12 @@ func TestAddFlatAllocs(t *testing.T) {
 	}
 }
 
-// TestFinishFlatRecyclesChunks pins that a run FinishFlat has copied out
-// hands its chunks to the next run: a second sorter taking as many rows
+// TestFinishPackedRecyclesChunks pins that a run FinishPacked has packed
+// out hands its chunks to the next run: a second sorter taking as many rows
 // allocates none of its 543 KiB of chunks, ramp or full size. GC is held
 // off and one P serves both sorters, so the pools keep what they are given
 // (see TestSealAllocs).
-func TestFinishFlatRecyclesChunks(t *testing.T) {
+func TestFinishPackedRecyclesChunks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items on purpose")
 	}
@@ -339,7 +344,7 @@ func TestFinishFlatRecyclesChunks(t *testing.T) {
 		}
 		return s
 	}
-	if _, err := fill().FinishFlat(); err != nil {
+	if _, _, err := fill().FinishPacked(); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
@@ -347,7 +352,7 @@ func TestFinishFlatRecyclesChunks(t *testing.T) {
 	fill()
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<10 {
-		t.Fatalf("filling a sorter after FinishFlat allocated %d bytes, want < 8 KiB", got)
+		t.Fatalf("filling a sorter after FinishPacked allocated %d bytes, want < 8 KiB", got)
 	}
 }
 
@@ -399,7 +404,7 @@ func TestAddFlatMatchesAdd(t *testing.T) {
 							held += sibling[i]
 						}
 						if flat {
-							o.err = s.AddFlat(flatten(b))
+							o.err = s.AddFlat(rowMajor(b))
 						} else {
 							for _, tup := range b {
 								if o.err = s.Add(tup); o.err != nil {
@@ -497,7 +502,8 @@ func TestRadixSortSkipsUniformDigits(t *testing.T) {
 		keys[i] = uint64(len(keys)-i) << 40 // low 40 bits all zero
 	}
 	sc := &sortScratch{keys: keys, tmp: make([]uint64, len(keys))}
-	got := sc.radixSort(60)
+	sc.radixSort(60)
+	got := sc.keys
 	for i := 1; i < len(got); i++ {
 		if got[i-1] > got[i] {
 			t.Fatalf("keys %d, %d out of order: %x > %x", i-1, i, got[i-1], got[i])
@@ -590,6 +596,12 @@ func FuzzSorter(f *testing.F) {
 			want := sk.oracle(input)
 			requireSameSequence(t, drainThrough(t, sk.open, input, arity, policy, nil), want)
 			requireSameSequence(t, drainThrough(t, sk.open, input, arity, policy, splits), want)
+		}
+		// Under every policy the packed hand-off decodes to exactly the
+		// rows Finish and Drain give, one-word and wider layouts alike.
+		for _, policy := range []Policy{Off, OnPressure, Always} {
+			want := drainThrough(t, newSorter, input, arity, policy, nil)
+			requireSameSequence(t, drainThrough(t, newPackedSorter, input, arity, policy, nil), want)
 		}
 	})
 }
