@@ -341,37 +341,47 @@ func queryReq(op, rule string, opts QueryOptions) *wire.Request {
 }
 
 // query sends a run or execute request and gathers its streamed answer.
-// Each chunk frame is decoded into its own arena as it arrives, and the
-// result's rows are views of those arenas: one row slice, sized once the
-// last frame is in, is the only copy.
 func (c *Client) query(ctx context.Context, req *wire.Request) (*Result, error) {
-	var (
-		batches []*colbatch.Batch
-		n       int
-		derr    error
-	)
-	decode := func(data []byte) {
-		for derr == nil && len(data) > 0 {
-			b, used, err := colbatch.DecodeNext(data)
-			if err != nil {
-				derr = fmt.Errorf("parajoind: decoding columnar rows: %w", err)
-				return
-			}
-			batches, n, data = append(batches, b), n+b.Rows(), data[used:]
-		}
-	}
-	resp, err := c.call(ctx, req, func(f *wire.Response) { decode(f.RowsEnc) })
+	var g chunks
+	resp, err := c.call(ctx, req, func(f *wire.Response) { g.decode(f.RowsEnc) })
 	if err != nil {
 		return nil, err
 	}
-	if decode(resp.RowsEnc); derr != nil {
-		return nil, derr
+	if g.decode(resp.RowsEnc); g.err != nil {
+		return nil, g.err
 	}
-	rows := make([][]int64, 0, n)
-	for _, b := range batches {
+	return &Result{Columns: resp.Columns, Rows: g.rows(), Stats: statsOf(resp.Stats)}, nil
+}
+
+// chunks gathers a streamed answer. Each chunk frame is decoded into its
+// own arena as it arrives, and the answer's rows are views of those
+// arenas: one row slice, sized once the last frame is in, is the only
+// copy.
+type chunks struct {
+	batches []*colbatch.Batch
+	n       int
+	err     error // the first decode error; later chunks are ignored
+}
+
+// decode decodes one frame's batches.
+func (g *chunks) decode(data []byte) {
+	for g.err == nil && len(data) > 0 {
+		b, used, err := colbatch.DecodeNext(data)
+		if err != nil {
+			g.err = fmt.Errorf("parajoind: decoding columnar rows: %w", err)
+			return
+		}
+		g.batches, g.n, data = append(g.batches, b), g.n+b.Rows(), data[used:]
+	}
+}
+
+// rows returns every decoded row, in arrival order.
+func (g *chunks) rows() [][]int64 {
+	rows := make([][]int64, 0, g.n)
+	for _, b := range g.batches {
 		rows = b.AppendRows(rows)
 	}
-	return &Result{Columns: resp.Columns, Rows: rows, Stats: statsOf(resp.Stats)}, nil
+	return rows
 }
 
 func statsOf(w *wire.Stats) Stats {

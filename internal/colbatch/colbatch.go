@@ -2,6 +2,7 @@ package colbatch
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/bits"
@@ -39,6 +40,10 @@ const (
 	encRaw   byte = 1 // rows zigzag varints in row order
 	encDict  byte = 2 // uvarint count, dictionary varints, row indexes
 )
+
+// ErrChecksum is the error, wrapped with both checksums, of a batch whose
+// payload does not match its header's CRC: a corrupted or truncated copy.
+var ErrChecksum = errors.New("colbatch: checksum mismatch")
 
 // zigzagLen is the encoded length of v as a zigzag varint.
 func zigzagLen(v int64) int {
@@ -117,7 +122,7 @@ func (e *Encoder) AppendTuples(dst []byte, rows []rel.Tuple) ([]byte, error) {
 	if err := e.transpose(len(rows), ncols, func(i int) []int64 { return rows[i] }); err != nil {
 		return nil, err
 	}
-	return e.appendBatch(dst, len(rows), ncols)
+	return e.appendBatch(dst, e.cols, len(rows))
 }
 
 // AppendRows is AppendTuples for plain [][]int64 rows (the wire layer's row
@@ -130,16 +135,44 @@ func (e *Encoder) AppendRows(dst []byte, rows [][]int64) ([]byte, error) {
 	if err := e.transpose(len(rows), ncols, func(i int) []int64 { return rows[i] }); err != nil {
 		return nil, err
 	}
-	return e.appendBatch(dst, len(rows), ncols)
+	return e.appendBatch(dst, e.cols, len(rows))
 }
 
-// transpose fills e.cols with the batch's values column-major.
-func (e *Encoder) transpose(nrows, ncols int, row func(int) []int64) error {
+// AppendColumns appends the batch whose columns are cols, each holding
+// one value per row, to dst and returns the extended slice: the bytes
+// AppendTuples writes for the same rows, without the transpose. The
+// encoder only reads cols.
+func (e *Encoder) AppendColumns(dst []byte, cols [][]int64) ([]byte, error) {
+	nrows := 0
+	if len(cols) > 0 {
+		nrows = len(cols[0])
+	}
+	if err := checkShape(nrows, len(cols)); err != nil {
+		return nil, err
+	}
+	for j, c := range cols {
+		if len(c) != nrows {
+			return nil, fmt.Errorf("colbatch: column %d has %d rows, batch has %d", j, len(c), nrows)
+		}
+	}
+	return e.appendBatch(dst, cols, nrows)
+}
+
+// checkShape refuses a batch over the row or column limit.
+func checkShape(nrows, ncols int) error {
 	if nrows > MaxRows {
 		return fmt.Errorf("colbatch: batch of %d rows exceeds limit %d", nrows, MaxRows)
 	}
 	if ncols > MaxCols {
 		return fmt.Errorf("colbatch: batch of %d columns exceeds limit %d", ncols, MaxCols)
+	}
+	return nil
+}
+
+// transpose fills e.cols with the batch's values column-major.
+func (e *Encoder) transpose(nrows, ncols int, row func(int) []int64) error {
+	if err := checkShape(nrows, ncols); err != nil {
+		return err
 	}
 	if cap(e.colArena) < nrows*ncols {
 		e.colArena = make([]int64, nrows*ncols)
@@ -163,13 +196,14 @@ func (e *Encoder) transpose(nrows, ncols int, row func(int) []int64) error {
 	return nil
 }
 
-// appendBatch encodes e.cols (nrows values each) after dst.
-func (e *Encoder) appendBatch(dst []byte, nrows, ncols int) ([]byte, error) {
+// appendBatch encodes cols (nrows values each) after dst.
+func (e *Encoder) appendBatch(dst []byte, cols [][]int64, nrows int) ([]byte, error) {
 	start := len(dst)
+	ncols := len(cols)
 	dst = append(dst, make([]byte, HeaderSize)...)
 	payloadStart := len(dst)
-	for j := 0; j < ncols; j++ {
-		dst = e.appendColumn(dst, e.cols[j])
+	for _, c := range cols {
+		dst = e.appendColumn(dst, c)
 	}
 	payload := dst[payloadStart:]
 	if len(payload) > MaxPayload {
@@ -262,8 +296,13 @@ func (e *Encoder) appendColumn(dst []byte, col []int64) []byte {
 // arena[i*cols : (i+1)*cols].
 type Batch struct {
 	arena      []int64
+	dict       []int64 // dictionary scratch, reused by DecodeInto
 	rows, cols int
 }
+
+// Values returns the batch's values row-major: row i is
+// Values()[i*Cols() : (i+1)*Cols()].
+func (b *Batch) Values() []int64 { return b.arena[:b.rows*b.cols] }
 
 // Rows returns the batch's row count.
 func (b *Batch) Rows() int { return b.rows }
@@ -297,73 +336,100 @@ func appendViews[R ~[]int64](b *Batch, dst []R) []R {
 
 // Decode decodes data, which must hold exactly one batch.
 func Decode(data []byte) (*Batch, error) {
-	b, n, err := DecodeNext(data)
-	if err != nil {
+	b := new(Batch)
+	if err := DecodeInto(b, data); err != nil {
 		return nil, err
-	}
-	if n != len(data) {
-		return nil, fmt.Errorf("colbatch: %d trailing bytes after batch", len(data)-n)
 	}
 	return b, nil
 }
 
+// DecodeInto is Decode into b: it reuses b's value arena and dictionary
+// scratch, growing them only for a batch larger than any b has held, so
+// the values of b's previous batch, and every view of them, are
+// overwritten. After an error b holds no rows.
+func DecodeInto(b *Batch, data []byte) error {
+	n, err := b.decode(data)
+	if err == nil && n != len(data) {
+		err = fmt.Errorf("colbatch: %d trailing bytes after batch", len(data)-n)
+	}
+	if err != nil {
+		b.rows, b.cols = 0, 0
+	}
+	return err
+}
+
 // DecodeNext decodes the batch at the head of data and returns it with the
-// number of bytes it occupied — the stream-reading form. Every limit and
-// the checksum are verified before the value arena is allocated; each
-// column is then decoded straight into its row-major slots.
+// number of bytes it occupied — the stream-reading form.
 func DecodeNext(data []byte) (*Batch, int, error) {
+	b := new(Batch)
+	n, err := b.decode(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	return b, n, nil
+}
+
+// decode decodes the batch at the head of data into b and returns the
+// number of bytes it occupied. Every limit and the checksum are verified
+// before the value arena is allocated; each column is then decoded
+// straight into its row-major slots.
+func (b *Batch) decode(data []byte) (int, error) {
 	if len(data) < HeaderSize {
-		return nil, 0, fmt.Errorf("colbatch: truncated header (%d of %d bytes)", len(data), HeaderSize)
+		return 0, fmt.Errorf("colbatch: truncated header (%d of %d bytes)", len(data), HeaderSize)
 	}
 	if string(data[:4]) != Magic {
-		return nil, 0, fmt.Errorf("colbatch: bad magic %q", data[:4])
+		return 0, fmt.Errorf("colbatch: bad magic %q", data[:4])
 	}
 	if data[4] != Version {
-		return nil, 0, fmt.Errorf("colbatch: unsupported version %d (want %d)", data[4], Version)
+		return 0, fmt.Errorf("colbatch: unsupported version %d (want %d)", data[4], Version)
 	}
 	if data[5] != 0 {
-		return nil, 0, fmt.Errorf("colbatch: unknown flags %#x", data[5])
+		return 0, fmt.Errorf("colbatch: unknown flags %#x", data[5])
 	}
 	ncols := int(binary.LittleEndian.Uint16(data[6:]))
 	nrows := int(binary.LittleEndian.Uint32(data[8:]))
 	plen := int(binary.LittleEndian.Uint32(data[12:]))
 	sum := binary.LittleEndian.Uint32(data[16:])
 	if ncols > MaxCols {
-		return nil, 0, fmt.Errorf("colbatch: %d columns exceeds limit %d", ncols, MaxCols)
+		return 0, fmt.Errorf("colbatch: %d columns exceeds limit %d", ncols, MaxCols)
 	}
 	if nrows > MaxRows {
-		return nil, 0, fmt.Errorf("colbatch: %d rows exceeds limit %d", nrows, MaxRows)
+		return 0, fmt.Errorf("colbatch: %d rows exceeds limit %d", nrows, MaxRows)
 	}
 	if plen > MaxPayload {
-		return nil, 0, fmt.Errorf("colbatch: payload of %d bytes exceeds limit %d", plen, MaxPayload)
+		return 0, fmt.Errorf("colbatch: payload of %d bytes exceeds limit %d", plen, MaxPayload)
 	}
 	if ncols > plen {
 		// Every column block holds at least its encoding byte. The checksum
 		// covers only the payload, so without this a header's column count
 		// could claim an arena of MaxRows×MaxCols values.
-		return nil, 0, fmt.Errorf("colbatch: %d columns in a %d-byte payload", ncols, plen)
+		return 0, fmt.Errorf("colbatch: %d columns in a %d-byte payload", ncols, plen)
 	}
 	if len(data) < HeaderSize+plen {
-		return nil, 0, fmt.Errorf("colbatch: truncated payload (%d of %d bytes)", len(data)-HeaderSize, plen)
+		return 0, fmt.Errorf("colbatch: truncated payload (%d of %d bytes)", len(data)-HeaderSize, plen)
 	}
 	payload := data[HeaderSize : HeaderSize+plen]
 	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, 0, fmt.Errorf("colbatch: checksum mismatch: header %#x, payload %#x", sum, got)
+		return 0, fmt.Errorf("%w: header %#x, payload %#x", ErrChecksum, sum, got)
 	}
-	b := &Batch{rows: nrows, cols: ncols, arena: make([]int64, nrows*ncols)}
+	if cap(b.arena) < nrows*ncols {
+		b.arena = make([]int64, nrows*ncols)
+	}
+	b.arena = b.arena[:nrows*ncols]
 	for j := 0; j < ncols; j++ {
-		n, err := decodeColumn(b.arena, j, ncols, nrows, payload)
+		n, err := decodeColumn(b.arena, j, ncols, nrows, payload, &b.dict)
 		if err != nil {
-			return nil, 0, fmt.Errorf("colbatch: column %d: %w", j, err)
+			return 0, fmt.Errorf("colbatch: column %d: %w", j, err)
 		}
 		payload = payload[n:]
 	}
 	if len(payload) != 0 {
-		return nil, 0, fmt.Errorf("colbatch: %d undecoded payload bytes", len(payload))
+		return 0, fmt.Errorf("colbatch: %d undecoded payload bytes", len(payload))
 	}
+	b.rows, b.cols = nrows, ncols
 	counters.batchesDecoded.Add(1)
 	counters.bytesDecoded.Add(int64(HeaderSize + plen))
-	return b, HeaderSize + plen, nil
+	return HeaderSize + plen, nil
 }
 
 // unzigzag maps a zigzag-coded uvarint back to its int64.
@@ -371,8 +437,9 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // decodeColumn decodes one column block of nrows values from the head of
 // payload into dst[at], dst[at+stride], dst[at+2*stride], … and returns
-// the bytes consumed.
-func decodeColumn(dst []int64, at, stride, nrows int, payload []byte) (int, error) {
+// the bytes consumed. A dictionary column reads its entries into *dict,
+// grown as needed.
+func decodeColumn(dst []int64, at, stride, nrows int, payload []byte, dict *[]int64) (int, error) {
 	if len(payload) == 0 {
 		return 0, fmt.Errorf("missing encoding byte")
 	}
@@ -418,14 +485,15 @@ func decodeColumn(dst []int64, at, stride, nrows int, payload []byte) (int, erro
 		if d == 0 || d > uint64(nrows) || d > maxDict {
 			return 0, fmt.Errorf("dictionary of %d entries for %d rows", d, nrows)
 		}
-		dict := make([]int64, d)
-		for i := range dict {
+		*dict = slices.Grow((*dict)[:0], int(d))[:d]
+		entries := *dict
+		for i := range entries {
 			u, n := binary.Uvarint(p)
 			if n <= 0 {
 				return 0, bad("varint")
 			}
 			p = p[n:]
-			dict[i] = unzigzag(u)
+			entries[i] = unzigzag(u)
 		}
 		for i := 0; i < nrows; i++ {
 			var k uint64
@@ -439,7 +507,7 @@ func decodeColumn(dst []int64, at, stride, nrows int, payload []byte) (int, erro
 			if k >= d {
 				return 0, fmt.Errorf("dictionary index %d out of %d entries", k, d)
 			}
-			dst[at+i*stride] = dict[k]
+			dst[at+i*stride] = entries[k]
 		}
 	default:
 		return 0, fmt.Errorf("unknown column encoding %d", enc)

@@ -487,6 +487,18 @@ func TestEncoderMatchesMapReference(t *testing.T) {
 		if want := refEncode(rows); !bytes.Equal(got, want) {
 			t.Fatalf("%s: encoder output differs from the map reference (%d vs %d bytes)", name, len(got), len(want))
 		}
+		if len(rows) == 0 {
+			return
+		}
+		cols := make([][]int64, len(rows[0]))
+		for j := range cols {
+			for _, r := range rows {
+				cols[j] = append(cols[j], r[j])
+			}
+		}
+		if byCols, err := e.AppendColumns(nil, cols); err != nil || !bytes.Equal(byCols, got) {
+			t.Fatalf("%s: AppendColumns gave %d bytes (%v), AppendRows %d", name, len(byCols), err, len(got))
+		}
 	}
 	for i, rows := range seedBatches {
 		batch(fmt.Sprintf("FuzzDecodeBatch seed %d", i), tuplesAsRows(rows))

@@ -41,7 +41,9 @@
 // dictionary may hold, each slot stamped with a generation, so starting
 // the next column is one increment and never a sweep. Dictionaries keep
 // first-appearance order, so the bytes are those of the plain map-based
-// encoder the table replaced.
+// encoder the table replaced. AppendTuples and AppendRows transpose rows
+// into columns first; AppendColumns takes a caller's columns as they are
+// (a spill Sorter unpacks its sorted words straight into them).
 //
 // # Reading
 //
@@ -53,7 +55,11 @@
 // one row can never clobber the next. Stream readers presize their output
 // with RowsHint, which reads the batch headers and is capped at the input
 // length, so a header claiming rows that never arrive reserves nothing
-// beyond the bytes that did.
+// beyond the bytes that did. DecodeInto decodes into a Batch the caller
+// reuses, its arena and dictionary scratch grown only for a larger batch,
+// for a reader that keeps no row past its batch (the spill merge). A
+// payload whose CRC does not match fails with an error wrapping
+// ErrChecksum.
 //
 // Batches are capped at MaxRows rows; Append/Decode of larger payloads is
 // an error. Larger row sets travel as a stream of concatenated batches

@@ -51,7 +51,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if b, err := Decode(data); err == nil {
+		if b := decodeBothWays(t, data); b != nil {
 			checkStable(t, b)
 		}
 		// Re-wrap: treat the bytes after the header (or the whole input) as a
@@ -71,7 +71,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			binary.LittleEndian.PutUint32(hdr[8:], shape[0])
 			binary.LittleEndian.PutUint32(hdr[12:], uint32(len(payload)))
 			binary.LittleEndian.PutUint32(hdr[16:], crc32.ChecksumIEEE(payload))
-			if b, err := Decode(append(hdr, payload...)); err == nil {
+			if b := decodeBothWays(t, append(hdr, payload...)); b != nil {
 				checkStable(t, b)
 			}
 		}
@@ -80,6 +80,41 @@ func FuzzDecodeBatch(f *testing.F) {
 
 // checkStable re-encodes an accepted batch and verifies the round trip is
 // value-identical.
+// decodeBothWays decodes data with Decode and with DecodeInto over a batch
+// that already holds other rows, requires the two to agree, and returns
+// Decode's batch, or nil if data does not decode.
+func decodeBothWays(t *testing.T, data []byte) *Batch {
+	t.Helper()
+	b, err := Decode(data)
+	var e Encoder
+	held, herr := e.AppendTuples(nil, dictSeed())
+	reused := new(Batch)
+	if herr == nil {
+		herr = DecodeInto(reused, held)
+	}
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	rerr := DecodeInto(reused, data)
+	if (err == nil) != (rerr == nil) {
+		t.Fatalf("Decode error %v, DecodeInto error %v", err, rerr)
+	}
+	if err != nil {
+		if reused.Rows() != 0 || reused.Cols() != 0 {
+			t.Fatalf("a failed DecodeInto left a %dx%d batch", reused.Rows(), reused.Cols())
+		}
+		return nil
+	}
+	if reused.Rows() != b.Rows() || reused.Cols() != b.Cols() || !slices.Equal(reused.Values(), b.Values()) {
+		t.Fatalf("DecodeInto gave a %dx%d batch %v, Decode %dx%d %v",
+			reused.Rows(), reused.Cols(), reused.Values(), b.Rows(), b.Cols(), b.Values())
+	}
+	return b
+}
+
+// checkStable re-encodes an accepted batch, from its rows and, when it has
+// columns, from its columns with AppendColumns, which must give the same
+// bytes; the re-encoded batch must decode to the same rows.
 func checkStable(t *testing.T, b *Batch) {
 	t.Helper()
 	rows := b.Tuples()
@@ -87,6 +122,18 @@ func checkStable(t *testing.T, b *Batch) {
 	data, err := e.AppendTuples(nil, rows)
 	if err != nil {
 		t.Fatalf("re-encode of accepted batch failed: %v", err)
+	}
+	if b.Cols() > 0 {
+		cols := make([][]int64, b.Cols())
+		for j := range cols {
+			for _, r := range rows {
+				cols[j] = append(cols[j], r[j])
+			}
+		}
+		byCols, err := e.AppendColumns(nil, cols)
+		if err != nil || !bytes.Equal(byCols, data) {
+			t.Fatalf("AppendColumns: %v, %x; AppendTuples %x", err, byCols, data)
+		}
 	}
 	again, err := Decode(data)
 	if err != nil {

@@ -19,9 +19,16 @@ func NewBuffer(cfg Config) *Buffer { return &Buffer{newSpiller(cfg, false)} }
 // Finish returns the buffered tuples as a stream in insertion order. The
 // buffer must not be used after Finish.
 func (b *Buffer) Finish() (Stream, error) {
-	parts, err := b.stream()
+	rs, err := b.finish()
 	if err != nil {
 		return nil, err
+	}
+	if rs == nil {
+		return &memStream{run: b.run, left: b.run.rows}, nil
+	}
+	parts := make([]Stream, len(rs))
+	for i, r := range rs {
+		parts[i] = r
 	}
 	return Concat(parts...), nil
 }

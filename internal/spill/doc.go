@@ -19,22 +19,28 @@
 //     one fail that fits.
 //   - Segment: the on-disk run format (PJSPILL2) — a 16-byte header
 //     (magic, arity), then colbatch batches of up to 4 096 rows.
-//     AppendSegment is its one encoder (sealed runs and partstore's
-//     partitions alike); a SegmentReader reads one back from an
-//     io.SectionReader, one positioned read per batch, and is a Stream.
+//     AppendSegment encodes rows (partstore's partitions, a Buffer's
+//     sealed runs); a Sorter's seal writes the same bytes from its
+//     packed words, column by column. A SegmentReader reads a segment
+//     back from an io.SectionReader, one positioned read per batch, and
+//     is a Stream.
 //   - Sorter: an external merge sort. AddFlat copies a batch of rows,
 //     laid out row-major, into an arena the sorter owns, reserving the
 //     budget a stretch of rows at a time yet with exactly the seals,
 //     peaks and errors of adding the rows one by one (Add is the one-row
 //     form). A run is sorted by packing rows into uint64 keys
 //     and radix-sorting them when they fit 64 bits, by comparison when
-//     they do not. Sealed runs are sorted before they hit disk, so reading
-//     them back is a k-way merge that yields the exact sequence an
-//     in-memory sort of the whole input would. FinishPacked hands that
-//     sequence over as packed rows (rel.KeyPacker: one word per row when
-//     the columns fit 64 bits, a word per column otherwise) — for an
-//     in-memory run, the radix sort's own keys — which are the Tributary
-//     trie's backing array; Finish hands it over as a Stream.
+//     they do not. A sealed run stays packed from seal to trie: its
+//     sorted words are unpacked column-major straight into the colbatch
+//     encoder's columns, and at the finish each run's batches are decoded
+//     into one reused arena, packed under the sorter-wide layout, and
+//     merged by a loser tree that compares words. The merge yields the
+//     exact sequence an in-memory sort of the whole input would.
+//     FinishPacked hands that sequence over as packed rows
+//     (rel.KeyPacker: one word per row when the columns fit 64 bits, a
+//     word per column otherwise) — for an in-memory run, the radix
+//     sort's own keys — which are the Tributary trie's backing array;
+//     Finish hands it over as a Stream.
 //   - Buffer: the unsorted cousin on the same owned arena, preserving
 //     append order — used for result (StoreAs included) and
 //     per-sub-range join-output materialization. Its Finish chains its

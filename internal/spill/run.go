@@ -163,36 +163,47 @@ func (r *arenaRun) sort() {
 	}
 }
 
-// packed sorts the rows and returns them packed, p.Words() words per row
-// in order, with the layout p that decodes them. When a row fits one word
-// the words are the radix sort's own key buffer, taken from the scratch
-// pool rather than unpacked (a buffer more than twice the run's size is
-// left in the pool and its keys copied out); wider rows are sorted in the
-// arena and packed in order. The arena's rows are left unspecified.
+// packed sorts the rows and returns them packed, as sortPacked lays them
+// out, in a buffer of their own: sortPacked's buffer, taken from the
+// scratch pool, unless it is more than twice the rows' size (it is then
+// left in the pool and the words copied out). The arena's rows are left
+// unspecified.
 func (r *arenaRun) packed() ([]uint64, rel.KeyPacker) {
-	if r.arity == 0 {
-		return make([]uint64, r.rows), rel.NewRowPacker(nil, nil)
-	}
-	p := r.layout()
-	if w := p.Words(); w > 1 {
-		r.sortRows()
-		words, k := make([]uint64, r.rows*w), 0
-		for _, c := range r.chunks[:r.cur+1] {
-			for i := 0; i < len(c); i += r.arity {
-				p.PackInto(words[k:k+w], c[i:i+r.arity])
-				k += w
-			}
-		}
-		return words, p
-	}
 	sc := scratchPool.Get().(*sortScratch)
 	defer scratchPool.Put(sc)
-	keys := r.sortKeys(sc, &p)
-	if cap(keys) > 2*len(keys) {
-		return slices.Clone(keys), p
+	words, p := r.sortPacked(sc)
+	if cap(words) > 2*len(words) {
+		return slices.Clone(words), p
 	}
 	sc.keys = nil
-	return keys, p
+	return words, p
+}
+
+// sortPacked sorts the rows into sc.keys, packed p.Words() words per row
+// in order, and returns them with the layout p that decodes them. A row
+// that fits one word is its own radix-sorted key; wider rows are sorted in
+// the arena and packed in order. The arena's rows are left unspecified.
+func (r *arenaRun) sortPacked(sc *sortScratch) ([]uint64, rel.KeyPacker) {
+	if r.arity == 0 {
+		sc.keys = slices.Grow(sc.keys[:0], r.rows)[:r.rows]
+		clear(sc.keys)
+		return sc.keys, rel.NewRowPacker(nil, nil)
+	}
+	p := r.layout()
+	w := p.Words()
+	if w == 1 {
+		return r.sortKeys(sc, &p), p
+	}
+	r.sortRows()
+	sc.keys = slices.Grow(sc.keys[:0], r.rows*w)[:r.rows*w]
+	k := 0
+	for _, c := range r.chunks[:r.cur+1] {
+		for i := 0; i < len(c); i += r.arity {
+			p.PackInto(sc.keys[k:k+w], c[i:i+r.arity])
+			k += w
+		}
+	}
+	return sc.keys, p
 }
 
 // layout sets lo and hi to the rows' per-column ranges (zero for an empty

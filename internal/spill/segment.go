@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"parajoin/internal/colbatch"
@@ -31,20 +32,24 @@ const (
 const segChunkRows = 4096
 
 // encodeState is what one encode works in: the colbatch encoder's
-// transpose and dictionary tables, the row views of a sealed run and the
-// encoded bytes. Encodes borrow one from encodePool, so the buffers follow
-// the seals that are running rather than the spillers that exist.
+// transpose and dictionary tables, a sealed Buffer run's row views, a
+// sealed Sorter run's batch columns and the encoded bytes. Encodes borrow
+// one from encodePool, so the buffers follow the seals that are running
+// rather than the spillers that exist.
 type encodeState struct {
 	enc   colbatch.Encoder
 	views []rel.Tuple
+	cols  [][]int64
+	vals  []int64 // backs cols
 	buf   []byte
 }
 
 var encodePool = sync.Pool{New: func() any { return new(encodeState) }}
 
 // AppendSegment appends rows, all of the given arity, to dst as one
-// segment and returns the extended slice. It is the format's one encoder:
-// sealed runs and partstore's partitions both come from it.
+// segment and returns the extended slice. It and appendPacked are the
+// format's encoders: partstore's partitions and sealed Buffer runs come
+// from AppendSegment, sealed Sorter runs from appendPacked.
 func AppendSegment(dst []byte, arity int, rows []rel.Tuple) ([]byte, error) {
 	st := encodePool.Get().(*encodeState)
 	defer encodePool.Put(st)
@@ -52,23 +57,66 @@ func AppendSegment(dst []byte, arity int, rows []rel.Tuple) ([]byte, error) {
 }
 
 func appendSegment(dst []byte, enc *colbatch.Encoder, arity int, rows []rel.Tuple) ([]byte, error) {
-	if arity <= 0 {
-		return nil, fmt.Errorf("spill: segment arity must be positive, got %d", arity)
+	dst, err := appendSegmentHeader(dst, arity)
+	if err != nil {
+		return nil, err
 	}
-	dst = append(dst, segMagic...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(arity))
-	dst = append(dst, 0, 0, 0, 0)
 	for len(rows) > 0 {
 		n := min(len(rows), segChunkRows)
 		// The encoder checks every row of a batch against its first.
 		if len(rows[0]) != arity {
 			return nil, fmt.Errorf("spill: writing arity-%d tuple to arity-%d segment", len(rows[0]), arity)
 		}
-		var err error
 		if dst, err = enc.AppendTuples(dst, rows[:n]); err != nil {
 			return nil, fmt.Errorf("spill: encoding segment batch: %w", err)
 		}
 		rows = rows[n:]
+	}
+	return dst, nil
+}
+
+func appendSegmentHeader(dst []byte, arity int) ([]byte, error) {
+	if arity <= 0 {
+		return nil, fmt.Errorf("spill: segment arity must be positive, got %d", arity)
+	}
+	dst = append(dst, segMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(arity))
+	return append(dst, 0, 0, 0, 0), nil
+}
+
+// appendPacked appends rows packed under the row layout p, p.Words()
+// words each, to dst as one segment of the layout's arity. Each batch's
+// columns are unpacked straight from the words, so the bytes are those
+// AppendSegment writes for the same rows, without row views or a
+// transpose.
+func (st *encodeState) appendPacked(dst []byte, words []uint64, p *rel.KeyPacker) ([]byte, error) {
+	fields := p.Fields()
+	dst, err := appendSegmentHeader(dst, len(fields))
+	if err != nil {
+		return nil, err
+	}
+	w := p.Words()
+	for len(words) > 0 {
+		n := min(len(words)/w, segChunkRows)
+		st.vals = slices.Grow(st.vals[:0], n*len(fields))[:n*len(fields)]
+		st.cols = st.cols[:0]
+		for j, f := range fields {
+			col := st.vals[j*n : (j+1)*n]
+			if w == 1 {
+				for i, k := range words[:n] {
+					col[i] = f.Min + int64(k>>f.Shift&f.Mask)
+				}
+			} else {
+				for i := range col {
+					col[i] = f.Min + int64(words[i*w+f.Word]>>f.Shift&f.Mask)
+				}
+			}
+			st.cols = append(st.cols, col)
+		}
+		if dst, err = st.enc.AppendColumns(dst, st.cols); err != nil {
+			return nil, fmt.Errorf("spill: encoding segment batch: %w", err)
+		}
+		words = words[n*w:]
 	}
 	return dst, nil
 }
@@ -126,46 +174,45 @@ func (r *SegmentReader) readAt(p []byte, off int64) error {
 	return err
 }
 
-// loadBatch reads and decodes the next colbatch batch.
-func (r *SegmentReader) loadBatch() error {
+// loadBatch reads the next colbatch batch and decodes it into b, which it
+// returns, or returns io.EOF after the last. With b nil the batch is a
+// fresh one, as Next needs: its row views outlive the batch. A caller that
+// keeps no row past its batch passes the same b every time, so its arena
+// is reused; it must not mix that with Next.
+func (r *SegmentReader) loadBatch(b *colbatch.Batch) (*colbatch.Batch, error) {
 	const h = colbatch.HeaderSize
 	switch {
 	case r.next == 0:
-		return io.EOF
+		return nil, io.EOF
 	case r.next < h:
-		return fmt.Errorf("spill: segment ends inside a batch header")
+		return nil, fmt.Errorf("spill: segment ends inside a batch header")
 	}
 	plen := int64(binary.LittleEndian.Uint32(r.buf[12:]))
 	rest := r.src.Size() - r.off
 	if plen > colbatch.MaxPayload || plen > rest {
-		return fmt.Errorf("spill: segment batch payload of %d bytes overruns the segment", plen)
+		return nil, fmt.Errorf("spill: segment batch payload of %d bytes overruns the segment", plen)
 	}
 	// One read: this batch's payload and, unless it is the last, the next
 	// batch's header.
 	total := h + plen
 	end := total + min(rest-plen, h)
-	if cap(r.buf) < int(end) {
-		grown := make([]byte, end)
-		copy(grown, r.buf[:h])
-		r.buf = grown
-	}
-	r.buf = r.buf[:end]
+	r.buf = slices.Grow(r.buf[:h], int(end)-h)[:end] // amortized: batch sizes vary
 	if err := r.readAt(r.buf[h:], r.off); err != nil {
-		return fmt.Errorf("spill: reading segment: %w", err)
+		return nil, fmt.Errorf("spill: reading segment: %w", err)
 	}
-	b, err := colbatch.Decode(r.buf[:total])
-	if err != nil {
-		return fmt.Errorf("spill: decoding segment: %w", err)
+	if b == nil {
+		b = new(colbatch.Batch)
+	}
+	if err := colbatch.DecodeInto(b, r.buf[:total]); err != nil {
+		return nil, fmt.Errorf("spill: decoding segment: %w", err)
 	}
 	if b.Rows() > 0 && b.Cols() != r.arity {
-		return fmt.Errorf("spill: segment batch arity %d, expected %d", b.Cols(), r.arity)
+		return nil, fmt.Errorf("spill: segment batch arity %d, expected %d", b.Cols(), r.arity)
 	}
 	counters.bytesRead.Add(total)
-	r.cur = b.AppendTuples(r.cur[:0])
-	r.pos = 0
 	r.next = copy(r.buf, r.buf[total:])
 	r.off += end - h
-	return nil
+	return b, nil
 }
 
 // Next returns the next tuple, or io.EOF after the last one. Returned
@@ -174,9 +221,11 @@ func (r *SegmentReader) loadBatch() error {
 // through existing indexes.
 func (r *SegmentReader) Next() (rel.Tuple, error) {
 	for r.pos >= len(r.cur) {
-		if err := r.loadBatch(); err != nil {
+		b, err := r.loadBatch(nil)
+		if err != nil {
 			return nil, err
 		}
+		r.cur, r.pos = b.AppendTuples(r.cur[:0]), 0
 	}
 	t := r.cur[r.pos]
 	r.pos++

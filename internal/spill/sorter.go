@@ -1,7 +1,6 @@
 package spill
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 	"slices"
@@ -159,26 +158,33 @@ func (s *spiller) add(vals []int64, rows int) error {
 	return nil
 }
 
-// seal writes the in-memory run as a new extent of the run file (a
-// Sorter's run sorts first: the external-sort invariant) and releases its
-// reservation. The run is encoded before anything touches the disk, so the
-// disk cap is checked against its exact size and a refused seal writes
-// nothing.
+// seal writes the in-memory run as a new extent of the run file and
+// releases its reservation. A Sorter's run sorts first (the external-sort
+// invariant) and is encoded from its packed rows, column by column; a
+// Buffer's is encoded from row views in append order. The run is encoded
+// before anything touches the disk, so the disk cap is checked against its
+// exact size and a refused seal writes nothing.
 func (s *spiller) seal() error {
 	n := int64(s.run.rows)
 	if n == 0 {
 		return nil
 	}
 	start := time.Now()
-	if s.sorts {
-		s.run.sort()
-		s.widen()
-	}
 	st := encodePool.Get().(*encodeState)
 	defer encodePool.Put(st)
-	st.views = s.run.appendViews(st.views[:0])
-	data, err := appendSegment(st.buf[:0], &st.enc, s.cfg.Arity, st.views)
-	clear(st.views) // the pool must not pin this run's arena
+	var data []byte
+	var err error
+	if s.sorts {
+		sc := scratchPool.Get().(*sortScratch)
+		words, p := s.run.sortPacked(sc)
+		s.widen()
+		data, err = st.appendPacked(st.buf[:0], words, &p)
+		scratchPool.Put(sc)
+	} else {
+		st.views = s.run.appendViews(st.views[:0])
+		data, err = appendSegment(st.buf[:0], &st.enc, s.cfg.Arity, st.views)
+		clear(st.views) // the pool must not pin this run's arena
+	}
 	if err != nil {
 		return err
 	}
@@ -230,13 +236,13 @@ func (s *spiller) Segments() int { return len(s.segs) }
 // Len returns the tuples added so far.
 func (s *spiller) Len() int64 { return s.total }
 
-// finish ends the run. With nothing on disk it returns no streams: the
-// run stays in memory, unsorted. Otherwise it seals the
-// residual run too, releasing its reservation — downstream operators get
-// the budget back and the reader sees only extents — and returns a reader
-// over every extent, in seal order.
+// finish ends the run. With nothing on disk it returns no readers: the
+// run stays in memory, unsorted. Otherwise it seals the residual run too,
+// releasing its reservation — downstream operators get the budget back
+// and the readers see only extents — and returns a reader over every
+// extent, in seal order.
 // The spiller must not be used after finish.
-func (s *spiller) finish() ([]Stream, error) {
+func (s *spiller) finish() ([]*SegmentReader, error) {
 	if s.finished {
 		return nil, fmt.Errorf("spill: %s: finished twice", s.cfg.Label)
 	}
@@ -247,29 +253,18 @@ func (s *spiller) finish() ([]Stream, error) {
 	if err := s.seal(); err != nil {
 		return nil, err
 	}
-	segs := make([]Stream, 0, len(s.segs))
+	segs := make([]*SegmentReader, 0, len(s.segs))
 	for _, x := range s.segs {
 		r, err := NewSegmentReader(io.NewSectionReader(x.dir.f, x.off, x.bytes), s.cfg.Arity, x.tuples)
 		if err != nil {
-			Concat(segs...).Close()
+			for _, r := range segs {
+				r.Close() // drops buffers only; it cannot fail
+			}
 			return nil, err
 		}
 		segs = append(segs, r)
 	}
 	return segs, nil
-}
-
-// stream ends the run as one stream per part: the in-memory run (sorted
-// first for a Sorter), or the extents in seal order.
-func (s *spiller) stream() ([]Stream, error) {
-	parts, err := s.finish()
-	if err != nil || parts != nil {
-		return parts, err
-	}
-	if s.sorts {
-		s.run.sort()
-	}
-	return []Stream{&memStream{run: s.run, left: s.run.rows}}, nil
 }
 
 // Sorter is an external merge sort: tuples are added in any order, sealed
@@ -282,14 +277,24 @@ type Sorter struct{ spiller }
 // NewSorter creates a sorter configured by cfg.
 func NewSorter(cfg Config) *Sorter { return &Sorter{newSpiller(cfg, true)} }
 
-// Finish returns the tuples as one stream in sorted order. The sorter
+// Finish returns the tuples as one stream in sorted order. A spilled
+// sort's rows are merged as FinishPacked merges them and unpacked into
+// arenas of their own, so every row stays valid after the next. The sorter
 // must not be used after Finish.
 func (s *Sorter) Finish() (Stream, error) {
-	parts, err := s.stream()
+	rs, err := s.finish()
 	if err != nil {
 		return nil, err
 	}
-	return newMergeStream(parts, s.total)
+	if rs == nil {
+		s.run.sort()
+		return &memStream{run: s.run, left: s.run.rows}, nil
+	}
+	m, err := newMerger(rs, rel.NewRowPacker(s.lo, s.hi), s.total, s.cfg.Label)
+	if err != nil {
+		return nil, err
+	}
+	return &unpackStream{m: m, row: make([]uint64, m.w)}, nil
 }
 
 // FinishPacked is Finish handing the sorted rows over packed rather than
@@ -299,37 +304,25 @@ func (s *Sorter) Finish() (Stream, error) {
 // fit one word hands over its radix sort's own key array, with no row
 // unpacked or copied, and a wider one is sorted in its arena and packed in
 // order; either way the arena goes back to the chunk pools. A spilled
-// run's merge is packed row by row straight into the words, under a layout
-// fitted to the ranges its runs had when they were sorted. The sorter must
-// not be used after FinishPacked.
+// sort's runs are re-packed under a layout fitted to the ranges they all
+// had when they were sorted and merged word by word straight into the
+// result (mergePacked). The sorter must not be used after FinishPacked.
 func (s *Sorter) FinishPacked() ([]uint64, rel.KeyPacker, error) {
-	parts, err := s.finish()
+	rs, err := s.finish()
 	if err != nil {
 		return nil, rel.KeyPacker{}, err
 	}
-	if parts == nil {
+	if rs == nil {
 		words, p := s.run.packed()
 		s.run.release() // the words hold the rows; the next run reuses the arena
 		return words, p, nil
 	}
 	p := rel.NewRowPacker(s.lo, s.hi)
-	m, err := newMergeStream(parts, s.total)
+	words, err := mergePacked(rs, p, s.total, s.cfg.Label)
 	if err != nil {
 		return nil, rel.KeyPacker{}, err
 	}
-	w := p.Words()
-	words := make([]uint64, s.total*int64(w))
-	for i := 0; ; i += w {
-		t, err := m.Next()
-		if err == io.EOF {
-			return words, p, m.Close()
-		}
-		if err != nil {
-			m.Close()
-			return nil, rel.KeyPacker{}, err
-		}
-		p.PackInto(words[i:i+w], t)
-	}
+	return words, p, nil
 }
 
 // memStream is the no-spill fast path: the whole (sorted or
@@ -362,97 +355,35 @@ func (m *memStream) Next() (rel.Tuple, error) {
 func (m *memStream) Len() int64   { return int64(m.run.rows) }
 func (m *memStream) Close() error { return nil }
 
-// ---------------------------------------------------------------- merge
-
-// mergeStream is the k-way merge over sorted streams. Ties break by
-// stream index, which keeps the merge deterministic; since ties are
-// whole-tuple equal, the output sequence is identical to an in-memory
-// sort either way.
-type mergeStream struct {
-	h     mergeHeap
-	srcs  []Stream
-	total int64
+// unpackStream is a spilled Sorter's Finish: each merged row is unpacked
+// into a block of segChunkRows rows that the stream allocates and never
+// reuses, so a row stays valid after the next, as Drain requires.
+type unpackStream struct {
+	m     *merger
+	row   []uint64 // the popped row's words
+	block []int64
 }
 
-type mergeEntry struct {
-	t   rel.Tuple
-	src int
-}
-
-// newMergeStream merges srcs, which yield total tuples between them. A
-// lone stream is already the merge and is returned as is.
-func newMergeStream(srcs []Stream, total int64) (Stream, error) {
-	if len(srcs) == 1 {
-		return srcs[0], nil
-	}
-	m := &mergeStream{srcs: srcs, total: total}
-	for i, s := range srcs {
-		t, err := s.Next()
-		if err == io.EOF {
-			continue
-		}
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		m.h = append(m.h, mergeEntry{t: t, src: i})
-	}
-	heap.Init(&m.h)
-	return m, nil
-}
-
-func (m *mergeStream) Len() int64 { return m.total }
-
-func (m *mergeStream) Next() (rel.Tuple, error) {
-	if len(m.h) == 0 {
+func (u *unpackStream) Next() (rel.Tuple, error) {
+	if u.m.left == 0 {
 		return nil, io.EOF
 	}
-	top := &m.h[0]
-	out := top.t
-	t, err := m.srcs[top.src].Next()
-	switch {
-	case err == io.EOF:
-		heap.Pop(&m.h)
-	case err != nil:
+	if err := u.m.pop(u.row); err != nil {
 		return nil, err
-	default:
-		top.t = t
-		heap.Fix(&m.h, 0)
 	}
-	return out, nil
+	a := len(u.m.p.Fields())
+	if len(u.block)+a > cap(u.block) {
+		u.block = make([]int64, 0, segChunkRows*a)
+	}
+	n := len(u.block)
+	u.block = u.block[:n+a]
+	t := rel.Tuple(u.block[n : n+a : n+a])
+	u.m.p.Unpack(u.row, t)
+	return t, nil
 }
 
-func (m *mergeStream) Close() error {
-	var first error
-	for _, s := range m.srcs {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	m.srcs = nil
-	m.h = nil
-	return first
-}
-
-// mergeHeap implements heap.Interface over the streams' current heads.
-type mergeHeap []mergeEntry
-
-func (h mergeHeap) Len() int { return len(h) }
-
-func (h mergeHeap) Less(i, j int) bool {
-	if c := h[i].t.Compare(h[j].t); c != 0 {
-		return c < 0
-	}
-	return h[i].src < h[j].src
-}
-
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *mergeHeap) Push(x any) { *h = append(*h, x.(mergeEntry)) }
-
-func (h *mergeHeap) Pop() any {
-	old := *h
-	last := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return last
+func (u *unpackStream) Len() int64 { return u.m.total }
+func (u *unpackStream) Close() error {
+	u.m.close()
+	return nil
 }

@@ -2,6 +2,7 @@ package spill
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -9,9 +10,11 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 
+	"parajoin/internal/colbatch"
 	"parajoin/internal/rel"
 )
 
@@ -119,12 +122,11 @@ func (r *rowStream) Len() int64   { return int64(len(r.rows)) }
 func (r *rowStream) Close() error { return nil }
 
 // drainThrough runs input through the sink open makes under policy and
-// drains the result. Always seals runs just above the radix cutoff and
-// OnPressure holds a third of the input, so both spill paths sort runs on
-// both sides of the cutoff. With splits nil every row goes in with Add;
+// drains the result. Always seals runs of seal rows and OnPressure holds a
+// third of the input. With splits nil every row goes in with Add;
 // otherwise the input goes in with AddFlat, in batches of random lengths
 // drawn from splits.
-func drainThrough(t testing.TB, open func(Config) sink, input []rel.Tuple, arity int, policy Policy, splits *rand.Rand) []rel.Tuple {
+func drainThrough(t testing.TB, open func(Config) sink, input []rel.Tuple, arity int, policy Policy, seal int, splits *rand.Rand) []rel.Tuple {
 	t.Helper()
 	dir, err := NewDir(t.TempDir())
 	if err != nil {
@@ -140,7 +142,7 @@ func drainThrough(t testing.TB, open func(Config) sink, input []rel.Tuple, arity
 		Arity:      arity,
 		Create:     dir.Create,
 		Policy:     policy,
-		SealTuples: radixCutoff + 50,
+		SealTuples: seal,
 		Label:      "oracle",
 	})
 	if splits == nil {
@@ -220,7 +222,9 @@ func TestSpillSorterMatchesOracle(t *testing.T) {
 						unsorted[i] = tup.Clone()
 					}
 					for _, sk := range sinks[:2] { // Finish and FinishPacked
-						got := drainThrough(t, sk.open, input, arity, policy, nil)
+						// Runs just above the radix cutoff: both spill paths
+						// sort runs on both sides of it.
+						got := drainThrough(t, sk.open, input, arity, policy, radixCutoff+50, nil)
 						requireSameSequence(t, got, before)
 						// The sorter copies: the caller's rows are untouched.
 						requireSameSequence(t, input, unsorted)
@@ -562,8 +566,213 @@ func TestBufferArityZeroAlways(t *testing.T) {
 	}
 }
 
+// TestPackedMergeMatchesInMemory seals runs at chosen rows and holds a
+// spilled FinishPacked, its words decoded through the returned layout, to
+// the in-memory sort of the same rows: 2, 3, 7 and 64 seals, arity 1 to 4,
+// duplicates that straddle seals, the last run sealed before the finish
+// (an empty residual run) or left in memory for it, and runs that each
+// fit one word while the sorter-wide layout needs a word per column,
+// because the later seals hold values at or above 2^40.
+func TestPackedMergeMatchesInMemory(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	for _, seals := range []int{2, 3, 7, 64} {
+		for arity := 1; arity <= 4; arity++ {
+			for _, widen := range []bool{false, true} {
+				for _, residual := range []bool{false, true} {
+					name := fmt.Sprintf("%d seals, arity %d, widen %v, residual %v", seals, arity, widen, residual)
+					s := NewSorter(Config{Acct: NewAccountant(1, 0, 0), Arity: arity, Create: mustDir(t).Create,
+						Policy: Always, SealTuples: math.MaxInt32, Label: "merge"})
+					var input []rel.Tuple
+					var earlier [2][]rel.Tuple // rows of earlier runs, by offset
+					for run := range seals {
+						half := 0
+						if widen && run >= seals/2 {
+							half = 1
+						}
+						rows := make([]rel.Tuple, 1+rng.Intn(2*radixCutoff))
+						for i := range rows {
+							if prev := earlier[half]; len(prev) > 0 && rng.Intn(3) == 0 {
+								rows[i] = prev[rng.Intn(len(prev))]
+								continue
+							}
+							rows[i] = make(rel.Tuple, arity)
+							for c := range rows[i] {
+								rows[i][c] = rng.Int63n(40) - 20 + int64(half)<<40
+							}
+						}
+						earlier[half] = append(earlier[half], rows...)
+						input = append(input, rows...)
+						if err := s.AddFlat(rowMajor(rows)); err != nil {
+							t.Fatal(err)
+						}
+						if run < seals-1 || !residual {
+							if err := s.seal(); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					words, p, err := s.FinishPacked()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					wantWords := 1
+					if widen && arity > 1 {
+						wantWords = arity
+					}
+					if s.Segments() != seals || p.Words() != wantWords {
+						t.Fatalf("%s: %d segments of %d-word rows, want %d of %d", name, s.Segments(), p.Words(), seals, wantWords)
+					}
+					w := p.Words()
+					got := make([]rel.Tuple, len(words)/w)
+					for i := range got {
+						if i > 0 && slices.Compare(words[(i-1)*w:i*w], words[i*w:(i+1)*w]) > 0 {
+							t.Fatalf("%s: packed rows %d and %d out of order", name, i-1, i)
+						}
+						got[i] = make(rel.Tuple, arity)
+						p.Unpack(words[i*w:(i+1)*w], got[i])
+					}
+					requireSameSequence(t, got, oracleSort(input))
+				}
+			}
+		}
+	}
+}
+
+// TestSpilledFinishPackedAllocs pins that a spilled FinishPacked allocates
+// per sealed run, not per row: each run's reader decodes every batch into
+// one arena and packs it into one word buffer. Merging 64 k rows in 16
+// seals (a batch per seal) and four times the rows in as many seals (four
+// batches per seal) allocate the same objects. GC is held off and one P
+// serves every sort, as in TestSealAllocs.
+func TestSpilledFinishPackedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items on purpose")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const seals = 16
+	finishAllocs := func(rows int) uint64 {
+		s := NewSorter(Config{Acct: NewAccountant(1, 0, 0), Arity: 2, Create: mustDir(t).Create,
+			Policy: Always, SealTuples: math.MaxInt32, Label: "merge-allocs"})
+		vals := make([]int64, 2*rows/seals)
+		for k := range seals {
+			// Wide values from a few hundred: every batch column is
+			// dictionary-encoded, however many rows its run has.
+			for i := range vals {
+				vals[i] = 1<<40 + int64((k*len(vals)+i)*7919%300)
+			}
+			if err := s.AddFlat(vals); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := s.FinishPacked(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	one, four := finishAllocs(64<<10), finishAllocs(256<<10)
+	t.Logf("objects a spilled FinishPacked allocates over %d seals: %d for 64 k rows, %d for 256 k", seals, one, four)
+	if four > one+2 || one > 8*seals {
+		t.Fatalf("%d objects for 64 k rows, %d for 256 k, over %d seals: want at most %d and no growth with rows",
+			one, four, seals, 8*seals)
+	}
+}
+
+// corruptBatch flips the first payload byte of batch k of the sealed run
+// x in its run file.
+func corruptBatch(t *testing.T, x extent, k int) {
+	t.Helper()
+	off := x.off + segHeaderSize
+	hdr := make([]byte, colbatch.HeaderSize)
+	for range k {
+		if _, err := x.dir.f.ReadAt(hdr, off); err != nil {
+			t.Fatal(err)
+		}
+		off += colbatch.HeaderSize + int64(binary.LittleEndian.Uint32(hdr[12:]))
+	}
+	b := make([]byte, 1)
+	if _, err := x.dir.f.ReadAt(b, off+colbatch.HeaderSize); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x5a
+	if _, err := x.dir.f.WriteAt(b, off+colbatch.HeaderSize); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFinishPackedCorruptExtent flips one payload byte of the middle of
+// three sealed runs in the run file — in its first batch, which the merge
+// reads as it starts, or its third, which it reads midway — and requires
+// every finish to fail with colbatch's checksum error: FinishPacked with
+// no words, the merge it runs with every reader closed, and Finish through
+// Drain. The run directory then removes cleanly.
+func TestFinishPackedCorruptExtent(t *testing.T) {
+	const runRows = 2*segChunkRows + 100 // three batches per sealed run
+	vals := make([]int64, 2*3*runRows)
+	for i := range vals {
+		vals[i] = int64(i * 7919 % 5000)
+	}
+	for _, batch := range []int{0, 2} {
+		for _, finish := range []string{"FinishPacked", "mergePacked", "Finish"} {
+			name := fmt.Sprintf("%s, batch %d corrupt", finish, batch)
+			dir, err := NewDir(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewSorter(Config{Acct: NewAccountant(1, 0, 0), Arity: 2, Create: dir.Create,
+				Policy: Always, SealTuples: runRows, Label: "corrupt"})
+			if err := s.AddFlat(vals); err != nil {
+				t.Fatal(err)
+			}
+			corruptBatch(t, s.segs[1], batch)
+			switch finish {
+			case "FinishPacked":
+				var words []uint64
+				words, _, err = s.FinishPacked()
+				if words != nil {
+					t.Fatalf("%s: %d words from a corrupt run", name, len(words))
+				}
+			case "mergePacked":
+				rs, ferr := s.finish()
+				if ferr != nil {
+					t.Fatal(ferr)
+				}
+				var words []uint64
+				words, err = mergePacked(rs, rel.NewRowPacker(s.lo, s.hi), s.total, "corrupt")
+				if words != nil {
+					t.Fatalf("%s: %d words from a corrupt run", name, len(words))
+				}
+				for i, r := range rs {
+					if r.buf != nil {
+						t.Fatalf("%s: reader %d of %d left open", name, i, len(rs))
+					}
+				}
+			case "Finish":
+				var st Stream
+				if st, err = s.Finish(); err == nil {
+					_, err = Drain(st)
+				}
+			}
+			if !errors.Is(err, colbatch.ErrChecksum) {
+				t.Fatalf("%s: error %v, want colbatch's checksum mismatch", name, err)
+			}
+			if err := dir.Remove(); err != nil {
+				t.Fatalf("%s: removing the run directory: %v", name, err)
+			}
+		}
+	}
+}
+
 // FuzzSorter decodes bytes into rows — the first byte picks arity, value
-// width and policy, the rest are little-endian signed values — and checks
+// width, policy and the run size Always seals at (2 to radixCutoff+50, so
+// short inputs merge several seals too), the rest are little-endian signed
+// values — and checks
 // the sorted stream against the comparison sort, and a Buffer's stream
 // under the same policy against the input order: once with the rows added
 // one by one, once in AddFlat batches of lengths seeded from the input.
@@ -578,6 +787,7 @@ func FuzzSorter(f *testing.F) {
 		arity := int(data[0]%4) + 1
 		width := 1 << (data[0] / 4 % 4) // bytes per value: 1, 2, 4 or 8
 		policy := []Policy{Off, Always, OnPressure}[data[0]/16%3]
+		seal := 2 + int(data[0])*(radixCutoff+48)/255
 		data = data[1:]
 		var input []rel.Tuple
 		shift := uint(64 - 8*width) // sign-extends a width-byte value
@@ -594,21 +804,24 @@ func FuzzSorter(f *testing.F) {
 		splits := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
 		for _, sk := range sinks {
 			want := sk.oracle(input)
-			requireSameSequence(t, drainThrough(t, sk.open, input, arity, policy, nil), want)
-			requireSameSequence(t, drainThrough(t, sk.open, input, arity, policy, splits), want)
+			requireSameSequence(t, drainThrough(t, sk.open, input, arity, policy, seal, nil), want)
+			requireSameSequence(t, drainThrough(t, sk.open, input, arity, policy, seal, splits), want)
 		}
 		// Under every policy the packed hand-off decodes to exactly the
 		// rows Finish and Drain give, one-word and wider layouts alike.
 		for _, policy := range []Policy{Off, OnPressure, Always} {
-			want := drainThrough(t, newSorter, input, arity, policy, nil)
-			requireSameSequence(t, drainThrough(t, newPackedSorter, input, arity, policy, nil), want)
+			want := drainThrough(t, newSorter, input, arity, policy, seal, nil)
+			requireSameSequence(t, drainThrough(t, newPackedSorter, input, arity, policy, seal, nil), want)
 		}
 	})
 }
 
 // BenchmarkSorter gives the sort layer its own per-tuple figures on 60 000
 // Zipf-distributed arity-2 rows (node ids below 2 000), in memory and with
-// the run sealed every eighth of its input.
+// the run sealed every eighth of its input. The mem and sealed arms add
+// row by row and drain Finish's stream; the packed arms add 1 024-row
+// batches with AddFlat and take FinishPacked's words, the sort the engine
+// runs.
 func BenchmarkSorter(b *testing.B) {
 	const n = 60000
 	rng := rand.New(rand.NewSource(1))
@@ -617,10 +830,35 @@ func BenchmarkSorter(b *testing.B) {
 	for i := range input {
 		input[i] = rel.Tuple{int64(zipf.Uint64()), int64(zipf.Uint64())}
 	}
+	flat := rowMajor(input)
+	stream := func(s *Sorter) error {
+		for _, t := range input {
+			if err := s.Add(t); err != nil {
+				return err
+			}
+		}
+		st, err := s.Finish()
+		if err == nil {
+			_, err = Drain(st)
+		}
+		return err
+	}
+	packed := func(s *Sorter) error {
+		for vals := flat; len(vals) > 0; {
+			k := min(len(vals), 1024*2)
+			if err := s.AddFlat(vals[:k]); err != nil {
+				return err
+			}
+			vals = vals[k:]
+		}
+		_, _, err := s.FinishPacked()
+		return err
+	}
 	for _, arm := range []struct {
 		name   string
 		policy Policy
-	}{{"mem", Off}, {"sealed", Always}} {
+		sort   func(*Sorter) error
+	}{{"mem", Off, stream}, {"sealed", Always, stream}, {"packed/mem", Off, packed}, {"packed/sealed", Always, packed}} {
 		b.Run(arm.name, func(b *testing.B) {
 			base := b.TempDir()
 			b.ReportAllocs()
@@ -632,17 +870,8 @@ func BenchmarkSorter(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				s := NewSorter(Config{Acct: NewAccountant(1, 0, 0), Arity: 2, Create: dir.Create,
-					Policy: arm.policy, SealTuples: n / 8, Label: "bench"})
-				for _, t := range input {
-					if err := s.Add(t); err != nil {
-						b.Fatal(err)
-					}
-				}
-				stream, err := s.Finish()
-				if err == nil {
-					_, err = Drain(stream)
-				}
+				err = arm.sort(NewSorter(Config{Acct: NewAccountant(1, 0, 0), Arity: 2, Create: dir.Create,
+					Policy: arm.policy, SealTuples: n / 8, Label: "bench"}))
 				dir.Remove()
 				if err != nil {
 					b.Fatal(err)
@@ -650,8 +879,10 @@ func BenchmarkSorter(b *testing.B) {
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/tuple")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*n), "allocs/tuple")
+			tuples := float64(b.N * n)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples, "ns/tuple")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/tuples, "B/tuple")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/tuples, "allocs/tuple")
 		})
 	}
 }
