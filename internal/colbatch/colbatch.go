@@ -115,27 +115,27 @@ func (t *dictTable) find(v int64) *dictSlot {
 // AppendTuples appends the encoded form of rows (all of one arity) to dst
 // and returns the extended slice.
 func (e *Encoder) AppendTuples(dst []byte, rows []rel.Tuple) ([]byte, error) {
-	ncols := 0
-	if len(rows) > 0 {
-		ncols = len(rows[0])
-	}
-	if err := e.transpose(len(rows), ncols, func(i int) []int64 { return rows[i] }); err != nil {
-		return nil, err
-	}
-	return e.appendBatch(dst, e.cols, len(rows))
+	return appendRows(e, dst, rows)
 }
 
 // AppendRows is AppendTuples for plain [][]int64 rows (the wire layer's row
 // representation).
 func (e *Encoder) AppendRows(dst []byte, rows [][]int64) ([]byte, error) {
+	return appendRows(e, dst, rows)
+}
+
+// AppendBatch appends the encoded form of b's rows to dst: the bytes
+// AppendTuples writes for the same rows.
+func (e *Encoder) AppendBatch(dst []byte, b rel.Batch) ([]byte, error) {
+	return e.appendRowsOf(dst, b.Len(), b.Arity, func(i int) []int64 { return b.Row(i) })
+}
+
+func appendRows[R ~[]int64](e *Encoder, dst []byte, rows []R) ([]byte, error) {
 	ncols := 0
 	if len(rows) > 0 {
 		ncols = len(rows[0])
 	}
-	if err := e.transpose(len(rows), ncols, func(i int) []int64 { return rows[i] }); err != nil {
-		return nil, err
-	}
-	return e.appendBatch(dst, e.cols, len(rows))
+	return e.appendRowsOf(dst, len(rows), ncols, func(i int) []int64 { return rows[i] })
 }
 
 // AppendColumns appends the batch whose columns are cols, each holding
@@ -169,10 +169,11 @@ func checkShape(nrows, ncols int) error {
 	return nil
 }
 
-// transpose fills e.cols with the batch's values column-major.
-func (e *Encoder) transpose(nrows, ncols int, row func(int) []int64) error {
+// appendRowsOf encodes the batch of nrows rows of ncols values, row i
+// being row(i), after dst: transposed into e.cols, then appendBatch.
+func (e *Encoder) appendRowsOf(dst []byte, nrows, ncols int, row func(int) []int64) ([]byte, error) {
 	if err := checkShape(nrows, ncols); err != nil {
-		return err
+		return nil, err
 	}
 	if cap(e.colArena) < nrows*ncols {
 		e.colArena = make([]int64, nrows*ncols)
@@ -187,13 +188,13 @@ func (e *Encoder) transpose(nrows, ncols int, row func(int) []int64) error {
 	for i := 0; i < nrows; i++ {
 		r := row(i)
 		if len(r) != ncols {
-			return fmt.Errorf("colbatch: row %d has arity %d, batch has %d", i, len(r), ncols)
+			return nil, fmt.Errorf("colbatch: row %d has arity %d, batch has %d", i, len(r), ncols)
 		}
 		for j, v := range r {
 			e.cols[j][i] = v
 		}
 	}
-	return nil
+	return e.appendBatch(dst, e.cols, nrows)
 }
 
 // appendBatch encodes cols (nrows values each) after dst.

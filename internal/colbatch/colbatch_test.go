@@ -487,6 +487,16 @@ func TestEncoderMatchesMapReference(t *testing.T) {
 		if want := refEncode(rows); !bytes.Equal(got, want) {
 			t.Fatalf("%s: encoder output differs from the map reference (%d vs %d bytes)", name, len(got), len(want))
 		}
+		flat := rel.BatchOf(0, 0, nil)
+		if len(rows) > 0 {
+			flat.Arity = len(rows[0])
+		}
+		for _, r := range rows {
+			flat.Append(r)
+		}
+		if byBatch, err := e.AppendBatch(nil, flat); err != nil || !bytes.Equal(byBatch, got) {
+			t.Fatalf("%s: AppendBatch gave %d bytes (%v), AppendRows %d", name, len(byBatch), err, len(got))
+		}
 		if len(rows) == 0 {
 			return
 		}

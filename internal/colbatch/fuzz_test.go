@@ -123,6 +123,11 @@ func checkStable(t *testing.T, b *Batch) {
 	if err != nil {
 		t.Fatalf("re-encode of accepted batch failed: %v", err)
 	}
+	// The batch as the TCP receiver queues it: its values, arity and rows.
+	flat := rel.BatchOf(b.Cols(), b.Rows(), b.Values())
+	if byBatch, err := e.AppendBatch(nil, flat); err != nil || !bytes.Equal(byBatch, data) {
+		t.Fatalf("AppendBatch: %v, %x; AppendTuples %x", err, byBatch, data)
+	}
 	if b.Cols() > 0 {
 		cols := make([][]int64, b.Cols())
 		for j := range cols {

@@ -118,6 +118,8 @@ type Cluster struct {
 	closeOnce sync.Once
 	closeCh   chan struct{}
 	closeErr  error
+	// batches is the free list of batch storage the cluster's runs share.
+	batches batchStore
 }
 
 // NewCluster creates an n-worker cluster hosting every worker in this

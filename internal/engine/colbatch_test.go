@@ -67,7 +67,7 @@ func TestTCPColumnarByteParityAfterResend(t *testing.T) {
 		if !ok {
 			break
 		}
-		if len(b) != 0 {
+		if b.Len() != 0 {
 			t.Fatalf("worker 0 received unexpected tuples: %v", b)
 		}
 	}
@@ -85,7 +85,7 @@ func TestTCPColumnarByteParityAfterResend(t *testing.T) {
 // An exchange frame's batch travels as the frame's raw payload: the frame
 // is the JSON header, the batch and two length words.
 func TestTCPFrameBatchTravelsRaw(t *testing.T) {
-	col, err := encodeBatch([]rel.Tuple{{1, 2}, {3, 4}, {5, 6}})
+	col, err := encodeBatch(batchOf(rel.Tuple{1, 2}, rel.Tuple{3, 4}, rel.Tuple{5, 6}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestTCPCorruptFrameDropsConnection(t *testing.T) {
 	}
 	defer tr.Close()
 	want := []rel.Tuple{{1, 2}, {3, 4}}
-	good, err := encodeBatch(want)
+	good, err := encodeBatch(batchOf(want...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestTCPCorruptFrameDropsConnection(t *testing.T) {
 		if !ok {
 			break
 		}
-		got = append(got, b...)
+		got = append(got, rowsOf(b)...)
 	}
 	if len(got) != 2*len(want) {
 		t.Fatalf("delivered %v, want %v twice", got, want)

@@ -74,9 +74,9 @@ type stallTransport struct {
 	Transport
 }
 
-func (t *stallTransport) Recv(ctx context.Context, exchangeID, dst int) ([]rel.Tuple, bool, error) {
+func (t *stallTransport) Recv(ctx context.Context, exchangeID, dst int) (rel.Batch, bool, error) {
 	<-ctx.Done()
-	return nil, false, ctx.Err()
+	return rel.Batch{}, false, ctx.Err()
 }
 
 func TestCloseDuringRun(t *testing.T) {

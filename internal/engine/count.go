@@ -27,9 +27,9 @@ func (o *countOp) schema() rel.Schema { return rel.Schema{"count"} }
 func (o *countOp) open() error        { return o.in.open() }
 func (o *countOp) close() error       { return o.in.close() }
 
-func (o *countOp) next() ([]rel.Tuple, error) {
+func (o *countOp) next() (rel.Batch, error) {
 	if o.done {
-		return nil, io.EOF
+		return rel.Batch{}, io.EOF
 	}
 	for {
 		b, err := o.in.next()
@@ -37,12 +37,13 @@ func (o *countOp) next() ([]rel.Tuple, error) {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return rel.Batch{}, err
 		}
-		o.n += int64(len(b))
+		o.n += int64(b.Len())
+		o.t.ex.recycle(b)
 	}
 	o.done = true
-	return []rel.Tuple{{o.n}}, nil
+	return rel.BatchOf(1, 1, []int64{o.n}), nil
 }
 
 // compileCount is called from exec.compile.

@@ -14,6 +14,10 @@
 // handed over in memory, while NewPartialCluster hosts any subset and
 // reaches the rest over TCP — the same plan, the same worker indices, the
 // same answer, whether the workers share a process or a datacenter.
+// Operators and exchanges pass one batch type, rel.Batch: whoever gets a
+// batch from an operator or the transport owns it, and once its rows are
+// copied out may hand its storage to the cluster's batch store, which the
+// routers and operators fill their batches from.
 //
 // # Distributed execution
 //

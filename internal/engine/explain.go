@@ -43,7 +43,7 @@ func ExplainAnalyze(rounds []Round, events []trace.Event, report *Report) string
 	}
 	if report != nil {
 		fmt.Fprintf(&b, "total: %s\n", report.String())
-		if s, j, h := slowest(report.SortTime), slowest(report.JoinTime), slowest(report.HashTime); s+j+h > 0 {
+		if s, j, h := largest(report.SortTime), largest(report.JoinTime), largest(report.HashTime); s+j+h > 0 {
 			fmt.Fprintf(&b, "local (slowest worker): sort=%v join=%v hash=%v\n", s, j, h)
 		}
 		if report.BatchesSent > 0 || report.BatchesReceived > 0 {
@@ -51,13 +51,16 @@ func ExplainAnalyze(rounds []Round, events []trace.Event, report *Report) string
 				report.BytesSent, report.BytesReceived,
 				report.BatchesSent, report.BatchesReceived, report.MaxQueueDepth)
 		}
+		if r, q := largest(report.PeakResidentTuples), largest(report.PeakQueuedTuples); r+q > 0 {
+			fmt.Fprintf(&b, "memory (largest worker): peak resident %d tuples, peak queued %d tuples\n", r, q)
+		}
 	}
 	return b.String()
 }
 
-// slowest is the largest of per-worker durations, 0 for none.
-func slowest(v []time.Duration) time.Duration {
-	var m time.Duration
+// largest is the largest of per-worker figures, 0 for none.
+func largest[T int64 | time.Duration](v []T) T {
+	var m T
 	for _, d := range v {
 		m = max(m, d)
 	}

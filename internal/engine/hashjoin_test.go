@@ -256,8 +256,29 @@ func opExec(c *Cluster) *exec {
 		batchSize: c.BatchSize, acct: spill.NewAccountant(c.Workers(), 0, 0)}
 }
 
+// batchOf lays rows, all of one arity, out as one batch.
+func batchOf(rows ...rel.Tuple) rel.Batch {
+	var b rel.Batch
+	if len(rows) > 0 {
+		b.Arity = len(rows[0])
+	}
+	for _, t := range rows {
+		b.Append(t)
+	}
+	return b
+}
+
+// rowsOf returns b's rows as views of its values.
+func rowsOf(b rel.Batch) []rel.Tuple {
+	rows := make([]rel.Tuple, b.Len())
+	for i := range rows {
+		rows[i] = b.Row(i)
+	}
+	return rows
+}
+
 // drain compiles n on worker 0 and hands every batch it returns to f.
-func drain(t testing.TB, e *exec, n Node, f func([]rel.Tuple)) {
+func drain(t testing.TB, e *exec, n Node, f func(rel.Batch)) {
 	t.Helper()
 	op, err := e.compile(n, &task{ex: e, worker: 0, exchange: -1})
 	if err != nil {
@@ -283,8 +304,9 @@ func drain(t testing.TB, e *exec, n Node, f func([]rel.Tuple)) {
 
 // TestOperatorBatchesAreClamped appends a row to every batch, and a value
 // to every row, that a scan, a hash join over scans, a projection of that
-// join and a Tributary join return. Each append must reallocate: the base
-// fragments, the rows already handed out and the appended values
+// join and a Tributary join return. A batch is its receiver's, so no two
+// share storage, and a row is clamped, so appending to it reallocates: the
+// base fragments, the rows already handed out and the appended values
 // themselves must all read back unchanged once the plan is drained, and
 // no appended row may turn up as output.
 func TestOperatorBatchesAreClamped(t *testing.T) {
@@ -301,7 +323,6 @@ func TestOperatorBatchesAreClamped(t *testing.T) {
 	lBefore, rBefore := lFrag.Clone(), rFrag.Clone()
 	join := HashJoin{Left: Scan{Table: "L"}, Right: Scan{Table: "R"},
 		LeftCols: []string{"l0"}, RightCols: []string{"r0"}}
-	marker := rel.Tuple{-88}
 	for _, n := range []Node{
 		Scan{Table: "L"},
 		join,
@@ -310,14 +331,20 @@ func TestOperatorBatchesAreClamped(t *testing.T) {
 			Inputs: map[string]Node{"R": Scan{Table: "S"}, "S": Scan{Table: "T"}, "T": Scan{Table: "U"}}},
 	} {
 		var kept, copies, grownRows []rel.Tuple
-		var grownBatches [][]rel.Tuple
-		drain(t, opExec(c), n, func(b []rel.Tuple) {
-			for _, row := range b {
+		var grownBatches []rel.Batch
+		var marker rel.Tuple
+		drain(t, opExec(c), n, func(b rel.Batch) {
+			for _, row := range rowsOf(b) {
 				kept = append(kept, row)
 				copies = append(copies, row.Clone())
 				grownRows = append(grownRows, append(row, -77))
 			}
-			grownBatches = append(grownBatches, append(b, marker))
+			marker = make(rel.Tuple, b.Arity)
+			for j := range marker {
+				marker[j] = -88
+			}
+			b.Append(marker)
+			grownBatches = append(grownBatches, b)
 		})
 		if len(kept) == 0 {
 			t.Fatalf("%T returned no rows", n)
@@ -328,8 +355,8 @@ func TestOperatorBatchesAreClamped(t *testing.T) {
 			}
 		}
 		for i, b := range grownBatches {
-			if !b[len(b)-1].Equal(marker) {
-				t.Fatalf("%T: batch %d's appended row became %v", n, i, b[len(b)-1])
+			if last := b.Row(b.Len() - 1); !last.Equal(marker) {
+				t.Fatalf("%T: batch %d's appended row became %v", n, i, last)
 			}
 		}
 	}
@@ -385,7 +412,7 @@ func TestHashJoinAllocs(t *testing.T) {
 		rows := 0
 		allocs := testing.AllocsPerRun(3, func() {
 			rows = 0
-			drain(t, opExec(c), node, func(b []rel.Tuple) { rows += len(b) })
+			drain(t, opExec(c), node, func(b rel.Batch) { rows += b.Len() })
 		})
 		batches := (20000 + rows) / c.BatchSize
 		if rows < 10000 || allocs > float64(10*batches+200) {
@@ -411,7 +438,7 @@ func BenchmarkHashJoin(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				drain(b, opExec(c), node, func([]rel.Tuple) {})
+				drain(b, opExec(c), node, func(rel.Batch) {})
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
@@ -469,11 +496,67 @@ func FuzzHashJoin(f *testing.F) {
 		c.Load(r)
 		got := rel.New("got", append(l.Schema.Clone(), "rp")...)
 		drain(t, opExec(c), HashJoin{Left: Scan{Table: "L"}, Right: Scan{Table: "R"},
-			LeftCols: lNames, RightCols: rNames}, func(b []rel.Tuple) {
-			got.Tuples = append(got.Tuples, b...)
+			LeftCols: lNames, RightCols: rNames}, func(b rel.Batch) {
+			got.Tuples = append(got.Tuples, rowsOf(b)...)
 		})
 		if want := ljoin.HashJoin(l, r, idx, idx); !got.Equal(want) {
 			t.Fatalf("k=%d batch=%d: %d rows, oracle %d", k, batch, got.Cardinality(), want.Cardinality())
 		}
 	})
+}
+
+// TestHashJoinHoldsOneBatch drives the hash join of
+// TestJoinDeadlineEmitsNothing's hub graph (every leaf points at the hub
+// and back), where one probe row over the hub key matches thousands of
+// rows. The join returns after each full output batch and resumes the
+// probe where it stopped, so between next calls it holds at most the batch
+// it is filling: no call returns more than a batch, and none allocates
+// more than a few batches' worth, where a join that queued a probe batch's
+// matches would allocate them all in one call (hundreds of megabytes).
+func TestHashJoinHoldsOneBatch(t *testing.T) {
+	const leaves, hub = 16000, 0
+	e := rel.New("E", "src", "dst")
+	for i := int64(1); i <= leaves; i++ {
+		e.AppendRow(i, hub)
+		e.AppendRow(hub, i)
+	}
+	c := NewCluster(1)
+	defer c.Close()
+	c.Load(e)
+	ex := opExec(c)
+	op, err := ex.compile(HashJoin{
+		Left:     Scan{Table: "E"},
+		Right:    Project{Input: Scan{Table: "E"}, Cols: []string{"src", "dst"}, As: []string{"b", "c"}},
+		LeftCols: []string{"dst"}, RightCols: []string{"b"},
+	}, &task{ex: ex, worker: 0, exchange: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := op.open(); err != nil {
+		t.Fatal(err)
+	}
+	defer op.close()
+	// An output batch of three columns, the input batch it came from, and
+	// the growth of both tables' arenas and slot arrays on the way.
+	const limit = 4 << 20
+	var before, after runtime.MemStats
+	rows := 0
+	for range 40 {
+		runtime.ReadMemStats(&before)
+		b, err := op.next()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Len() > c.BatchSize {
+			t.Fatalf("next returned %d rows, more than a %d-row batch", b.Len(), c.BatchSize)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Fatalf("one next call allocated %d bytes, more than %d: the join queued output", got, limit)
+		}
+		rows += b.Len()
+	}
+	if rows < 20*c.BatchSize {
+		t.Fatalf("40 calls returned %d rows; the hub should fill every batch", rows)
+	}
 }

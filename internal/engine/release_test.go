@@ -22,7 +22,7 @@ type faultyAfter struct {
 	after int64 // 0 = never fail
 }
 
-func (f *faultyAfter) Send(ctx context.Context, exchangeID, src, dst int, batch []rel.Tuple) error {
+func (f *faultyAfter) Send(ctx context.Context, exchangeID, src, dst int, batch rel.Batch) error {
 	if f.after > 0 && f.calls.Add(1) > f.after {
 		return fmt.Errorf("%w: injected link failure", ErrTransport)
 	}

@@ -42,13 +42,14 @@ func (o *semiJoinOp) open() error {
 		if err != nil {
 			return err
 		}
-		for _, t := range b {
-			if o.keys.insert(t, keyHash(t, o.rCols), true) {
+		for i := range b.Len() {
+			if t := b.Row(i); o.keys.insert(t, keyHash(t, o.rCols), true) {
 				if err := o.t.ex.charge(o.t.worker, 1, "semijoin"); err != nil {
 					return err
 				}
 			}
 		}
+		o.t.ex.recycle(b)
 	}
 	if err := o.right.close(); err != nil {
 		return err
@@ -56,21 +57,23 @@ func (o *semiJoinOp) open() error {
 	return o.left.open()
 }
 
-func (o *semiJoinOp) next() ([]rel.Tuple, error) {
+// next keeps the matching rows of its input batch, compacted to its front.
+func (o *semiJoinOp) next() (rel.Batch, error) {
 	for {
 		b, err := o.left.next()
 		if err != nil {
-			return nil, err
+			return rel.Batch{}, err
 		}
-		out := b[:0:0]
-		for _, t := range b {
-			if o.keys.find(t, o.lCols, keyHash(t, o.lCols)) >= 0 {
-				out = append(out, t)
+		out := rel.BatchOf(b.Arity, 0, b.Vals[:0])
+		for i := range b.Len() {
+			if t := b.Row(i); o.keys.find(t, o.lCols, keyHash(t, o.lCols)) >= 0 {
+				out.Append(t)
 			}
 		}
-		if len(out) > 0 {
+		if out.Len() > 0 {
 			return out, nil
 		}
+		o.t.ex.recycle(b)
 	}
 }
 

@@ -35,11 +35,11 @@ func (o *spanOp) open() error {
 	return err
 }
 
-func (o *spanOp) next() ([]rel.Tuple, error) {
+func (o *spanOp) next() (rel.Batch, error) {
 	start := time.Now()
 	b, err := o.in.next()
 	o.dur += time.Since(start)
-	o.rows += int64(len(b))
+	o.rows += int64(b.Len())
 	if err == io.EOF {
 		o.emit()
 	}

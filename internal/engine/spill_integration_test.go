@@ -315,11 +315,11 @@ func TestSpillOffMemTuplesDropToZeroAfterRun(t *testing.T) {
 	t.Fatal("query missing from the in-flight table")
 }
 
-// TestRowBlockBufferMatchesAdd gathers rows into blocks the way each
-// Tributary shard and runRoot do, and checks the Buffer ends up exactly as
-// with one Add per row: the same rows and Len, and under a budget that
-// runs out part way, the same error after the same rows. Zero-arity rows
-// take the one-row path.
+// TestRowBlockBufferMatchesAdd hands rows to a Buffer in blocks, as
+// batches through addBatch the way each Tributary shard and runRoot do,
+// and checks the Buffer ends up exactly as with one Add per row: the same
+// rows and Len, and under a budget that runs out part way, the same error
+// after the same rows. Zero-arity rows take the one-row path.
 func TestRowBlockBufferMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for arity := 0; arity <= 3; arity++ {
@@ -344,15 +344,13 @@ func TestRowBlockBufferMatchesAdd(t *testing.T) {
 					}
 				}
 				got := open()
-				blk := rowBlock{buf: got, max: most}
 				var gotErr error
-				for _, r := range rows {
-					if gotErr = blk.add(r); gotErr != nil {
-						break
+				for lo := 0; lo < len(rows) && gotErr == nil; lo += most {
+					b := rel.BatchOf(arity, 0, nil)
+					for _, r := range rows[lo:min(lo+most, len(rows))] {
+						b.Append(r)
 					}
-				}
-				if gotErr == nil {
-					gotErr = blk.flush()
+					gotErr = addBatch(got, b)
 				}
 				name := fmt.Sprintf("arity %d, blocks of %d, limit %d", arity, most, limit)
 				if gotErr != wantErr || got.Len() != want.Len() {

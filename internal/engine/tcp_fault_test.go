@@ -122,7 +122,7 @@ func TestChaosTCPKillMidStream(t *testing.T) {
 
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			if err := trA.Send(ctx, 0, 0, 1, first); err != nil {
+			if err := trA.Send(ctx, 0, 0, 1, batchOf(first...)); err != nil {
 				t.Fatalf("send before kill: %v", err)
 			}
 			waitUntil(t, func() bool { return trB.QueueCount() >= 1 }, "first frame delivery")
@@ -138,7 +138,7 @@ func TestChaosTCPKillMidStream(t *testing.T) {
 				if kill != "sender" {
 					trB.KillConnections()
 				}
-				sendErr = trA.Send(ctx, 0, 0, 1, second)
+				sendErr = trA.Send(ctx, 0, 0, 1, batchOf(second...))
 				if sendErr != nil && !Retryable(sendErr) {
 					t.Fatalf("send after kill: %v, want nil or a retryable error", sendErr)
 				}
@@ -170,7 +170,7 @@ func TestChaosTCPKillMidStream(t *testing.T) {
 				if !ok {
 					break
 				}
-				got = append(got, b...)
+				got = append(got, rowsOf(b)...)
 			}
 			if sendErr != nil {
 				t.Fatalf("the stream closed although %v: got %v", sendErr, got)
@@ -213,7 +213,7 @@ func killThenResend(t *testing.T, first, second []rel.Tuple) (trA, trB *TCPTrans
 
 	// Epoch 0: the kill falls between the two sends. Once both ends have
 	// dropped the dead connections, the second send dials afresh.
-	if err := trA.Send(ctx, 0, 0, 1, first); err != nil {
+	if err := trA.Send(ctx, 0, 0, 1, batchOf(first...)); err != nil {
 		t.Fatalf("send before kill: %v", err)
 	}
 	waitUntil(t, func() bool { return trB.QueueCount() >= 1 }, "first frame delivery")
@@ -222,7 +222,7 @@ func killThenResend(t *testing.T, first, second []rel.Tuple) (trA, trB *TCPTrans
 	}
 	waitUntil(t, func() bool { return connCount(trA)+connCount(trB) == 0 },
 		"both transports to drop the dead connections")
-	if err := trA.Send(ctx, 0, 0, 1, second); err != nil && !Retryable(err) {
+	if err := trA.Send(ctx, 0, 0, 1, batchOf(second...)); err != nil && !Retryable(err) {
 		t.Fatalf("send after kill: %v, want nil or a retryable error", err)
 	}
 	for src, tr := range []*TCPTransport{trA, trB} {
@@ -248,7 +248,7 @@ func killThenResend(t *testing.T, first, second []rel.Tuple) (trA, trB *TCPTrans
 	// Epoch 1: the resend, the whole stream again.
 	ex = 1 << 20
 	for _, b := range [][]rel.Tuple{first, second} {
-		if err := trA.Send(ctx, ex, 0, 1, b); err != nil {
+		if err := trA.Send(ctx, ex, 0, 1, batchOf(b...)); err != nil {
 			t.Fatalf("resend: %v", err)
 		}
 	}
@@ -265,7 +265,7 @@ func killThenResend(t *testing.T, first, second []rel.Tuple) (trA, trB *TCPTrans
 		if !ok {
 			break
 		}
-		got = append(got, b...)
+		got = append(got, rowsOf(b)...)
 	}
 	return trA, trB, ex, got
 }
@@ -318,7 +318,7 @@ func TestTCPCloseDuringDialDoesNotLeak(t *testing.T) {
 
 	sendErr := make(chan error, 1)
 	go func() {
-		sendErr <- trA.Send(context.Background(), 0, 0, 1, []rel.Tuple{{1}})
+		sendErr <- trA.Send(context.Background(), 0, 0, 1, batchOf(rel.Tuple{1}))
 	}()
 	<-dialDone // the socket to B exists but is not yet registered
 

@@ -124,7 +124,7 @@ func TestEpochSingleUse(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	batch := []rel.Tuple{{1, 2}}
+	batch := batchOf(rel.Tuple{1, 2})
 	_, _, recvErr := tr.Recv(ctx, ex, 0)
 	for name, err := range map[string]error{
 		"send hosted": tr.Send(ctx, ex, 0, 1, batch),
@@ -206,7 +206,7 @@ func TestTCPRecvQueuedBatchAllocatesNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const runs = 100
-	batch := []rel.Tuple{{1, 2}}
+	batch := batchOf(rel.Tuple{1, 2})
 	// AllocsPerRun calls its function once more than runs, to warm up.
 	for i := 0; i < runs+1; i++ {
 		if err := tr.Send(ctx, 1<<20, 1, 0, batch); err != nil {

@@ -44,25 +44,27 @@ func Retryable(err error) bool {
 // rules out exchange deadlocks by construction.
 type Transport interface {
 	// Send delivers a batch from worker src to worker dst on the given
-	// exchange. The caller must not write the batch after the call: a
-	// worker the transport hosts receives that very slice. The transport
-	// itself never writes, recycles or pools a batch, so a caller that only
-	// reads it on (a resend, say) sees it intact. The receiver may recycle
-	// what it receives; the engine's Tributary input loop returns received
-	// batches to the HyperCube router's pool.
-	Send(ctx context.Context, exchangeID, src, dst int, batch []rel.Tuple) error
+	// exchange and hands it over: a worker the transport hosts receives
+	// that very batch and owns it, so the caller must not write it after
+	// the call. The transport itself never writes or keeps a batch it has
+	// encoded, so a caller that only reads it on (a resend, say) sees it
+	// intact.
+	Send(ctx context.Context, exchangeID, src, dst int, batch rel.Batch) error
 	// CloseSend signals that src will send nothing more on the exchange.
 	// Every worker must call it exactly once per exchange it produces for.
 	CloseSend(ctx context.Context, exchangeID, src int) error
-	// Recv returns the next batch destined to dst on the exchange. ok is
-	// false once every producer has closed and all batches were delivered.
-	Recv(ctx context.Context, exchangeID, dst int) (batch []rel.Tuple, ok bool, err error)
-	// ReleaseEpoch frees the queue state of a finished run (engine epoch).
+	// Recv returns the next batch destined to dst on the exchange, which
+	// the receiver owns. ok is false once every producer has closed and all
+	// batches were delivered.
+	Recv(ctx context.Context, exchangeID, dst int) (batch rel.Batch, ok bool, err error)
+	// ReleaseEpoch frees the queue state of a finished run (engine epoch)
+	// and returns, per worker, the most tuples that ever waited at once in
+	// the run's queues into that worker (0 for a worker hosted elsewhere).
 	// The engine calls it after every run so a long-running process serving
 	// many queries doesn't leak one queue set per query. Epochs are
 	// single-use: a later Send, CloseSend or Recv on a released epoch fails
 	// with a retryable ErrTransport.
-	ReleaseEpoch(epoch int64)
+	ReleaseEpoch(epoch int64) (peakQueued []int64)
 	// TransportStats returns the transport's lifetime traffic counters.
 	TransportStats() TransportStats
 	// Close releases transport resources.
@@ -126,15 +128,21 @@ func (c *transportCounters) countReceived(batches, bytes int64) {
 }
 
 func (c *transportCounters) enqueued() {
-	d := c.queueDepth.Add(1)
+	raise(&c.maxQueueDepth, c.queueDepth.Add(1))
 	live.queueDepth.Add(1)
-	for {
-		m := c.maxQueueDepth.Load()
-		if d <= m || c.maxQueueDepth.CompareAndSwap(m, d) {
-			return
-		}
+}
+
+// raise lifts the high-water mark m to v.
+func raise(m *atomic.Int64, v int64) {
+	for p := m.Load(); v > p && !m.CompareAndSwap(p, v); p = m.Load() {
 	}
 }
+
+// queueGauge counts the tuples waiting in one worker's inbound queues of
+// one run, with their high-water mark.
+type queueGauge struct{ now, peak atomic.Int64 }
+
+func (g *queueGauge) add(n int64) { raise(&g.peak, g.now.Add(n)) }
 
 func (c *transportCounters) dequeued() {
 	c.queueDepth.Add(-1)
@@ -157,34 +165,36 @@ func (c *transportCounters) TransportStats() TransportStats {
 // scratch state is reused.
 var encoders = sync.Pool{New: func() any { return new(colbatch.Encoder) }}
 
-// encodeBatch encodes one tuple batch as a standalone colbatch frame.
-func encodeBatch(batch []rel.Tuple) ([]byte, error) {
+// encodeBatch encodes one batch as a standalone colbatch frame.
+func encodeBatch(batch rel.Batch) ([]byte, error) {
 	e := encoders.Get().(*colbatch.Encoder)
-	data, err := e.AppendTuples(nil, batch)
+	data, err := e.AppendBatch(nil, batch)
 	encoders.Put(e)
 	return data, err
 }
 
-// memQueue is an unbounded FIFO of batches with producer accounting and a
-// depth gauge.
+// memQueue is an unbounded FIFO of batches with producer accounting, a
+// depth gauge and its worker's queued-tuples gauge.
 type memQueue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	batches [][]rel.Tuple
+	batches []rel.Batch
 	open    int   // producers that have not closed yet
 	err     error // set once a stream into the queue broke; pop returns it
 	ctr     *transportCounters
+	queued  *queueGauge
 }
 
-func newMemQueue(producers int, ctr *transportCounters) *memQueue {
-	q := &memQueue{open: producers, ctr: ctr}
+func newMemQueue(producers int, ctr *transportCounters, queued *queueGauge) *memQueue {
+	q := &memQueue{open: producers, ctr: ctr, queued: queued}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-func (q *memQueue) push(batch []rel.Tuple) {
+func (q *memQueue) push(batch rel.Batch) {
 	q.mu.Lock()
 	q.batches = append(q.batches, batch)
+	q.queued.add(int64(batch.Len()))
 	// Inside the lock so the gauge can never go negative: pop decrements
 	// under the same lock, after this increment is visible.
 	q.ctr.enqueued()
@@ -225,7 +235,7 @@ var errRecvInterrupted = fmt.Errorf("engine: recv interrupted: %w", context.Canc
 
 // pop blocks until a batch is available, all producers closed or the queue
 // failed. The done channel aborts the wait with errRecvInterrupted.
-func (q *memQueue) pop(done <-chan struct{}) ([]rel.Tuple, bool, error) {
+func (q *memQueue) pop(done <-chan struct{}) (rel.Batch, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
@@ -234,7 +244,7 @@ func (q *memQueue) pop(done <-chan struct{}) ([]rel.Tuple, bool, error) {
 		}
 		select {
 		case <-done:
-			return nil, false, errRecvInterrupted
+			return rel.Batch{}, false, errRecvInterrupted
 		default:
 		}
 		q.cond.Wait()
@@ -243,7 +253,7 @@ func (q *memQueue) pop(done <-chan struct{}) ([]rel.Tuple, bool, error) {
 
 // tryPop is pop without the wait: ready is false when the queue holds no
 // batch and still has open producers.
-func (q *memQueue) tryPop() (b []rel.Tuple, ok, ready bool, err error) {
+func (q *memQueue) tryPop() (b rel.Batch, ok, ready bool, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.take()
@@ -251,19 +261,20 @@ func (q *memQueue) tryPop() (b []rel.Tuple, ok, ready bool, err error) {
 
 // take is pop's outcome when it needs no wait: the queue's failure, its
 // next batch, or the end of its stream. The caller holds q.mu.
-func (q *memQueue) take() (b []rel.Tuple, ok, ready bool, err error) {
+func (q *memQueue) take() (b rel.Batch, ok, ready bool, err error) {
 	switch {
 	case q.err != nil:
-		return nil, false, true, q.err
+		return b, false, true, q.err
 	case len(q.batches) > 0:
 		b = q.batches[0]
 		q.batches = q.batches[1:]
 		q.ctr.dequeued()
+		q.queued.add(-int64(b.Len()))
 		return b, true, true, nil
 	case q.open <= 0:
-		return nil, false, true, nil
+		return b, false, true, nil
 	}
-	return nil, false, false, nil
+	return b, false, false, nil
 }
 
 // recvErr translates pop's abort into the receiving context's cancellation

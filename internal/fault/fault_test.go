@@ -185,7 +185,7 @@ func TestWrapTransport(t *testing.T) {
 	inj := p.NewInjector()
 	tr := Wrap(inner, inj)
 	ctx := context.Background()
-	batch := []rel.Tuple{{1, 2}}
+	batch := rel.BatchOf(2, 1, []int64{1, 2})
 
 	if err := tr.Send(ctx, 0, 0, 1, batch); err != nil {
 		t.Fatalf("first send: %v", err)
@@ -231,7 +231,7 @@ func TestStallRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := tr.Send(ctx, 0, 0, 1, []rel.Tuple{{1}})
+	err := tr.Send(ctx, 0, 0, 1, rel.BatchOf(1, 1, []int64{1}))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}

@@ -33,7 +33,7 @@ func wireErr(err error) error {
 	return fmt.Errorf("%w: %w", engine.ErrTransport, err)
 }
 
-func (t *transport) Send(ctx context.Context, exchangeID, src, dst int, batch []rel.Tuple) error {
+func (t *transport) Send(ctx context.Context, exchangeID, src, dst int, batch rel.Batch) error {
 	delay, err := t.inj.Send(engine.PlanExchangeID(exchangeID), src)
 	if delay > 0 {
 		timer := time.NewTimer(delay)
@@ -57,9 +57,9 @@ func (t *transport) CloseSend(ctx context.Context, exchangeID, src int) error {
 	return t.Transport.CloseSend(ctx, exchangeID, src)
 }
 
-func (t *transport) Recv(ctx context.Context, exchangeID, dst int) ([]rel.Tuple, bool, error) {
+func (t *transport) Recv(ctx context.Context, exchangeID, dst int) (rel.Batch, bool, error) {
 	if err := t.inj.Recv(engine.PlanExchangeID(exchangeID), dst); err != nil {
-		return nil, false, wireErr(err)
+		return rel.Batch{}, false, wireErr(err)
 	}
 	return t.Transport.Recv(ctx, exchangeID, dst)
 }

@@ -223,6 +223,13 @@ func (p *Prepared) Run(emit func(rel.Tuple) bool) error {
 	}
 	binding := make(rel.Tuple, len(p.order))
 	out := make(rel.Tuple, len(p.headIdx))
+	if len(p.order) == 0 {
+		// No variable to join on: every atom is an existence guard, and
+		// they all held, so the answer is the one empty row.
+		p.results++
+		emit(out)
+		return nil
+	}
 	p.join(0, binding, out, emit)
 	return nil
 }

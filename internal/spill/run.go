@@ -133,36 +133,6 @@ func (r *arenaRun) appendViews(out []rel.Tuple) []rel.Tuple {
 	return out
 }
 
-// sort orders the rows lexicographically in place. One min/max pass per
-// column (layout) decides the representation: when the ranges fit 64 bits
-// together, every row packs into a uint64 key (first column most
-// significant), the keys are radix-sorted and unpacked back into the
-// arena. Equal keys are equal rows, so the result is exactly the
-// comparison sort's. Wider rows are sorted by comparison (sortRows).
-func (r *arenaRun) sort() {
-	if r.rows == 0 || r.arity == 0 {
-		return
-	}
-	p := r.layout()
-	if p.Words() > 1 {
-		r.sortRows()
-		return
-	}
-	if r.rows < 2 {
-		return
-	}
-	sc := scratchPool.Get().(*sortScratch)
-	defer scratchPool.Put(sc)
-	sorted := r.sortKeys(sc, &p)
-	a := r.arity
-	for _, c := range r.chunks[:r.cur+1] {
-		for i := 0; i < len(c); i += a {
-			p.Unpack(sorted[:1], c[i:i+a])
-			sorted = sorted[1:]
-		}
-	}
-}
-
 // packed sorts the rows and returns them packed, as sortPacked lays them
 // out, in a buffer of their own: sortPacked's buffer, taken from the
 // scratch pool, unless it is more than twice the rows' size (it is then
