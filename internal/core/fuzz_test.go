@@ -13,6 +13,7 @@ func FuzzParseRule(f *testing.F) {
 		`Q(a) :- Name(aw, "The Academy Awards"), Honor(h, aw), y>=1990`,
 		"Q(a,b) :- R(a,f1), S(b,f2), f1>f2",
 		"Q(x) :- R(x, -5), S(x, 42)",
+		"Q() :- R(1,2), S(2,3)",
 		"Q(x) :- R(x,)",
 		"::-",
 		"Q(x) :- R(x), y 5",

@@ -25,7 +25,9 @@ type StringEncoder interface {
 // parsed as filters. Relation
 // names must start with an upper-case letter, matching the paper's
 // convention (Twitter_R, ObjectName, ...). enc may be nil when the rule has
-// no string constants.
+// no string constants. A head with no variables, Q(), takes a body with
+// none: its answer is one empty row when every atom matches, none
+// otherwise.
 func ParseRule(rule string, enc StringEncoder) (*Query, error) {
 	p := &parser{src: rule, enc: enc}
 	q, err := p.rule()
@@ -56,7 +58,7 @@ func (p *parser) rule() (*Query, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rule head: %w", err)
 	}
-	headTerms, err := p.termList()
+	headTerms, err := p.termList(true)
 	if err != nil {
 		return nil, fmt.Errorf("head of %s: %w", name, err)
 	}
@@ -83,7 +85,7 @@ func (p *parser) rule() (*Query, error) {
 		}
 		p.ws()
 		if p.peek() == '(' {
-			terms, err := p.termList()
+			terms, err := p.termList(false)
 			if err != nil {
 				return nil, fmt.Errorf("atom %s: %w", id, err)
 			}
@@ -108,13 +110,27 @@ func (p *parser) rule() (*Query, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("trailing input at offset %d: %q", p.pos, p.src[p.pos:])
 	}
-	return NewQuery(name, head, atoms, filters...)
+	q, err := NewQuery(name, head, atoms, filters...)
+	if err != nil {
+		return nil, err
+	}
+	// An empty Head means every variable, so Q() :- E(x,y) would answer
+	// as Q(x,y).
+	if len(head) == 0 && len(q.Vars()) > 0 {
+		return nil, fmt.Errorf("head of %s: a head with no variables needs a body with none", name)
+	}
+	return q, nil
 }
 
-func (p *parser) termList() ([]Term, error) {
+// termList parses a parenthesized, comma-separated term list; empty
+// allows "()".
+func (p *parser) termList(empty bool) ([]Term, error) {
 	p.ws()
 	if !p.eat("(") {
 		return nil, fmt.Errorf("expected \"(\" at offset %d", p.pos)
+	}
+	if p.ws(); empty && p.eat(")") {
+		return nil, nil
 	}
 	var terms []Term
 	for {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -91,6 +92,34 @@ func TestParseErrors(t *testing.T) {
 	for _, rule := range bad {
 		if _, err := ParseRule(rule, nil); err == nil {
 			t.Errorf("ParseRule(%q) unexpectedly succeeded", rule)
+		}
+	}
+}
+
+// TestParseConstantsOnlyRule: a head with no variables parses over a body
+// of constants only and round-trips through String; over a body with
+// variables it is an error, not a query over every variable.
+func TestParseConstantsOnlyRule(t *testing.T) {
+	for _, rule := range []string{"Q() :- E(1,2), E(2,3)", "Q( ) :- E(1, 2),E(2,3)"} {
+		q, err := ParseRule(rule, nil)
+		if err != nil {
+			t.Fatalf("ParseRule(%q): %v", rule, err)
+		}
+		if len(q.Head) != 0 || len(q.Vars()) != 0 || len(q.Atoms) != 2 {
+			t.Fatalf("ParseRule(%q) = %v: head %v, vars %v", rule, q, q.Head, q.Vars())
+		}
+		const want = "Q() :- E(1,2), E(2,3)"
+		if q.String() != want {
+			t.Fatalf("ParseRule(%q).String() = %q, want %q", rule, q.String(), want)
+		}
+		if re, err := ParseRule(q.String(), nil); err != nil || re.String() != want {
+			t.Fatalf("reparsing %q: %v, %v", q.String(), re, err)
+		}
+	}
+	for _, rule := range []string{"Q() :- E(x,y)", "Q() :- E(1,2), E(2,x)"} {
+		_, err := ParseRule(rule, nil)
+		if err == nil || !strings.Contains(err.Error(), "a head with no variables needs a body with none") {
+			t.Fatalf("ParseRule(%q) err = %v, want the empty-head error", rule, err)
 		}
 	}
 }

@@ -746,20 +746,6 @@ func (c *Cluster) runFragments(ctx context.Context, plan *Plan, opts RunOpts, te
 	return frags, report, nil
 }
 
-// addBatch adds b's rows to buf: in one AddFlat, unless they have arity 0
-// and so no values to lay out.
-func addBatch(buf *spill.Buffer, b rel.Batch) error {
-	if b.Arity > 0 {
-		return buf.AddFlat(b.Vals)
-	}
-	for range b.Len() {
-		if err := buf.Add(nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runRoot drains the root tree on one worker into a result fragment.
 func (e *exec) runRoot(root Node, w int) (*rel.Relation, error) {
 	t := &task{ex: e, worker: w, exchange: -1}
@@ -809,7 +795,7 @@ func (e *exec) runRoot(root Node, w int) (*rel.Relation, error) {
 			rows += b.Len()
 			continue
 		}
-		if err := addBatch(buf, b); err != nil {
+		if err := buf.AddBatch(b); err != nil {
 			return nil, e.spillErr(w, err)
 		}
 		e.recycle(b)

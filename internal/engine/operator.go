@@ -23,7 +23,10 @@ var ErrOutOfMemory = errors.New("engine: worker memory budget exceeded")
 // operator is the runtime iterator all plan nodes compile to. Next returns
 // io.EOF after the last batch. A batch next returns is its caller's: the
 // operator never reads or writes it again, and the caller may hand it to
-// the run's free list once its rows are copied out (exec.recycle).
+// the run's free list once its rows are copied out (exec.recycle). A batch
+// may hold more than BatchSize rows: the Tributary join passes on its
+// output stream's batches (copies of arena chunks and segment batches of
+// up to 4 096 rows).
 type operator interface {
 	schema() rel.Schema
 	open() error
@@ -335,13 +338,14 @@ func (o *hashJoinOp) probe() bool {
 // input streams through its atom's Normalizer into a spill.Sorter, and the
 // sorted runs become the trie arrays. The join runs as one or more shards
 // (parallel.go; one shard when K≤1), each into its own spill.Buffer, and
-// next() streams the buffers in shard order. With spilling enabled the
-// Sorter and the Buffers seal to disk under pressure, so the working set is
-// bounded by the run's budget; with it off they never seal, and a budget
-// breach is the labelled ErrOutOfMemory. The "sort" phase covers receiving
-// the input as well as sorting it, less the time spent blocked on the
-// transport (the part of busy time the task's wait already excludes); the
-// "join" phase covers the join.
+// next() streams the buffers in shard order, one copy of a stream batch
+// per call, which may hold more than BatchSize rows. With spilling enabled
+// the Sorter and the Buffers seal to disk under pressure, so the working
+// set is bounded by the run's budget; with it off they never seal, and a
+// budget breach is the labelled ErrOutOfMemory. The "sort" phase covers
+// receiving the input as well as sorting it, less the time spent blocked
+// on the transport (the part of busy time the task's wait already
+// excludes); the "join" phase covers the join.
 type tributaryOp struct {
 	t      *task
 	q      *core.Query
@@ -349,8 +353,7 @@ type tributaryOp struct {
 	order  []core.Var
 	sch    rel.Schema
 
-	stream  spill.Stream
-	emitted int64 // rows next has taken from stream
+	stream spill.Stream
 }
 
 func (o *tributaryOp) schema() rel.Schema { return o.sch }
@@ -406,7 +409,7 @@ func (o *tributaryOp) open() error {
 				return err
 			}
 			inputTuples += int64(b.Len())
-			// The batch's normalized rows reach the sorter in one AddFlat,
+			// The batch's normalized rows reach the sorter in one AddBatch,
 			// which copies them.
 			flat = slices.Grow(flat[:0], b.Len()*arity)
 			for i := range b.Len() {
@@ -417,7 +420,7 @@ func (o *tributaryOp) open() error {
 			}
 			e.recycle(b)
 			if sorter != nil {
-				if err := sorter.AddFlat(flat); err != nil {
+				if err := sorter.AddBatch(rel.BatchOf(arity, len(flat)/arity, flat)); err != nil {
 					return e.spillErr(o.t.worker, err)
 				}
 			}
@@ -483,23 +486,23 @@ func (o *tributaryOp) emitPhase(name string, d time.Duration, tuples int64) {
 	})
 }
 
+// next returns the stream's next batch, copied into batch-store storage.
 func (o *tributaryOp) next() (rel.Batch, error) {
-	// Sized to the rows the stream has left, so the last batch of a short
-	// join output is not a full batchSize allocation.
-	n := int(min(int64(o.t.ex.batchSize), o.stream.Len()-o.emitted))
-	if n <= 0 {
-		return rel.Batch{}, io.EOF
+	sb, err := o.stream.Next()
+	if err != nil {
+		return rel.Batch{}, err
 	}
-	b := o.t.ex.batch(len(o.sch), n)
-	for b.Len() < n { // the stream yields exactly Len rows
-		t, err := o.stream.Next()
-		if err != nil {
-			return rel.Batch{}, err
-		}
-		b.Append(t)
-	}
-	o.emitted += int64(n)
-	return b, nil
+	// The stream's batch is not handed on as it is: an arena chunk would
+	// reach whoever recycles the batch, and under on-pressure spill runRoot
+	// copies every batch into its own Buffer and recycles it, so the
+	// chunks piled up in the batch store with nothing drawing them back
+	// out. In TestBatchStoreBalance's on-pressure arm the store then grew
+	// by about 22 k values a run (71 k after run 2, 472 k after run 20,
+	// against 27–34 k with this copy), and the bench's cyclic_hc_tj
+	// peak_rss_mb read 46.9–50.5 MiB against 26.9–28.4 with the copy
+	// (2-core host).
+	b := o.t.ex.batch(sb.Arity, sb.Len())
+	return rel.BatchOf(sb.Arity, sb.Len(), append(b.Vals, sb.Vals...)), nil
 }
 
 func (o *tributaryOp) close() error {

@@ -128,7 +128,7 @@ func (o *tributaryOp) join(shards []*ljoin.Prepared) (spill.Stream, error) {
 		runErr := shards[i].Run(func(t rel.Tuple) bool {
 			b.Append(t)
 			if b.Len() == e.batchSize {
-				addErr = addBatch(buf, b)
+				addErr = buf.AddBatch(b)
 				b = rel.BatchOf(b.Arity, 0, b.Vals[:0])
 			}
 			return addErr == nil
@@ -137,7 +137,7 @@ func (o *tributaryOp) join(shards []*ljoin.Prepared) (spill.Stream, error) {
 			return buf.Len(), runErr
 		}
 		if addErr == nil {
-			addErr = addBatch(buf, b)
+			addErr = buf.AddBatch(b)
 		}
 		if addErr != nil {
 			return buf.Len(), e.spillErr(o.t.worker, addErr)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,8 +82,13 @@ func fragmentHashes(c *engine.Cluster, names ...string) []uint64 {
 // configurations, the 4-clique under HC_TJ and the two-hop path under
 // Semijoin, at batch sizes 7 and 1 024, from four goroutines at once on
 // one cluster, so every run fills, sends and recycles many batches while
-// other runs do the same. Every answer must equal NaiveEvaluate's, and the
-// base fragments must hash the same before and after. Run it under -race.
+// other runs do the same. A third pass runs the HC_TJ triangle and
+// 4-clique at batch size 1 024 with spilling always and K=2, sealing every
+// 64 rows: the Tributary output then comes from sealed segments and from
+// the arena chunks of shards too small to seal (about 40 % of them), and
+// runRoot's Buffer recycles the copies. Every answer must equal
+// NaiveEvaluate's, and the base fragments must hash the same before and
+// after. Run it under -race.
 func TestRecycledBatchesLeaveInputsIntact(t *testing.T) {
 	const workers, goroutines, runs = 4, 4, 20
 	e := edges("E", 700, 60, 59)
@@ -91,6 +97,7 @@ func TestRecycledBatchesLeaveInputsIntact(t *testing.T) {
 		name   string
 		rounds []engine.Round
 		want   []byte
+		hcTJ   bool
 	}
 	var queries []query
 	p := &planner.Planner{
@@ -120,16 +127,25 @@ func TestRecycledBatchesLeaveInputsIntact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: %v", q.Name, cfg, err)
 			}
-			queries = append(queries, query{q.Name + " " + cfg.String(), res.Rounds, canonical(want)})
+			queries = append(queries, query{q.Name + " " + cfg.String(), res.Rounds, canonical(want), cfg == planner.HCTJ})
 		}
 	}
-	for _, batch := range []int{7, 1024} {
+	for _, ps := range []struct {
+		batch  int
+		spill  engine.SpillPolicy
+		k      int
+		hcOnly bool
+	}{{7, engine.SpillDefault, 0, false}, {1024, engine.SpillDefault, 0, false}, {1024, engine.SpillAlways, 2, true}} {
 		c := engine.NewCluster(workers)
 		defer c.Close()
-		c.BatchSize = batch
+		c.BatchSize = ps.batch
+		c.SpillSealTuples = 64
 		c.Load(e)
+		opts := engine.RunOpts{Spill: ps.spill, Parallelism: ps.k, SpillDir: t.TempDir()}
+		name := fmt.Sprintf("batch %d, spill %v, K=%d", ps.batch, ps.spill, ps.k)
 		before := fragmentHashes(c, "E")
 		var wg sync.WaitGroup
+		var spills atomic.Int64
 		errs := make(chan string, goroutines*runs*len(queries))
 		for range goroutines {
 			wg.Add(1)
@@ -137,13 +153,17 @@ func TestRecycledBatchesLeaveInputsIntact(t *testing.T) {
 				defer wg.Done()
 				for range runs {
 					for _, q := range queries {
-						got, _, err := c.RunRounds(context.Background(), q.rounds)
+						if ps.hcOnly && !q.hcTJ {
+							continue
+						}
+						got, report, err := c.RunRoundsOpts(context.Background(), q.rounds, opts)
 						if err != nil {
-							errs <- fmt.Sprintf("batch %d, %s: %v", batch, q.name, err)
+							errs <- fmt.Sprintf("%s, %s: %v", name, q.name, err)
 							return
 						}
+						spills.Add(report.Spills)
 						if !slices.Equal(canonical(got), q.want) {
-							errs <- fmt.Sprintf("batch %d, %s: answer differs from NaiveEvaluate's", batch, q.name)
+							errs <- fmt.Sprintf("%s, %s: answer differs from NaiveEvaluate's", name, q.name)
 							return
 						}
 					}
@@ -156,7 +176,10 @@ func TestRecycledBatchesLeaveInputsIntact(t *testing.T) {
 			t.Error(msg)
 		}
 		if after := fragmentHashes(c, "E"); !slices.Equal(before, after) {
-			t.Fatalf("batch %d: base fragments changed: hashes %x, then %x", batch, before, after)
+			t.Fatalf("%s: base fragments changed: hashes %x, then %x", name, before, after)
+		}
+		if ps.spill == engine.SpillAlways && spills.Load() == 0 {
+			t.Fatalf("%s: nothing spilled, the pass would prove nothing", name)
 		}
 	}
 }

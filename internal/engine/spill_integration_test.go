@@ -120,6 +120,50 @@ func TestSpillOnPressureMatchesUnlimited(t *testing.T) {
 	assertNoSpillFiles(t, dir)
 }
 
+// TestBatchStoreBalance runs one HC_TJ triangle plan 20 times on one
+// cluster, with spilling off and on-pressure, and requires the batch store
+// to hold at most twice after run 20 what it held after run 2. A run takes
+// its batches' storage from the store and gives it back, so the store
+// levels off; storage the store did not hand out, such as a Tributary
+// join's arena chunks or decoded segment batches passed on as they are,
+// would pile up in it run after run.
+func TestBatchStoreBalance(t *testing.T) {
+	const workers, runs = 4, 20
+	cfg := shares.Config{Vars: []core.Var{"x", "y", "z"}, Dims: []int{2, 2, 1}}
+	held := func(c *Cluster) int {
+		c.batches.mu.Lock()
+		defer c.batches.mu.Unlock()
+		return c.batches.vals
+	}
+	for _, pol := range []SpillPolicy{SpillOff, SpillOnPressure} {
+		c := NewCluster(workers)
+		defer c.Close()
+		c.SpillPolicy = pol
+		c.SpillDir = t.TempDir()
+		q, want := spillTriangleData(c)
+		plan := hcTrianglePlan(q, cfg, workers)
+		var early int
+		for run := 1; run <= runs; run++ {
+			got, _, err := c.Run(context.Background(), plan)
+			if err != nil {
+				t.Fatalf("spill %v, run %d: %v", pol, run, err)
+			}
+			got.Dedup()
+			if !got.Equal(want) {
+				t.Fatalf("spill %v, run %d: %d tuples, want %d", pol, run, got.Cardinality(), want.Cardinality())
+			}
+			if run == 2 {
+				early = held(c)
+			}
+		}
+		late := held(c)
+		t.Logf("spill %v: the store holds %d values after run 2, %d after run %d", pol, early, late, runs)
+		if late > 2*early {
+			t.Fatalf("spill %v: the store grew from %d values after run 2 to %d after run %d", pol, early, late, runs)
+		}
+	}
+}
+
 // TestSpillAlwaysMatchesUnlimited runs the same workload with every run
 // sealed to disk regardless of pressure — the policy that exercises the
 // external merge path hardest.
@@ -316,10 +360,11 @@ func TestSpillOffMemTuplesDropToZeroAfterRun(t *testing.T) {
 }
 
 // TestRowBlockBufferMatchesAdd hands rows to a Buffer in blocks, as
-// batches through addBatch the way each Tributary shard and runRoot do,
+// batches through AddBatch the way each Tributary shard and runRoot do,
 // and checks the Buffer ends up exactly as with one Add per row: the same
 // rows and Len, and under a budget that runs out part way, the same error
-// after the same rows. Zero-arity rows take the one-row path.
+// after the same rows. Zero-arity rows are counted by the batch's row
+// count.
 func TestRowBlockBufferMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for arity := 0; arity <= 3; arity++ {
@@ -350,7 +395,7 @@ func TestRowBlockBufferMatchesAdd(t *testing.T) {
 					for _, r := range rows[lo:min(lo+most, len(rows))] {
 						b.Append(r)
 					}
-					gotErr = addBatch(got, b)
+					gotErr = got.AddBatch(b)
 				}
 				name := fmt.Sprintf("arity %d, blocks of %d, limit %d", arity, most, limit)
 				if gotErr != wantErr || got.Len() != want.Len() {

@@ -508,13 +508,15 @@ func (s *Store) loadSegment(r *rel.Relation, name string, pe PartitionEntry) err
 	}
 	defer rd.Close()
 	for {
-		t, err := rd.Next()
+		b, err := rd.Next()
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("partstore: partition %s/%d: %w", name, pe.Slot, err)
 		}
-		r.Append(t)
+		for i := range b.Len() {
+			r.Append(b.Row(i))
+		}
 	}
 }

@@ -57,16 +57,16 @@ type concatStream struct {
 
 func (c *concatStream) Len() int64 { return c.total }
 
-func (c *concatStream) Next() (rel.Tuple, error) {
+func (c *concatStream) Next() (rel.Batch, error) {
 	for c.cur < len(c.streams) {
-		t, err := c.streams[c.cur].Next()
+		b, err := c.streams[c.cur].Next()
 		if err == io.EOF {
 			c.cur++
 			continue
 		}
-		return t, err
+		return b, err
 	}
-	return nil, io.EOF
+	return rel.Batch{}, io.EOF
 }
 
 func (c *concatStream) Close() error {

@@ -24,13 +24,12 @@
 //     packed words, column by column. A SegmentReader reads a segment
 //     back from an io.SectionReader, one positioned read per batch, and
 //     is a Stream.
-//   - Sorter: an external merge sort. AddFlat copies a batch of rows,
-//     laid out row-major, into an arena the sorter owns, reserving the
-//     budget a stretch of rows at a time yet with exactly the seals,
-//     peaks and errors of adding the rows one by one (Add is the one-row
-//     form). A run is sorted by packing rows into uint64 keys
-//     and radix-sorting them when they fit 64 bits, by comparison when
-//     they do not. A sealed run stays packed from seal to trie: its
+//   - Sorter: an external merge sort. AddBatch copies a rel.Batch's rows
+//     into an arena the sorter owns, reserving the budget a stretch of
+//     rows at a time yet with exactly the seals, peaks and errors of
+//     adding the rows one by one (Add is the one-row form). A run is
+//     sorted by packing rows into uint64 keys and radix-sorting them when
+//     they fit 64 bits, by comparison when they do not. A sealed run stays packed from seal to trie: its
 //     sorted words are unpacked column-major straight into the colbatch
 //     encoder's columns, and at the finish each run's batches are decoded
 //     into one reused arena, packed under the sorter-wide layout, and
@@ -40,12 +39,17 @@
 //     (rel.KeyPacker: one word per row when the columns fit 64 bits, a
 //     word per column otherwise) — for an in-memory run, the radix
 //     sort's own keys — which are the Tributary trie's backing array;
-//     Finish hands it over as a Stream.
+//     Finish is FinishPacked with the rows unpacked into a Stream.
 //   - Buffer: the unsorted cousin on the same owned arena, preserving
 //     append order — used for result (StoreAs included) and
 //     per-sub-range join-output materialization. Its Finish chains its
 //     segments with Concat, which also chains per-shard buffers back into
 //     one ordered stream.
+//   - Stream: what a Finish returns, a batch (rel.Batch) at a time. A
+//     batch Next returns is its caller's and may hold more rows than the
+//     engine's batch size: a Buffer's arena chunk (up to 4 096 values), a
+//     segment's decoded batch or a Sorter's unpacked one (up to 4 096
+//     rows).
 //   - Dir: the per-run temp directory and its one spill file. Every
 //     sealed run of the run, from any sorter or buffer on any worker, is
 //     appended to that file as an extent (one positioned write at an

@@ -24,7 +24,6 @@ type merger struct {
 	srcs  []mergeSource
 	tree  []int // tree[0] is the winning run, tree[n] the run that lost at internal node n
 	left  int64 // rows not yet popped
-	total int64
 	label string
 }
 
@@ -38,40 +37,27 @@ type mergeSource struct {
 	done  bool     // the run has no rows left
 }
 
-// newMerger merges the runs rs read, which hold total rows between them,
-// packing them under p. It reads each run's first batch; on error it
-// closes every reader.
-func newMerger(rs []*SegmentReader, p rel.KeyPacker, total int64, label string) (*merger, error) {
+// mergePacked merges the sorted runs rs read, which hold total rows
+// between them, into one array of rows packed under p, and closes every
+// reader.
+func mergePacked(rs []*SegmentReader, p rel.KeyPacker, total int64, label string) ([]uint64, error) {
 	m := &merger{p: p, w: p.Words(), srcs: make([]mergeSource, len(rs)), tree: make([]int, len(rs)),
-		left: total, total: total, label: label}
+		left: total, label: label}
+	defer m.close()
 	for i, r := range rs {
 		m.srcs[i].r = r
 	}
 	for i := range m.srcs {
 		if err := m.fill(i); err != nil {
-			m.close()
 			return nil, err
 		}
 	}
 	m.tree[0] = m.play(1)
-	return m, nil
-}
-
-// mergePacked merges the sorted runs rs read, which hold total rows
-// between them, into one array of rows packed under p, and closes every
-// reader.
-func mergePacked(rs []*SegmentReader, p rel.KeyPacker, total int64, label string) ([]uint64, error) {
-	m, err := newMerger(rs, p, total, label)
-	if err != nil {
-		return nil, err
-	}
 	words := make([]uint64, total*int64(m.w))
-	for i := 0; i < len(words) && err == nil; i += m.w {
-		err = m.pop(words[i : i+m.w])
-	}
-	m.close()
-	if err != nil {
-		return nil, err
+	for i := 0; i < len(words); i += m.w {
+		if err := m.pop(words[i : i+m.w]); err != nil {
+			return nil, err
+		}
 	}
 	return words, nil
 }

@@ -121,8 +121,8 @@ func (st *encodeState) appendPacked(dst []byte, words []uint64, p *rel.KeyPacker
 	return dst, nil
 }
 
-// SegmentReader streams a segment's tuples back in write order, decoding
-// one colbatch batch at a time. Each batch costs one positioned read,
+// SegmentReader streams a segment's tuples back in write order, one
+// decoded colbatch batch per Next. Each batch costs one positioned read,
 // which also fetches the next batch's header, into a buffer the reader
 // reuses. It is a Stream.
 type SegmentReader struct {
@@ -135,9 +135,6 @@ type SegmentReader struct {
 	buf  []byte
 	next int
 	off  int64
-
-	cur []rel.Tuple // row views of the current batch, reused per batch
-	pos int
 }
 
 // NewSegmentReader reads the segment that fills src — an extent of a run
@@ -176,7 +173,7 @@ func (r *SegmentReader) readAt(p []byte, off int64) error {
 
 // loadBatch reads the next colbatch batch and decodes it into b, which it
 // returns, or returns io.EOF after the last. With b nil the batch is a
-// fresh one, as Next needs: its row views outlive the batch. A caller that
+// fresh one, as Next needs: its values are Next's caller's. A caller that
 // keeps no row past its batch passes the same b every time, so its arena
 // is reused; it must not mix that with Next.
 func (r *SegmentReader) loadBatch(b *colbatch.Batch) (*colbatch.Batch, error) {
@@ -215,21 +212,14 @@ func (r *SegmentReader) loadBatch(b *colbatch.Batch) (*colbatch.Batch, error) {
 	return b, nil
 }
 
-// Next returns the next tuple, or io.EOF after the last one. Returned
-// tuples share a per-batch arena with capacity clamps: appending to one
-// allocates instead of clobbering its neighbor, but callers must not write
-// through existing indexes.
-func (r *SegmentReader) Next() (rel.Tuple, error) {
-	for r.pos >= len(r.cur) {
-		b, err := r.loadBatch(nil)
-		if err != nil {
-			return nil, err
-		}
-		r.cur, r.pos = b.AppendTuples(r.cur[:0]), 0
+// Next returns the next batch the segment holds, decoded into values of
+// its own, or io.EOF after the last one.
+func (r *SegmentReader) Next() (rel.Batch, error) {
+	b, err := r.loadBatch(nil)
+	if err != nil {
+		return rel.Batch{}, err
 	}
-	t := r.cur[r.pos]
-	r.pos++
-	return t, nil
+	return rel.BatchOf(r.arity, b.Rows(), b.Values()), nil
 }
 
 // Len returns the segment's tuple count.
@@ -238,6 +228,6 @@ func (r *SegmentReader) Len() int64 { return r.tuples }
 // Close drops the reader's buffers. The segment's file belongs to its
 // owner (the run's Dir, or partstore), which closes it.
 func (r *SegmentReader) Close() error {
-	r.buf, r.cur, r.next = nil, nil, 0
+	r.buf, r.next = nil, 0
 	return nil
 }

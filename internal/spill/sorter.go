@@ -9,22 +9,26 @@ import (
 	"parajoin/internal/rel"
 )
 
-// Stream yields tuples one at a time; Next returns io.EOF after the
-// last. Close releases a stream's buffers; streams over spilled state read
-// their run's file, so they must be done before its Dir is removed.
+// Stream yields tuples a batch at a time; Next returns io.EOF after the
+// last batch. A batch Next returns is its caller's: nothing else writes
+// to it, and it stays valid after the next call. It may hold any number of
+// rows, so a consumer with its own batch size copies them out. Close
+// releases a stream's buffers; streams over spilled state read their
+// run's file, so they must be done before its Dir is removed.
 type Stream interface {
-	Next() (rel.Tuple, error)
+	Next() (rel.Batch, error)
 	// Len is the total number of tuples the stream yields.
 	Len() int64
 	Close() error
 }
 
-// Drain materializes a stream and closes it. The rows of an in-memory
-// stream stay views into its run's arena: no value is copied.
+// Drain materializes a stream and closes it. Its rows are views of the
+// stream's batches, so the rows of an in-memory stream stay views into its
+// run's arena: no value is copied.
 func Drain(s Stream) ([]rel.Tuple, error) {
 	out := make([]rel.Tuple, 0, s.Len())
 	for {
-		t, err := s.Next()
+		b, err := s.Next()
 		if err == io.EOF {
 			return out, s.Close()
 		}
@@ -32,7 +36,9 @@ func Drain(s Stream) ([]rel.Tuple, error) {
 			s.Close()
 			return nil, err
 		}
-		out = append(out, t)
+		for i := range b.Len() {
+			out = append(out, b.Row(i))
+		}
 	}
 }
 
@@ -68,31 +74,26 @@ func (s *spiller) spillable() bool {
 	return (s.cfg.Policy == OnPressure || s.cfg.Policy == Always) && s.cfg.Create != nil
 }
 
-// Add adds one tuple: AddFlat with a one-row batch, and the only way to add
-// a zero-arity row, which has no values to lay out. The caller keeps t and
-// may reuse it at once.
-func (s *spiller) Add(t rel.Tuple) error {
-	if len(t) != s.cfg.Arity {
-		return fmt.Errorf("spill: %s: adding arity-%d tuple to arity-%d run", s.cfg.Label, len(t), s.cfg.Arity)
-	}
-	return s.add(t, 1)
-}
+// Add adds one tuple: AddBatch with a one-row batch. The caller keeps t
+// and may reuse it at once.
+func (s *spiller) Add(t rel.Tuple) error { return s.AddBatch(rel.BatchOf(len(t), 1, t)) }
 
-// AddFlat adds len(vals)/arity rows laid out row-major in vals, copying
-// their values into the run. The caller keeps vals and may reuse it at
-// once. It takes the rows in stretches: each stretch is one budget
-// reservation and one bulk copy per arena chunk it fills. The result is
-// exactly that of adding the rows one at a time — the same seals, the same
-// peaks, the same error after the same rows — because a stretch is only
-// taken whole when every one of its rows would have fitted on its own.
-// The arity must be at least 1: a zero-arity row has no values to lay out,
-// so it goes through Add.
-func (s *spiller) AddFlat(vals []int64) error {
-	a := s.cfg.Arity
-	if a == 0 || len(vals)%a != 0 {
-		return fmt.Errorf("spill: %s: adding %d values to an arity-%d run", s.cfg.Label, len(vals), a)
+// AddBatch adds b's rows, copying their values into the run. The caller
+// keeps b and may reuse it at once. It takes the rows in stretches: each
+// stretch is one budget reservation and one bulk copy per arena chunk it
+// fills. The result is exactly that of adding the rows one at a time —
+// the same seals, the same peaks, the same error after the same rows —
+// because a stretch is only taken whole when every one of its rows would
+// have fitted on its own. The batch's row count carries rows of arity 0,
+// which have no values to lay out.
+func (s *spiller) AddBatch(b rel.Batch) error {
+	if b.Arity != s.cfg.Arity {
+		return fmt.Errorf("spill: %s: adding arity-%d rows to arity-%d run", s.cfg.Label, b.Arity, s.cfg.Arity)
 	}
-	return s.add(vals, len(vals)/a)
+	if len(b.Vals) != b.Len()*b.Arity {
+		return fmt.Errorf("spill: %s: adding %d values as %d rows of arity %d", s.cfg.Label, len(b.Vals), b.Len(), b.Arity)
+	}
+	return s.add(b.Vals, b.Len())
 }
 
 // add reserves and copies rows rows of vals, sealing the current run first
@@ -268,50 +269,30 @@ func (s *spiller) finish() ([]*SegmentReader, error) {
 }
 
 // Sorter is an external merge sort: tuples are added in any order, sealed
-// runs are sorted before they hit disk, and Finish returns a k-way merge
-// over the segments, or the sorted in-memory run — the exact sequence
-// an in-memory sort of the whole input would produce (lexicographic
-// tuple order; duplicates survive, as Tributary's sorted arrays require).
+// runs are sorted before they hit disk, and FinishPacked returns a k-way
+// merge over the segments, or the sorted in-memory run — the exact
+// sequence an in-memory sort of the whole input would produce
+// (lexicographic tuple order; duplicates survive, as Tributary's sorted
+// arrays require).
 type Sorter struct{ spiller }
 
 // NewSorter creates a sorter configured by cfg.
 func NewSorter(cfg Config) *Sorter { return &Sorter{newSpiller(cfg, true)} }
 
-// Finish returns the tuples as one stream in sorted order. An in-memory
-// run is sorted as FinishPacked sorts it: rows wider than one word in place
-// in its arena, one-word rows as packed keys that are unpacked back into
-// it. A spilled sort's rows are merged as FinishPacked merges them and
-// unpacked into arenas of their own, so every row stays valid after the
-// next. The sorter must not be used after Finish.
+// Finish is FinishPacked handing the sorted rows over as a stream: each
+// Next unpacks up to segChunkRows of them into storage of their own. The
+// sorter must not be used after Finish.
 func (s *Sorter) Finish() (Stream, error) {
-	rs, err := s.finish()
+	words, p, err := s.FinishPacked()
 	if err != nil {
 		return nil, err
 	}
-	if rs == nil {
-		sc := scratchPool.Get().(*sortScratch)
-		defer scratchPool.Put(sc)
-		words, p := s.run.sortPacked(sc)
-		if p.Words() == 1 { // wider rows are already sorted in the arena
-			for _, c := range s.run.chunks[:s.run.cur+1] {
-				for i := 0; i < len(c); i += s.cfg.Arity {
-					p.Unpack(words[:1], c[i:i+s.cfg.Arity])
-					words = words[1:]
-				}
-			}
-		}
-		return &memStream{run: s.run, left: s.run.rows}, nil
-	}
-	m, err := newMerger(rs, rel.NewRowPacker(s.lo, s.hi), s.total, s.cfg.Label)
-	if err != nil {
-		return nil, err
-	}
-	return &unpackStream{m: m, row: make([]uint64, m.w)}, nil
+	return &unpackStream{words: words, p: p, total: s.total}, nil
 }
 
-// FinishPacked is Finish handing the sorted rows over packed rather than
-// as a stream: Len() rows of p.Words() words each, one row after another,
-// whose unsigned lexicographic order is the rows' order, and the layout p
+// FinishPacked returns the tuples in sorted order, packed: Len() rows of
+// p.Words() words each, one row after another, whose unsigned
+// lexicographic order is the rows' order, and the layout p
 // (over columns 0..arity-1) that decodes them. An in-memory run whose rows
 // fit one word hands over its radix sort's own key array, with no row
 // unpacked or copied, and a wider one is sorted in its arena and packed in
@@ -337,65 +318,56 @@ func (s *Sorter) FinishPacked() ([]uint64, rel.KeyPacker, error) {
 	return words, p, nil
 }
 
-// memStream is the no-spill fast path: the whole (sorted or
-// append-ordered) run is in memory, and each row it yields is a
-// capacity-clamped view into the run's arena.
+// memStream is a Buffer's no-spill fast path: the whole run is in
+// memory, and each batch it yields is one of the run's arena chunks.
 type memStream struct {
-	run        arenaRun
-	chunk, off int // the next row's chunk and offset in it
-	left       int // rows not yet yielded
+	run   arenaRun
+	chunk int // the next batch's chunk
+	left  int // rows not yet yielded
 }
 
-func (m *memStream) Next() (rel.Tuple, error) {
+func (m *memStream) Next() (rel.Batch, error) {
 	if m.left == 0 {
-		return nil, io.EOF
-	}
-	m.left--
-	a := m.run.arity
-	if a == 0 {
-		return rel.Tuple{}, nil
-	}
-	for m.off == len(m.run.chunks[m.chunk]) {
-		m.chunk, m.off = m.chunk+1, 0
+		return rel.Batch{}, io.EOF
 	}
 	c := m.run.chunks[m.chunk]
-	t := c[m.off : m.off+a : m.off+a]
-	m.off += a
-	return t, nil
+	m.chunk++
+	n := m.left // rows of arity 0 take no values: they all come at once
+	if a := m.run.arity; a > 0 {
+		n = len(c) / a
+	}
+	m.left -= n
+	return rel.BatchOf(m.run.arity, n, c), nil
 }
 
 func (m *memStream) Len() int64   { return int64(m.run.rows) }
 func (m *memStream) Close() error { return nil }
 
-// unpackStream is a spilled Sorter's Finish: each merged row is unpacked
-// into a block of segChunkRows rows that the stream allocates and never
-// reuses, so a row stays valid after the next, as Drain requires.
+// unpackStream is a Sorter's Finish: FinishPacked's rows, unpacked a batch
+// of at most segChunkRows rows at a time into storage the stream never
+// touches again.
 type unpackStream struct {
-	m     *merger
-	row   []uint64 // the popped row's words
-	block []int64
+	words []uint64 // the rows not yet yielded, p.Words() words each
+	p     rel.KeyPacker
+	total int64
 }
 
-func (u *unpackStream) Next() (rel.Tuple, error) {
-	if u.m.left == 0 {
-		return nil, io.EOF
+func (u *unpackStream) Next() (rel.Batch, error) {
+	w, a := u.p.Words(), len(u.p.Fields())
+	n := min(len(u.words)/w, segChunkRows)
+	if n == 0 {
+		return rel.Batch{}, io.EOF
 	}
-	if err := u.m.pop(u.row); err != nil {
-		return nil, err
+	vals := make([]int64, n*a)
+	for i := range n {
+		u.p.Unpack(u.words[i*w:(i+1)*w], vals[i*a:(i+1)*a])
 	}
-	a := len(u.m.p.Fields())
-	if len(u.block)+a > cap(u.block) {
-		u.block = make([]int64, 0, segChunkRows*a)
-	}
-	n := len(u.block)
-	u.block = u.block[:n+a]
-	t := rel.Tuple(u.block[n : n+a : n+a])
-	u.m.p.Unpack(u.row, t)
-	return t, nil
+	u.words = u.words[n*w:]
+	return rel.BatchOf(a, n, vals), nil
 }
 
-func (u *unpackStream) Len() int64 { return u.m.total }
+func (u *unpackStream) Len() int64 { return u.total }
 func (u *unpackStream) Close() error {
-	u.m.close()
+	u.words = nil
 	return nil
 }

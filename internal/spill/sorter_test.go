@@ -60,7 +60,7 @@ func spanTuples(rng *rand.Rand, n, arity int, span uint64) []rel.Tuple {
 // sink is what Sorter and Buffer share: the tests drive both through it.
 type sink interface {
 	Add(rel.Tuple) error
-	AddFlat([]int64) error
+	AddBatch(rel.Batch) error
 	Len() int64
 	Segments() int
 	Finish() (Stream, error)
@@ -84,8 +84,8 @@ func newSorter(c Config) sink { return NewSorter(c) }
 func newPackedSorter(c Config) sink { return packedSorter{NewSorter(c)} }
 
 // packedSorter finishes a Sorter with FinishPacked and streams the
-// decoded rows back, after checking the words hold exactly Len() rows of
-// the layout's width.
+// decoded rows back as one batch, after checking the words hold exactly
+// Len() rows of the layout's width.
 type packedSorter struct{ *Sorter }
 
 func (f packedSorter) Finish() (Stream, error) {
@@ -98,33 +98,36 @@ func (f packedSorter) Finish() (Stream, error) {
 		return nil, fmt.Errorf("FinishPacked: %d words of %d-word rows, %d fields, for %d rows of arity %d",
 			len(words), w, len(p.Fields()), f.Len(), a)
 	}
-	rows := make([]rel.Tuple, f.Len())
-	for i := range rows {
-		rows[i] = make(rel.Tuple, a)
-		p.Unpack(words[i*w:(i+1)*w], rows[i])
+	b := rel.BatchOf(a, 0, nil)
+	row := make(rel.Tuple, a)
+	for i := range int(f.Len()) {
+		p.Unpack(words[i*w:(i+1)*w], row)
+		b.Append(row)
 	}
-	return &rowStream{rows: rows}, nil
+	return &batchStream{b: b}, nil
 }
 
-// rowStream streams a slice of rows.
-type rowStream struct{ rows []rel.Tuple }
-
-func (r *rowStream) Next() (rel.Tuple, error) {
-	if len(r.rows) == 0 {
-		return nil, io.EOF
-	}
-	t := r.rows[0]
-	r.rows = r.rows[1:]
-	return t, nil
+// batchStream streams one batch.
+type batchStream struct {
+	b    rel.Batch
+	done bool
 }
 
-func (r *rowStream) Len() int64   { return int64(len(r.rows)) }
-func (r *rowStream) Close() error { return nil }
+func (s *batchStream) Next() (rel.Batch, error) {
+	if s.done {
+		return rel.Batch{}, io.EOF
+	}
+	s.done = true
+	return s.b, nil
+}
+
+func (s *batchStream) Len() int64   { return int64(s.b.Len()) }
+func (s *batchStream) Close() error { return nil }
 
 // drainThrough runs input through the sink open makes under policy and
 // drains the result. Always seals runs of seal rows and OnPressure holds a
 // third of the input. With splits nil every row goes in with Add;
-// otherwise the input goes in with AddFlat, in batches of random lengths
+// otherwise the input goes in with AddBatch, in batches of random lengths
 // drawn from splits.
 func drainThrough(t testing.TB, open func(Config) sink, input []rel.Tuple, arity int, policy Policy, seal int, splits *rand.Rand) []rel.Tuple {
 	t.Helper()
@@ -153,8 +156,8 @@ func drainThrough(t testing.TB, open func(Config) sink, input []rel.Tuple, arity
 		}
 	} else {
 		for _, b := range randomBatches(splits, input, 2*radixCutoff) {
-			if err := s.AddFlat(rowMajor(b)); err != nil {
-				t.Fatalf("AddFlat: %v", err)
+			if err := s.AddBatch(batchOf(arity, b)); err != nil {
+				t.Fatalf("AddBatch: %v", err)
 			}
 		}
 	}
@@ -181,13 +184,14 @@ func randomBatches(rng *rand.Rand, rows []rel.Tuple, most int) [][]rel.Tuple {
 	return out
 }
 
-// rowMajor lays rows out row-major, as AddFlat takes them.
-func rowMajor(rows []rel.Tuple) []int64 {
-	var out []int64
+// batchOf lays rows of the given arity out as one batch, as AddBatch
+// takes them.
+func batchOf(arity int, rows []rel.Tuple) rel.Batch {
+	b := rel.BatchOf(arity, 0, nil)
 	for _, t := range rows {
-		out = append(out, t...)
+		b.Append(t)
 	}
-	return out
+	return b
 }
 
 func requireSameSequence(t testing.TB, got, want []rel.Tuple) {
@@ -300,25 +304,26 @@ func TestSorterAddAllocs(t *testing.T) {
 	}
 }
 
-// TestAddFlatAllocs pins that adding a batch to a warm run allocates
+// TestAddBatchAllocs pins that adding a batch to a warm run allocates
 // nothing: once the arena holds the chunks a batch needs, as it does after
-// a seal (which keeps them for the next run), AddFlat is one reservation
+// a seal (which keeps them for the next run), AddBatch is one reservation
 // and bulk copies.
-func TestAddFlatAllocs(t *testing.T) {
-	batch := make([]int64, 1024*3)
-	for i := range batch {
-		batch[i] = int64(i * 7919 % 1000)
+func TestAddBatchAllocs(t *testing.T) {
+	vals := make([]int64, 1024*3)
+	for i := range vals {
+		vals[i] = int64(i * 7919 % 1000)
 	}
+	batch := rel.BatchOf(3, 1024, vals)
 	cfg := Config{Acct: NewAccountant(1, 0, 0), Arity: 3, Policy: Off, Label: "allocs"}
 	for name, sp := range map[string]*spiller{"Sorter": &NewSorter(cfg).spiller, "Buffer": &NewBuffer(cfg).spiller} {
 		allocs := testing.AllocsPerRun(20, func() {
 			sp.run.reset()
-			if err := sp.AddFlat(batch); err != nil {
+			if err := sp.AddBatch(batch); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("%s: a warm AddFlat of 1 024 rows allocates %.1f times, want 0", name, allocs)
+			t.Fatalf("%s: a warm AddBatch of 1 024 rows allocates %.1f times, want 0", name, allocs)
 		}
 	}
 }
@@ -343,7 +348,7 @@ func TestFinishPackedRecyclesChunks(t *testing.T) {
 	}
 	fill := func() *Sorter {
 		s := NewSorter(Config{Acct: NewAccountant(1, 0, 0), Arity: 2, Policy: Off, Label: "recycle"})
-		if err := s.AddFlat(vals); err != nil {
+		if err := s.AddBatch(rel.BatchOf(2, len(vals)/2, vals)); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -360,15 +365,15 @@ func TestFinishPackedRecyclesChunks(t *testing.T) {
 	}
 }
 
-// TestAddFlatMatchesAdd feeds the same rows to a sink twice, row by row
-// with Add and in random batches with AddFlat, and requires the two to
+// TestAddBatchMatchesAdd feeds the same rows to a sink twice, row by row
+// with Add and in random batches with AddBatch, and requires the two to
 // agree on everything observable: the rows, Len, Segments, the worker's
 // reservation and peak, the error and the operator it blames. The budgets
 // are small enough that a batch's stretch is refused part way through,
 // and between batches a sibling operator on the same worker reserves or
 // releases part of the budget, at times all of it, which forces the
 // singleton seals of the last resort.
-func TestAddFlatMatchesAdd(t *testing.T) {
+func TestAddBatchMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	type outcome struct {
 		rows       []rel.Tuple
@@ -408,7 +413,7 @@ func TestAddFlatMatchesAdd(t *testing.T) {
 							held += sibling[i]
 						}
 						if flat {
-							o.err = s.AddFlat(rowMajor(b))
+							o.err = s.AddBatch(batchOf(arity, b))
 						} else {
 							for _, tup := range b {
 								if o.err = s.Add(tup); o.err != nil {
@@ -436,10 +441,10 @@ func TestAddFlatMatchesAdd(t *testing.T) {
 				want, got := feed(false), feed(true)
 				name := fmt.Sprintf("%s/%v/trial %d (%d rows, limit %d, seal %d)", sk.name, policy, trial, len(input), limit, seal)
 				if got.err != want.err || got.blown != want.blown {
-					t.Fatalf("%s: AddFlat error %v blaming %q, Add error %v blaming %q", name, got.err, got.blown, want.err, want.blown)
+					t.Fatalf("%s: AddBatch error %v blaming %q, Add error %v blaming %q", name, got.err, got.blown, want.err, want.blown)
 				}
 				if got.n != want.n || got.segs != want.segs || got.used != want.used || got.peak != want.peak {
-					t.Fatalf("%s: AddFlat len %d, segments %d, used %d, peak %d; Add %d, %d, %d, %d",
+					t.Fatalf("%s: AddBatch len %d, segments %d, used %d, peak %d; Add %d, %d, %d, %d",
 						name, got.n, got.segs, got.used, got.peak, want.n, want.segs, want.used, want.peak)
 				}
 				requireSameSequence(t, got.rows, want.rows)
@@ -602,7 +607,7 @@ func TestPackedMergeMatchesInMemory(t *testing.T) {
 						}
 						earlier[half] = append(earlier[half], rows...)
 						input = append(input, rows...)
-						if err := s.AddFlat(rowMajor(rows)); err != nil {
+						if err := s.AddBatch(batchOf(arity, rows)); err != nil {
 							t.Fatal(err)
 						}
 						if run < seals-1 || !residual {
@@ -661,7 +666,7 @@ func TestSpilledFinishPackedAllocs(t *testing.T) {
 			for i := range vals {
 				vals[i] = 1<<40 + int64((k*len(vals)+i)*7919%300)
 			}
-			if err := s.AddFlat(vals); err != nil {
+			if err := s.AddBatch(rel.BatchOf(2, len(vals)/2, vals)); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.seal(); err != nil {
@@ -727,7 +732,7 @@ func TestFinishPackedCorruptExtent(t *testing.T) {
 			}
 			s := NewSorter(Config{Acct: NewAccountant(1, 0, 0), Arity: 2, Create: dir.Create,
 				Policy: Always, SealTuples: runRows, Label: "corrupt"})
-			if err := s.AddFlat(vals); err != nil {
+			if err := s.AddBatch(rel.BatchOf(2, len(vals)/2, vals)); err != nil {
 				t.Fatal(err)
 			}
 			corruptBatch(t, s.segs[1], batch)
@@ -775,7 +780,7 @@ func TestFinishPackedCorruptExtent(t *testing.T) {
 // values — and checks
 // the sorted stream against the comparison sort, and a Buffer's stream
 // under the same policy against the input order: once with the rows added
-// one by one, once in AddFlat batches of lengths seeded from the input.
+// one by one, once in AddBatch batches of lengths seeded from the input.
 func FuzzSorter(f *testing.F) {
 	f.Add([]byte{0x01, 3, 1, 2, 2, 9, 0, 0xff, 0x80})
 	f.Add([]byte{0x1f, 0, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
@@ -820,7 +825,7 @@ func FuzzSorter(f *testing.F) {
 // Zipf-distributed arity-2 rows (node ids below 2 000), in memory and with
 // the run sealed every eighth of its input. The mem and sealed arms add
 // row by row and drain Finish's stream; the packed arms add 1 024-row
-// batches with AddFlat and take FinishPacked's words, the sort the engine
+// batches with AddBatch and take FinishPacked's words, the sort the engine
 // runs.
 func BenchmarkSorter(b *testing.B) {
 	const n = 60000
@@ -830,7 +835,7 @@ func BenchmarkSorter(b *testing.B) {
 	for i := range input {
 		input[i] = rel.Tuple{int64(zipf.Uint64()), int64(zipf.Uint64())}
 	}
-	flat := rowMajor(input)
+	flat := batchOf(2, input).Vals
 	stream := func(s *Sorter) error {
 		for _, t := range input {
 			if err := s.Add(t); err != nil {
@@ -846,7 +851,7 @@ func BenchmarkSorter(b *testing.B) {
 	packed := func(s *Sorter) error {
 		for vals := flat; len(vals) > 0; {
 			k := min(len(vals), 1024*2)
-			if err := s.AddFlat(vals[:k]); err != nil {
+			if err := s.AddBatch(rel.BatchOf(2, k/2, vals[:k])); err != nil {
 				return err
 			}
 			vals = vals[k:]

@@ -58,7 +58,7 @@ func ParsePolicy(s string) (Policy, error) {
 	return Off, fmt.Errorf("spill: unknown policy %q (want off, on-pressure, or always)", s)
 }
 
-// ErrBudget is returned by the Add and AddFlat of Sorter and Buffer when
+// ErrBudget is returned by the Add and AddBatch of Sorter and Buffer when
 // the memory budget is exhausted and spilling cannot free anything (policy
 // Off, or a budget too small to hold a single sealed run's worth of state
 // while other operators hold the rest). The engine wraps it in its own
@@ -86,7 +86,7 @@ type Config struct {
 	Acct *Accountant
 	// Worker is the worker whose budget the tuples charge against.
 	Worker int
-	// Arity is the tuple width; every Add and AddFlat must match it.
+	// Arity is the tuple width; every Add and AddBatch must match it.
 	Arity int
 	// Create returns the run's spill directory, whose file every seal
 	// appends an extent to (normally Dir.Create, which creates the file

@@ -166,14 +166,16 @@ func readAll(t *testing.T, r *SegmentReader, err error) []rel.Tuple {
 	defer r.Close()
 	var got []rel.Tuple
 	for {
-		tup, err := r.Next()
+		b, err := r.Next()
 		if err == io.EOF {
 			return got
 		}
 		if err != nil {
 			t.Fatalf("tuple %d: %v", len(got), err)
 		}
-		got = append(got, tup)
+		for i := range b.Len() {
+			got = append(got, b.Row(i))
+		}
 	}
 }
 
@@ -301,8 +303,8 @@ func TestDirRemoveIdempotent(t *testing.T) {
 	if entries, _ := filepath.Glob(filepath.Join(base, "parajoin-spill-*")); len(entries) != 0 {
 		t.Fatalf("leftover spill dirs: %v", entries)
 	}
-	if tup, err := stream.Next(); err == nil || err == io.EOF || tup != nil {
-		t.Fatalf("read after Remove = %v, %v; want an error and no row", tup, err)
+	if b, err := stream.Next(); err == nil || err == io.EOF || b.Len() != 0 {
+		t.Fatalf("read after Remove = %d rows, %v; want an error and no row", b.Len(), err)
 	}
 	stream.Close()
 	if _, err := dir.Create(); err == nil {

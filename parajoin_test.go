@@ -100,6 +100,39 @@ func TestParseStrategy(t *testing.T) {
 	}
 }
 
+// TestConstantsOnlyRule: a rule whose head and body have no variables
+// answers one empty row when every atom matches and none when one misses,
+// under HC_TJ and BR_TJ.
+func TestConstantsOnlyRule(t *testing.T) {
+	db := testDB(t, 4)
+	if err := db.LoadEdges("E", [][2]int64{{1, 2}, {2, 3}, {3, 1}, {4, 5}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		rule string
+		rows int
+	}{{"Q() :- E(1,2), E(2,3)", 1}, {"Q() :- E(1,2), E(2,4)", 0}} {
+		q, err := db.Query(tc.rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []Strategy{HyperCubeTributary, BroadcastTributary} {
+			res, err := q.RunWith(context.Background(), s)
+			if err != nil {
+				t.Fatalf("%s under %s: %v", tc.rule, s, err)
+			}
+			if len(res.Rows) != tc.rows || len(res.Columns) != 0 {
+				t.Fatalf("%s under %s: %d rows over columns %v, want %d empty rows", tc.rule, s, len(res.Rows), res.Columns, tc.rows)
+			}
+			for _, r := range res.Rows {
+				if len(r) != 0 {
+					t.Fatalf("%s under %s: row %v, want an empty row", tc.rule, s, r)
+				}
+			}
+		}
+	}
+}
+
 // retiredStrategy names the deleted heavy-hitter shuffle. It is spelled in
 // two pieces so that a search of the Go sources for the name finds no
 // code that still handles it.
