@@ -2,9 +2,11 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"parajoin/internal/core"
+	"parajoin/internal/rel"
 	"parajoin/internal/shares"
 )
 
@@ -33,6 +35,52 @@ func BenchmarkSymmetricHashJoinPlan(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTwoPathHashJoinPlan is RS_HJ's triangle over 8 workers: R ⋈ S
+// on y makes the two-path intermediate, which is shuffled on z into a
+// second hash join with T, a base relation about a quarter its size. The
+// second join's sides differ in size and in how they arrive: T in full
+// scan batches, the two-path as each producer's join emits it. Per-tuple
+// figures divide by the rows entering both joins (every exchange's
+// traffic); built rows/op counts the rows the joins stored.
+func BenchmarkTwoPathHashJoinPlan(b *testing.B) {
+	c := NewCluster(8)
+	defer c.Close()
+	c.Load(randGraph("R", 8000, 2000, 217))
+	c.Load(randGraph("S", 8000, 2000, 218))
+	c.Load(randGraph("T", 8000, 2000, 219))
+	twoPath := rsJoinPlan()
+	plan := &Plan{
+		Exchanges: append(twoPath.Exchanges,
+			ExchangeSpec{ID: 2, Name: "RS->h(z)", Input: twoPath.Root, Kind: RouteHash, HashCols: []string{"z"}, Seed: 7},
+			ExchangeSpec{ID: 3, Name: "T->h(z)", Input: Project{Input: Scan{Table: "T"}, Cols: []string{"src", "dst"}, As: []string{"z", "x"}},
+				Kind: RouteHash, HashCols: []string{"z"}, Seed: 7}),
+		Root: HashJoin{
+			Left:     Recv{Exchange: 2, Schema: rel.Schema{"x", "y", "z"}},
+			Right:    Recv{Exchange: 3, Schema: rel.Schema{"z", "x"}},
+			LeftCols: []string{"z", "x"}, RightCols: []string{"z", "x"},
+		},
+	}
+	b.ReportAllocs()
+	var tuples, built int64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, report, err := c.Run(context.Background(), plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tuples += report.TotalTuplesShuffled()
+		built += sum(report.HashBuilt)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tuples), "ns/tuple")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(tuples), "B/tuple")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(tuples), "allocs/tuple")
+	b.ReportMetric(float64(built)/float64(b.N), "built-rows/op")
 }
 
 // BenchmarkTriangle is the tracing-overhead sentinel: the HyperCube +

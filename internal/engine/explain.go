@@ -44,7 +44,11 @@ func ExplainAnalyze(rounds []Round, events []trace.Event, report *Report) string
 	if report != nil {
 		fmt.Fprintf(&b, "total: %s\n", report.String())
 		if s, j, h := largest(report.SortTime), largest(report.JoinTime), largest(report.HashTime); s+j+h > 0 {
-			fmt.Fprintf(&b, "local (slowest worker): sort=%v join=%v hash=%v\n", s, j, h)
+			fmt.Fprintf(&b, "local (slowest worker): sort=%v join=%v hash=%v", s, j, h)
+			if built, probed := largest(report.HashBuilt), largest(report.HashProbed); probed > 0 {
+				fmt.Fprintf(&b, " hash-built=%d hash-probed=%d", built, probed)
+			}
+			b.WriteByte('\n')
 		}
 		if report.BatchesSent > 0 || report.BatchesReceived > 0 {
 			fmt.Fprintf(&b, "transport: %d bytes sent, %d received (%d/%d batches, max queue depth %d)\n",

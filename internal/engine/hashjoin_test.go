@@ -560,3 +560,161 @@ func TestHashJoinHoldsOneBatch(t *testing.T) {
 		t.Fatalf("40 calls returned %d rows; the hub should fill every batch", rows)
 	}
 }
+
+// chanOp is an input whose batches arrive on a channel, closed at EOF: a
+// stand-in for an exchange's receiver whose arrival order the test picks.
+type chanOp struct {
+	sch rel.Schema
+	c   chan rel.Batch
+}
+
+func (o *chanOp) schema() rel.Schema { return o.sch }
+func (o *chanOp) open() error        { return nil }
+func (o *chanOp) close() error       { return nil }
+
+func (o *chanOp) next() (rel.Batch, error) {
+	b, ok := <-o.c
+	if !ok {
+		return rel.Batch{}, io.EOF
+	}
+	return b, nil
+}
+
+// TestHashJoinStoresTheSmallerSide feeds the hash join a big side of
+// eight full batches and a small side of 1 000 rows in three arrival
+// shapes: the big side in full batches while the small side trickles in
+// as 8 partial batches, the small side whole before the big side sends
+// anything, and the small side in partial batches after all of the big
+// side. Each pull takes the side with fewer rows so far, so the join
+// stores at most twice the small side plus one batch; once the small side
+// ends, the big side's table is gone before the big side does; and the
+// output is ljoin.HashJoin's multiset.
+func TestHashJoinStoresTheSmallerSide(t *testing.T) {
+	const big, small = 8 * 1024, 1000
+	type arrival struct {
+		side  int // 0 left, 1 right
+		lo, n int // rows lo..lo+n of that side
+	}
+	// Every big row's key matches one small row, so the join emits a full
+	// output batch after the small side has ended and the test sees the
+	// tables in between.
+	rng := rand.New(rand.NewSource(69))
+	rows := func(name, prefix string, n int, keys func(i int) int64) *rel.Relation {
+		r := rel.New(name, prefix+"0", prefix+"p")
+		for i := range n {
+			r.AppendRow(keys(i), rng.Int63n(1000))
+		}
+		return r
+	}
+	smallRel := func(name, prefix string) *rel.Relation {
+		return rows(name, prefix, small, func(i int) int64 { return int64(i) })
+	}
+	bigRel := func(name, prefix string) *rel.Relation {
+		return rows(name, prefix, big, func(int) int64 { return rng.Int63n(small) })
+	}
+	fullBatches := func(side, n int) (a []arrival) {
+		for lo := 0; lo < n; lo += 1024 {
+			a = append(a, arrival{side, lo, min(1024, n-lo)})
+		}
+		return a
+	}
+	partialBatches := func(side int) (a []arrival) {
+		for lo := 0; lo < small; lo += small / 8 {
+			a = append(a, arrival{side, lo, small / 8})
+		}
+		return a
+	}
+	interleave := func(x, y []arrival) (a []arrival) {
+		for i := range max(len(x), len(y)) {
+			if i < len(x) {
+				a = append(a, x[i])
+			}
+			if i < len(y) {
+				a = append(a, y[i])
+			}
+		}
+		return a
+	}
+	for _, tc := range []struct {
+		name        string
+		left, right *rel.Relation
+		smallSide   int
+		order       []arrival
+	}{
+		{"trickle", bigRel("L", "l"), smallRel("R", "r"), 1, interleave(fullBatches(0, big), partialBatches(1))},
+		{"smallfirst", smallRel("L", "l"), bigRel("R", "r"), 0, append(fullBatches(0, small), fullBatches(1, big)...)},
+		{"smalllast", bigRel("L", "l"), smallRel("R", "r"), 1, append(fullBatches(0, big), partialBatches(1)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCluster(1)
+			defer c.Close()
+			c.Load(tc.left)
+			c.Load(tc.right)
+			ex := opExec(c)
+			compiled, err := ex.compile(HashJoin{Left: Scan{Table: "L"}, Right: Scan{Table: "R"},
+				LeftCols: []string{"l0"}, RightCols: []string{"r0"}}, &task{ex: ex, worker: 0, exchange: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			op := compiled.(*hashJoinOp)
+			sides := [2]*rel.Relation{tc.left, tc.right}
+			var in [2]*chanOp
+			for s := range in {
+				in[s] = &chanOp{sch: sides[s].Schema, c: make(chan rel.Batch, len(tc.order))}
+				op.in[s] = in[s]
+			}
+			// The feeder sends in arrival order and closes a side after its
+			// last batch; the channels hold every batch, as the exchange's
+			// queues are unbounded, so it never waits for the join.
+			last := [2]int{}
+			for i, a := range tc.order {
+				last[a.side] = i
+			}
+			go func() {
+				for i, a := range tc.order {
+					in[a.side].c <- batchOf(sides[a.side].Tuples[a.lo : a.lo+a.n]...)
+					if i == last[a.side] {
+						close(in[a.side].c)
+					}
+				}
+			}()
+			if err := op.open(); err != nil {
+				t.Fatal(err)
+			}
+			got := rel.New("got", op.schema()...)
+			sawDrop := false
+			for {
+				b, err := op.next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.Tuples = append(got.Tuples, rowsOf(b)...)
+				s := tc.smallSide
+				if op.done[s] && !op.done[1-s] {
+					if op.tabs[1-s] != nil {
+						t.Fatal("the small side has ended but the big side's table is still kept")
+					}
+					sawDrop = true
+				}
+			}
+			if err := op.close(); err != nil {
+				t.Fatal(err)
+			}
+			if !sawDrop {
+				t.Fatal("never saw the small side end before the big side")
+			}
+			if built, limit := ex.metrics.r.HashBuilt[0], int64(2*small+c.BatchSize); built > limit {
+				t.Fatalf("the join stored %d rows, more than 2·%d + %d", built, small, c.BatchSize)
+			}
+			if probed := ex.metrics.r.HashProbed[0]; probed != big+small {
+				t.Fatalf("the join probed %d rows, want %d", probed, big+small)
+			}
+			if want := ljoin.HashJoin(tc.left, tc.right, []int{0}, []int{0}); !got.Equal(want) {
+				t.Fatalf("%d rows, oracle %d", got.Cardinality(), want.Cardinality())
+			}
+		})
+	}
+}

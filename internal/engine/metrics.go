@@ -24,15 +24,17 @@ type Metrics struct {
 func NewMetrics(n int, exchanges []ExchangeSpec) *Metrics {
 	m := &Metrics{
 		r: Report{
-			Workers:   n,
-			BusyTime:  make([]time.Duration, n),
-			SortTime:  make([]time.Duration, n),
-			JoinTime:  make([]time.Duration, n),
-			HashTime:  make([]time.Duration, n),
-			Processed: make([]int64, n),
-			Sorted:    make([]int64, n),
-			Seeks:     make([]int64, n),
-			Exchanges: make([]ExchangeReport, len(exchanges)),
+			Workers:    n,
+			BusyTime:   make([]time.Duration, n),
+			SortTime:   make([]time.Duration, n),
+			JoinTime:   make([]time.Duration, n),
+			HashTime:   make([]time.Duration, n),
+			HashBuilt:  make([]int64, n),
+			HashProbed: make([]int64, n),
+			Processed:  make([]int64, n),
+			Sorted:     make([]int64, n),
+			Seeks:      make([]int64, n),
+			Exchanges:  make([]ExchangeReport, len(exchanges)),
 		},
 		ex: make(map[int]*ExchangeReport, len(exchanges)),
 	}
@@ -76,9 +78,11 @@ func (m *Metrics) addJoin(worker int, d time.Duration) {
 	m.mu.Unlock()
 }
 
-func (m *Metrics) addHash(worker int, d time.Duration) {
+func (m *Metrics) addHash(worker int, d time.Duration, built, probed int64) {
 	m.mu.Lock()
 	m.r.HashTime[worker] += d
+	m.r.HashBuilt[worker] += built
+	m.r.HashProbed[worker] += probed
 	m.mu.Unlock()
 }
 
@@ -138,6 +142,11 @@ type Report struct {
 	SortTime []time.Duration
 	JoinTime []time.Duration
 	HashTime []time.Duration
+	// HashBuilt counts the rows each worker's hash joins stored in their
+	// tables; HashProbed counts the rows they probed. Both are
+	// deterministic work measures.
+	HashBuilt  []int64
+	HashProbed []int64
 	// Processed counts tuples entering each worker's operators (scans plus
 	// exchange receipts) — a deterministic per-worker load measure that,
 	// unlike busy time, is immune to host-core oversubscription.
@@ -306,6 +315,8 @@ func (r *Report) add(b *Report) {
 	r.SortTime = addVec(r.SortTime, b.SortTime)
 	r.JoinTime = addVec(r.JoinTime, b.JoinTime)
 	r.HashTime = addVec(r.HashTime, b.HashTime)
+	r.HashBuilt = addVec(r.HashBuilt, b.HashBuilt)
+	r.HashProbed = addVec(r.HashProbed, b.HashProbed)
 	r.Processed = addVec(r.Processed, b.Processed)
 	r.Sorted = addVec(r.Sorted, b.Sorted)
 	r.Seeks = addVec(r.Seeks, b.Seeks)

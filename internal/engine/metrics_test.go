@@ -135,13 +135,15 @@ func TestReportDeltasResetBetweenRuns(t *testing.T) {
 
 // TestHashJoinTimeIsHashTime: an RS_HJ-shaped run (hash shuffles into a
 // hash join) books its join time as HashTime, leaving JoinTime — the
-// Tributary join's phase — at zero, and EXPLAIN ANALYZE shows it next to
-// sort and join. A Tributary run books no HashTime.
+// Tributary join's phase — at zero, counts the rows it stored and probed,
+// and EXPLAIN ANALYZE shows both next to sort and join. A Tributary run
+// books no HashTime.
 func TestHashJoinTimeIsHashTime(t *testing.T) {
 	c := NewCluster(4)
 	defer c.Close()
-	c.Load(randGraph("R", 3000, 150, 31))
-	c.Load(randGraph("S", 3000, 150, 32))
+	r, s := randGraph("R", 3000, 150, 31), randGraph("S", 3000, 150, 32)
+	c.Load(r)
+	c.Load(s)
 	c.Load(randGraph("T", 3000, 150, 33))
 	plan := &Plan{
 		Exchanges: []ExchangeSpec{
@@ -165,8 +167,14 @@ func TestHashJoinTimeIsHashTime(t *testing.T) {
 	if j, h := sum(report.JoinTime), sum(report.HashTime); j != 0 || h == 0 {
 		t.Fatalf("hash-join run: JoinTime %v, HashTime %v; want 0 and > 0", j, h)
 	}
-	if out := ExplainAnalyze(rounds, col.Events(), report); !strings.Contains(out, " hash=") {
-		t.Fatalf("EXPLAIN ANALYZE lacks the hash time:\n%s", out)
+	// Every row of both sides is probed; a side's rows are stored only
+	// until the other side ends.
+	in := int64(r.Cardinality() + s.Cardinality())
+	if b, p := sum(report.HashBuilt), sum(report.HashProbed); p != in || b == 0 || b > p {
+		t.Fatalf("hash-join run: HashBuilt %d, HashProbed %d; want %d probed and 1..%[3]d built", b, p, in)
+	}
+	if out := ExplainAnalyze(rounds, col.Events(), report); !strings.Contains(out, " hash=") || !strings.Contains(out, " hash-probed=") {
+		t.Fatalf("EXPLAIN ANALYZE lacks the hash time or rows:\n%s", out)
 	}
 
 	q := triangleQuery()
@@ -175,7 +183,7 @@ func TestHashJoinTimeIsHashTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, h := sum(report.JoinTime), sum(report.HashTime); j == 0 || h != 0 {
-		t.Fatalf("Tributary run: JoinTime %v, HashTime %v; want > 0 and 0", j, h)
+	if j, h := sum(report.JoinTime), sum(report.HashTime); j == 0 || h != 0 || sum(report.HashProbed) != 0 {
+		t.Fatalf("Tributary run: JoinTime %v, HashTime %v, HashProbed %d; want > 0, 0 and 0", j, h, sum(report.HashProbed))
 	}
 }

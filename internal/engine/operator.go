@@ -197,11 +197,17 @@ func (o *projectOp) next() (rel.Batch, error) {
 
 // hashJoinOp is the symmetric (pipelined) hash join: hash tables on both
 // sides, each arriving batch inserted into its side's table and probed
-// against the other. Inputs are pulled round-robin; when one side is
-// exhausted the other is drained — the paper's "if one input does not have
-// any data, the join pulls the other input". Side 0 is the left input,
-// side 1 the right. Each side's table owns copies of its rows (keyTable),
-// and a key's matches come back in the other side's insertion order.
+// against the other. Each pull takes the side that has delivered fewer
+// rows so far, ties going to the right side (the plan's next atom), so a
+// side that arrives in full batches waits while a small side trickles in
+// — the paper's "if one input does not have any data, the join pulls the
+// other input". Once a side is exhausted nothing can probe the other
+// side's table again, so that table is dropped and the rest of the other
+// side is probed without being stored: a join stores at most twice its
+// smaller side's rows plus one batch, whatever the arrival order. Side 0
+// is the left input, side 1 the right. Each side's table owns copies of
+// its rows (keyTable), and a key's matches come back in the other side's
+// insertion order.
 //
 // next returns as soon as its output batch is full and resumes the probe
 // where it stopped: in the input batch b, at row pos, at match m of the
@@ -216,14 +222,15 @@ type hashJoinOp struct {
 	sch   rel.Schema
 	rKeep []int
 
-	tabs       [2]*keyTable
-	done       [2]bool
-	turn, side int       // the side to pull next; the side b came from
-	b          rel.Batch // the input batch being probed
-	pos        int       // the row of b being probed
-	m          int32     // its next match in the other side's table, or -1
-	out        rel.Batch
-	row        rel.Tuple // the joined row being built
+	tabs   [2]*keyTable // nil once the other side is exhausted
+	done   [2]bool
+	pulled [2]int    // rows received from each side so far
+	side   int       // the side b came from
+	b      rel.Batch // the input batch being probed
+	pos    int       // the row of b being probed
+	m      int32     // its next match in the other side's table, or -1
+	out    rel.Batch
+	row    rel.Tuple // the joined row being built
 }
 
 func (o *hashJoinOp) schema() rel.Schema { return o.sch }
@@ -255,8 +262,12 @@ func (o *hashJoinOp) next() (rel.Batch, error) {
 	for {
 		if o.pos < o.b.Len() {
 			t0 := time.Now()
-			full := o.probe()
-			e.metrics.addHash(o.t.worker, time.Since(t0))
+			full, probed := o.probe()
+			built := probed
+			if o.tabs[o.side] == nil {
+				built = 0
+			}
+			e.metrics.addHash(o.t.worker, time.Since(t0), int64(built), int64(probed))
 			if full {
 				b := o.out
 				o.out = rel.Batch{}
@@ -274,19 +285,20 @@ func (o *hashJoinOp) next() (rel.Batch, error) {
 			}
 			return b, nil
 		}
-		s := o.turn
-		if o.done[s] {
-			s = 1 - s
+		s := 1
+		if o.done[1] || !o.done[0] && o.pulled[0] < o.pulled[1] {
+			s = 0
 		}
-		o.turn = 1 - s
 		b, err := o.in[s].next()
 		if err == io.EOF {
 			o.done[s] = true
+			o.tabs[1-s] = nil // only side s's rows probe it
 			continue
 		}
 		if err != nil {
 			return rel.Batch{}, err
 		}
+		o.pulled[s] += b.Len()
 		if err := e.charge(o.t.worker, int64(b.Len()), "hashjoin"); err != nil {
 			return rel.Batch{}, err
 		}
@@ -297,25 +309,27 @@ func (o *hashJoinOp) next() (rel.Batch, error) {
 
 // probe resumes the probe of o.b, inserting each row into its side's
 // table as it reaches it, and reports whether it stopped because the
-// output batch filled; otherwise every row of o.b has been probed.
-func (o *hashJoinOp) probe() bool {
+// output batch filled (otherwise every row of o.b has been probed) and
+// how many rows of o.b it began to probe.
+func (o *hashJoinOp) probe() (full bool, probed int) {
 	s := o.side
 	tab, other, cols := o.tabs[s], o.tabs[1-s], o.cols[s]
 	for {
 		for o.m < 0 {
 			o.pos++
 			if o.pos == o.b.Len() {
-				return false
+				return false, probed
 			}
+			probed++
 			t := o.b.Row(o.pos)
 			h := keyHash(t, cols)
-			if !o.done[1-s] { // nothing probes this side once the other is drained
+			if tab != nil { // dropped once nothing can probe it
 				tab.insert(t, h, false)
 			}
 			o.m = other.find(t, cols, h)
 		}
 		if o.out.Len() == o.t.ex.batchSize {
-			return true
+			return true, probed
 		}
 		o.t.ex.grow(&o.out, len(o.sch), batchStart)
 		left, right := o.b.Row(o.pos), other.row(o.m)

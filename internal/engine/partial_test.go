@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"parajoin/internal/core"
 	"parajoin/internal/rel"
+	"parajoin/internal/shares"
 )
 
 // twoProcessCluster simulates a two-process deployment inside one test:
@@ -164,6 +166,35 @@ func TestPartialClusterJoin(t *testing.T) {
 	} {
 		if !slices.Equal(v[0], v[1]) {
 			t.Errorf("%s: merged %v, single-process %v", name, v[0], v[1])
+		}
+	}
+}
+
+// TestSplitHyperCubeBytesRepeat runs the HyperCube + Tributary triangle
+// eight times on a split cluster: every cross-process batch is a scan's
+// rows routed in scan order, so each run sends exactly the same bytes.
+// (A hash join's output follows the arrival order of its inputs, so an
+// exchange fed by one carries the same rows in different batches from run
+// to run, and its encoded bytes vary by a fraction of a percent. And each
+// frame's JSON header carries the exchange's wire id, which holds the
+// run's epoch, so from epoch 10 on every frame is one byte longer: eight
+// runs stay below it.)
+func TestSplitHyperCubeBytesRepeat(t *testing.T) {
+	a, b := twoProcessCluster(t)
+	for _, r := range []*rel.Relation{randGraph("R", 1500, 150, 61), randGraph("S", 1500, 150, 62), randGraph("T", 1500, 150, 63)} {
+		a.Load(r)
+		b.Load(r)
+	}
+	cfg := shares.Config{Vars: []core.Var{"x", "y", "z"}, Dims: []int{2, 2, 1}}
+	plan := hcTrianglePlan(triangleQuery(), cfg, 4)
+	var first int64
+	for run := range 8 {
+		_, reps := runSplit(t, a, b, plan)
+		sent := reps[0].BytesSent + reps[1].BytesSent
+		if run == 0 {
+			first = sent
+		} else if sent != first {
+			t.Fatalf("run %d sent %d bytes, run 0 %d", run, sent, first)
 		}
 	}
 }

@@ -90,7 +90,7 @@ func TestMergeReports(t *testing.T) {
 	a := &Report{
 		Workers: 2, WallTime: time.Second, CPUTime: time.Second,
 		BusyTime: []time.Duration{1, 2}, SortTime: []time.Duration{0, 0}, JoinTime: []time.Duration{0, 0},
-		HashTime:  []time.Duration{0, 5},
+		HashTime: []time.Duration{0, 5}, HashBuilt: []int64{0, 6}, HashProbed: []int64{0, 8},
 		Processed: []int64{10, 20}, Sorted: []int64{1, 2}, Seeks: []int64{3, 4},
 		PeakResidentTuples: []int64{7, 1},
 		Exchanges: []ExchangeReport{
@@ -101,7 +101,7 @@ func TestMergeReports(t *testing.T) {
 	b := &Report{
 		Workers: 2, WallTime: 2 * time.Second, CPUTime: time.Second,
 		BusyTime: []time.Duration{10, 20}, SortTime: []time.Duration{1, 1}, JoinTime: []time.Duration{2, 2},
-		HashTime:  []time.Duration{1, 1},
+		HashTime: []time.Duration{1, 1}, HashBuilt: []int64{2, 3}, HashProbed: []int64{4, 5},
 		Processed: []int64{100, 200}, Sorted: []int64{10, 20}, Seeks: []int64{30, 40},
 		PeakResidentTuples: []int64{2, 9},
 		Exchanges:          []ExchangeReport{{Round: 1, ID: 0, Sent: []int64{5, 6}}},
@@ -112,6 +112,9 @@ func TestMergeReports(t *testing.T) {
 	}
 	if m.BusyTime[1] != 22 || m.Processed[0] != 110 || m.Seeks[1] != 44 || m.HashTime[1] != 6 {
 		t.Fatalf("counters merged wrong: %+v", m)
+	}
+	if m.HashBuilt[0] != 2 || m.HashBuilt[1] != 9 || m.HashProbed[0] != 4 || m.HashProbed[1] != 13 {
+		t.Fatalf("hash-join rows merged wrong: built %v probed %v", m.HashBuilt, m.HashProbed)
 	}
 	// Rounds free their state between executions: the peak is a max.
 	if m.PeakResidentTuples[0] != 7 || m.PeakResidentTuples[1] != 9 {
