@@ -701,7 +701,7 @@ func (c *Cluster) runFragments(ctx context.Context, plan *Plan, opts RunOpts, te
 	// All local producers and consumers are done: free this epoch's queue
 	// state on the transport so a long-running server doesn't accumulate
 	// one queue set per query forever.
-	queued := c.transport.ReleaseEpoch(e.epoch)
+	queued, received := c.transport.ReleaseEpoch(e.epoch)
 	wall := time.Since(start)
 	report := e.metrics.report(wall)
 	defer observeRound(report)
@@ -711,12 +711,14 @@ func (c *Cluster) runFragments(ctx context.Context, plan *Plan, opts RunOpts, te
 	report.SpilledBytes = e.acct.DiskUsed()
 	report.SpillSegments = e.spillSegs.Load()
 	report.Spills = e.spills.Load()
-	// On a transport shared by concurrent runs the byte deltas cover
-	// everything in flight, not just this run; parajoin's usage (one run at
-	// a time per cluster) makes them exact.
+	// Received bytes are counted per epoch as frames arrive, so a frame
+	// that came before this run started still counts. The other figures
+	// are deltas of the transport's counters: on a transport shared by
+	// concurrent runs they cover everything in flight, not just this run;
+	// parajoin's usage (one run at a time per cluster) makes them exact.
 	ts1 := c.transport.TransportStats()
 	report.BytesSent = ts1.BytesSent - ts0.BytesSent
-	report.BytesReceived = ts1.BytesReceived - ts0.BytesReceived
+	report.BytesReceived = received
 	report.BatchesSent = ts1.BatchesSent - ts0.BatchesSent
 	report.BatchesReceived = ts1.BatchesReceived - ts0.BatchesReceived
 	report.MaxQueueDepth = ts1.MaxQueueDepth

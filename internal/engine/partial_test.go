@@ -172,7 +172,9 @@ func TestPartialClusterJoin(t *testing.T) {
 
 // TestSplitHyperCubeBytesRepeat runs the HyperCube + Tributary triangle
 // eight times on a split cluster: every cross-process batch is a scan's
-// rows routed in scan order, so each run sends exactly the same bytes.
+// rows routed in scan order, so each run sends exactly the same bytes, and
+// the two halves receive exactly what they sent, frames that reach a half
+// before its own run starts included.
 // (A hash join's output follows the arrival order of its inputs, so an
 // exchange fed by one carries the same rows in different batches from run
 // to run, and its encoded bytes vary by a fraction of a percent. And each
@@ -191,10 +193,14 @@ func TestSplitHyperCubeBytesRepeat(t *testing.T) {
 	for run := range 8 {
 		_, reps := runSplit(t, a, b, plan)
 		sent := reps[0].BytesSent + reps[1].BytesSent
+		received := reps[0].BytesReceived + reps[1].BytesReceived
 		if run == 0 {
 			first = sent
 		} else if sent != first {
 			t.Fatalf("run %d sent %d bytes, run 0 %d", run, sent, first)
+		}
+		if received != sent {
+			t.Fatalf("run %d received %d bytes (%d + %d), sent %d", run, received, reps[0].BytesReceived, reps[1].BytesReceived, sent)
 		}
 	}
 }

@@ -48,7 +48,7 @@ type TCPTransport struct {
 	peers    map[string]*tcpPeer    // peer address -> sending state
 	conns    map[net.Conn]struct{}  // every live conn (dialed + accepted)
 	inbox    map[inboxKey]*memQueue // receiving state
-	queued   map[int64][]queueGauge // per epoch, each worker's queued tuples
+	epochs   map[int64]*epochTally  // per epoch, queued tuples and received bytes
 	recvSeq  map[seqKey]streamState // receiver-side position of each stream
 	released map[int64]bool         // recently released epochs (straggler filter)
 	relOrder []int64                // insertion order of released, for pruning
@@ -160,7 +160,7 @@ func newTransport(addrs []string, hosted []int) *TCPTransport {
 		peers:    make(map[string]*tcpPeer),
 		conns:    make(map[net.Conn]struct{}),
 		inbox:    make(map[inboxKey]*memQueue),
-		queued:   make(map[int64][]queueGauge),
+		epochs:   make(map[int64]*epochTally),
 		recvSeq:  make(map[seqKey]streamState),
 		released: make(map[int64]bool),
 	}
@@ -243,16 +243,17 @@ func (w countWriter) Write(p []byte) (int, error) {
 // fails its stream and drops the connection, whose bytes are suspect from
 // then on.
 func (t *TCPTransport) readLoop(c net.Conn) {
-	r := bufio.NewReader(countReader{c: c, ctr: &t.transportCounters})
+	r := &frameReader{r: bufio.NewReader(countReader{c: c, ctr: &t.transportCounters})}
 	var upTo int64 // one past the highest epoch read off c
 	defer func() { t.lose(c, upTo) }()
 	for {
 		var f frame
+		start := r.n
 		if err := wire.ReadFrame(r, &f); err != nil {
 			return
 		}
 		upTo = max(upTo, wireEpoch(f.Exchange)+1)
-		q := t.admit(&f)
+		q := t.admit(&f, r.n-start)
 		if q == nil {
 			continue
 		}
@@ -270,8 +271,23 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 	}
 }
 
-// admit checks one incoming frame against its stream's position and
-// returns the inbox queue the frame belongs to, or nil for a frame to drop:
+// frameReader counts the bytes read through it, so readLoop can size each
+// frame it reads.
+type frameReader struct {
+	r io.Reader
+	n int64
+}
+
+func (r *frameReader) Read(p []byte) (int, error) {
+	n, err := r.r.Read(p)
+	r.n += int64(n)
+	return n, err
+}
+
+// admit checks one incoming frame of size bytes against its stream's
+// position, counts its bytes to its epoch unless that epoch was released,
+// and returns the inbox queue the frame belongs to, or nil for a frame to
+// drop:
 // a straggler of a released epoch, a frame of a queue that has failed, or
 // a frame out of sequence — a skipped or repeated number, or anything after
 // the close — which fails its queue. The connection stays up: the frames
@@ -279,13 +295,14 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 // same lock hold as the released check, so a concurrent ReleaseEpoch either
 // frees it or is seen by the check; a queue created between the two would
 // be one that nothing ever reads.
-func (t *TCPTransport) admit(f *frame) *memQueue {
+func (t *TCPTransport) admit(f *frame, size int64) *memQueue {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.released[wireEpoch(f.Exchange)] {
 		live.netStragglerFrames.Add(1)
 		return nil
 	}
+	t.epochLocked(wireEpoch(f.Exchange)).bytesReceived += size
 	q := t.queueLocked(f.Exchange, f.Dst)
 	if q.failed() {
 		return nil
@@ -329,16 +346,31 @@ func (t *TCPTransport) queueLocked(exchange, worker int) *memQueue {
 	q, ok := t.inbox[k]
 	if !ok {
 		epoch := wireEpoch(exchange)
-		if t.queued[epoch] == nil {
-			t.queued[epoch] = make([]queueGauge, t.n)
-		}
-		q = newMemQueue(t.n, &t.transportCounters, &t.queued[epoch][worker])
+		q = newMemQueue(t.n, &t.transportCounters, &t.epochLocked(epoch).queued[worker])
 		if epoch < t.failBelow {
 			q.err = errLinkLost
 		}
 		t.inbox[k] = q
 	}
 	return q
+}
+
+// epochTally is what the transport counts per run: each worker's queued
+// tuples, and the bytes of the frames received for the run.
+type epochTally struct {
+	queued        []queueGauge
+	bytesReceived int64 // guarded by the transport's mu
+}
+
+// epochLocked returns (creating if needed) one epoch's tally. Callers hold
+// t.mu.
+func (t *TCPTransport) epochLocked(epoch int64) *epochTally {
+	e := t.epochs[epoch]
+	if e == nil {
+		e = &epochTally{queued: make([]queueGauge, t.n)}
+		t.epochs[epoch] = e
+	}
+	return e
 }
 
 // peerLocked returns (creating if needed) the sending state for a peer
@@ -532,13 +564,17 @@ const releasedEpochMemory = 256
 // remembers the epoch so straggler frames still in flight are dropped on
 // arrival instead of resurrecting queues nothing will read, and a local
 // Send, CloseSend or Recv on it fails.
-func (t *TCPTransport) ReleaseEpoch(epoch int64) []int64 {
+func (t *TCPTransport) ReleaseEpoch(epoch int64) ([]int64, int64) {
 	t.mu.Lock()
 	peaks := make([]int64, t.n)
-	for w := range t.queued[epoch] {
-		peaks[w] = t.queued[epoch][w].peak.Load()
+	var received int64
+	if e := t.epochs[epoch]; e != nil {
+		for w := range e.queued {
+			peaks[w] = e.queued[w].peak.Load()
+		}
+		received = e.bytesReceived
 	}
-	delete(t.queued, epoch)
+	delete(t.epochs, epoch)
 	for k, q := range t.inbox {
 		if wireEpoch(k.exchange) != epoch {
 			continue
@@ -578,7 +614,7 @@ func (t *TCPTransport) ReleaseEpoch(epoch int64) []int64 {
 		}
 		p.mu.Unlock()
 	}
-	return peaks
+	return peaks, received
 }
 
 // QueueCount reports the number of live inbox queues — introspection for

@@ -59,12 +59,14 @@ type Transport interface {
 	Recv(ctx context.Context, exchangeID, dst int) (batch rel.Batch, ok bool, err error)
 	// ReleaseEpoch frees the queue state of a finished run (engine epoch)
 	// and returns, per worker, the most tuples that ever waited at once in
-	// the run's queues into that worker (0 for a worker hosted elsewhere).
+	// the run's queues into that worker (0 for a worker hosted elsewhere),
+	// and the bytes of the run's frames that arrived over sockets, frame
+	// length words and headers included, whenever in the run they came.
 	// The engine calls it after every run so a long-running process serving
 	// many queries doesn't leak one queue set per query. Epochs are
 	// single-use: a later Send, CloseSend or Recv on a released epoch fails
 	// with a retryable ErrTransport.
-	ReleaseEpoch(epoch int64) (peakQueued []int64)
+	ReleaseEpoch(epoch int64) (peakQueued []int64, bytesReceived int64)
 	// TransportStats returns the transport's lifetime traffic counters.
 	TransportStats() TransportStats
 	// Close releases transport resources.

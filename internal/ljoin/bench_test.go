@@ -18,16 +18,42 @@ func benchRels(b *testing.B, n int) (*core.Query, map[string]*rel.Relation) {
 	return q, rels
 }
 
+// BenchmarkTributaryTriangle runs Evaluate on the triangle: normalize,
+// sort, pack, trie build and join per iteration. It reports ns per seek
+// and the tries' resident bytes per input row, as
+// BenchmarkTributaryFourCycle does.
 func BenchmarkTributaryTriangle(b *testing.B) {
 	q, rels := benchRels(b, 12000)
+	order := []core.Var{"x", "y", "z"}
+	p, err := Prepare(q, rels, order)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
+	var seeks int64
 	for i := 0; i < b.N; i++ {
-		out, _, err := Evaluate(q, rels, []core.Var{"x", "y", "z"})
+		out, st, err := Evaluate(q, rels, order)
 		if err != nil {
 			b.Fatal(err)
 		}
+		seeks += st.Seeks
 		b.ReportMetric(float64(out.Cardinality()), "triangles")
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(seeks), "ns/seek")
+	b.ReportMetric(trieBytesPerRow(p), "trie_B/row")
+}
+
+// trieBytesPerRow returns the bytes p's tries hold, packed rows and
+// directories, per input row.
+func trieBytesPerRow(p *Prepared) float64 {
+	var rows, bytes int
+	for _, t := range p.tries {
+		rows, bytes = rows+t.rows, bytes+8*cap(t.words)
+		for _, l := range t.levels {
+			bytes += 8*cap(l.keys) + 8*cap(l.child)
+		}
+	}
+	return float64(bytes) / float64(rows)
 }
 
 func BenchmarkTributaryPrepareSort(b *testing.B) {
@@ -79,7 +105,7 @@ func BenchmarkLeapfrogIntersection(b *testing.B) {
 // D(z,w) over inputs normalized, sorted and packed once, as the engine
 // hands them to PrepareSorted, so each iteration is the trie build and
 // the join alone. It reports ns per seek and the tries' resident bytes per
-// input row.
+// input row, packed rows and directories.
 func BenchmarkTributaryFourCycle(b *testing.B) {
 	q := core.MustQuery("FourCycle", nil, []core.Atom{
 		core.NewAtom("A", core.V("w"), core.V("x")),
@@ -89,11 +115,12 @@ func BenchmarkTributaryFourCycle(b *testing.B) {
 	})
 	order := []core.Var{"w", "x", "y", "z"}
 	inputs := make(map[string]Sorted, len(q.Atoms))
-	var rows, bytes int
 	for i, atom := range q.Atoms {
-		s := pack(NormalizeAtom(atom, randGraph(atom.Alias, 8000, 900, int64(210+i)), order).Sort())
-		inputs[atom.Alias] = s
-		rows, bytes = rows+s.Rows, bytes+8*len(s.Words)
+		inputs[atom.Alias] = pack(NormalizeAtom(atom, randGraph(atom.Alias, 8000, 900, int64(210+i)), order).Sort())
+	}
+	built, err := PrepareSorted(q, inputs, order)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -111,5 +138,5 @@ func BenchmarkTributaryFourCycle(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(seeks), "ns/seek")
 	b.ReportMetric(float64(cycles), "cycles")
-	b.ReportMetric(float64(bytes)/float64(rows), "trie_B/row")
+	b.ReportMetric(trieBytesPerRow(built), "trie_B/row")
 }

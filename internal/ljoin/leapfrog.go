@@ -1,13 +1,10 @@
 package ljoin
 
-import (
-	"cmp"
-	"slices"
-)
-
 // leapfrog intersects the current level of several trie iterators: it
 // enumerates, in increasing order, the values present in all of them. This
 // is the unary "leapfrog join" the multiway Tributary join is built from.
+// Prepared.intersect runs it at every level except those with exactly two
+// participants, which take a two-iterator merge instead.
 type leapfrog struct {
 	iters []*arrayTrie
 	p     int // index of the iterator with the smallest key
@@ -24,7 +21,12 @@ func (l *leapfrog) init() {
 			return
 		}
 	}
-	slices.SortFunc(l.iters, func(a, b *arrayTrie) int { return cmp.Compare(a.Key(), b.Key()) })
+	// Insertion sort by key: there are a handful of iterators.
+	for i := 1; i < len(l.iters); i++ {
+		for j := i; j > 0 && l.iters[j].Key() < l.iters[j-1].Key(); j-- {
+			l.iters[j], l.iters[j-1] = l.iters[j-1], l.iters[j]
+		}
+	}
 	l.p = 0
 	l.search()
 }

@@ -3,6 +3,7 @@ package ljoin
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"parajoin/internal/core"
@@ -45,15 +46,29 @@ func packedQuery(cycle int, payloads []int, unary bool, rot int) (*core.Query, [
 }
 
 // FuzzTributaryPacked joins random relations of arity 1–4 in a triangle or
-// a 4-cycle through the packed trie and requires NaiveEvaluate's rows,
-// serially and under Shards(k) for several k, every sharded run
-// byte-identical to the serial one. Values span the whole int64 range,
-// some columns are constant (a field of width 0), and one-word and
-// word-per-column relations are mixed in one join.
+// a 4-cycle through the packed trie and requires NaiveEvaluate's rows on
+// the deduplicated inputs, serially and under Shards(k) for several k,
+// every sharded run byte-identical to the serial one. Values span the
+// whole int64 range, some columns are constant (a field of width 0), some
+// inputs keep duplicate rows, and one-word and word-per-column relations
+// are mixed in one join.
 func FuzzTributaryPacked(f *testing.F) {
 	f.Add([]byte{0x00, 0, 0, 0, 0, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22})
 	f.Add([]byte{0x05, 0x12, 0x21, 0x33, 0x40, 20, 6, 7, 8, 9, 10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 6, 7, 8, 9, 10})
 	f.Add([]byte{0x0f, 0x16, 0x27, 0x3a, 0x4b, 24, 7, 8, 7, 8, 6, 6, 9, 9, 10, 10, 0, 7, 8, 1, 6, 2, 9, 3, 10})
+	// Arity-4 atoms (three directory levels) whose rows share long
+	// prefixes, most of them kept as bags, narrow and wide, in a triangle
+	// and a 4-cycle.
+	for _, head := range [][]byte{
+		{0x00, 0x7a, 0x7e, 0x7a, 0x00, 23},
+		{0x01, 0x7a, 0x76, 0x7e, 0x72, 23},
+	} {
+		data := slices.Clone(head)
+		for i := range 100 {
+			data = append(data, 0, 0, byte(i/4%3), byte(i%2))
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
 			return
@@ -73,13 +88,15 @@ func FuzzTributaryPacked(f *testing.F) {
 			return v
 		}
 		// Atom i's spec byte: bits 0-1 its payload count (0-2), bit 2 the
-		// wide palette, bits 4-6 a constant column (none past its arity).
+		// wide palette, bit 3 duplicate rows kept, bits 4-6 a constant
+		// column (none past its arity).
 		payloads := make([]int, cycle)
 		for i := range payloads {
 			payloads[i] = int(specs[i]&3) % 3
 		}
 		q, order := packedQuery(cycle, payloads, unary, rot)
 		rels := make(map[string]*rel.Relation, len(q.Atoms))
+		sets := make(map[string]*rel.Relation, len(q.Atoms))
 		for i, atom := range q.Atoms {
 			spec := specs[i%len(specs)]
 			palette := packedPalettes[spec>>2&1]
@@ -101,10 +118,14 @@ func FuzzTributaryPacked(f *testing.F) {
 				}
 				r.Tuples = append(r.Tuples, row)
 			}
-			rels[atom.Alias] = r.Dedup()
+			sets[atom.Alias] = r.Clone().Dedup()
+			rels[atom.Alias] = sets[atom.Alias]
+			if spec&8 != 0 {
+				rels[atom.Alias] = r
+			}
 		}
 
-		want, err := NaiveEvaluate(q, rels)
+		want, err := NaiveEvaluate(q, sets)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,8 @@ import (
 
 // Stats reports the work a Tributary join performed.
 type Stats struct {
-	// Seeks is the number of galloping searches, the quantity the
+	// Seeks is the number of searches: every trie SeekGE that moves and
+	// every leaf run-end search (see arrayTrie), the quantity the
 	// Section-5 cost model estimates.
 	Seeks int64
 	// Results is the number of tuples emitted.
@@ -37,7 +38,7 @@ type Prepared struct {
 	results          int64
 	emptyGuardFailed bool
 
-	// stop, when set, is polled every 4096 leapfrog steps; returning true
+	// stop, when set, is polled every 4096 bound values; returning true
 	// aborts the run. The engine cancels joins with it, and the order study
 	// bounds known-bad variable orders with it.
 	stop      func() bool
@@ -251,9 +252,13 @@ func (p *Prepared) join(d int, binding, out rel.Tuple, emit func(rel.Tuple) bool
 	return ok
 }
 
-// intersect runs the leapfrog over level d's opened iterators, binding
-// each common value and descending. It returns false when the join stops.
+// intersect enumerates the values common to level d's opened iterators in
+// ascending order, binding each and descending. It returns false when the
+// join stops. Two iterators merge directly; any other number leapfrogs.
 func (p *Prepared) intersect(d int, iters []*arrayTrie, binding, out rel.Tuple, emit func(rel.Tuple) bool) bool {
+	if len(iters) == 2 {
+		return p.intersect2(d, iters[0], iters[1], binding, out, emit)
+	}
 	lf := leapfrog{iters: iters}
 	lf.init()
 	if d == 0 && p.hasLo && !lf.atEnd && lf.key() < p.lo {
@@ -263,30 +268,69 @@ func (p *Prepared) intersect(d int, iters []*arrayTrie, binding, out rel.Tuple, 
 		if d == 0 && p.hasHi && lf.key() >= p.hi {
 			break
 		}
-		if p.stop != nil {
-			p.stopSteps++
-			if p.stopSteps&4095 == 0 && p.stop() {
-				p.stopped = true
-				return false
-			}
-		}
-		binding[d] = lf.key()
-		if p.checkFilters(d, binding) {
-			if d == len(p.order)-1 {
-				for i, ix := range p.headIdx {
-					out[i] = binding[ix]
-				}
-				p.results++
-				if !emit(out) {
-					return false
-				}
-			} else if !p.join(d+1, binding, out, emit) {
-				return false
-			}
+		if !p.visit(d, lf.key(), binding, out, emit) {
+			return false
 		}
 		lf.next()
 	}
 	return true
+}
+
+// intersect2 is intersect for two iterators: whichever is behind seeks the
+// other's key, and on a match both step on. Within a Shards range it stops
+// as soon as either key reaches the range's end, since every later match
+// lies beyond it.
+func (p *Prepared) intersect2(d int, a, b *arrayTrie, binding, out rel.Tuple, emit func(rel.Tuple) bool) bool {
+	la, lb := a.cur(), b.cur()
+	if d == 0 && p.hasLo {
+		a.seekGE(la, p.lo)
+		b.seekGE(lb, p.lo)
+	}
+	bounded := d == 0 && p.hasHi
+	for !la.end && !lb.end {
+		ka, kb := la.key, lb.key
+		if bounded && max(ka, kb) >= p.hi {
+			break
+		}
+		switch {
+		case ka < kb:
+			a.seekGE(la, kb)
+		case kb < ka:
+			b.seekGE(lb, ka)
+		default:
+			if !p.visit(d, ka, binding, out, emit) {
+				return false
+			}
+			a.next(la)
+			b.next(lb)
+		}
+	}
+	return true
+}
+
+// visit binds level d to the common value v: it polls the stop check
+// every 4096 values, applies level d's filters, and emits the result row
+// at the last level or descends. It returns false when the join stops.
+func (p *Prepared) visit(d int, v int64, binding, out rel.Tuple, emit func(rel.Tuple) bool) bool {
+	if p.stop != nil {
+		p.stopSteps++
+		if p.stopSteps&4095 == 0 && p.stop() {
+			p.stopped = true
+			return false
+		}
+	}
+	binding[d] = v
+	if !p.checkFilters(d, binding) {
+		return true
+	}
+	if d < len(p.order)-1 {
+		return p.join(d+1, binding, out, emit)
+	}
+	for i, ix := range p.headIdx {
+		out[i] = binding[ix]
+	}
+	p.results++
+	return emit(out)
 }
 
 func (p *Prepared) checkFilters(d int, binding rel.Tuple) bool {
