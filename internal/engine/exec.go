@@ -701,7 +701,7 @@ func (c *Cluster) runFragments(ctx context.Context, plan *Plan, opts RunOpts, te
 	// All local producers and consumers are done: free this epoch's queue
 	// state on the transport so a long-running server doesn't accumulate
 	// one queue set per query forever.
-	queued, received := c.transport.ReleaseEpoch(e.epoch)
+	queued, bytesReceived, batchesReceived := c.transport.ReleaseEpoch(e.epoch)
 	wall := time.Since(start)
 	report := e.metrics.report(wall)
 	defer observeRound(report)
@@ -711,16 +711,16 @@ func (c *Cluster) runFragments(ctx context.Context, plan *Plan, opts RunOpts, te
 	report.SpilledBytes = e.acct.DiskUsed()
 	report.SpillSegments = e.spillSegs.Load()
 	report.Spills = e.spills.Load()
-	// Received bytes are counted per epoch as frames arrive, so a frame
-	// that came before this run started still counts. The other figures
-	// are deltas of the transport's counters: on a transport shared by
-	// concurrent runs they cover everything in flight, not just this run;
-	// parajoin's usage (one run at a time per cluster) makes them exact.
+	// What this run received is counted per epoch as it arrives, so a
+	// frame that came before the run started still counts. What it sent
+	// is a delta of the transport's counters: on a transport shared by
+	// concurrent runs that covers everything in flight, not just this run;
+	// parajoin's usage (one run at a time per cluster) makes it exact.
 	ts1 := c.transport.TransportStats()
 	report.BytesSent = ts1.BytesSent - ts0.BytesSent
-	report.BytesReceived = received
+	report.BytesReceived = bytesReceived
 	report.BatchesSent = ts1.BatchesSent - ts0.BatchesSent
-	report.BatchesReceived = ts1.BatchesReceived - ts0.BatchesReceived
+	report.BatchesReceived = batchesReceived
 	report.MaxQueueDepth = ts1.MaxQueueDepth
 	e.tracer.Emit(trace.Event{
 		Kind: trace.KindRun, Run: e.epoch, Worker: -1, Exchange: -1,

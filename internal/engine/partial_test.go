@@ -173,8 +173,8 @@ func TestPartialClusterJoin(t *testing.T) {
 // TestSplitHyperCubeBytesRepeat runs the HyperCube + Tributary triangle
 // eight times on a split cluster: every cross-process batch is a scan's
 // rows routed in scan order, so each run sends exactly the same bytes, and
-// the two halves receive exactly what they sent, frames that reach a half
-// before its own run starts included.
+// the two halves receive exactly the bytes and batches they sent, frames
+// that reach a half before its own run starts included.
 // (A hash join's output follows the arrival order of its inputs, so an
 // exchange fed by one carries the same rows in different batches from run
 // to run, and its encoded bytes vary by a fraction of a percent. And each
@@ -201,6 +201,9 @@ func TestSplitHyperCubeBytesRepeat(t *testing.T) {
 		}
 		if received != sent {
 			t.Fatalf("run %d received %d bytes (%d + %d), sent %d", run, received, reps[0].BytesReceived, reps[1].BytesReceived, sent)
+		}
+		if b := reps[0].BatchesReceived + reps[1].BatchesReceived; b != reps[0].BatchesSent+reps[1].BatchesSent {
+			t.Fatalf("run %d received %d batches, sent %d", run, b, reps[0].BatchesSent+reps[1].BatchesSent)
 		}
 	}
 }

@@ -356,7 +356,8 @@ func (t *TCPTransport) queueLocked(exchange, worker int) *memQueue {
 }
 
 // epochTally is what the transport counts per run: each worker's queued
-// tuples, and the bytes of the frames received for the run.
+// tuples and received batches, and the bytes of the frames received for
+// the run.
 type epochTally struct {
 	queued        []queueGauge
 	bytesReceived int64 // guarded by the transport's mu
@@ -564,15 +565,16 @@ const releasedEpochMemory = 256
 // remembers the epoch so straggler frames still in flight are dropped on
 // arrival instead of resurrecting queues nothing will read, and a local
 // Send, CloseSend or Recv on it fails.
-func (t *TCPTransport) ReleaseEpoch(epoch int64) ([]int64, int64) {
+func (t *TCPTransport) ReleaseEpoch(epoch int64) ([]int64, int64, int64) {
 	t.mu.Lock()
 	peaks := make([]int64, t.n)
-	var received int64
+	var bytes, batches int64
 	if e := t.epochs[epoch]; e != nil {
 		for w := range e.queued {
 			peaks[w] = e.queued[w].peak.Load()
+			batches += e.queued[w].batches.Load()
 		}
-		received = e.bytesReceived
+		bytes = e.bytesReceived
 	}
 	delete(t.epochs, epoch)
 	for k, q := range t.inbox {
@@ -614,7 +616,7 @@ func (t *TCPTransport) ReleaseEpoch(epoch int64) ([]int64, int64) {
 		}
 		p.mu.Unlock()
 	}
-	return peaks, received
+	return peaks, bytes, batches
 }
 
 // QueueCount reports the number of live inbox queues — introspection for

@@ -60,13 +60,14 @@ type Transport interface {
 	// ReleaseEpoch frees the queue state of a finished run (engine epoch)
 	// and returns, per worker, the most tuples that ever waited at once in
 	// the run's queues into that worker (0 for a worker hosted elsewhere),
-	// and the bytes of the run's frames that arrived over sockets, frame
-	// length words and headers included, whenever in the run they came.
+	// the bytes of the run's frames that arrived over sockets, frame
+	// length words and headers included, and the batches its hosted
+	// workers' queues took in, whenever in the run they came.
 	// The engine calls it after every run so a long-running process serving
 	// many queries doesn't leak one queue set per query. Epochs are
 	// single-use: a later Send, CloseSend or Recv on a released epoch fails
 	// with a retryable ErrTransport.
-	ReleaseEpoch(epoch int64) (peakQueued []int64, bytesReceived int64)
+	ReleaseEpoch(epoch int64) (peakQueued []int64, bytesReceived, batchesReceived int64)
 	// TransportStats returns the transport's lifetime traffic counters.
 	TransportStats() TransportStats
 	// Close releases transport resources.
@@ -141,8 +142,8 @@ func raise(m *atomic.Int64, v int64) {
 }
 
 // queueGauge counts the tuples waiting in one worker's inbound queues of
-// one run, with their high-water mark.
-type queueGauge struct{ now, peak atomic.Int64 }
+// one run, with their high-water mark, and the batches pushed to them.
+type queueGauge struct{ now, peak, batches atomic.Int64 }
 
 func (g *queueGauge) add(n int64) { raise(&g.peak, g.now.Add(n)) }
 
@@ -197,6 +198,7 @@ func (q *memQueue) push(batch rel.Batch) {
 	q.mu.Lock()
 	q.batches = append(q.batches, batch)
 	q.queued.add(int64(batch.Len()))
+	q.queued.batches.Add(1)
 	// Inside the lock so the gauge can never go negative: pop decrements
 	// under the same lock, after this increment is visible.
 	q.ctr.enqueued()

@@ -3,8 +3,6 @@ package ljoin
 // leapfrog intersects the current level of several trie iterators: it
 // enumerates, in increasing order, the values present in all of them. This
 // is the unary "leapfrog join" the multiway Tributary join is built from.
-// Prepared.intersect runs it at every level except those with exactly two
-// participants, which take a two-iterator merge instead.
 type leapfrog struct {
 	iters []*arrayTrie
 	p     int // index of the iterator with the smallest key
@@ -28,26 +26,32 @@ func (l *leapfrog) init() {
 		}
 	}
 	l.p = 0
-	l.search()
+	l.search(l.iters[len(l.iters)-1].Key())
 }
 
-// search advances iterators round-robin until all agree on one key. On
-// entry, iterator p-1 (mod k) holds the current maximum.
-func (l *leapfrog) search() {
-	k := len(l.iters)
-	max := l.iters[(l.p+k-1)%k].Key()
+// search advances iterators round-robin, from iterator p, until all agree
+// on one key; max is the largest key among them.
+func (l *leapfrog) search(max int64) {
 	for {
 		it := l.iters[l.p]
-		if it.Key() == max {
-			return // all k iterators agree
+		lv := it.cur()
+		if lv.key == max {
+			return // all iterators agree
 		}
-		it.SeekGE(max)
-		if it.AtEnd() {
+		it.seekGE(lv, max)
+		if lv.end {
 			l.atEnd = true
 			return
 		}
-		max = it.Key()
-		l.p = (l.p + 1) % k
+		max = lv.key
+		l.step()
+	}
+}
+
+// step makes the next iterator, round-robin, the current one.
+func (l *leapfrog) step() {
+	if l.p++; l.p == len(l.iters) {
+		l.p = 0
 	}
 }
 
@@ -57,23 +61,26 @@ func (l *leapfrog) key() int64 { return l.iters[l.p].Key() }
 // next advances past the current common value to the following one.
 func (l *leapfrog) next() {
 	it := l.iters[l.p]
-	it.Next()
-	if it.AtEnd() {
-		l.atEnd = true
-		return
-	}
-	l.p = (l.p + 1) % len(l.iters)
-	l.search()
+	lv := it.cur()
+	it.next(lv)
+	l.moved(lv)
 }
 
 // seek advances to the least common value ≥ v.
 func (l *leapfrog) seek(v int64) {
 	it := l.iters[l.p]
-	it.SeekGE(v)
-	if it.AtEnd() {
+	lv := it.cur()
+	it.seekGE(lv, v)
+	l.moved(lv)
+}
+
+// moved continues the search after the current iterator moved to lv's
+// key, which is now the largest.
+func (l *leapfrog) moved(lv *level) {
+	if lv.end {
 		l.atEnd = true
 		return
 	}
-	l.p = (l.p + 1) % len(l.iters)
-	l.search()
+	l.step()
+	l.search(lv.key)
 }

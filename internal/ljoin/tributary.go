@@ -254,11 +254,8 @@ func (p *Prepared) join(d int, binding, out rel.Tuple, emit func(rel.Tuple) bool
 
 // intersect enumerates the values common to level d's opened iterators in
 // ascending order, binding each and descending. It returns false when the
-// join stops. Two iterators merge directly; any other number leapfrogs.
+// join stops.
 func (p *Prepared) intersect(d int, iters []*arrayTrie, binding, out rel.Tuple, emit func(rel.Tuple) bool) bool {
-	if len(iters) == 2 {
-		return p.intersect2(d, iters[0], iters[1], binding, out, emit)
-	}
 	lf := leapfrog{iters: iters}
 	lf.init()
 	if d == 0 && p.hasLo && !lf.atEnd && lf.key() < p.lo {
@@ -272,38 +269,6 @@ func (p *Prepared) intersect(d int, iters []*arrayTrie, binding, out rel.Tuple, 
 			return false
 		}
 		lf.next()
-	}
-	return true
-}
-
-// intersect2 is intersect for two iterators: whichever is behind seeks the
-// other's key, and on a match both step on. Within a Shards range it stops
-// as soon as either key reaches the range's end, since every later match
-// lies beyond it.
-func (p *Prepared) intersect2(d int, a, b *arrayTrie, binding, out rel.Tuple, emit func(rel.Tuple) bool) bool {
-	la, lb := a.cur(), b.cur()
-	if d == 0 && p.hasLo {
-		a.seekGE(la, p.lo)
-		b.seekGE(lb, p.lo)
-	}
-	bounded := d == 0 && p.hasHi
-	for !la.end && !lb.end {
-		ka, kb := la.key, lb.key
-		if bounded && max(ka, kb) >= p.hi {
-			break
-		}
-		switch {
-		case ka < kb:
-			a.seekGE(la, kb)
-		case kb < ka:
-			b.seekGE(lb, ka)
-		default:
-			if !p.visit(d, ka, binding, out, emit) {
-				return false
-			}
-			a.next(la)
-			b.next(lb)
-		}
 	}
 	return true
 }

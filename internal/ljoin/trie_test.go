@@ -66,6 +66,29 @@ func TestTrieSeekAccounting(t *testing.T) {
 	}
 }
 
+// TestTrieDirectoryWorstCase pins the directory's worst case: when every
+// prefix is distinct, each level above the leaf holds one key and one
+// child offset per row, 16·(arity−1) B per row beside the 8 B packed row.
+func TestTrieDirectoryWorstCase(t *testing.T) {
+	const n = 1000
+	for arity := 2; arity <= 3; arity++ {
+		r := rel.New("R", "a", "b", "c")
+		r.Schema = r.Schema[:arity]
+		for i := range int64(n) {
+			r.AppendRow(append([]int64{i}, make([]int64, arity-1)...)...)
+		}
+		tr := newArrayTrie(pack(r))
+		if tr.w != 1 || len(tr.levels[0].keys) != n {
+			t.Fatalf("arity %d: %d words per row, %d level-0 keys", arity, tr.w, len(tr.levels[0].keys))
+		}
+		// Each directory level's child slice has one extra end offset.
+		want := float64(8*n+(arity-1)*(16*n+8)) / n
+		if got := trieBytesPerRow(&Prepared{tries: []*arrayTrie{tr}}); got != want {
+			t.Fatalf("arity %d: %.3f trie bytes per row, want %.3f", arity, got, want)
+		}
+	}
+}
+
 // TestTrieWalkMatchesRows walks random relations of arity 1–4, narrow and
 // wide, with repeated rows, through every level's Open and Next, and
 // requires exactly the distinct rows in order; at every level it also
@@ -131,9 +154,8 @@ func TestTrieWalkMatchesRows(t *testing.T) {
 }
 
 // TestTwoWayStopCheck pins the stop check's period on a level with two
-// participants, which intersect merges, and on one with three, which it
-// leapfrogs: a check that always says stop ends the join at the 4096th
-// common value, after 4095 rows.
+// participants and on one with three: a check that always says stop ends
+// the join at the 4096th common value, after 4095 rows.
 func TestTwoWayStopCheck(t *testing.T) {
 	for _, atoms := range []int{2, 3} {
 		var as []core.Atom
