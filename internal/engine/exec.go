@@ -40,6 +40,8 @@ type exec struct {
 	// state reserves tuples against it, and spillable operators release
 	// what they seal to disk.
 	acct        *spill.Accountant
+	held        []heldLedger // per worker, what it holds beside its charge
+	queues      []queueGauge // per worker, the transport's inbound queue gauges; nil if it keeps none
 	spillPolicy spill.Policy
 	spillBase   string // base for the run directory; "" = os.TempDir()
 	sealTuples  int    // run length at which policy Always seals; 0 = default
@@ -78,7 +80,7 @@ type exec struct {
 type batchStore struct {
 	mu   sync.Mutex
 	free [40][][]int64
-	vals int
+	vals atomic.Int64 // changed under mu; read without it by notePeak
 }
 
 // batchStoreVals caps a store at 8 MiB of values: on the bench's
@@ -97,7 +99,7 @@ func (e *exec) batch(arity, rows int) rel.Batch {
 	if n := len(s.free[c]); n > 0 {
 		v := s.free[c][n-1]
 		s.free[c] = s.free[c][:n-1]
-		s.vals -= cap(v)
+		s.vals.Add(-int64(cap(v)))
 		return rel.BatchOf(arity, 0, v)
 	}
 	return rel.BatchOf(arity, 0, make([]int64, 0, 1<<c))
@@ -110,9 +112,9 @@ func (e *exec) recycle(b rel.Batch) {
 	c := bits.Len(uint(cap(b.Vals))) - 1
 	s := &e.cluster.batches
 	s.mu.Lock()
-	if c >= 0 && cap(b.Vals) == 1<<c && s.vals+cap(b.Vals) <= batchStoreVals {
+	if c >= 0 && cap(b.Vals) == 1<<c && s.vals.Load()+int64(cap(b.Vals)) <= batchStoreVals {
 		s.free[c] = append(s.free[c], b.Vals[:0])
-		s.vals += cap(b.Vals)
+		s.vals.Add(int64(cap(b.Vals)))
 	}
 	s.mu.Unlock()
 }
@@ -132,13 +134,15 @@ func (e *exec) wireID(exchangeID int) int {
 	return int(e.epoch)<<20 | exchangeID
 }
 
-// charge reserves n tuples of materialized state against a worker's
-// budget on behalf of operator op; on failure the error names op as the
+// charge reserves n tuples of arity values, stored by hash-table operator
+// op, against a worker's budget; on failure the error names op as the
 // operator that tripped the limit.
-func (e *exec) charge(worker int, n int64, op string) error {
+func (e *exec) charge(worker int, n int64, arity int, op string) error {
+	e.held[worker].hashCharged.Add(n * int64(arity))
 	if e.acct.Reserve(worker, n) {
 		return nil
 	}
+	e.held[worker].hashCharged.Add(-n * int64(arity))
 	e.acct.Blow(worker, op)
 	return e.oomErr(worker)
 }
@@ -179,7 +183,7 @@ func (e *exec) spillEnabled() bool {
 // With spilling off (or a zero-arity row shape no segment can hold) the
 // Create hook stays nil: the operator never seals, and budget pressure is
 // a hard ErrOutOfMemory naming the operator's label.
-func (e *exec) spillConfig(worker, arity int, label string) spill.Config {
+func (e *exec) spillConfig(worker, arity int, label string, sorts bool) spill.Config {
 	cfg := spill.Config{
 		Acct:       e.acct,
 		Worker:     worker,
@@ -191,6 +195,7 @@ func (e *exec) spillConfig(worker, arity int, label string) spill.Config {
 	if e.spillEnabled() && arity > 0 {
 		cfg.Create = e.spillFile
 		cfg.OnSpill = func(ev spill.Event) {
+			e.held[worker].spill(sorts, -ev.Tuples*int64(arity))
 			e.spills.Add(1)
 			e.spillSegs.Add(1)
 			e.prog.AddSpillBytes(ev.Bytes)
@@ -443,12 +448,16 @@ func (e *exec) runExchange(spec *ExchangeSpec, w int) (retErr error) {
 // router is one producer's side of an exchange: it copies every row of an
 // input batch into the batches of the row's destinations and sends a batch
 // through the transport once it is full, counting every tuple sent (sent
-// is the post-replication total, for the producer's trace span).
+// is the post-replication total, for the producer's trace span). The
+// route kind is resolved once, when the router is built: a hash exchange
+// computes each row's one destination in route itself, with no call and
+// no slice per row, and the other kinds look destinations up in dsts.
 type router struct {
 	e    *exec
 	spec *ExchangeSpec
 	src  int
-	dsts func(t rel.Tuple) []int // the workers a row goes to
+	hash []int                   // RouteHash: the key columns; nil otherwise
+	dsts func(t rel.Tuple) []int // otherwise: the workers a row goes to
 	outs []rel.Batch             // each destination's batch being filled
 	sent int64
 }
@@ -459,11 +468,15 @@ const batchStart = 64
 
 // grow makes room in *b for one more row of the given arity. An empty
 // batch gets storage for start rows; a full one moves to storage of twice
-// its rows, at most a full batch, and its old storage is recycled.
+// its rows, at most a full batch, and its old storage is recycled. The
+// check is small enough to inline, so a batch with room costs no call.
 func (e *exec) grow(b *rel.Batch, arity, start int) {
-	if b.Len() > 0 && len(b.Vals)+arity <= cap(b.Vals) {
-		return
+	if b.Len() == 0 || len(b.Vals)+arity > cap(b.Vals) {
+		e.regrow(b, arity, start)
 	}
+}
+
+func (e *exec) regrow(b *rel.Batch, arity, start int) {
 	nb := e.batch(arity, min(max(2*b.Len(), start), e.batchSize))
 	nb = rel.BatchOf(arity, b.Len(), append(nb.Vals, b.Vals...))
 	e.recycle(*b)
@@ -477,16 +490,11 @@ func (e *exec) router(spec *ExchangeSpec, sch rel.Schema, src int) (*router, err
 	r := &router{e: e, spec: spec, src: src, outs: make([]rel.Batch, n)}
 	switch spec.Kind {
 	case RouteHash:
-		cols := make([]int, len(spec.HashCols))
+		r.hash = make([]int, len(spec.HashCols))
 		for i, c := range spec.HashCols {
-			if cols[i] = sch.IndexOf(c); cols[i] < 0 {
+			if r.hash[i] = sch.IndexOf(c); r.hash[i] < 0 {
 				return nil, fmt.Errorf("engine: exchange %d hash column %q not in %v", spec.ID, c, sch)
 			}
-		}
-		one := []int{0}
-		r.dsts = func(t rel.Tuple) []int {
-			one[0] = int(rel.HashTuple(spec.Seed, t, cols) % uint64(n))
-			return one
 		}
 
 	case RouteBroadcast:
@@ -521,17 +529,35 @@ func (e *exec) router(spec *ExchangeSpec, sch rel.Schema, src int) (*router, err
 // even share of b, at least batchStart rows, and grows up to a full batch.
 func (r *router) route(b rel.Batch) error {
 	start := max(2*b.Len()/len(r.outs), batchStart)
+	if r.hash != nil {
+		seed, n := r.spec.Seed, uint64(len(r.outs))
+		for i := range b.Len() {
+			t := b.Row(i)
+			if err := r.add(int(rel.HashTuple(seed, t, r.hash)%n), t, start); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for i := range b.Len() {
 		t := b.Row(i)
 		for _, dst := range r.dsts(t) {
-			r.e.grow(&r.outs[dst], b.Arity, start)
-			r.outs[dst].Append(t)
-			if r.outs[dst].Len() == r.e.batchSize {
-				if err := r.send(dst); err != nil {
-					return err
-				}
+			if err := r.add(dst, t, start); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// add copies t into destination dst's batch and sends the batch if that
+// filled it.
+func (r *router) add(dst int, t rel.Tuple, start int) error {
+	o := &r.outs[dst]
+	r.e.grow(o, len(t), start)
+	o.Append(t)
+	if o.Len() == r.e.batchSize {
+		return r.send(dst)
 	}
 	return nil
 }
@@ -635,11 +661,16 @@ func (c *Cluster) runFragments(ctx context.Context, plan *Plan, opts RunOpts, te
 		epoch:       epoch,
 		temps:       temps,
 		acct:        spill.NewAccountant(n, c.runMemLimit(opts), c.runSpillBytes(opts)),
+		held:        make([]heldLedger, n),
 		spillPolicy: c.runSpillPolicy(opts),
 		spillBase:   c.runSpillDir(opts),
 		sealTuples:  c.SpillSealTuples,
 		parallelism: c.runParallelism(opts),
 		prog:        metrics.QueryFrom(ctx),
+	}
+	e.acct.OnPeak(e.notePeak)
+	if g, ok := c.transport.(interface{ queueGauges(int64) []queueGauge }); ok {
+		e.queues = g.queueGauges(epoch)
 	}
 	// The spill directory outlives every worker goroutine (wg.Wait happens
 	// first), so this single deferred removal covers success, error, and
@@ -708,6 +739,7 @@ func (c *Cluster) runFragments(ctx context.Context, plan *Plan, opts RunOpts, te
 	report.CPUTime = processCPU() - cpu0
 	report.PeakResidentTuples = e.acct.Peaks()
 	report.PeakQueuedTuples = queued
+	report.HeldAtPeak = e.heldAtPeak()
 	report.SpilledBytes = e.acct.DiskUsed()
 	report.SpillSegments = e.spillSegs.Load()
 	report.Spills = e.spills.Load()
@@ -774,7 +806,7 @@ func (e *exec) runRoot(root Node, w int) (*rel.Relation, error) {
 	// storage of its own size first.
 	var buf *spill.Buffer
 	if e.spillEnabled() {
-		buf = spill.NewBuffer(e.spillConfig(w, len(out.Schema), "result"))
+		buf = spill.NewBuffer(e.spillConfig(w, len(out.Schema), "result", false))
 	}
 	var kept []rel.Batch
 	rows := 0
@@ -797,7 +829,7 @@ func (e *exec) runRoot(root Node, w int) (*rel.Relation, error) {
 			rows += b.Len()
 			continue
 		}
-		if err := buf.AddBatch(b); err != nil {
+		if err := e.addToSpill(w, buf, b); err != nil {
 			return nil, e.spillErr(w, err)
 		}
 		e.recycle(b)

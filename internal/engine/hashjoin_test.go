@@ -249,11 +249,84 @@ func TestKeyTableSpansChunks(t *testing.T) {
 	}
 }
 
+// probeLengths fills a keyTable over keys(0) … keys(n−1) to exactly its
+// 3/4 load and returns the mean number of slots a lookup examines for
+// each stored key (a hit) and for keys(n) … keys(2n−1) (a miss, counting
+// the empty slot that ends it).
+func probeLengths(keys func(i int64) rel.Tuple) (hit, miss float64) {
+	const n = 3 << 14 // 3/4 of 1<<16 slots
+	cols := []int{0, 1, 2}[:len(keys(0))]
+	tab := newKeyTable(len(cols), cols)
+	for i := range int64(n) {
+		t := keys(i)
+		tab.insert(t, keyHash(t, cols), true)
+	}
+	if tab.used != n || len(tab.slots) != 1<<16 {
+		panic(fmt.Sprintf("%d keys in %d slots: the pattern repeats a key", tab.used, len(tab.slots)))
+	}
+	mask := uint64(len(tab.slots) - 1)
+	examined := func(t rel.Tuple) int {
+		h := keyHash(t, cols)
+		for i, p := tab.home(h), 1; ; i, p = (i+1)&mask, p+1 {
+			if s := tab.slots[i]; s.head == 0 || s.hash == h && tab.keyEqual(s.head-1, t, cols) {
+				return p
+			}
+		}
+	}
+	var hits, misses int
+	for i := range int64(n) {
+		hits += examined(keys(i))
+		misses += examined(keys(n + i))
+	}
+	return float64(hits) / n, float64(misses) / n
+}
+
+// TestKeyHashProbeLengths fills a table to its 3/4 load with two- and
+// three-column keys built from structured patterns: equal and negated
+// columns, a counter in the high word, multiples of 2^k and int64's
+// extremes. Linear probing with a random hash examines ½(1 + 1/(1−α)) ≈
+// 2.5 slots per hit and ½(1 + 1/(1−α)²) ≈ 8.5 per miss at α = 3/4; the
+// fold that hashes wider keys has to stay within 1.5× of both on every
+// pattern.
+func TestKeyHashProbeLengths(t *testing.T) {
+	const alpha = 0.75
+	wantHit, wantMiss := (1+1/(1-alpha))/2, (1+1/((1-alpha)*(1-alpha)))/2
+	patterns := map[string]func(i int64) rel.Tuple{
+		"(i,i)":                 func(i int64) rel.Tuple { return rel.Tuple{i, i} },
+		"(i,-i)":                func(i int64) rel.Tuple { return rel.Tuple{i, -i} },
+		"(i<<32,0)":             func(i int64) rel.Tuple { return rel.Tuple{i << 32, 0} },
+		"(0,i<<32)":             func(i int64) rel.Tuple { return rel.Tuple{0, i << 32} },
+		"(i,i,i)":               func(i int64) rel.Tuple { return rel.Tuple{i, i, i} },
+		"(i,-i,i)":              func(i int64) rel.Tuple { return rel.Tuple{i, -i, i} },
+		"(i<<32,0,0)":           func(i int64) rel.Tuple { return rel.Tuple{i << 32, 0, 0} },
+		"(0,0,i<<32)":           func(i int64) rel.Tuple { return rel.Tuple{0, 0, i << 32} },
+		"(MinInt64+i,MaxInt64)": func(i int64) rel.Tuple { return rel.Tuple{math.MinInt64 + i, math.MaxInt64} },
+		"(MaxInt64-i,MinInt64)": func(i int64) rel.Tuple { return rel.Tuple{math.MaxInt64 - i, math.MinInt64} },
+		"(MinInt64,i,MaxInt64)": func(i int64) rel.Tuple { return rel.Tuple{math.MinInt64, i, math.MaxInt64} },
+		"(MaxInt64,MinInt64,-i)": func(i int64) rel.Tuple {
+			return rel.Tuple{math.MaxInt64, math.MinInt64, -i}
+		},
+	}
+	for _, k := range []int{1, 8, 16, 24, 40, 46} { // i<<k stays distinct for i < 2^17
+		patterns[fmt.Sprintf("(i<<%d,0)", k)] = func(i int64) rel.Tuple { return rel.Tuple{i << k, 0} }
+		patterns[fmt.Sprintf("(i<<%d,i<<%d)", k, k)] = func(i int64) rel.Tuple { return rel.Tuple{i << k, i << k} }
+		patterns[fmt.Sprintf("(0,i<<%d,1)", k)] = func(i int64) rel.Tuple { return rel.Tuple{0, i << k, 1} }
+	}
+	for name, keys := range patterns {
+		hit, miss := probeLengths(keys)
+		t.Logf("%-24s %.2f slots per hit, %.2f per miss", name, hit, miss)
+		if hit > 1.5*wantHit || miss > 1.5*wantMiss {
+			t.Errorf("%s: %.2f slots per hit, %.2f per miss; linear probing expects %.2f and %.2f at load %.2f",
+				name, hit, miss, wantHit, wantMiss, alpha)
+		}
+	}
+}
+
 // opExec is a one-worker exec over c with no budget, enough to compile
 // and drain an operator tree outside Cluster.Run.
 func opExec(c *Cluster) *exec {
 	return &exec{cluster: c, metrics: NewMetrics(c.Workers(), nil), ctx: context.Background(),
-		batchSize: c.BatchSize, acct: spill.NewAccountant(c.Workers(), 0, 0)}
+		batchSize: c.BatchSize, acct: spill.NewAccountant(c.Workers(), 0, 0), held: make([]heldLedger, c.Workers())}
 }
 
 // batchOf lays rows, all of one arity, out as one batch.
@@ -450,17 +523,33 @@ func BenchmarkHashJoin(b *testing.B) {
 
 // FuzzHashJoin turns bytes into two keyed relations and a batch size and
 // checks the operator against ljoin.HashJoin. Rows are capped at 256, so
-// a duplicate-heavy input's output stays at most 128 × 128.
+// a duplicate-heavy input's output stays at most 128 × 128. The first
+// byte also scales key values by 2^(8·(byte/48)), so keys can be
+// multiples of 2^k or sit in the high word; the seeds after the first
+// three are TestKeyHashProbeLengths's patterns.
 func FuzzHashJoin(f *testing.F) {
 	f.Add([]byte{0x01, 1, 0, 2, 1, 1, 0, 0, 5, 1, 2, 3})
 	f.Add([]byte{0x12, 0x80, 0xff, 0x7f, 0, 0x80, 0xff, 0x7f, 0, 1, 1, 1, 1})
 	f.Add([]byte{0x2f, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
+	// (i, i) and (i, −i) on two columns, split 4.
+	f.Add([]byte{0x04, 4, 1, 1, 2, 2, 3, 3, 4, 4, 2, 2, 3, 3, 5, 5, 1, 1})
+	f.Add([]byte{0x07, 4, 1, 0xff, 2, 0xfe, 3, 0xfd, 4, 0xfc, 2, 0xfe, 1, 0xff, 6, 0xfa})
+	// (i<<32, 0) on two columns and (i<<32, 0, 0) on three.
+	f.Add([]byte{0xc4, 4, 1, 0, 2, 0, 3, 0, 4, 0, 3, 0, 2, 0, 5, 0})
+	f.Add([]byte{0xc2, 3, 1, 0, 0, 2, 0, 0, 3, 0, 0, 2, 0, 0, 3, 0, 0, 7, 0, 0})
+	// Multiples of 2^8 and of 2^40: (i·2^k, i·2^k) and (i·2^k, 0, i·2^k).
+	f.Add([]byte{0x34, 3, 2, 2, 4, 4, 8, 8, 4, 4, 16, 16, 2, 2})
+	f.Add([]byte{0xf2, 3, 1, 0, 1, 2, 0, 2, 4, 0, 4, 2, 0, 2, 1, 0, 1})
+	// int64's extremes: (Min, Max), (Max, Min) and (Min, i, Max).
+	f.Add([]byte{0x01, 3, 0x80, 0x7f, 0x7f, 0x80, 0x80, 0x80, 0x80, 0x7f, 0x7f, 0x80, 0x7f, 0x7f})
+	f.Add([]byte{0x02, 3, 0x80, 1, 0x7f, 0x80, 2, 0x7f, 0x7f, 1, 0x80, 0x80, 1, 0x7f, 0x80, 2, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
 		k := int(data[0]%3) + 1
 		batch := int(data[0]/3%8) + 1
+		shift := 8 * uint(data[0]/48)
 		split := int(data[1]) // rows before it go left, the rest right
 		data = data[2:]
 		lNames, idx := keyCols("l", k)
@@ -478,7 +567,7 @@ func FuzzHashJoin(f *testing.F) {
 				case math.MaxInt8:
 					row[c] = math.MaxInt64
 				default:
-					row[c] = int64(v)
+					row[c] = int64(v) << shift
 				}
 			}
 			row[k] = int64(i)

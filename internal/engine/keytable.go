@@ -13,8 +13,9 @@ import (
 // in chunk n>>shift: the first chunk doubles from 64 values to a full
 // keyChunk, later ones are allocated full, so a small table stays small.
 // Keys live in an open-addressed slot array. A single-column key is its
-// own hash; wider keys hash through rel.HashTuple and compare their
-// columns on probe.
+// own hash; wider keys hash by a one-multiply fold per column (keyHash)
+// and compare their columns on probe. A row is copied in by indexed
+// stores, not a memmove call: rows are a few values wide.
 type keyTable struct {
 	arity, shift int
 	cols         []int // the key columns of a stored row
@@ -40,12 +41,24 @@ func newKeyTable(arity int, cols []int) *keyTable {
 		chunks: [][]int64{make([]int64, 0, first)}, slots: make([]keySlot, 8)}
 }
 
-// keyHash is the hash of t's key columns cols.
+// keyHash is the hash of t's key columns cols. A single column is its own
+// hash. Wider keys fold each column in with one 64×64→128-bit multiply
+// by 2⁶⁴/φ, keeping the high and low halves xored: one multiply per
+// column, where rel.HashTuple's splitmix finalizer takes two multiplies
+// and three xor-shifts. The first slot probed (home) mixes the result
+// again, and equal hashes are told apart by comparing columns, so the
+// fold only has to spread structured keys, which TestKeyHashProbeLengths
+// pins. The exchange's placement hash is rel.HashTuple, not this.
 func keyHash(t rel.Tuple, cols []int) uint64 {
 	if len(cols) == 1 {
 		return uint64(t[cols[0]])
 	}
-	return rel.HashTuple(0, t, cols)
+	var h uint64
+	for _, c := range cols {
+		hi, lo := bits.Mul64(h^uint64(t[c]), 0x9e3779b97f4a7c15)
+		h = hi ^ lo
+	}
+	return h
 }
 
 func (k *keyTable) row(r int32) []int64 {
@@ -53,12 +66,20 @@ func (k *keyTable) row(r int32) []int64 {
 	return k.chunks[int(r)>>k.shift][off : off+k.arity]
 }
 
+// values returns the values the table's rows hold.
+func (k *keyTable) values() int64 { return int64(len(k.next) * k.arity) }
+
+// home is the first slot a key of hash h probes: the top bits of h times
+// 2⁶⁴/φ (Fibonacci hashing).
+func (k *keyTable) home(h uint64) uint64 {
+	return h * 0x9e3779b97f4a7c15 >> (65 - bits.Len(uint(len(k.slots))))
+}
+
 // slot finds the slot holding the key t has in columns cols (hash h), or
-// the empty slot where that key would go. The first slot probed is the
-// top bits of h times 2⁶⁴/φ (Fibonacci hashing).
+// the empty slot where that key would go, probing linearly from home.
 func (k *keyTable) slot(t rel.Tuple, cols []int, h uint64) *keySlot {
 	mask := uint64(len(k.slots) - 1)
-	for i := h * 0x9e3779b97f4a7c15 >> (65 - bits.Len(uint(len(k.slots)))); ; i = (i + 1) & mask {
+	for i := k.home(h); ; i = (i + 1) & mask {
 		s := &k.slots[i]
 		if s.head == 0 || s.hash == h && k.keyEqual(s.head-1, t, cols) {
 			return s
@@ -108,7 +129,12 @@ func (k *keyTable) insert(t rel.Tuple, h uint64, unique bool) bool {
 	} else if len(k.chunks[c])+k.arity > cap(k.chunks[c]) {
 		k.chunks[c] = append(make([]int64, 0, min(2*cap(k.chunks[c]), full)), k.chunks[c]...)
 	}
-	k.chunks[c] = append(k.chunks[c], t...)
+	n := len(k.chunks[c])
+	ch := k.chunks[c][:n+k.arity]
+	for i, v := range t[:k.arity] {
+		ch[n+i] = v
+	}
+	k.chunks[c] = ch
 	k.next = append(k.next, -1)
 	if s.head == 0 {
 		*s = keySlot{hash: h, head: r + 1, tail: r}

@@ -174,6 +174,9 @@ type Report struct {
 	// in its inbound exchange queues: delivered by the transport, not yet
 	// taken by an operator. The memory accountant does not charge them.
 	PeakQueuedTuples []int64
+	// HeldAtPeak is, per worker, what it held at its reservation's peak
+	// beside the charge.
+	HeldAtPeak []HeldAtPeak
 	// SpilledBytes, SpillSegments, and Spills describe the run's
 	// spill-to-disk activity: bytes written, segment files created, and
 	// in-memory runs sealed. All zero when nothing spilled.
@@ -329,6 +332,15 @@ func (r *Report) add(b *Report) {
 	// only its own workers' slots, so the peak merges as a max either way.
 	r.PeakResidentTuples = maxVec(r.PeakResidentTuples, b.PeakResidentTuples)
 	r.PeakQueuedTuples = maxVec(r.PeakQueuedTuples, b.PeakQueuedTuples)
+	if r.HeldAtPeak == nil {
+		r.HeldAtPeak = slices.Clone(b.HeldAtPeak)
+	} else {
+		for w := range min(len(r.HeldAtPeak), len(b.HeldAtPeak)) {
+			if b.HeldAtPeak[w].Charged > r.HeldAtPeak[w].Charged {
+				r.HeldAtPeak[w] = b.HeldAtPeak[w]
+			}
+		}
+	}
 	r.SpilledBytes += b.SpilledBytes
 	r.SpillSegments += b.SpillSegments
 	r.Spills += b.Spills

@@ -161,7 +161,13 @@ func (o *projectOp) open() error {
 	return o.in.open()
 }
 
-func (o *projectOp) close() error { return o.in.close() }
+func (o *projectOp) close() error {
+	if o.seen != nil {
+		o.t.ex.held[o.t.worker].hash.Add(-o.seen.values())
+		o.seen = nil
+	}
+	return o.in.close()
+}
 
 func (o *projectOp) next() (rel.Batch, error) {
 	for {
@@ -179,9 +185,10 @@ func (o *projectOp) next() (rel.Batch, error) {
 				if !o.seen.insert(o.row, keyHash(o.row, o.seen.cols), true) {
 					continue
 				}
-				if err := o.t.ex.charge(o.t.worker, 1, "project-dedup"); err != nil {
+				if err := o.t.ex.charge(o.t.worker, 1, len(o.row), "project-dedup"); err != nil {
 					return rel.Batch{}, err
 				}
+				o.t.ex.held[o.t.worker].hash.Add(int64(len(o.row)))
 			}
 			out.Append(o.row)
 		}
@@ -214,7 +221,8 @@ func (o *projectOp) next() (rel.Batch, error) {
 // other side's chain. One probe row over a heavy key can match millions of
 // rows, and the join holds at most one output batch of them at a time. The
 // output batch grows as the router's do, so a join that emits a handful of
-// rows holds a small one.
+// rows holds a small one. Each joined row is written straight into it: the
+// left row's values, then the right row's rKeep columns.
 type hashJoinOp struct {
 	t     *task
 	in    [2]operator
@@ -229,8 +237,7 @@ type hashJoinOp struct {
 	b      rel.Batch // the input batch being probed
 	pos    int       // the row of b being probed
 	m      int32     // its next match in the other side's table, or -1
-	out    rel.Batch
-	row    rel.Tuple // the joined row being built
+	out    rel.Batch // joined rows are written into it in place
 }
 
 func (o *hashJoinOp) schema() rel.Schema { return o.sch }
@@ -243,11 +250,13 @@ func (o *hashJoinOp) open() error {
 		}
 	}
 	o.m = -1
-	o.row = make(rel.Tuple, 0, len(o.sch))
 	return nil
 }
 
 func (o *hashJoinOp) close() error {
+	for s := range o.tabs {
+		o.drop(s)
+	}
 	err1 := o.in[0].close()
 	err2 := o.in[1].close()
 	if err1 != nil {
@@ -264,8 +273,10 @@ func (o *hashJoinOp) next() (rel.Batch, error) {
 			t0 := time.Now()
 			full, probed := o.probe()
 			built := probed
-			if o.tabs[o.side] == nil {
+			if tab := o.tabs[o.side]; tab == nil {
 				built = 0
+			} else {
+				e.held[o.t.worker].hash.Add(int64(built * tab.arity))
 			}
 			e.metrics.addHash(o.t.worker, time.Since(t0), int64(built), int64(probed))
 			if full {
@@ -292,18 +303,26 @@ func (o *hashJoinOp) next() (rel.Batch, error) {
 		b, err := o.in[s].next()
 		if err == io.EOF {
 			o.done[s] = true
-			o.tabs[1-s] = nil // only side s's rows probe it
+			o.drop(1 - s) // only side s's rows probe it
 			continue
 		}
 		if err != nil {
 			return rel.Batch{}, err
 		}
 		o.pulled[s] += b.Len()
-		if err := e.charge(o.t.worker, int64(b.Len()), "hashjoin"); err != nil {
+		if err := e.charge(o.t.worker, int64(b.Len()), b.Arity, "hashjoin"); err != nil {
 			return rel.Batch{}, err
 		}
 		o.side, o.b = s, b
 		o.pos, o.m = -1, -1 // probe from its first row
+	}
+}
+
+// drop lets side s's table go.
+func (o *hashJoinOp) drop(s int) {
+	if tab := o.tabs[s]; tab != nil {
+		o.t.ex.held[o.t.worker].hash.Add(-tab.values())
+		o.tabs[s] = nil
 	}
 }
 
@@ -336,11 +355,14 @@ func (o *hashJoinOp) probe() (full bool, probed int) {
 		if s == 1 {
 			left, right = right, left
 		}
-		o.row = append(o.row[:0], left...)
-		for _, c := range o.rKeep {
-			o.row = append(o.row, right[c])
+		row := o.out.Extend()
+		for i, v := range left {
+			row[i] = v
 		}
-		o.out.Append(o.row)
+		keep := row[len(left):]
+		for i, c := range o.rKeep {
+			keep[i] = right[c]
+		}
 		o.m = other.next[o.m]
 	}
 }
@@ -387,6 +409,12 @@ func (o *tributaryOp) open() error {
 	}
 	sort.Strings(aliases)
 
+	// Each Sorter's arena is held until it finishes, its sorted words and
+	// then the tries' directories until the join has run.
+	ledger, trie := &e.held[o.t.worker], int64(0)
+	defer func() { ledger.sorted.Add(-trie) }()
+	holdTrie := func(n int64) { ledger.sorted.Add(n); trie += n }
+
 	var inputTuples int64
 	var flat []int64 // a batch's normalized rows, side by side
 	sortStart, wait0 := time.Now(), o.t.wait
@@ -412,7 +440,7 @@ func (o *tributaryOp) open() error {
 		var s ljoin.Sorted
 		var sorter *spill.Sorter
 		if arity > 0 {
-			sorter = spill.NewSorter(e.spillConfig(o.t.worker, arity, "sort("+alias+")"))
+			sorter = spill.NewSorter(e.spillConfig(o.t.worker, arity, "sort("+alias+")", true))
 		}
 		for {
 			b, err := in.next()
@@ -434,7 +462,7 @@ func (o *tributaryOp) open() error {
 			}
 			e.recycle(b)
 			if sorter != nil {
-				if err := sorter.AddBatch(rel.BatchOf(arity, len(flat)/arity, flat)); err != nil {
+				if err := e.addToSpill(o.t.worker, sorter, rel.BatchOf(arity, len(flat)/arity, flat)); err != nil {
 					return e.spillErr(o.t.worker, err)
 				}
 			}
@@ -444,11 +472,14 @@ func (o *tributaryOp) open() error {
 			// array. Its spilled part was charged to the disk cap when
 			// sealed; the read-back is modeled as a disk-backed index, so
 			// it is not re-charged to the tuple budget.
+			arena := sorter.Reserved() * int64(arity)
 			words, layout, err := sorter.FinishPacked()
 			if err != nil {
 				return err
 			}
 			s = ljoin.Sorted{Rows: len(words) / layout.Words(), Words: words, Layout: layout}
+			ledger.sorted.Add(-arena) // the words hold its rows now
+			holdTrie(int64(len(words)))
 		}
 		if err := in.close(); err != nil {
 			return err
@@ -460,6 +491,7 @@ func (o *tributaryOp) open() error {
 	if err != nil {
 		return err
 	}
+	holdTrie(p.Held() - trie)
 	sortDur := time.Since(sortStart) - (o.t.wait - wait0)
 	e.metrics.addSort(o.t.worker, sortDur)
 	e.metrics.addSorted(o.t.worker, inputTuples)

@@ -118,7 +118,7 @@ func (o *tributaryOp) join(shards []*ljoin.Prepared) (spill.Stream, error) {
 		if len(shards) > 1 {
 			label = fmt.Sprintf("tributary[%d]", i)
 		}
-		buf := spill.NewBuffer(e.spillConfig(o.t.worker, len(o.sch), label))
+		buf := spill.NewBuffer(e.spillConfig(o.t.worker, len(o.sch), label, false))
 		bufs[i] = buf
 		// Rows reach the buffer a batch at a time: one budget reservation
 		// and one bulk copy per batch instead of one of each per row.
@@ -128,7 +128,7 @@ func (o *tributaryOp) join(shards []*ljoin.Prepared) (spill.Stream, error) {
 		runErr := shards[i].Run(func(t rel.Tuple) bool {
 			b.Append(t)
 			if b.Len() == e.batchSize {
-				addErr = buf.AddBatch(b)
+				addErr = e.addToSpill(o.t.worker, buf, b)
 				b = rel.BatchOf(b.Arity, 0, b.Vals[:0])
 			}
 			return addErr == nil
@@ -137,7 +137,7 @@ func (o *tributaryOp) join(shards []*ljoin.Prepared) (spill.Stream, error) {
 			return buf.Len(), runErr
 		}
 		if addErr == nil {
-			addErr = buf.AddBatch(b)
+			addErr = e.addToSpill(o.t.worker, buf, b)
 		}
 		if addErr != nil {
 			return buf.Len(), e.spillErr(o.t.worker, addErr)

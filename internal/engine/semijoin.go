@@ -44,9 +44,10 @@ func (o *semiJoinOp) open() error {
 		}
 		for i := range b.Len() {
 			if t := b.Row(i); o.keys.insert(t, keyHash(t, o.rCols), true) {
-				if err := o.t.ex.charge(o.t.worker, 1, "semijoin"); err != nil {
+				if err := o.t.ex.charge(o.t.worker, 1, b.Arity, "semijoin"); err != nil {
 					return err
 				}
+				o.t.ex.held[o.t.worker].hash.Add(int64(b.Arity))
 			}
 		}
 		o.t.ex.recycle(b)
@@ -77,7 +78,13 @@ func (o *semiJoinOp) next() (rel.Batch, error) {
 	}
 }
 
-func (o *semiJoinOp) close() error { return o.left.close() }
+func (o *semiJoinOp) close() error {
+	if o.keys != nil {
+		o.t.ex.held[o.t.worker].hash.Add(-o.keys.values())
+		o.keys = nil
+	}
+	return o.left.close()
+}
 
 // compileSemiJoin is called from exec.compile.
 func (e *exec) compileSemiJoin(v SemiJoin, t *task) (operator, error) {

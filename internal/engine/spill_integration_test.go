@@ -130,11 +130,7 @@ func TestSpillOnPressureMatchesUnlimited(t *testing.T) {
 func TestBatchStoreBalance(t *testing.T) {
 	const workers, runs = 4, 20
 	cfg := shares.Config{Vars: []core.Var{"x", "y", "z"}, Dims: []int{2, 2, 1}}
-	held := func(c *Cluster) int {
-		c.batches.mu.Lock()
-		defer c.batches.mu.Unlock()
-		return c.batches.vals
-	}
+	held := func(c *Cluster) int { return int(c.batches.vals.Load()) }
 	for _, pol := range []SpillPolicy{SpillOff, SpillOnPressure} {
 		c := NewCluster(workers)
 		defer c.Close()

@@ -374,6 +374,13 @@ func (t *TCPTransport) epochLocked(epoch int64) *epochTally {
 	return e
 }
 
+// queueGauges returns one epoch's per-worker queue gauges.
+func (t *TCPTransport) queueGauges(epoch int64) []queueGauge {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.epochLocked(epoch).queued
+}
+
 // peerLocked returns (creating if needed) the sending state for a peer
 // address. Callers hold t.mu.
 func (t *TCPTransport) peerLocked(addr string) *tcpPeer {

@@ -142,10 +142,14 @@ func raise(m *atomic.Int64, v int64) {
 }
 
 // queueGauge counts the tuples waiting in one worker's inbound queues of
-// one run, with their high-water mark, and the batches pushed to them.
-type queueGauge struct{ now, peak, batches atomic.Int64 }
+// one run, with their high-water mark, the values they hold, and the
+// batches pushed to them.
+type queueGauge struct{ now, peak, vals, batches atomic.Int64 }
 
-func (g *queueGauge) add(n int64) { raise(&g.peak, g.now.Add(n)) }
+func (g *queueGauge) add(b rel.Batch, sign int64) {
+	g.vals.Add(sign * int64(len(b.Vals)))
+	raise(&g.peak, g.now.Add(sign*int64(b.Len())))
+}
 
 func (c *transportCounters) dequeued() {
 	c.queueDepth.Add(-1)
@@ -197,7 +201,7 @@ func newMemQueue(producers int, ctr *transportCounters, queued *queueGauge) *mem
 func (q *memQueue) push(batch rel.Batch) {
 	q.mu.Lock()
 	q.batches = append(q.batches, batch)
-	q.queued.add(int64(batch.Len()))
+	q.queued.add(batch, 1)
 	q.queued.batches.Add(1)
 	// Inside the lock so the gauge can never go negative: pop decrements
 	// under the same lock, after this increment is visible.
@@ -273,7 +277,7 @@ func (q *memQueue) take() (b rel.Batch, ok, ready bool, err error) {
 		b = q.batches[0]
 		q.batches = q.batches[1:]
 		q.ctr.dequeued()
-		q.queued.add(-int64(b.Len()))
+		q.queued.add(b, -1)
 		return b, true, true, nil
 	case q.open <= 0:
 		return b, false, true, nil

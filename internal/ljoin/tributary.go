@@ -320,6 +320,20 @@ func (p *Prepared) SetStopCheck(stop func() bool) { p.stop = stop }
 // Stopped reports whether the last Run was aborted by the stop check.
 func (p *Prepared) Stopped() bool { return p.stopped }
 
+// Held returns the values the tries hold: each trie's packed words and
+// its directories' keys and child offsets. Shards share them, so it is
+// counted on the join they were cut from.
+func (p *Prepared) Held() int64 {
+	var n int
+	for _, t := range p.tries {
+		n += len(t.words)
+		for _, l := range t.levels {
+			n += len(l.keys) + len(l.child)
+		}
+	}
+	return int64(n)
+}
+
 // Stats returns the work counters accumulated so far.
 func (p *Prepared) Stats() Stats {
 	s := Stats{Results: p.results}

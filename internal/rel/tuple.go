@@ -88,8 +88,28 @@ func (b *Batch) Row(i int) Tuple {
 	return b.Vals[i*a : (i+1)*a : (i+1)*a]
 }
 
-// Append copies t in as the batch's last row.
+// Append copies t in as the batch's last row. A row that fits in the
+// batch's spare capacity is written value by value: for the rows of two
+// to four values that exchanges and joins move, indexed stores cost less
+// than the runtime.memmove call append makes.
 func (b *Batch) Append(t Tuple) {
-	b.Vals = append(b.Vals, t...)
+	n := len(b.Vals)
+	if n+len(t) > cap(b.Vals) {
+		b.Vals = append(b.Vals, t...)
+	} else {
+		b.Vals = b.Vals[:n+len(t)]
+		for i, v := range t {
+			b.Vals[n+i] = v
+		}
+	}
 	b.rows++
+}
+
+// Extend adds one row to the batch and returns it, for the caller to fill
+// in place. The batch must have room for it.
+func (b *Batch) Extend() Tuple {
+	n := len(b.Vals)
+	b.Vals = b.Vals[:n+b.Arity]
+	b.rows++
+	return b.Vals[n : n+b.Arity : n+b.Arity]
 }

@@ -17,6 +17,7 @@ type Accountant struct {
 	diskLimit int64 // bytes across the run; <= 0 means unlimited
 	diskUsed  atomic.Int64
 	workers   []workerAccount
+	onPeak    func(w int, used int64)
 }
 
 type workerAccount struct {
@@ -33,6 +34,12 @@ type workerAccount struct {
 func NewAccountant(n int, limit, diskLimit int64) *Accountant {
 	return &Accountant{limit: limit, diskLimit: diskLimit, workers: make([]workerAccount, n)}
 }
+
+// OnPeak sets f to be called with a worker and its new reservation each
+// time a Reserve raises that worker's high-water mark. Calls for one
+// worker may come concurrently and out of order. Set it before the first
+// Reserve.
+func (a *Accountant) OnPeak(f func(w int, used int64)) { a.onPeak = f }
 
 // Limit returns the per-worker tuple budget (<= 0 means unlimited).
 func (a *Accountant) Limit() int64 { return a.limit }
@@ -51,7 +58,13 @@ func (a *Accountant) Reserve(w int, n int64) bool {
 	}
 	for {
 		p := wa.peak.Load()
-		if used <= p || wa.peak.CompareAndSwap(p, used) {
+		if used <= p {
+			return true
+		}
+		if wa.peak.CompareAndSwap(p, used) {
+			if a.onPeak != nil {
+				a.onPeak(w, used)
+			}
 			return true
 		}
 	}

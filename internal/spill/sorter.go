@@ -237,6 +237,10 @@ func (s *spiller) Segments() int { return len(s.segs) }
 // Len returns the tuples added so far.
 func (s *spiller) Len() int64 { return s.total }
 
+// Reserved returns the tuples of the in-memory run charged to the
+// accountant.
+func (s *spiller) Reserved() int64 { return s.reserved }
+
 // finish ends the run. With nothing on disk it returns no readers: the
 // run stays in memory, unsorted. Otherwise it seals the residual run too,
 // releasing its reservation — downstream operators get the budget back
