@@ -174,11 +174,6 @@ func (e *exec) spillErr(worker int, err error) error {
 	return err
 }
 
-// spillEnabled reports whether this run may seal state to disk.
-func (e *exec) spillEnabled() bool {
-	return e.spillPolicy == spill.OnPressure || e.spillPolicy == spill.Always
-}
-
 // spillConfig builds the Sorter/Buffer configuration for one operator.
 // With spilling off (or a zero-arity row shape no segment can hold) the
 // Create hook stays nil: the operator never seals, and budget pressure is
@@ -192,7 +187,7 @@ func (e *exec) spillConfig(worker, arity int, label string, sorts bool) spill.Co
 		SealTuples: e.sealTuples,
 		Label:      label,
 	}
-	if e.spillEnabled() && arity > 0 {
+	if (e.spillPolicy == spill.OnPressure || e.spillPolicy == spill.Always) && arity > 0 {
 		cfg.Create = e.spillFile
 		cfg.OnSpill = func(ev spill.Event) {
 			e.held[worker].spill(sorts, -ev.Tuples*int64(arity))
@@ -798,16 +793,13 @@ func (e *exec) runRoot(root Node, w int) (*rel.Relation, error) {
 	defer op.close()
 
 	out := &rel.Relation{Name: "result", Schema: op.schema().Clone()}
-	// With spilling on, result (and StoreAs) materialization is charged to
-	// the budget through a spillable FIFO buffer sealed to disk under
-	// pressure, whose read-back is charged to the disk cap, not the tuple
-	// budget. With it off the result's rows view the batches as they come,
-	// a batch less than half full (a select's, a short join's) copied to
-	// storage of its own size first.
-	var buf *spill.Buffer
-	if e.spillEnabled() {
-		buf = spill.NewBuffer(e.spillConfig(w, len(out.Schema), "result", false))
-	}
+	// The answer is the run's output, not operator state, so under every
+	// spill policy it is charged to no budget and never sealed: its rows
+	// view the batches as they come, a batch at least a quarter empty
+	// copied to storage of its own size first. Batch storage is a power of
+	// two, so a full batch of 1 024 three-column rows leaves a quarter of
+	// its 4 096 values empty; kept as is, result_stream's 220 k-row answer
+	// read 48.3 MiB peak RSS against 46.0 copied (6 pairs, 2-core host).
 	var kept []rel.Batch
 	rows := 0
 	for {
@@ -819,37 +811,19 @@ func (e *exec) runRoot(root Node, w int) (*rel.Relation, error) {
 			return nil, err
 		}
 		e.prog.AddTuples(int64(b.Len()))
-		if buf == nil {
-			if 2*len(b.Vals) < cap(b.Vals) {
-				small := rel.BatchOf(b.Arity, b.Len(), slices.Clone(b.Vals))
-				e.recycle(b)
-				b = small
-			}
-			kept = append(kept, b)
-			rows += b.Len()
-			continue
+		if 4*len(b.Vals) <= 3*cap(b.Vals) {
+			small := rel.BatchOf(b.Arity, b.Len(), slices.Clone(b.Vals))
+			e.recycle(b)
+			b = small
 		}
-		if err := e.addToSpill(w, buf, b); err != nil {
-			return nil, e.spillErr(w, err)
+		kept = append(kept, b)
+		rows += b.Len()
+	}
+	out.Tuples = make([]rel.Tuple, 0, rows)
+	for _, b := range kept {
+		for i := range b.Len() {
+			out.Tuples = append(out.Tuples, b.Row(i))
 		}
-		e.recycle(b)
-	}
-	if buf == nil {
-		out.Tuples = make([]rel.Tuple, 0, rows)
-		for _, b := range kept {
-			for i := range b.Len() {
-				out.Tuples = append(out.Tuples, b.Row(i))
-			}
-		}
-		return out, nil
-	}
-	stream, err := buf.Finish()
-	if err != nil {
-		return nil, err
-	}
-	out.Tuples, err = spill.Drain(stream)
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -18,8 +18,8 @@ type HeldAtPeak struct {
 	// HashCharged and SortCharged are the values (tuples × arity) of the
 	// reservation charged by hash tables (the hash join, the semijoin and
 	// dedup) and by the Tributary join's Sorters. Buffered is the values
-	// charged by Buffers (the Tributary join's output, the root's answer),
-	// which hold what they are charged for.
+	// charged by Buffers (the Tributary join's output), which hold what
+	// they are charged for.
 	HashCharged, SortCharged, Buffered int64
 	// Hash is the values in the worker's live hash tables. Sorted is the
 	// values the Tributary join's sort holds: its Sorters' arenas while

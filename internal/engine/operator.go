@@ -410,9 +410,16 @@ func (o *tributaryOp) open() error {
 	sort.Strings(aliases)
 
 	// Each Sorter's arena is held until it finishes, its sorted words and
-	// then the tries' directories until the join has run.
+	// then the tries' directories until the join has run. A finished
+	// Sorter's reservation stands for its words until then, and is
+	// released when open returns, on every path.
 	ledger, trie := &e.held[o.t.worker], int64(0)
-	defer func() { ledger.sorted.Add(-trie) }()
+	var reserved, reservedVals int64 // what the finished Sorters still charge
+	defer func() {
+		ledger.sorted.Add(-trie)
+		e.acct.Release(o.t.worker, reserved)
+		ledger.sortCharged.Add(-reservedVals)
+	}()
 	holdTrie := func(n int64) { ledger.sorted.Add(n); trie += n }
 
 	var inputTuples int64
@@ -472,13 +479,18 @@ func (o *tributaryOp) open() error {
 			// array. Its spilled part was charged to the disk cap when
 			// sealed; the read-back is modeled as a disk-backed index, so
 			// it is not re-charged to the tuple budget.
-			arena := sorter.Reserved() * int64(arity)
 			words, layout, err := sorter.FinishPacked()
 			if err != nil {
 				return err
 			}
 			s = ljoin.Sorted{Rows: len(words) / layout.Words(), Words: words, Layout: layout}
-			ledger.sorted.Add(-arena) // the words hold its rows now
+			// A spilled finish sealed the in-memory run and released it; an
+			// in-memory one keeps its reservation, and the words hold its
+			// rows now.
+			arena := sorter.Reserved()
+			reserved += arena
+			reservedVals += arena * int64(arity)
+			ledger.sorted.Add(-arena * int64(arity))
 			holdTrie(int64(len(words)))
 		}
 		if err := in.close(); err != nil {
@@ -539,14 +551,13 @@ func (o *tributaryOp) next() (rel.Batch, error) {
 		return rel.Batch{}, err
 	}
 	// The stream's batch is not handed on as it is: an arena chunk would
-	// reach whoever recycles the batch, and under on-pressure spill runRoot
-	// copies every batch into its own Buffer and recycles it, so the
-	// chunks piled up in the batch store with nothing drawing them back
-	// out. In TestBatchStoreBalance's on-pressure arm the store then grew
-	// by about 22 k values a run (71 k after run 2, 472 k after run 20,
-	// against 27–34 k with this copy), and the bench's cyclic_hc_tj
-	// peak_rss_mb read 46.9–50.5 MiB against 26.9–28.4 with the copy
-	// (2-core host).
+	// reach whoever recycles the batch once its rows are copied out (a
+	// router after routing it, runRoot when it is at least a quarter
+	// empty), and the store would take in storage it never handed out, run
+	// after run.
+	// In TestBatchStoreBalance, passing the chunk on grew the store from
+	// 45 568 values after run 2 to 233 728 after run 20 with spilling off,
+	// and from 46 080 to 232 704 on-pressure (2-core host).
 	b := o.t.ex.batch(sb.Arity, sb.Len())
 	return rel.BatchOf(sb.Arity, sb.Len(), append(b.Vals, sb.Vals...)), nil
 }

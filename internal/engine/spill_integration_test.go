@@ -160,6 +160,65 @@ func TestBatchStoreBalance(t *testing.T) {
 	}
 }
 
+// TestTributaryReleasesSorters opens a Tributary triangle on one worker,
+// with spilling off and with on-pressure spill under a budget that holds
+// two of its three sorted inputs, and requires that once open has
+// returned the worker's charge is only what the join's output Buffers
+// hold: the join has read the Sorters' words, so none of their
+// reservation is left, and the held ledger's sort charge is back to 0.
+func TestTributaryReleasesSorters(t *testing.T) {
+	for _, tc := range []struct {
+		pol   spill.Policy
+		limit int64
+	}{{spill.Off, 0}, {spill.OnPressure, 3000}} {
+		c := NewCluster(1)
+		defer c.Close()
+		q, want := spillTriangleData(c)
+		e := opExec(c)
+		e.acct = spill.NewAccountant(1, tc.limit, 0)
+		e.spillPolicy, e.spillBase = tc.pol, t.TempDir()
+		inputs := make(map[string]Node, len(q.Atoms))
+		for _, a := range q.Atoms {
+			inputs[a.Alias] = Scan{Table: a.Relation}
+		}
+		root := Tributary{Query: q, Inputs: inputs, Order: []core.Var{"x", "y", "z"}}
+		op, err := e.compile(root, &task{ex: e, worker: 0, exchange: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := op.open(); err != nil {
+			t.Fatalf("spill %v: %v", tc.pol, err)
+		}
+		l := &e.held[0]
+		used, buffered := e.acct.Used(0), l.buffered.Load()
+		if sc := l.sortCharged.Load(); sc != 0 {
+			t.Errorf("spill %v: the Sorters still charge %d values after open", tc.pol, sc)
+		}
+		if used*int64(len(root.Order)) != buffered {
+			t.Errorf("spill %v: the worker is charged %d tuples after open, its output Buffers hold %d values",
+				tc.pol, used, buffered)
+		}
+		if tc.pol == spill.OnPressure && e.spillSegs.Load() == 0 {
+			t.Errorf("spill %v: nothing sealed under a %d-tuple budget", tc.pol, tc.limit)
+		}
+		var rows int
+		for {
+			b, err := op.next()
+			if err != nil {
+				break
+			}
+			rows += b.Len()
+		}
+		if err := op.close(); err != nil {
+			t.Fatal(err)
+		}
+		e.cleanupSpill()
+		if rows != want.Cardinality() {
+			t.Fatalf("spill %v: %d rows, want %d", tc.pol, rows, want.Cardinality())
+		}
+	}
+}
+
 // TestSpillAlwaysMatchesUnlimited runs the same workload with every run
 // sealed to disk regardless of pressure — the policy that exercises the
 // external merge path hardest.

@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
+	"parajoin/internal/core"
 	"parajoin/internal/engine"
+	"parajoin/internal/planner"
+	"parajoin/internal/rel"
 )
 
 // TestHeldVsCharged runs Q1–Q8 under the six configurations at test
@@ -79,6 +84,62 @@ func TestHeldVsCharged(t *testing.T) {
 	}
 	t.Logf("largest over-charge: %s, %.2f× what it holds", over.what, over.v)
 	t.Logf("largest under-charge: %s, %.0f values held beyond the charge", under.what, under.v)
+}
+
+// TestSpillPolicyKeepsAnswerAndPeak runs Q1–Q8 and a three-hop path,
+// whose answer outgrows its input, under the six configurations with
+// spilling off and on-pressure, under a budget neither run comes near. The
+// policy only decides whether a holder may seal, and the answer is
+// charged under neither, so both runs must return the same rows and
+// charge every worker the same peak. RS_TJ's peaks are left out: its
+// workers run several Tributary joins at once, each releasing its Sorters
+// when its join has run while the next one's Sorters fill, so where a
+// worker peaks follows the schedule and moves from run to run under either
+// policy.
+func TestSpillPolicyKeepsAnswerAndPeak(t *testing.T) {
+	s := tinySuite()
+	defer s.Close()
+	w := s.Workload()
+	path := core.MustParseRule("Path(x,y,z,p) :- Twitter(x,y), Twitter(y,z), Twitter(z,p)", nil)
+	qs := []*core.Query{path}
+	for _, name := range w.Names() {
+		qs = append(qs, w.Query(name))
+	}
+	c, p := s.Cluster(s.Workers), s.Planner(s.Workers)
+	for _, q := range qs {
+		for _, cfg := range planner.Configs {
+			res, err := p.Plan(q, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var outs [2]*rel.Relation
+			var reps [2]*engine.Report
+			for i, pol := range []engine.SpillPolicy{engine.SpillOff, engine.SpillOnPressure} {
+				out, rep, err := c.RunRoundsOpts(context.Background(), res.Rounds, engine.RunOpts{Spill: pol, SpillDir: t.TempDir()})
+				if err != nil {
+					t.Fatalf("%s %v, spill %v: %v", q.Name, cfg, pol, err)
+				}
+				if rep.SpillSegments != 0 {
+					t.Fatalf("%s %v, spill %v: %d segments sealed under a budget of %d tuples",
+						q.Name, cfg, pol, rep.SpillSegments, s.MemLimitTuples)
+				}
+				outs[i], reps[i] = out, rep
+			}
+			if !outs[0].Equal(outs[1]) {
+				t.Errorf("%s %v: %d rows with spilling off, %d on-pressure, or not the same rows",
+					q.Name, cfg, outs[0].Cardinality(), outs[1].Cardinality())
+			}
+			if cfg == planner.RSTJ {
+				continue // its peaks follow the schedule: see above
+			}
+			if off, on := reps[0].PeakResidentTuples, reps[1].PeakResidentTuples; !slices.Equal(off, on) {
+				t.Errorf("%s %v: peak resident tuples %v with spilling off, %v on-pressure", q.Name, cfg, off, on)
+			}
+			if in := w.Relations["Twitter"].Cardinality(); q == path && outs[0].Cardinality() <= in {
+				t.Fatalf("%s %v: %d rows, no more than its %d-edge input", q.Name, cfg, outs[0].Cardinality(), in)
+			}
+		}
+	}
 }
 
 // ratio formats charged ÷ held with both figures.

@@ -7,10 +7,9 @@ import (
 )
 
 // Buffer is a spillable FIFO tuple buffer: the materialization primitive
-// for root results (StoreAs temps included) and the Tributary join's
-// output. Like Sorter it copies each added row into an arena it owns, but
-// it preserves insertion order — sealed runs replay in seal order,
-// then the in-memory tail.
+// for the Tributary join's output. Like Sorter it copies each added row
+// into an arena it owns, but it preserves insertion order — sealed runs
+// replay in seal order, then the in-memory tail.
 type Buffer struct{ spiller }
 
 // NewBuffer creates a buffer configured by cfg.

@@ -41,10 +41,9 @@
 //     sort's own keys — which are the Tributary trie's backing array;
 //     Finish is FinishPacked with the rows unpacked into a Stream.
 //   - Buffer: the unsorted cousin on the same owned arena, preserving
-//     append order — used for result (StoreAs included) and
-//     per-sub-range join-output materialization. Its Finish chains its
-//     segments with Concat, which also chains per-shard buffers back into
-//     one ordered stream.
+//     append order — used for per-sub-range join-output
+//     materialization. Its Finish chains its segments with Concat, which
+//     also chains per-shard buffers back into one ordered stream.
 //   - Stream: what a Finish returns, a batch (rel.Batch) at a time. A
 //     batch Next returns is its caller's and may hold more rows than the
 //     engine's batch size: a Buffer's arena chunk (up to 4 096 values), a

@@ -22,9 +22,9 @@ type Stream interface {
 	Close() error
 }
 
-// Drain materializes a stream and closes it. Its rows are views of the
-// stream's batches, so the rows of an in-memory stream stay views into its
-// run's arena: no value is copied.
+// Drain materializes a stream and closes it; bench/'s ledger and tests
+// call it. Its rows are views of the stream's batches, so the rows of an
+// in-memory stream stay views into its run's arena: no value is copied.
 func Drain(s Stream) ([]rel.Tuple, error) {
 	out := make([]rel.Tuple, 0, s.Len())
 	for {
